@@ -7,8 +7,8 @@
 //!   ([`polymer_numa::SimExecutor`] + `AccessCtx` accounting); the paper's
 //!   harness, exactly reproducible.
 //! * [`Backend::RealThreads`] — real OS threads over shared host memory (the
-//!   generalized executor in [`crate::parallel`]), proving the programs and
-//!   data structures are genuinely concurrent and providing wall-clock
+//!   owner-computes executor in [`crate::parallel`]), proving the programs
+//!   and data structures are genuinely concurrent and providing wall-clock
 //!   baselines.
 //!
 //! An engine describes how its strategy maps onto the real-thread executor
@@ -19,24 +19,32 @@ use polymer_faults::FaultPlan;
 /// Edge-traversal direction policy for the real-thread executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirectionPolicy {
-    /// Always push (scatter along out-edges of active vertices). X-Stream's
-    /// streaming scatter and Ligra's `force_push` ablation map here.
+    /// Always push: every thread scatters along the out-edges of its slice
+    /// of the frontier, folding contributions to targets it owns in place
+    /// and binning the rest for their owners to drain after the barrier.
+    /// X-Stream's scatter → shuffle → gather and Ligra's `force_push`
+    /// ablation map here.
     PushOnly,
-    /// Beamer-style hybrid: pull (gather over in-edges, gated by an
-    /// active-source bitmap) when the frontier is dense, push otherwise.
+    /// Beamer-style hybrid: gather (each owner folds over the in-edges of
+    /// its targets, gated by an active-source bitmap) when the frontier is
+    /// dense, push otherwise.
     Hybrid,
 }
 
-/// How an engine's strategy maps onto the real-thread executor.
+/// How an engine's strategy maps onto the real-thread executor. Both fields
+/// only choose *which edge phase* an iteration runs; ownership of targets,
+/// the barrier structure and the answers are the same under every profile.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecProfile {
-    /// Direction policy. Programs that declare
-    /// [`crate::Program::prefer_push`] stay in push mode under `Hybrid`.
+    /// Direction policy. Under `Hybrid` the choice is made per iteration
+    /// from the frontier's density alone; [`crate::Program::prefer_push`]
+    /// is a simulator-model flag and is not consulted on this backend.
     pub direction: DirectionPolicy,
-    /// Switch the frontier representation (and with it the direction) by
-    /// Ligra's density rule using exact frontier out-degrees. When false the
-    /// frontier stays a sparse vertex list and push mode is never left —
-    /// the legacy executor's behavior.
+    /// Apply Ligra's density rule ([`polymer_sync::should_densify`]) to the
+    /// frontier's exact size and out-degree after every iteration, and
+    /// gather when it fires. When false a `Hybrid` profile never gathers —
+    /// every iteration is a push over the sorted frontier list, exactly as
+    /// under `PushOnly`.
     pub adaptive_frontier: bool,
 }
 

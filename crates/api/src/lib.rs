@@ -11,9 +11,11 @@
 //!
 //! 1. **Scatter/EdgeMap** — for every edge `(s, t, w)` with `s` in the
 //!    active set, compute `scatter(curr[s], w, outdeg(s))` and fold it into
-//!    `next[t]` with the program's commutative [`Combine`] operator (push
-//!    mode uses atomic combines; pull mode folds over in-edges). Targets
-//!    that receive a contribution form the *updated set*.
+//!    `next[t]` with the program's commutative [`Combine`] operator (on the
+//!    simulator push mode uses atomic combines and pull mode folds over
+//!    in-edges; on real threads only the owner of `t` ever folds into
+//!    `next[t]`, see [`parallel`]). Targets that receive a contribution
+//!    form the *updated set*.
 //! 2. **Apply/VertexMap** — for every updated vertex `t`,
 //!    `apply(t, next[t], curr[t])` yields the new `curr[t]` and whether `t`
 //!    is active in the next iteration.

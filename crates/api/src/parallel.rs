@@ -3,45 +3,86 @@
 //! The four engines run deterministically on the simulator so the paper's
 //! experiments are exactly reproducible; this module proves the other half
 //! of the design claim — that the data structures and program semantics are
-//! *really* concurrent. It executes any [`Program`] with real OS threads
-//! (crossbeam scoped), Polymer's hierarchical sense-reversing barrier for
-//! phase synchronization, and lock-free atomic combines into a shared
-//! `next` array, with per-thread frontier queues merged at the barrier.
+//! *really* concurrent — and it does so the way the paper says a NUMA graph
+//! engine has to: **owner computes**. Thread *k* owns a contiguous range of
+//! *target* vertices, cut on bitmap-word (64-vertex) boundaries and balanced
+//! by in-degree + 1, and only the owner ever writes the `next` accumulator,
+//! the `updated` bit and the next `active` bit of a vertex in its range. No
+//! cell is written by two threads in the same phase, so the value arrays
+//! need nothing beyond the relaxed load/store every [`Atom`] has: no
+//! compare-and-swap loop, no atomic read-modify-write on a bitmap word, no
+//! lock around a value. Phases are
+//! separated by Polymer's hierarchical sense-reversing barrier
+//! ([`HierBarrier`]), whose acquire/release pairs order the plain accesses.
+//!
+//! One iteration is three barrier-separated phases:
+//!
+//! 1. **Edge phase.** A *gather* iteration folds, for every owned target,
+//!    the contributions of its active in-neighbours (CSC order) straight
+//!    into `next`; when every vertex is active the bitmap test is skipped.
+//!    A *push* iteration gives each thread a contiguous slice of the sorted
+//!    frontier carrying an equal share of out-edges; a contribution to an
+//!    owned target is folded in place, one to a foreign target is appended
+//!    to the (producer, owner) *bin* — X-Stream's scatter → shuffle →
+//!    gather and Polymer's "random writes stay local" are the same
+//!    mechanism here.
+//! 2. **Drain + apply.** After a push the owner drains the bins addressed to
+//!    it in producer order, then every owner scans its own `updated` words,
+//!    applies each touched vertex, and in the same pass produces its slice
+//!    of the next active bitmap, its part of the next frontier (already in
+//!    ascending order) and that part's out-degree sum.
+//! 3. **Swap.** One thread adds up the per-owner counts and degrees — O(threads)
+//!    — and picks the next direction. The per-owner lists are concatenated
+//!    (owner order is vertex order, so nothing is sorted) only when the next
+//!    iteration pushes or a checkpoint is due.
 //!
 //! An [`ExecProfile`] maps an engine's strategy onto the executor: hybrid
-//! profiles switch to pull mode (per-target gather over in-edges, gated by
-//! an active-source bitmap) when the frontier's exact out-degree crosses
-//! Ligra's density threshold; push-only profiles keep the sparse
-//! scatter loop. Results are bit-identical to the sequential reference for
-//! min-combining programs (relaxation order never changes a monotone fixed
-//! point) and ε-close for floating-point accumulation (summation order
-//! differs).
+//! adaptive profiles gather when the frontier's exact out-degree crosses
+//! Ligra's density threshold ([`should_densify`]) and push otherwise;
+//! push-only profiles always push. On this backend the direction follows
+//! frontier density alone — [`Program::prefer_push`] describes the paper's
+//! simulated machines and is not consulted.
+//!
+//! Contributions are folded with [`Program::fold`] in an order fixed by the
+//! graph, the frontier and the thread count (CSC order in a gather; own
+//! slice first, then bins by producer, in a push). Integer programs
+//! therefore match the sequential reference exactly, and floating-point
+//! programs are ε-close to it *and bit-identical from run to run* at a
+//! given thread count — including across a checkpoint/resume.
+//!
+//! Bin memory is bounded by (threads − 1)/threads × the frontier's out-edges
+//! × (4 + `size_of::<Val>()`) bytes; the buffers are reused across
+//! iterations. Every owner scans all of its bitmap words each iteration, so
+//! an iteration costs at least |V|/64 word loads however small the frontier.
 //!
 //! It is also the template for running this crate's programs on actual
-//! hardware: replace the plain arrays with `mbind`-placed memory and pin the
-//! threads, and the loop below is the Polymer push engine.
+//! hardware: place each owner's slice of `curr`/`next` and its in-edges with
+//! `mbind` on the owner's node and pin the threads, and every random write
+//! below is node-local.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use polymer_faults::{panic_with, FaultPlan, PolymerError, PolymerResult};
-use polymer_graph::{Graph, VId};
+use polymer_graph::{Graph, VId, Weight};
 use polymer_numa::{Atom, SharedTracer, WorkerSpan};
-use polymer_sync::{should_densify, HierBarrier};
-
-use polymer_sync::FrontierSnapshot;
+use polymer_sync::{should_densify, FrontierSnapshot, HierBarrier};
 
 use crate::backend::{DirectionPolicy, ExecProfile, RealThreadsConfig};
 use crate::driver::{Checkpoint, RecoverySession};
-use crate::program::{Combine, FrontierInit, Program};
+use crate::engine::validate_run_config;
+use crate::exec::degree_balanced_chunks;
+use crate::program::{FrontierInit, Program};
 
 /// Default bound on a single barrier wait: generous enough that no healthy
 /// run on an oversubscribed host ever hits it, small enough that a dead
 /// sibling turns into an error rather than an eternal hang.
 const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The legacy executor's profile: push-only over a sparse frontier list.
+/// The profile of [`run_parallel`] and its `try_` forms: push on every
+/// iteration.
 const LEGACY_PROFILE: ExecProfile = ExecProfile {
     direction: DirectionPolicy::PushOnly,
     adaptive_frontier: false,
@@ -116,8 +157,8 @@ pub fn try_run_parallel_traced<P: Program>(
 
 /// Run `prog` under an engine's [`ExecProfile`] — the `RealThreads` backend
 /// entry point ([`crate::Engine::try_run_on`] dispatches here). Hybrid
-/// profiles gain Beamer-style pull mode and adaptive frontiers; push-only
-/// profiles behave as the legacy executor.
+/// adaptive profiles gather on dense frontiers and push on sparse ones;
+/// push-only profiles push on every iteration.
 pub fn try_run_threads<P: Program>(
     g: &Graph,
     prog: &P,
@@ -149,12 +190,261 @@ pub fn try_run_threads_traced<P: Program>(
     )
 }
 
+/// Word-aligned ownership of the target vertices: thread `k` owns bitmap
+/// words `word_bounds[k]..word_bounds[k + 1]` and with them the vertices
+/// `64 * word_bounds[k]..min(64 * word_bounds[k + 1], n)`. A thread whose two
+/// bounds coincide owns nothing — no vertex and no bitmap word.
+struct Ownership {
+    word_bounds: Vec<usize>,
+}
+
+impl Ownership {
+    /// Cut the `n.div_ceil(64)` bitmap words into `threads` contiguous
+    /// ranges carrying equal shares of in-degree + 1 (a gather's work per
+    /// target, and a push's work per drained contribution).
+    fn balanced(in_off: &[usize], n: usize, threads: usize) -> Self {
+        let words = n.div_ceil(64);
+        let weight_before = |word: usize| {
+            let v = (word * 64).min(n);
+            in_off[v] + v
+        };
+        let total = weight_before(words);
+        let mut word_bounds = Vec::with_capacity(threads + 1);
+        word_bounds.push(0);
+        for k in 1..threads {
+            let target = k * total / threads;
+            // First word boundary at or past the k-th share, never before
+            // the previous bound.
+            let (mut lo, mut hi) = (word_bounds[k - 1], words);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if weight_before(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            word_bounds.push(lo);
+        }
+        word_bounds.push(words);
+        Ownership { word_bounds }
+    }
+
+    /// The bitmap words thread `tid` owns.
+    fn words(&self, tid: usize) -> Range<usize> {
+        self.word_bounds[tid]..self.word_bounds[tid + 1]
+    }
+
+    /// The thread owning vertex `t`.
+    #[inline]
+    fn owner_of(&self, t: VId) -> usize {
+        let word = t as usize / 64;
+        let interior = &self.word_bounds[1..self.word_bounds.len() - 1];
+        interior.partition_point(|&b| b <= word)
+    }
+}
+
+/// The vertices whose bits are set in bitmap word number `word`, ascending.
+fn vertices_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            word * 64 + bit
+        })
+    })
+}
+
+/// Contributions one producer thread addressed to one owner thread during a
+/// push iteration, in production order. Targets and values are kept apart so
+/// an entry costs `4 + size_of::<V>()` bytes. Aligned to its own cache lines:
+/// the bins sit side by side in one array and every append moves a length.
+#[repr(align(128))]
+struct Bin<V> {
+    targets: Vec<VId>,
+    vals: Vec<V>,
+}
+
+/// What one owner's apply pass found in its range: the vertices active next
+/// iteration (ascending) and the sum of their out-degrees. Cache-line aligned
+/// for the same reason as [`Bin`].
+#[derive(Default)]
+#[repr(align(128))]
+struct OwnerOut {
+    alive: Vec<VId>,
+    degree: u64,
+}
+
+/// How the coming iteration traverses edges.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Owners fold over the in-edges of their targets, gated by the active
+    /// bitmap unless every vertex is active.
+    Gather { all_active: bool },
+    /// Threads scatter along the out-edges of their frontier slice.
+    Push,
+}
+
+/// The coming iteration's plan, rewritten by the serial thread at each swap.
+struct Plan {
+    mode: Mode,
+    /// The frontier in ascending order. Current only when `mode` is
+    /// [`Mode::Push`] or a checkpoint was just taken.
+    items: Vec<VId>,
+    /// One slice of `items` per thread, balanced by out-degree + 1.
+    slices: Vec<Range<usize>>,
+}
+
+/// The state all workers share. Every cell of `next`, `updated` and
+/// `active_bits` has one writer — the owner of its vertex (or word) — and
+/// `curr` is written only in the apply pass, again by the owner; phases that
+/// read what another thread wrote are separated by a barrier.
+struct Exec<'a, P: Program> {
+    g: &'a Graph,
+    prog: &'a P,
+    threads: usize,
+    identity: P::Val,
+    own: Ownership,
+    /// Out-degree of every vertex: one load where the offset array takes two.
+    degs: Vec<u32>,
+    in_w: Option<&'a [Weight]>,
+    curr: Vec<<P::Val as Atom>::Repr>,
+    next: Vec<<P::Val as Atom>::Repr>,
+    /// Targets that received a contribution this iteration.
+    updated: Vec<AtomicU64>,
+    /// The frontier as a bitmap, rewritten word by word in every apply pass.
+    active_bits: Vec<AtomicU64>,
+    /// `bins[producer * threads + owner]`.
+    bins: Vec<parking_lot::Mutex<Bin<P::Val>>>,
+    outs: Vec<parking_lot::Mutex<OwnerOut>>,
+}
+
+impl<P: Program> Exec<'_, P> {
+    /// Fold `c` into owned target `t` and mark it updated.
+    #[inline]
+    fn accumulate(&self, t: VId, c: P::Val) {
+        let t = t as usize;
+        let cell = &self.next[t];
+        P::Val::atom_store(cell, self.prog.fold(P::Val::atom_load(cell), c));
+        let word = &self.updated[t / 64];
+        word.store(
+            word.load(Ordering::Relaxed) | 1u64 << (t % 64),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Gather iteration: fold the contributions of active in-neighbours into
+    /// every target `tid` owns.
+    fn gather(&self, tid: usize, all_active: bool) {
+        let n = self.curr.len();
+        let in_off = self.g.in_offsets();
+        let in_src = self.g.in_sources();
+        for word in self.own.words(tid) {
+            let base = word * 64;
+            let mut touched = 0u64;
+            for t in base..(base + 64).min(n) {
+                let edges = in_off[t]..in_off[t + 1];
+                let mut acc = self.identity;
+                let mut any = false;
+                for (i, &s) in in_src[edges.clone()].iter().enumerate() {
+                    let si = s as usize;
+                    if !all_active
+                        && self.active_bits[si / 64].load(Ordering::Relaxed) >> (si % 64) & 1 == 0
+                    {
+                        continue;
+                    }
+                    let sv = P::Val::atom_load(&self.curr[si]);
+                    let w = self.in_w.map_or(1, |ws| ws[edges.start + i]);
+                    acc = self
+                        .prog
+                        .fold(acc, self.prog.scatter(s, sv, w, self.degs[si]));
+                    any = true;
+                }
+                if any {
+                    P::Val::atom_store(&self.next[t], acc);
+                    touched |= 1u64 << (t - base);
+                }
+            }
+            self.updated[word].store(touched, Ordering::Relaxed);
+        }
+    }
+
+    /// Push iteration: scatter along the out-edges of `sources`, folding
+    /// contributions to owned targets in place and binning the rest for
+    /// their owners.
+    fn push(&self, tid: usize, sources: &[VId]) {
+        let mut guards: Vec<_> = self.bins[tid * self.threads..(tid + 1) * self.threads]
+            .iter()
+            .map(|b| b.lock())
+            .collect();
+        let mut bins: Vec<&mut Bin<P::Val>> = guards.iter_mut().map(|g| &mut **g).collect();
+        for &s in sources {
+            let sv = P::Val::atom_load(&self.curr[s as usize]);
+            let deg = self.degs[s as usize];
+            for (&t, &w) in self.g.out_neighbors(s).iter().zip(self.g.out_weights(s)) {
+                let c = self.prog.scatter(s, sv, w, deg);
+                let owner = self.own.owner_of(t);
+                if owner == tid {
+                    self.accumulate(t, c);
+                } else {
+                    bins[owner].targets.push(t);
+                    bins[owner].vals.push(c);
+                }
+            }
+        }
+    }
+
+    /// Fold in what the other threads binned for `tid`, producer by
+    /// producer, and hand the buffers back empty.
+    fn drain(&self, tid: usize) {
+        for producer in (0..self.threads).filter(|&p| p != tid) {
+            let mut bin = self.bins[producer * self.threads + tid].lock();
+            for (&t, &c) in bin.targets.iter().zip(&bin.vals) {
+                self.accumulate(t, c);
+            }
+            bin.targets.clear();
+            bin.vals.clear();
+        }
+    }
+
+    /// Apply every updated vertex `tid` owns, in ascending order, leaving
+    /// `next` and `updated` reset, the owned words of the active bitmap
+    /// rewritten, and the survivors with their degree sum in `outs[tid]`.
+    fn apply(&self, tid: usize) {
+        let mut out = self.outs[tid].lock();
+        out.alive.clear();
+        out.degree = 0;
+        for word in self.own.words(tid) {
+            let bits = self.updated[word].load(Ordering::Relaxed);
+            let mut alive_bits = 0u64;
+            if bits != 0 {
+                self.updated[word].store(0, Ordering::Relaxed);
+            }
+            for t in vertices_of(word, bits) {
+                let acc = P::Val::atom_load(&self.next[t]);
+                let cv = P::Val::atom_load(&self.curr[t]);
+                let (val, alive) = self.prog.apply(t as VId, acc, cv);
+                P::Val::atom_store(&self.curr[t], val);
+                P::Val::atom_store(&self.next[t], self.identity);
+                if alive {
+                    alive_bits |= 1u64 << (t % 64);
+                    out.alive.push(t as VId);
+                    out.degree += u64::from(self.degs[t]);
+                }
+            }
+            self.active_bits[word].store(alive_bits, Ordering::Relaxed);
+        }
+    }
+}
+
 /// [`try_run_threads_traced`] with recovery hooks: the serial thread
 /// publishes a [`Checkpoint`] (value sweep + the swapped-in frontier) to the
 /// session's store whenever one is due, and a session carrying a resume
 /// checkpoint starts from its values/frontier with the iteration counter —
 /// and therefore the fault plan's `(tid, iteration)` trigger points — in
 /// *global* iteration space, so injections already crossed are not replayed.
+/// A resumed frontier is taken as a *set*: duplicates collapse and members
+/// are visited in ascending order, as in the run that wrote the checkpoint.
 pub fn try_run_threads_rec<P: Program>(
     g: &Graph,
     prog: &P,
@@ -164,11 +454,7 @@ pub fn try_run_threads_rec<P: Program>(
     tracer: Option<&SharedTracer>,
     recovery: &RecoverySession<P::Val>,
 ) -> PolymerResult<(Vec<P::Val>, usize)> {
-    if threads == 0 {
-        return Err(PolymerError::InvalidConfig(
-            "threads must be >= 1".to_string(),
-        ));
-    }
+    validate_run_config(threads, g, prog)?;
     let plan = &cfg.plan;
     let groups = cfg.groups.clamp(1, threads);
     let n = g.num_vertices();
@@ -176,52 +462,108 @@ pub fn try_run_threads_rec<P: Program>(
     let identity = prog.next_identity();
     let barrier_timeout = plan.barrier_deadline().unwrap_or(DEFAULT_BARRIER_TIMEOUT);
 
+    // The initial frontier as bitmap words: a set, whatever order (or
+    // multiplicity) a resume checkpoint lists its members in.
+    let words = n.div_ceil(64);
+    let mut initial_bits = vec![0u64; words];
     let resume = recovery.resume();
-    if let Some(ck) = resume {
-        if ck.values.len() != n {
-            return Err(PolymerError::InvalidConfig(format!(
-                "resume checkpoint has {} values but the graph has {n} vertices",
-                ck.values.len()
-            )));
+    match resume {
+        Some(ck) => {
+            if ck.values.len() != n {
+                return Err(PolymerError::InvalidConfig(format!(
+                    "resume checkpoint has {} values but the graph has {n} vertices",
+                    ck.values.len()
+                )));
+            }
+            for &v in &ck.frontier.vertices {
+                if v as usize >= n {
+                    return Err(PolymerError::InvalidConfig(format!(
+                        "resume checkpoint's frontier names vertex {v} \
+                         but the graph has {n} vertices"
+                    )));
+                }
+                initial_bits[v as usize / 64] |= 1u64 << (v % 64);
+            }
         }
+        None => match prog.initial_frontier(g) {
+            FrontierInit::All => {
+                initial_bits.fill(u64::MAX);
+                if !n.is_multiple_of(64) {
+                    initial_bits[words - 1] = (1u64 << (n % 64)) - 1;
+                }
+            }
+            FrontierInit::Single(s) => initial_bits[s as usize / 64] |= 1u64 << (s % 64),
+        },
     }
+    let initial_items: Vec<VId> = initial_bits
+        .iter()
+        .enumerate()
+        .flat_map(|(word, &bits)| vertices_of(word, bits))
+        .map(|v| v as VId)
+        .collect();
 
-    // Shared state: atomic value arrays and per-iteration bookkeeping.
-    let curr: Vec<<P::Val as Atom>::Repr> = match resume {
-        Some(ck) => ck.values.iter().map(|&v| P::Val::new_atomic(v)).collect(),
-        None => (0..n)
-            .map(|v| P::Val::new_atomic(prog.init(v as VId, g)))
+    let degs: Vec<u32> = g
+        .out_offsets()
+        .windows(2)
+        .map(|o| (o[1] - o[0]) as u32)
+        .collect();
+    let exec = Exec {
+        g,
+        prog,
+        threads,
+        identity,
+        own: Ownership::balanced(g.in_offsets(), n, threads),
+        in_w: prog.uses_weights().then(|| g.in_edge_weights()),
+        curr: match resume {
+            Some(ck) => ck.values.iter().map(|&v| P::Val::new_atomic(v)).collect(),
+            None => (0..n)
+                .map(|v| P::Val::new_atomic(prog.init(v as VId, g)))
+                .collect(),
+        },
+        next: (0..n).map(|_| P::Val::new_atomic(identity)).collect(),
+        updated: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        active_bits: initial_bits.into_iter().map(AtomicU64::new).collect(),
+        bins: (0..threads * threads)
+            .map(|_| {
+                parking_lot::Mutex::new(Bin {
+                    targets: Vec::new(),
+                    vals: Vec::new(),
+                })
+            })
             .collect(),
+        outs: (0..threads).map(|_| Default::default()).collect(),
+        degs,
     };
-    let next: Vec<<P::Val as Atom>::Repr> = (0..n).map(|_| P::Val::new_atomic(identity)).collect();
-    let updated: Vec<AtomicU64> = (0..n.div_ceil(64).max(1))
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    // Active-source bitmap for pull iterations, rebuilt at each swap.
-    let active_bits: Vec<AtomicU64> = (0..n.div_ceil(64).max(1))
-        .map(|_| AtomicU64::new(0))
-        .collect();
 
-    // Direction switch: hybrid profiles pull when the frontier's exact
-    // out-degree crosses Ligra's density threshold.
-    let decide_pull = |items: &[VId]| -> bool {
-        if profile.direction != DirectionPolicy::Hybrid
-            || !profile.adaptive_frontier
-            || prog.prefer_push()
-        {
-            return false;
-        }
-        let degree: u64 = items.iter().map(|&v| g.out_degree(v) as u64).sum();
-        should_densify(items.len() as u64, degree, m)
-    };
-    let fill_active_bits = |items: &[VId]| {
-        for w in &active_bits {
-            w.store(0, Ordering::Relaxed);
-        }
-        for &v in items {
-            active_bits[v as usize / 64].fetch_or(1u64 << (v % 64), Ordering::Relaxed);
+    let degree_of = |v: VId| exec.degs[v as usize] as usize;
+
+    // Direction switch: hybrid adaptive profiles gather when the frontier's
+    // exact out-degree crosses Ligra's density threshold.
+    let adaptive = profile.direction == DirectionPolicy::Hybrid && profile.adaptive_frontier;
+    let decide = |count: u64, degree: u64| -> Mode {
+        if adaptive && should_densify(count, degree, m) {
+            Mode::Gather {
+                all_active: count == n as u64,
+            }
+        } else {
+            Mode::Push
         }
     };
+    let initial_mode = decide(
+        initial_items.len() as u64,
+        initial_items.iter().map(|&v| degree_of(v) as u64).sum(),
+    );
+    let initial_slices = match initial_mode {
+        Mode::Push => degree_balanced_chunks(&initial_items, degree_of, threads),
+        Mode::Gather { .. } => Vec::new(),
+    };
+    let resume_from = resume.map_or(0, |ck| ck.iteration);
+    let initially_done = initial_items.is_empty() || resume_from >= prog.max_iters();
+    let next_plan = parking_lot::RwLock::new(Plan {
+        mode: initial_mode,
+        items: initial_items,
+        slices: initial_slices,
+    });
 
     // Group sizes: threads distributed round-major over groups.
     let sizes: Vec<usize> = (0..groups)
@@ -230,58 +572,19 @@ pub fn try_run_threads_rec<P: Program>(
     let barrier = HierBarrier::new(&sizes);
     let group_of = |tid: usize| tid % groups;
 
-    // The frontier for the upcoming iteration, rebuilt by the serial thread.
-    let initial_items: Vec<VId> = match resume {
-        Some(ck) => ck.frontier.vertices.clone(),
-        None => match prog.initial_frontier(g) {
-            FrontierInit::All => (0..n as VId).collect(),
-            FrontierInit::Single(s) => {
-                if s as usize >= n {
-                    return Err(PolymerError::InvalidConfig(format!(
-                        "source vertex {s} out of range (graph has {n} vertices)"
-                    )));
-                }
-                vec![s]
-            }
-        },
-    };
-    let resume_from = resume.map_or(0, |ck| ck.iteration);
-    let initially_done = initial_items.is_empty() || resume_from >= prog.max_iters();
-    let initial_pull = decide_pull(&initial_items);
-    if initial_pull {
-        fill_active_bits(&initial_items);
-    }
-    struct SharedFrontier {
-        items: Vec<VId>,
-        use_pull: bool,
-    }
-    let frontier: parking_lot::RwLock<SharedFrontier> = parking_lot::RwLock::new(SharedFrontier {
-        items: initial_items,
-        use_pull: initial_pull,
-    });
-    let next_frontier: parking_lot::Mutex<Vec<VId>> = parking_lot::Mutex::new(Vec::new());
     let iterations = AtomicU64::new(resume_from as u64);
     let done = AtomicBool::new(initially_done);
     let first_error: parking_lot::Mutex<Option<PolymerError>> = parking_lot::Mutex::new(None);
 
-    let in_off = g.in_offsets();
-    let in_src = g.in_sources();
-    let in_w = prog.uses_weights().then(|| g.in_edge_weights());
-
     let scope_result = crossbeam::scope(|scope| {
         for tid in 0..threads {
-            let curr = &curr;
-            let next = &next;
-            let updated = &updated;
-            let active_bits = &active_bits;
+            let exec = &exec;
             let barrier = &barrier;
-            let frontier = &frontier;
-            let next_frontier = &next_frontier;
+            let next_plan = &next_plan;
             let iterations = &iterations;
             let done = &done;
             let first_error = &first_error;
-            let decide_pull = &decide_pull;
-            let fill_active_bits = &fill_active_bits;
+            let decide = &decide;
             scope.spawn(move |_| {
                 let group = group_of(tid);
                 // Every barrier crossing is bounded: a sibling that died
@@ -303,8 +606,6 @@ pub fn try_run_threads_rec<P: Program>(
                     r
                 };
                 let body = || -> PolymerResult<()> {
-                    let mut local_updates: Vec<VId> = Vec::new();
-                    let mut local_alive: Vec<VId> = Vec::new();
                     let mut iter = resume_from;
                     loop {
                         if done.load(Ordering::Acquire) {
@@ -318,125 +619,64 @@ pub fn try_run_threads_rec<P: Program>(
                         if plan.should_panic_worker(tid, iter) {
                             panic!("injected worker panic");
                         }
-                        // --- Edge phase: push chunks the frontier, pull
-                        // chunks the targets.
-                        {
-                            let fr = frontier.read();
-                            if fr.use_pull {
-                                // Pull: fold over in-edges of this thread's
-                                // target chunk, gated by the active-source
-                                // bitmap. Targets are partitioned by thread,
-                                // so plain stores suffice and each updated
-                                // target is claimed exactly once.
-                                let lo = tid * n / threads;
-                                let hi = (tid + 1) * n / threads;
-                                for t in lo..hi {
-                                    let mut acc = identity;
-                                    let mut any = false;
-                                    for e in in_off[t]..in_off[t + 1] {
-                                        let s = in_src[e];
-                                        let bit = 1u64 << (s % 64);
-                                        if active_bits[s as usize / 64].load(Ordering::Relaxed)
-                                            & bit
-                                            == 0
-                                        {
-                                            continue;
-                                        }
-                                        let sv = P::Val::atom_load(&curr[s as usize]);
-                                        let w = in_w.map_or(1, |ws| ws[e]);
-                                        let deg = g.out_degree(s) as u32;
-                                        acc = prog.fold(acc, prog.scatter(s, sv, w, deg));
-                                        any = true;
-                                    }
-                                    if any {
-                                        P::Val::atom_store(&next[t], acc);
-                                        local_updates.push(t as VId);
-                                    }
-                                }
-                            } else {
-                                // Push: chunk the frontier by thread, scatter
-                                // along out-edges with atomic combines.
-                                let items = &fr.items;
-                                let chunk = items.len().div_ceil(threads);
-                                let lo = (tid * chunk).min(items.len());
-                                let hi = ((tid + 1) * chunk).min(items.len());
-                                for &s in &items[lo..hi] {
-                                    let sv = P::Val::atom_load(&curr[s as usize]);
-                                    let deg = g.out_degree(s) as u32;
-                                    for (&t, &w) in g.out_neighbors(s).iter().zip(g.out_weights(s))
-                                    {
-                                        let c = prog.scatter(s, sv, w, deg);
-                                        let cell = &next[t as usize];
-                                        match prog.combine() {
-                                            Combine::Add => {
-                                                P::Val::atom_add(cell, c);
-                                            }
-                                            Combine::Min => {
-                                                P::Val::atom_min(cell, c);
-                                            }
-                                            Combine::Mul => {
-                                                P::Val::atom_mul(cell, c);
-                                            }
-                                        }
-                                        let bit = 1u64 << (t % 64);
-                                        let prev = updated[t as usize / 64]
-                                            .fetch_or(bit, Ordering::AcqRel);
-                                        if prev & bit == 0 {
-                                            local_updates.push(t);
-                                        }
-                                    }
-                                }
+                        // --- Edge phase: gather into owned targets, or push
+                        // this thread's slice of the frontier.
+                        let pushed = {
+                            let now = next_plan.read();
+                            match now.mode {
+                                Mode::Gather { all_active } => exec.gather(tid, all_active),
+                                Mode::Push => exec.push(tid, &now.items[now.slices[tid].clone()]),
                             }
-                        }
+                            now.mode == Mode::Push
+                        };
                         sync(group, iter)?;
 
-                        // --- Apply phase: each thread applies the targets it
-                        // claimed (exactly-once by the fetch_or above in push
-                        // mode, by target partitioning in pull mode).
-                        for &t in &local_updates {
-                            let ti = t as usize;
-                            let acc = P::Val::atom_load(&next[ti]);
-                            let cv = P::Val::atom_load(&curr[ti]);
-                            let (val, alive) = prog.apply(t, acc, cv);
-                            P::Val::atom_store(&curr[ti], val);
-                            P::Val::atom_store(&next[ti], identity);
-                            updated[ti / 64].store(0, Ordering::Relaxed);
-                            if alive {
-                                local_alive.push(t);
-                            }
+                        // --- Owner phase: take in the other threads'
+                        // contributions, then apply the owned range.
+                        if pushed {
+                            exec.drain(tid);
                         }
-                        local_updates.clear();
-                        if !local_alive.is_empty() {
-                            next_frontier.lock().append(&mut local_alive);
-                        }
+                        exec.apply(tid);
 
-                        // --- Frontier swap by the serial thread.
+                        // --- Frontier swap by the serial thread: O(threads),
+                        // plus a concatenation when the list is needed.
                         if sync(group, iter)? {
-                            let mut nf = next_frontier.lock();
-                            let mut fr = frontier.write();
-                            std::mem::swap(&mut fr.items, &mut *nf);
-                            nf.clear();
-                            fr.items.sort_unstable();
-                            fr.use_pull = decide_pull(&fr.items);
-                            if fr.use_pull {
-                                fill_active_bits(&fr.items);
+                            let outs: Vec<_> = exec.outs.iter().map(|o| o.lock()).collect();
+                            let count: u64 = outs.iter().map(|o| o.alive.len() as u64).sum();
+                            let degree: u64 = outs.iter().map(|o| o.degree).sum();
+                            let iters = iter + 1;
+                            iterations.store(iters as u64, Ordering::Release);
+                            let finished = count == 0 || iters >= prog.max_iters();
+                            let checkpoint_due = recovery.should_checkpoint(iters);
+                            let mut upcoming = next_plan.write();
+                            upcoming.mode = decide(count, degree);
+                            let pushes_next = !finished && upcoming.mode == Mode::Push;
+                            if pushes_next || checkpoint_due {
+                                // Owner order is vertex order: the
+                                // concatenation is already sorted.
+                                upcoming.items.clear();
+                                for out in &outs {
+                                    upcoming.items.extend_from_slice(&out.alive);
+                                }
                             }
-                            let iters = iterations.fetch_add(1, Ordering::AcqRel) + 1;
-                            if fr.items.is_empty() || iters as usize >= prog.max_iters() {
+                            if pushes_next {
+                                upcoming.slices =
+                                    degree_balanced_chunks(&upcoming.items, degree_of, threads);
+                            }
+                            if finished {
                                 done.store(true, Ordering::Release);
                             }
                             // Publish a checkpoint while siblings wait at
                             // the next barrier: post-apply values plus the
                             // swapped-in (sorted) frontier.
-                            if recovery.should_checkpoint(iters as usize) {
-                                let values: Vec<P::Val> =
-                                    curr.iter().map(P::Val::atom_load).collect();
-                                let degree: u64 =
-                                    fr.items.iter().map(|&v| g.out_degree(v) as u64).sum();
+                            if checkpoint_due {
                                 recovery.record(Checkpoint {
-                                    iteration: iters as usize,
-                                    values,
-                                    frontier: FrontierSnapshot::sparse(fr.items.clone(), degree),
+                                    iteration: iters,
+                                    values: exec.curr.iter().map(P::Val::atom_load).collect(),
+                                    frontier: FrontierSnapshot::sparse(
+                                        upcoming.items.clone(),
+                                        degree,
+                                    ),
                                 });
                             }
                         }
@@ -491,7 +731,7 @@ pub fn try_run_threads_rec<P: Program>(
         return Err(err);
     }
 
-    let values = curr.iter().map(P::Val::atom_load).collect();
+    let values = exec.curr.iter().map(P::Val::atom_load).collect();
     Ok((values, iterations.load(Ordering::Acquire) as usize))
 }
 
@@ -499,6 +739,7 @@ pub fn try_run_threads_rec<P: Program>(
 mod tests {
     use super::*;
 
+    use crate::program::Combine;
     use polymer_graph::EdgeList;
 
     // Minimal local BFS-by-level program to avoid a circular dev-dependency
@@ -593,6 +834,91 @@ mod tests {
         match err {
             PolymerError::InvalidConfig(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_frontier_out_of_range_is_a_typed_error() {
+        // The frontier of a resume checkpoint indexes the active bitmap
+        // before any worker (and its `catch_unwind`) exists.
+        use crate::driver::{CheckpointPolicy, CheckpointStore};
+        let g = ring(8);
+        let session = RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+            .with_resume(Some(Checkpoint {
+                iteration: 1,
+                values: vec![0; 8],
+                frontier: FrontierSnapshot::sparse(vec![1, 99], 2),
+            }));
+        let err = try_run_threads_rec(
+            &g,
+            &Levels { src: 0 },
+            2,
+            &RealThreadsConfig::default(),
+            &ExecProfile::default(),
+            None,
+            &session,
+        )
+        .unwrap_err();
+        match err {
+            PolymerError::InvalidConfig(msg) => assert!(msg.contains("vertex 99"), "{msg}"),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resumed_frontier_is_a_set() {
+        // Unsorted, with a duplicate: same answer as the canonical listing.
+        use crate::driver::{CheckpointPolicy, CheckpointStore};
+        let g = ring(8);
+        let resume = |frontier: Vec<VId>| {
+            let mut values = vec![u32::MAX; 8];
+            values[..3].copy_from_slice(&[0, 1, 1]);
+            let session = RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+                .with_resume(Some(Checkpoint {
+                    iteration: 1,
+                    values,
+                    frontier: FrontierSnapshot::sparse(frontier, 2),
+                }));
+            let cfg = RealThreadsConfig::default();
+            try_run_threads_rec(
+                &g,
+                &Levels { src: 0 },
+                2,
+                &cfg,
+                &LEGACY_PROFILE,
+                None,
+                &session,
+            )
+            .unwrap()
+        };
+        assert_eq!(resume(vec![2, 1, 2]), resume(vec![1, 2]));
+    }
+
+    #[test]
+    fn ownership_covers_every_word_once_and_empty_ranges_own_none() {
+        for n in [0usize, 1, 2, 63, 64, 65, 129, 1000] {
+            // A skewed in-degree profile: vertex v has v % 7 in-edges.
+            let in_off: Vec<usize> = std::iter::once(0)
+                .chain((0..n).scan(0, |acc, v| {
+                    *acc += v % 7;
+                    Some(*acc)
+                }))
+                .collect();
+            for threads in [1usize, 2, 3, 8] {
+                let own = Ownership::balanced(&in_off, n, threads);
+                assert_eq!(own.word_bounds.len(), threads + 1);
+                assert_eq!(own.word_bounds[0], 0);
+                assert_eq!(own.word_bounds[threads], n.div_ceil(64));
+                assert!(own.word_bounds.windows(2).all(|w| w[0] <= w[1]));
+                for t in 0..n {
+                    let owner = own.owner_of(t as VId);
+                    assert!(
+                        own.words(owner).contains(&(t / 64)),
+                        "n={n} threads={threads}: vertex {t} -> owner {owner} {:?}",
+                        own.word_bounds
+                    );
+                }
+            }
         }
     }
 

@@ -4,8 +4,10 @@ use polymer_graph::{Graph, VId, Weight};
 use polymer_numa::Atom;
 
 /// The commutative, associative operator folding edge contributions into a
-/// target's `next` cell. Engines dispatch to the matching atomic operation
-/// in push mode and to a plain fold in pull mode.
+/// target's `next` cell. The simulated engines dispatch to the matching
+/// atomic operation in push mode and to a plain fold in pull mode; the
+/// real-thread executor always folds through [`Program::fold`], which must
+/// be the same operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
     /// `next[t] += c` (PageRank, SpMV, log-domain BP).
@@ -72,9 +74,15 @@ pub trait Program: Sync {
         false
     }
 
-    /// True when the program should run push-mode scatter even on dense
-    /// frontiers (the paper runs synchronous push-based PageRank on
-    /// Polymer, Ligra and X-Stream "because it is relatively faster").
+    /// True when the *simulated* engines should run push-mode scatter even
+    /// on dense frontiers (the paper runs synchronous push-based PageRank on
+    /// Polymer, Ligra and X-Stream "because it is relatively faster"). This
+    /// is a statement about the paper's machines and is honoured by the
+    /// simulator-backed engines only: on [`crate::Backend::RealThreads`] the
+    /// direction follows frontier density alone (see
+    /// [`crate::ExecProfile`]), because there a dense gather is a single
+    /// owner-local store per target while a dense push bins and re-reads
+    /// every remote contribution.
     fn prefer_push(&self) -> bool {
         false
     }
@@ -88,8 +96,9 @@ pub trait Program: Sync {
         2.0
     }
 
-    /// Fold two contributions on the host (pull mode, reference
-    /// implementations). Must agree with [`Program::combine`].
+    /// Fold two contributions on the host (pull mode, the real-thread
+    /// executor in both directions, reference implementations). Must agree
+    /// with [`Program::combine`].
     fn fold(&self, a: Self::Val, b: Self::Val) -> Self::Val;
 
     /// Reinterpret a raw integer as a `Val` — implemented by integer-valued

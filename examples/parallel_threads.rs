@@ -1,8 +1,9 @@
 //! Real OS threads, no simulation: runs the scatter–gather programs through
 //! `polymer::api::run_parallel`, which coordinates genuine worker threads
-//! with Polymer's hierarchical sense-reversing barrier and lock-free atomic
-//! combines — the concurrency machinery the engines are built from,
-//! exercised end-to-end and verified against the sequential oracle.
+//! with Polymer's hierarchical sense-reversing barrier and owner-computes
+//! updates (every thread writes only the targets it owns; contributions to
+//! other threads' targets travel through bins) — exercised end-to-end and
+//! verified against the sequential oracle.
 //!
 //! ```sh
 //! cargo run --release --example parallel_threads

@@ -1,13 +1,86 @@
 //! The real-threads executor (`polymer_api::run_parallel`) must agree with
 //! the sequential reference under genuine concurrency: exactly for
 //! min-combining programs, ε-close for floating-point accumulation. This is
-//! the end-to-end data-race check on the shared atomic arrays, the
-//! hierarchical barrier, and the per-thread frontier machinery.
+//! the end-to-end check on the owner-computes executor: target ownership
+//! (including owners of nothing), the gather and binned-push edge phases,
+//! the hierarchical barrier, and the per-owner frontier machinery.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use polymer::algos::reference::max_rel_error;
-use polymer::api::run_parallel;
-use polymer::graph::gen;
+use polymer::api::program::{fold_f64, fold_u32, fold_u64};
+use polymer::api::{
+    run_parallel, try_run_threads, Combine, DirectionPolicy, ExecProfile, FrontierInit,
+    RealThreadsConfig,
+};
+use polymer::graph::{gen, VId, Weight};
+use polymer::numa::Atom;
 use polymer::prelude::*;
+
+const HYBRID: ExecProfile = ExecProfile {
+    direction: DirectionPolicy::Hybrid,
+    adaptive_frontier: true,
+};
+const PUSH_ONLY: ExecProfile = ExecProfile {
+    direction: DirectionPolicy::PushOnly,
+    adaptive_frontier: false,
+};
+const PROFILES: [(&str, ExecProfile); 2] = [("hybrid", HYBRID), ("push-only", PUSH_ONLY)];
+
+fn run_profile<P: Program>(
+    g: &Graph,
+    prog: &P,
+    threads: usize,
+    profile: &ExecProfile,
+) -> Vec<P::Val> {
+    try_run_threads(g, prog, threads, &RealThreadsConfig::default(), profile)
+        .expect("healthy run")
+        .0
+}
+
+/// BFS, SSSP, CC (exact) and PageRank (≤ 1e-9) against `run_reference` on
+/// `el`, under `profile` on `threads` threads.
+fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: &ExecProfile) {
+    let label = format!(
+        "n={} m={} threads={threads} {:?}",
+        el.num_vertices,
+        el.num_edges(),
+        profile.direction
+    );
+    let g = Graph::from_edges(el);
+    let src = (0..g.num_vertices() as u32)
+        .max_by_key(|&v| g.out_degree(v))
+        .unwrap();
+
+    let bfs = Bfs::new(src);
+    assert_eq!(
+        run_profile(&g, &bfs, threads, profile),
+        run_reference(&g, &bfs).0,
+        "BFS {label}"
+    );
+    let sssp = Sssp::new(src);
+    assert_eq!(
+        run_profile(&g, &sssp, threads, profile),
+        run_reference(&g, &sssp).0,
+        "SSSP {label}"
+    );
+    let pr = PageRank::new(g.num_vertices());
+    let err = max_rel_error(
+        &run_profile(&g, &pr, threads, profile),
+        &run_reference(&g, &pr).0,
+    );
+    assert!(err <= 1e-9, "PR {label}: max rel error {err}");
+
+    let mut sym = el.clone();
+    sym.symmetrize();
+    let g = Graph::from_edges(&sym);
+    let cc = ConnectedComponents::new();
+    assert_eq!(
+        run_profile(&g, &cc, threads, profile),
+        run_reference(&g, &cc).0,
+        "CC {label}"
+    );
+}
 
 fn graphs() -> Vec<polymer::graph::EdgeList> {
     vec![
@@ -88,4 +161,178 @@ fn parallel_bp_close_to_reference() {
     let (want, _) = run_reference(&g, &prog);
     let (got, _) = run_parallel(&g, &prog, 4, 2);
     assert!(max_rel_error(&got, &want) < 1e-9);
+}
+
+/// Ownership edge cases end to end: fewer 64-vertex bitmap words than
+/// threads (owners of nothing), a last word that is only partly populated,
+/// and one-vertex graphs — every algorithm, both profiles.
+#[test]
+fn ownership_edge_cases_match_reference() {
+    for n in [1usize, 2, 63, 64, 65, 129, 1000] {
+        let el = gen::uniform(n, 4 * n, 11 + n as u64);
+        for threads in [1, 2, 3, 8] {
+            for (_, profile) in &PROFILES {
+                check_all_algorithms(&el, threads, profile);
+            }
+        }
+    }
+}
+
+/// The executor may only load and store value cells: a `Val` whose every
+/// atomic read-modify-write is `unreachable!()` must run to the reference
+/// answer under both profiles.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct LoadStoreOnly(u32);
+
+impl Atom for LoadStoreOnly {
+    type Repr = AtomicU32;
+    fn zero() -> Self {
+        LoadStoreOnly(0)
+    }
+    fn new_atomic(v: Self) -> AtomicU32 {
+        AtomicU32::new(v.0)
+    }
+    fn atom_load(r: &AtomicU32) -> Self {
+        LoadStoreOnly(r.load(Ordering::Relaxed))
+    }
+    fn atom_store(r: &AtomicU32, v: Self) {
+        r.store(v.0, Ordering::Relaxed)
+    }
+    fn atom_add(_: &AtomicU32, _: Self) -> Self {
+        unreachable!("the executor issued an atomic add")
+    }
+    fn atom_min(_: &AtomicU32, _: Self) -> Self {
+        unreachable!("the executor issued an atomic min")
+    }
+    fn atom_max(_: &AtomicU32, _: Self) -> Self {
+        unreachable!("the executor issued an atomic max")
+    }
+    fn atom_mul(_: &AtomicU32, _: Self) -> Self {
+        unreachable!("the executor issued an atomic multiply")
+    }
+    fn atom_or(_: &AtomicU32, _: Self) -> Self {
+        unreachable!("the executor issued an atomic or")
+    }
+    fn atom_cas(_: &AtomicU32, _: Self, _: Self) -> Result<Self, Self> {
+        unreachable!("the executor issued a compare-and-swap")
+    }
+}
+
+/// BFS levels over [`LoadStoreOnly`].
+struct Levels(VId);
+
+impl Program for Levels {
+    type Val = LoadStoreOnly;
+    fn name(&self) -> &'static str {
+        "levels"
+    }
+    fn combine(&self) -> Combine {
+        Combine::Min
+    }
+    fn next_identity(&self) -> LoadStoreOnly {
+        LoadStoreOnly(u32::MAX)
+    }
+    fn init(&self, v: VId, _g: &Graph) -> LoadStoreOnly {
+        LoadStoreOnly(if v == self.0 { 0 } else { u32::MAX })
+    }
+    fn scatter(&self, _s: VId, sv: LoadStoreOnly, _w: Weight, _d: u32) -> LoadStoreOnly {
+        LoadStoreOnly(sv.0 + 1)
+    }
+    fn apply(&self, _v: VId, acc: LoadStoreOnly, curr: LoadStoreOnly) -> (LoadStoreOnly, bool) {
+        (acc.min(curr), acc < curr)
+    }
+    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+        FrontierInit::Single(self.0)
+    }
+    fn max_iters(&self) -> usize {
+        usize::MAX
+    }
+    fn fold(&self, a: LoadStoreOnly, b: LoadStoreOnly) -> LoadStoreOnly {
+        a.min(b)
+    }
+}
+
+#[test]
+fn executor_issues_only_loads_and_stores_on_values() {
+    // Skewed enough that the hybrid profile both pushes and gathers.
+    let g = Graph::from_edges(&gen::rmat(9, 6_000, gen::RMAT_GRAPH500, 21));
+    let src = (0..g.num_vertices() as u32)
+        .max_by_key(|&v| g.out_degree(v))
+        .unwrap();
+    let prog = Levels(src);
+    let (want, _) = run_reference(&g, &prog);
+    for (name, profile) in &PROFILES {
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                run_profile(&g, &prog, threads, profile),
+                want,
+                "{name}, {threads} threads"
+            );
+        }
+    }
+}
+
+/// The executor folds through [`Program::fold`], the simulated engines
+/// through a [`Program::combine`]-dispatched atomic: the two must be the
+/// same operator for every shipped program.
+#[test]
+fn fold_agrees_with_combine_for_every_shipped_program() {
+    fn pairs<T: Copy>(samples: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
+        samples
+            .iter()
+            .flat_map(move |&a| samples.iter().map(move |&b| (a, b)))
+    }
+    let f64s = [0.0, 1.0, -2.5, 0.15, 1e-12, 3.0e7];
+    let u32s = [0, 1, 7, 1 << 20, u32::MAX - 1, u32::MAX];
+    let u64s = [0, 1, 7, 1 << 40, u64::MAX - 1, u64::MAX];
+    fn same_f64<P: Program<Val = f64>>(p: &P, samples: &[f64]) {
+        for (a, b) in pairs(samples) {
+            let (got, want) = (p.fold(a, b), fold_f64(p.combine(), a, b));
+            assert_eq!(got.to_bits(), want.to_bits(), "{}: {a} ∘ {b}", p.name());
+        }
+    }
+    fn same_u32<P: Program<Val = u32>>(p: &P, samples: &[u32]) {
+        for (a, b) in pairs(samples) {
+            assert_eq!(
+                p.fold(a, b),
+                fold_u32(p.combine(), a, b),
+                "{}: {a} ∘ {b}",
+                p.name()
+            );
+        }
+    }
+    same_f64(&PageRank::new(100), &f64s);
+    same_f64(&SpMV::new(), &f64s);
+    same_f64(&BeliefPropagation::new(), &f64s);
+    same_u32(&Bfs::new(0), &u32s);
+    same_u32(&ConnectedComponents::new(), &u32s);
+    let sssp = Sssp::new(0);
+    for (a, b) in pairs(&u64s) {
+        assert_eq!(
+            sssp.fold(a, b),
+            fold_u64(sssp.combine(), a, b),
+            "SSSP: {a} ∘ {b}"
+        );
+    }
+}
+
+mod random_graphs {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // Random graphs, thread counts and profiles against the reference.
+        #[test]
+        fn executor_matches_reference(
+            shape in (1usize..200, 0usize..4, 0u64..10_000),
+            threads in 1usize..9,
+            profile in 0usize..2
+        ) {
+            let (n, density, seed) = shape;
+            let el = gen::uniform(n, (n << density) / 2 + 1, seed);
+            check_all_algorithms(&el, threads, &PROFILES[profile].1);
+        }
+    }
 }

@@ -8,11 +8,12 @@
 //! against the baseline:
 //!
 //! - integer programs (BFS, SSSP, CC): exact equality on both backends;
-//! - float programs (PR, SpMV, BP): exact equality on the simulated
-//!   backend (checkpoints preserve frontier representation and member
-//!   order, so float summation order is reproduced exactly) and ε-equality
-//!   on real threads (scatter interleaving differs run to run there even
-//!   without checkpoints);
+//! - float programs (PR, SpMV, BP): exact equality on both backends too.
+//!   On the simulator checkpoints preserve frontier representation and
+//!   member order; on real threads the owner-computes executor fixes the
+//!   summation order by construction (CSC order in a gather iteration; own
+//!   frontier slice, then bins by producer, in a push iteration), and a
+//!   resumed frontier yields the same direction, slices and bins;
 //! - the resumed run must finish at the same iteration count, proving the
 //!   checkpoint's iteration stamp threads through correctly.
 
@@ -166,23 +167,14 @@ fn check_resume_float<P: Program<Val = f64>>(g: &Graph, prog: &P, label: &str) {
             for i in replay_indices(history.len(), bname) {
                 let ck_iter = history[i].iteration;
                 let resumed = resume_from(engine, &backend, g, prog, history[i].clone());
-                if bname == "simulated" {
-                    // Deterministic backend: checkpoints preserve frontier
-                    // member order, so summation order — and therefore every
-                    // bit of every float — must match.
-                    assert_eq!(
-                        resumed.values, base.values,
-                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} \
-                         drifted bitwise"
-                    );
-                } else {
-                    let err = max_rel_error(&resumed.values, &base.values);
-                    assert!(
-                        err < 1e-9,
-                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} \
-                         off by {err}"
-                    );
-                }
+                // Summation order is reproduced exactly on both backends,
+                // so every bit of every float must match.
+                assert!(
+                    same_bits(&resumed.values, &base.values),
+                    "{ename}/{bname}/{label}: resume from iteration {ck_iter} \
+                     drifted bitwise (max rel error {})",
+                    max_rel_error(&resumed.values, &base.values)
+                );
                 assert_eq!(
                     resumed.iterations, base.iterations,
                     "{ename}/{bname}/{label}: resume from iteration {ck_iter} changed the iteration count"
@@ -190,6 +182,10 @@ fn check_resume_float<P: Program<Val = f64>>(g: &Graph, prog: &P, label: &str) {
             }
         });
     }
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[test]
@@ -229,6 +225,72 @@ fn resume_equivalence_spmv() {
 fn resume_equivalence_bp() {
     let g = small_graph();
     check_resume_float(&g, &BeliefPropagation::new(), "BP");
+}
+
+/// Real threads, both edge phases: PageRank under the hybrid profile
+/// gathers on every iteration, under the push-only profile it scatters
+/// through the (producer, owner) bins on every iteration. A run resumed from
+/// a checkpoint taken after either kind of iteration must reproduce the
+/// uninterrupted run bit for bit — as must a second uninterrupted run.
+#[test]
+fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations() {
+    use polymer::api::{try_run_threads_rec, DirectionPolicy, ExecProfile, RealThreadsConfig};
+    let g = small_graph();
+    let prog = PageRank::new(g.num_vertices());
+    let cfg = RealThreadsConfig::default();
+    let profiles = [
+        (
+            "gather",
+            ExecProfile {
+                direction: DirectionPolicy::Hybrid,
+                adaptive_frontier: true,
+            },
+        ),
+        (
+            "binned push",
+            ExecProfile {
+                direction: DirectionPolicy::PushOnly,
+                adaptive_frontier: false,
+            },
+        ),
+    ];
+    for (name, profile) in &profiles {
+        for threads in [2, 3] {
+            let run = |session: &RecoverySession<f64>| {
+                try_run_threads_rec(&g, &prog, threads, &cfg, profile, None, session)
+                    .expect("healthy run")
+            };
+            let store = CheckpointStore::with_history();
+            let base = run(&RecoverySession::new(
+                CheckpointPolicy::EveryN(1),
+                store.clone(),
+            ));
+            let again = run(&RecoverySession::disabled());
+            assert!(
+                same_bits(&again.0, &base.0),
+                "{name}/{threads} threads: two uninterrupted runs differ"
+            );
+            let history = store.history();
+            assert_eq!(
+                history.len(),
+                base.1,
+                "{name}: one checkpoint per iteration"
+            );
+            for ck in history {
+                let from = ck.iteration;
+                let resumed = run(&RecoverySession::new(
+                    CheckpointPolicy::Never,
+                    CheckpointStore::new(),
+                )
+                .with_resume(Some(ck)));
+                assert!(
+                    same_bits(&resumed.0, &base.0),
+                    "{name}/{threads} threads: resume from iteration {from} drifted bitwise"
+                );
+                assert_eq!(resumed.1, base.1, "{name}: iteration count after resume");
+            }
+        }
+    }
 }
 
 /// A disabled recovery session and a `Never` policy must both be the plain
