@@ -192,14 +192,7 @@ pub trait Engine {
                     values,
                     iterations,
                     clock: RunClock::default(),
-                    memory: MemoryReport {
-                        peak_bytes: 0,
-                        spilled_pages: 0,
-                        tags: vec![],
-                        spilled_by_node: vec![],
-                        demoted_by_node: vec![],
-                        promoted_by_node: vec![],
-                    },
+                    memory: MemoryReport::default(),
                     threads,
                     sockets: cfg.groups.clamp(1, threads.max(1)),
                     recovery: None,

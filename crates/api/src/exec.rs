@@ -7,8 +7,7 @@ use std::ops::Range;
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{CompressedAdjacency, DeltaDecoder, Graph, VId};
 use polymer_numa::{
-    compressed_topology, AccessCtx, AllocPolicy, Atom, CompressedLists, Machine, NumaArray,
-    NumaAtomicArray,
+    AccessCtx, AllocPolicy, Atom, CompressedLists, Machine, NumaArray, NumaAtomicArray,
 };
 
 use crate::program::{Combine, Program};
@@ -35,7 +34,7 @@ pub fn check_divergence<T: Atom>(curr: &NumaAtomicArray<T>, iteration: usize) ->
 
 /// One adjacency array (CSR targets or CSC sources): either the raw `u32`
 /// neighbour array or its delta/varint-compressed form, chosen at build time
-/// by the global [`compressed_topology`] switch.
+/// by the machine spec's `compressed_topology`.
 enum Adj {
     Raw(NumaArray<u32>),
     Compressed(CompressedLists),
@@ -96,8 +95,8 @@ impl Adj {
 /// The flat CSR/CSC topology arrays of Figure 1, placed by a per-array
 /// policy. Used by the NUMA-oblivious baselines; the Polymer engine builds
 /// its own per-node partitioned topology instead. The neighbour arrays are
-/// stored raw or delta/varint-compressed depending on the global
-/// [`compressed_topology`] switch at build time; engines traverse them
+/// stored raw or delta/varint-compressed depending on the machine spec's
+/// `compressed_topology` at build time; engines traverse them
 /// through [`TopoArrays::out_dst_stream`] / [`TopoArrays::in_src_stream`],
 /// which charge whichever representation is resident.
 pub struct TopoArrays {
@@ -139,7 +138,7 @@ impl TopoArrays {
         let in_off = machine.alloc_array_with("topo/in_off", n + 1, policy("topo/in_off"), |i| {
             g.in_offsets()[i] as u64
         });
-        let (out_adj, in_adj) = if compressed_topology() {
+        let (out_adj, in_adj) = if machine.spec().compressed_topology {
             let out_c = CompressedAdjacency::out_edges(g);
             let in_c = CompressedAdjacency::in_edges(g);
             (

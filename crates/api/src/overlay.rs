@@ -4,7 +4,8 @@
 //!
 //! The base CSR/CSC keeps the exact representation the static engines use —
 //! raw `u32` neighbour arrays or delta/varint-compressed lists, per the
-//! global [`polymer_numa::compressed_topology`] switch. The overlay adds:
+//! machine's [`polymer_numa::MachineSpec::compressed_topology`]. The overlay
+//! adds:
 //!
 //! * a small **delta CSR/CSC** (offsets + endpoints + weights) holding the
 //!   overlay inserts, always raw — varint compression needs a whole-list

@@ -96,11 +96,7 @@ mod tests {
             clock,
             memory: MemoryReport {
                 peak_bytes: 1 << 30,
-                spilled_pages: 0,
-                tags: vec![],
-                spilled_by_node: vec![],
-                demoted_by_node: vec![],
-                promoted_by_node: vec![],
+                ..MemoryReport::default()
             },
             threads: 4,
             sockets: 2,

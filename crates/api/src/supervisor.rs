@@ -563,14 +563,7 @@ mod tests {
                 values: Vec::new(),
                 iterations: recovery.resume().map_or(7, |c| 7 - c.iteration),
                 clock: RunClock::default(),
-                memory: MemoryReport {
-                    peak_bytes: 0,
-                    spilled_pages: 0,
-                    tags: vec![],
-                    spilled_by_node: vec![],
-                    demoted_by_node: vec![],
-                    promoted_by_node: vec![],
-                },
+                memory: MemoryReport::default(),
                 threads,
                 sockets: 1,
                 recovery: None,

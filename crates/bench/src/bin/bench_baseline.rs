@@ -46,7 +46,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_baseline_pagerank",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, &spec),
         &rows,
     );
 }

@@ -269,7 +269,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_chaos",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, &MachineSpec::test2()),
         &rows,
     );
 

@@ -7,7 +7,8 @@
 //! system:
 //!
 //! 1. **scalar** — per-element accounting, serial phase execution;
-//! 2. **bulk** — run-coalesced accounting ([`set_bulk_accounting`]), serial;
+//! 2. **bulk** — run-coalesced accounting (`MachineSpec::bulk_accounting`),
+//!    serial;
 //! 3. **sharded** — bulk accounting with per-socket shards on real host
 //!    threads ([`SimShardMode::On`]).
 //!
@@ -17,7 +18,8 @@
 //! serial-vs-sharded).
 //!
 //! A final pass re-runs each system with the delta/varint-compressed
-//! topology ([`set_compressed_topology`]): values still conform, but the
+//! topology (`MachineSpec::compressed_topology`): values still conform, but
+//! the
 //! simulated cost *changes by design* — neighbour lists occupy fewer bytes,
 //! so the machine moves less data. The row records raw vs compressed
 //! simulated bytes and the resulting simulated seconds.
@@ -36,9 +38,7 @@ use std::time::Instant;
 use polymer_api::Backend;
 use polymer_bench::{write_json_with_meta, AlgoId, Args, BenchMeta, SystemId, Table, Workload};
 use polymer_graph::DatasetId;
-use polymer_numa::{
-    set_bulk_accounting, set_compressed_topology, set_sim_sharding, MachineSpec, SimShardMode,
-};
+use polymer_numa::{MachineSpec, SimShardMode};
 use serde::Serialize;
 
 /// OS threads for the `RealThreads` baseline column. Fixed (rather than
@@ -88,7 +88,8 @@ struct HotpathRow {
 fn main() {
     let args = Args::parse(0, "bench_hotpath");
     let wl = Workload::prepare(DatasetId::Rmat24S, args.scale);
-    let spec = MachineSpec::intel80();
+    // The bulk-accounting, serial-phase spec every non-matrix pass runs on.
+    let spec = MachineSpec::intel80().with_shard_mode(SimShardMode::Off);
     const REPS: usize = 2;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -122,8 +123,10 @@ fn main() {
         let mut metrics: Vec<String> = Vec::new();
         let mut last = None;
         for (slot, (bulk, shard)) in modes.into_iter().enumerate() {
-            set_bulk_accounting(bulk);
-            set_sim_sharding(shard);
+            let spec = spec
+                .clone()
+                .with_bulk_accounting(bulk)
+                .with_shard_mode(shard);
             for _ in 0..REPS {
                 let t = Instant::now();
                 let m = polymer_bench::runner::run(sys, AlgoId::PR, &wl, &spec, 80);
@@ -137,8 +140,6 @@ fn main() {
                 last = Some(m);
             }
         }
-        set_bulk_accounting(true);
-        set_sim_sharding(SimShardMode::Off);
         let mut wall_real = f64::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
@@ -147,10 +148,8 @@ fn main() {
         }
         // Compressed-topology pass: simulated cost legitimately differs, so
         // it stays outside the bit-identity comparison.
-        set_compressed_topology(true);
-        let mc = polymer_bench::runner::run(sys, AlgoId::PR, &wl, &spec, 80);
-        set_compressed_topology(false);
-        set_sim_sharding(SimShardMode::Auto);
+        let compressed = spec.clone().with_compressed_topology(true);
+        let mc = polymer_bench::runner::run(sys, AlgoId::PR, &wl, &compressed, 80);
         let identical = metrics[0] == metrics[1];
         let sharded_identical = metrics[1] == metrics[2];
         all_identical &= identical && sharded_identical;
@@ -190,7 +189,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_hotpath",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, &spec),
         &rows,
     );
     if !all_identical {

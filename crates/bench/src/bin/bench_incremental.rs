@@ -343,7 +343,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_incremental",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, machine.spec()),
         &rows,
     );
 

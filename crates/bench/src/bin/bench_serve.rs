@@ -380,7 +380,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_serve",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, &ServeConfig::default().spec),
         &report,
     );
 

@@ -255,7 +255,7 @@ fn main() {
     write_json_with_meta(
         &args.out,
         "BENCH_tiering",
-        &BenchMeta::capture(args.scale),
+        &BenchMeta::capture(args.scale, &MachineSpec::intel80_tiered()),
         &rows,
     );
     if !violations.is_empty() {

@@ -13,6 +13,6 @@ fn main() {
         .skip_while(|a| a != "--out")
         .nth(1)
         .unwrap_or_else(|| "results".to_string());
-    let rows = golden_matrix();
+    let rows = golden_matrix(&polymer_numa::MachineSpec::test2());
     write_json(std::path::Path::new(&out), "golden_phasecosts", &rows);
 }

@@ -84,13 +84,15 @@ pub fn golden_graphs() -> (Graph, Graph) {
     (g, Graph::from_edges(&sel))
 }
 
-/// Run the full golden matrix on fresh `test2` machines with 4 threads.
-pub fn golden_matrix() -> Vec<GoldenRow> {
+/// Run the full golden matrix with 4 threads, each cell on a fresh machine
+/// built from `spec`. The committed fixture is [`MachineSpec::test2`]; any
+/// accounting-only toggle set on top of it must reproduce the same rows.
+pub fn golden_matrix(spec: &MachineSpec) -> Vec<GoldenRow> {
     let (g, sym) = golden_graphs();
     let mut rows = Vec::new();
     macro_rules! cell {
         ($engine:expr, $name:expr, $graph:expr, $prog:expr, $algo:expr) => {{
-            let m = Machine::new(MachineSpec::test2());
+            let m = Machine::new(spec.clone());
             let r = $engine.run(&m, 4, $graph, &$prog);
             rows.push(row($name, $algo, &r));
         }};

@@ -19,6 +19,7 @@
 use std::fs;
 use std::path::Path;
 
+use polymer_numa::{MachineSpec, SimShardMode};
 use serde::Serialize;
 
 /// A simple aligned text table mirroring the paper's layout.
@@ -102,9 +103,8 @@ pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
 ///
 /// Simulated metrics are host-independent, but the wall-clock columns are
 /// not — `host_cores` pins down the machine context a committed artifact
-/// came from, `scale` the dataset size it ran at, and `backend` which
-/// topology encoding the engines traversed (the process-global
-/// [`polymer_numa::compressed_topology`] toggle at capture time).
+/// came from, `scale` the dataset size it ran at, and the last three fields
+/// the effective toggle set of the [`MachineSpec`] the run was built from.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchMeta {
     /// Host CPU parallelism when the artifact was produced (wall-clock
@@ -114,21 +114,27 @@ pub struct BenchMeta {
     pub scale: i32,
     /// Topology encoding the run traversed: `"raw"` or `"compressed"`.
     pub backend: String,
+    /// Whether access accounting was run-coalesced.
+    pub bulk_accounting: bool,
+    /// Host-sharding mode of the simulator's split phases.
+    pub shard_mode: SimShardMode,
 }
 
 impl BenchMeta {
-    /// Capture the block for a run at `scale`, reading `host_cores` from
-    /// the OS and `backend` from the global compressed-topology toggle.
-    pub fn capture(scale: i32) -> BenchMeta {
+    /// The block for a run at `scale` on machines built from `spec`;
+    /// `host_cores` comes from the OS.
+    pub fn capture(scale: i32, spec: &MachineSpec) -> BenchMeta {
         BenchMeta {
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             scale,
-            backend: if polymer_numa::compressed_topology() {
+            backend: if spec.compressed_topology {
                 "compressed"
             } else {
                 "raw"
             }
             .to_string(),
+            bulk_accounting: spec.bulk_accounting,
+            shard_mode: spec.shard_mode,
         }
     }
 }
@@ -186,14 +192,17 @@ mod tests {
     #[test]
     fn meta_report_shape_is_uniform() {
         let dir = std::env::temp_dir().join("polymer_bench_meta_test");
-        let meta = BenchMeta::capture(-3);
+        let spec = MachineSpec::test2().with_compressed_topology(true);
+        let meta = BenchMeta::capture(-3, &spec);
         write_json_with_meta(&dir, "BENCH_t", &meta, &vec![7u64, 8]);
         let text = std::fs::read_to_string(dir.join("BENCH_t.json")).unwrap();
         let back: serde::Value = serde_json::from_str(&text).unwrap();
         let top = back.as_object().unwrap();
         let m = top.get("meta").unwrap().as_object().unwrap();
         assert_eq!(m.get("scale").unwrap().as_i64(), Some(-3));
-        assert_eq!(m.get("backend").unwrap().as_str(), Some("raw"));
+        assert_eq!(m.get("backend").unwrap().as_str(), Some("compressed"));
+        assert_eq!(m.get("bulk_accounting").unwrap().as_bool(), Some(true));
+        assert_eq!(m.get("shard_mode").unwrap().as_str(), Some("Auto"));
         assert!(m.get("host_cores").unwrap().as_u64().unwrap() >= 1);
         let rows = top.get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), 2);

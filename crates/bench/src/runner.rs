@@ -2,12 +2,12 @@
 //! machine shape, returning uniform metrics.
 
 use polymer_algos::{BeliefPropagation, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
-use polymer_api::{Backend, Engine, RunResult};
+use polymer_api::{Backend, Engine, Program, RunResult};
 use polymer_core::{PolymerConfig, PolymerEngine};
 use polymer_galois::GaloisEngine;
 use polymer_graph::{dataset, DatasetId, Graph, VId};
 use polymer_ligra::LigraEngine;
-use polymer_numa::{Machine, MachineSpec, RemoteAccessReport, TraceBuffer};
+use polymer_numa::{Machine, MachineSpec, PolymerResult, RemoteAccessReport, TraceBuffer};
 use polymer_xstream::XStreamEngine;
 use serde::Serialize;
 
@@ -306,18 +306,117 @@ fn metrics<V>(
     }
 }
 
-fn take_trace<V>(r: &polymer_api::RunResult<V>) -> TraceBuffer {
-    r.trace().cloned().unwrap_or_default()
+/// Run `prog` on one engine. The simulated backend goes through
+/// [`Engine::try_run_traced`] so `traced` is honoured; a real-thread run has
+/// no simulated timeline to record.
+fn run_engine<E: Engine, P: Program>(
+    engine: &E,
+    backend: &Backend,
+    machine: &Machine,
+    threads: usize,
+    g: &Graph,
+    prog: &P,
+    traced: bool,
+) -> PolymerResult<RunResult<P::Val>> {
+    match backend {
+        Backend::Simulated => engine.try_run_traced(machine, threads, g, prog, traced),
+        real => engine.try_run_on(real, machine, threads, g, prog),
+    }
+}
+
+/// The one `SystemId × AlgoId` dispatch every public entry point below goes
+/// through. `config` applies to the Polymer engine only; `iters` overrides
+/// the iteration count of the fixed-iteration algorithms (PR, SpMV, BP).
+/// The trace buffer is empty unless `traced` on the simulated backend.
+#[allow(clippy::too_many_arguments)]
+fn run_core(
+    system: SystemId,
+    algo: AlgoId,
+    wl: &Workload,
+    machine: &Machine,
+    threads: usize,
+    backend: &Backend,
+    traced: bool,
+    config: PolymerConfig,
+    iters: Option<usize>,
+) -> (Metrics, TraceBuffer) {
+    let g = wl.graph_for(algo);
+    macro_rules! dispatch_prog {
+        ($prog:expr) => {{
+            let prog = $prog;
+            let r = match system {
+                SystemId::Polymer => run_engine(
+                    &PolymerEngine::with_config(config),
+                    backend,
+                    machine,
+                    threads,
+                    g,
+                    &prog,
+                    traced,
+                ),
+                SystemId::Ligra => run_engine(
+                    &LigraEngine::new(),
+                    backend,
+                    machine,
+                    threads,
+                    g,
+                    &prog,
+                    traced,
+                ),
+                SystemId::XStream => run_engine(
+                    &XStreamEngine::new(),
+                    backend,
+                    machine,
+                    threads,
+                    g,
+                    &prog,
+                    traced,
+                ),
+                SystemId::Galois => run_engine(
+                    &GaloisEngine::new(),
+                    backend,
+                    machine,
+                    threads,
+                    g,
+                    &prog,
+                    traced,
+                ),
+            };
+            let r =
+                r.unwrap_or_else(|e| panic!("{system:?}/{algo:?} run failed [{}]: {e}", e.code()));
+            (
+                metrics(system, algo, wl.id.name(), machine.spec(), &r),
+                r.trace().cloned().unwrap_or_default(),
+            )
+        }};
+    }
+    macro_rules! fixed_iters {
+        ($prog:expr) => {
+            match iters {
+                Some(k) => $prog.with_iters(k),
+                None => $prog,
+            }
+        };
+    }
+    match algo {
+        AlgoId::PR => dispatch_prog!(fixed_iters!(PageRank::new(g.num_vertices()))),
+        AlgoId::SpMV => dispatch_prog!(fixed_iters!(SpMV::new())),
+        AlgoId::BP => dispatch_prog!(fixed_iters!(BeliefPropagation::new())),
+        AlgoId::BFS => dispatch_prog!(Bfs::new(wl.source)),
+        AlgoId::CC => dispatch_prog!(ConnectedComponents::new()),
+        AlgoId::SSSP => dispatch_prog!(Sssp::new(wl.source)),
+    }
 }
 
 /// Run one (system, algorithm) pair through the unified
 /// [`Engine::try_run_on`] entry point on a chosen backend.
 ///
-/// `Backend::Simulated` is equivalent to [`run`] (fully accounted simulated
-/// metrics); `Backend::RealThreads` executes the program with real OS
-/// threads under the engine's [`polymer_api::ExecProfile`] — values and
-/// iteration counts are real while every simulated field (seconds, remote
-/// profile, memory) reads zero, so callers measure wall-clock themselves.
+/// `Backend::Simulated` is equivalent to [`run`] without the trace (fully
+/// accounted simulated metrics); `Backend::RealThreads` executes the program
+/// with real OS threads under the engine's [`polymer_api::ExecProfile`] —
+/// values and iteration counts are real while every simulated field
+/// (seconds, remote profile, memory) reads zero, so callers measure
+/// wall-clock themselves.
 pub fn run_on(
     system: SystemId,
     algo: AlgoId,
@@ -326,39 +425,12 @@ pub fn run_on(
     threads: usize,
     backend: &Backend,
 ) -> Metrics {
-    let g = wl.graph_for(algo);
     let machine = Machine::new(wl.scaled_spec(spec));
-    let name = wl.id.name();
-    macro_rules! dispatch_prog {
-        ($prog:expr) => {{
-            let prog = $prog;
-            let r = match system {
-                SystemId::Polymer => {
-                    PolymerEngine::new().try_run_on(backend, &machine, threads, g, &prog)
-                }
-                SystemId::Ligra => {
-                    LigraEngine::new().try_run_on(backend, &machine, threads, g, &prog)
-                }
-                SystemId::XStream => {
-                    XStreamEngine::new().try_run_on(backend, &machine, threads, g, &prog)
-                }
-                SystemId::Galois => {
-                    GaloisEngine::new().try_run_on(backend, &machine, threads, g, &prog)
-                }
-            };
-            let r =
-                r.unwrap_or_else(|e| panic!("{system:?}/{algo:?} run failed [{}]: {e}", e.code()));
-            metrics(system, algo, name, spec, &r)
-        }};
-    }
-    match algo {
-        AlgoId::PR => dispatch_prog!(PageRank::new(g.num_vertices())),
-        AlgoId::SpMV => dispatch_prog!(SpMV::new()),
-        AlgoId::BP => dispatch_prog!(BeliefPropagation::new()),
-        AlgoId::BFS => dispatch_prog!(Bfs::new(wl.source)),
-        AlgoId::CC => dispatch_prog!(ConnectedComponents::new()),
-        AlgoId::SSSP => dispatch_prog!(Sssp::new(wl.source)),
-    }
+    let config = PolymerConfig::default();
+    run_core(
+        system, algo, wl, &machine, threads, backend, false, config, None,
+    )
+    .0
 }
 
 /// Run one (system, algorithm) pair on a workload with a fresh machine of
@@ -416,47 +488,11 @@ pub fn run_on_machine(
     threads: usize,
     iters: Option<usize>,
 ) -> Metrics {
-    let g = wl.graph_for(algo);
-    let spec = machine.spec().clone();
-    let name = wl.id.name();
-    macro_rules! dispatch_prog {
-        ($prog:expr) => {{
-            let prog = $prog;
-            let r = match system {
-                SystemId::Polymer => PolymerEngine::new().run_traced(machine, threads, g, &prog),
-                SystemId::Ligra => LigraEngine::new().run_traced(machine, threads, g, &prog),
-                SystemId::XStream => XStreamEngine::new().run_traced(machine, threads, g, &prog),
-                SystemId::Galois => GaloisEngine::new().run_traced(machine, threads, g, &prog),
-            };
-            metrics(system, algo, name, &spec, &r)
-        }};
-    }
-    match algo {
-        AlgoId::PR => {
-            let mut prog = PageRank::new(g.num_vertices());
-            if let Some(k) = iters {
-                prog = prog.with_iters(k);
-            }
-            dispatch_prog!(prog)
-        }
-        AlgoId::SpMV => {
-            let mut prog = SpMV::new();
-            if let Some(k) = iters {
-                prog = prog.with_iters(k);
-            }
-            dispatch_prog!(prog)
-        }
-        AlgoId::BP => {
-            let mut prog = BeliefPropagation::new();
-            if let Some(k) = iters {
-                prog = prog.with_iters(k);
-            }
-            dispatch_prog!(prog)
-        }
-        AlgoId::BFS => dispatch_prog!(Bfs::new(wl.source)),
-        AlgoId::CC => dispatch_prog!(ConnectedComponents::new()),
-        AlgoId::SSSP => dispatch_prog!(Sssp::new(wl.source)),
-    }
+    let (backend, config) = (Backend::Simulated, PolymerConfig::default());
+    run_core(
+        system, algo, wl, machine, threads, &backend, true, config, iters,
+    )
+    .0
 }
 
 /// [`run_traced`] with an explicit Polymer configuration.
@@ -468,41 +504,11 @@ pub fn run_traced_with_polymer_config(
     threads: usize,
     config: PolymerConfig,
 ) -> (Metrics, TraceBuffer) {
-    let g = wl.graph_for(algo);
     let machine = Machine::new(wl.scaled_spec(spec));
-    let name = wl.id.name();
-    macro_rules! dispatch_prog {
-        ($prog:expr) => {{
-            let prog = $prog;
-            match system {
-                SystemId::Polymer => {
-                    let r =
-                        PolymerEngine::with_config(config).run_traced(&machine, threads, g, &prog);
-                    (metrics(system, algo, name, spec, &r), take_trace(&r))
-                }
-                SystemId::Ligra => {
-                    let r = LigraEngine::new().run_traced(&machine, threads, g, &prog);
-                    (metrics(system, algo, name, spec, &r), take_trace(&r))
-                }
-                SystemId::XStream => {
-                    let r = XStreamEngine::new().run_traced(&machine, threads, g, &prog);
-                    (metrics(system, algo, name, spec, &r), take_trace(&r))
-                }
-                SystemId::Galois => {
-                    let r = GaloisEngine::new().run_traced(&machine, threads, g, &prog);
-                    (metrics(system, algo, name, spec, &r), take_trace(&r))
-                }
-            }
-        }};
-    }
-    match algo {
-        AlgoId::PR => dispatch_prog!(PageRank::new(g.num_vertices())),
-        AlgoId::SpMV => dispatch_prog!(SpMV::new()),
-        AlgoId::BP => dispatch_prog!(BeliefPropagation::new()),
-        AlgoId::BFS => dispatch_prog!(Bfs::new(wl.source)),
-        AlgoId::CC => dispatch_prog!(ConnectedComponents::new()),
-        AlgoId::SSSP => dispatch_prog!(Sssp::new(wl.source)),
-    }
+    let backend = Backend::Simulated;
+    run_core(
+        system, algo, wl, &machine, threads, &backend, true, config, None,
+    )
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ fn single_tier_matrix_replays_golden_fixture() {
         "fixture must hold the engine x algorithm matrix"
     );
 
-    let replayed = golden_matrix();
+    let replayed = golden_matrix(&polymer_numa::MachineSpec::test2());
     assert_eq!(
         replayed.len(),
         committed.len(),

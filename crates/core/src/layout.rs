@@ -23,9 +23,9 @@ use polymer_graph::{edge_balanced_ranges, vertex_balanced_ranges, DeltaDecoder, 
 use polymer_numa::{AccessCtx, AllocPolicy, CompressedLists, Machine, NumaArray};
 
 /// Storage for one direction's grouped edge endpoints: a raw `u32` array, or
-/// delta/varint-encoded per-agent lists when the global
-/// [`compressed_topology`](polymer_numa::compressed_topology) toggle was on
-/// at build time. Compressed lists are anchored at the agent's own vertex id
+/// delta/varint-encoded per-agent lists when the machine's spec sets
+/// [`compressed_topology`](polymer_numa::MachineSpec::compressed_topology).
+/// Compressed lists are anchored at the agent's own vertex id
 /// and billed by *encoded* bytes through the charged accessors, so the
 /// compression shows up as simulated bytes saved.
 pub enum EndpointStore {
@@ -467,7 +467,7 @@ impl PolymerLayout {
             machine.alloc_array_with(&format!("agents/{dir}_deg"), degs.len(), pol(), |i| degs[i]);
         let agent_off =
             machine.alloc_array_with(&format!("agents/{dir}_off"), offs.len(), pol(), |i| offs[i]);
-        let endpoint = if polymer_numa::compressed_topology() {
+        let endpoint = if machine.spec().compressed_topology {
             // Delta/varint-encode each agent's list, anchored at the agent's
             // own vertex id (lists are in grouped input order, so deltas are
             // small for locality-friendly ids).

@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use crate::atomicf::{AtomicF32, AtomicF64};
-use crate::ctx::{bulk_accounting, AccessCtx, Rw};
+use crate::ctx::{AccessCtx, Rw};
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
 
@@ -529,7 +529,7 @@ impl<T: Atom> SeqWriter<'_, T> {
     /// Store `v` at the cursor and advance.
     #[inline]
     pub fn push(&mut self, ctx: &mut AccessCtx, v: T) {
-        if !bulk_accounting() {
+        if !ctx.bulk() {
             // Scalar oracle: charge each append individually.
             self.arr.meta.record(ctx, self.pos, Rw::Write);
             self.run_start = self.pos + 1;

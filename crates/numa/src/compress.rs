@@ -14,31 +14,15 @@
 //! separately, matching how the raw path bills only the memory traffic of
 //! `u32` neighbour loads.
 //!
-//! The [`compressed_topology`] global gates whether engines build and
-//! traverse compressed topology. It defaults to off so the committed golden
-//! fixtures keep replaying bit-identically; `bench_hotpath` flips it to
-//! measure the simulated byte reduction.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! [`MachineSpec::compressed_topology`](crate::MachineSpec) gates whether
+//! engines build and traverse compressed topology on a machine. It defaults
+//! to off so the committed golden fixtures keep replaying bit-identically;
+//! `bench_hotpath` turns it on to measure the simulated byte reduction.
 
 use crate::array::NumaArray;
 use crate::ctx::AccessCtx;
 use crate::machine::Machine;
 use crate::policy::AllocPolicy;
-
-static COMPRESSED_TOPOLOGY: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable compressed-topology mode globally. Engines consult this
-/// at graph-build time; it must not change mid-run. Default: disabled, so
-/// existing fixtures replay unchanged.
-pub fn set_compressed_topology(enabled: bool) {
-    COMPRESSED_TOPOLOGY.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether engines should build and traverse compressed topology.
-pub fn compressed_topology() -> bool {
-    COMPRESSED_TOPOLOGY.load(Ordering::Relaxed)
-}
 
 /// A set of variable-length encoded lists (compressed CSR neighbour lists)
 /// in instrumented NUMA memory: `offs[i]..offs[i + 1]` bounds list `i`'s
@@ -147,13 +131,5 @@ mod tests {
         let s = ctx.take_stats();
         // 3 offset pairs (u64) + 5 payload bytes.
         assert_eq!(s.total_bytes(), 3 * 16 + 5);
-    }
-
-    #[test]
-    fn toggle_roundtrips() {
-        assert!(!compressed_topology());
-        set_compressed_topology(true);
-        assert!(compressed_topology());
-        set_compressed_topology(false);
     }
 }

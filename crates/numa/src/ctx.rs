@@ -15,30 +15,9 @@
 //! model per array and the reports can attribute traffic to graph topology,
 //! application data, and runtime state separately.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
 use crate::topology::{NodeId, NumaTopology, MAX_NODES};
-
-/// Global switch for the run-coalesced accounting fast path. On (the
-/// default), bulk accessors charge whole page-runs with one classification;
-/// off, they fall back to per-element [`AccessCtx`] recording — the scalar
-/// oracle the equivalence tests and `bench_hotpath` compare against. Both
-/// paths produce bit-identical [`AccessStats`], so flipping this mid-run
-/// changes wall-clock only, never simulated results.
-static BULK_ACCOUNTING: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the run-coalesced accounting fast path.
-pub fn set_bulk_accounting(enabled: bool) {
-    BULK_ACCOUNTING.store(enabled, Ordering::SeqCst);
-}
-
-/// True when the run-coalesced fast path is active.
-#[inline]
-pub fn bulk_accounting() -> bool {
-    BULK_ACCOUNTING.load(Ordering::Relaxed)
-}
 
 /// Access pattern: sequential stream vs. random.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -276,6 +255,9 @@ pub struct AccessCtx {
     heat: Vec<Vec<u32>>,
     /// Rolling access tick for [`HeatMode::Sampled`].
     heat_tick: u64,
+    /// The machine spec's `bulk_accounting`, cached so the run accessors
+    /// test a field on the hot path.
+    bulk: bool,
 }
 
 impl AccessCtx {
@@ -293,6 +275,7 @@ impl AccessCtx {
             heat_mode: HeatMode::Off,
             heat: Vec::new(),
             heat_tick: 0,
+            bulk: machine.spec().bulk_accounting,
         }
     }
 
@@ -325,6 +308,12 @@ impl AccessCtx {
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.num_threads
+    }
+
+    /// Whether run-coalesced accounting is on for this context's machine.
+    #[inline]
+    pub(crate) fn bulk(&self) -> bool {
+        self.bulk
     }
 
     /// The combined tracker + counters of one allocation. The grow path is
@@ -400,9 +389,9 @@ impl AccessCtx {
     /// forward run is sequential by the window rule (`off_next == last_end`
     /// always satisfies both window bounds). Destination nodes follow each
     /// element's start byte, so runs split precisely where the per-element
-    /// walk would switch pages. With [`bulk_accounting`] disabled this
-    /// *is* the per-element loop, which is what the equivalence proptest
-    /// exercises.
+    /// walk would switch pages. On a machine whose spec turns
+    /// `bulk_accounting` off this *is* the per-element loop, which is what
+    /// the equivalence proptest exercises.
     #[inline]
     pub(crate) fn record_run(
         &mut self,
@@ -416,7 +405,7 @@ impl AccessCtx {
         if n == 0 {
             return;
         }
-        if !bulk_accounting() {
+        if !self.bulk {
             for k in 0..n {
                 self.record(alloc, placement, off + k * elem, elem, rw);
             }

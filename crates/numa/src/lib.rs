@@ -67,9 +67,9 @@ pub mod topology;
 
 pub use array::{Atom, NumaArray, NumaAtomicArray, SeqWriter};
 pub use atomicf::{AtomicF32, AtomicF64};
-pub use compress::{compressed_topology, set_compressed_topology, CompressedLists};
+pub use compress::CompressedLists;
 pub use cost::{BarrierKind, CostConfig, CostModel, PhaseCost, SocketCost};
-pub use ctx::{bulk_accounting, set_bulk_accounting, AccessCtx, AccessStats, Pattern, Rw};
+pub use ctx::{AccessCtx, AccessStats, Pattern, Rw};
 pub use machine::{AllocId, Machine, MemUsage, SpillPolicy};
 pub use policy::AllocPolicy;
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};
@@ -78,7 +78,7 @@ pub use polymer_trace::{
     TraceBuffer, Tracer, WorkerSpan,
 };
 pub use report::{MemoryReport, RemoteAccessReport};
-pub use shard::{set_sim_sharding, sim_sharding, SimShardMode};
+pub use shard::SimShardMode;
 pub use sim::{PhaseKind, RunClock, SimExecutor};
 pub use tables::{
     BandwidthTable, DistClass, LatencyTable, TierClass, SLOW_LOAD_FACTOR, SLOW_RAND_BW_DIVISOR,

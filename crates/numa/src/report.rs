@@ -71,7 +71,7 @@ impl RemoteAccessReport {
 
 /// Peak memory consumption of one run, with per-tag attribution — the
 /// paper's Table 5 shows Polymer's agent share in brackets.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct MemoryReport {
     /// Peak bytes over the whole run.
     pub peak_bytes: u64,

@@ -24,12 +24,14 @@
 //!   shards in thread-id order on the calling thread, so floating-point
 //!   accumulation order is fixed.
 //!
-//! The [`SimShardMode`] global selects whether the compute half actually
-//! spawns host threads. The simulated result is bit-identical in every mode;
-//! the mode only trades host wall-clock for thread-spawn overhead.
+//! [`MachineSpec::shard_mode`](crate::MachineSpec) selects whether the
+//! compute half actually spawns host threads; the executor reads it once, at
+//! construction. The simulated result is bit-identical in every mode; the
+//! mode only trades host wall-clock for thread-spawn overhead.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
+
+use serde::{Deserialize, Serialize};
 
 use crate::ctx::AccessCtx;
 use crate::topology::NodeId;
@@ -39,7 +41,7 @@ use crate::topology::NodeId;
 ///
 /// Simulated results are bit-identical under every mode; this only controls
 /// whether shards run on real host threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimShardMode {
     /// Never spawn host threads; shards run serially in thread-id order.
     Off,
@@ -48,45 +50,23 @@ pub enum SimShardMode {
     On,
     /// Spawn host threads when the host has more than one core and the phase
     /// has more than one shard; serial otherwise. This is the default.
+    #[default]
     Auto,
 }
 
-const MODE_OFF: u8 = 0;
-const MODE_ON: u8 = 1;
-const MODE_AUTO: u8 = 2;
-
-static SIM_SHARDING: AtomicU8 = AtomicU8::new(MODE_AUTO);
-
-/// Set the global [`SimShardMode`]. Takes effect at the next phase.
-pub fn set_sim_sharding(mode: SimShardMode) {
-    let v = match mode {
-        SimShardMode::Off => MODE_OFF,
-        SimShardMode::On => MODE_ON,
-        SimShardMode::Auto => MODE_AUTO,
-    };
-    SIM_SHARDING.store(v, Ordering::SeqCst);
-}
-
-/// The current global [`SimShardMode`].
-pub fn sim_sharding() -> SimShardMode {
-    match SIM_SHARDING.load(Ordering::Relaxed) {
-        MODE_OFF => SimShardMode::Off,
-        MODE_ON => SimShardMode::On,
-        _ => SimShardMode::Auto,
-    }
-}
-
-/// Whether the compute half of a phase with `num_shards` shards should spawn
-/// host threads under the current mode.
-pub(crate) fn parallel_enabled(num_shards: usize) -> bool {
-    match sim_sharding() {
-        SimShardMode::Off => false,
-        SimShardMode::On => num_shards > 1,
-        SimShardMode::Auto => {
-            num_shards > 1
-                && std::thread::available_parallelism()
-                    .map(|n| n.get() > 1)
-                    .unwrap_or(false)
+impl SimShardMode {
+    /// Whether the compute half of a phase with `num_shards` shards spawns
+    /// host threads under this mode.
+    pub(crate) fn parallel(self, num_shards: usize) -> bool {
+        match self {
+            SimShardMode::Off => false,
+            SimShardMode::On => num_shards > 1,
+            SimShardMode::Auto => {
+                num_shards > 1
+                    && std::thread::available_parallelism()
+                        .map(|n| n.get() > 1)
+                        .unwrap_or(false)
+            }
         }
     }
 }
@@ -158,10 +138,6 @@ pub(crate) fn run_sharded<D: Send>(
     })
 }
 
-/// Serializes tests that mutate the process-wide shard mode.
-#[cfg(test)]
-pub(crate) static TEST_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,16 +147,5 @@ mod tests {
         assert_eq!(shard_ranges(&[0, 0, 1, 1, 2]), vec![0..2, 2..4, 4..5]);
         assert_eq!(shard_ranges(&[0]), vec![0..1]);
         assert_eq!(shard_ranges(&[]), Vec::<Range<usize>>::new());
-    }
-
-    #[test]
-    fn mode_roundtrips() {
-        let _guard = TEST_MODE_LOCK.lock().unwrap();
-        let prev = sim_sharding();
-        for m in [SimShardMode::Off, SimShardMode::On, SimShardMode::Auto] {
-            set_sim_sharding(m);
-            assert_eq!(sim_sharding(), m);
-        }
-        set_sim_sharding(prev);
     }
 }

@@ -121,6 +121,10 @@ pub struct SimExecutor {
     /// Contiguous tid ranges sharing a home node — the host-parallel shards
     /// of [`SimExecutor::run_phase_split`].
     shards: Vec<std::ops::Range<usize>>,
+    /// Whether `run_phase_split` drives the shards on host threads: the
+    /// spec's [`crate::SimShardMode`] resolved once against the shard count
+    /// and the host's core count.
+    host_parallel: bool,
     clock: RunClock,
     /// Spill counter at the last trace checkpoint, for per-phase deltas.
     spilled_seen: u64,
@@ -159,6 +163,7 @@ impl SimExecutor {
             .collect();
         let nodes: Vec<NodeId> = ctxs.iter().map(|c| c.node()).collect();
         let shards = crate::shard::shard_ranges(&nodes);
+        let host_parallel = machine.spec().shard_mode.parallel(shards.len());
         let mut sim = SimExecutor {
             machine: machine.clone(),
             model: CostModel::new(machine, config),
@@ -166,6 +171,7 @@ impl SimExecutor {
             nodes,
             ctxs,
             shards,
+            host_parallel,
             clock: RunClock::default(),
             spilled_seen: machine.spilled_pages(),
             tier: None,
@@ -293,7 +299,7 @@ impl SimExecutor {
     /// Run one bulk-synchronous phase split into a side-effect-free compute
     /// half and a serially replayed publish half, allowing the compute half
     /// to run host-parallel (one host thread per simulated socket) under the
-    /// global [`crate::SimShardMode`].
+    /// machine spec's [`crate::SimShardMode`].
     ///
     /// `compute(tid, ctx)` is invoked once per simulated thread and returns a
     /// per-thread payload; when sharding is active, shards run concurrently
@@ -324,7 +330,7 @@ impl SimExecutor {
         compute: impl Fn(usize, &mut AccessCtx) -> D + Sync,
         mut publish: impl FnMut(usize, &mut AccessCtx, D),
     ) -> PhaseCost {
-        let payloads: Vec<D> = if crate::shard::parallel_enabled(self.shards.len()) {
+        let payloads: Vec<D> = if self.host_parallel {
             crate::shard::run_sharded(&mut self.ctxs, &self.shards, &compute)
         } else {
             self.ctxs
@@ -701,10 +707,7 @@ mod tests {
     /// combines them into a shared accumulator and flags `updated`. Returns
     /// the bit patterns that must match across modes.
     fn split_phase_fingerprint(mode: crate::shard::SimShardMode) -> (u64, f64, f64, String) {
-        use crate::shard::{set_sim_sharding, sim_sharding};
-        let prev = sim_sharding();
-        set_sim_sharding(mode);
-        let m = Machine::new(MachineSpec::intel80());
+        let m = Machine::new(MachineSpec::intel80().with_shard_mode(mode));
         let a = m.alloc_array_with("a", 1 << 14, AllocPolicy::Interleaved, |i| i as u64);
         let acc = m.alloc_atomic::<f64>("acc", 64, AllocPolicy::OnNode(0));
         let upd = m.alloc_atomic::<u64>("upd", 8, AllocPolicy::OnNode(0));
@@ -730,7 +733,6 @@ mod tests {
             costs.push(c.time_us);
             sim.charge_barrier();
         }
-        set_sim_sharding(prev);
         let accs: String = (0..64)
             .map(|i| format!("{:016x}", acc.raw_load(i).to_bits()))
             .collect();
@@ -740,7 +742,6 @@ mod tests {
     #[test]
     fn run_phase_split_is_bit_identical_across_shard_modes() {
         use crate::shard::SimShardMode;
-        let _guard = crate::shard::TEST_MODE_LOCK.lock().unwrap();
         // `On` forces real host threads even on a single-core host, so this
         // exercises the parallel path everywhere.
         let serial = split_phase_fingerprint(SimShardMode::Off);
@@ -790,11 +791,8 @@ mod tests {
 
     #[test]
     fn run_phase_split_propagates_shard_panics() {
-        use crate::shard::{set_sim_sharding, sim_sharding, SimShardMode};
-        let _guard = crate::shard::TEST_MODE_LOCK.lock().unwrap();
-        let prev = sim_sharding();
-        set_sim_sharding(SimShardMode::On);
-        let m = Machine::new(MachineSpec::intel80());
+        use crate::shard::SimShardMode;
+        let m = Machine::new(MachineSpec::intel80().with_shard_mode(SimShardMode::On));
         let mut sim = SimExecutor::new(&m, 40);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sim.run_phase_split(
@@ -807,7 +805,6 @@ mod tests {
                 |_, _, _| {},
             );
         }));
-        set_sim_sharding(prev);
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "shard task failed");

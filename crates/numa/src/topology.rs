@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::shard::SimShardMode;
 use crate::tables::{BandwidthTable, DistClass, LatencyTable, TierClass};
 
 /// Identifier of a NUMA memory node (socket or die with its own controller).
@@ -109,6 +110,28 @@ pub struct MachineSpec {
     /// effectively unbounded capacity tier.
     #[serde(default)]
     pub slow_capacity_bytes: Option<u64>,
+    /// Run-coalesced access accounting (default on): bulk accessors charge a
+    /// whole page-run with one classification. Off, they record element by
+    /// element — the scalar reference the equivalence tests and
+    /// `bench_hotpath` compare against. Both produce bit-identical
+    /// [`crate::AccessStats`]; only host wall-clock differs.
+    #[serde(default = "default_true")]
+    pub bulk_accounting: bool,
+    /// Whether [`crate::SimExecutor::run_phase_split`] drives its per-socket
+    /// shards on host threads. Simulated results are bit-identical in every
+    /// mode.
+    #[serde(default)]
+    pub shard_mode: SimShardMode,
+    /// Engines build and traverse delta/varint-compressed neighbour lists
+    /// ([`crate::CompressedLists`]) instead of raw `u32` arrays. Off by
+    /// default, so the committed golden fixtures replay bit-identically;
+    /// values are the same either way, simulated bytes and time are not.
+    #[serde(default)]
+    pub compressed_topology: bool,
+}
+
+fn default_true() -> bool {
+    true
 }
 
 fn default_page_bytes() -> usize {
@@ -141,6 +164,9 @@ impl MachineSpec {
             node_tiers: Vec::new(),
             fast_capacity_bytes: None,
             slow_capacity_bytes: None,
+            bulk_accounting: true,
+            shard_mode: SimShardMode::Auto,
+            compressed_topology: false,
         }
     }
 
@@ -163,6 +189,9 @@ impl MachineSpec {
             node_tiers: Vec::new(),
             fast_capacity_bytes: None,
             slow_capacity_bytes: None,
+            bulk_accounting: true,
+            shard_mode: SimShardMode::Auto,
+            compressed_topology: false,
         }
     }
 
@@ -184,6 +213,9 @@ impl MachineSpec {
             node_tiers: Vec::new(),
             fast_capacity_bytes: None,
             slow_capacity_bytes: None,
+            bulk_accounting: true,
+            shard_mode: SimShardMode::Auto,
+            compressed_topology: false,
         }
     }
 
@@ -334,6 +366,24 @@ impl MachineSpec {
     /// (rounded down to whole pages when compared against allocations).
     pub fn with_node_capacity(mut self, bytes: u64) -> Self {
         self.node_capacity_bytes = Some(bytes);
+        self
+    }
+
+    /// A copy of this spec with run-coalesced accounting on or off.
+    pub fn with_bulk_accounting(mut self, enabled: bool) -> Self {
+        self.bulk_accounting = enabled;
+        self
+    }
+
+    /// A copy of this spec with the given host-sharding mode.
+    pub fn with_shard_mode(mut self, mode: SimShardMode) -> Self {
+        self.shard_mode = mode;
+        self
+    }
+
+    /// A copy of this spec with compressed topology on or off.
+    pub fn with_compressed_topology(mut self, enabled: bool) -> Self {
+        self.compressed_topology = enabled;
         self
     }
 
@@ -566,10 +616,15 @@ mod tests {
         obj.remove("llc_scale");
         obj.remove("page_bytes");
         obj.remove("node_capacity_bytes");
+        obj.remove("bulk_accounting");
+        obj.remove("shard_mode");
+        obj.remove("compressed_topology");
         let legacy: MachineSpec = serde_json::from_value(v).unwrap();
         assert_eq!(legacy.llc_scale, 1.0);
         assert_eq!(legacy.page_bytes, PAGE_SIZE);
         assert_eq!(legacy.node_capacity_bytes, None);
+        assert!(legacy.bulk_accounting && !legacy.compressed_topology);
+        assert_eq!(legacy.shard_mode, SimShardMode::Auto);
     }
 
     #[test]

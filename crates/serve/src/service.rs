@@ -357,13 +357,16 @@ fn process(inner: &Inner, batch: Vec<Pending>) {
     for p in batch {
         match p.deadline {
             Some(d) if p.submitted.elapsed() >= d => {
-                finish(
-                    inner,
-                    &p,
-                    Err(PolymerError::DeadlineExceeded { deadline: d }),
-                );
-                let mut st = inner.lock();
-                st.stats.expired_in_queue += 1;
+                // Every counter moves before the reply slot fills: a caller
+                // returning from `wait()` must already see the expiry.
+                {
+                    let mut st = inner.lock();
+                    st.in_use_bytes -= p.scratch;
+                    st.stats.failed += 1;
+                    st.stats.expired_in_queue += 1;
+                }
+                p.slot
+                    .fulfill(Err(PolymerError::DeadlineExceeded { deadline: d }));
             }
             _ => live.push(p),
         }

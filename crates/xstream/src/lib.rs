@@ -38,9 +38,10 @@ use polymer_numa::{
 use polymer_sync::{DenseBitmap, FrontierSnapshot};
 
 /// One partition's edge storage. Raw mode keeps X-Stream's literal edge
-/// records — parallel `(source, target)` arrays streamed obliviously. Under
-/// the global [`compressed_topology`](polymer_numa::compressed_topology)
-/// toggle (and only for unweighted programs, whose edges carry no payload
+/// records — parallel `(source, target)` arrays streamed obliviously. On a
+/// machine whose spec sets
+/// [`compressed_topology`](polymer_numa::MachineSpec::compressed_topology)
+/// (and only for unweighted programs, whose edges carry no payload
 /// that would still need edge indexing), the records collapse into
 /// delta/varint-encoded per-vertex neighbour lists: the source id becomes
 /// implicit in the grouping and targets cost ~1–2 encoded bytes instead of
@@ -162,7 +163,7 @@ impl XStreamEngine {
             }
             let in_edges: usize = range.clone().map(|v| g.in_degree(v as VId)).sum();
             let ecount = src.len();
-            let edges = if polymer_numa::compressed_topology() && !prog.uses_weights() {
+            let edges = if machine.spec().compressed_topology && !prog.uses_weights() {
                 let mut coffs = vec![0u64];
                 let mut bytes = Vec::new();
                 for v in range.clone() {

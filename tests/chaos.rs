@@ -178,6 +178,34 @@ fn one_shot_alloc_failure_recovers_on_retry() {
     });
 }
 
+/// The toggles ride on the spec, so the fresh machine the supervisor builds
+/// for a retry inherits them: a compressed-topology run whose answer comes
+/// from attempt 2 moves exactly the simulated bytes of a direct compressed
+/// run, not those of the raw layout.
+#[test]
+fn retried_attempt_inherits_the_specs_toggles() {
+    let g = chaos_graph();
+    let prog = Bfs::new(0);
+    let bytes = |r: &RunResult<u32>| r.clock.total.bytes_local + r.clock.total.bytes_remote;
+    let raw_spec = MachineSpec::test2();
+    let spec = raw_spec.clone().with_compressed_topology(true);
+    let engine = LigraEngine::new();
+    let raw = engine.run(&Machine::new(raw_spec), 4, &g, &prog);
+    let direct = engine.run(&Machine::new(spec.clone()), 4, &g, &prog);
+    assert!(bytes(&direct) < bytes(&raw), "compression must show");
+
+    // No checkpoints: their charged sweeps would add bytes of their own.
+    let sup = RunSupervisor::new(SupervisorConfig {
+        checkpoint: CheckpointPolicy::Never,
+        ..chaos_config(FaultPlan::new().fail_nth_alloc(2))
+    });
+    let (result, report) = sup.run_reported(&engine, &Backend::Simulated, &spec, 4, &g, &prog);
+    let run = result.expect("attempt 2 succeeds");
+    assert_eq!(report.attempts.len(), 2, "{report:?}");
+    assert_eq!(run.values, direct.values);
+    assert_eq!(bytes(&run), bytes(&direct));
+}
+
 /// A persistent capacity clamp under `SpillPolicy::Fail` can never
 /// succeed: the supervisor must exhaust its retries and surface the typed
 /// error (with the full attempt history in the report), not loop forever.

@@ -13,7 +13,9 @@
 //!    PageRank. Includes delete-heavy batches, empty batches, chained
 //!    batches, and a batch that triggers threshold compaction mid-sequence.
 //! 3. **Staleness**: an `OverlayTopo` built before a mutation or compaction
-//!    reports `is_stale`, so resident services know to rebuild.
+//!    reports `is_stale`, so resident services know to rebuild — also under
+//!    the delta/varint-compressed topology, where a stale placed copy would
+//!    decode neighbours of a graph that no longer exists.
 
 use polymer::algos::reference::max_rel_error;
 use polymer::algos::{
@@ -312,6 +314,61 @@ fn overlay_topo_staleness_tracks_epoch_and_generation() {
     assert!(!topo.is_stale(&mg));
     mg.compact();
     assert!(topo.is_stale(&mg), "generation advance must flag staleness");
+}
+
+/// Compaction replaces the base CSR, so a placed *and encoded* copy of it is
+/// stale: `is_stale` must flag it, a rebuild on the compressed machine must
+/// re-encode the new base, and warm-started queries stay oracle-exact while
+/// still sweeping fewer bytes than the raw machine's layout.
+#[test]
+fn compaction_under_compression_stays_oracle_exact() {
+    let raw = machine();
+    let compressed = Machine::new(MachineSpec::test2().with_compressed_topology(true));
+    let base = gen::uniform(200, 1_200, 97);
+
+    let mg_raw = MutableGraph::from_edge_list(base.clone());
+    let raw_topo = build_topo(&raw, &mg_raw, false);
+    let raw_cold = bfs_overlay(&raw, THREADS, &raw_topo, 0, None, false).unwrap();
+
+    // Aggressive compaction threshold: 1% of |E| ≈ 12 pending entries.
+    let mut mg = MutableGraph::from_edge_list(base).with_compaction_fraction(0.01);
+    let topo = build_topo(&compressed, &mg, false);
+    assert!(
+        topo.neighbor_sweep_bytes() < raw_topo.neighbor_sweep_bytes(),
+        "encoded base must be smaller than the raw layout"
+    );
+    let prior = bfs_overlay(&compressed, THREADS, &topo, 0, None, false).unwrap();
+    assert_eq!(
+        prior.values, raw_cold.values,
+        "compressed cold query diverged from raw"
+    );
+
+    // Ingest past the threshold: apply compacts internally, invalidating
+    // the encoded base the resident topology holds.
+    let applied = mg.apply(&mixed_batch(&mg, 3, 30)).unwrap();
+    assert!(applied.stats.compacted, "batch must trigger compaction");
+    assert!(
+        topo.is_stale(&mg),
+        "pre-compaction topology must report stale under compression"
+    );
+
+    let topo = build_topo(&compressed, &mg, false);
+    assert!(!topo.is_stale(&mg));
+    let g2 = scratch_graph(&mg);
+    let warm = WarmStart::from_result(&prior, &applied);
+    let run = bfs_overlay(&compressed, THREADS, &topo, 0, Some(warm), false).unwrap();
+    let (oracle, _) = run_reference(&g2, &Bfs::new(0));
+    assert_eq!(run.values, oracle, "warm BFS after compaction vs oracle");
+
+    assert!(
+        topo.neighbor_sweep_bytes() < build_topo(&raw, &mg, false).neighbor_sweep_bytes(),
+        "post-compaction rebuild must re-encode the base"
+    );
+
+    // Symmetric programs decode the in-direction too.
+    let (cc_oracle, _) = run_reference(&g2, &ConnectedComponents::new());
+    let cc = cc_overlay(&compressed, THREADS, &topo, None, false).unwrap();
+    assert_eq!(cc.values, cc_oracle, "cold CC on compressed rebuild");
 }
 
 mod structural {

@@ -6,7 +6,7 @@
 
 use polymer::api::{try_run_parallel_traced, Engine};
 use polymer::graph::gen;
-use polymer::numa::{chrome_trace_json, phase_table, SharedTracer};
+use polymer::numa::{chrome_trace_json, phase_table, SharedTracer, SimExecutor};
 use polymer::prelude::*;
 
 fn workload() -> (Graph, u32) {
@@ -193,4 +193,42 @@ fn parallel_runs_record_worker_spans() {
     let doc: serde_json::Value =
         serde_json::from_str(&chrome_trace_json(&buf)).expect("valid JSON");
     assert!(doc.as_object().unwrap().get("traceEvents").is_some());
+}
+
+/// Executor level: a disabled tracer records nothing and — more
+/// importantly — changes no counters: the clock totals of a traced and an
+/// untraced run of the same workload are identical.
+#[test]
+fn tracer_off_adds_zero_counters() {
+    let machine = Machine::new(MachineSpec::intel80());
+    let data = machine.alloc_atomic::<u64>("t/data", 4096, AllocPolicy::Interleaved);
+    let work = |sim: &mut SimExecutor| {
+        let c = sim.run_phase("work", |tid, ctx| {
+            if tid == 0 {
+                for v in data.iter_seq(ctx, 0..4096) {
+                    std::hint::black_box(v);
+                }
+                for i in (0..4096).step_by(67) {
+                    data.fetch_add(ctx, i, 1);
+                }
+            }
+        });
+        sim.charge_barrier();
+        c
+    };
+    let mut untraced = SimExecutor::new(&machine, 4);
+    let cost_off = work(&mut untraced);
+    assert!(!untraced.clock().trace.is_enabled());
+    assert!(untraced.clock().trace.buffer().is_none());
+    let mut traced = SimExecutor::new(&machine, 4);
+    traced.enable_trace();
+    let cost_on = work(&mut traced);
+    assert_eq!(format!("{cost_off:?}"), format!("{cost_on:?}"));
+    assert_eq!(
+        untraced.clock().elapsed_us(),
+        traced.clock().elapsed_us(),
+        "tracing must not perturb the simulated clock"
+    );
+    let buf = traced.clock().trace.buffer().expect("trace recorded");
+    assert_eq!(buf.phases.len(), 1);
 }
