@@ -65,8 +65,8 @@
 use std::collections::HashMap;
 
 use polymer_api::{
-    charged_values_restore, even_chunks, weight_balanced_chunks, IterationDriver, OverlayTopo,
-    PolymerResult, RunResult,
+    catch_engine_faults, charged_values_restore, even_chunks, weight_balanced_chunks,
+    IterationDriver, OverlayTopo, PolymerError, PolymerResult, RunResult,
 };
 use polymer_graph::{AppliedBatch, Edge, MutableGraph, VId};
 use polymer_numa::{AllocPolicy, Atom, BarrierKind, Machine, NumaAtomicArray};
@@ -193,6 +193,33 @@ impl MinSpec for CcSpec {
     }
 }
 
+/// The front door the `*_overlay` entry points share with
+/// [`polymer_api::Engine`] runs: a thread count the machine cannot bind or an
+/// out-of-range source is a typed [`PolymerError::InvalidConfig`], and a
+/// panic escaping `body` (a warm-start value count mismatch, an injected
+/// fault) is converted instead of unwinding into the caller.
+fn guarded<T>(
+    machine: &Machine,
+    threads: usize,
+    topo: &OverlayTopo,
+    source: Option<VId>,
+    body: impl FnOnce() -> PolymerResult<T>,
+) -> PolymerResult<T> {
+    let cores = machine.topology().total_cores();
+    if threads == 0 || threads > cores {
+        return Err(PolymerError::InvalidConfig(format!(
+            "threads must be in 1..={cores} (the machine's cores), got {threads}"
+        )));
+    }
+    let n = topo.num_vertices();
+    if let Some(s) = source.filter(|&s| s as usize >= n) {
+        return Err(PolymerError::InvalidConfig(format!(
+            "source vertex {s} out of range (graph has {n} vertices)"
+        )));
+    }
+    catch_engine_faults(body)
+}
+
 /// Incremental BFS over a placed overlay: cold run when `warm` is `None`,
 /// frontier-restricted repair otherwise. Values are bit-identical to a
 /// from-scratch run either way (unique min fixpoint).
@@ -204,7 +231,9 @@ pub fn bfs_overlay(
     warm: Option<WarmStart<'_, u32>>,
     traced: bool,
 ) -> PolymerResult<RunResult<u32>> {
-    min_overlay(machine, threads, topo, BfsSpec { source }, warm, traced)
+    guarded(machine, threads, topo, Some(source), || {
+        min_overlay(machine, threads, topo, BfsSpec { source }, warm, traced)
+    })
 }
 
 /// Incremental SSSP (weighted Bellman–Ford fixpoint) over a placed
@@ -218,7 +247,9 @@ pub fn sssp_overlay(
     warm: Option<WarmStart<'_, u64>>,
     traced: bool,
 ) -> PolymerResult<RunResult<u64>> {
-    min_overlay(machine, threads, topo, SsspSpec { source }, warm, traced)
+    guarded(machine, threads, topo, Some(source), || {
+        min_overlay(machine, threads, topo, SsspSpec { source }, warm, traced)
+    })
 }
 
 /// Incremental connected components over a placed overlay of the
@@ -226,6 +257,18 @@ pub fn sssp_overlay(
 /// ([`polymer_graph::DeltaBatch::symmetrize`]). Insert-only batches take
 /// the union-find fast path (one relabel sweep, zero repair iterations).
 pub fn cc_overlay(
+    machine: &Machine,
+    threads: usize,
+    topo: &OverlayTopo,
+    warm: Option<WarmStart<'_, u32>>,
+    traced: bool,
+) -> PolymerResult<RunResult<u32>> {
+    guarded(machine, threads, topo, None, || {
+        cc_body(machine, threads, topo, warm, traced)
+    })
+}
+
+fn cc_body(
     machine: &Machine,
     threads: usize,
     topo: &OverlayTopo,
@@ -706,6 +749,20 @@ fn min_push_fixpoint<S: MinSpec>(
 /// the damped PageRank fixpoint to within `tol` residual mass per vertex
 /// (ε-close to a from-scratch run, not bit-identical — float order).
 pub fn pagerank_overlay(
+    machine: &Machine,
+    threads: usize,
+    topo: &OverlayTopo,
+    damping: f64,
+    tol: f64,
+    warm: Option<WarmStart<'_, f64>>,
+    traced: bool,
+) -> PolymerResult<RunResult<f64>> {
+    guarded(machine, threads, topo, None, || {
+        pagerank_body(machine, threads, topo, damping, tol, warm, traced)
+    })
+}
+
+fn pagerank_body(
     machine: &Machine,
     threads: usize,
     topo: &OverlayTopo,

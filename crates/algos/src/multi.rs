@@ -23,8 +23,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use polymer_api::{
-    catch_engine_faults, Combine, FrontierInit, IterationDriver, PolymerError, PolymerResult,
-    Program, RunResult,
+    catch_engine_faults, validate_run_config, Combine, FrontierInit, IterationDriver, PolymerError,
+    PolymerResult, Program, RunResult,
 };
 use polymer_graph::{Graph, VId};
 use polymer_numa::{Atom, BarrierKind, Machine};
@@ -161,26 +161,13 @@ pub fn run_multi_source<P: SingleSource>(
     graph: &Graph,
     batch: &MultiSource<P>,
 ) -> PolymerResult<MultiRunResult<P::Val>> {
-    if threads == 0 {
-        return Err(PolymerError::InvalidConfig(
-            "threads must be >= 1".to_string(),
-        ));
-    }
-    let n = graph.num_vertices();
     for prog in batch.programs() {
-        match prog.initial_frontier(graph) {
-            FrontierInit::Single(s) if (s as usize) < n => {}
-            FrontierInit::Single(s) => {
-                return Err(PolymerError::InvalidConfig(format!(
-                    "source vertex {s} out of range (graph has {n} vertices)"
-                )));
-            }
-            FrontierInit::All => {
-                return Err(PolymerError::InvalidConfig(
-                    "multi-source sweep requires single-source programs".to_string(),
-                ));
-            }
+        if matches!(prog.initial_frontier(graph), FrontierInit::All) {
+            return Err(PolymerError::InvalidConfig(
+                "multi-source sweep requires single-source programs".to_string(),
+            ));
         }
+        validate_run_config(threads, graph, prog)?;
     }
     catch_engine_faults(|| sweep(machine, threads, graph, batch))
 }

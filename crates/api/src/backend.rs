@@ -12,7 +12,8 @@
 //!   baselines.
 //!
 //! An engine describes how its strategy maps onto the real-thread executor
-//! with an [`ExecProfile`]; [`crate::Engine::try_run_on`] dispatches.
+//! with an [`ExecProfile`]; [`crate::Engine::try_run_with`] dispatches on
+//! [`crate::RunOptions::backend`].
 
 use polymer_faults::FaultPlan;
 

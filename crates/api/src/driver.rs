@@ -214,7 +214,7 @@ impl<V> CheckpointStore<V> {
 /// What one engine attempt needs to know about recovery: the checkpoint
 /// policy and store to publish into, and optionally a checkpoint to resume
 /// from. [`RecoverySession::disabled`] (policy `Never`, no store) is the
-/// default path every plain `try_run` takes — it adds no charged work.
+/// default of [`crate::RunOptions`] — it adds no charged work.
 pub struct RecoverySession<V> {
     policy: CheckpointPolicy,
     store: Option<CheckpointStore<V>>,

@@ -1,8 +1,13 @@
 //! The engine entry point shared by Polymer and the three baselines.
+//!
+//! One run API: a [`RunOptions`] value names everything that can differ
+//! between two runs (backend, simulated timeline, recovery session,
+//! wall-clock tracer) and [`Engine::try_run_with`] takes it. `run`,
+//! `run_traced` and `try_run_on` are one-line shorthands over that call.
 
 use polymer_faults::{panic_with, PolymerError, PolymerResult};
 use polymer_graph::Graph;
-use polymer_numa::{Machine, MemoryReport, RunClock};
+use polymer_numa::{Machine, MemoryReport, RunClock, SharedTracer};
 
 use crate::backend::{Backend, ExecProfile};
 use crate::driver::RecoverySession;
@@ -34,37 +39,68 @@ impl EngineKind {
     }
 }
 
+/// Everything that varies between two runs of the same program on the same
+/// engine, machine and thread count. [`Engine::try_run_with`] is the one
+/// door a run goes through; the `Default` is the plain path (simulated,
+/// untraced, no checkpointing, no wall-clock tracer), which must stay
+/// charged-work-free so default runs replay the golden fixtures bit for bit.
+pub struct RunOptions<'t, V> {
+    /// Where the run executes.
+    pub backend: Backend,
+    /// Simulated backend only: record a span/counter timeline into the
+    /// result's [`polymer_numa::Tracer`] (reachable through
+    /// [`RunResult::trace`]) — one span per bulk-synchronous phase and
+    /// barrier, stamped with the iteration, carrying per-socket counters.
+    /// Tracing never changes simulated time; the test suite pins traced and
+    /// untraced runs to bit-identical clocks. A real-thread run has no
+    /// simulated timeline and ignores the flag.
+    pub traced: bool,
+    /// Checkpoint policy/store to publish into and an optional checkpoint
+    /// to resume from, honoured by both backends. Resuming restores the
+    /// checkpointed vertex values and frontier (through charged `"restore"`
+    /// sweeps on the simulator) and continues stamping global iterations
+    /// from [`crate::driver::Checkpoint::iteration`].
+    pub recovery: RecoverySession<V>,
+    /// Real-thread backend only: every worker records one `"iteration"`
+    /// span per superstep and one `"barrier-wait"` span per barrier crossing
+    /// (µs since the tracer's epoch). An abnormal end — injected panic,
+    /// poisoned barrier, timeout — flushes the buffer *truncated* but valid.
+    pub tracer: Option<&'t SharedTracer>,
+}
+
+impl<V> Default for RunOptions<'_, V> {
+    fn default() -> Self {
+        RunOptions {
+            backend: Backend::Simulated,
+            traced: false,
+            recovery: RecoverySession::disabled(),
+            tracer: None,
+        }
+    }
+}
+
 /// A graph-analytics engine: executes a [`Program`] over a graph on a
-/// simulated machine with `threads` simulated threads (bound node-major).
+/// simulated machine with `threads` simulated threads (bound node-major),
+/// or on real OS threads under its [`ExecProfile`].
 ///
 /// Engines are configured at construction (partitioning strategy, barrier
-/// family, adaptive-states toggle, ...); `run` is side-effect free with
+/// family, adaptive-states toggle, ...); a run is side-effect free with
 /// respect to the engine itself, so one engine value can serve many runs.
+/// An engine implements [`Engine::run_simulated`]; callers start every run
+/// through [`Engine::try_run_with`] or one of its three shorthands.
 pub trait Engine {
     /// Which system this engine models.
     fn kind(&self) -> EngineKind;
 
-    /// The engine's core entry point: execute `prog` to completion,
-    /// surfacing every failure — invalid configuration, injected faults,
-    /// divergence, a panicking engine body — as a typed [`PolymerError`]
-    /// instead of a panic. Graph construction/loading time is excluded from
-    /// the result's clock, as in the paper's methodology.
-    ///
-    /// With `traced == true` the engine records a span/counter timeline into
-    /// the result's [`polymer_numa::Tracer`] (reachable through
-    /// [`RunResult::trace`]): one span per bulk-synchronous phase and
-    /// barrier, stamped with the iteration, carrying per-socket counters.
-    /// Tracing must never change simulated time — the workspace test suite
-    /// pins traced and untraced runs to bit-identical clocks.
-    ///
-    /// `recovery` supplies the run's checkpoint policy/store and an
-    /// optional checkpoint to resume from
-    /// ([`RecoverySession::disabled`] on every plain path — which must be
-    /// charged-work-free, so disabled runs stay bit-identical to the golden
-    /// fixtures). Resuming restores the checkpointed vertex values and
-    /// frontier through charged `"restore"` sweeps and continues stamping
-    /// global iterations from [`crate::driver::Checkpoint::iteration`].
-    fn try_run_rec<P: Program>(
+    /// The hook an engine implements: the simulated body — build the layout
+    /// on `machine`, then execute `prog` to completion. Called only by
+    /// [`Engine::try_run_with`], which has already checked the configuration
+    /// ([`validate_run_config`]) and converts a panic escaping the body into
+    /// a typed error ([`catch_engine_faults`]), so no engine can forget the
+    /// front door. Graph construction/loading time is excluded from the
+    /// result's clock, as in the paper's methodology. `traced` and
+    /// `recovery` are [`RunOptions::traced`] and [`RunOptions::recovery`].
+    fn run_simulated<P: Program>(
         &self,
         machine: &Machine,
         threads: usize,
@@ -74,64 +110,6 @@ pub trait Engine {
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>>;
 
-    /// [`Engine::try_run_rec`] without recovery — tracing only.
-    fn try_run_traced<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-        traced: bool,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        self.try_run_rec(
-            machine,
-            threads,
-            graph,
-            prog,
-            traced,
-            &RecoverySession::disabled(),
-        )
-    }
-
-    /// [`Engine::try_run_traced`] with tracing off — the common, zero-cost
-    /// path.
-    fn try_run<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        self.try_run_traced(machine, threads, graph, prog, false)
-    }
-
-    /// Infallible convenience wrapper over [`Engine::try_run`] for bench
-    /// binaries and examples: panics (with the typed error as payload, see
-    /// [`polymer_faults::panic_with`]) on any failure.
-    fn run<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-    ) -> RunResult<P::Val> {
-        self.try_run(machine, threads, graph, prog)
-            .unwrap_or_else(|e| panic_with(e))
-    }
-
-    /// Infallible wrapper over [`Engine::try_run_traced`], for harness code
-    /// that wants the timeline without error plumbing.
-    fn run_traced<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-    ) -> RunResult<P::Val> {
-        self.try_run_traced(machine, threads, graph, prog, true)
-            .unwrap_or_else(|e| panic_with(e))
-    }
-
     /// How this engine's strategy maps onto the real-thread executor
     /// (direction policy, frontier adaptivity). The default is the full
     /// hybrid profile; engines with pinned strategies override it.
@@ -139,45 +117,30 @@ pub trait Engine {
         ExecProfile::default()
     }
 
-    /// Execute on a chosen [`Backend`]: `Simulated` dispatches to
-    /// [`Engine::try_run`] on `machine` (deterministic, fully accounted);
-    /// `RealThreads` runs the program with real OS threads under this
-    /// engine's [`ExecProfile`] — values and iterations are real, while the
-    /// simulated clock and memory report are empty (wall-clock time is the
-    /// caller's to measure, and `sockets` reports the barrier group count).
-    fn try_run_on<P: Program>(
+    /// Run `prog` under `opts` — the only place the backend is dispatched.
+    /// Every failure — invalid configuration, injected faults, divergence, a
+    /// panicking engine body — comes back as a typed [`PolymerError`], never
+    /// a panic. `Simulated` runs [`Engine::run_simulated`] on `machine`
+    /// (deterministic, fully accounted); `RealThreads` runs the program on
+    /// real OS threads under this engine's [`ExecProfile`] — values and
+    /// iterations are real, while the simulated clock and memory report are
+    /// empty (wall-clock time is the caller's to measure, and `sockets`
+    /// reports the barrier group count).
+    fn try_run_with<P: Program>(
         &self,
-        backend: &Backend,
         machine: &Machine,
         threads: usize,
         graph: &Graph,
         prog: &P,
+        opts: &RunOptions<'_, P::Val>,
     ) -> PolymerResult<RunResult<P::Val>> {
-        self.try_run_on_rec(
-            backend,
-            machine,
-            threads,
-            graph,
-            prog,
-            &RecoverySession::disabled(),
-        )
-    }
-
-    /// [`Engine::try_run_on`] with a [`RecoverySession`]: both backends
-    /// publish checkpoints to the session's store and honour its resume
-    /// checkpoint. This is the entry point the
-    /// [`crate::supervisor::RunSupervisor`] drives per attempt.
-    fn try_run_on_rec<P: Program>(
-        &self,
-        backend: &Backend,
-        machine: &Machine,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        match backend {
-            Backend::Simulated => self.try_run_rec(machine, threads, graph, prog, false, recovery),
+        match &opts.backend {
+            Backend::Simulated => {
+                validate_run_config(threads, graph, prog)?;
+                catch_engine_faults(|| {
+                    self.run_simulated(machine, threads, graph, prog, opts.traced, &opts.recovery)
+                })
+            }
             Backend::RealThreads(cfg) => {
                 let (values, iterations) = crate::parallel::try_run_threads_rec(
                     graph,
@@ -185,8 +148,8 @@ pub trait Engine {
                     threads,
                     cfg,
                     &self.exec_profile(),
-                    None,
-                    recovery,
+                    opts.tracer,
+                    &opts.recovery,
                 )?;
                 Ok(RunResult {
                     values,
@@ -201,12 +164,60 @@ pub trait Engine {
             }
         }
     }
+
+    /// [`Engine::try_run_with`] under the default options, for bench
+    /// binaries and examples: panics (with the typed error as payload, see
+    /// [`polymer_faults::panic_with`]) on any failure.
+    fn run<P: Program>(
+        &self,
+        machine: &Machine,
+        threads: usize,
+        graph: &Graph,
+        prog: &P,
+    ) -> RunResult<P::Val> {
+        self.try_run_with(machine, threads, graph, prog, &RunOptions::default())
+            .unwrap_or_else(|e| panic_with(e))
+    }
+
+    /// [`Engine::run`] with [`RunOptions::traced`] set, for harness code
+    /// that wants the timeline without error plumbing.
+    fn run_traced<P: Program>(
+        &self,
+        machine: &Machine,
+        threads: usize,
+        graph: &Graph,
+        prog: &P,
+    ) -> RunResult<P::Val> {
+        let opts = RunOptions {
+            traced: true,
+            ..RunOptions::default()
+        };
+        self.try_run_with(machine, threads, graph, prog, &opts)
+            .unwrap_or_else(|e| panic_with(e))
+    }
+
+    /// [`Engine::try_run_with`] on a chosen [`Backend`], every other option
+    /// at its default.
+    fn try_run_on<P: Program>(
+        &self,
+        backend: &Backend,
+        machine: &Machine,
+        threads: usize,
+        graph: &Graph,
+        prog: &P,
+    ) -> PolymerResult<RunResult<P::Val>> {
+        let opts = RunOptions {
+            backend: backend.clone(),
+            ..RunOptions::default()
+        };
+        self.try_run_with(machine, threads, graph, prog, &opts)
+    }
 }
 
-/// Validate the configuration shared by every engine: the thread count and
-/// (for single-source programs) the source vertex. Engines call this before
-/// allocating anything so a bad parameter is a typed
-/// [`PolymerError::InvalidConfig`], not a panic.
+/// Validate the configuration shared by every run: the thread count and
+/// (for single-source programs) the source vertex. [`Engine::try_run_with`]
+/// and the real-thread executor call this before allocating anything, so a
+/// bad parameter is a typed [`PolymerError::InvalidConfig`], not a panic.
 pub fn validate_run_config<P: Program>(threads: usize, g: &Graph, prog: &P) -> PolymerResult<()> {
     if threads == 0 {
         return Err(PolymerError::InvalidConfig(
@@ -226,8 +237,10 @@ pub fn validate_run_config<P: Program>(threads: usize, g: &Graph, prog: &P) -> P
 
 /// Run an engine body, converting any panic that escapes it into a typed
 /// [`PolymerError`] (an engine bug or an injected fault surfacing through
-/// infallible code paths). Engines wrap their `try_run` bodies in this so
-/// `try_run` upholds its no-panic contract even over legacy internals.
+/// infallible code paths). [`Engine::try_run_with`] wraps the
+/// [`Engine::run_simulated`] body in this, and the families beside the
+/// engines (multi-source, overlay) wrap theirs, so every entry upholds the
+/// no-panic contract even over legacy internals.
 pub fn catch_engine_faults<T>(f: impl FnOnce() -> PolymerResult<T>) -> PolymerResult<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,

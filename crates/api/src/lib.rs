@@ -22,9 +22,10 @@
 //! 3. `next` is re-initialized to the program's identity; iterate until the
 //!    frontier is empty or `max_iters` is reached.
 //!
-//! The [`Engine`] trait is the common entry point; [`RunResult`] carries the
-//! final vertex values plus everything the experiment harness needs
-//! (simulated time, access profile, memory report).
+//! The [`Engine`] trait is the common entry point — every run goes through
+//! [`Engine::try_run_with`] under a [`RunOptions`] value; [`RunResult`]
+//! carries the final vertex values plus everything the experiment harness
+//! needs (simulated time, access profile, memory report).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,17 +42,14 @@ pub mod supervisor;
 
 pub use backend::{Backend, DirectionPolicy, ExecProfile, RealThreadsConfig};
 pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver, RecoverySession};
-pub use engine::{catch_engine_faults, validate_run_config, Engine, EngineKind};
+pub use engine::{catch_engine_faults, validate_run_config, Engine, EngineKind, RunOptions};
 pub use exec::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
     degree_balanced_chunks, even_chunks, init_values, weight_balanced_chunks, NeighborStream,
     TopoArrays,
 };
 pub use overlay::{MergedTopoStream, OutSegment, OverlayTopo};
-pub use parallel::{
-    run_parallel, try_run_parallel, try_run_parallel_traced, try_run_threads, try_run_threads_rec,
-    try_run_threads_traced,
-};
+pub use parallel::{run_parallel, try_run_threads_rec};
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};
 pub use program::{Combine, FrontierInit, Program};
 pub use result::RunResult;

@@ -55,6 +55,12 @@
 //! iterations. Every owner scans all of its bitmap words each iteration, so
 //! an iteration costs at least |V|/64 word loads however small the frontier.
 //!
+//! Two entry points: [`try_run_threads_rec`] is the executor itself (fault
+//! plan, profile, tracer, recovery session all explicit) and is what
+//! [`crate::Engine::try_run_with`] calls for [`crate::Backend::RealThreads`]
+//! — go through the engine wherever there is one; [`run_parallel`] is the
+//! push-only, plan-free, panicking shorthand the examples use.
+//!
 //! It is also the template for running this crate's programs on actual
 //! hardware: place each owner's slice of `curr`/`next` and its in-edges with
 //! `mbind` on the owner's node and pin the threads, and every random write
@@ -81,8 +87,7 @@ use crate::program::{FrontierInit, Program};
 /// sibling turns into an error rather than an eternal hang.
 const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The profile of [`run_parallel`] and its `try_` forms: push on every
-/// iteration.
+/// The profile of [`run_parallel`]: push on every iteration.
 const LEGACY_PROFILE: ExecProfile = ExecProfile {
     direction: DirectionPolicy::PushOnly,
     adaptive_frontier: false,
@@ -104,90 +109,22 @@ fn record_error(slot: &parking_lot::Mutex<Option<PolymerError>>, err: PolymerErr
 }
 
 /// Run `prog` on `g` with `threads` real OS threads grouped into
-/// `groups` barrier groups (modelling sockets), push-only. Returns the final
-/// values and the iteration count. Panics (with a typed [`PolymerError`]
-/// payload) on invalid configuration or worker failure; fallible callers
-/// should use [`try_run_parallel`].
+/// `groups` barrier groups (modelling sockets), push-only, with no fault
+/// plan, tracer or recovery session. Returns the final values and the
+/// iteration count. Panics (with a typed [`PolymerError`] payload) on invalid
+/// configuration or worker failure; everything else goes through
+/// [`crate::Engine::try_run_with`] (or [`try_run_threads_rec`] where there is
+/// no engine).
 pub fn run_parallel<P: Program>(
     g: &Graph,
     prog: &P,
     threads: usize,
     groups: usize,
 ) -> (Vec<P::Val>, usize) {
-    try_run_parallel(g, prog, threads, groups, &FaultPlan::default())
+    let (plan, off) = (FaultPlan::default(), RecoverySession::disabled());
+    let cfg = RealThreadsConfig { groups, plan };
+    try_run_threads_rec(g, prog, threads, &cfg, &LEGACY_PROFILE, None, &off)
         .unwrap_or_else(|e| panic_with(e))
-}
-
-/// Fallible [`run_parallel`]: validates the configuration up front, honors
-/// the fault `plan` (stragglers, injected worker panics, barrier deadlines),
-/// and converts every worker failure — a panic, a poisoned barrier, a
-/// timeout — into a typed [`PolymerError`] with no thread left behind
-/// spinning. The first *causal* error wins; the `BarrierPoisoned` cascade it
-/// triggers in sibling workers is not reported over it.
-pub fn try_run_parallel<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    groups: usize,
-    plan: &FaultPlan,
-) -> PolymerResult<(Vec<P::Val>, usize)> {
-    try_run_parallel_traced(g, prog, threads, groups, plan, None)
-}
-
-/// [`try_run_parallel`] with wall-clock tracing: when `tracer` is given,
-/// every worker records one `"iteration"` span per superstep and one
-/// `"barrier-wait"` span per barrier crossing into the shared buffer (times
-/// are µs since the tracer's epoch). If the run ends abnormally — injected
-/// panic, poisoned barrier, timeout — the buffer is flushed *truncated* but
-/// remains valid: everything recorded before the failure stays exportable.
-pub fn try_run_parallel_traced<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    groups: usize,
-    plan: &FaultPlan,
-    tracer: Option<&SharedTracer>,
-) -> PolymerResult<(Vec<P::Val>, usize)> {
-    let cfg = RealThreadsConfig {
-        groups,
-        plan: plan.clone(),
-    };
-    try_run_threads_traced(g, prog, threads, &cfg, &LEGACY_PROFILE, tracer)
-}
-
-/// Run `prog` under an engine's [`ExecProfile`] — the `RealThreads` backend
-/// entry point ([`crate::Engine::try_run_on`] dispatches here). Hybrid
-/// adaptive profiles gather on dense frontiers and push on sparse ones;
-/// push-only profiles push on every iteration.
-pub fn try_run_threads<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    cfg: &RealThreadsConfig,
-    profile: &ExecProfile,
-) -> PolymerResult<(Vec<P::Val>, usize)> {
-    try_run_threads_traced(g, prog, threads, cfg, profile, None)
-}
-
-/// [`try_run_threads`] with wall-clock tracing (see
-/// [`try_run_parallel_traced`] for the span vocabulary).
-pub fn try_run_threads_traced<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    cfg: &RealThreadsConfig,
-    profile: &ExecProfile,
-    tracer: Option<&SharedTracer>,
-) -> PolymerResult<(Vec<P::Val>, usize)> {
-    try_run_threads_rec(
-        g,
-        prog,
-        threads,
-        cfg,
-        profile,
-        tracer,
-        &RecoverySession::disabled(),
-    )
 }
 
 /// Word-aligned ownership of the target vertices: thread `k` owns bitmap
@@ -437,7 +374,26 @@ impl<P: Program> Exec<'_, P> {
     }
 }
 
-/// [`try_run_threads_traced`] with recovery hooks: the serial thread
+/// The executor's one full-control entry: run `prog` under an engine's
+/// [`ExecProfile`] ([`crate::Engine::try_run_with`] dispatches here for
+/// [`crate::Backend::RealThreads`]). Hybrid adaptive profiles gather on dense
+/// frontiers and push on sparse ones; push-only profiles push on every
+/// iteration.
+///
+/// Validates the configuration up front, honors `cfg.plan` (stragglers,
+/// injected worker panics, barrier deadlines), and converts every worker
+/// failure — a panic, a poisoned barrier, a timeout — into a typed
+/// [`PolymerError`] with no thread left behind spinning. The first *causal*
+/// error wins; the `BarrierPoisoned` cascade it triggers in sibling workers
+/// is not reported over it.
+///
+/// When `tracer` is given, every worker records one `"iteration"` span per
+/// superstep and one `"barrier-wait"` span per barrier crossing into the
+/// shared buffer (times are µs since the tracer's epoch). If the run ends
+/// abnormally the buffer is flushed *truncated* but remains valid:
+/// everything recorded before the failure stays exportable.
+///
+/// Recovery: the serial thread
 /// publishes a [`Checkpoint`] (value sweep + the swapped-in frontier) to the
 /// session's store whenever one is due, and a session carrying a resume
 /// checkpoint starts from its values/frontier with the iteration counter —
@@ -786,6 +742,20 @@ mod tests {
         }
     }
 
+    /// The executor with no tracer and no recovery session.
+    fn plain(
+        g: &Graph,
+        prog: &Levels,
+        threads: usize,
+        groups: usize,
+        plan: FaultPlan,
+        profile: &ExecProfile,
+    ) -> PolymerResult<(Vec<u32>, usize)> {
+        let cfg = RealThreadsConfig { groups, plan };
+        let off = RecoverySession::disabled();
+        try_run_threads_rec(g, prog, threads, &cfg, profile, None, &off)
+    }
+
     fn ring(n: usize) -> Graph {
         Graph::from_edges(&EdgeList::from_pairs(
             n,
@@ -821,16 +791,16 @@ mod tests {
     #[test]
     fn zero_threads_is_a_typed_error() {
         let g = ring(8);
-        let err =
-            try_run_parallel(&g, &Levels { src: 0 }, 0, 1, &FaultPlan::default()).unwrap_err();
+        let plan = FaultPlan::default();
+        let err = plain(&g, &Levels { src: 0 }, 0, 1, plan, &LEGACY_PROFILE).unwrap_err();
         assert!(matches!(err, PolymerError::InvalidConfig(_)));
     }
 
     #[test]
     fn out_of_range_source_is_a_typed_error() {
         let g = ring(8);
-        let err =
-            try_run_parallel(&g, &Levels { src: 99 }, 2, 1, &FaultPlan::default()).unwrap_err();
+        let plan = FaultPlan::default();
+        let err = plain(&g, &Levels { src: 99 }, 2, 1, plan, &LEGACY_PROFILE).unwrap_err();
         match err {
             PolymerError::InvalidConfig(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected: {other:?}"),
@@ -928,7 +898,7 @@ mod tests {
         let plan = FaultPlan::new()
             .panic_worker_at(1, 2)
             .barrier_timeout(Duration::from_secs(5));
-        let err = try_run_parallel(&g, &Levels { src: 0 }, 4, 2, &plan).unwrap_err();
+        let err = plain(&g, &Levels { src: 0 }, 4, 2, plan, &LEGACY_PROFILE).unwrap_err();
         match err {
             PolymerError::WorkerPanicked { worker, ref detail } => {
                 assert_eq!(worker, 1);
@@ -942,7 +912,7 @@ mod tests {
     fn straggler_delays_but_still_completes() {
         let g = ring(16);
         let plan = FaultPlan::new().delay_worker(0, 1, Duration::from_millis(5));
-        let (vals, _) = try_run_parallel(&g, &Levels { src: 0 }, 2, 1, &plan).unwrap();
+        let (vals, _) = plain(&g, &Levels { src: 0 }, 2, 1, plan, &LEGACY_PROFILE).unwrap();
         assert_eq!(vals[15], 15);
     }
 
@@ -956,13 +926,13 @@ mod tests {
             (0..n).flat_map(|v| (1..4u32).map(move |d| (v, (v + d) % n))),
         ));
         let prog = Levels { src: 0 };
-        let cfg = RealThreadsConfig::default();
+        let plan = FaultPlan::default();
         let hybrid = ExecProfile {
             direction: DirectionPolicy::Hybrid,
             adaptive_frontier: true,
         };
-        let (want, _) = try_run_threads(&g, &prog, 3, &cfg, &LEGACY_PROFILE).unwrap();
-        let (got, _) = try_run_threads(&g, &prog, 3, &cfg, &hybrid).unwrap();
+        let (want, _) = plain(&g, &prog, 3, 2, plan.clone(), &LEGACY_PROFILE).unwrap();
+        let (got, _) = plain(&g, &prog, 3, 2, plan, &hybrid).unwrap();
         assert_eq!(got, want);
     }
 }

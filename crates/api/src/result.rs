@@ -59,7 +59,7 @@ impl<V> RunResult<V> {
     }
 
     /// The recorded span/counter timeline, when the run was traced
-    /// ([`crate::Engine::try_run_traced`]); `None` otherwise. Export with
+    /// ([`crate::RunOptions::traced`]); `None` otherwise. Export with
     /// [`polymer_numa::chrome_trace_json`] or [`polymer_numa::phase_table`].
     pub fn trace(&self) -> Option<&TraceBuffer> {
         self.clock.trace.buffer()

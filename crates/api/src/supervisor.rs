@@ -20,6 +20,12 @@
 //!    and, when a tracer is supplied, as `"supervisor-attempt"` /
 //!    `"supervisor-degrade"` spans on the shared timeline.
 //!
+//! Two entry points: [`RunSupervisor::run_reported`] is the full-control
+//! one (the report is returned on failure too, and it takes the optional
+//! tracer); [`RunSupervisor::run`] is the same call keeping only the result.
+//! Every attempt goes through [`Engine::try_run_with`] under a
+//! [`RunOptions`] carrying the attempt's backend and recovery session.
+//!
 //! The supervisor never reclassifies errors: a fatal error
 //! (`InvalidConfig`, `Divergence`, …) aborts immediately and is returned
 //! typed, exactly as an unsupervised run would return it.
@@ -38,7 +44,7 @@ use polymer_numa::{Machine, MachineSpec, SharedTracer, SpillPolicy, WorkerSpan};
 
 use crate::backend::{Backend, RealThreadsConfig};
 use crate::driver::{CheckpointPolicy, CheckpointStore, RecoverySession};
-use crate::engine::Engine;
+use crate::engine::{Engine, RunOptions};
 use crate::program::Program;
 use crate::result::RunResult;
 
@@ -226,20 +232,11 @@ impl RecoveryReport {
     }
 }
 
-/// Where the next attempt will run. Mirrors [`Backend`] but keeps the
-/// group count mutable for the degradation ladder.
-#[derive(Clone, Copy)]
-enum Substrate {
-    Simulated,
-    RealThreads { groups: usize },
-}
-
-impl Substrate {
-    fn label(&self) -> String {
-        match self {
-            Substrate::Simulated => "simulated".to_string(),
-            Substrate::RealThreads { groups } => format!("real-threads(groups={groups})"),
-        }
+/// How an attempt's backend reads in an [`AttemptRecord`].
+fn label(backend: &Backend) -> String {
+    match backend {
+        Backend::Simulated => "simulated".to_string(),
+        Backend::RealThreads(rt) => format!("real-threads(groups={})", rt.groups),
     }
 }
 
@@ -280,29 +277,17 @@ impl RunSupervisor {
         graph: &Graph,
         prog: &P,
     ) -> PolymerResult<RunResult<P::Val>> {
-        self.run_traced_reported(engine, backend, spec, threads, graph, prog, None)
+        self.run_reported(engine, backend, spec, threads, graph, prog, None)
             .0
     }
 
-    /// [`RunSupervisor::run`], also returning the [`RecoveryReport`]
-    /// whether or not the run succeeded.
-    pub fn run_reported<E: Engine, P: Program>(
-        &self,
-        engine: &E,
-        backend: &Backend,
-        spec: &MachineSpec,
-        threads: usize,
-        graph: &Graph,
-        prog: &P,
-    ) -> (PolymerResult<RunResult<P::Val>>, RecoveryReport) {
-        self.run_traced_reported(engine, backend, spec, threads, graph, prog, None)
-    }
-
-    /// The full-control entry point: optionally records
-    /// `"supervisor-attempt"` (one per attempt, stamped with the resume
-    /// iteration) and `"supervisor-degrade"` spans on `tracer`.
+    /// The full-control entry point: [`RunSupervisor::run`], also returning
+    /// the [`RecoveryReport`] whether or not the run succeeded, and
+    /// optionally recording `"supervisor-attempt"` (one per attempt, stamped
+    /// with the resume iteration) and `"supervisor-degrade"` spans on
+    /// `tracer`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_traced_reported<E: Engine, P: Program>(
+    pub fn run_reported<E: Engine, P: Program>(
         &self,
         engine: &E,
         backend: &Backend,
@@ -317,11 +302,22 @@ impl RunSupervisor {
         let pressure = cfg.retry.attempt_deadline.is_some()
             || cfg.retry.total_deadline.is_some()
             || cfg.plan.barrier_deadline().is_some();
+        // Where the next attempt runs; the degradation ladder shrinks it.
         let mut substrate = match backend {
-            Backend::Simulated => Substrate::Simulated,
-            Backend::RealThreads(rt) => Substrate::RealThreads {
-                groups: rt.groups.clamp(1, threads.max(1)),
-            },
+            Backend::Simulated => Backend::Simulated,
+            Backend::RealThreads(rt) => {
+                let mut plan = cfg.plan.clone();
+                // The barrier deadline is the executor's only preemption
+                // point, so the per-attempt deadline is enforced there
+                // (never loosening a deadline the plan already sets).
+                if let Some(d) = cfg.retry.attempt_deadline {
+                    if plan.barrier_deadline().is_none_or(|b| d < b) {
+                        plan = plan.barrier_timeout(d);
+                    }
+                }
+                let groups = rt.groups.clamp(1, threads.max(1));
+                Backend::RealThreads(RealThreadsConfig { groups, plan })
+            }
         };
         let started = Instant::now();
         let mut report = RecoveryReport::default();
@@ -336,25 +332,13 @@ impl RunSupervisor {
                 .with_resume(resume)
                 .with_deadline_pressure(pressure);
             let machine = Machine::with_faults(spec.clone(), cfg.spill, cfg.plan.clone());
-            let attempt_backend = match substrate {
-                Substrate::Simulated => Backend::Simulated,
-                Substrate::RealThreads { groups } => {
-                    let mut plan = cfg.plan.clone();
-                    // The barrier deadline is the executor's only preemption
-                    // point, so the per-attempt deadline is enforced there
-                    // (never loosening a deadline the plan already sets).
-                    if let Some(d) = cfg.retry.attempt_deadline {
-                        if plan.barrier_deadline().is_none_or(|b| d < b) {
-                            plan = plan.barrier_timeout(d);
-                        }
-                    }
-                    Backend::RealThreads(RealThreadsConfig { groups, plan })
-                }
+            let opts = RunOptions {
+                backend: substrate.clone(),
+                recovery: session,
+                ..RunOptions::default()
             };
-
             let span_start = tracer.map(|t| t.now_us());
-            let outcome =
-                engine.try_run_on_rec(&attempt_backend, &machine, threads, graph, prog, &session);
+            let outcome = engine.try_run_with(&machine, threads, graph, prog, &opts);
             if let (Some(t), Some(start_us)) = (tracer, span_start) {
                 t.push_worker_span(WorkerSpan {
                     name: "supervisor-attempt",
@@ -369,7 +353,7 @@ impl RunSupervisor {
                 Ok(mut result) => {
                     report.attempts.push(AttemptRecord {
                         attempt,
-                        backend: substrate.label(),
+                        backend: label(&substrate),
                         threads,
                         resumed_from,
                         error: None,
@@ -394,7 +378,7 @@ impl RunSupervisor {
                     };
                     report.attempts.push(AttemptRecord {
                         attempt,
-                        backend: substrate.label(),
+                        backend: label(&substrate),
                         threads,
                         resumed_from,
                         error: Some((err.code(), err.to_string())),
@@ -423,22 +407,21 @@ impl RunSupervisor {
     /// Apply the degradation ladder after `failures` failed attempts.
     fn degrade(
         &self,
-        substrate: &mut Substrate,
+        substrate: &mut Backend,
         failures: usize,
         report: &mut RecoveryReport,
         tracer: Option<&SharedTracer>,
     ) {
         let d = &self.config.degrade;
-        let before = substrate.label();
-        if let Substrate::RealThreads { groups } = substrate {
+        let before = label(substrate);
+        if let Backend::RealThreads(rt) = substrate {
             if d.fallback_to_simulated_after.is_some_and(|f| failures >= f) {
-                *substrate = Substrate::Simulated;
-            } else if d.halve_groups_after.is_some_and(|h| failures >= h) && *groups > 1 {
-                *groups /= 2;
+                *substrate = Backend::Simulated;
+            } else if d.halve_groups_after.is_some_and(|h| failures >= h) && rt.groups > 1 {
+                rt.groups /= 2;
             }
         }
-        let after = substrate.label();
-        if after != before {
+        if label(substrate) != before {
             report.degraded = true;
             if let Some(t) = tracer {
                 let now = t.now_us();
@@ -536,7 +519,7 @@ mod tests {
             EngineKind::Polymer
         }
 
-        fn try_run_rec<P: Program>(
+        fn run_simulated<P: Program>(
             &self,
             _machine: &Machine,
             threads: usize,
@@ -573,16 +556,15 @@ mod tests {
 
         // Route every backend through the mock body so the degradation
         // ladder is observable without a real faulty executor.
-        fn try_run_on_rec<P: Program>(
+        fn try_run_with<P: Program>(
             &self,
-            _backend: &Backend,
             machine: &Machine,
             threads: usize,
             graph: &Graph,
             prog: &P,
-            recovery: &RecoverySession<P::Val>,
+            opts: &RunOptions<'_, P::Val>,
         ) -> PolymerResult<RunResult<P::Val>> {
-            self.try_run_rec(machine, threads, graph, prog, false, recovery)
+            self.run_simulated(machine, threads, graph, prog, false, &opts.recovery)
         }
     }
 
@@ -806,7 +788,7 @@ mod tests {
             fn kind(&self) -> EngineKind {
                 EngineKind::Polymer
             }
-            fn try_run_rec<P: Program>(
+            fn run_simulated<P: Program>(
                 &self,
                 _machine: &Machine,
                 _threads: usize,
@@ -827,6 +809,7 @@ mod tests {
             2,
             &g,
             &Levels,
+            None,
         );
         assert!(matches!(res, Err(PolymerError::InvalidConfig(_))));
         assert_eq!(rep.attempts.len(), 1);
@@ -850,6 +833,7 @@ mod tests {
             2,
             &g,
             &Levels,
+            None,
         );
         assert!(matches!(res, Err(PolymerError::WorkerPanicked { .. })));
         assert_eq!(rep.attempts.len(), 3);
@@ -893,7 +877,7 @@ mod tests {
         let sup = RunSupervisor::new(fast_config());
         let g = tiny_graph();
         let tracer = SharedTracer::new(1, 4);
-        let (res, rep) = sup.run_traced_reported(
+        let (res, rep) = sup.run_reported(
             &Flaky::new(1),
             &Backend::Simulated,
             &MachineSpec::test2(),

@@ -8,10 +8,13 @@
 //! 80 threads on the Intel machine); see `results/README.md` and
 //! `docs/OBSERVABILITY.md` for the field taxonomy.
 
+use polymer_api::Backend;
 use polymer_bench::report::fmt_sec;
+use polymer_bench::runner::run_with;
 use polymer_bench::{write_json_with_meta, AlgoId, Args, BenchMeta, SystemId, Table, Workload};
+use polymer_core::PolymerConfig;
 use polymer_graph::DatasetId;
-use polymer_numa::{chrome_trace_json, MachineSpec};
+use polymer_numa::{chrome_trace_json, Machine, MachineSpec};
 
 fn main() {
     let args = Args::parse(0, "bench_baseline");
@@ -26,7 +29,9 @@ fn main() {
     let mut rows = Vec::new();
     for sys in SystemId::ALL {
         eprintln!("[baseline] {} ...", sys.name());
-        let (m, buf) = polymer_bench::runner::run_traced(sys, AlgoId::PR, &wl, &spec, 80);
+        let machine = Machine::new(wl.scaled_spec(&spec));
+        let (sim, cfg) = (Backend::Simulated, PolymerConfig::default());
+        let (m, buf) = run_with(sys, AlgoId::PR, &wl, &machine, 80, &sim, true, cfg, None);
         table.row(vec![
             sys.name().to_string(),
             fmt_sec(m.seconds),

@@ -123,17 +123,16 @@ fn supervise(
     let prog = polymer_algos::Bfs::new(source);
     let spec = MachineSpec::test2();
     let sup = RunSupervisor::new(cfg);
+    macro_rules! on {
+        ($engine:expr) => {
+            sup.run_reported(&$engine, backend, &spec, THREADS, g, &prog, None)
+        };
+    }
     match sys {
-        SystemId::Polymer => {
-            sup.run_reported(&PolymerEngine::new(), backend, &spec, THREADS, g, &prog)
-        }
-        SystemId::Ligra => sup.run_reported(&LigraEngine::new(), backend, &spec, THREADS, g, &prog),
-        SystemId::XStream => {
-            sup.run_reported(&XStreamEngine::new(), backend, &spec, THREADS, g, &prog)
-        }
-        SystemId::Galois => {
-            sup.run_reported(&GaloisEngine::new(), backend, &spec, THREADS, g, &prog)
-        }
+        SystemId::Polymer => on!(PolymerEngine::new()),
+        SystemId::Ligra => on!(LigraEngine::new()),
+        SystemId::XStream => on!(XStreamEngine::new()),
+        SystemId::Galois => on!(GaloisEngine::new()),
     }
 }
 

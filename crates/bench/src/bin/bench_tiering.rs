@@ -28,7 +28,10 @@
 //! seconds for every engine, and at least one (engine, promotion-policy)
 //! pair beats slow-only by [`MIN_BEST_SPEEDUP`]× or more.
 
+use polymer_api::Backend;
+use polymer_bench::runner::run_with;
 use polymer_bench::{write_json_with_meta, AlgoId, Args, BenchMeta, SystemId, Table, Workload};
+use polymer_core::PolymerConfig;
 use polymer_graph::DatasetId;
 use polymer_numa::{FaultPlan, Machine, MachineSpec, SpillPolicy, TierPolicy, PAGE_SIZE};
 use serde::Serialize;
@@ -113,14 +116,9 @@ fn run_mode(
     let machine = Machine::with_faults(spec, SpillPolicy::Demote, FaultPlan::default());
     machine.route_tags_to_slow(slow_tags);
     machine.set_tier_policy(policy);
-    let metrics = polymer_bench::runner::run_on_machine(
-        sys,
-        AlgoId::PR,
-        wl,
-        &machine,
-        THREADS,
-        Some(PR_ITERS),
-    );
+    let (pr, sim, cfg) = (AlgoId::PR, Backend::Simulated, PolymerConfig::default());
+    let iters = Some(PR_ITERS);
+    let metrics = run_with(sys, pr, wl, &machine, THREADS, &sim, true, cfg, iters).0;
     ModeOutcome {
         mode: mode.to_string(),
         topo_bytes: machine.tag_usage("topo").peak,

@@ -4,11 +4,13 @@
 //! high-diameter roadUS graph — where thousands of iterations make barrier
 //! cost dominant for traversals (the paper measures BFS improving 58.6×).
 
+use polymer_api::Backend;
 use polymer_bench::report::fmt_sec;
+use polymer_bench::runner::{run, run_with};
 use polymer_bench::{write_json, AlgoId, Args, SystemId, Table, Workload};
 use polymer_core::PolymerConfig;
 use polymer_graph::DatasetId;
-use polymer_numa::{chrome_trace_json, phase_table, BarrierKind, MachineSpec};
+use polymer_numa::{chrome_trace_json, phase_table, BarrierKind, Machine, MachineSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -69,25 +71,14 @@ fn main() {
     let mut table = Table::new(&["Algo", "w/o (P-Barrier)", "w/ (N-Barrier)", "Improvement"]);
     for algo in AlgoId::ALL {
         eprintln!("[fig10b] {} ...", algo.name());
-        let without = polymer_bench::runner::run_with_polymer_config(
-            SystemId::Polymer,
-            algo,
-            &wl,
-            &spec,
-            80,
-            PolymerConfig {
-                barrier: BarrierKind::Pthread,
-                ..PolymerConfig::default()
-            },
-        );
-        let with = polymer_bench::runner::run_with_polymer_config(
-            SystemId::Polymer,
-            algo,
-            &wl,
-            &spec,
-            80,
-            PolymerConfig::default(),
-        );
+        let p_barrier = PolymerConfig {
+            barrier: BarrierKind::Pthread,
+            ..PolymerConfig::default()
+        };
+        let machine = Machine::new(wl.scaled_spec(&spec));
+        let (sys, sim) = (SystemId::Polymer, Backend::Simulated);
+        let without = run_with(sys, algo, &wl, &machine, 80, &sim, true, p_barrier, None).0;
+        let with = run(sys, algo, &wl, &spec, 80);
         table.row(vec![
             algo.name().to_string(),
             fmt_sec(without.seconds),
@@ -114,8 +105,13 @@ fn main() {
     // cost — the breakdown behind Figure 10(a); see docs/OBSERVABILITY.md.
     if let Some(path) = &args.trace {
         eprintln!("[fig10] tracing Polymer PageRank for {}", path.display());
-        let (m, buf) =
-            polymer_bench::runner::run_traced(SystemId::Polymer, AlgoId::PR, &wl, &spec, 80);
+        let machine = Machine::new(wl.scaled_spec(&spec));
+        let (sys, sim, cfg) = (
+            SystemId::Polymer,
+            Backend::Simulated,
+            PolymerConfig::default(),
+        );
+        let (m, buf) = run_with(sys, AlgoId::PR, &wl, &machine, 80, &sim, true, cfg, None);
         std::fs::write(path, chrome_trace_json(&buf)).expect("write trace file");
         println!(
             "

@@ -8,11 +8,12 @@
 //!   paper's unbalanced per-socket times range 4.16–9.32 s vs 4.72–4.86 s
 //!   balanced.
 
-use polymer_bench::runner::run_with_polymer_config;
+use polymer_api::Backend;
+use polymer_bench::runner::{run, run_with};
 use polymer_bench::{write_json, AlgoId, Args, SystemId, Table, Workload};
 use polymer_core::PolymerConfig;
 use polymer_graph::{edge_balanced_ranges, vertex_balanced_ranges, DatasetId, PartitionStats, VId};
-use polymer_numa::MachineSpec;
+use polymer_numa::{Machine, MachineSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -65,25 +66,14 @@ fn main() {
     // (b) Per-socket busy times for PR.
     let spec = MachineSpec::intel80();
     eprintln!("[fig11b] running PR with and without balancing ...");
-    let unbal = run_with_polymer_config(
-        SystemId::Polymer,
-        AlgoId::PR,
-        &wl,
-        &spec,
-        80,
-        PolymerConfig {
-            balanced_partitioning: false,
-            ..PolymerConfig::default()
-        },
-    );
-    let bal = run_with_polymer_config(
-        SystemId::Polymer,
-        AlgoId::PR,
-        &wl,
-        &spec,
-        80,
-        PolymerConfig::default(),
-    );
+    let unbalanced = PolymerConfig {
+        balanced_partitioning: false,
+        ..PolymerConfig::default()
+    };
+    let machine = Machine::new(wl.scaled_spec(&spec));
+    let (sys, pr, sim) = (SystemId::Polymer, AlgoId::PR, Backend::Simulated);
+    let unbal = run_with(sys, pr, &wl, &machine, 80, &sim, true, unbalanced, None).0;
+    let bal = run(sys, pr, &wl, &spec, 80);
 
     println!("Figure 11(b): per-socket busy time (s) for PageRank\n");
     let mut table = Table::new(&["Socket", "w/o opt", "w/ opt"]);

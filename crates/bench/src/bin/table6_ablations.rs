@@ -7,12 +7,13 @@
 //! * (b) edge-oriented balanced partitioning, on the skewed twitter graph:
 //!   the paper measures 1.29×–3.67× across the six algorithms.
 
+use polymer_api::Backend;
 use polymer_bench::report::fmt_sec;
-use polymer_bench::runner::run_with_polymer_config;
+use polymer_bench::runner::{run, run_with};
 use polymer_bench::{write_json, AlgoId, Args, SystemId, Table, Workload};
 use polymer_core::PolymerConfig;
 use polymer_graph::DatasetId;
-use polymer_numa::MachineSpec;
+use polymer_numa::{Machine, MachineSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,15 +38,10 @@ fn ablation(
     let mut table = Table::new(&["Algo", "w/o", "w/", "Speedup"]);
     for algo in AlgoId::ALL {
         eprintln!("[{experiment}] {} ...", algo.name());
-        let without = run_with_polymer_config(SystemId::Polymer, algo, &wl, &spec, 80, without_cfg);
-        let with = run_with_polymer_config(
-            SystemId::Polymer,
-            algo,
-            &wl,
-            &spec,
-            80,
-            PolymerConfig::default(),
-        );
+        let machine = Machine::new(wl.scaled_spec(&spec));
+        let (sys, sim) = (SystemId::Polymer, Backend::Simulated);
+        let without = run_with(sys, algo, &wl, &machine, 80, &sim, true, without_cfg, None).0;
+        let with = run(sys, algo, &wl, &spec, 80);
         table.row(vec![
             algo.name().to_string(),
             fmt_sec(without.seconds),

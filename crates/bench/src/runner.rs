@@ -1,13 +1,15 @@
 //! Dispatch layer: run any (system, algorithm) pair on any workload and
-//! machine shape, returning uniform metrics.
+//! machine shape, returning uniform metrics. [`run_with`] is the one
+//! full-control call (machine, backend, tracing, Polymer configuration,
+//! iteration override); [`run`] and [`run_on`] are its two shorthands.
 
 use polymer_algos::{BeliefPropagation, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
-use polymer_api::{Backend, Engine, Program, RunResult};
+use polymer_api::{Backend, Engine, RunOptions, RunResult};
 use polymer_core::{PolymerConfig, PolymerEngine};
 use polymer_galois::GaloisEngine;
 use polymer_graph::{dataset, DatasetId, Graph, VId};
 use polymer_ligra::LigraEngine;
-use polymer_numa::{Machine, MachineSpec, PolymerResult, RemoteAccessReport, TraceBuffer};
+use polymer_numa::{Machine, MachineSpec, RemoteAccessReport, TraceBuffer};
 use polymer_xstream::XStreamEngine;
 use serde::Serialize;
 
@@ -306,30 +308,24 @@ fn metrics<V>(
     }
 }
 
-/// Run `prog` on one engine. The simulated backend goes through
-/// [`Engine::try_run_traced`] so `traced` is honoured; a real-thread run has
-/// no simulated timeline to record.
-fn run_engine<E: Engine, P: Program>(
-    engine: &E,
-    backend: &Backend,
-    machine: &Machine,
-    threads: usize,
-    g: &Graph,
-    prog: &P,
-    traced: bool,
-) -> PolymerResult<RunResult<P::Val>> {
-    match backend {
-        Backend::Simulated => engine.try_run_traced(machine, threads, g, prog, traced),
-        real => engine.try_run_on(real, machine, threads, g, prog),
-    }
-}
-
-/// The one `SystemId × AlgoId` dispatch every public entry point below goes
-/// through. `config` applies to the Polymer engine only; `iters` overrides
-/// the iteration count of the fixed-iteration algorithms (PR, SpMV, BP).
-/// The trace buffer is empty unless `traced` on the simulated backend.
+/// The full-control call — the one `SystemId × AlgoId` dispatch [`run`] and
+/// [`run_on`] go through. It runs on a caller-built [`Machine`], the hook
+/// for state that must be configured before the engine allocates: tier
+/// routing (`Machine::route_tags_to_slow`), a promotion policy
+/// (`Machine::set_tier_policy`), capacity clamps, a non-default spill
+/// policy. The caller applies the workload's barrier/LLC scaling to the
+/// spec (see [`Workload::scaled_spec`]).
+///
+/// `backend` and `traced` are the [`RunOptions`] fields of the same names;
+/// `config` applies to the Polymer engine only (ablations); `iters`
+/// overrides the iteration count of the fixed-iteration algorithms (PR,
+/// SpMV, BP) — `None` keeps their 5-iteration default, and traversals (BFS,
+/// CC, SSSP) run to their own convergence either way. The returned
+/// [`TraceBuffer`] (for a Chrome-trace export or a
+/// [`polymer_numa::phase_table`]) is empty unless `traced` on the simulated
+/// backend.
 #[allow(clippy::too_many_arguments)]
-fn run_core(
+pub fn run_with(
     system: SystemId,
     algo: AlgoId,
     wl: &Workload,
@@ -344,43 +340,21 @@ fn run_core(
     macro_rules! dispatch_prog {
         ($prog:expr) => {{
             let prog = $prog;
+            let opts = RunOptions {
+                backend: backend.clone(),
+                traced,
+                ..RunOptions::default()
+            };
+            macro_rules! on {
+                ($engine:expr) => {
+                    $engine.try_run_with(machine, threads, g, &prog, &opts)
+                };
+            }
             let r = match system {
-                SystemId::Polymer => run_engine(
-                    &PolymerEngine::with_config(config),
-                    backend,
-                    machine,
-                    threads,
-                    g,
-                    &prog,
-                    traced,
-                ),
-                SystemId::Ligra => run_engine(
-                    &LigraEngine::new(),
-                    backend,
-                    machine,
-                    threads,
-                    g,
-                    &prog,
-                    traced,
-                ),
-                SystemId::XStream => run_engine(
-                    &XStreamEngine::new(),
-                    backend,
-                    machine,
-                    threads,
-                    g,
-                    &prog,
-                    traced,
-                ),
-                SystemId::Galois => run_engine(
-                    &GaloisEngine::new(),
-                    backend,
-                    machine,
-                    threads,
-                    g,
-                    &prog,
-                    traced,
-                ),
+                SystemId::Polymer => on!(PolymerEngine::with_config(config)),
+                SystemId::Ligra => on!(LigraEngine::new()),
+                SystemId::XStream => on!(XStreamEngine::new()),
+                SystemId::Galois => on!(GaloisEngine::new()),
             };
             let r =
                 r.unwrap_or_else(|e| panic!("{system:?}/{algo:?} run failed [{}]: {e}", e.code()));
@@ -408,15 +382,14 @@ fn run_core(
     }
 }
 
-/// Run one (system, algorithm) pair through the unified
-/// [`Engine::try_run_on`] entry point on a chosen backend.
+/// Run one (system, algorithm) pair untraced on a chosen backend, with a
+/// fresh machine of the given spec.
 ///
-/// `Backend::Simulated` is equivalent to [`run`] without the trace (fully
-/// accounted simulated metrics); `Backend::RealThreads` executes the program
-/// with real OS threads under the engine's [`polymer_api::ExecProfile`] —
-/// values and iteration counts are real while every simulated field
-/// (seconds, remote profile, memory) reads zero, so callers measure
-/// wall-clock themselves.
+/// `Backend::Simulated` gives fully accounted simulated metrics;
+/// the real-thread backend executes the program with real OS threads under
+/// the engine's [`polymer_api::ExecProfile`] — values and iteration counts
+/// are real while every simulated field (seconds, remote profile, memory)
+/// reads zero, so callers measure wall-clock themselves.
 pub fn run_on(
     system: SystemId,
     algo: AlgoId,
@@ -427,14 +400,16 @@ pub fn run_on(
 ) -> Metrics {
     let machine = Machine::new(wl.scaled_spec(spec));
     let config = PolymerConfig::default();
-    run_core(
+    run_with(
         system, algo, wl, &machine, threads, backend, false, config, None,
     )
     .0
 }
 
-/// Run one (system, algorithm) pair on a workload with a fresh machine of
-/// the given spec, using `threads` simulated threads.
+/// Run one (system, algorithm) pair traced on the simulated backend, with a
+/// fresh machine of the given spec and `threads` simulated threads — what
+/// the figure and table binaries report (the per-phase breakdown rides in
+/// [`Metrics::phases`]).
 pub fn run(
     system: SystemId,
     algo: AlgoId,
@@ -442,73 +417,12 @@ pub fn run(
     spec: &MachineSpec,
     threads: usize,
 ) -> Metrics {
-    run_with_polymer_config(system, algo, wl, spec, threads, PolymerConfig::default())
-}
-
-/// Like [`run`], returning the raw [`TraceBuffer`] alongside the metrics so
-/// callers can export a Chrome-trace timeline (`--trace <path>` in the
-/// experiment binaries) or print a [`polymer_numa::phase_table`].
-pub fn run_traced(
-    system: SystemId,
-    algo: AlgoId,
-    wl: &Workload,
-    spec: &MachineSpec,
-    threads: usize,
-) -> (Metrics, TraceBuffer) {
-    run_traced_with_polymer_config(system, algo, wl, spec, threads, PolymerConfig::default())
-}
-
-/// Like [`run`], with an explicit Polymer configuration (ablations).
-pub fn run_with_polymer_config(
-    system: SystemId,
-    algo: AlgoId,
-    wl: &Workload,
-    spec: &MachineSpec,
-    threads: usize,
-    config: PolymerConfig,
-) -> Metrics {
-    run_traced_with_polymer_config(system, algo, wl, spec, threads, config).0
-}
-
-/// Like [`run`], but on a caller-built [`Machine`] instead of a fresh one —
-/// the hook for runs that need machine state configured before the engine
-/// allocates: tier routing (`Machine::route_tags_to_slow`), a promotion
-/// policy (`Machine::set_tier_policy`), capacity clamps, or a non-default
-/// spill policy. The caller is responsible for applying the workload's
-/// barrier/LLC scaling to the spec (see [`Workload::scaled_spec`]).
-///
-/// `iters` overrides the iteration count of the fixed-iteration algorithms
-/// (PR, SpMV, BP); `None` keeps their 5-iteration default, and traversals
-/// (BFS, CC, SSSP) run to their own convergence either way.
-pub fn run_on_machine(
-    system: SystemId,
-    algo: AlgoId,
-    wl: &Workload,
-    machine: &Machine,
-    threads: usize,
-    iters: Option<usize>,
-) -> Metrics {
-    let (backend, config) = (Backend::Simulated, PolymerConfig::default());
-    run_core(
-        system, algo, wl, machine, threads, &backend, true, config, iters,
-    )
-    .0
-}
-
-/// [`run_traced`] with an explicit Polymer configuration.
-pub fn run_traced_with_polymer_config(
-    system: SystemId,
-    algo: AlgoId,
-    wl: &Workload,
-    spec: &MachineSpec,
-    threads: usize,
-    config: PolymerConfig,
-) -> (Metrics, TraceBuffer) {
     let machine = Machine::new(wl.scaled_spec(spec));
-    let backend = Backend::Simulated;
-    run_core(
+    let (backend, config) = (Backend::Simulated, PolymerConfig::default());
+    run_with(
         system, algo, wl, &machine, threads, &backend, true, config, None,
     )
+    .0
 }
 
 #[cfg(test)]
@@ -533,19 +447,6 @@ mod tests {
             assert!(m.seconds > 0.0, "{:?}", sys);
             assert!(m.iterations > 0);
             assert_eq!(m.threads, 4);
-        }
-    }
-
-    #[test]
-    fn run_on_dispatches_both_backends() {
-        let wl = Workload::prepare(DatasetId::Rmat24S, -8);
-        let spec = MachineSpec::test2();
-        for sys in SystemId::ALL {
-            let sim = run_on(sys, AlgoId::BFS, &wl, &spec, 4, &Backend::Simulated);
-            assert!(sim.seconds > 0.0, "{:?} simulated", sys);
-            let real = run_on(sys, AlgoId::BFS, &wl, &spec, 4, &Backend::real_threads());
-            assert_eq!(real.seconds, 0.0, "{:?} real clock must be empty", sys);
-            assert!(real.iterations > 0, "{:?} real-threads", sys);
         }
     }
 

@@ -1,9 +1,9 @@
 //! The Polymer execution engine (paper Sections 4.3 and 5).
 
 use polymer_api::{
-    atomic_combine, catch_engine_faults, charged_values_restore, charged_values_snapshot,
-    check_divergence, even_chunks, validate_run_config, DirectionPolicy, Engine, EngineKind,
-    ExecProfile, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
+    atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
+    DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
+    RecoverySession, RunResult,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
@@ -147,29 +147,14 @@ impl Engine for PolymerEngine {
         EngineKind::Polymer
     }
 
-    fn try_run_rec<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        g: &Graph,
-        prog: &P,
-        traced: bool,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        validate_run_config(threads, g, prog)?;
-        catch_engine_faults(|| self.run_inner(machine, threads, g, prog, traced, recovery))
-    }
-
     fn exec_profile(&self) -> ExecProfile {
         ExecProfile {
             direction: DirectionPolicy::Hybrid,
             adaptive_frontier: self.config.adaptive_states,
         }
     }
-}
 
-impl PolymerEngine {
-    fn run_inner<P: Program>(
+    fn run_simulated<P: Program>(
         &self,
         machine: &Machine,
         threads: usize,
@@ -648,6 +633,7 @@ impl PolymerEngine {
 mod tests {
     use super::*;
     use polymer_algos::{run_reference, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
+    use polymer_api::Backend::Simulated;
     use polymer_graph::gen;
     use polymer_numa::MachineSpec;
 
@@ -762,15 +748,25 @@ mod tests {
         let m = Machine::new(MachineSpec::test2());
         let engine = PolymerEngine::new();
         let err = engine
-            .try_run(&m, 0, &g, &Bfs::new(0))
+            .try_run_on(&Simulated, &m, 0, &g, &Bfs::new(0))
             .map(|r| r.iterations)
             .unwrap_err();
         assert!(matches!(err, polymer_numa::PolymerError::InvalidConfig(_)));
         let err = engine
-            .try_run(&m, 4, &g, &Bfs::new(999))
+            .try_run_on(&Simulated, &m, 4, &g, &Bfs::new(999))
             .map(|r| r.iterations)
             .unwrap_err();
         assert!(matches!(err, polymer_numa::PolymerError::InvalidConfig(_)));
+        // More threads than the machine has cores trips an assertion inside
+        // the body; `try_run_with` is what turns that into an error.
+        let err = engine
+            .try_run_on(&Simulated, &m, 5, &g, &Bfs::new(0))
+            .map(|r| r.iterations)
+            .unwrap_err();
+        assert!(
+            matches!(err, PolymerError::EnginePanicked { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -794,5 +790,70 @@ mod tests {
             poly.seconds(),
             ligra.seconds()
         );
+    }
+
+    /// A traced, checkpointed, resumed real-thread run goes through
+    /// `try_run_with` like everything else, and is exactly the executor
+    /// call it replaces: same values bit for bit, same iterations, same
+    /// checkpoints, same worker spans.
+    #[test]
+    fn real_thread_tracer_and_resume_through_try_run_with_match_the_executor() {
+        use polymer_api::{
+            try_run_threads_rec, Backend, CheckpointPolicy, CheckpointStore, RealThreadsConfig,
+            RunOptions,
+        };
+        use polymer_numa::SharedTracer;
+
+        let g = Graph::from_edges(&gen::rmat(9, 5_000, gen::RMAT_GRAPH500, 9));
+        let prog = PageRank::new(g.num_vertices());
+        let engine = PolymerEngine::new();
+        let cfg = RealThreadsConfig::default();
+        let m = Machine::new(MachineSpec::test2());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let span_names = |t: SharedTracer| {
+            let buf = t.into_buffer();
+            let mut names: Vec<_> = buf.worker_spans.iter().map(|s| s.name).collect();
+            names.sort_unstable();
+            names
+        };
+
+        // Both ways of running a session, each with its own tracer.
+        let both = |session: &dyn Fn() -> RecoverySession<f64>| {
+            let (t_direct, t_engine) = (SharedTracer::new(1, 3), SharedTracer::new(1, 3));
+            let (profile, tracer) = (engine.exec_profile(), Some(&t_direct));
+            let direct = try_run_threads_rec(&g, &prog, 3, &cfg, &profile, tracer, &session());
+            let direct = direct.expect("direct executor call");
+            let opts = RunOptions {
+                backend: Backend::RealThreads(cfg.clone()),
+                recovery: session(),
+                tracer: Some(&t_engine),
+                ..RunOptions::default()
+            };
+            let run = engine.try_run_with(&m, 3, &g, &prog, &opts).unwrap();
+            assert_eq!(bits(&run.values), bits(&direct.0));
+            assert_eq!(run.iterations, direct.1);
+            let spans = span_names(t_engine);
+            assert!(spans.contains(&"iteration") && spans.contains(&"barrier-wait"));
+            assert_eq!(spans, span_names(t_direct));
+            run
+        };
+
+        let store = CheckpointStore::with_history();
+        let base = both(&|| RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()));
+        let history = store.history();
+        let (from_direct, from_engine) = history.split_at(base.iterations);
+        assert_eq!(from_engine.len(), base.iterations);
+        for (a, b) in from_direct.iter().zip(from_engine) {
+            assert_eq!(a.iteration, b.iteration);
+            assert_eq!(bits(&a.values), bits(&b.values));
+        }
+
+        let mid = &history[base.iterations / 2];
+        let resumed = both(&|| {
+            RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+                .with_resume(Some(mid.clone()))
+        });
+        assert_eq!(bits(&resumed.values), bits(&base.values));
+        assert_eq!(resumed.iterations, base.iterations);
     }
 }

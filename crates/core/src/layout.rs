@@ -59,17 +59,6 @@ impl EndpointStore {
     pub fn is_compressed(&self) -> bool {
         matches!(self, EndpointStore::Compressed { .. })
     }
-
-    /// Simulated footprint of the endpoint data in bytes (raw: 4 bytes per
-    /// edge; compressed: encoded bytes plus the per-list offset table).
-    pub fn stored_bytes(&self) -> usize {
-        match self {
-            EndpointStore::Raw(arr) => arr.len() * 4,
-            EndpointStore::Compressed { lists, .. } => {
-                lists.encoded_bytes() + (lists.num_lists() + 1) * 8
-            }
-        }
-    }
 }
 
 /// Accounted stream over one agent's endpoints (no edge indices).

@@ -29,9 +29,9 @@ use std::collections::BTreeMap;
 
 use polymer_api::Combine;
 use polymer_api::{
-    catch_engine_faults, charged_values_restore, charged_values_snapshot, check_divergence,
-    even_chunks, init_values, validate_run_config, Checkpoint, Engine, EngineKind, FrontierInit,
-    IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
+    charged_values_restore, charged_values_snapshot, check_divergence, even_chunks, init_values,
+    Checkpoint, Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession,
+    RunResult, TopoArrays,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
@@ -70,7 +70,7 @@ impl Engine for GaloisEngine {
         EngineKind::Galois
     }
 
-    fn try_run_rec<P: Program>(
+    fn run_simulated<P: Program>(
         &self,
         machine: &Machine,
         threads: usize,
@@ -79,25 +79,22 @@ impl Engine for GaloisEngine {
         traced: bool,
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>> {
-        validate_run_config(threads, g, prog)?;
-        catch_engine_faults(|| {
-            if let Some(ck) = recovery.resume() {
-                if ck.values.len() != g.num_vertices() {
-                    return Err(PolymerError::InvalidConfig(format!(
-                        "resume checkpoint has {} values for a {}-vertex graph",
-                        ck.values.len(),
-                        g.num_vertices()
-                    )));
-                }
+        if let Some(ck) = recovery.resume() {
+            if ck.values.len() != g.num_vertices() {
+                return Err(PolymerError::InvalidConfig(format!(
+                    "resume checkpoint has {} values for a {}-vertex graph",
+                    ck.values.len(),
+                    g.num_vertices()
+                )));
             }
-            if prog.name() == "CC" && !self.no_union_find {
-                return run_union_find(machine, threads, g, prog, traced, recovery);
-            }
-            match prog.combine() {
-                Combine::Min => run_async(machine, threads, g, prog, traced, recovery),
-                _ => run_sync_pull(machine, threads, g, prog, traced, recovery),
-            }
-        })
+        }
+        if prog.name() == "CC" && !self.no_union_find {
+            return run_union_find(machine, threads, g, prog, traced, recovery);
+        }
+        match prog.combine() {
+            Combine::Min => run_async(machine, threads, g, prog, traced, recovery),
+            _ => run_sync_pull(machine, threads, g, prog, traced, recovery),
+        }
     }
 }
 
@@ -542,7 +539,6 @@ fn run_union_find<P: Program>(
 mod tests {
     use super::*;
     use polymer_algos::{run_reference, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
-    use polymer_faults::PolymerError;
     use polymer_graph::gen;
     use polymer_numa::MachineSpec;
 
@@ -614,18 +610,6 @@ mod tests {
         let (want, _) = run_reference(&g, &prog);
         let err = polymer_algos::reference::max_rel_error(&got.values, &want);
         assert!(err < 1e-9, "max rel error {err}");
-    }
-
-    #[test]
-    fn out_of_range_source_is_typed_error() {
-        let el = gen::uniform(50, 100, 3);
-        let g = Graph::from_edges(&el);
-        let m = Machine::new(MachineSpec::test2());
-        let err = GaloisEngine::new()
-            .try_run(&m, 4, &g, &Bfs::new(1_000))
-            .map(|r| r.iterations)
-            .unwrap_err();
-        assert!(matches!(err, PolymerError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

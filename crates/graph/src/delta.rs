@@ -283,20 +283,6 @@ pub struct AppliedBatch {
 }
 
 impl AppliedBatch {
-    /// Every vertex incident to an effective mutation, sorted and deduped.
-    pub fn touched_vertices(&self) -> Vec<VId> {
-        let mut vs: Vec<VId> = self
-            .inserts
-            .iter()
-            .chain(self.deletes.iter())
-            .chain(self.reweighted.iter())
-            .flat_map(|e| [e.src, e.dst])
-            .collect();
-        vs.sort_unstable();
-        vs.dedup();
-        vs
-    }
-
     /// Whether the batch changed nothing (all deletes missing, every
     /// insert an idempotent upsert).
     pub fn is_noop(&self) -> bool {

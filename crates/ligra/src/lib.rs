@@ -21,10 +21,9 @@
 #![deny(unsafe_code)]
 
 use polymer_api::{
-    atomic_combine, catch_engine_faults, charged_values_restore, charged_values_snapshot,
-    check_divergence, degree_balanced_chunks, even_chunks, init_values, validate_run_config,
-    DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
-    RecoverySession, RunResult, TopoArrays,
+    atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
+    degree_balanced_chunks, even_chunks, init_values, DirectionPolicy, Engine, EngineKind,
+    ExecProfile, FrontierInit, IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
@@ -56,19 +55,6 @@ impl Engine for LigraEngine {
         EngineKind::Ligra
     }
 
-    fn try_run_rec<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        g: &Graph,
-        prog: &P,
-        traced: bool,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        validate_run_config(threads, g, prog)?;
-        catch_engine_faults(|| self.run_inner(machine, threads, g, prog, traced, recovery))
-    }
-
     fn exec_profile(&self) -> ExecProfile {
         ExecProfile {
             direction: if self.force_push {
@@ -79,10 +65,8 @@ impl Engine for LigraEngine {
             adaptive_frontier: true,
         }
     }
-}
 
-impl LigraEngine {
-    fn run_inner<P: Program>(
+    fn run_simulated<P: Program>(
         &self,
         machine: &Machine,
         threads: usize,
@@ -403,7 +387,6 @@ impl LigraEngine {
 mod tests {
     use super::*;
     use polymer_algos::{run_reference, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
-    use polymer_api::PolymerError;
     use polymer_graph::gen;
     use polymer_numa::MachineSpec;
 
@@ -473,18 +456,6 @@ mod tests {
         let m2 = Machine::new(MachineSpec::test2());
         let push = LigraEngine::new().push_only().run(&m2, 4, &g, &prog);
         assert_eq!(hybrid.values, push.values);
-    }
-
-    #[test]
-    fn out_of_range_source_is_typed_error() {
-        let el = gen::uniform(50, 100, 3);
-        let g = Graph::from_edges(&el);
-        let m = Machine::new(MachineSpec::test2());
-        let err = LigraEngine::new()
-            .try_run(&m, 4, &g, &Bfs::new(1_000))
-            .map(|r| r.iterations)
-            .unwrap_err();
-        assert!(matches!(err, PolymerError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -283,12 +283,6 @@ impl<T: Copy> NumaArray<T> {
         &self.data
     }
 
-    /// Unaccounted mutable view, for the construction stage only.
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Home node of element `i`.
     #[inline]
     pub fn node_of(&self, i: usize) -> usize {

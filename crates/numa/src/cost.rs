@@ -289,12 +289,6 @@ impl CostModel {
         &self.config
     }
 
-    /// Forget all cache warmth (e.g. between independent experiment runs).
-    pub fn reset_warmth(&mut self) {
-        self.warm.clear();
-        self.warm_stride = 0;
-    }
-
     fn warm_slot(&mut self, nnodes: usize, nallocs: usize) {
         if self.warm_stride < nallocs {
             // Re-grow with a larger stride, preserving old flags.

@@ -179,11 +179,6 @@ impl Machine {
         &self.inner.spec
     }
 
-    /// The fault-injection plan this machine honors.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.inner.plan
-    }
-
     /// The policy applied when a node's capacity would be exceeded.
     pub fn spill_policy(&self) -> SpillPolicy {
         self.inner.spill_policy

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use polymer_trace::{PhaseSpan, SocketSample, Tracer};
 
 use crate::cost::{BarrierKind, CostConfig, CostModel, PhaseCost, SocketCost};
-use crate::ctx::{AccessCtx, AccessStats, HeatMode};
+use crate::ctx::{AccessCtx, AccessStats};
 use crate::machine::{AllocId, Machine};
 use crate::tier::TierRuntime;
 use crate::topology::NodeId;
@@ -210,14 +210,6 @@ impl SimExecutor {
         self.tier.as_ref()
     }
 
-    /// Detach the tier runtime (heat collection stops; placements freeze).
-    pub fn clear_tiering(&mut self) -> Option<TierRuntime> {
-        for ctx in &mut self.ctxs {
-            ctx.set_heat_mode(HeatMode::Off);
-        }
-        self.tier.take()
-    }
-
     /// Record a phase/barrier timeline with per-socket counters into the
     /// clock's [`Tracer`] (export via [`RunClock::to_chrome_trace`] or query
     /// through [`polymer_trace::TraceBuffer`]). Tracing does not change
@@ -345,10 +337,23 @@ impl SimExecutor {
         self.finish_phase(name)
     }
 
-    /// Collect per-thread statistics in tid order, integrate them through
-    /// the cost model, and advance the clock — the serial merge shared by
-    /// [`SimExecutor::run_phase`] and [`SimExecutor::run_phase_split`].
+    /// The serial merge shared by [`SimExecutor::run_phase`] and
+    /// [`SimExecutor::run_phase_split`]: integrate the phase, then give the
+    /// tier runtime (if any) its boundary.
     fn finish_phase(&mut self, name: &'static str) -> PhaseCost {
+        let spilled_now = self.machine.spilled_pages();
+        let spilled_delta = spilled_now - self.spilled_seen;
+        self.spilled_seen = spilled_now;
+        let cost = self.integrate(name, spilled_delta);
+        if self.tier.is_some() {
+            self.run_tier_boundary();
+        }
+        cost
+    }
+
+    /// Collect per-thread statistics in tid order, fold them through the
+    /// cost model, record the phase span and advance the clock.
+    fn integrate(&mut self, name: &'static str, spilled_delta: u64) -> PhaseCost {
         let threads: Vec<(NodeId, AccessStats)> = self
             .ctxs
             .iter_mut()
@@ -357,9 +362,6 @@ impl SimExecutor {
             .collect();
         let cost = self.model.phase_cost(&threads);
         let start_us = self.clock.elapsed_us();
-        let spilled_now = self.machine.spilled_pages();
-        let spilled_delta = spilled_now - self.spilled_seen;
-        self.spilled_seen = spilled_now;
         self.clock.trace.record(|buf| {
             // Threads bind node-major, so the issuing sockets are exactly the
             // first `buf.sockets` machine nodes — the buffer's lanes.
@@ -378,9 +380,6 @@ impl SimExecutor {
         let e = self.clock.by_phase.entry(name).or_insert((0.0, 0));
         e.0 += cost.time_us;
         e.1 += 1;
-        if self.tier.is_some() {
-            self.run_tier_boundary();
-        }
         cost
     }
 
@@ -420,34 +419,7 @@ impl SimExecutor {
         for m in &migrations {
             self.ctxs[0].record_migration(m.alloc, m.bytes, m.from, m.to);
         }
-        let threads: Vec<(NodeId, AccessStats)> = self
-            .ctxs
-            .iter_mut()
-            .enumerate()
-            .map(|(t, ctx)| (self.nodes[t], ctx.take_stats()))
-            .collect();
-        let cost = self.model.phase_cost(&threads);
-        let start_us = self.clock.elapsed_us();
-        self.clock.trace.record(|buf| {
-            let lanes = buf.sockets.min(cost.per_socket.len());
-            buf.push_phase(PhaseSpan {
-                name: "tier-migrate",
-                iteration: buf.iteration(),
-                start_us,
-                dur_us: cost.time_us,
-                per_thread_us: cost.per_thread_us.clone(),
-                per_socket: socket_samples(&cost.per_socket[..lanes]),
-                spilled_pages: 0,
-            });
-        });
-        self.clock.total.accumulate(&cost);
-        let e = self
-            .clock
-            .by_phase
-            .entry("tier-migrate")
-            .or_insert((0.0, 0));
-        e.0 += cost.time_us;
-        e.1 += 1;
+        self.integrate("tier-migrate", 0);
     }
 
     /// Charge one global barrier at the configured family's cost, scaled by

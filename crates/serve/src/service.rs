@@ -139,6 +139,16 @@ impl GraphService {
                 "serve threads per request must be >= 1".to_string(),
             ));
         }
+        // Coalesced sweeps and every mutated-mode answer drive a simulated
+        // `IterationDriver` whatever `cfg.backend` is, and that binds one
+        // thread per simulated core.
+        let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
+        if cfg.threads_per_request > cores {
+            return Err(PolymerError::InvalidConfig(format!(
+                "serve threads per request ({}) exceed the machine spec's {cores} cores",
+                cfg.threads_per_request
+            )));
+        }
         if cfg.max_batch_lanes == 0 {
             return Err(PolymerError::InvalidConfig(
                 "serve max batch lanes must be >= 1".to_string(),
@@ -499,18 +509,18 @@ fn run_solo(inner: &Inner, p: Pending) {
     let outcome = match p.kind {
         RequestKind::Bfs { source } => {
             let prog = Bfs::new(source);
-            let (res, _) = sup.run_reported(&engine, backend, spec, threads, g, &prog);
-            res.map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Levels))
+            sup.run(&engine, backend, spec, threads, g, &prog)
+                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Levels))
         }
         RequestKind::Sssp { source, delta } => {
             let prog = Sssp::new(source).with_delta(delta);
-            let (res, _) = sup.run_reported(&engine, backend, spec, threads, g, &prog);
-            res.map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Distances))
+            sup.run(&engine, backend, spec, threads, g, &prog)
+                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Distances))
         }
         RequestKind::PageRank { iters } => {
             let prog = PageRank::new(g.num_vertices()).with_iters(iters);
-            let (res, _) = sup.run_reported(&engine, backend, spec, threads, g, &prog);
-            res.map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Ranks))
+            sup.run(&engine, backend, spec, threads, g, &prog)
+                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Ranks))
         }
         RequestKind::Ingest { .. } => unreachable!("ingests dispatch through run_ingest"),
     };

@@ -174,3 +174,112 @@ fn pagerank_served_matches_direct_engine_run() {
     assert_eq!(served.values.ranks().unwrap(), &direct.values[..]);
     assert_eq!(served.iterations, direct.iterations);
 }
+
+fn eight_threads_on(spec: polymer_numa::MachineSpec) -> ServeConfig {
+    ServeConfig {
+        workers: 1,
+        threads_per_request: 8,
+        backend: Backend::real_threads(),
+        spec,
+        ..ServeConfig::default()
+    }
+}
+
+/// Regression: `threads_per_request` above the spec's core count used to be
+/// accepted. A solo real-thread query then worked, but the first query after
+/// an ingest drove a simulated `IterationDriver` with more threads than
+/// cores: the assertion killed the worker mid-request (no reply, pledge
+/// never released), and a coalesced sweep failed the same way in static
+/// mode. The config is now rejected where it enters.
+#[test]
+fn threads_above_the_specs_cores_are_rejected_at_new() {
+    use polymer_api::PolymerError;
+
+    let four_cores = polymer_numa::MachineSpec::test2();
+    let err = GraphService::new(graph(), eight_threads_on(four_cores))
+        .err()
+        .expect("8 threads cannot bind to a 4-core spec");
+    match err {
+        PolymerError::InvalidConfig(msg) => assert!(msg.contains("4 cores"), "{msg}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+/// The overlay entry points share the engines' front door: a bad thread
+/// count or source is a typed error for a direct caller, never a panic.
+#[test]
+fn overlay_entry_points_reject_bad_threads_and_sources() {
+    use polymer_algos::{bfs_overlay, cc_overlay, pagerank_overlay, sssp_overlay, DEFAULT_PR_TOL};
+    use polymer_api::{OverlayTopo, PolymerError, PolymerResult};
+    use polymer_graph::MutableGraph;
+    use polymer_numa::{AllocPolicy, Machine, MachineSpec};
+
+    let machine = Machine::new(MachineSpec::test2());
+    let mg = MutableGraph::from_graph(&graph());
+    let n = mg.base().num_vertices() as u32;
+    let topo = OverlayTopo::build(&machine, &mg, true, |_| AllocPolicy::Interleaved);
+    fn invalid<T>(what: &str, r: PolymerResult<T>) {
+        match r.map(|_| ()) {
+            Err(PolymerError::InvalidConfig(_)) => {}
+            other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+    for threads in [0, 5] {
+        let label = format!("{threads} threads");
+        let m = &machine;
+        invalid(&label, bfs_overlay(m, threads, &topo, 0, None, false));
+        invalid(&label, sssp_overlay(m, threads, &topo, 0, None, false));
+        invalid(&label, cc_overlay(m, threads, &topo, None, false));
+        let pr = pagerank_overlay(m, threads, &topo, 0.85, DEFAULT_PR_TOL, None, false);
+        invalid(&label, pr);
+    }
+    invalid("source", bfs_overlay(&machine, 4, &topo, n, None, false));
+    invalid("source", sssp_overlay(&machine, 4, &topo, n, None, false));
+    // The same calls with valid parameters still answer.
+    let want = run_reference(&graph(), &Bfs::new(0)).0;
+    let got = bfs_overlay(&machine, 4, &topo, 0, None, false).unwrap();
+    assert_eq!(got.values, want);
+}
+
+/// The eight-thread real-thread config is fine on a spec that has the
+/// cores: solo, coalesced and post-ingest answers all match the oracle.
+#[test]
+fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
+    use polymer_graph::{DeltaBatch, MutableGraph};
+
+    let g = graph();
+    let cfg = eight_threads_on(polymer_numa::MachineSpec::intel80());
+    let svc = GraphService::new(g.clone(), cfg).unwrap();
+    let levels = |g: &Graph, s: u32| run_reference(g, &Bfs::new(s)).0;
+
+    let solo = svc.submit(RequestKind::Bfs { source: 7 }).unwrap();
+    let solo = solo.wait().unwrap();
+    assert_eq!(solo.batched_lanes, 1);
+    assert_eq!(solo.values.levels().unwrap(), &levels(&g, 7)[..]);
+
+    svc.pause();
+    let tickets: Vec<_> = [7u32, 3]
+        .iter()
+        .map(|&s| (s, svc.submit(RequestKind::Bfs { source: s }).unwrap()))
+        .collect();
+    svc.resume();
+    for (s, t) in tickets {
+        let r = t.wait().unwrap();
+        assert_eq!(r.batched_lanes, 2);
+        assert_eq!(r.values.levels().unwrap(), &levels(&g, s)[..], "lane {s}");
+    }
+
+    let mut batch = DeltaBatch::new();
+    batch.insert(1, g.num_vertices() as u32 - 3, 7).delete(0, 1);
+    let ingest = RequestKind::Ingest {
+        batch: batch.clone(),
+    };
+    svc.submit(ingest).unwrap().wait().unwrap();
+    let mut mirror = MutableGraph::from_graph(&g);
+    mirror.apply(&batch).unwrap();
+    let mutated = Graph::from_edges(&mirror.snapshot_edge_list());
+    let after = svc.submit(RequestKind::Bfs { source: 7 }).unwrap();
+    let after = after.wait().unwrap();
+    assert_eq!(after.values.levels().unwrap(), &levels(&mutated, 7)[..]);
+    assert_eq!(svc.stats().failed, 0);
+}

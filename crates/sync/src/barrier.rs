@@ -240,11 +240,6 @@ impl HierBarrier {
         }
     }
 
-    /// Number of groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Mark the whole barrier (all groups and the top level) failed; every
     /// current and future waiter errors out instead of deadlocking.
     pub fn poison(&self) {

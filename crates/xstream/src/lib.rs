@@ -26,8 +26,8 @@
 use std::ops::Range;
 
 use polymer_api::{
-    catch_engine_faults, validate_run_config, DirectionPolicy, Engine, EngineKind, ExecProfile,
-    FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
+    DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
+    RecoverySession, RunResult,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::DeltaDecoder;
@@ -100,19 +100,6 @@ impl Engine for XStreamEngine {
         EngineKind::XStream
     }
 
-    fn try_run_rec<P: Program>(
-        &self,
-        machine: &Machine,
-        threads: usize,
-        g: &Graph,
-        prog: &P,
-        traced: bool,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        validate_run_config(threads, g, prog)?;
-        catch_engine_faults(|| self.run_inner(machine, threads, g, prog, traced, recovery))
-    }
-
     fn exec_profile(&self) -> ExecProfile {
         // Edge-centric streaming is a pure scatter (push) engine with
         // always-dense states.
@@ -121,10 +108,8 @@ impl Engine for XStreamEngine {
             adaptive_frontier: false,
         }
     }
-}
 
-impl XStreamEngine {
-    fn run_inner<P: Program>(
+    fn run_simulated<P: Program>(
         &self,
         machine: &Machine,
         threads: usize,
@@ -620,18 +605,6 @@ mod tests {
         let (want, _) = run_reference(&g, &prog);
         let err = polymer_algos::reference::max_rel_error(&got.values, &want);
         assert!(err < 1e-9, "max rel error {err}");
-    }
-
-    #[test]
-    fn out_of_range_source_is_typed_error() {
-        let el = gen::uniform(50, 100, 3);
-        let g = Graph::from_edges(&el);
-        let m = Machine::new(MachineSpec::test2());
-        let err = XStreamEngine::new()
-            .try_run(&m, 4, &g, &Bfs::new(1_000))
-            .map(|r| r.iterations)
-            .unwrap_err();
-        assert!(matches!(err, PolymerError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use polymer_api::{
         Backend, Checkpoint, CheckpointPolicy, CheckpointStore, Engine, EngineKind, Program,
-        RecoveryReport, RecoverySession, RunResult, RunSupervisor, SupervisorConfig,
+        RecoveryReport, RecoverySession, RunOptions, RunResult, RunSupervisor, SupervisorConfig,
     };
     pub use polymer_core::{PolymerConfig, PolymerEngine};
     pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};

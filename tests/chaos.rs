@@ -69,7 +69,8 @@ fn supervised_bfs<E: Engine + Clone + Send + 'static>(
         let g = chaos_graph();
         let prog = Bfs::new(source);
         let sup = RunSupervisor::new(SupervisorConfig { spill, ..cfg });
-        let out = sup.run_reported(&engine, &backend, &MachineSpec::test2(), threads, &g, &prog);
+        let spec = MachineSpec::test2();
+        let out = sup.run_reported(&engine, &backend, &spec, threads, &g, &prog, None);
         let _ = tx.send(out);
     });
     rx.recv_timeout(Duration::from_secs(120))
@@ -199,7 +200,8 @@ fn retried_attempt_inherits_the_specs_toggles() {
         checkpoint: CheckpointPolicy::Never,
         ..chaos_config(FaultPlan::new().fail_nth_alloc(2))
     });
-    let (result, report) = sup.run_reported(&engine, &Backend::Simulated, &spec, 4, &g, &prog);
+    let (result, report) =
+        sup.run_reported(&engine, &Backend::Simulated, &spec, 4, &g, &prog, None);
     let run = result.expect("attempt 2 succeeds");
     assert_eq!(report.attempts.len(), 2, "{report:?}");
     assert_eq!(run.values, direct.values);
@@ -389,6 +391,7 @@ fn supervised_pagerank_recovery_stays_close_to_reference() {
         4,
         &g,
         &prog,
+        None,
     );
     let run = result.unwrap_or_else(|e| panic!("supervised PR failed: {e}"));
     assert!(report.recovered, "expected a recovery: {report:?}");
@@ -428,6 +431,7 @@ fn degrade_policy_thresholds_shape_the_ladder() {
         4,
         &g,
         &prog,
+        None,
     );
     result.unwrap_or_else(|e| panic!("supervised run failed: {e}"));
     let backends: Vec<&str> = report.attempts.iter().map(|a| a.backend.as_str()).collect();

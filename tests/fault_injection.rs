@@ -8,7 +8,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use polymer::api::{try_run_parallel, Combine, FrontierInit};
+use polymer::api::{Combine, FrontierInit, RealThreadsConfig};
 use polymer::graph::{gen, io, VId, Weight};
 use polymer::prelude::*;
 
@@ -27,8 +27,11 @@ fn injected_worker_panic_is_a_typed_error_not_a_deadlock() {
         let plan = FaultPlan::new()
             .panic_worker_at(1, 2)
             .barrier_timeout(Duration::from_secs(10));
-        let r = try_run_parallel(&g, &prog, 4, 2, &plan);
-        let _ = tx.send(r.map(|(_, iters)| iters));
+        // X-Stream's profile is the executor's push-only one.
+        let backend = Backend::RealThreads(RealThreadsConfig { groups: 2, plan });
+        let m = Machine::new(MachineSpec::test2());
+        let r = XStreamEngine::new().try_run_on(&backend, &m, 4, &g, &prog);
+        let _ = tx.send(r.map(|r| r.iterations));
     });
     let out = rx
         .recv_timeout(Duration::from_secs(60))
@@ -58,7 +61,7 @@ fn capacity_clamp_spills_or_fails_by_policy() {
     // Baseline: unclamped, to learn the footprint and the right answer.
     let m0 = Machine::new(MachineSpec::intel80());
     let base = XStreamEngine::new()
-        .try_run(&m0, 2, &g, &prog)
+        .try_run_on(&Backend::Simulated, &m0, 2, &g, &prog)
         .unwrap_or_else(|e| panic!("baseline run failed: {e}"));
     assert_eq!(base.memory.spilled_pages, 0);
 
@@ -72,7 +75,7 @@ fn capacity_clamp_spills_or_fails_by_policy() {
         plan.clone(),
     );
     let spilled = XStreamEngine::new()
-        .try_run(&m1, 2, &g, &prog)
+        .try_run_on(&Backend::Simulated, &m1, 2, &g, &prog)
         .unwrap_or_else(|e| panic!("NearestRemote run failed: {e}"));
     assert!(
         spilled.memory.spilled_pages > 0,
@@ -86,7 +89,7 @@ fn capacity_clamp_spills_or_fails_by_policy() {
 
     let m2 = Machine::with_faults(MachineSpec::intel80(), SpillPolicy::Fail, plan);
     let err = XStreamEngine::new()
-        .try_run(&m2, 2, &g, &prog)
+        .try_run_on(&Backend::Simulated, &m2, 2, &g, &prog)
         .map(|r| r.iterations)
         .unwrap_err();
     match err {
@@ -179,7 +182,7 @@ fn nan_values_are_reported_as_divergence() {
     let g = Graph::from_edges(&el);
     let m = Machine::new(MachineSpec::test2());
     let err = PolymerEngine::new()
-        .try_run(&m, 2, &g, &Explode)
+        .try_run_on(&Backend::Simulated, &m, 2, &g, &Explode)
         .map(|r| r.iterations)
         .unwrap_err();
     match err {

@@ -9,43 +9,39 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use polymer::algos::reference::max_rel_error;
 use polymer::api::program::{fold_f64, fold_u32, fold_u64};
-use polymer::api::{
-    run_parallel, try_run_threads, Combine, DirectionPolicy, ExecProfile, FrontierInit,
-    RealThreadsConfig,
-};
+use polymer::api::{run_parallel, Combine, FrontierInit};
 use polymer::graph::{gen, VId, Weight};
 use polymer::numa::Atom;
 use polymer::prelude::*;
 
-const HYBRID: ExecProfile = ExecProfile {
-    direction: DirectionPolicy::Hybrid,
-    adaptive_frontier: true,
-};
-const PUSH_ONLY: ExecProfile = ExecProfile {
-    direction: DirectionPolicy::PushOnly,
-    adaptive_frontier: false,
-};
-const PROFILES: [(&str, ExecProfile); 2] = [("hybrid", HYBRID), ("push-only", PUSH_ONLY)];
+/// The executor's two edge-phase profiles, reached through the engines
+/// that carry them: Polymer's is hybrid and adaptive, X-Stream's pushes on
+/// every iteration.
+#[derive(Clone, Copy, Debug)]
+enum Profile {
+    Hybrid,
+    PushOnly,
+}
+const PROFILES: [Profile; 2] = [Profile::Hybrid, Profile::PushOnly];
 
-fn run_profile<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    profile: &ExecProfile,
-) -> Vec<P::Val> {
-    try_run_threads(g, prog, threads, &RealThreadsConfig::default(), profile)
-        .expect("healthy run")
-        .0
+fn run_profile<P: Program>(g: &Graph, prog: &P, threads: usize, profile: Profile) -> Vec<P::Val> {
+    let backend = Backend::real_threads();
+    let machine = Machine::new(MachineSpec::test2());
+    match profile {
+        Profile::Hybrid => PolymerEngine::new().try_run_on(&backend, &machine, threads, g, prog),
+        Profile::PushOnly => XStreamEngine::new().try_run_on(&backend, &machine, threads, g, prog),
+    }
+    .expect("healthy run")
+    .values
 }
 
 /// BFS, SSSP, CC (exact) and PageRank (≤ 1e-9) against `run_reference` on
 /// `el`, under `profile` on `threads` threads.
-fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: &ExecProfile) {
+fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: Profile) {
     let label = format!(
-        "n={} m={} threads={threads} {:?}",
+        "n={} m={} threads={threads} {profile:?}",
         el.num_vertices,
         el.num_edges(),
-        profile.direction
     );
     let g = Graph::from_edges(el);
     let src = (0..g.num_vertices() as u32)
@@ -171,7 +167,7 @@ fn ownership_edge_cases_match_reference() {
     for n in [1usize, 2, 63, 64, 65, 129, 1000] {
         let el = gen::uniform(n, 4 * n, 11 + n as u64);
         for threads in [1, 2, 3, 8] {
-            for (_, profile) in &PROFILES {
+            for profile in PROFILES {
                 check_all_algorithms(&el, threads, profile);
             }
         }
@@ -261,12 +257,12 @@ fn executor_issues_only_loads_and_stores_on_values() {
         .unwrap();
     let prog = Levels(src);
     let (want, _) = run_reference(&g, &prog);
-    for (name, profile) in &PROFILES {
+    for profile in PROFILES {
         for threads in [1, 2, 4] {
             assert_eq!(
                 run_profile(&g, &prog, threads, profile),
                 want,
-                "{name}, {threads} threads"
+                "{profile:?}, {threads} threads"
             );
         }
     }
@@ -332,7 +328,7 @@ mod random_graphs {
         ) {
             let (n, density, seed) = shape;
             let el = gen::uniform(n, (n << density) / 2 + 1, seed);
-            check_all_algorithms(&el, threads, &PROFILES[profile].1);
+            check_all_algorithms(&el, threads, PROFILES[profile]);
         }
     }
 }

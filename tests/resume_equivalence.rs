@@ -44,63 +44,50 @@ fn backends() -> Vec<(&'static str, Backend)> {
 }
 
 macro_rules! for_each_engine {
-    ($f:expr) => {{
-        let f = $f;
-        f("Polymer", &PolymerEngine::new());
-        f("Ligra", &LigraEngine::new());
-        f("X-Stream", &XStreamEngine::new());
-        f("Galois", &GaloisEngine::new());
+    (|$name:ident, $engine:ident| $body:expr) => {{
+        (|$name: &str, $engine: &PolymerEngine| $body)("Polymer", &PolymerEngine::new());
+        (|$name: &str, $engine: &LigraEngine| $body)("Ligra", &LigraEngine::new());
+        (|$name: &str, $engine: &XStreamEngine| $body)("X-Stream", &XStreamEngine::new());
+        (|$name: &str, $engine: &GaloisEngine| $body)("Galois", &GaloisEngine::new());
     }};
 }
 
-/// Object-safe shim over [`Engine::try_run_on_rec`] for one concrete
-/// program type, so the matrix can iterate heterogeneous engines.
-trait EngineRec<P: Program> {
-    fn run_rec(
-        &self,
-        backend: &Backend,
-        machine: &Machine,
-        threads: usize,
-        g: &Graph,
-        prog: &P,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>>;
-}
-
-impl<P: Program, E: Engine> EngineRec<P> for E {
-    fn run_rec(
-        &self,
-        backend: &Backend,
-        machine: &Machine,
-        threads: usize,
-        g: &Graph,
-        prog: &P,
-        recovery: &RecoverySession<P::Val>,
-    ) -> PolymerResult<RunResult<P::Val>> {
-        self.try_run_on_rec(backend, machine, threads, g, prog, recovery)
-    }
+/// [`Engine::try_run_with`] on a fresh machine under `backend` and
+/// `recovery`, every other option at its default.
+fn run_rec<E: Engine, P: Program>(
+    engine: &E,
+    backend: &Backend,
+    threads: usize,
+    g: &Graph,
+    prog: &P,
+    recovery: RecoverySession<P::Val>,
+) -> PolymerResult<RunResult<P::Val>> {
+    let opts = RunOptions {
+        backend: backend.clone(),
+        recovery,
+        ..RunOptions::default()
+    };
+    engine.try_run_with(&machine(), threads, g, prog, &opts)
 }
 
 /// Run once uninterrupted, checkpointing after every iteration, and return
 /// the baseline result plus the harvested checkpoint history.
-fn baseline_with_history<P: Program>(
-    engine: &dyn EngineRec<P>,
+fn baseline_with_history<E: Engine, P: Program>(
+    engine: &E,
     backend: &Backend,
     g: &Graph,
     prog: &P,
 ) -> (RunResult<P::Val>, Vec<Checkpoint<P::Val>>) {
     let store = CheckpointStore::with_history();
     let session = RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone());
-    let base = engine
-        .run_rec(backend, &machine(), 4, g, prog, &session)
-        .expect("baseline run succeeds");
+    let base = run_rec(engine, backend, 4, g, prog, session).expect("baseline run succeeds");
     (base, store.history())
 }
 
 /// Replay from `ckpt` on a fresh machine (checkpointing disabled, so the
 /// replay itself is the plain fast path) and return the result.
-fn resume_from<P: Program>(
-    engine: &dyn EngineRec<P>,
+fn resume_from<E: Engine, P: Program>(
+    engine: &E,
     backend: &Backend,
     g: &Graph,
     prog: &P,
@@ -108,9 +95,7 @@ fn resume_from<P: Program>(
 ) -> RunResult<P::Val> {
     let session = RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
         .with_resume(Some(ckpt));
-    engine
-        .run_rec(backend, &machine(), 4, g, prog, &session)
-        .expect("resumed run succeeds")
+    run_rec(engine, backend, 4, g, prog, session).expect("resumed run succeeds")
 }
 
 /// Which checkpoints to replay: all of them on the simulated backend, a
@@ -134,7 +119,7 @@ where
     P::Val: Eq + std::fmt::Debug,
 {
     for (bname, backend) in backends() {
-        for_each_engine!(|ename: &str, engine: &dyn EngineRec<P>| {
+        for_each_engine!(|ename, engine| {
             let (base, history) = baseline_with_history(engine, &backend, g, prog);
             assert!(
                 !history.is_empty(),
@@ -158,7 +143,7 @@ where
 
 fn check_resume_float<P: Program<Val = f64>>(g: &Graph, prog: &P, label: &str) {
     for (bname, backend) in backends() {
-        for_each_engine!(|ename: &str, engine: &dyn EngineRec<P>| {
+        for_each_engine!(|ename, engine| {
             let (base, history) = baseline_with_history(engine, &backend, g, prog);
             assert!(
                 !history.is_empty(),
@@ -234,92 +219,75 @@ fn resume_equivalence_bp() {
 /// uninterrupted run bit for bit — as must a second uninterrupted run.
 #[test]
 fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations() {
-    use polymer::api::{try_run_threads_rec, DirectionPolicy, ExecProfile, RealThreadsConfig};
-    let g = small_graph();
-    let prog = PageRank::new(g.num_vertices());
-    let cfg = RealThreadsConfig::default();
-    let profiles = [
-        (
-            "gather",
-            ExecProfile {
-                direction: DirectionPolicy::Hybrid,
-                adaptive_frontier: true,
-            },
-        ),
-        (
-            "binned push",
-            ExecProfile {
-                direction: DirectionPolicy::PushOnly,
-                adaptive_frontier: false,
-            },
-        ),
-    ];
-    for (name, profile) in &profiles {
+    fn check<E: Engine>(name: &str, engine: &E) {
+        let g = small_graph();
+        let prog = PageRank::new(g.num_vertices());
         for threads in [2, 3] {
-            let run = |session: &RecoverySession<f64>| {
-                try_run_threads_rec(&g, &prog, threads, &cfg, profile, None, session)
-                    .expect("healthy run")
+            let run = |session: RecoverySession<f64>| {
+                run_rec(
+                    engine,
+                    &Backend::real_threads(),
+                    threads,
+                    &g,
+                    &prog,
+                    session,
+                )
+                .expect("healthy run")
             };
             let store = CheckpointStore::with_history();
-            let base = run(&RecoverySession::new(
+            let base = run(RecoverySession::new(
                 CheckpointPolicy::EveryN(1),
                 store.clone(),
             ));
-            let again = run(&RecoverySession::disabled());
+            let again = run(RecoverySession::disabled());
             assert!(
-                same_bits(&again.0, &base.0),
+                same_bits(&again.values, &base.values),
                 "{name}/{threads} threads: two uninterrupted runs differ"
             );
             let history = store.history();
             assert_eq!(
                 history.len(),
-                base.1,
+                base.iterations,
                 "{name}: one checkpoint per iteration"
             );
             for ck in history {
                 let from = ck.iteration;
-                let resumed = run(&RecoverySession::new(
+                let resumed = run(RecoverySession::new(
                     CheckpointPolicy::Never,
                     CheckpointStore::new(),
                 )
                 .with_resume(Some(ck)));
                 assert!(
-                    same_bits(&resumed.0, &base.0),
+                    same_bits(&resumed.values, &base.values),
                     "{name}/{threads} threads: resume from iteration {from} drifted bitwise"
                 );
-                assert_eq!(resumed.1, base.1, "{name}: iteration count after resume");
+                assert_eq!(
+                    resumed.iterations, base.iterations,
+                    "{name}: iteration count after resume"
+                );
             }
         }
     }
+    // Polymer's profile is hybrid-adaptive (all-active PageRank gathers),
+    // X-Stream's is push-only.
+    check("gather", &PolymerEngine::new());
+    check("binned push", &XStreamEngine::new());
 }
 
 /// A disabled recovery session and a `Never` policy must both be the plain
-/// fast path: bit-identical values *and accounting* versus `try_run`.
+/// fast path: bit-identical values *and accounting* versus the default options.
 #[test]
 fn never_policy_is_bit_identical_to_plain_runs() {
     let g = small_graph();
     let prog = Bfs::new(0);
-    for_each_engine!(|ename: &str, engine: &dyn EngineRec<Bfs>| {
-        let plain = engine
-            .run_rec(
-                &Backend::Simulated,
-                &machine(),
-                4,
-                &g,
-                &prog,
-                &RecoverySession::disabled(),
-            )
-            .expect("plain run succeeds");
-        let never = engine
-            .run_rec(
-                &Backend::Simulated,
-                &machine(),
-                4,
-                &g,
-                &prog,
-                &RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new()),
-            )
-            .expect("Never-policy run succeeds");
+    for_each_engine!(|ename, engine| {
+        let run = |session| run_rec(engine, &Backend::Simulated, 4, &g, &prog, session);
+        let plain = run(RecoverySession::disabled()).expect("plain run succeeds");
+        let never = run(RecoverySession::new(
+            CheckpointPolicy::Never,
+            CheckpointStore::new(),
+        ))
+        .expect("Never-policy run succeeds");
         assert_eq!(never.values, plain.values, "{ename}: values drifted");
         assert_eq!(
             never.seconds(),
@@ -348,7 +316,7 @@ mod resume_proptest {
             let el = gen::rmat(7, 1_000, gen::RMAT_GRAPH500, seed);
             let g = Graph::from_edges(&el);
             let prog = Bfs::new(0);
-            for_each_engine!(|ename: &str, engine: &dyn EngineRec<Bfs>| {
+            for_each_engine!(|ename, engine| {
                 let (base, history) =
                     baseline_with_history(engine, &Backend::Simulated, &g, &prog);
                 if history.is_empty() {

@@ -4,7 +4,7 @@
 //! `barrier-wait` lanes sum to the reported barrier cost, and an abnormal
 //! end of run (poisoned barrier) must still flush a valid, truncated trace.
 
-use polymer::api::{try_run_parallel_traced, Engine};
+use polymer::api::{Engine, RealThreadsConfig};
 use polymer::graph::gen;
 use polymer::numa::{chrome_trace_json, phase_table, SharedTracer, SimExecutor};
 use polymer::prelude::*;
@@ -132,6 +132,23 @@ fn chrome_export_parses_and_barrier_waits_sum_to_barrier_cost() {
     }
 }
 
+/// A four-thread, two-group real-thread BFS under X-Stream's push-only
+/// profile, recording worker spans into `tracer`.
+fn traced_real_bfs(
+    g: &Graph,
+    src: u32,
+    plan: FaultPlan,
+    tracer: &SharedTracer,
+) -> PolymerResult<polymer::api::RunResult<u32>> {
+    let opts = RunOptions {
+        backend: Backend::RealThreads(RealThreadsConfig { groups: 2, plan }),
+        tracer: Some(tracer),
+        ..RunOptions::default()
+    };
+    let machine = Machine::new(MachineSpec::test2());
+    XStreamEngine::new().try_run_with(&machine, 4, g, &Bfs::new(src), &opts)
+}
+
 /// A worker panicking mid-run poisons the barrier for its siblings; the
 /// run must still flush a *valid* Chrome trace, flagged truncated.
 #[test]
@@ -139,7 +156,8 @@ fn poisoned_barrier_still_flushes_truncated_trace() {
     let (g, src) = workload();
     let plan = FaultPlan::new().panic_worker_at(1, 1);
     let tracer = SharedTracer::new(1, 4);
-    let err = try_run_parallel_traced(&g, &Bfs::new(src), 4, 2, &plan, Some(&tracer))
+    let err = traced_real_bfs(&g, src, plan, &tracer)
+        .map(|r| r.iterations)
         .expect_err("injected panic must surface");
     assert!(
         matches!(err, PolymerError::WorkerPanicked { .. }),
@@ -165,9 +183,9 @@ fn poisoned_barrier_still_flushes_truncated_trace() {
 fn parallel_runs_record_worker_spans() {
     let (g, src) = workload();
     let tracer = SharedTracer::new(1, 4);
-    let (values, _iters) =
-        try_run_parallel_traced(&g, &Bfs::new(src), 4, 2, &FaultPlan::new(), Some(&tracer))
-            .expect("healthy run");
+    let values = traced_real_bfs(&g, src, FaultPlan::new(), &tracer)
+        .expect("healthy run")
+        .values;
     let (want, _) = run_reference(&g, &Bfs::new(src));
     assert_eq!(values, want);
 
