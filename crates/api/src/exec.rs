@@ -295,6 +295,25 @@ pub fn atomic_combine<P: Program>(
     }
 }
 
+/// [`atomic_combine`] for code that runs with no concurrent writer of `arr` —
+/// the `publish` half of
+/// [`SimExecutor::run_phase_split`](polymer_numa::SimExecutor::run_phase_split),
+/// which runs on the calling thread after every shard has joined. Records
+/// the same single write transaction the atomic read-modify-write records
+/// and leaves the same value behind ([`Program::fold`] must agree with
+/// [`Program::combine`]), without the compare-exchange loop an `f64`
+/// combine costs.
+#[inline]
+pub fn serial_combine<P: Program>(
+    prog: &P,
+    arr: &NumaAtomicArray<P::Val>,
+    ctx: &mut AccessCtx,
+    i: usize,
+    c: P::Val,
+) {
+    arr.store(ctx, i, prog.fold(arr.raw_load(i), c));
+}
+
 /// Charged checkpoint sweep: every simulated thread streams its even chunk
 /// of `arr` through the bulk accessor (one coalesced read run per thread),
 /// so the snapshot's cost appears in `PhaseCosts` as a `"checkpoint"` phase.
@@ -377,6 +396,115 @@ pub fn weight_balanced_chunks<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A program that is nothing but its combine operator over `T`.
+    struct Folder<T>(Combine, std::marker::PhantomData<T>);
+
+    macro_rules! folder_program {
+        ($t:ty, $fold:path, $identity:expr) => {
+            impl Program for Folder<$t> {
+                type Val = $t;
+                fn name(&self) -> &'static str {
+                    "fold"
+                }
+                fn combine(&self) -> Combine {
+                    self.0
+                }
+                fn next_identity(&self) -> $t {
+                    $identity
+                }
+                fn init(&self, _: VId, _: &Graph) -> $t {
+                    $identity
+                }
+                fn scatter(&self, _: VId, v: $t, _: polymer_graph::Weight, _: u32) -> $t {
+                    v
+                }
+                fn apply(&self, _: VId, acc: $t, _: $t) -> ($t, bool) {
+                    (acc, false)
+                }
+                fn initial_frontier(&self, _: &Graph) -> crate::FrontierInit {
+                    crate::FrontierInit::All
+                }
+                fn max_iters(&self) -> usize {
+                    1
+                }
+                fn fold(&self, a: $t, b: $t) -> $t {
+                    $fold(self.0, a, b)
+                }
+            }
+        };
+    }
+    folder_program!(f64, crate::program::fold_f64, 0.0);
+    folder_program!(u32, crate::program::fold_u32, 0);
+    folder_program!(u64, crate::program::fold_u64, 0);
+
+    /// Replay `script` (slot, contribution) through `combine` on a fresh
+    /// machine; return the final cells and the classified access statistics.
+    fn replay<P: Program>(
+        prog: &P,
+        start: &[P::Val],
+        script: &[(usize, P::Val)],
+        combine: impl Fn(&P, &NumaAtomicArray<P::Val>, &mut AccessCtx, usize, P::Val),
+    ) -> (Vec<P::Val>, String) {
+        let m = Machine::new(polymer_numa::MachineSpec::test2());
+        let arr = m.alloc_atomic_with("cells", start.len(), AllocPolicy::Interleaved, |i| start[i]);
+        let mut ctx = AccessCtx::new(&m, 0);
+        for &(i, c) in script {
+            combine(prog, &arr, &mut ctx, i, c);
+        }
+        (arr.snapshot(), format!("{:?}", ctx.take_stats()))
+    }
+
+    #[test]
+    fn serial_combine_matches_atomic_combine() {
+        // 1024 cells span both nodes of `test2` (interleaved pages); the
+        // script revisits cells, walks forward and jumps, so every
+        // pattern × destination bucket is exercised.
+        let slots: Vec<usize> = (0..400).map(|k| (k * 37 + (k % 5) * 211) % 1024).collect();
+        for op in [Combine::Add, Combine::Min, Combine::Mul] {
+            let f = Folder::<f64>(op, Default::default());
+            let start: Vec<f64> = (0..1024).map(|i| 1.0 + i as f64 / 7.0).collect();
+            let script: Vec<(usize, f64)> = slots
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, 0.25 + (k % 13) as f64 / 3.0))
+                .collect();
+            let serial = replay(&f, &start, &script, serial_combine);
+            let atomic = replay(&f, &start, &script, atomic_combine);
+            assert_eq!(
+                serial.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                atomic.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "f64 {op:?}"
+            );
+            assert_eq!(serial.1, atomic.1, "f64 {op:?} stats");
+
+            let f = Folder::<u32>(op, Default::default());
+            let start: Vec<u32> = (0..1024).map(|i| 0x4000_0000 + i as u32 * 9_001).collect();
+            let script: Vec<(usize, u32)> = slots
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, 0x7fff_0000u32.wrapping_mul(k as u32 + 3)))
+                .collect();
+            assert_eq!(
+                replay(&f, &start, &script, serial_combine),
+                replay(&f, &start, &script, atomic_combine),
+                "u32 {op:?}"
+            );
+
+            let f = Folder::<u64>(op, Default::default());
+            let start: Vec<u64> = (0..1024).map(|i| u64::MAX / 3 + i as u64 * 77).collect();
+            let script: Vec<(usize, u64)> = slots
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, (u64::MAX / 5).wrapping_mul(k as u64 + 2)))
+                .collect();
+            assert_eq!(
+                replay(&f, &start, &script, serial_combine),
+                replay(&f, &start, &script, atomic_combine),
+                "u64 {op:?}"
+            );
+        }
+    }
 
     #[test]
     fn even_chunks_cover() {

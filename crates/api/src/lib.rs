@@ -45,8 +45,8 @@ pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver,
 pub use engine::{catch_engine_faults, validate_run_config, Engine, EngineKind, RunOptions};
 pub use exec::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
-    degree_balanced_chunks, even_chunks, init_values, weight_balanced_chunks, NeighborStream,
-    TopoArrays,
+    degree_balanced_chunks, even_chunks, init_values, serial_combine, weight_balanced_chunks,
+    NeighborStream, TopoArrays,
 };
 pub use overlay::{MergedTopoStream, OutSegment, OverlayTopo};
 pub use parallel::{run_parallel, try_run_threads_rec};

@@ -2,8 +2,8 @@
 
 use polymer_api::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
-    DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
-    RecoverySession, RunResult,
+    serial_combine, DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit,
+    IterationDriver, Program, RecoverySession, RunResult,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
@@ -351,7 +351,7 @@ impl Engine for PolymerEngine {
                         },
                         |_tid, ctx, log| {
                             for (t, acc) in log {
-                                atomic_combine(prog, &next, ctx, t, acc);
+                                serial_combine(prog, &next, ctx, t, acc);
                                 let owner = layout.owner(t);
                                 updated
                                     .get(owner)

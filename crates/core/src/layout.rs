@@ -312,30 +312,48 @@ impl PolymerLayout {
             ranges[nnodes - 1].end = n;
         }
 
+        let bounds: Vec<usize> = ranges.iter().map(|r| r.end).collect();
+
+        // One pass over the CSR (push) and one over the CSC (pull) route
+        // every edge to its owner's buffers — on two host threads when the
+        // host has them, since the directions share nothing but the graph.
+        let collect = |push: bool| collect_dir(g, &bounds, push, with_weights);
+        let two_cores = std::thread::available_parallelism().is_ok_and(|c| c.get() > 1);
+        let (push_bufs, pull_bufs) = if with_pull && two_cores {
+            std::thread::scope(|scope| {
+                let pull = scope.spawn(|| collect(false));
+                let push = collect(true);
+                (
+                    push,
+                    Some(pull.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+                )
+            })
+        } else {
+            (collect(true), with_pull.then(|| collect(false)))
+        };
+
+        // Placement is serial and node-major (push then pull within a node):
+        // allocation ids, and with them the cost model's fold order, depend
+        // on this sequence.
+        let mut pull_bufs = pull_bufs.map(Vec::into_iter);
         let mut nodes = Vec::with_capacity(nnodes);
-        for (node, range) in ranges.iter().enumerate() {
-            let push = Self::build_dir(
-                machine,
-                g,
-                node,
-                range,
-                true,
-                threads_per_node[node],
-                with_weights,
-                numa_aware,
-            );
-            let pull = with_pull.then(|| {
-                Self::build_dir(
+        for (node, (range, push_buf)) in ranges.iter().zip(push_bufs).enumerate() {
+            let place = |push: bool, buf: DirBuf| {
+                Self::place_dir(
                     machine,
-                    g,
                     node,
-                    range,
-                    false,
+                    push,
+                    buf,
+                    n,
                     threads_per_node[node],
                     with_weights,
                     numa_aware,
                 )
-            });
+            };
+            let push = place(true, push_buf);
+            let pull = pull_bufs
+                .as_mut()
+                .map(|bufs| place(false, bufs.next().expect("one pull buffer per node")));
             nodes.push(NodeLayout {
                 range: range.clone(),
                 push,
@@ -361,76 +379,32 @@ impl PolymerLayout {
         });
 
         PolymerLayout {
-            bounds: ranges.iter().map(|r| r.end).collect(),
+            bounds,
             nodes,
             out_deg,
             numa_aware,
         }
     }
 
-    /// Build one direction for one node. `push = true` collects edges whose
-    /// target is owned (grouped by source); `push = false` collects edges
-    /// whose source is owned (grouped by target).
+    /// Copy one node's share of one direction into node-local allocations.
     #[allow(clippy::too_many_arguments)]
-    fn build_dir(
+    fn place_dir(
         machine: &Machine,
-        g: &Graph,
         node: usize,
-        range: &Range<usize>,
         push: bool,
+        buf: DirBuf,
+        n: usize,
         threads_per_node: usize,
         with_weights: bool,
         numa_aware: bool,
     ) -> DirLayout {
-        let n = g.num_vertices();
-        // Gather (group_key, endpoint, weight) triples: in push mode the
-        // group key is the edge's source and the endpoint its (owned)
-        // target; in pull mode the key is the target and the endpoint the
-        // (owned) source. CSC/CSR iteration order already yields ascending
-        // group keys.
-        let mut ids = Vec::new();
-        let mut degs = Vec::new();
-        let mut offs = vec![0u32];
-        let mut endpoints = Vec::new();
-        let mut weights = Vec::new();
-
-        if push {
-            // Iterate sources ascending; collect their edges into the range.
-            for s in 0..n as VId {
-                let mut count = 0u32;
-                for (&t, &w) in g.out_neighbors(s).iter().zip(g.out_weights(s)) {
-                    if range.contains(&(t as usize)) {
-                        endpoints.push(t);
-                        weights.push(w);
-                        count += 1;
-                    }
-                }
-                if count > 0 {
-                    ids.push(s);
-                    degs.push(g.out_degree(s) as u32);
-                    offs.push(endpoints.len() as u32);
-                }
-            }
-        } else {
-            // Iterate targets ascending; collect their in-edges from the
-            // range.
-            for t in 0..n as VId {
-                let mut count = 0u32;
-                for (&s, &w) in g.in_neighbors(t).iter().zip(g.in_weights(t)) {
-                    if range.contains(&(s as usize)) {
-                        endpoints.push(s);
-                        weights.push(w);
-                        count += 1;
-                    }
-                }
-                if count > 0 {
-                    ids.push(t);
-                    degs.push(g.out_degree(t) as u32);
-                    offs.push(endpoints.len() as u32);
-                }
-            }
-        }
-
+        let DirBuf {
+            ids,
+            degs,
+            offs,
+            endpoints,
+            weights,
+        } = buf;
         let dir = if push { "push" } else { "pull" };
         let pol = || {
             if numa_aware {
@@ -511,8 +485,7 @@ impl PolymerLayout {
     /// The node owning vertex `v`.
     #[inline]
     pub fn owner(&self, v: usize) -> usize {
-        // Ranges are few (≤ 16); partition_point is a handful of compares.
-        self.bounds.partition_point(|&end| end <= v)
+        owner_of(&self.bounds, v)
     }
 
     /// The vertex ranges, for building chunked placements.
@@ -546,6 +519,75 @@ impl PolymerLayout {
     }
 }
 
+/// The partition owning vertex `v`, given the partitions' end boundaries.
+#[inline]
+fn owner_of(bounds: &[usize], v: usize) -> usize {
+    // Ranges are few (≤ 16); partition_point is a handful of compares.
+    bounds.partition_point(|&end| end <= v)
+}
+
+/// One node's share of one direction as plain vectors: what the pass over
+/// the graph collects and [`PolymerLayout::place_dir`] copies into
+/// node-local allocations.
+struct DirBuf {
+    /// Agent vertex ids, ascending.
+    ids: Vec<u32>,
+    /// Agent out-degrees (the full graph out-degree).
+    degs: Vec<u32>,
+    /// Offsets into `endpoints` (`ids.len() + 1` entries).
+    offs: Vec<u32>,
+    /// Edge endpoints owned by the node, grouped by agent.
+    endpoints: Vec<u32>,
+    /// Edge weights aligned with `endpoints`; empty unless requested.
+    weights: Vec<u32>,
+}
+
+/// Route every edge of one direction to its owner in a single pass over the
+/// graph. `push = true` walks the CSR: an edge goes to the node owning its
+/// *target*, grouped by source. `push = false` walks the CSC: an edge goes
+/// to the node owning its *source*, grouped by target. A vertex becomes an
+/// agent on every node that received at least one of its edges; CSR/CSC
+/// order yields ascending agent ids per node.
+fn collect_dir(g: &Graph, bounds: &[usize], push: bool, with_weights: bool) -> Vec<DirBuf> {
+    let mut bufs: Vec<DirBuf> = bounds
+        .iter()
+        .map(|_| DirBuf {
+            ids: Vec::new(),
+            degs: Vec::new(),
+            offs: vec![0],
+            endpoints: Vec::new(),
+            weights: Vec::new(),
+        })
+        .collect();
+    for v in 0..g.num_vertices() as VId {
+        let (nbrs, ws) = if push {
+            (g.out_neighbors(v), g.out_weights(v))
+        } else {
+            (g.in_neighbors(v), g.in_weights(v))
+        };
+        if nbrs.is_empty() {
+            continue;
+        }
+        for (&u, &w) in nbrs.iter().zip(ws) {
+            let b = &mut bufs[owner_of(bounds, u as usize)];
+            b.endpoints.push(u);
+            if with_weights {
+                b.weights.push(w);
+            }
+        }
+        let deg = g.out_degree(v) as u32;
+        for b in &mut bufs {
+            let end = b.endpoints.len() as u32;
+            if end != b.offs[b.offs.len() - 1] {
+                b.ids.push(v);
+                b.degs.push(deg);
+                b.offs.push(end);
+            }
+        }
+    }
+    bufs
+}
+
 /// Split `0..agents` into per-thread slices with (nearly) equal edge counts,
 /// using the agent offset array.
 fn slice_by_edges(offs: &[u32], parts: usize) -> Vec<Range<usize>> {
@@ -574,6 +616,132 @@ mod tests {
         let m = Machine::new(MachineSpec::test2());
         let l = PolymerLayout::build(&m, g, &[2, 2], balanced, with_pull, false);
         (m, l)
+    }
+
+    /// The oracle for the one-pass build: one node's share of one direction
+    /// by filtering a full scan of the graph on the node's range, as
+    /// `(ids, degs, offs, endpoints, weights)`.
+    type NaiveDir = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
+
+    fn naive_dir(g: &Graph, range: &Range<usize>, push: bool) -> NaiveDir {
+        let (mut ids, mut degs, mut offs) = (Vec::new(), Vec::new(), vec![0u32]);
+        let (mut endpoints, mut weights) = (Vec::new(), Vec::new());
+        for v in 0..g.num_vertices() as VId {
+            let (nbrs, ws) = if push {
+                (g.out_neighbors(v), g.out_weights(v))
+            } else {
+                (g.in_neighbors(v), g.in_weights(v))
+            };
+            let before = endpoints.len();
+            for (&u, &w) in nbrs.iter().zip(ws) {
+                if range.contains(&(u as usize)) {
+                    endpoints.push(u);
+                    weights.push(w);
+                }
+            }
+            if endpoints.len() > before {
+                ids.push(v);
+                degs.push(g.out_degree(v) as u32);
+                offs.push(endpoints.len() as u32);
+            }
+        }
+        (ids, degs, offs, endpoints, weights)
+    }
+
+    /// Every array of `dir` against the oracle's vectors, plus the names the
+    /// direction's allocations must carry, in allocation order.
+    fn assert_dir_matches(
+        g: &Graph,
+        dir: &DirLayout,
+        (ids, degs, offs, endpoints, weights): NaiveDir,
+        name: &str,
+        parts: usize,
+        with_weights: bool,
+        names: &mut Vec<String>,
+    ) {
+        let mut idx = vec![0u32; g.num_vertices()];
+        for (slot, &v) in ids.iter().enumerate() {
+            idx[v as usize] = slot as u32 + 1;
+        }
+        assert_eq!(dir.agent_idx.raw(), &idx[..]);
+        assert_eq!(dir.agent_id.raw(), &ids[..]);
+        assert_eq!(dir.agent_deg.raw(), &degs[..]);
+        assert_eq!(dir.agent_off.raw(), &offs[..]);
+        assert_eq!(dir.endpoint_values(), endpoints);
+        assert_eq!(dir.endpoint.len(), endpoints.len());
+        assert_eq!(dir.slices, slice_by_edges(&offs, parts));
+        for part in ["idx", "id", "deg", "off"] {
+            names.push(format!("agents/{name}_{part}"));
+        }
+        match &dir.endpoint {
+            EndpointStore::Raw(arr) => {
+                assert_eq!(arr.raw(), &endpoints[..]);
+                names.push(format!("topo/{name}_edges"));
+            }
+            EndpointStore::Compressed { lists, .. } => {
+                assert_eq!(lists.num_lists(), ids.len());
+                for (slot, &v) in ids.iter().enumerate() {
+                    let mut want = Vec::new();
+                    let (lo, hi) = (offs[slot] as usize, offs[slot + 1] as usize);
+                    polymer_graph::encode_list(v, &endpoints[lo..hi], &mut want);
+                    assert_eq!(lists.raw_list(slot), &want[..]);
+                }
+                names.push(format!("topo/{name}_edges.coffs"));
+                names.push(format!("topo/{name}_edges.cbytes"));
+            }
+        }
+        match &dir.weight {
+            Some(ws) => {
+                assert!(with_weights);
+                assert_eq!(ws.raw(), &weights[..]);
+                names.push(format!("topo/{name}_w"));
+            }
+            None => assert!(!with_weights),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        // The one-pass build against the per-(node, direction) filter it
+        // replaced: same contents in every array, same per-thread slices,
+        // same allocations in the same order.
+        #[test]
+        fn one_pass_build_matches_naive_per_node_filter(
+            n in 1usize..48,
+            raw_edges in proptest::collection::vec((0usize..48, 0usize..48, 1u32..9), 0..160),
+            tpn in proptest::collection::vec(1usize..4, 1..9),
+            flags in (0u8..2, 0u8..2, 0u8..2, 0u8..2),
+        ) {
+            let (balanced, with_pull, with_weights, compressed) =
+                (flags.0 == 1, flags.1 == 1, flags.2 == 1, flags.3 == 1);
+            let mut el = EdgeList::new(n);
+            for (s, t, w) in raw_edges {
+                el.push(polymer_graph::Edge::weighted((s % n) as VId, (t % n) as VId, w));
+            }
+            let g = Graph::from_edges(&el);
+            let m = Machine::new(MachineSpec::intel80().with_compressed_topology(compressed));
+            let l = PolymerLayout::build(&m, &g, &tpn, balanced, with_pull, with_weights);
+
+            proptest::prop_assert_eq!(l.num_nodes(), tpn.len());
+            let mut names = Vec::new();
+            let mut covered = 0usize;
+            for (node, nl) in l.nodes.iter().enumerate() {
+                proptest::prop_assert_eq!(nl.range.start, covered);
+                covered = nl.range.end;
+                let push = naive_dir(&g, &nl.range, true);
+                assert_dir_matches(&g, &nl.push, push, "push", tpn[node], with_weights, &mut names);
+                proptest::prop_assert_eq!(nl.pull.is_some(), with_pull);
+                if let Some(pull) = &nl.pull {
+                    let want = naive_dir(&g, &nl.range, false);
+                    assert_dir_matches(&g, pull, want, "pull", tpn[node], with_weights, &mut names);
+                }
+            }
+            proptest::prop_assert_eq!(covered, n);
+            names.push("topo/degrees".to_string());
+            let placed: Vec<String> = (0..m.num_allocs() as u32).map(|id| m.alloc_name(id)).collect();
+            proptest::prop_assert_eq!(placed, names);
+        }
     }
 
     #[test]

@@ -21,10 +21,13 @@
 #![deny(unsafe_code)]
 
 use polymer_api::{
-    atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
-    degree_balanced_chunks, even_chunks, init_values, DirectionPolicy, Engine, EngineKind,
-    ExecProfile, FrontierInit, IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
+    charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
+    even_chunks, init_values, serial_combine, DirectionPolicy, Engine, EngineKind, ExecProfile,
+    FrontierInit, IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
 };
+use std::cell::OnceCell;
+use std::ops::Range;
+
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
 use polymer_numa::{AllocPolicy, BarrierKind, Machine};
@@ -137,6 +140,10 @@ impl Engine for LigraEngine {
             }
             bits
         };
+        // Pull chunks are balanced by in-edge counts (Ligra's cilk_for load
+        // balancing), not raw vertex counts. They depend only on the graph,
+        // so they are computed by the first pull iteration, if there is one.
+        let pull_chunks: OnceCell<Vec<Range<usize>>> = OnceCell::new();
         driver.run_recoverable(
             prog.max_iters(),
             &mut frontier,
@@ -169,12 +176,11 @@ impl Engine for LigraEngine {
                     );
                     let bits = fr.as_dense().expect("dense after conversion");
                     let all_active = fr.len() == n;
-                    // Balance pull chunks by in-edge counts (Ligra's cilk_for
-                    // load balancing), not raw vertex counts.
-                    let in_degrees: Vec<u32> = (0..n)
-                        .map(|v| g.in_degree(v as polymer_graph::VId) as u32)
-                        .collect();
-                    let chunks = polymer_graph::edge_balanced_ranges(&in_degrees, threads);
+                    let chunks = pull_chunks.get_or_init(|| {
+                        let in_degrees: Vec<u32> =
+                            (0..n).map(|v| g.in_degree(v as VId) as u32).collect();
+                        polymer_graph::edge_balanced_ranges(&in_degrees, threads)
+                    });
                     // Pull targets are chunk-owned: every accounted write
                     // (`next`, `updated`) lands on the thread's own targets,
                     // and reads see only pre-phase state — so the whole task
@@ -285,7 +291,7 @@ impl Engine for LigraEngine {
                                 // Combine target / updated bit / queue push
                                 // are destination-indexed (random) — scalar
                                 // path.
-                                atomic_combine(prog, &next, ctx, t, c);
+                                serial_combine(prog, &next, ctx, t, c);
                                 if updated.set(ctx, t) {
                                     queues.push(ctx, t as VId);
                                 }

@@ -66,7 +66,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ctx::AccessStats;
-use crate::machine::Machine;
+use crate::machine::{AllocId, Machine};
 use crate::topology::{NodeId, MAX_NODES};
 
 /// Tunable constants of the cost model. Defaults are documented estimates for
@@ -265,12 +265,42 @@ impl BarrierKind {
 /// re-streamed data whose footprint fits in the LLC hits across iterations.
 /// This cross-iteration reuse is what produces the paper's super-linear
 /// PageRank scaling when per-node partitions shrink into cache.
+///
+/// It also keeps its per-(node, array) working state across phases, so that
+/// integrating a phase costs what the phase touched: nothing here is
+/// re-allocated, re-snapshotted or re-scanned per allocation the machine
+/// has ever made.
 pub struct CostModel {
     machine: Machine,
     config: CostConfig,
-    /// `warm[node * stride + alloc]` — the node's LLC has seen this array.
-    warm: Vec<bool>,
-    warm_stride: usize,
+    /// Per-(array, node) state, indexed `alloc * nnodes + node` so that new
+    /// allocations extend it at the end. Outside [`CostModel::phase_cost`]
+    /// only `warm` is set; everything else is zero.
+    pairs: Vec<PairState>,
+    /// Size of every allocation seen so far (sizes never change).
+    alloc_bytes: Vec<u64>,
+    /// Per node, the arrays its threads touched in the phase being
+    /// integrated; empty between phases.
+    touched: Vec<Vec<AllocId>>,
+}
+
+/// What the model knows about one (array, node) pair.
+#[derive(Clone, Default)]
+struct PairState {
+    /// The node's LLC has seen this array in an earlier phase.
+    warm: bool,
+    /// The pair is on this phase's `touched` list.
+    seen: bool,
+    /// Bytes the node's threads accessed this phase.
+    acc_bytes: u64,
+    /// The sequential share of `acc_bytes`.
+    seq_bytes: u64,
+    /// Random transactions this phase.
+    rand_cnt: u64,
+    /// Cache-line footprint this phase.
+    footprint: u64,
+    /// Analytic LLC hit rate this phase.
+    hit_rate: f64,
 }
 
 impl CostModel {
@@ -279,31 +309,15 @@ impl CostModel {
         CostModel {
             machine: machine.clone(),
             config,
-            warm: Vec::new(),
-            warm_stride: 0,
+            pairs: Vec::new(),
+            alloc_bytes: Vec::new(),
+            touched: vec![Vec::new(); machine.topology().num_nodes()],
         }
     }
 
     /// The model's constants.
     pub fn config(&self) -> &CostConfig {
         &self.config
-    }
-
-    fn warm_slot(&mut self, nnodes: usize, nallocs: usize) {
-        if self.warm_stride < nallocs {
-            // Re-grow with a larger stride, preserving old flags.
-            let old_stride = self.warm_stride;
-            let mut fresh = vec![false; nnodes * nallocs];
-            for n in 0..nnodes {
-                for a in 0..old_stride {
-                    if self.warm.get(n * old_stride + a).copied().unwrap_or(false) {
-                        fresh[n * nallocs + a] = true;
-                    }
-                }
-            }
-            self.warm = fresh;
-            self.warm_stride = nallocs;
-        }
     }
 
     /// Integrate one phase: `threads` pairs each thread's home node with its
@@ -319,13 +333,15 @@ impl CostModel {
         let llc = topo.llc_bytes() as f64;
         let max_hit = self.config.max_hit_rate;
 
-        // Snapshot allocation sizes once (avoids per-access locking).
+        // Make room for allocations made since the last phase.
         let nallocs = machine.num_allocs();
-        let alloc_bytes: Vec<u64> = (0..nallocs as u32)
-            .map(|i| machine.alloc_bytes(i))
-            .collect();
-        self.warm_slot(nnodes, nallocs);
+        for id in self.alloc_bytes.len()..nallocs {
+            self.alloc_bytes.push(machine.alloc_bytes(id as AllocId));
+        }
+        self.pairs.resize(nallocs * nnodes, PairState::default());
         let cfg = &self.config;
+        let pairs = &mut self.pairs;
+        let alloc_bytes = &self.alloc_bytes;
 
         // Pass 1 — per (node, array): bytes accessed, cache-line footprint
         // (sequential streams occupy their byte span; each random access
@@ -334,31 +350,22 @@ impl CostModel {
         //   reuse    = 1 if warm from an earlier phase, else the fraction of
         //              accesses that revisit a resident line (1 - fp/bytes)
         //   hit      = min(max_hit, resident * reuse)
-        let mut acc_bytes = vec![0u64; nnodes * nallocs];
-        let mut seq_bytes = vec![0u64; nnodes * nallocs];
-        let mut rand_cnt = vec![0u64; nnodes * nallocs];
+        // Only the pairs some thread touched are visited; everything summed
+        // in this pass is an integer, so the visiting order is free.
         for (node, stats) in threads {
             for (a, s) in stats.iter_arrays() {
-                let k = *node * nallocs + a as usize;
+                let p = &mut pairs[a as usize * nnodes + *node];
+                if !p.seen {
+                    p.seen = true;
+                    self.touched[*node].push(a);
+                }
                 for rw in 0..2 {
                     for dst in 0..nnodes {
-                        acc_bytes[k] += s.bytes[rw][0][dst] + s.bytes[rw][1][dst];
-                        seq_bytes[k] += s.bytes[rw][0][dst];
-                        rand_cnt[k] += s.count[rw][1][dst];
+                        p.acc_bytes += s.bytes[rw][0][dst] + s.bytes[rw][1][dst];
+                        p.seq_bytes += s.bytes[rw][0][dst];
+                        p.rand_cnt += s.count[rw][1][dst];
                     }
                 }
-            }
-        }
-        let mut footprint = vec![0u64; nnodes * nallocs];
-        let mut node_fp = vec![0u64; nnodes];
-        for n in 0..nnodes {
-            for a in 0..nallocs {
-                let k = n * nallocs + a;
-                if acc_bytes[k] == 0 {
-                    continue;
-                }
-                footprint[k] = (seq_bytes[k] + 64 * rand_cnt[k]).min(alloc_bytes[a]);
-                node_fp[n] += footprint[k];
             }
         }
         // LLC capacity is allocated greedily by access density (accesses
@@ -366,37 +373,46 @@ impl CostModel {
         // arrays — stay resident ahead of huge cold edge streams, as an LRU
         // cache would keep them. Each array's resident fraction is the share
         // of its footprint that fits in what remains of the node's LLC.
-        let mut hit_rate = vec![0.0f64; nnodes * nallocs];
+        // `free` is a float running difference, so the order matters: a
+        // stable sort by density over the arrays in ascending id.
+        let mut order: Vec<AllocId> = Vec::new();
         for n in 0..nnodes {
-            if node_fp[n] == 0 {
+            self.touched[n].sort_unstable();
+            let mut node_fp = 0u64;
+            order.clear();
+            for &a in &self.touched[n] {
+                let p = &mut pairs[a as usize * nnodes + n];
+                if p.acc_bytes == 0 {
+                    continue;
+                }
+                p.footprint = (p.seq_bytes + 64 * p.rand_cnt).min(alloc_bytes[a as usize]);
+                node_fp += p.footprint;
+                order.push(a);
+            }
+            if node_fp == 0 {
                 continue;
             }
-            let mut order: Vec<usize> = (0..nallocs)
-                .filter(|&a| acc_bytes[n * nallocs + a] > 0)
-                .collect();
-            order.sort_by(|&a, &b| {
-                let ka = n * nallocs + a;
-                let kb = n * nallocs + b;
-                let da = acc_bytes[ka] as f64 / footprint[ka].max(1) as f64;
-                let db = acc_bytes[kb] as f64 / footprint[kb].max(1) as f64;
-                db.partial_cmp(&da).unwrap()
-            });
+            let density = |a: AllocId| {
+                let p = &pairs[a as usize * nnodes + n];
+                p.acc_bytes as f64 / p.footprint.max(1) as f64
+            };
+            order.sort_by(|&a, &b| density(b).partial_cmp(&density(a)).unwrap());
             let mut free = llc;
-            for a in order {
-                let k = n * nallocs + a;
-                let fp = footprint[k] as f64;
+            for &a in &order {
+                let p = &mut pairs[a as usize * nnodes + n];
+                let fp = p.footprint as f64;
                 let resident = if fp <= free {
                     1.0
                 } else {
                     (free / fp).max(0.0)
                 };
                 free = (free - fp).max(0.0);
-                let reuse = if self.warm[k] {
+                let reuse = if p.warm {
                     1.0
                 } else {
-                    (1.0 - fp / acc_bytes[k] as f64).max(0.0)
+                    (1.0 - fp / p.acc_bytes as f64).max(0.0)
                 };
-                hit_rate[k] = (resident * reuse).min(max_hit);
+                p.hit_rate = (resident * reuse).min(max_hit);
             }
         }
 
@@ -413,7 +429,7 @@ impl CostModel {
             let node = *node;
             let mut time = stats.extra_cycles * cycles_to_us;
             for (a, s) in stats.iter_arrays() {
-                let hit = hit_rate[node * nallocs + a as usize];
+                let hit = pairs[a as usize * nnodes + node].hit_rate;
                 for rw in 0..2 {
                     for pat in 0..2 {
                         let seq = pat == 0;
@@ -475,12 +491,14 @@ impl CostModel {
         // Arrays touched this phase are warm for the next one; how much of a
         // warm array actually survives in cache is the greedy residency
         // fraction computed above, so no explicit eviction pass is needed.
+        // The phase's working state goes back to zero on the way.
         for n in 0..nnodes {
-            for a in 0..nallocs {
-                let k = n * nallocs + a;
-                if acc_bytes[k] > 0 {
-                    self.warm[k] = true;
-                }
+            for a in self.touched[n].drain(..) {
+                let p = &mut pairs[a as usize * nnodes + n];
+                *p = PairState {
+                    warm: p.warm || p.acc_bytes > 0,
+                    ..PairState::default()
+                };
             }
         }
 

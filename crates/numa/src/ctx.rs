@@ -109,10 +109,13 @@ impl ArrStat {
 }
 
 /// Classified access statistics of one simulated thread (or a merge of
-/// several), keyed by allocation.
+/// several), keyed by allocation. Only touched allocations are stored, in
+/// ascending allocation-id order — the order every consumer folds in — so a
+/// phase's statistics cost what the phase touched, not how many allocations
+/// the machine has ever made.
 #[derive(Clone, Debug, Default)]
 pub struct AccessStats {
-    per: Vec<Option<Box<ArrStat>>>,
+    per: Vec<(AllocId, Box<ArrStat>)>,
     /// Extra CPU cycles charged via [`AccessCtx::charge_cycles`]
     /// (per-edge arithmetic beyond the memory accesses).
     pub extra_cycles: f64,
@@ -121,23 +124,19 @@ pub struct AccessStats {
 impl AccessStats {
     /// Merge another stats object into this one.
     pub fn merge(&mut self, other: &AccessStats) {
-        if other.per.len() > self.per.len() {
-            self.per.resize_with(other.per.len(), || None);
-        }
-        for (i, o) in other.per.iter().enumerate() {
-            if let Some(o) = o {
-                self.per[i].get_or_insert_with(Default::default).merge(o);
+        for (id, o) in &other.per {
+            match self.per.binary_search_by_key(id, |(a, _)| *a) {
+                Ok(k) => self.per[k].1.merge(o),
+                Err(k) => self.per.insert(k, (*id, o.clone())),
             }
         }
         self.extra_cycles += other.extra_cycles;
     }
 
-    /// Iterate over the allocations with any recorded accesses.
+    /// Iterate over the allocations with any recorded accesses, in ascending
+    /// allocation-id order.
     pub fn iter_arrays(&self) -> impl Iterator<Item = (AllocId, &ArrStat)> {
-        self.per
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_deref().map(|s| (i as AllocId, s)))
+        self.per.iter().map(|(id, s)| (*id, &**s))
     }
 
     /// Total transactions.
@@ -172,12 +171,15 @@ impl AccessStats {
     /// Bytes moved per `(pattern, dst)` summed over read/write, for one
     /// allocation. Returns `None` when the allocation was never touched.
     pub fn array_bytes(&self, alloc: AllocId) -> Option<&ArrStat> {
-        self.per.get(alloc as usize).and_then(|s| s.as_deref())
+        self.per
+            .binary_search_by_key(&alloc, |(a, _)| *a)
+            .ok()
+            .map(|k| &*self.per[k].1)
     }
 
     /// True when no accesses were recorded.
     pub fn is_empty(&self) -> bool {
-        self.per.iter().all(|s| s.is_none())
+        self.per.is_empty()
     }
 }
 
@@ -195,8 +197,8 @@ struct AllocState {
     page: u64,
     /// Home node of `page`.
     node: NodeId,
-    /// Whether any access landed since the last [`AccessCtx::take_stats`];
-    /// gates which allocations materialize in the harvested stats.
+    /// Whether the allocation is on the context's touched list, i.e. any
+    /// access landed since the last [`AccessCtx::take_stats`].
     touched: bool,
     /// The counters themselves, inline (no box, no option) so the hot path
     /// is lookup → classify → two adds.
@@ -243,6 +245,11 @@ pub struct AccessCtx {
     extra_cycles: f64,
     /// Per-allocation trackers + counters, indexed by [`AllocId`].
     per: Vec<AllocState>,
+    /// Allocations touched since the last [`AccessCtx::take_stats`] — exactly
+    /// the entries of `per` whose `touched` flag is set, in first-touch
+    /// order — so harvesting a phase never walks the allocations it left
+    /// alone.
+    touched: Vec<AllocId>,
     /// True on tiered machines: page→node caches are dropped at phase
     /// boundaries because the promotion layer may migrate pages between
     /// phases. Single-tier machines keep the caches forever, as before.
@@ -271,6 +278,7 @@ impl AccessCtx {
             num_threads: topo.total_cores(),
             extra_cycles: 0.0,
             per: Vec::new(),
+            touched: Vec::new(),
             tiered: topo.is_tiered(),
             heat_mode: HeatMode::Off,
             heat: Vec::new(),
@@ -334,6 +342,31 @@ impl AccessCtx {
         self.per.resize_with(i + 1, AllocState::cold);
     }
 
+    /// Enter `alloc` on the touched list unless it is there already.
+    #[cold]
+    #[inline(never)]
+    fn note_touched(&mut self, alloc: AllocId) {
+        let st = &mut self.per[alloc as usize];
+        if !st.touched {
+            st.touched = true;
+            self.touched.push(alloc);
+        }
+    }
+
+    /// The out-of-line tail of [`AccessCtx::record`]: first-touch
+    /// bookkeeping and heat sampling, neither of which the common access
+    /// needs.
+    #[cold]
+    #[inline(never)]
+    fn record_rare(&mut self, alloc: AllocId, page: usize, first: bool) {
+        if first {
+            self.note_touched(alloc);
+        }
+        if self.heat_mode != HeatMode::Off {
+            self.note_heat_scalar(alloc, page);
+        }
+    }
+
     /// Sequential-window classification against a stream's previous end.
     #[inline]
     fn classify(last: u64, off: u64) -> Pattern {
@@ -360,7 +393,8 @@ impl AccessCtx {
         let off64 = off as u64;
         let page = (off >> placement.page_shift()) as u64;
         let st = self.alloc_state(alloc);
-        let pat = Self::classify(st.last_end, off64);
+        let last = st.last_end;
+        let pat = Self::classify(last, off64);
         st.last_end = off64 + len as u64;
         let dst = if st.page == page {
             st.node
@@ -370,11 +404,16 @@ impl AccessCtx {
             st.node = n;
             n
         };
-        st.touched = true;
         st.stat.bytes[rw.index()][pat.index()][dst] += len as u64;
         st.stat.count[rw.index()][pat.index()][dst] += 1;
-        if self.heat_mode != HeatMode::Off {
-            self.note_heat_scalar(alloc, page as usize);
+        // A reset tracker means no access since the last harvest: the
+        // allocation goes on the touched list. The engines' inner loops
+        // inline this function and are sensitive to every instruction in it,
+        // so the test rides on a value classification loaded anyway and
+        // shares its one out-of-line call with heat sampling.
+        let first = last == u64::MAX;
+        if first || self.heat_mode != HeatMode::Off {
+            self.record_rare(alloc, page as usize, first);
         }
     }
 
@@ -413,15 +452,18 @@ impl AccessCtx {
         }
         let off64 = off as u64;
         let elem64 = elem as u64;
-        let st = self.alloc_state(alloc);
-        let first_pat = Self::classify(st.last_end, off64);
+        let last = self.alloc_state(alloc).last_end;
+        if last == u64::MAX {
+            self.note_touched(alloc);
+        }
+        let st = &mut self.per[alloc as usize];
+        let first_pat = Self::classify(last, off64);
         st.last_end = off64 + elem64 * n as u64;
         // Leave the page cache where the scalar walk would have left it:
         // at the run's final element.
         let last_off = off + (n - 1) * elem;
         st.page = (last_off >> placement.page_shift()) as u64;
         st.node = placement.node_of(last_off);
-        st.touched = true;
         let s = &mut st.stat;
         let rwi = rw.index();
         let seqi = Pattern::Seq.index();
@@ -542,8 +584,10 @@ impl AccessCtx {
         to: NodeId,
     ) {
         let lines = bytes.div_ceil(64);
-        let st = self.alloc_state(alloc);
-        st.touched = true;
+        // Thread 0 may never have accessed the migrated allocation itself.
+        self.alloc_state(alloc);
+        self.note_touched(alloc);
+        let st = &mut self.per[alloc as usize];
         let seqi = Pattern::Seq.index();
         st.stat.bytes[Rw::Read.index()][seqi][from] += bytes;
         st.stat.count[Rw::Read.index()][seqi][from] += lines;
@@ -564,45 +608,52 @@ impl AccessCtx {
     /// immutable and allocation ids never reused, so cached resolutions stay
     /// valid across phases. On tiered machines the caches are dropped too,
     /// because the promotion layer migrates pages between phases.
+    ///
+    /// Only the allocations touched since the previous call are visited.
+    /// That is a complete reset: a tracker or page cache changes only in an
+    /// access, every access enters its allocation on the touched list, and
+    /// an allocation not on the list is still in the state the previous
+    /// harvest left it in.
     pub fn take_stats(&mut self) -> AccessStats {
+        self.harvest().0
+    }
+
+    /// [`AccessCtx::take_stats`] plus the number of [`AllocState`]s it
+    /// visited, which a test pins to the number touched.
+    fn harvest(&mut self) -> (AccessStats, usize) {
         let mut out = AccessStats {
+            per: Vec::with_capacity(self.touched.len()),
             extra_cycles: self.extra_cycles,
-            ..AccessStats::default()
         };
         self.extra_cycles = 0.0;
-        let tiered = self.tiered;
-        for (i, st) in self.per.iter_mut().enumerate() {
+        // Consumers fold in ascending allocation-id order.
+        self.touched.sort_unstable();
+        let mut visited = 0usize;
+        for id in self.touched.drain(..) {
+            let st = &mut self.per[id as usize];
+            visited += 1;
             st.last_end = u64::MAX;
-            if tiered {
+            if self.tiered {
                 st.page = u64::MAX;
             }
-            if st.touched {
-                if out.per.len() <= i {
-                    out.per.resize_with(i + 1, || None);
-                }
-                out.per[i] = Some(Box::new(std::mem::take(&mut st.stat)));
-                st.touched = false;
-            }
+            st.touched = false;
+            out.per.push((id, Box::new(std::mem::take(&mut st.stat))));
         }
-        out
+        (out, visited)
     }
 
     /// Snapshot the statistics accumulated since the last
     /// [`AccessCtx::take_stats`], without resetting anything.
     pub fn stats(&self) -> AccessStats {
-        let mut out = AccessStats {
+        let mut ids = self.touched.clone();
+        ids.sort_unstable();
+        AccessStats {
+            per: ids
+                .into_iter()
+                .map(|id| (id, Box::new(self.per[id as usize].stat.clone())))
+                .collect(),
             extra_cycles: self.extra_cycles,
-            ..AccessStats::default()
-        };
-        for (i, st) in self.per.iter().enumerate() {
-            if st.touched {
-                if out.per.len() <= i {
-                    out.per.resize_with(i + 1, || None);
-                }
-                out.per[i] = Some(Box::new(st.stat.clone()));
-            }
         }
-        out
     }
 }
 
@@ -687,6 +738,82 @@ mod tests {
         let s2 = ctx.take_stats();
         let st = s2.array_bytes(a.alloc_id()).unwrap();
         assert_eq!(st.count[0][Pattern::Rand.index()][0], 1);
+    }
+
+    #[test]
+    fn take_stats_visits_only_touched_allocations() {
+        const LIVE: usize = 50_000;
+        let (m, mut ctx) = setup();
+        let arrays: Vec<_> = (0..LIVE)
+            .map(|_| m.alloc_array::<u64>("a", 2, AllocPolicy::OnNode(0)))
+            .collect();
+        // A phase over every allocation: the context now tracks all of them.
+        for a in &arrays {
+            a.get(&mut ctx, 0);
+        }
+        let (all, visited) = ctx.harvest();
+        assert_eq!(visited, LIVE);
+        assert_eq!(all.total_count(), LIVE as u64);
+        // A phase over one of them costs one entry, not fifty thousand.
+        let hot = &arrays[31_337];
+        hot.get(&mut ctx, 0);
+        let (one, visited) = ctx.harvest();
+        assert_eq!(visited, 1);
+        assert_eq!(one.iter_arrays().count(), 1);
+        assert_eq!(one.array_bytes(hot.alloc_id()).unwrap().total_count(), 1);
+        // Skipping the others lost nothing: their stream trackers were reset
+        // when they were harvested, so continuing a stream is cold again.
+        arrays[7].get(&mut ctx, 1);
+        let (next, visited) = ctx.harvest();
+        assert_eq!(visited, 1);
+        let st = next.array_bytes(arrays[7].alloc_id()).unwrap();
+        assert_eq!(st.count[Rw::Read.index()][Pattern::Rand.index()][0], 1);
+        // An idle phase visits nothing.
+        assert_eq!(ctx.harvest().1, 0);
+    }
+
+    #[test]
+    fn stats_are_keyed_in_ascending_allocation_order() {
+        let (m, mut ctx) = setup();
+        let arrays: Vec<_> = (0..5)
+            .map(|_| m.alloc_array::<u64>("a", 8, AllocPolicy::OnNode(0)))
+            .collect();
+        // First-touch order is descending and interleaved; it must not show.
+        for k in [4usize, 1, 3, 1, 0] {
+            arrays[k].get(&mut ctx, 0);
+        }
+        let ids = |s: &AccessStats| s.iter_arrays().map(|(a, _)| a).collect::<Vec<_>>();
+        let want: Vec<AllocId> = [0usize, 1, 3, 4]
+            .iter()
+            .map(|&k| arrays[k].alloc_id())
+            .collect();
+        assert_eq!(ids(&ctx.stats()), want);
+        let taken = ctx.take_stats();
+        assert_eq!(ids(&taken), want);
+        assert_eq!(
+            taken
+                .array_bytes(arrays[1].alloc_id())
+                .unwrap()
+                .total_count(),
+            2
+        );
+        assert!(taken.array_bytes(arrays[2].alloc_id()).is_none());
+        // Merging keeps the order and adds matching entries.
+        arrays[2].get(&mut ctx, 0);
+        arrays[4].get(&mut ctx, 0);
+        let mut total = taken.clone();
+        total.merge(&ctx.take_stats());
+        assert_eq!(
+            ids(&total),
+            arrays.iter().map(|a| a.alloc_id()).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            total
+                .array_bytes(arrays[4].alloc_id())
+                .unwrap()
+                .total_count(),
+            2
+        );
     }
 
     #[test]

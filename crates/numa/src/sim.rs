@@ -121,10 +121,10 @@ pub struct SimExecutor {
     /// Contiguous tid ranges sharing a home node — the host-parallel shards
     /// of [`SimExecutor::run_phase_split`].
     shards: Vec<std::ops::Range<usize>>,
-    /// Whether `run_phase_split` drives the shards on host threads: the
-    /// spec's [`crate::SimShardMode`] resolved once against the shard count
-    /// and the host's core count.
-    host_parallel: bool,
+    /// Host threads (the caller included) that share the shards in
+    /// `run_phase_split`: the spec's [`crate::SimShardMode`] resolved once
+    /// against the shard count and the host's core count. `1` is serial.
+    participants: usize,
     clock: RunClock,
     /// Spill counter at the last trace checkpoint, for per-phase deltas.
     spilled_seen: u64,
@@ -163,7 +163,7 @@ impl SimExecutor {
             .collect();
         let nodes: Vec<NodeId> = ctxs.iter().map(|c| c.node()).collect();
         let shards = crate::shard::shard_ranges(&nodes);
-        let host_parallel = machine.spec().shard_mode.parallel(shards.len());
+        let participants = machine.spec().shard_mode.participants(shards.len());
         let mut sim = SimExecutor {
             machine: machine.clone(),
             model: CostModel::new(machine, config),
@@ -171,7 +171,7 @@ impl SimExecutor {
             nodes,
             ctxs,
             shards,
-            host_parallel,
+            participants,
             clock: RunClock::default(),
             spilled_seen: machine.spilled_pages(),
             tier: None,
@@ -290,8 +290,9 @@ impl SimExecutor {
 
     /// Run one bulk-synchronous phase split into a side-effect-free compute
     /// half and a serially replayed publish half, allowing the compute half
-    /// to run host-parallel (one host thread per simulated socket) under the
-    /// machine spec's [`crate::SimShardMode`].
+    /// to run host-parallel (one host thread per *host* core, each claiming
+    /// simulated-socket shards) under the machine spec's
+    /// [`crate::SimShardMode`].
     ///
     /// `compute(tid, ctx)` is invoked once per simulated thread and returns a
     /// per-thread payload; when sharding is active, shards run concurrently
@@ -322,8 +323,8 @@ impl SimExecutor {
         compute: impl Fn(usize, &mut AccessCtx) -> D + Sync,
         mut publish: impl FnMut(usize, &mut AccessCtx, D),
     ) -> PhaseCost {
-        let payloads: Vec<D> = if self.host_parallel {
-            crate::shard::run_sharded(&mut self.ctxs, &self.shards, &compute)
+        let payloads: Vec<D> = if self.participants > 1 {
+            crate::shard::run_sharded(&mut self.ctxs, &self.shards, self.participants, &compute)
         } else {
             self.ctxs
                 .iter_mut()
@@ -674,16 +675,23 @@ mod tests {
         assert_eq!(m1, 0.0);
     }
 
-    /// One full compute/publish phase per (mode, run): every thread scans a
-    /// slice of `a`, computes partial float sums, and the publish half
-    /// combines them into a shared accumulator and flags `updated`. Returns
-    /// the bit patterns that must match across modes.
-    fn split_phase_fingerprint(mode: crate::shard::SimShardMode) -> (u64, f64, f64, String) {
-        let m = Machine::new(MachineSpec::intel80().with_shard_mode(mode));
+    /// An executor whose `run_phase_split` shares its shards among exactly
+    /// `participants` host threads, whatever the host's core count.
+    fn sim_with_participants(m: &Machine, threads: usize, participants: usize) -> SimExecutor {
+        let mut sim = SimExecutor::new(m, threads);
+        sim.participants = participants;
+        sim
+    }
+
+    /// One full compute/publish phase per run: every thread scans a slice of
+    /// `a`, computes partial float sums, and the publish half combines them
+    /// into a shared accumulator and flags `upd`. Returns the bit patterns
+    /// that must match however the shards were scheduled.
+    fn split_phase_fingerprint(sim: &mut SimExecutor) -> (u64, f64, f64, String) {
+        let m = sim.machine().clone();
         let a = m.alloc_array_with("a", 1 << 14, AllocPolicy::Interleaved, |i| i as u64);
         let acc = m.alloc_atomic::<f64>("acc", 64, AllocPolicy::OnNode(0));
         let upd = m.alloc_atomic::<u64>("upd", 8, AllocPolicy::OnNode(0));
-        let mut sim = SimExecutor::new(&m, 40);
         let nt = sim.num_threads();
         let mut costs = Vec::new();
         for _ in 0..3 {
@@ -714,11 +722,36 @@ mod tests {
     #[test]
     fn run_phase_split_is_bit_identical_across_shard_modes() {
         use crate::shard::SimShardMode;
+        let run = |mode| {
+            let m = Machine::new(MachineSpec::intel80().with_shard_mode(mode));
+            split_phase_fingerprint(&mut SimExecutor::new(&m, 40))
+        };
         // `On` forces real host threads even on a single-core host, so this
         // exercises the parallel path everywhere.
-        let serial = split_phase_fingerprint(SimShardMode::Off);
-        let sharded = split_phase_fingerprint(SimShardMode::On);
-        assert_eq!(serial, sharded);
+        let serial = run(SimShardMode::Off);
+        assert_eq!(serial, run(SimShardMode::On));
+        // Fewer participants than shards (claiming), as many, and more than
+        // the four shards 40 threads span (clamped): same bits every time.
+        for participants in [1, 2, 3, 8] {
+            let m = Machine::new(MachineSpec::intel80());
+            let mut sim = sim_with_participants(&m, 40, participants);
+            assert_eq!(
+                serial,
+                split_phase_fingerprint(&mut sim),
+                "{participants} participants"
+            );
+        }
+    }
+
+    #[test]
+    fn on_mode_is_concurrent_even_on_a_one_core_host() {
+        use crate::shard::SimShardMode;
+        let m = Machine::new(MachineSpec::intel80().with_shard_mode(SimShardMode::On));
+        assert!(SimExecutor::new(&m, 80).participants >= 2);
+        // One socket is one shard: nothing to share, nothing spawned.
+        assert_eq!(SimExecutor::new(&m, 10).participants, 1);
+        let off = Machine::new(MachineSpec::intel80().with_shard_mode(SimShardMode::Off));
+        assert_eq!(SimExecutor::new(&off, 80).participants, 1);
     }
 
     #[test]
@@ -780,5 +813,37 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "shard task failed");
+    }
+
+    #[test]
+    fn lowest_tid_panic_wins_when_two_shards_panic() {
+        // tid 35 (shard 3) and tid 12 (shard 1) both panic; whichever host
+        // thread got there first, the caller must see shard 1's payload, and
+        // every other shard must still have run to completion.
+        for participants in [2, 3, 8] {
+            let m = Machine::new(MachineSpec::intel80());
+            let mut sim = sim_with_participants(&m, 40, participants);
+            let ran = std::sync::atomic::AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_phase_split(
+                    "boom",
+                    |tid, _ctx| {
+                        match tid {
+                            12 => panic!("low shard failed"),
+                            35 => panic!("high shard failed"),
+                            _ => {}
+                        }
+                        ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    },
+                    |_, _, _| {},
+                );
+            }));
+            let payload = result.expect_err("panic must propagate");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "low shard failed", "{participants} participants");
+            // Shards 0 and 2 ran all ten tids; shards 1 and 3 stopped at
+            // their panicking tid (2 and 5 tids in).
+            assert_eq!(ran.into_inner(), 10 + 2 + 10 + 5);
+        }
     }
 }

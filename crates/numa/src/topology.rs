@@ -117,9 +117,10 @@ pub struct MachineSpec {
     /// [`crate::AccessStats`]; only host wall-clock differs.
     #[serde(default = "default_true")]
     pub bulk_accounting: bool,
-    /// Whether [`crate::SimExecutor::run_phase_split`] drives its per-socket
-    /// shards on host threads. Simulated results are bit-identical in every
-    /// mode.
+    /// How many host threads share the per-socket shards of
+    /// [`crate::SimExecutor::run_phase_split`]: one (`Off`), one per host
+    /// core (`Auto`), or at least two (`On`). Simulated results are
+    /// bit-identical in every mode.
     #[serde(default)]
     pub shard_mode: SimShardMode,
     /// Engines build and traverse delta/varint-compressed neighbour lists
