@@ -35,8 +35,7 @@ pub use bfs::{Bfs, UNVISITED};
 pub use bp::BeliefPropagation;
 pub use cc::ConnectedComponents;
 pub use incremental::{
-    bfs_host, bfs_overlay, cc_host, cc_overlay, pagerank_host, pagerank_overlay, sssp_host,
-    sssp_overlay, WarmStart, DEFAULT_PR_TOL,
+    bfs_overlay, cc_overlay, pagerank_overlay, sssp_overlay, WarmStart, DEFAULT_PR_TOL,
 };
 pub use multi::{run_multi_source, MultiRunResult, MultiSource, SingleSource, MAX_LANES};
 pub use pagerank::PageRank;

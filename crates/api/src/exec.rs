@@ -35,7 +35,7 @@ pub fn check_divergence<T: Atom>(curr: &NumaAtomicArray<T>, iteration: usize) ->
 /// One adjacency array (CSR targets or CSC sources): either the raw `u32`
 /// neighbour array or its delta/varint-compressed form, chosen at build time
 /// by the machine spec's `compressed_topology`.
-enum Adj {
+pub(crate) enum Adj {
     Raw(NumaArray<u32>),
     Compressed(CompressedLists),
 }
@@ -68,7 +68,7 @@ impl Adj {
     /// Raw: one coalesced `u32` read run. Compressed: one offset-pair read
     /// plus one coalesced run over the *encoded* bytes.
     #[inline]
-    fn stream<'s>(
+    pub(crate) fn stream<'s>(
         &'s self,
         ctx: &mut AccessCtx,
         v: usize,
@@ -103,13 +103,13 @@ pub struct TopoArrays {
     /// CSR offsets (`n + 1` entries).
     pub out_off: NumaArray<u64>,
     /// CSR edge targets (raw or compressed).
-    out_adj: Adj,
+    pub(crate) out_adj: Adj,
     /// CSR edge weights (present when the program uses weights).
     pub out_w: Option<NumaArray<u32>>,
     /// CSC offsets (`n + 1` entries).
     pub in_off: NumaArray<u64>,
     /// CSC edge sources (raw or compressed).
-    in_adj: Adj,
+    pub(crate) in_adj: Adj,
     /// Out-degree of each in-edge's source, aligned with the CSC edge order —
     /// pull loops read it sequentially with the edge instead of randomly from
     /// the vertex metadata (the real systems pack adjacency metadata this

@@ -23,7 +23,10 @@
 //! the delta offset pair plus delta endpoint/weight runs. Simulated
 //! `PhaseCosts` therefore show the true price of reading through an
 //! overlay: slightly more traffic per sweep than the static path, which is
-//! the bandwidth argument for threshold compaction.
+//! the bandwidth argument for threshold compaction. The out and in sides
+//! share one body per accessor (whole-vertex and segment streams are the
+//! same one: a whole vertex is the segment `lo..hi` carrying the delta run)
+//! over a private per-direction view; the public names only pick the side.
 //!
 //! Staleness: the overlay snapshots the mutable graph's `epoch` and
 //! `generation`. [`OverlayTopo::is_stale`] tells a resident holder (the
@@ -33,23 +36,18 @@
 //! and re-creates every page→node placement map; serving from the old
 //! encoding is the staleness bug the regression suite pins.
 
-use polymer_graph::{MutableGraph, VId};
+use polymer_graph::{MutableGraph, VId, Weight};
 use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaArray};
 
-use crate::exec::{NeighborStream, TopoArrays};
+use crate::exec::{Adj, NeighborStream, TopoArrays};
 
 /// Placed base topology plus placed mutation overlay. See the module docs.
 pub struct OverlayTopo {
     /// The placed base topology (shared representation with the static
     /// engines, including compression when enabled).
     pub base: TopoArrays,
-    d_out_off: NumaArray<u64>,
-    d_out_dst: NumaArray<u32>,
-    d_out_w: Option<NumaArray<u32>>,
-    d_in_off: NumaArray<u64>,
-    d_in_src: NumaArray<u32>,
-    d_in_w: Option<NumaArray<u32>>,
-    tomb: Option<TombArrays>,
+    out: DirOverlay,
+    inc: DirOverlay,
     /// Live out-degree of every vertex (base − tombstoned + inserted).
     pub live_out_deg: NumaArray<u32>,
     epoch: u64,
@@ -58,14 +56,192 @@ pub struct OverlayTopo {
     live_edges: usize,
 }
 
-/// Tombstone masks aligned with the base edge arrays, plus per-vertex
-/// "has tombstones" flags so unaffected vertices pay one flag byte, not a
-/// mask run.
-struct TombArrays {
-    flag_out: NumaArray<u8>,
-    mask_out: NumaArray<u8>,
-    flag_in: NumaArray<u8>,
-    mask_in: NumaArray<u8>,
+/// One direction of the overlay: the delta CSR (out) or CSC (in) holding the
+/// overlay inserts, and the tombstones over that direction's base edge array.
+struct DirOverlay {
+    off: NumaArray<u64>,
+    adj: NumaArray<u32>,
+    w: Option<NumaArray<u32>>,
+    /// Per-vertex "has tombstones" flag bytes and the mask aligned with the
+    /// base edge array, so unaffected vertices pay one flag byte, not a mask
+    /// run. `None` while the overlay holds no tombstone.
+    tomb: Option<(NumaArray<u8>, NumaArray<u8>)>,
+}
+
+fn place<T: Copy>(
+    machine: &Machine,
+    policy: &impl Fn(&str) -> AllocPolicy,
+    name: &str,
+    len: usize,
+    init: impl FnMut(usize) -> T,
+) -> NumaArray<T> {
+    machine.alloc_array_with(name, len, policy(name), init)
+}
+
+impl DirOverlay {
+    /// Place one direction's insert lists as `topo/delta_{dir}_off`,
+    /// `topo/delta_{dir}_{end}` and, with weights, `topo/delta_{dir}_w`.
+    fn place_inserts<'l>(
+        machine: &Machine,
+        policy: &impl Fn(&str) -> AllocPolicy,
+        [dir, end]: [&str; 2],
+        n: usize,
+        with_weights: bool,
+        inserts: impl Fn(VId) -> &'l [(VId, Weight)],
+    ) -> Self {
+        let mut off = vec![0u64; n + 1];
+        let (mut adj, mut w) = (Vec::new(), Vec::new());
+        for v in 0..n {
+            for &(x, wt) in inserts(v as VId) {
+                adj.push(x);
+                w.push(wt);
+            }
+            off[v + 1] = adj.len() as u64;
+        }
+        let name = |part: &str| format!("topo/delta_{dir}_{part}");
+        let edges = adj.len().max(1);
+        DirOverlay {
+            off: place(machine, policy, &name("off"), n + 1, |i| off[i]),
+            adj: place(machine, policy, &name(end), edges, |i| {
+                *adj.get(i).unwrap_or(&0)
+            }),
+            w: with_weights.then(|| {
+                place(machine, policy, &name("w"), edges, |i| {
+                    *w.get(i).unwrap_or(&0)
+                })
+            }),
+            tomb: None,
+        }
+    }
+
+    /// Place this direction's tombstones as `topo/tomb_flag_{dir}` and
+    /// `topo/tomb_{dir}`: `offsets` and `adj` are the base CSR (or CSC),
+    /// `dead(v)` the tombstoned neighbours of `v`.
+    fn place_tombstones<'l>(
+        &mut self,
+        machine: &Machine,
+        policy: &impl Fn(&str) -> AllocPolicy,
+        dir: &str,
+        (offsets, adj): (&[usize], &[VId]),
+        dead: impl Fn(VId) -> &'l [VId],
+    ) {
+        let n = offsets.len() - 1;
+        let mut flag = vec![0u8; n];
+        let mut mask = vec![0u8; adj.len()];
+        for v in 0..n {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            for d in dead(v as VId) {
+                let k = adj[lo..hi]
+                    .binary_search(d)
+                    .expect("tombstone names a base edge");
+                mask[lo + k] = 1;
+                flag[v] = 1;
+            }
+        }
+        let (flag_name, mask_name) = (format!("topo/tomb_flag_{dir}"), format!("topo/tomb_{dir}"));
+        self.tomb = Some((
+            place(machine, policy, &flag_name, n, |i| flag[i]),
+            place(machine, policy, &mask_name, mask.len().max(1), |i| {
+                *mask.get(i).unwrap_or(&0)
+            }),
+        ));
+    }
+}
+
+/// Everything a merged stream of one direction reads: that direction's base
+/// arrays and its overlay. Every out/in accessor pair of [`OverlayTopo`] is
+/// one method here, over [`OverlayTopo::out_dir`] or [`OverlayTopo::in_dir`].
+#[derive(Clone, Copy)]
+struct Dir<'s> {
+    off: &'s NumaArray<u64>,
+    adj: &'s Adj,
+    w: Option<&'s NumaArray<u32>>,
+    ov: &'s DirOverlay,
+}
+
+impl<'s> Dir<'s> {
+    /// Accounted merged stream of `v`'s live edges: the planned segment
+    /// `seg`, or the whole vertex (base positions from the offset pair, delta
+    /// run included) when `None`. Charges, in this order: base offset pair,
+    /// base neighbour sub-run (+ weight sub-run), tombstone flag byte (+ mask
+    /// sub-run when flagged) and — for a delta-carrying segment — the delta
+    /// offset pair (+ endpoint/weight runs when non-empty).
+    #[inline]
+    fn stream(
+        self,
+        ctx: &mut AccessCtx,
+        v: usize,
+        seg: Option<OutSegment>,
+    ) -> MergedTopoStream<'s> {
+        let pair = self.off.load_range(ctx, v..v + 2);
+        let (lo, hi, delta) = match seg {
+            Some(s) => (s.lo as usize, s.hi as usize, s.delta),
+            None => (pair[0] as usize, pair[1] as usize, true),
+        };
+        let base = self.adj.stream(ctx, v, lo, hi);
+        let base_w = self.w.map(|w| w.load_range(ctx, lo..hi));
+        let mask = match &self.ov.tomb {
+            Some((flag, mask)) if flag.load_range(ctx, v..v + 1)[0] != 0 => {
+                Some(mask.load_range(ctx, lo..hi))
+            }
+            _ => None,
+        };
+        let (mut ins, mut ins_w): (&[u32], _) = (&[], None);
+        if delta {
+            let dpair = self.ov.off.load_range(ctx, v..v + 2);
+            let (dlo, dhi) = (dpair[0] as usize, dpair[1] as usize);
+            if dlo < dhi {
+                ins = self.ov.adj.load_range(ctx, dlo..dhi);
+                ins_w = self.ov.w.as_ref().map(|w| w.load_range(ctx, dlo..dhi));
+            }
+        }
+        MergedTopoStream {
+            base,
+            base_w,
+            mask,
+            pulled: 0,
+            peek: None,
+            ins,
+            ins_w,
+            ii: 0,
+        }
+    }
+
+    /// Split the merged adjacencies of `items` into segments of at most
+    /// `grain` base entries; the first segment of each vertex also carries
+    /// its delta-insert run. A compressed neighbour stream cannot start
+    /// mid-list (delta decoding is cumulative), so every vertex stays one
+    /// whole segment there — same behaviour as vertex-level chunking.
+    fn plan(self, items: &[VId], grain: usize) -> Vec<OutSegment> {
+        let grain = u32::try_from(grain.max(1)).unwrap_or(u32::MAX);
+        let (off, doff) = (self.off.raw(), self.ov.off.raw());
+        let step = match self.adj {
+            Adj::Raw(_) => grain,
+            Adj::Compressed(_) => u32::MAX,
+        };
+        let mut segs = Vec::with_capacity(items.len());
+        for &v in items {
+            let (lo, hi) = (off[v as usize] as u32, off[v as usize + 1] as u32);
+            let dwidth = (doff[v as usize + 1] - doff[v as usize]) as u32;
+            let mut s = lo;
+            loop {
+                let e = hi.min(s.saturating_add(step));
+                let delta = s == lo;
+                segs.push(OutSegment {
+                    v,
+                    lo: s,
+                    hi: e,
+                    delta,
+                    weight: e - s + if delta { dwidth } else { 0 },
+                });
+                s = e;
+                if s >= hi {
+                    break;
+                }
+            }
+        }
+        segs
+    }
 }
 
 impl OverlayTopo {
@@ -82,145 +258,27 @@ impl OverlayTopo {
         let n = g.num_vertices();
         let base = TopoArrays::build(machine, g, with_weights, &policy);
         let log = mg.log();
-
-        // Delta CSR (overlay inserts, out direction).
-        let mut doff = vec![0u64; n + 1];
-        for v in 0..n {
-            doff[v + 1] = doff[v] + log.inserts_out(v as VId).len() as u64;
-        }
-        let d_edges = doff[n] as usize;
-        let mut ddst = Vec::with_capacity(d_edges);
-        let mut dw = Vec::with_capacity(d_edges);
-        for v in 0..n {
-            for &(d, w) in log.inserts_out(v as VId) {
-                ddst.push(d);
-                dw.push(w);
-            }
-        }
-        let d_out_off = machine.alloc_array_with(
-            "topo/delta_out_off",
-            n + 1,
-            policy("topo/delta_out_off"),
-            |i| doff[i],
-        );
-        let d_out_dst = machine.alloc_array_with(
-            "topo/delta_out_dst",
-            d_edges.max(1),
-            policy("topo/delta_out_dst"),
-            |i| *ddst.get(i).unwrap_or(&0),
-        );
-        let d_out_w = with_weights.then(|| {
-            machine.alloc_array_with(
-                "topo/delta_out_w",
-                d_edges.max(1),
-                policy("topo/delta_out_w"),
-                |i| *dw.get(i).unwrap_or(&0),
-            )
+        let (m, p) = (machine, &policy);
+        let mut out = DirOverlay::place_inserts(m, p, ["out", "dst"], n, with_weights, |v| {
+            log.inserts_out(v)
         });
-
-        // Delta CSC (overlay inserts, in direction).
-        let mut dioff = vec![0u64; n + 1];
-        for v in 0..n {
-            dioff[v + 1] = dioff[v] + log.inserts_in(v as VId).len() as u64;
+        let mut inc =
+            DirOverlay::place_inserts(m, p, ["in", "src"], n, with_weights, |v| log.inserts_in(v));
+        if log.num_tombstones() > 0 {
+            let (csr, csc) = (
+                (g.out_offsets(), g.out_targets()),
+                (g.in_offsets(), g.in_sources()),
+            );
+            out.place_tombstones(m, p, "out", csr, |v| log.tombstones_out(v));
+            inc.place_tombstones(m, p, "in", csc, |v| log.tombstones_in(v));
         }
-        let mut dsrc = Vec::with_capacity(d_edges);
-        let mut diw = Vec::with_capacity(d_edges);
-        for v in 0..n {
-            for &(s, w) in log.inserts_in(v as VId) {
-                dsrc.push(s);
-                diw.push(w);
-            }
-        }
-        let d_in_off = machine.alloc_array_with(
-            "topo/delta_in_off",
-            n + 1,
-            policy("topo/delta_in_off"),
-            |i| dioff[i],
-        );
-        let d_in_src = machine.alloc_array_with(
-            "topo/delta_in_src",
-            d_edges.max(1),
-            policy("topo/delta_in_src"),
-            |i| *dsrc.get(i).unwrap_or(&0),
-        );
-        let d_in_w = with_weights.then(|| {
-            machine.alloc_array_with(
-                "topo/delta_in_w",
-                d_edges.max(1),
-                policy("topo/delta_in_w"),
-                |i| *diw.get(i).unwrap_or(&0),
-            )
+        let live_out_deg = place(m, p, "topo/live_deg", n, |v| {
+            mg.live_out_degree(v as VId) as u32
         });
-
-        // Tombstone masks, aligned with the base edge arrays.
-        let tomb = (log.num_tombstones() > 0).then(|| {
-            let m = g.num_edges();
-            let mut mask_out = vec![0u8; m];
-            let mut flag_out = vec![0u8; n];
-            let mut mask_in = vec![0u8; m];
-            let mut flag_in = vec![0u8; n];
-            for v in 0..n as VId {
-                let lo = g.out_offsets()[v as usize];
-                for &dead in log.tombstones_out(v) {
-                    let k = g
-                        .out_neighbors(v)
-                        .binary_search(&dead)
-                        .expect("tombstone names a base edge");
-                    mask_out[lo + k] = 1;
-                    flag_out[v as usize] = 1;
-                }
-                let lo = g.in_offsets()[v as usize];
-                for &dead in log.tombstones_in(v) {
-                    let k = g
-                        .in_neighbors(v)
-                        .binary_search(&dead)
-                        .expect("tombstone names a base edge");
-                    mask_in[lo + k] = 1;
-                    flag_in[v as usize] = 1;
-                }
-            }
-            TombArrays {
-                flag_out: machine.alloc_array_with(
-                    "topo/tomb_flag_out",
-                    n,
-                    policy("topo/tomb_flag_out"),
-                    |i| flag_out[i],
-                ),
-                mask_out: machine.alloc_array_with(
-                    "topo/tomb_out",
-                    m.max(1),
-                    policy("topo/tomb_out"),
-                    |i| *mask_out.get(i).unwrap_or(&0),
-                ),
-                flag_in: machine.alloc_array_with(
-                    "topo/tomb_flag_in",
-                    n,
-                    policy("topo/tomb_flag_in"),
-                    |i| flag_in[i],
-                ),
-                mask_in: machine.alloc_array_with(
-                    "topo/tomb_in",
-                    m.max(1),
-                    policy("topo/tomb_in"),
-                    |i| *mask_in.get(i).unwrap_or(&0),
-                ),
-            }
-        });
-
-        let live_out_deg =
-            machine.alloc_array_with("topo/live_deg", n, policy("topo/live_deg"), |v| {
-                mg.live_out_degree(v as VId) as u32
-            });
-
         OverlayTopo {
             base,
-            d_out_off,
-            d_out_dst,
-            d_out_w,
-            d_in_off,
-            d_in_src,
-            d_in_w,
-            tomb,
+            out,
+            inc,
             live_out_deg,
             epoch: mg.epoch(),
             generation: mg.generation(),
@@ -257,59 +315,37 @@ impl OverlayTopo {
         self.epoch != mg.epoch() || self.generation != mg.generation()
     }
 
+    fn out_dir(&self) -> Dir<'_> {
+        Dir {
+            off: &self.base.out_off,
+            adj: &self.base.out_adj,
+            w: self.base.out_w.as_ref(),
+            ov: &self.out,
+        }
+    }
+
+    fn in_dir(&self) -> Dir<'_> {
+        Dir {
+            off: &self.base.in_off,
+            adj: &self.base.in_adj,
+            w: self.base.in_w.as_ref(),
+            ov: &self.inc,
+        }
+    }
+
     /// Accounted merged stream of `v`'s live out-edges as
     /// `(dst, weight)` in increasing `dst` order (weight 1 when built
     /// without weights). Charges: base offset pair + neighbour run (+
     /// weight run), tombstone flag byte (+ mask run when flagged), delta
     /// offset pair (+ endpoint/weight runs when non-empty).
-    pub fn out_stream<'s>(&'s self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'s> {
-        let pair = self.base.out_off.load_range(ctx, v..v + 2);
-        let (lo, hi) = (pair[0] as usize, pair[1] as usize);
-        let base = self.base.out_dst_stream(ctx, v, lo, hi);
-        let base_w = self.base.out_w.as_ref().map(|w| w.load_range(ctx, lo..hi));
-        let mask = match &self.tomb {
-            Some(t) if t.flag_out.load_range(ctx, v..v + 1)[0] != 0 => {
-                Some(t.mask_out.load_range(ctx, lo..hi))
-            }
-            _ => None,
-        };
-        let dpair = self.d_out_off.load_range(ctx, v..v + 2);
-        let (dlo, dhi) = (dpair[0] as usize, dpair[1] as usize);
-        let (ins, ins_w) = if dlo < dhi {
-            (
-                self.d_out_dst.load_range(ctx, dlo..dhi),
-                self.d_out_w.as_ref().map(|w| w.load_range(ctx, dlo..dhi)),
-            )
-        } else {
-            (&[][..], None)
-        };
-        MergedTopoStream::new(base, base_w, mask, ins, ins_w)
+    pub fn out_stream(&self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'_> {
+        self.out_dir().stream(ctx, v, None)
     }
 
     /// Accounted merged stream of `v`'s live in-edges as `(src, weight)`
     /// in increasing `src` order. Mirror of [`OverlayTopo::out_stream`].
-    pub fn in_stream<'s>(&'s self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'s> {
-        let pair = self.base.in_off.load_range(ctx, v..v + 2);
-        let (lo, hi) = (pair[0] as usize, pair[1] as usize);
-        let base = self.base.in_src_stream(ctx, v, lo, hi);
-        let base_w = self.base.in_w.as_ref().map(|w| w.load_range(ctx, lo..hi));
-        let mask = match &self.tomb {
-            Some(t) if t.flag_in.load_range(ctx, v..v + 1)[0] != 0 => {
-                Some(t.mask_in.load_range(ctx, lo..hi))
-            }
-            _ => None,
-        };
-        let dpair = self.d_in_off.load_range(ctx, v..v + 2);
-        let (dlo, dhi) = (dpair[0] as usize, dpair[1] as usize);
-        let (ins, ins_w) = if dlo < dhi {
-            (
-                self.d_in_src.load_range(ctx, dlo..dhi),
-                self.d_in_w.as_ref().map(|w| w.load_range(ctx, dlo..dhi)),
-            )
-        } else {
-            (&[][..], None)
-        };
-        MergedTopoStream::new(base, base_w, mask, ins, ins_w)
+    pub fn in_stream(&self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'_> {
+        self.in_dir().stream(ctx, v, None)
     }
 
     /// Live out-degree of `v`, unaccounted (work planning).
@@ -321,121 +357,16 @@ impl OverlayTopo {
     /// `items` into segments of at most `grain` base entries, so one
     /// high-degree vertex can spread across many threads instead of
     /// serializing a whole scatter round behind a single hub scan. The
-    /// first segment of each vertex also carries its delta-insert run.
-    ///
-    /// With the compressed base representation a neighbour stream cannot
-    /// start mid-list (delta decoding is cumulative), so every vertex stays
-    /// one whole segment there — same behaviour as vertex-level chunking.
+    /// first segment of each vertex also carries its delta-insert run;
+    /// over a compressed base every vertex stays one whole segment.
     pub fn plan_out_segments(&self, items: &[VId], grain: usize) -> Vec<OutSegment> {
-        let grain = grain.max(1);
-        let off = self.base.out_off.raw();
-        let doff = self.d_out_off.raw();
-        let whole = self.base.is_compressed();
-        let mut segs = Vec::with_capacity(items.len());
-        for &v in items {
-            let (lo, hi) = (off[v as usize] as u32, off[v as usize + 1] as u32);
-            let dwidth = (doff[v as usize + 1] - doff[v as usize]) as u32;
-            if whole || (hi - lo) as usize <= grain {
-                segs.push(OutSegment {
-                    v,
-                    lo,
-                    hi,
-                    delta: true,
-                    weight: hi - lo + dwidth,
-                });
-                continue;
-            }
-            let mut s = lo;
-            while s < hi {
-                let e = hi.min(s + grain as u32);
-                segs.push(OutSegment {
-                    v,
-                    lo: s,
-                    hi: e,
-                    delta: s == lo,
-                    weight: e - s + if s == lo { dwidth } else { 0 },
-                });
-                s = e;
-            }
-        }
-        segs
+        self.out_dir().plan(items, grain)
     }
 
     /// Unaccounted (work planning): the in-side mirror of
     /// [`OverlayTopo::plan_out_segments`].
     pub fn plan_in_segments(&self, items: &[VId], grain: usize) -> Vec<OutSegment> {
-        let grain = grain.max(1);
-        let off = self.base.in_off.raw();
-        let doff = self.d_in_off.raw();
-        let whole = self.base.is_compressed();
-        let mut segs = Vec::with_capacity(items.len());
-        for &v in items {
-            let (lo, hi) = (off[v as usize] as u32, off[v as usize + 1] as u32);
-            let dwidth = (doff[v as usize + 1] - doff[v as usize]) as u32;
-            if whole || (hi - lo) as usize <= grain {
-                segs.push(OutSegment {
-                    v,
-                    lo,
-                    hi,
-                    delta: true,
-                    weight: hi - lo + dwidth,
-                });
-                continue;
-            }
-            let mut s = lo;
-            while s < hi {
-                let e = hi.min(s + grain as u32);
-                segs.push(OutSegment {
-                    v,
-                    lo: s,
-                    hi: e,
-                    delta: s == lo,
-                    weight: e - s + if s == lo { dwidth } else { 0 },
-                });
-                s = e;
-            }
-        }
-        segs
-    }
-
-    /// Accounted merged stream over one planned segment of `v`'s live
-    /// in-edges ([`OverlayTopo::plan_in_segments`]); the in-side mirror of
-    /// [`OverlayTopo::out_stream_segment`].
-    pub fn in_stream_segment<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        seg: OutSegment,
-    ) -> MergedTopoStream<'s> {
-        let v = seg.v as usize;
-        if self.base.is_compressed() {
-            // Plan guarantees whole-vertex segments here.
-            return self.in_stream(ctx, v);
-        }
-        self.base.in_off.load_range(ctx, v..v + 2);
-        let (lo, hi) = (seg.lo as usize, seg.hi as usize);
-        let base = self.base.in_src_stream(ctx, v, lo, hi);
-        let base_w = self.base.in_w.as_ref().map(|w| w.load_range(ctx, lo..hi));
-        let mask = match &self.tomb {
-            Some(t) if t.flag_in.load_range(ctx, v..v + 1)[0] != 0 => {
-                Some(t.mask_in.load_range(ctx, lo..hi))
-            }
-            _ => None,
-        };
-        let (ins, ins_w) = if seg.delta {
-            let dpair = self.d_in_off.load_range(ctx, v..v + 2);
-            let (dlo, dhi) = (dpair[0] as usize, dpair[1] as usize);
-            if dlo < dhi {
-                (
-                    self.d_in_src.load_range(ctx, dlo..dhi),
-                    self.d_in_w.as_ref().map(|w| w.load_range(ctx, dlo..dhi)),
-                )
-            } else {
-                (&[][..], None)
-            }
-        } else {
-            (&[][..], None)
-        };
-        MergedTopoStream::new(base, base_w, mask, ins, ins_w)
+        self.in_dir().plan(items, grain)
     }
 
     /// Accounted merged stream over one planned segment of `v`'s live
@@ -444,48 +375,22 @@ impl OverlayTopo {
     /// pair, the base neighbour/weight sub-runs, the tombstone flag byte
     /// (+ mask sub-run when flagged), and — only for the delta-carrying
     /// segment — the delta offset pair and endpoint/weight runs.
-    pub fn out_stream_segment<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        seg: OutSegment,
-    ) -> MergedTopoStream<'s> {
-        let v = seg.v as usize;
-        if self.base.is_compressed() {
-            // Plan guarantees whole-vertex segments here.
-            return self.out_stream(ctx, v);
-        }
-        self.base.out_off.load_range(ctx, v..v + 2);
-        let (lo, hi) = (seg.lo as usize, seg.hi as usize);
-        let base = self.base.out_dst_stream(ctx, v, lo, hi);
-        let base_w = self.base.out_w.as_ref().map(|w| w.load_range(ctx, lo..hi));
-        let mask = match &self.tomb {
-            Some(t) if t.flag_out.load_range(ctx, v..v + 1)[0] != 0 => {
-                Some(t.mask_out.load_range(ctx, lo..hi))
-            }
-            _ => None,
-        };
-        let (ins, ins_w) = if seg.delta {
-            let dpair = self.d_out_off.load_range(ctx, v..v + 2);
-            let (dlo, dhi) = (dpair[0] as usize, dpair[1] as usize);
-            if dlo < dhi {
-                (
-                    self.d_out_dst.load_range(ctx, dlo..dhi),
-                    self.d_out_w.as_ref().map(|w| w.load_range(ctx, dlo..dhi)),
-                )
-            } else {
-                (&[][..], None)
-            }
-        } else {
-            (&[][..], None)
-        };
-        MergedTopoStream::new(base, base_w, mask, ins, ins_w)
+    pub fn out_stream_segment(&self, ctx: &mut AccessCtx, seg: OutSegment) -> MergedTopoStream<'_> {
+        self.out_dir().stream(ctx, seg.v as usize, Some(seg))
+    }
+
+    /// Accounted merged stream over one planned segment of `v`'s live
+    /// in-edges ([`OverlayTopo::plan_in_segments`]); the in-side mirror of
+    /// [`OverlayTopo::out_stream_segment`].
+    pub fn in_stream_segment(&self, ctx: &mut AccessCtx, seg: OutSegment) -> MergedTopoStream<'_> {
+        self.in_dir().stream(ctx, seg.v as usize, Some(seg))
     }
 
     /// Simulated bytes one full out+in sweep moves through the merged
     /// neighbour storage (base representation + delta endpoints), for
     /// reporting.
     pub fn neighbor_sweep_bytes(&self) -> usize {
-        let delta = 2 * (self.d_out_dst.len() + self.d_in_src.len()) * std::mem::size_of::<u32>();
+        let delta = 2 * (self.out.adj.len() + self.inc.adj.len()) * std::mem::size_of::<u32>();
         self.base.neighbor_sweep_bytes() + delta
     }
 }
@@ -524,26 +429,7 @@ pub struct MergedTopoStream<'a> {
     ii: usize,
 }
 
-impl<'a> MergedTopoStream<'a> {
-    fn new(
-        base: NeighborStream<'a>,
-        base_w: Option<&'a [u32]>,
-        mask: Option<&'a [u8]>,
-        ins: &'a [u32],
-        ins_w: Option<&'a [u32]>,
-    ) -> Self {
-        MergedTopoStream {
-            base,
-            base_w,
-            mask,
-            pulled: 0,
-            peek: None,
-            ins,
-            ins_w,
-            ii: 0,
-        }
-    }
-
+impl MergedTopoStream<'_> {
     fn pull_base(&mut self) {
         while self.peek.is_none() {
             match self.base.next() {
@@ -604,80 +490,100 @@ mod tests {
     use polymer_graph::{DeltaBatch, Edge, EdgeList};
     use polymer_numa::MachineSpec;
 
-    fn mutated() -> MutableGraph {
-        // 0->1 (w 1), 0->2 (w 2), 1->2 (w 12), 2->3 (w 23); then delete
-        // (0,2), insert (0,3) w 3 and (2,0) w 20, reweight (1,2) to 99.
-        let mut el = EdgeList::new(4);
-        el.push(Edge::weighted(0, 1, 1));
-        el.push(Edge::weighted(0, 2, 2));
-        el.push(Edge::weighted(1, 2, 12));
-        el.push(Edge::weighted(2, 3, 23));
+    /// Vertex 0 is an out-hub (five base edges, one deleted, one reweighted,
+    /// two inserted) and an in-hub (four base edges, one deleted, one
+    /// inserted); 5 is untouched; 6 and 7 have overlay entries only.
+    fn hub_graph() -> MutableGraph {
+        let mut el = EdgeList::new(8);
+        for v in 1..=5 {
+            el.push(Edge::weighted(0, v, 10 + v));
+        }
+        for v in 1..=4 {
+            el.push(Edge::weighted(v, 0, 20 + v));
+        }
+        el.push(Edge::weighted(5, 4, 54));
         let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
         let mut b = DeltaBatch::new();
-        b.delete(0, 2)
-            .insert(0, 3, 3)
-            .insert(2, 0, 20)
-            .insert(1, 2, 99);
+        b.delete(0, 2).delete(3, 0).insert(0, 4, 99);
+        b.insert(0, 6, 6).insert(0, 7, 7).insert(6, 0, 60);
         mg.apply(&b).unwrap();
         mg
     }
 
     #[test]
     fn merged_streams_match_host_view() {
-        let mg = mutated();
+        let mg = hub_graph();
         let machine = Machine::new(MachineSpec::test2());
         let topo = OverlayTopo::build(&machine, &mg, true, |_| AllocPolicy::Interleaved);
         let mut ctx = AccessCtx::new(&machine, 0);
         for v in 0..mg.num_vertices() {
-            let sim: Vec<(u32, u32)> = topo.out_stream(&mut ctx, v).collect();
-            let host: Vec<(u32, u32)> = mg.out_edges(v as VId).collect();
-            assert_eq!(sim, host, "out-edges of {v}");
-            let sim: Vec<(u32, u32)> = topo.in_stream(&mut ctx, v).collect();
-            let host: Vec<(u32, u32)> = mg.in_edges(v as VId).collect();
-            assert_eq!(sim, host, "in-edges of {v}");
+            let host = mg.out_edges(v as VId);
+            assert!(topo.out_stream(&mut ctx, v).eq(host), "out-edges of {v}");
+            let host = mg.in_edges(v as VId);
+            assert!(topo.in_stream(&mut ctx, v).eq(host), "in-edges of {v}");
         }
         assert_eq!(topo.num_live_edges(), mg.num_live_edges());
-        assert_eq!(topo.raw_live_out_degree(0), 2); // ->1, ->3
+        assert_eq!(topo.raw_live_out_degree(0), 6);
         assert!(!topo.is_stale(&mg));
     }
 
-    #[test]
-    fn unweighted_streams_yield_unit_weights() {
-        let mg = mutated();
-        let machine = Machine::new(MachineSpec::test2());
-        let topo = OverlayTopo::build(&machine, &mg, false, |_| AllocPolicy::Interleaved);
+    /// One line per accessor call over every vertex of [`hub_graph`]: the
+    /// pairs the stream yields and what it charged to each allocation.
+    fn accessor_trace(spec: MachineSpec) -> String {
+        use std::fmt::Write;
+        let machine = Machine::new(spec);
+        let topo = OverlayTopo::build(&machine, &hub_graph(), true, |_| AllocPolicy::Interleaved);
         let mut ctx = AccessCtx::new(&machine, 0);
-        let out0: Vec<(u32, u32)> = topo.out_stream(&mut ctx, 0).collect();
-        assert_eq!(out0, vec![(1, 1), (3, 1)]);
+        let mut trace = String::new();
+        let mut note = |call: String, stream: MergedTopoStream<'_>, ctx: &mut AccessCtx| {
+            write!(trace, "{call} -> {:?}", stream.collect::<Vec<_>>()).unwrap();
+            for (id, a) in ctx.take_stats().iter_arrays() {
+                let (bytes, count) = (a.total_bytes(), a.total_count());
+                write!(trace, " {}:{bytes}B/{count}", machine.alloc_name(id)).unwrap();
+            }
+            trace.push('\n');
+        };
+        for v in 0..8 {
+            note(format!("out {v}"), topo.out_stream(&mut ctx, v), &mut ctx);
+            note(format!("in {v}"), topo.in_stream(&mut ctx, v), &mut ctx);
+            for seg in topo.plan_out_segments(&[v as VId], 2) {
+                let stream = topo.out_stream_segment(&mut ctx, seg);
+                note(format!("out {seg:?}"), stream, &mut ctx);
+            }
+            for seg in topo.plan_in_segments(&[v as VId], 2) {
+                let stream = topo.in_stream_segment(&mut ctx, seg);
+                note(format!("in {seg:?}"), stream, &mut ctx);
+            }
+        }
+        trace
     }
 
     #[test]
     fn overlay_reads_are_charged() {
-        let mg = mutated();
         let machine = Machine::new(MachineSpec::test2());
-        let topo = OverlayTopo::build(&machine, &mg, false, |_| AllocPolicy::Interleaved);
+        let topo = OverlayTopo::build(&machine, &hub_graph(), false, |_| AllocPolicy::Interleaved);
         let mut ctx = AccessCtx::new(&machine, 0);
-        // Vertex 0 has a tombstone: offset pairs (base + delta, 2×16B),
-        // base run (2×4B), flag (1B), mask run (2B... aligned with base
-        // edges of v0 = 2 entries), delta run (1×4B).
-        topo.out_stream(&mut ctx, 0).for_each(drop);
-        let s = ctx.take_stats();
-        assert_eq!(s.total_bytes(), 16 + 16 + 8 + 1 + 2 + 4);
-    }
+        // Built without weights, every edge yields weight 1 and no weight
+        // run is read. Vertex 0 has tombstones: offset pairs (base + delta,
+        // 2×16B), base run (5×4B), flag (1B), mask run (5B, aligned with the
+        // base run), delta run (3×4B).
+        let out0: Vec<(u32, u32)> = topo.out_stream(&mut ctx, 0).collect();
+        assert_eq!(out0, [1, 3, 4, 5, 6, 7].map(|d| (d, 1)));
+        assert_eq!(ctx.take_stats().total_bytes(), 16 + 16 + 20 + 1 + 5 + 12);
 
-    #[test]
-    fn staleness_tracks_epoch_and_generation() {
-        let mut mg = mutated();
-        let machine = Machine::new(MachineSpec::test2());
-        let topo = OverlayTopo::build(&machine, &mg, false, |_| AllocPolicy::Interleaved);
-        assert!(!topo.is_stale(&mg));
-        let mut b = DeltaBatch::new();
-        b.insert(3, 0, 1);
-        mg.apply(&b).unwrap();
-        assert!(topo.is_stale(&mg));
-        let topo = OverlayTopo::build(&machine, &mg, false, |_| AllocPolicy::Interleaved);
-        assert!(!topo.is_stale(&mg));
-        mg.compact();
-        assert!(topo.is_stale(&mg), "compaction must invalidate the overlay");
+        // Every accessor, both directions, raw and compressed base: FNV-1a of
+        // the trace, recorded from the six hand-mirrored accessor bodies this
+        // file had before they were written once.
+        let compressed = MachineSpec::test2().with_compressed_topology(true);
+        for (spec, want) in [
+            (MachineSpec::test2(), 16_047_947_188_442_098_061u64),
+            (compressed, 3_681_014_020_461_813_587u64),
+        ] {
+            let trace = accessor_trace(spec);
+            let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(hash, want, "accessor yields or charges moved:\n{trace}");
+        }
     }
 }

@@ -8,7 +8,13 @@
 //! topology: **incremental** (warm-started from the prior converged run
 //! via [`WarmStart`]) and **scratch** (cold). The ratio of their simulated
 //! seconds is the speedup the delta-overlay design exists to deliver; the
-//! host sequential engines (`*_host`) provide a wall-clock twin.
+//! `wall_*` columns are the host wall-clock of those same two calls — the
+//! code `polymer-serve` executes, simulator included.
+//!
+//! The CC rows apply the batch *without its deletes* to a second copy of
+//! the base: warm CC repairs insert-only batches (union-find over the prior
+//! labels, one relabel sweep) and answers a batch with structural deletes
+//! cold, which would make the row 1× by construction.
 //!
 //! Every row is checked against the from-scratch oracle before it is
 //! written: BFS/SSSP/CC must be **bit-identical** to
@@ -19,19 +25,20 @@
 //!
 //! Writes `results/BENCH_incremental.json` (shared [`BenchMeta`] block +
 //! one row per program × batch fraction). The committed copy was produced
-//! with the defaults (`--scale 0`: 2^13 vertices, ~2^17 symmetric edges,
-//! 80 simulated threads on the Intel machine).
+//! with the defaults (`--scale 0`: rmat-18 × 32 symmetrised — 2^18
+//! vertices, 14.5 M live edges — 80 simulated threads on the Intel
+//! machine).
 
 use std::time::Instant;
 
 use polymer_algos::reference::max_rel_error;
 use polymer_algos::{
-    bfs_host, bfs_overlay, cc_host, cc_overlay, pagerank_host, pagerank_overlay, run_reference,
-    sssp_host, sssp_overlay, Bfs, ConnectedComponents, Sssp, WarmStart, DEFAULT_PR_TOL,
+    bfs_overlay, cc_overlay, pagerank_overlay, run_reference, sssp_overlay, Bfs,
+    ConnectedComponents, Sssp, WarmStart, DEFAULT_PR_TOL,
 };
 use polymer_api::{OverlayTopo, RunResult};
 use polymer_bench::{write_json_with_meta, Args, BenchMeta, Table};
-use polymer_graph::{gen, DeltaBatch, Graph, MutableGraph};
+use polymer_graph::{gen, BatchStats, Graph, MutableGraph};
 use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 use serde::Serialize;
 
@@ -39,8 +46,6 @@ use serde::Serialize;
 const THREADS: usize = 80;
 /// Damping factor of the PageRank rows.
 const PR_DAMPING: f64 = 0.85;
-/// Host wall-clock repetitions (best-of).
-const WALL_REPS: usize = 3;
 /// Batch sizes as fractions of the live edge count. The two smallest are
 /// the acceptance band: incremental must beat scratch there.
 const FRACTIONS: [f64; 3] = [1e-4, 1e-3, 1e-2];
@@ -68,7 +73,7 @@ struct IncRow {
     /// Rounds of the cold run / repair rounds of the warm run.
     rounds_scratch: usize,
     rounds_incremental: usize,
-    /// Host wall-clock of the sequential engines, best-of-N.
+    /// Host wall-clock of the two overlay runs above (one shot each).
     wall_scratch_sec: f64,
     wall_incremental_sec: f64,
     wall_speedup: f64,
@@ -85,50 +90,11 @@ fn build_topo(machine: &Machine, mg: &MutableGraph) -> OverlayTopo {
     OverlayTopo::build(machine, mg, true, |_| AllocPolicy::Interleaved)
 }
 
-/// Deterministic symmetric mixed batch of ~`k` operations: deletes of live
-/// pairs, fresh inserts, and reweights, each mirrored so the graph stays
-/// symmetric (the CC contract).
-fn symmetric_batch(mg: &MutableGraph, seed: u64, k: usize) -> DeltaBatch {
-    let el = mg.snapshot_edge_list();
-    let n = mg.num_vertices() as u64;
-    let mut b = DeltaBatch::new();
-    for i in 0..(k / 2).max(1) {
-        let h = seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(i as u64)
-            .wrapping_mul(0xbf58476d1ce4e5b9);
-        let e = el.edges[(h % el.edges.len() as u64) as usize];
-        match i % 3 {
-            0 => {
-                b.delete(e.src, e.dst).delete(e.dst, e.src);
-            }
-            1 => {
-                let s = (h >> 8) % n;
-                let d = (h >> 24) % n;
-                if s != d {
-                    let w = 1 + (h % 90) as u32;
-                    b.insert(s as u32, d as u32, w)
-                        .insert(d as u32, s as u32, w);
-                }
-            }
-            _ => {
-                let w = 1 + ((h >> 16) % 90) as u32;
-                b.insert(e.src, e.dst, w).insert(e.dst, e.src, w);
-            }
-        }
-    }
-    b
-}
-
-/// Best-of-N host wall-clock of a closure.
-fn wall_best<R>(mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..WALL_REPS {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+/// Run `f` once: its result and its host wall-clock seconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t = Instant::now();
+    let r = f();
+    (r, t.elapsed().as_secs_f64())
 }
 
 struct Cell {
@@ -143,25 +109,31 @@ struct Cell {
     oracle_ok: bool,
 }
 
-fn min_cell<V: Eq + Clone>(
-    scratch: &RunResult<V>,
-    warm: &RunResult<V>,
-    oracle: &[V],
-    wall_scratch_sec: f64,
-    wall_incremental_sec: f64,
-    host_warm: &[V],
-) -> Cell {
-    let exact = warm.values == oracle && host_warm == oracle;
+/// One timed run: its result and its host wall-clock seconds.
+type Timed<V> = (RunResult<V>, f64);
+
+/// The measured half of a cell; the oracle verdict is left for the caller.
+fn measured<V>((scratch, wall_scratch_sec): &Timed<V>, (warm, wall_warm_sec): &Timed<V>) -> Cell {
     Cell {
         sim_scratch_sec: scratch.seconds(),
         sim_incremental_sec: warm.seconds(),
         rounds_scratch: scratch.iterations,
         rounds_incremental: warm.iterations,
-        wall_scratch_sec,
-        wall_incremental_sec,
-        oracle_exact: exact,
+        wall_scratch_sec: *wall_scratch_sec,
+        wall_incremental_sec: *wall_warm_sec,
+        oracle_exact: false,
         oracle_max_err: 0.0,
+        oracle_ok: false,
+    }
+}
+
+/// A cell of a min-combining program: the warm values must equal the oracle.
+fn min_cell<V: Eq>(scratch: &Timed<V>, warm: &Timed<V>, oracle: &[V]) -> Cell {
+    let exact = warm.0.values == oracle;
+    Cell {
+        oracle_exact: exact,
         oracle_ok: exact,
+        ..measured(scratch, warm)
     }
 }
 
@@ -198,7 +170,7 @@ fn main() {
             MutableGraph::from_edge_list(el.clone()).with_compaction_fraction(f64::INFINITY);
         let base_edges = mg.num_live_edges();
         let k = ((base_edges as f64 * fraction).round() as usize).max(2);
-        let batch = symmetric_batch(&mg, 59 + fi as u64, k);
+        let batch = gen::mixed_batch(&mg, 59 + fi as u64, (k / 2).max(1), true);
         let batch_ops = batch.len();
         eprintln!("[incremental] fraction {fraction} ({batch_ops} ops on {base_edges} edges) ...");
 
@@ -221,7 +193,7 @@ fn main() {
         let topo = build_topo(&machine, &mg);
         let g2 = Graph::from_edges(&mg.snapshot_edge_list());
 
-        let mut push = |algo: &str, c: Cell| {
+        let mut push = |algo: &str, batch_ops: usize, stats: BatchStats, c: Cell| {
             table.row(vec![
                 algo.to_string(),
                 format!("{fraction:.2}%", fraction = fraction * 100.0),
@@ -241,9 +213,9 @@ fn main() {
                 batch_fraction: fraction,
                 batch_ops,
                 base_edges,
-                inserted: applied.stats.inserted,
-                deleted: applied.stats.deleted,
-                reweighted: applied.stats.updated,
+                inserted: stats.inserted,
+                deleted: stats.deleted,
+                reweighted: stats.updated,
                 sim_speedup: c.sim_scratch_sec / c.sim_incremental_sec,
                 wall_speedup: c.wall_scratch_sec / c.wall_incremental_sec,
                 sim_scratch_sec: c.sim_scratch_sec,
@@ -260,83 +232,66 @@ fn main() {
 
         // BFS
         let warm = WarmStart::from_result(&prior_bfs, &applied);
-        let scratch = bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
-        let inc = bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
+        let scratch = timed(|| bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap());
+        let inc = timed(|| bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap());
         let (oracle, _) = run_reference(&g2, &Bfs::new(0));
-        let (host_warm, _) = bfs_host(&mg, 0, Some(warm));
-        let wc = wall_best(|| bfs_host(&mg, 0, None));
-        let ww = wall_best(|| bfs_host(&mg, 0, Some(warm)));
-        push("BFS", min_cell(&scratch, &inc, &oracle, wc, ww, &host_warm));
+        let cell = min_cell(&scratch, &inc, &oracle);
+        push("BFS", batch_ops, applied.stats, cell);
 
         // SSSP
         let warm = WarmStart::from_result(&prior_sssp, &applied);
-        let scratch = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
-        let inc = sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
+        let scratch = timed(|| sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap());
+        let inc = timed(|| sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap());
         let (oracle, _) = run_reference(&g2, &Sssp::new(0));
-        let (host_warm, _) = sssp_host(&mg, 0, Some(warm));
-        let wc = wall_best(|| sssp_host(&mg, 0, None));
-        let ww = wall_best(|| sssp_host(&mg, 0, Some(warm)));
-        push(
-            "SSSP",
-            min_cell(&scratch, &inc, &oracle, wc, ww, &host_warm),
-        );
-
-        // CC
-        let warm = WarmStart::from_result(&prior_cc, &applied);
-        let scratch = cc_overlay(&machine, THREADS, &topo, None, false).unwrap();
-        let inc = cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap();
-        let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
-        let (host_warm, _) = cc_host(&mg, Some(warm));
-        let wc = wall_best(|| cc_host(&mg, None));
-        let ww = wall_best(|| cc_host(&mg, Some(warm)));
-        push("CC", min_cell(&scratch, &inc, &oracle, wc, ww, &host_warm));
+        let cell = min_cell(&scratch, &inc, &oracle);
+        push("SSSP", batch_ops, applied.stats, cell);
 
         // PageRank: ε-close to the cold fixpoint rather than bit-identical.
-        let warm = WarmStart::from_result(&prior_pr, &applied);
-        let scratch = pagerank_overlay(
-            &machine,
-            THREADS,
-            &topo,
-            PR_DAMPING,
-            DEFAULT_PR_TOL,
-            None,
-            false,
-        )
-        .unwrap();
-        let inc = pagerank_overlay(
-            &machine,
-            THREADS,
-            &topo,
-            PR_DAMPING,
-            DEFAULT_PR_TOL,
-            Some(warm),
-            false,
-        )
-        .unwrap();
-        let (host_warm, _) = pagerank_host(&mg, PR_DAMPING, DEFAULT_PR_TOL, Some(warm));
-        let err = max_rel_error(&inc.values, &scratch.values)
-            .max(max_rel_error(&host_warm, &scratch.values));
+        let pagerank = |warm| {
+            timed(|| {
+                pagerank_overlay(
+                    &machine,
+                    THREADS,
+                    &topo,
+                    PR_DAMPING,
+                    DEFAULT_PR_TOL,
+                    warm,
+                    false,
+                )
+                .unwrap()
+            })
+        };
+        let scratch = pagerank(None);
+        let inc = pagerank(Some(WarmStart::from_result(&prior_pr, &applied)));
+        let err = max_rel_error(&inc.0.values, &scratch.0.values);
         // Convergence is per-vertex *absolute* residual mass below
         // `DEFAULT_PR_TOL`; the smallest possible score is the undamped
         // floor `(1-d)/n`, so the admissible relative error scales with it
         // (one order of margin for residual mass still in flight).
         let pr_rel_tol = DEFAULT_PR_TOL / ((1.0 - PR_DAMPING) / mg.num_vertices() as f64) * 10.0;
-        let wc = wall_best(|| pagerank_host(&mg, PR_DAMPING, DEFAULT_PR_TOL, None));
-        let ww = wall_best(|| pagerank_host(&mg, PR_DAMPING, DEFAULT_PR_TOL, Some(warm)));
-        push(
-            "PageRank",
-            Cell {
-                sim_scratch_sec: scratch.seconds(),
-                sim_incremental_sec: inc.seconds(),
-                rounds_scratch: scratch.iterations,
-                rounds_incremental: inc.iterations,
-                wall_scratch_sec: wc,
-                wall_incremental_sec: ww,
-                oracle_exact: false,
-                oracle_max_err: err,
-                oracle_ok: err < pr_rel_tol,
-            },
-        );
+        let cell = Cell {
+            oracle_max_err: err,
+            oracle_ok: err < pr_rel_tol,
+            ..measured(&scratch, &inc)
+        };
+        push("PageRank", batch_ops, applied.stats, cell);
+
+        // CC: the same batch minus its deletes, on a second copy of the base
+        // (the first is dropped before the copy is placed).
+        drop((topo, g2, mg));
+        let mut mg =
+            MutableGraph::from_edge_list(el.clone()).with_compaction_fraction(f64::INFINITY);
+        let mut batch = batch;
+        batch.deletes.clear();
+        let applied = mg.apply(&batch).unwrap();
+        let topo = build_topo(&machine, &mg);
+        let warm = WarmStart::from_result(&prior_cc, &applied);
+        let scratch = timed(|| cc_overlay(&machine, THREADS, &topo, None, false).unwrap());
+        let inc = timed(|| cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap());
+        let g2 = Graph::from_edges(&mg.snapshot_edge_list());
+        let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
+        let cell = min_cell(&scratch, &inc, &oracle);
+        push("CC", batch.len(), applied.stats, cell);
     }
 
     table.print();

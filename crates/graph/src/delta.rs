@@ -289,30 +289,70 @@ impl AppliedBatch {
         self.inserts.is_empty() && self.deletes.is_empty() && self.reweighted.is_empty()
     }
 
-    /// Merge another applied batch *that happened after this one* into a
-    /// combined view covering every mutation in either. Used when a query
-    /// warm-starts from a result older than the latest epoch: the repair
-    /// seeds must cover every intervening batch. Both lists are plain
-    /// unions (later weight wins per pair) — seeds are deliberately
-    /// over-approximations, because engines recompute from the *live*
-    /// merged adjacency, so a stale entry costs repair work, never
-    /// correctness.
+    /// Compose this batch with one *that happened after it* into the single
+    /// batch that takes the graph from before `self` to after `later`. Used
+    /// when a query warm-starts from a result older than the latest epoch.
+    /// Per pair, the weight in force before the earlier batch composes with
+    /// the weight live after the later one:
+    ///
+    /// | before | after | merged |
+    /// |---|---|---|
+    /// | `w0` | absent | `deletes (w0)` |
+    /// | absent | `w` | `inserts (w)` |
+    /// | `w0` | `w1 ≠ w0` | `reweighted (w0)` + `inserts (w1)` |
+    /// | `w0` | `w0` | nothing |
+    /// | absent | absent | nothing |
+    ///
+    /// The composition has to be exact: the repair engines relax along
+    /// `inserts` without consulting the live adjacency, and test removed
+    /// support against the weight the *prior* values were computed with, so
+    /// a stale insert or an intermediate old weight yields a wrong answer,
+    /// not extra work.
     pub fn merged_with(&self, later: &AppliedBatch) -> AppliedBatch {
-        fn union(later: &[Edge], earlier: &[Edge]) -> Vec<Edge> {
-            let mut out: Vec<Edge> = Vec::with_capacity(later.len() + earlier.len());
-            out.extend(later.iter().copied());
-            out.extend(earlier.iter().copied());
-            out.sort_by_key(|e| ((e.src as u64) << 32) | e.dst as u64);
-            out.dedup_by_key(|e| (e.src, e.dst));
-            out
+        // Every listing of a pair as (pair, weight before, weight after),
+        // `None` = not live, in time order: within a batch `deletes` and
+        // `reweighted` say what was, `inserts` what is.
+        fn listings(
+            b: &AppliedBatch,
+        ) -> impl Iterator<Item = ((VId, VId), Option<Weight>, Option<Weight>)> + '_ {
+            let was = b.deletes.iter().chain(&b.reweighted);
+            was.map(|e| ((e.src, e.dst), Some(e.weight), None)).chain(
+                b.inserts
+                    .iter()
+                    .map(|e| ((e.src, e.dst), None, Some(e.weight))),
+            )
         }
-        AppliedBatch {
+        let mut pairs: Vec<_> = listings(self).chain(listings(later)).collect();
+        // Stable, so a pair's listings stay in time order (and cheap: the
+        // lists are each in canonical order already). A pair's transition is
+        // then its first listing's `before` and its last listing's `after`.
+        pairs.sort_by_key(|&(pair, ..)| pair);
+        pairs.dedup_by(|next, first| {
+            let same = first.0 == next.0;
+            if same {
+                first.2 = next.2;
+            }
+            same
+        });
+        let mut merged = AppliedBatch {
             epoch: later.epoch.max(self.epoch),
-            inserts: union(&later.inserts, &self.inserts),
-            deletes: union(&later.deletes, &self.deletes),
-            reweighted: union(&later.reweighted, &self.reweighted),
+            inserts: Vec::new(),
+            deletes: Vec::new(),
+            reweighted: Vec::new(),
             stats: BatchStats::default(),
+        };
+        for ((s, d), before, after) in pairs {
+            match (before, after) {
+                (Some(w0), None) => merged.deletes.push(Edge::weighted(s, d, w0)),
+                (None, Some(w)) => merged.inserts.push(Edge::weighted(s, d, w)),
+                (Some(w0), Some(w1)) if w0 != w1 => {
+                    merged.reweighted.push(Edge::weighted(s, d, w0));
+                    merged.inserts.push(Edge::weighted(s, d, w1));
+                }
+                _ => {}
+            }
         }
+        merged
     }
 }
 
@@ -366,30 +406,41 @@ mod tests {
     }
 
     #[test]
-    fn merged_batches_respect_later_wins() {
-        let first = AppliedBatch {
-            epoch: 1,
-            inserts: vec![Edge::weighted(0, 1, 5)],
-            deletes: vec![Edge::weighted(2, 3, 1)],
-            reweighted: vec![Edge::weighted(4, 5, 2)],
-            stats: BatchStats::default(),
-        };
-        let second = AppliedBatch {
-            epoch: 2,
-            inserts: vec![Edge::weighted(2, 3, 7)],
-            deletes: vec![Edge::weighted(0, 1, 5)],
-            reweighted: vec![],
-            stats: BatchStats::default(),
-        };
-        let m = first.merged_with(&second);
-        assert_eq!(m.epoch, 2);
-        // Unions: every touched pair appears in the merged seed lists, even
-        // when a later batch reversed the earlier mutation — seeds are
-        // over-approximations.
-        assert!(m.inserts.contains(&Edge::weighted(2, 3, 7)));
-        assert!(m.deletes.iter().any(|e| (e.src, e.dst) == (2, 3)));
-        assert!(m.deletes.iter().any(|e| (e.src, e.dst) == (0, 1)));
-        assert!(m.inserts.contains(&Edge::weighted(0, 1, 5)));
-        assert_eq!(m.reweighted, vec![Edge::weighted(4, 5, 2)]);
+    fn merged_batches_compose_per_pair() {
+        /// A batch touching pair `(s, s + 1)` only; weights as
+        /// `[inserts, deletes, reweighted]`, 0 = not listed.
+        fn batch(epoch: u64, s: VId, [ins, del, rew]: [Weight; 3]) -> AppliedBatch {
+            let list = |w: Weight| Vec::from_iter((w != 0).then(|| Edge::weighted(s, s + 1, w)));
+            AppliedBatch {
+                epoch,
+                inserts: list(ins),
+                deletes: list(del),
+                reweighted: list(rew),
+                stats: BatchStats::default(),
+            }
+        }
+        let lists = |b: AppliedBatch| (b.inserts, b.deletes, b.reweighted);
+        let table = [
+            ("insert, delete", [5, 0, 0], [0, 5, 0], [0, 0, 0]),
+            ("delete, insert back", [0, 5, 0], [5, 0, 0], [0, 0, 0]),
+            ("delete, insert other", [0, 5, 0], [8, 0, 0], [8, 0, 5]),
+            ("reweight, reweight", [7, 0, 5], [20, 0, 7], [20, 0, 5]),
+            ("reweight, reweight back", [7, 0, 5], [5, 0, 7], [0, 0, 0]),
+            ("reweight, delete", [7, 0, 5], [0, 7, 0], [0, 5, 0]),
+            ("insert, reweight", [5, 0, 0], [9, 0, 5], [9, 0, 0]),
+            ("delete, untouched", [0, 5, 0], [0, 0, 0], [0, 5, 0]),
+            ("untouched, replace", [0, 0, 0], [9, 5, 0], [9, 0, 5]),
+            ("replace at equal weight", [5, 5, 0], [0, 0, 0], [0, 0, 0]),
+        ];
+        for (case, first, second, want) in table {
+            let m = batch(1, 0, first).merged_with(&batch(2, 0, second));
+            assert_eq!(m.epoch, 2);
+            assert_eq!(lists(m), lists(batch(2, 0, want)), "{case}");
+        }
+        // Pairs compose independently and come out in canonical order.
+        let mut first = batch(1, 4, [5, 0, 0]);
+        first.inserts.push(Edge::weighted(2, 9, 3));
+        let m = first.merged_with(&batch(2, 4, [0, 5, 0]));
+        assert_eq!(lists(m), (vec![Edge::weighted(2, 9, 3)], vec![], vec![]));
     }
 }

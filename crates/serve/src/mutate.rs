@@ -159,9 +159,9 @@ impl MutState {
         let r = self.resident.as_ref().expect("freshly ensured");
 
         // A cached prior is usable when every batch since it is retained:
-        // epochs advance by one per apply, so the merged window must span
+        // epochs advance by one per apply, so the composed window must span
         // (prior.epoch, epoch] exactly.
-        let merged = self.cache.get(&key).and_then(|e| {
+        let prior = self.cache.get(&key).and_then(|e| {
             let since: Vec<&AppliedBatch> =
                 self.batches.iter().filter(|b| b.epoch > e.epoch).collect();
             if since.len() as u64 != epoch - e.epoch {
@@ -169,52 +169,31 @@ impl MutState {
             }
             let mut it = since.into_iter();
             let first = it.next()?.clone();
-            Some(it.fold(first, |acc, b| acc.merged_with(b)))
+            Some((e, it.fold(first, |acc, b| acc.merged_with(b))))
         });
-
-        let path = if merged.is_some() {
+        let path = if prior.is_some() {
             AnswerPath::Warm
         } else {
             AnswerPath::Cold
         };
-        let (values, iterations) = match (key.clone(), &merged) {
-            (CacheKey::Bfs { source }, m) => {
-                let prior = self.cache.get(&key);
-                let warm = m.as_ref().map(|batch| WarmStart {
-                    values: prior
-                        .and_then(|e| e.values.levels())
-                        .expect("warm implies cached levels"),
-                    iterations: prior.expect("warm implies entry").iterations,
-                    batch,
-                });
-                let run = bfs_overlay(&r.machine, threads, &r.topo, source, warm, false)?;
+        let (machine, topo) = (&r.machine, &r.topo);
+        let (values, iterations) = match key {
+            CacheKey::Bfs { source } => {
+                let warm = warm_start(&prior, ResponseValues::levels);
+                let run = bfs_overlay(machine, threads, topo, source, warm, false)?;
                 (ResponseValues::Levels(run.values), run.iterations)
             }
-            (CacheKey::Sssp { source, .. }, m) => {
-                let prior = self.cache.get(&key);
-                let warm = m.as_ref().map(|batch| WarmStart {
-                    values: prior
-                        .and_then(|e| e.values.distances())
-                        .expect("warm implies cached distances"),
-                    iterations: prior.expect("warm implies entry").iterations,
-                    batch,
-                });
-                let run = sssp_overlay(&r.machine, threads, &r.topo, source, warm, false)?;
+            CacheKey::Sssp { source, .. } => {
+                let warm = warm_start(&prior, ResponseValues::distances);
+                let run = sssp_overlay(machine, threads, topo, source, warm, false)?;
                 (ResponseValues::Distances(run.values), run.iterations)
             }
-            (CacheKey::PageRank, m) => {
-                let prior = self.cache.get(&key);
-                let warm = m.as_ref().map(|batch| WarmStart {
-                    values: prior
-                        .and_then(|e| e.values.ranks())
-                        .expect("warm implies cached ranks"),
-                    iterations: prior.expect("warm implies entry").iterations,
-                    batch,
-                });
+            CacheKey::PageRank => {
+                let warm = warm_start(&prior, ResponseValues::ranks);
                 let run = pagerank_overlay(
-                    &r.machine,
+                    machine,
                     threads,
-                    &r.topo,
+                    topo,
                     PR_DAMPING,
                     DEFAULT_PR_TOL,
                     warm,
@@ -233,4 +212,18 @@ impl MutState {
         );
         Ok((values, iterations, path))
     }
+}
+
+/// The warm start over a cached prior and the composed batch window since
+/// it; `values` picks the lane's kind out of the cached [`ResponseValues`].
+fn warm_start<'a, V>(
+    prior: &'a Option<(&CacheEntry, AppliedBatch)>,
+    values: fn(&ResponseValues) -> Option<&[V]>,
+) -> Option<WarmStart<'a, V>> {
+    let (entry, batch) = prior.as_ref()?;
+    Some(WarmStart {
+        values: values(&entry.values).expect("a cache lane holds its own kind of values"),
+        iterations: entry.iterations,
+        batch,
+    })
 }

@@ -952,8 +952,15 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let (want, _) =
-            polymer_algos::pagerank_host(&mirror, 0.85, polymer_algos::DEFAULT_PR_TOL, None);
+        // Oracle: the cold overlay fixpoint on a fresh machine over the mirror.
+        use polymer_numa::{AllocPolicy, Machine, MachineSpec};
+        let machine = Machine::new(MachineSpec::test2());
+        let topo =
+            polymer_api::OverlayTopo::build(&machine, &mirror, false, |_| AllocPolicy::Interleaved);
+        let tol = polymer_algos::DEFAULT_PR_TOL;
+        let want = polymer_algos::pagerank_overlay(&machine, 4, &topo, 0.85, tol, None, false)
+            .unwrap()
+            .values;
         let err = polymer_algos::reference::max_rel_error(r.values.ranks().unwrap(), &want);
         assert!(err < 1e-6, "served PR off by {err}");
     }

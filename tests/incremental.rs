@@ -7,11 +7,11 @@
 //!    building from scratch on the post-batch live edge set (proptest).
 //! 2. **Conformance matrix**: every incremental program (BFS, SSSP, CC,
 //!    PageRank) warm-started from a prior converged run agrees with the
-//!    from-scratch sequential oracle on both backends — the simulated
-//!    overlay engines (`*_overlay`) and the host sequential engines
-//!    (`*_host`) — exactly for the min-combining programs, ε-close for
-//!    PageRank. Includes delete-heavy batches, empty batches, chained
-//!    batches, and a batch that triggers threshold compaction mid-sequence.
+//!    from-scratch sequential oracle — exactly for the min-combining
+//!    programs, ε-close for PageRank. Includes delete-heavy batches, empty
+//!    batches, chained batches, a batch that triggers threshold compaction
+//!    mid-sequence, and windows of several batches composed with
+//!    `AppliedBatch::merged_with` that hit the same pairs repeatedly.
 //! 3. **Staleness**: an `OverlayTopo` built before a mutation or compaction
 //!    reports `is_stale`, so resident services know to rebuild — also under
 //!    the delta/varint-compressed topology, where a stale placed copy would
@@ -19,11 +19,11 @@
 
 use polymer::algos::reference::max_rel_error;
 use polymer::algos::{
-    bfs_host, bfs_overlay, cc_host, cc_overlay, pagerank_host, pagerank_overlay, sssp_host,
-    sssp_overlay, WarmStart, DEFAULT_PR_TOL,
+    bfs_overlay, cc_overlay, pagerank_overlay, sssp_overlay, WarmStart, DEFAULT_PR_TOL,
 };
 use polymer::api::OverlayTopo;
-use polymer::graph::{gen, DeltaBatch, Edge, MutableGraph};
+use polymer::graph::gen::{self, mixed_batch};
+use polymer::graph::{AppliedBatch, DeltaBatch, Edge, MutableGraph};
 use polymer::numa::AllocPolicy;
 use polymer::prelude::*;
 
@@ -41,45 +41,14 @@ fn scratch_graph(mg: &MutableGraph) -> Graph {
     Graph::from_edges(&mg.snapshot_edge_list())
 }
 
-/// Deterministic mixed batch: deletes of live edges, fresh inserts, and
-/// reweights of live pairs, derived from `seed` by multiplicative hashing.
-fn mixed_batch(mg: &MutableGraph, seed: u64, k: usize) -> DeltaBatch {
-    let el = mg.snapshot_edge_list();
-    let n = mg.num_vertices() as u64;
-    let mut b = DeltaBatch::new();
-    for i in 0..k {
-        let h = seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(i as u64)
-            .wrapping_mul(0xbf58476d1ce4e5b9);
-        let e = el.edges[(h % el.edges.len() as u64) as usize];
-        match i % 3 {
-            0 => {
-                b.delete(e.src, e.dst);
-            }
-            1 => {
-                let s = (h >> 8) % n;
-                let d = (h >> 24) % n;
-                if s != d {
-                    b.insert(s as u32, d as u32, 1 + (h % 90) as u32);
-                }
-            }
-            _ => {
-                b.insert(e.src, e.dst, 1 + ((h >> 16) % 90) as u32);
-            }
-        }
-    }
-    b
-}
-
-/// Run BFS and SSSP warm-started from priors on both backends and assert
-/// both are oracle-exact on the post-batch graph.
+/// Run BFS and SSSP warm-started from priors and assert both are
+/// oracle-exact on the post-batch graph.
 fn assert_min_engines_oracle_exact(
     machine: &Machine,
     mg: &MutableGraph,
     prior_bfs: &RunResult<u32>,
     prior_sssp: &RunResult<u64>,
-    applied: &polymer::graph::AppliedBatch,
+    applied: &AppliedBatch,
 ) -> (RunResult<u32>, RunResult<u64>) {
     let topo = build_topo(machine, mg, true);
     let g2 = scratch_graph(mg);
@@ -88,15 +57,11 @@ fn assert_min_engines_oracle_exact(
     let inc_bfs = bfs_overlay(machine, THREADS, &topo, 0, Some(warm), false).unwrap();
     let (oracle, _) = run_reference(&g2, &Bfs::new(0));
     assert_eq!(inc_bfs.values, oracle, "incremental BFS vs oracle");
-    let (host, _) = bfs_host(mg, 0, Some(warm));
-    assert_eq!(host, oracle, "host BFS vs oracle");
 
     let warm = WarmStart::from_result(prior_sssp, applied);
     let inc_sssp = sssp_overlay(machine, THREADS, &topo, 0, Some(warm), false).unwrap();
     let (oracle, _) = run_reference(&g2, &Sssp::new(0));
     assert_eq!(inc_sssp.values, oracle, "incremental SSSP vs oracle");
-    let (host, _) = sssp_host(mg, 0, Some(warm));
-    assert_eq!(host, oracle, "host SSSP vs oracle");
 
     (inc_bfs, inc_sssp)
 }
@@ -110,7 +75,7 @@ fn conformance_mixed_batch() {
     let prior_bfs = bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
     let prior_sssp = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
 
-    let applied = mg.apply(&mixed_batch(&mg, 41, 30)).unwrap();
+    let applied = mg.apply(&mixed_batch(&mg, 41, 30, false)).unwrap();
     assert_min_engines_oracle_exact(&machine, &mg, &prior_bfs, &prior_sssp, &applied);
 }
 
@@ -148,11 +113,55 @@ fn conformance_chained_batches() {
     // Each round warm-starts from the previous *incremental* result, so
     // errors would compound if any round were not exactly the fixpoint.
     for round in 0..3u64 {
-        let applied = mg.apply(&mixed_batch(&mg, 100 + round, 20)).unwrap();
+        let applied = mg.apply(&mixed_batch(&mg, 100 + round, 20, false)).unwrap();
         let (b, s) =
             assert_min_engines_oracle_exact(&machine, &mg, &prior_bfs, &prior_sssp, &applied);
         prior_bfs = b;
         prior_sssp = s;
+    }
+}
+
+/// Apply `batches` in turn and compose them into one window.
+fn apply_composed(mg: &mut MutableGraph, batches: &[DeltaBatch]) -> AppliedBatch {
+    let applied = batches.iter().map(|b| mg.apply(b).unwrap());
+    applied
+        .reduce(|window, later| window.merged_with(&later))
+        .expect("at least one batch")
+}
+
+/// A result warm-started across several batches sees their composition, not
+/// their union: a pair inserted and deleted again is not relaxed along, and
+/// a pair reweighted twice keeps the weight the prior was computed with.
+#[test]
+fn conformance_composed_batch_window() {
+    let batch = |inserts: &[(u32, u32, u32)], deletes: &[(u32, u32)]| DeltaBatch {
+        inserts: inserts
+            .iter()
+            .map(|&(s, d, w)| Edge::weighted(s, d, w))
+            .collect(),
+        deletes: deletes.to_vec(),
+    };
+    let chain: &[(u32, u32, u32)] = &[(0, 1, 10), (1, 2, 10), (2, 3, 10)];
+    let detour: &[(u32, u32, u32)] = &[(0, 1, 5), (0, 2, 1), (2, 1, 10)];
+    let cases = [
+        (chain, [batch(&[(0, 2, 1)], &[]), batch(&[], &[(0, 2)])]),
+        (
+            detour,
+            [batch(&[(0, 1, 7)], &[]), batch(&[(0, 1, 20)], &[])],
+        ),
+    ];
+    for (edges, window) in cases {
+        let mut el = EdgeList::new(4);
+        for &(s, d, w) in edges {
+            el.push(Edge::weighted(s, d, w));
+        }
+        let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
+        let machine = machine();
+        let topo = build_topo(&machine, &mg, true);
+        let prior_bfs = bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
+        let prior_sssp = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
+        let composed = apply_composed(&mut mg, &window);
+        assert_min_engines_oracle_exact(&machine, &mg, &prior_bfs, &prior_sssp, &composed);
     }
 }
 
@@ -184,8 +193,6 @@ fn conformance_cc_and_pagerank() {
     let inc = cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap();
     let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
     assert_eq!(inc.values, oracle, "incremental CC vs oracle");
-    let (host, _) = cc_host(&mg, Some(warm));
-    assert_eq!(host, oracle, "host CC vs oracle");
 
     let warm = WarmStart::from_result(&prior_pr, &applied);
     let inc = pagerank_overlay(
@@ -202,9 +209,6 @@ fn conformance_cc_and_pagerank() {
         pagerank_overlay(&machine, THREADS, &topo, 0.85, DEFAULT_PR_TOL, None, false).unwrap();
     let err = max_rel_error(&inc.values, &scratch.values);
     assert!(err < 1e-6, "incremental PR off by {err}");
-    let (host, _) = pagerank_host(&mg, 0.85, DEFAULT_PR_TOL, Some(warm));
-    let err = max_rel_error(&host, &scratch.values);
-    assert!(err < 1e-6, "host PR off by {err}");
 }
 
 #[test]
@@ -285,7 +289,7 @@ fn conformance_through_threshold_compaction() {
     let prior_sssp = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
 
     let gen_before = mg.generation();
-    let applied = mg.apply(&mixed_batch(&mg, 59, 24)).unwrap();
+    let applied = mg.apply(&mixed_batch(&mg, 59, 24, false)).unwrap();
     assert!(applied.stats.compacted, "batch must trigger compaction");
     assert_eq!(mg.generation(), gen_before + 1);
     assert!(mg.log().is_empty(), "compaction clears the overlay");
@@ -345,7 +349,7 @@ fn compaction_under_compression_stays_oracle_exact() {
 
     // Ingest past the threshold: apply compacts internally, invalidating
     // the encoded base the resident topology holds.
-    let applied = mg.apply(&mixed_batch(&mg, 3, 30)).unwrap();
+    let applied = mg.apply(&mixed_batch(&mg, 3, 30, false)).unwrap();
     assert!(applied.stats.compacted, "batch must trigger compaction");
     assert!(
         topo.is_stale(&mg),
@@ -445,8 +449,7 @@ mod structural {
             prop_assert_eq!(mg.num_live_edges(), scratch.num_edges());
         }
 
-        // Warm-started min-engines stay oracle-exact on random batches,
-        // on both the simulated overlay backend and the host backend.
+        // Warm-started min-engines stay oracle-exact on random batches.
         #[test]
         fn warm_min_engines_oracle_exact(
             seed in 0u64..10_000,
@@ -473,15 +476,86 @@ mod structural {
             let inc = bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
             let (oracle, _) = run_reference(&g2, &Bfs::new(0));
             prop_assert_eq!(&inc.values, &oracle, "sim BFS diverged");
-            let (host, _) = bfs_host(&mg, 0, Some(warm));
-            prop_assert_eq!(&host, &oracle, "host BFS diverged");
 
             let warm = WarmStart::from_result(&prior_sssp, &applied);
             let inc = sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
             let (oracle, _) = run_reference(&g2, &Sssp::new(0));
             prop_assert_eq!(&inc.values, &oracle, "sim SSSP diverged");
-            let (host, _) = sssp_host(&mg, 0, Some(warm));
-            prop_assert_eq!(&host, &oracle, "host SSSP diverged");
+        }
+
+        // A window of 2–5 batches over a pool of six pairs, so the same pair
+        // is inserted, reweighted and deleted repeatedly; every engine
+        // warm-starts from the result *before the first batch* through the
+        // composed window.
+        #[test]
+        fn warm_engines_oracle_exact_over_composed_windows(
+            seed in 0u64..10_000,
+            window in proptest::collection::vec(
+                proptest::collection::vec((0usize..6, 1u32..=40, 0u8..3), 1..6),
+                2..6,
+            ),
+        ) {
+            let n = 40u32;
+            let el = gen::uniform(n as usize, 160, seed);
+            let mut mg =
+                MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
+            // Three live edges (deletes and reweights bite at once) and three
+            // arbitrary pairs; the first live edge leaves the query source.
+            let live = mg.snapshot_edge_list().edges;
+            let mut pool: Vec<(u32, u32)> =
+                (0..3).map(|i| live[i * live.len() / 3]).map(|e| (e.src, e.dst)).collect();
+            pool.extend((0..3).map(|i| {
+                let s = (seed as u32 + 7 * i) % n;
+                (s, (s + 1 + (seed as u32 / 3 + 11 * i) % (n - 1)) % n)
+            }));
+            let source = pool[0].0;
+
+            let machine = machine();
+            let topo = build_topo(&machine, &mg, true);
+            let prior_bfs = bfs_overlay(&machine, THREADS, &topo, source, None, false).unwrap();
+            let prior_sssp = sssp_overlay(&machine, THREADS, &topo, source, None, false).unwrap();
+            let prior_pr =
+                pagerank_overlay(&machine, THREADS, &topo, 0.85, DEFAULT_PR_TOL, None, false)
+                    .unwrap();
+
+            let batches: Vec<DeltaBatch> = window
+                .iter()
+                .map(|ops| {
+                    let mut b = DeltaBatch::new();
+                    for &(pair, w, kind) in ops {
+                        let (s, d) = pool[pair];
+                        if kind == 0 {
+                            b.delete(s, d);
+                        } else {
+                            b.insert(s, d, w);
+                        }
+                    }
+                    b
+                })
+                .collect();
+            let composed = apply_composed(&mut mg, &batches);
+            let topo = build_topo(&machine, &mg, true);
+            let g2 = scratch_graph(&mg);
+
+            let warm = WarmStart::from_result(&prior_bfs, &composed);
+            let inc = bfs_overlay(&machine, THREADS, &topo, source, Some(warm), false).unwrap();
+            let (oracle, _) = run_reference(&g2, &Bfs::new(source));
+            prop_assert_eq!(&inc.values, &oracle, "BFS diverged over {:?}", &batches);
+
+            let warm = WarmStart::from_result(&prior_sssp, &composed);
+            let inc = sssp_overlay(&machine, THREADS, &topo, source, Some(warm), false).unwrap();
+            let (oracle, _) = run_reference(&g2, &Sssp::new(source));
+            prop_assert_eq!(&inc.values, &oracle, "SSSP diverged over {:?}", &batches);
+
+            let warm = WarmStart::from_result(&prior_pr, &composed);
+            let inc =
+                pagerank_overlay(&machine, THREADS, &topo, 0.85, DEFAULT_PR_TOL, Some(warm), false)
+                    .unwrap();
+            let cold =
+                pagerank_overlay(&machine, THREADS, &topo, 0.85, DEFAULT_PR_TOL, None, false)
+                    .unwrap();
+            let err = max_rel_error(&inc.values, &cold.values);
+            prop_assert!(err < 1e-6, "PageRank off by {} over {:?}", err, &batches);
         }
     }
 
@@ -492,7 +566,7 @@ mod structural {
         let el = gen::uniform(90, 500, 67);
         let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
         for round in 0..4u64 {
-            let b = mixed_batch(&mg, 200 + round, 15);
+            let b = mixed_batch(&mg, 200 + round, 15, false);
             mg.apply(&b).unwrap();
             mg.compact();
             let scratch = Graph::from_edges(&mg.snapshot_edge_list());

@@ -1,7 +1,7 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
-//! load end-to-end, and the batching conformance contract — a coalesced
+//! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends.
+//! backends — and warm-started answers across several ingests.
 
 use std::sync::Arc;
 
@@ -281,5 +281,58 @@ fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
     let after = svc.submit(RequestKind::Bfs { source: 7 }).unwrap();
     let after = after.wait().unwrap();
     assert_eq!(after.values.levels().unwrap(), &levels(&mutated, 7)[..]);
+    assert_eq!(svc.stats().failed, 0);
+}
+
+/// Regression: a cached answer warm-started across *several* ingests used to
+/// see their plain union — an edge inserted and deleted again stayed in the
+/// insert list the repair relaxes along, and a pair reweighted twice lost
+/// the weight the cached values were computed with.
+#[test]
+fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
+    use polymer_graph::{DeltaBatch, Edge, EdgeList};
+
+    fn ingest(svc: &GraphService, inserts: &[(u32, u32, u32)], deletes: &[(u32, u32)]) {
+        let mut batch = DeltaBatch::new();
+        batch.inserts = inserts
+            .iter()
+            .map(|&(s, d, w)| Edge::weighted(s, d, w))
+            .collect();
+        batch.deletes = deletes.to_vec();
+        svc.submit(RequestKind::Ingest { batch })
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    fn service(n: usize, edges: &[(u32, u32, u32)]) -> GraphService {
+        let mut el = EdgeList::new(n);
+        for &(s, d, w) in edges {
+            el.push(Edge::weighted(s, d, w));
+        }
+        let svc = GraphService::new(Graph::from_edges(&el), cfg_on(Backend::Simulated)).unwrap();
+        ingest(&svc, &[], &[]); // mutated mode: answers are cached from here on
+        svc
+    }
+
+    // Insert then delete of one pair: the chain is what it was.
+    let svc = service(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+    let bfs = || svc.submit(RequestKind::Bfs { source: 0 }).unwrap().wait();
+    assert_eq!(bfs().unwrap().values.levels().unwrap(), [0, 1, 2, 3]);
+    ingest(&svc, &[(0, 2, 1)], &[]);
+    ingest(&svc, &[], &[(0, 2)]);
+    assert_eq!(bfs().unwrap().values.levels().unwrap(), [0, 1, 2, 3]);
+
+    // Two reweights of one pair: 0 -> 1 goes 5 -> 7 -> 20, so the path over
+    // 2 (1 + 10) takes over.
+    let svc = service(3, &[(0, 1, 5), (0, 2, 1), (2, 1, 10)]);
+    let kind = RequestKind::Sssp {
+        source: 0,
+        delta: 100,
+    };
+    let sssp = || svc.submit(kind.clone()).unwrap().wait();
+    assert_eq!(sssp().unwrap().values.distances().unwrap(), [0, 5, 1]);
+    ingest(&svc, &[(0, 1, 7)], &[]);
+    ingest(&svc, &[(0, 1, 20)], &[]);
+    assert_eq!(sssp().unwrap().values.distances().unwrap(), [0, 11, 1]);
     assert_eq!(svc.stats().failed, 0);
 }
