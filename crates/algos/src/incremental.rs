@@ -62,8 +62,8 @@
 use std::collections::HashMap;
 
 use polymer_api::{
-    catch_engine_faults, charged_values_restore, even_chunks, weight_balanced_chunks,
-    IterationDriver, OverlayTopo, PolymerError, PolymerResult, RunResult,
+    catch_engine_faults, charged_values_restore, even_chunks, validate_sim_threads,
+    weight_balanced_chunks, IterationDriver, OverlayTopo, PolymerError, PolymerResult, RunResult,
 };
 use polymer_graph::{AppliedBatch, Edge, VId};
 use polymer_numa::{AllocPolicy, Atom, BarrierKind, Machine, NumaAtomicArray};
@@ -202,12 +202,7 @@ fn guarded<T>(
     source: Option<VId>,
     body: impl FnOnce() -> PolymerResult<T>,
 ) -> PolymerResult<T> {
-    let cores = machine.topology().total_cores();
-    if threads == 0 || threads > cores {
-        return Err(PolymerError::InvalidConfig(format!(
-            "threads must be in 1..={cores} (the machine's cores), got {threads}"
-        )));
-    }
+    validate_sim_threads(machine, threads)?;
     let n = topo.num_vertices();
     if let Some(s) = source.filter(|&s| s as usize >= n) {
         return Err(PolymerError::InvalidConfig(format!(

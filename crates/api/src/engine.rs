@@ -10,7 +10,7 @@ use polymer_graph::Graph;
 use polymer_numa::{Machine, MemoryReport, RunClock, SharedTracer};
 
 use crate::backend::{Backend, ExecProfile};
-use crate::driver::RecoverySession;
+use crate::driver::{Checkpoint, RecoverySession};
 use crate::program::Program;
 use crate::result::RunResult;
 
@@ -95,9 +95,10 @@ pub trait Engine {
     /// The hook an engine implements: the simulated body — build the layout
     /// on `machine`, then execute `prog` to completion. Called only by
     /// [`Engine::try_run_with`], which has already checked the configuration
-    /// ([`validate_run_config`]) and converts a panic escaping the body into
-    /// a typed error ([`catch_engine_faults`]), so no engine can forget the
-    /// front door. Graph construction/loading time is excluded from the
+    /// ([`validate_run_config`], [`validate_sim_threads`], and
+    /// [`validate_resume`] on a resume checkpoint) and converts a panic
+    /// escaping the body into a typed error ([`catch_engine_faults`]), so no
+    /// engine can forget the front door. Graph construction/loading time is excluded from the
     /// result's clock, as in the paper's methodology. `traced` and
     /// `recovery` are [`RunOptions::traced`] and [`RunOptions::recovery`].
     fn run_simulated<P: Program>(
@@ -137,6 +138,10 @@ pub trait Engine {
         match &opts.backend {
             Backend::Simulated => {
                 validate_run_config(threads, graph, prog)?;
+                validate_sim_threads(machine, threads)?;
+                if let Some(ck) = opts.recovery.resume() {
+                    validate_resume(ck, graph.num_vertices())?;
+                }
                 catch_engine_faults(|| {
                     self.run_simulated(machine, threads, graph, prog, opts.traced, &opts.recovery)
                 })
@@ -231,6 +236,39 @@ pub fn validate_run_config<P: Program>(threads: usize, g: &Graph, prog: &P) -> P
                 "source vertex {s} out of range (graph has {n} vertices)"
             )));
         }
+    }
+    Ok(())
+}
+
+/// The simulated backend binds every thread to a core of `machine`: a count
+/// the machine cannot bind is a typed [`PolymerError::InvalidConfig`]
+/// (fatal, never retried), not the simulator's assert. Shared by
+/// [`Engine::try_run_with`]'s `Simulated` arm and the overlay entry points.
+pub fn validate_sim_threads(machine: &Machine, threads: usize) -> PolymerResult<()> {
+    let cores = machine.topology().total_cores();
+    if threads == 0 || threads > cores {
+        return Err(PolymerError::InvalidConfig(format!(
+            "threads must be in 1..={cores} (the machine's cores), got {threads}"
+        )));
+    }
+    Ok(())
+}
+
+/// A resume checkpoint must describe the graph it resumes on: one value per
+/// vertex and a frontier naming only vertices below `n`. Both backends check
+/// this before touching the checkpoint, so a foreign or corrupted one is a
+/// typed [`PolymerError::InvalidConfig`] instead of an index panic.
+pub fn validate_resume<V>(ck: &Checkpoint<V>, n: usize) -> PolymerResult<()> {
+    if ck.values.len() != n {
+        return Err(PolymerError::InvalidConfig(format!(
+            "resume checkpoint has {} values for a {n}-vertex graph",
+            ck.values.len()
+        )));
+    }
+    if let Some(v) = ck.frontier.vertices.iter().find(|&&v| v as usize >= n) {
+        return Err(PolymerError::InvalidConfig(format!(
+            "resume checkpoint's frontier names vertex {v} but the graph has {n} vertices"
+        )));
     }
     Ok(())
 }

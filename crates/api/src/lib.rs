@@ -42,7 +42,10 @@ pub mod supervisor;
 
 pub use backend::{Backend, DirectionPolicy, ExecProfile, RealThreadsConfig};
 pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver, RecoverySession};
-pub use engine::{catch_engine_faults, validate_run_config, Engine, EngineKind, RunOptions};
+pub use engine::{
+    catch_engine_faults, validate_resume, validate_run_config, validate_sim_threads, Engine,
+    EngineKind, RunOptions,
+};
 pub use exec::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
     degree_balanced_chunks, even_chunks, init_values, serial_combine, weight_balanced_chunks,

@@ -78,7 +78,7 @@ use polymer_sync::{should_densify, FrontierSnapshot, HierBarrier};
 
 use crate::backend::{DirectionPolicy, ExecProfile, RealThreadsConfig};
 use crate::driver::{Checkpoint, RecoverySession};
-use crate::engine::validate_run_config;
+use crate::engine::{validate_resume, validate_run_config};
 use crate::exec::degree_balanced_chunks;
 use crate::program::{FrontierInit, Program};
 
@@ -425,19 +425,8 @@ pub fn try_run_threads_rec<P: Program>(
     let resume = recovery.resume();
     match resume {
         Some(ck) => {
-            if ck.values.len() != n {
-                return Err(PolymerError::InvalidConfig(format!(
-                    "resume checkpoint has {} values but the graph has {n} vertices",
-                    ck.values.len()
-                )));
-            }
+            validate_resume(ck, n)?;
             for &v in &ck.frontier.vertices {
-                if v as usize >= n {
-                    return Err(PolymerError::InvalidConfig(format!(
-                        "resume checkpoint's frontier names vertex {v} \
-                         but the graph has {n} vertices"
-                    )));
-                }
                 initial_bits[v as usize / 64] |= 1u64 << (v % 64);
             }
         }

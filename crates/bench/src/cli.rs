@@ -1,13 +1,16 @@
-//! Minimal CLI parsing shared by the experiment binaries (no external
-//! dependencies: flags are few and uniform).
+//! Minimal CLI parsing for the `polymer-bench` binary (no external
+//! dependencies: one command word and three uniform flags).
 
 use std::path::PathBuf;
 
-/// Parsed common flags.
-#[derive(Clone, Debug)]
+/// The parsed command line: `polymer-bench <command> [flags]`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Args {
-    /// Dataset scale shift (relative to `polymer_graph::datasets` defaults).
-    pub scale: i32,
+    /// `list`, `all`, or the name of one experiment.
+    pub command: String,
+    /// Dataset scale shift (relative to `polymer_graph::datasets` defaults);
+    /// `None` leaves every experiment at its own default.
+    pub scale: Option<i32>,
     /// Output directory for JSON results.
     pub out: PathBuf,
     /// Where to write a Chrome-trace JSON timeline of one representative
@@ -16,96 +19,102 @@ pub struct Args {
     pub trace: Option<PathBuf>,
 }
 
+const USAGE: &str = "usage: polymer-bench <experiment>|list|all \
+     [--scale <shift>] [--out <dir>] [--trace <path>]\n\
+     \x20 list             print the experiments and their default scales\n\
+     \x20 all              run every experiment in one process, each simulated cell once\n\
+     \x20 --scale <shift>  dataset size shift (negative = smaller; default per experiment)\n\
+     \x20 --out <dir>      JSON results directory (default results/)\n\
+     \x20 --trace <path>   Chrome-trace JSON of one traced run (fig10_barrier, bench_baseline;\n\
+     \x20                  viewable at chrome://tracing or ui.perfetto.dev)";
+
 impl Args {
-    /// Parse `std::env::args`, with a binary-specific default scale shift.
-    /// Recognized flags: `--scale <i32>`, `--out <dir>`, `--help`.
-    pub fn parse(default_scale: i32, experiment: &str) -> Args {
-        Self::parse_from(std::env::args().skip(1), default_scale, experiment)
+    /// Parse `std::env::args`: prints the usage and exits on `--help`
+    /// (status 0) or a malformed line (status 2).
+    pub fn parse() -> Args {
+        match Self::parse_from(std::env::args().skip(1)) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(msg) => {
+                eprintln!("polymer-bench: {msg}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
     }
 
-    fn parse_from(
-        args: impl Iterator<Item = String>,
-        default_scale: i32,
-        experiment: &str,
-    ) -> Args {
+    /// Parse an argument list (without the program name); `Ok(None)` when
+    /// it asks for help.
+    fn parse_from(args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
         let mut out = Args {
-            scale: default_scale,
+            command: String::new(),
+            scale: None,
             out: PathBuf::from("results"),
             trace: None,
         };
-        let mut it = args.peekable();
-        while let Some(a) = it.next() {
+        let mut it = args.enumerate();
+        while let Some((i, a)) = it.next() {
+            let mut value = || {
+                it.next()
+                    .map(|(_, v)| v)
+                    .ok_or_else(|| format!("{a} needs a value"))
+            };
             match a.as_str() {
                 "--scale" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die(experiment, "--scale needs a value"));
-                    out.scale = v
-                        .parse()
-                        .unwrap_or_else(|_| die(experiment, "--scale must be an integer"));
+                    let v = value()?;
+                    out.scale = Some(v.parse().map_err(|_| "--scale must be an integer")?);
                 }
-                "--out" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die(experiment, "--out needs a value"));
-                    out.out = PathBuf::from(v);
-                }
-                "--trace" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| die(experiment, "--trace needs a value"));
-                    out.trace = Some(PathBuf::from(v));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "{experiment}: reproduces the corresponding table/figure of the paper.\n\
-                         Flags: --scale <shift> (dataset size, default {default_scale}), \
-                         --out <dir> (JSON results, default results/), \
-                         --trace <path> (Chrome-trace JSON of a traced run, \
-                         viewable at chrome://tracing or ui.perfetto.dev)"
-                    );
-                    std::process::exit(0);
-                }
-                other => die(experiment, &format!("unknown flag {other}")),
+                "--out" => out.out = PathBuf::from(value()?),
+                "--trace" => out.trace = Some(PathBuf::from(value()?)),
+                "--help" | "-h" => return Ok(None),
+                word if i == 0 && !word.starts_with('-') => out.command = word.to_string(),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        out
+        if out.command.is_empty() {
+            return Err("missing <experiment>, `list` or `all`".to_string());
+        }
+        Ok(Some(out))
     }
-}
-
-fn die(experiment: &str, msg: &str) -> ! {
-    eprintln!("{experiment}: {msg} (try --help)");
-    std::process::exit(2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(words: &[&str]) -> Result<Option<Args>, String> {
+        Args::parse_from(words.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn defaults_and_overrides() {
-        let a = Args::parse_from(std::iter::empty(), -2, "t");
-        assert_eq!(a.scale, -2);
+        let a = parse(&["fig3_latency"]).unwrap().unwrap();
+        assert_eq!(a.command, "fig3_latency");
+        assert_eq!(a.scale, None);
         assert_eq!(a.out, PathBuf::from("results"));
-        let a = Args::parse_from(
-            ["--scale", "-4", "--out", "/tmp/x"]
-                .iter()
-                .map(|s| s.to_string()),
-            -2,
-            "t",
-        );
-        assert_eq!(a.scale, -4);
-        assert_eq!(a.out, PathBuf::from("/tmp/x"));
         assert_eq!(a.trace, None);
+        let a = parse(&["all", "--scale", "-4", "--out", "/tmp/x"]).unwrap();
+        let a = a.unwrap();
+        assert_eq!(a.command, "all");
+        assert_eq!(a.scale, Some(-4));
+        assert_eq!(a.out, PathBuf::from("/tmp/x"));
     }
 
     #[test]
     fn trace_flag_parses() {
-        let a = Args::parse_from(
-            ["--trace", "out.json"].iter().map(|s| s.to_string()),
-            0,
-            "t",
-        );
-        assert_eq!(a.trace, Some(PathBuf::from("out.json")));
+        let a = parse(&["fig10_barrier", "--trace", "out.json"]).unwrap();
+        assert_eq!(a.unwrap().trace, Some(PathBuf::from("out.json")));
+    }
+
+    #[test]
+    fn help_and_malformed_lines() {
+        assert_eq!(parse(&["table3_runtimes", "--help"]), Ok(None));
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["fig3_latency", "--scale"]).is_err());
+        assert!(parse(&["fig3_latency", "--scale", "x"]).is_err());
+        assert!(parse(&["fig3_latency", "extra"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 }

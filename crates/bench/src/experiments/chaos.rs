@@ -1,27 +1,15 @@
-//! Chaos-sweep benchmark: the recoverable-execution story as a committed
-//! artifact. Seeded fault scenarios × the four systems run BFS under the
-//! [`RunSupervisor`], and every cell is checked against the fault-free
-//! oracle: a supervised run must terminate with the bit-identical answer or
-//! a typed error — and across the sweep both recovery modes (checkpoint
-//! resume, degraded-mode fallback) must actually fire.
-//!
-//! Writes `results/BENCH_chaos.json` (one row per scenario × system:
-//! attempts, recovery flags, checkpoint count, error codes, host
-//! wall-clock) and exits non-zero if any invariant is violated — the CI
-//! `chaos-smoke` job runs this at a reduced scale.
+//! `BENCH_chaos`: the supervised-recovery sweep.
 
 use std::time::{Duration, Instant};
 
-use polymer_api::supervisor::{RecoveryReport, RunSupervisor, SupervisorConfig};
-use polymer_api::{Backend, CheckpointPolicy, FaultPlan, PolymerError, PolymerResult, RunResult};
-use polymer_bench::{write_json_with_meta, Args, BenchMeta, SystemId, Table};
-use polymer_core::PolymerEngine;
-use polymer_galois::GaloisEngine;
+use polymer_api::supervisor::{RunSupervisor, SupervisorConfig};
+use polymer_api::{Backend, CheckpointPolicy, FaultPlan, PolymerError};
+use polymer_core::PolymerConfig;
 use polymer_graph::{gen, Graph};
-use polymer_ligra::LigraEngine;
 use polymer_numa::{MachineSpec, SpillPolicy};
-use polymer_xstream::XStreamEngine;
 use serde::Serialize;
+
+use crate::{Report, Session, SystemId, Table};
 
 /// OS threads for supervised real-thread attempts (fixed so committed
 /// numbers are comparable across hosts).
@@ -113,29 +101,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn supervise(
-    sys: SystemId,
-    backend: &Backend,
-    cfg: SupervisorConfig,
-    g: &Graph,
-    source: u32,
-) -> (PolymerResult<RunResult<u32>>, RecoveryReport) {
-    let prog = polymer_algos::Bfs::new(source);
-    let spec = MachineSpec::test2();
-    let sup = RunSupervisor::new(cfg);
-    macro_rules! on {
-        ($engine:expr) => {
-            sup.run_reported(&$engine, backend, &spec, THREADS, g, &prog, None)
-        };
-    }
-    match sys {
-        SystemId::Polymer => on!(PolymerEngine::new()),
-        SystemId::Ligra => on!(LigraEngine::new()),
-        SystemId::XStream => on!(XStreamEngine::new()),
-        SystemId::Galois => on!(GaloisEngine::new()),
-    }
-}
-
 fn backend_name(b: &Backend) -> &'static str {
     match b {
         Backend::Simulated => "simulated",
@@ -162,20 +127,31 @@ fn quiet_injected_panics() {
     }));
 }
 
-fn main() {
-    let args = Args::parse(0, "bench_chaos");
+/// Chaos-sweep benchmark: the recoverable-execution story as a committed
+/// artifact. Seeded fault scenarios × the four systems run BFS under the
+/// [`RunSupervisor`], and every cell is checked against the fault-free
+/// oracle: a supervised run must terminate with the bit-identical answer or
+/// a typed error — and across the sweep both recovery modes (checkpoint
+/// resume, degraded-mode fallback) must actually fire.
+///
+/// Writes `results/BENCH_chaos.json` (one row per scenario × system:
+/// attempts, recovery flags, checkpoint count, error codes, host
+/// wall-clock); any broken invariant is a violation, which the CI
+/// `experiments` job relies on.
+pub fn bench_chaos(s: &mut Session) -> Report {
     quiet_injected_panics();
     // 2^(10+scale) vertices: small by design — the subject is the recovery
     // machinery, not graph throughput.
-    let vshift = (10 + args.scale).clamp(6, 20) as usize;
+    let vshift = (10 + s.scale).clamp(6, 20) as usize;
     let g = Graph::from_edges(&gen::rmat(
         vshift as u32,
         (1 << vshift) * 8,
         gen::RMAT_GRAPH500,
         13,
     ));
-    let source = 0u32;
-    let (oracle, _) = polymer_algos::run_reference(&g, &polymer_algos::Bfs::new(source));
+    let prog = polymer_algos::Bfs::new(0);
+    let (oracle, _) = polymer_algos::run_reference(&g, &prog);
+    let spec = MachineSpec::test2();
 
     println!(
         "Chaos sweep: supervised BFS on rmat-{vshift} ({} vertices), {THREADS} threads\n",
@@ -191,16 +167,18 @@ fn main() {
 
     for sc in scenarios() {
         for sys in SystemId::ALL {
-            let cfg = SupervisorConfig {
+            let sup = RunSupervisor::new(SupervisorConfig {
                 checkpoint: CheckpointPolicy::EveryN(1),
                 // Fresh one-shot state per cell over the same fault sites.
                 plan: sc.plan.fork_attempt(),
                 spill: sc.spill,
                 sleep_on_backoff: false,
                 ..SupervisorConfig::default()
-            };
+            });
             let t = Instant::now();
-            let (result, report) = supervise(sys, &sc.backend, cfg, &g, source);
+            let (result, report) = crate::with_engine!(sys, PolymerConfig::default(), |engine| {
+                sup.run_reported(engine, &sc.backend, &spec, THREADS, &g, &prog, None)
+            });
             let wall = t.elapsed().as_secs_f64();
             let (outcome, answer_matches) = match &result {
                 Ok(run) => {
@@ -265,12 +243,9 @@ fn main() {
     }
 
     table.print();
-    write_json_with_meta(
-        &args.out,
-        "BENCH_chaos",
-        &BenchMeta::capture(args.scale, &MachineSpec::test2()),
-        &rows,
-    );
+    // Back to the default hook: later experiments of an `all` run keep
+    // their panics loud.
+    drop(std::panic::take_hook());
 
     if !saw_resumed_recovery {
         violations.push("no cell recovered via checkpoint resume".to_string());
@@ -278,12 +253,9 @@ fn main() {
     if !saw_degraded_recovery {
         violations.push("no cell recovered via degraded-mode fallback".to_string());
     }
-    if !violations.is_empty() {
-        eprintln!("[chaos] FAIL:");
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        std::process::exit(1);
+    if violations.is_empty() {
+        println!("\n[chaos] all cells terminated correctly; both recovery modes observed");
     }
-    println!("\n[chaos] all cells terminated correctly; both recovery modes observed");
+    let meta = s.meta(&spec);
+    Report::bench("BENCH_chaos", meta, &rows, violations)
 }

@@ -1,33 +1,4 @@
-//! Incremental-vs-scratch benchmark: the mutation subsystem as a committed
-//! artifact.
-//!
-//! For each batch size (a fraction of the live edge set) the harness
-//! converges every program cold on a symmetric rMat graph, applies one
-//! mixed symmetric mutation batch (deletes, fresh inserts, reweights),
-//! and then answers the post-batch query twice on the rebuilt overlay
-//! topology: **incremental** (warm-started from the prior converged run
-//! via [`WarmStart`]) and **scratch** (cold). The ratio of their simulated
-//! seconds is the speedup the delta-overlay design exists to deliver; the
-//! `wall_*` columns are the host wall-clock of those same two calls — the
-//! code `polymer-serve` executes, simulator included.
-//!
-//! The CC rows apply the batch *without its deletes* to a second copy of
-//! the base: warm CC repairs insert-only batches (union-find over the prior
-//! labels, one relabel sweep) and answers a batch with structural deletes
-//! cold, which would make the row 1× by construction.
-//!
-//! Every row is checked against the from-scratch oracle before it is
-//! written: BFS/SSSP/CC must be **bit-identical** to
-//! [`polymer_algos::run_reference`] on the post-batch edge list, PageRank
-//! ε-close to the cold overlay fixpoint. Any violation exits non-zero —
-//! the CI `incremental-smoke` job relies on this, and additionally asserts
-//! that small batches (≤ 0.1% of |E|) are served faster than from scratch.
-//!
-//! Writes `results/BENCH_incremental.json` (shared [`BenchMeta`] block +
-//! one row per program × batch fraction). The committed copy was produced
-//! with the defaults (`--scale 0`: rmat-18 × 32 symmetrised — 2^18
-//! vertices, 14.5 M live edges — 80 simulated threads on the Intel
-//! machine).
+//! `BENCH_incremental`: warm start against scratch over mutation batches.
 
 use std::time::Instant;
 
@@ -37,10 +8,11 @@ use polymer_algos::{
     ConnectedComponents, Sssp, WarmStart, DEFAULT_PR_TOL,
 };
 use polymer_api::{OverlayTopo, RunResult};
-use polymer_bench::{write_json_with_meta, Args, BenchMeta, Table};
 use polymer_graph::{gen, BatchStats, Graph, MutableGraph};
 use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 use serde::Serialize;
+
+use crate::{Report, Session, Table};
 
 /// Simulated threads (the paper's Intel machine, like the BENCH series).
 const THREADS: usize = 80;
@@ -137,16 +109,46 @@ fn min_cell<V: Eq>(scratch: &Timed<V>, warm: &Timed<V>, oracle: &[V]) -> Cell {
     }
 }
 
-fn main() {
-    let args = Args::parse(0, "bench_incremental");
-    let vshift = (18 + args.scale).clamp(8, 19) as u32;
+/// Incremental-vs-scratch benchmark: the mutation subsystem as a committed
+/// artifact.
+///
+/// For each batch size (a fraction of the live edge set) the harness
+/// converges every program cold on a symmetric rMat graph, applies one
+/// mixed symmetric mutation batch (deletes, fresh inserts, reweights),
+/// and then answers the post-batch query twice on the rebuilt overlay
+/// topology: **incremental** (warm-started from the prior converged run
+/// via [`WarmStart`]) and **scratch** (cold). The ratio of their simulated
+/// seconds is the speedup the delta-overlay design exists to deliver; the
+/// `wall_*` columns are the host wall-clock of those same two calls — the
+/// code `polymer-serve` executes, simulator included.
+///
+/// The CC rows apply the batch *without its deletes* to a second copy of
+/// the base: warm CC repairs insert-only batches (union-find over the prior
+/// labels, one relabel sweep) and answers a batch with structural deletes
+/// cold, which would make the row 1× by construction.
+///
+/// Every row is checked against the from-scratch oracle before it is
+/// written: BFS/SSSP/CC must be **bit-identical** to
+/// [`polymer_algos::run_reference`] on the post-batch edge list, PageRank
+/// ε-close to the cold overlay fixpoint. Further violations, which the CI
+/// `experiments` job relies on: the smallest batch must be served no slower
+/// warm than from scratch, and the CC rows must carry no delete and add no
+/// repair iteration.
+///
+/// Writes `results/BENCH_incremental.json` (shared [`crate::BenchMeta`] block +
+/// one row per program × batch fraction). The committed copy was produced
+/// with the defaults (`--scale 0`: rmat-18 × 32 symmetrised — 2^18
+/// vertices, 14.5 M live edges — 80 simulated threads on the Intel
+/// machine).
+pub fn bench_incremental(s: &mut Session) -> Report {
+    let vshift = (18 + s.scale).clamp(8, 19) as u32;
     let mut el = gen::rmat(vshift, (1usize << vshift) * 32, gen::RMAT_GRAPH500, 59);
     el.symmetrize();
 
     let machine = Machine::new(MachineSpec::intel80());
     println!(
         "Incremental vs scratch: rmat-{vshift} symmetric (scale {}), {THREADS} threads, Intel\n",
-        args.scale
+        s.scale
     );
     let mut table = Table::new(&[
         "Algo",
@@ -292,22 +294,30 @@ fn main() {
         let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
         let cell = min_cell(&scratch, &inc, &oracle);
         push("CC", batch.len(), applied.stats, cell);
+        // Warm CC exists for insert-only batches: the row's batch must
+        // carry no delete, and the union-find fast path adds no repair
+        // iteration to the prior run's count.
+        if applied.stats.deleted != 0 || inc.0.iterations != prior_cc.iterations {
+            violations.push(format!(
+                "CC @ {fraction}: {} deletes applied; warm run at {} rounds, prior at {}",
+                applied.stats.deleted, inc.0.iterations, prior_cc.iterations
+            ));
+        }
     }
 
     table.print();
-    write_json_with_meta(
-        &args.out,
-        "BENCH_incremental",
-        &BenchMeta::capture(args.scale, machine.spec()),
-        &rows,
-    );
-
-    if !violations.is_empty() {
-        eprintln!("[incremental] FAIL:");
-        for v in &violations {
-            eprintln!("  - {v}");
+    // The smallest batch is what warm-starting exists for.
+    for r in rows.iter().filter(|r| r.batch_fraction == FRACTIONS[0]) {
+        if r.sim_speedup < 1.0 {
+            violations.push(format!(
+                "{} @ {}: warm start slower than scratch ({:.2}x)",
+                r.algo, r.batch_fraction, r.sim_speedup
+            ));
         }
-        std::process::exit(1);
     }
-    println!("\n[incremental] all rows oracle-exact (PageRank within tolerance)");
+    if violations.is_empty() {
+        println!("\n[incremental] all rows oracle-exact (PageRank within tolerance)");
+    }
+    let meta = s.meta(machine.spec());
+    Report::bench("BENCH_incremental", meta, &rows, violations)
 }

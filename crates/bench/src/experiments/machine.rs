@@ -1,20 +1,73 @@
-//! Figure 4: bandwidth (MB/s) of sequential vs. random access by distance,
-//! measured *through the simulator* — a core on node 0 streams or randomly
-//! probes a large array homed at each distance (numademo-style), and the
-//! achieved MB/s is derived from the modeled phase time. This validates that
-//! the cost model end-to-end reproduces the measured tables it was
-//! calibrated from, including the key inversion: sequential remote beats
-//! random local.
+//! Figures 3 and 4: the machine characterization the cost model is
+//! calibrated from (no dataset; `--scale` is ignored).
 
-use polymer_bench::{write_json, Args, Table};
-use polymer_numa::{AllocPolicy, CostConfig, Machine, MachineSpec, NodeId, SimExecutor};
+use polymer_numa::{
+    AllocPolicy, BarrierKind, CostConfig, DistClass, Machine, MachineSpec, NodeId, SimExecutor,
+};
 use serde::Serialize;
+
+use crate::{Report, Session, Table};
+
+#[derive(Serialize)]
+struct LatencyRow {
+    machine: String,
+    inst: &'static str,
+    hop0: f64,
+    hop1: f64,
+    hop2: f64,
+}
+
+/// Figure 3(b): load/store latency (cycles) by hop distance, for both the
+/// 80-core Intel and 64-core AMD machine models. These are the machine
+/// characterization tables the whole cost model is calibrated from, printed
+/// alongside a pointer-chase "measurement" derived from the model (a
+/// dependent-load chain costs one full latency per hop).
+pub fn fig3_latency(_: &mut Session) -> Report {
+    let mut rows = Vec::new();
+    let mut table = Table::new(&["Machine", "Inst.", "0-hop", "1-hop", "2-hop"]);
+    for spec in [MachineSpec::intel80(), MachineSpec::amd64()] {
+        for (inst, get) in [
+            (
+                "Load",
+                &(|d| spec.latency.load(d)) as &dyn Fn(DistClass) -> f64,
+            ),
+            ("Store", &|d| spec.latency.store(d)),
+        ] {
+            let (h0, h1, h2) = (
+                get(DistClass::Local),
+                get(DistClass::OneHop),
+                get(DistClass::TwoHop),
+            );
+            table.row(vec![
+                spec.name.clone(),
+                inst.to_string(),
+                format!("{h0:.0}"),
+                format!("{h1:.0}"),
+                format!("{h2:.0}"),
+            ]);
+            rows.push(LatencyRow {
+                machine: spec.name.clone(),
+                inst,
+                hop0: h0,
+                hop1: h1,
+                hop2: h2,
+            });
+        }
+    }
+    println!("Figure 3(b): memory access latency (cycles) by distance\n");
+    table.print();
+    println!(
+        "\nPaper reference (Intel): load 117/271/372, store 108/304/409 cycles;\n\
+         (AMD): load 228/419/498, store 256/463/544 cycles."
+    );
+    Report::paper("fig3_latency", &rows)
+}
 
 const ELEMS: usize = 1 << 22; // 32 MiB arrays: streams stay DRAM-bound.
 const TOUCH: usize = 200_000;
 
 #[derive(Serialize)]
-struct Row {
+struct BandwidthRow {
     machine: String,
     access: &'static str,
     label: String,
@@ -30,7 +83,7 @@ fn measure(spec: &MachineSpec, policy: AllocPolicy, sequential: bool) -> f64 {
         cpu_cycles_per_access: 0.0,
         ..CostConfig::default()
     };
-    let mut sim = SimExecutor::with_config(&machine, 1, cfg, polymer_numa::BarrierKind::SenseNuma);
+    let mut sim = SimExecutor::with_config(&machine, 1, cfg, BarrierKind::SenseNuma);
     let cost = sim.run_phase("sweep", |_tid, ctx| {
         if sequential {
             for i in 0..TOUCH {
@@ -51,8 +104,14 @@ fn measure(spec: &MachineSpec, policy: AllocPolicy, sequential: bool) -> f64 {
     bytes / cost.time_us // bytes/µs == MB/s
 }
 
-fn main() {
-    let args = Args::parse(0, "fig4_bandwidth");
+/// Figure 4: bandwidth (MB/s) of sequential vs. random access by distance,
+/// measured *through the simulator* — a core on node 0 streams or randomly
+/// probes a large array homed at each distance (numademo-style), and the
+/// achieved MB/s is derived from the modeled phase time. This validates that
+/// the cost model end-to-end reproduces the measured tables it was
+/// calibrated from, including the key inversion: sequential remote beats
+/// random local.
+pub fn fig4_bandwidth(_: &mut Session) -> Report {
     let mut rows = Vec::new();
     println!("Figure 4: bandwidth (MB/s) by access pattern and distance\n");
     for spec in [MachineSpec::intel80(), MachineSpec::amd64()] {
@@ -79,7 +138,7 @@ fn main() {
             for (access, seq) in [("Sequential", true), ("Random", false)] {
                 let mbs = measure(&spec, policy.clone(), seq);
                 table.row(vec![access.to_string(), label.clone(), format!("{mbs:.0}")]);
-                rows.push(Row {
+                rows.push(BandwidthRow {
                     machine: spec.name.clone(),
                     access,
                     label: label.clone(),
@@ -96,5 +155,5 @@ fn main() {
          random 720/348/307, interleaved 344 MB/s. Key inversion: sequential\n\
          2-hop (2101) far exceeds random 0-hop (720)."
     );
-    write_json(&args.out, "fig4_bandwidth", &rows);
+    Report::paper("fig4_bandwidth", &rows)
 }

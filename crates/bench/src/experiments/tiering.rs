@@ -1,40 +1,13 @@
-//! Tiered-memory ablation: every engine's PageRank under fast-only,
-//! tiered (per promotion policy), and slow-only memory configurations.
-//!
-//! All modes run the same compute — 40 simulated threads node-major on the
-//! four fast sockets of [`MachineSpec::intel80_tiered`] — and differ only in
-//! where data may live:
-//!
-//! * **fast-only** — unlimited fast capacity, nothing routed slow: the
-//!   machine the single-tier benchmarks model, and this table's lower
-//!   bound. Its run also measures the engine's real `topo/*` footprint,
-//!   from which the tiered modes' fast capacity is derived.
-//! * **tiered-static** — the tag-informed static split: `topo/*` (the edge
-//!   arrays) is routed to the slow tier and streamed X-Stream-style, vertex
-//!   state stays fast, the fast tier is capped at **one tenth of the topo
-//!   footprint** (so the graph is 10× fast capacity) and overflow demotes
-//!   ([`SpillPolicy::Demote`]). No migration: what placement gets you when
-//!   you already know which allocations are cold.
-//! * **tiered-&lt;policy&gt;** — true out-of-core: *everything* starts in the
-//!   slow tier (as if loaded there), the capped fast tier acts purely as a
-//!   migration-managed cache, and the named promotion policy must learn the
-//!   hot set from access heat between phases (charged as `tier-migrate`
-//!   traffic).
-//! * **slow-only** — every allocation routed to the slow tier (`"*"`), no
-//!   promotion: the no-DRAM upper bound.
-//!
-//! The run aborts with a non-zero exit — which the CI `tiering-smoke` job
-//! relies on — unless `fast-only ≤ tiered-* ≤ slow-only` holds in simulated
-//! seconds for every engine, and at least one (engine, promotion-policy)
-//! pair beats slow-only by [`MIN_BEST_SPEEDUP`]× or more.
+//! `BENCH_tiering`: the tiered-memory ablation.
 
 use polymer_api::Backend;
-use polymer_bench::runner::run_with;
-use polymer_bench::{write_json_with_meta, AlgoId, Args, BenchMeta, SystemId, Table, Workload};
 use polymer_core::PolymerConfig;
 use polymer_graph::DatasetId;
 use polymer_numa::{FaultPlan, Machine, MachineSpec, SpillPolicy, TierPolicy, PAGE_SIZE};
 use serde::Serialize;
+
+use crate::runner::run_with;
+use crate::{AlgoId, Report, Session, SystemId, Table, Workload};
 
 /// Simulated threads: all cores of the four fast sockets.
 const THREADS: usize = 40;
@@ -94,7 +67,7 @@ const TIERED_MODES: [(&str, &[&str], Option<TierPolicy>); 4] = [
 
 struct ModeOutcome {
     mode: String,
-    metrics: polymer_bench::Metrics,
+    metrics: crate::Metrics,
     topo_bytes: u64,
     fast_cap: u64,
     promoted: u64,
@@ -131,13 +104,43 @@ fn run_mode(
     }
 }
 
-fn main() {
-    let args = Args::parse(0, "bench_tiering");
-    let wl = Workload::prepare(DatasetId::Rmat24S, args.scale);
+/// Tiered-memory ablation: every engine's PageRank under fast-only,
+/// tiered (per promotion policy), and slow-only memory configurations.
+///
+/// All modes run the same compute — 40 simulated threads node-major on the
+/// four fast sockets of [`MachineSpec::intel80_tiered`] — and differ only in
+/// where data may live:
+///
+/// * **fast-only** — unlimited fast capacity, nothing routed slow: the
+///   machine the single-tier benchmarks model, and this table's lower
+///   bound. Its run also measures the engine's real `topo/*` footprint,
+///   from which the tiered modes' fast capacity is derived.
+/// * **tiered-static** — the tag-informed static split: `topo/*` (the edge
+///   arrays) is routed to the slow tier and streamed X-Stream-style, vertex
+///   state stays fast, the fast tier is capped at **one tenth of the topo
+///   footprint** (so the graph is 10× fast capacity) and overflow demotes
+///   ([`SpillPolicy::Demote`]). No migration: what placement gets you when
+///   you already know which allocations are cold.
+/// * **tiered-&lt;policy&gt;** — true out-of-core: *everything* starts in the
+///   slow tier (as if loaded there), the capped fast tier acts purely as a
+///   migration-managed cache, and the named promotion policy must learn the
+///   hot set from access heat between phases (charged as `tier-migrate`
+///   traffic).
+/// * **slow-only** — every allocation routed to the slow tier (`"*"`), no
+///   promotion: the no-DRAM upper bound.
+///
+/// Violations (the CI `experiments` job relies on the exit status):
+/// `fast-only ≤ tiered-* ≤ slow-only` must hold in simulated seconds for
+/// every engine; every promotion policy must promote pages and pay
+/// `migrate_sec` for them, and no other mode may promote; and at least one
+/// (engine, promotion-policy) pair must beat slow-only by
+/// [`MIN_BEST_SPEEDUP`]× or more.
+pub fn bench_tiering(s: &mut Session) -> Report {
+    let wl = s.workload(DatasetId::Rmat24S);
     println!(
         "Tiered memory: PageRank on rmat24 (scale {}), {THREADS} threads on intel80_tiered \
          (4 fast + 4 slow nodes), fast tier = topo/{FOOTPRINT_RATIO}\n",
-        args.scale
+        s.scale
     );
 
     let mut table = Table::new(&[
@@ -188,6 +191,24 @@ fn main() {
             let vs_slow = slow_sec / m.seconds;
             if o.mode.starts_with("tiered-") && o.mode != "tiered-static" {
                 best_policy_speedup = best_policy_speedup.max(vs_slow);
+                // A promotion policy that moved nothing, or moved it for
+                // free, is not exercising the migration path.
+                if o.promoted == 0 || migrate_sec <= 0.0 {
+                    violations.push(format!(
+                        "{}/{}: promoted {} pages in {:.4}s of migration",
+                        sys.name(),
+                        o.mode,
+                        o.promoted,
+                        migrate_sec
+                    ));
+                }
+            } else if o.promoted != 0 {
+                violations.push(format!(
+                    "{}/{}: promoted {} pages without a policy",
+                    sys.name(),
+                    o.mode,
+                    o.promoted
+                ));
             }
             if o.mode.starts_with("tiered-") {
                 // The ablation ordering every tiered mode must respect.
@@ -250,17 +271,6 @@ fn main() {
     }
 
     table.print();
-    write_json_with_meta(
-        &args.out,
-        "BENCH_tiering",
-        &BenchMeta::capture(args.scale, &MachineSpec::intel80_tiered()),
-        &rows,
-    );
-    if !violations.is_empty() {
-        eprintln!("[tiering] FAIL:");
-        for v in &violations {
-            eprintln!("  - {v}");
-        }
-        std::process::exit(1);
-    }
+    let meta = s.meta(&MachineSpec::intel80_tiered());
+    Report::bench("BENCH_tiering", meta, &rows, violations)
 }

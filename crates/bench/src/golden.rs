@@ -2,27 +2,26 @@
 //! accounting aggregates define "bit-identical simulated output" for the
 //! execution-substrate regression suite.
 //!
-//! The committed `results/golden_phasecosts.json` was produced by the
-//! `phasecosts_golden` binary *before* the engines were ported onto the
-//! shared [`polymer_api::IterationDriver`]; `tests/conformance.rs` re-runs
-//! [`golden_matrix`] and requires field-for-field equality, so any refactor
-//! that changes a single charged access, barrier, or iteration fails the
-//! suite. Regenerate only for an intentional fidelity change, recording the
+//! The committed `results/golden_phasecosts.json` was produced by this
+//! matrix (the `golden_phasecosts` experiment) *before* the engines were
+//! ported onto the shared [`polymer_api::IterationDriver`];
+//! `tests/conformance.rs` re-runs [`golden_matrix`] and requires
+//! field-for-field equality, so any refactor that changes a single charged
+//! access, barrier, or iteration fails the suite. Regenerate only for an intentional fidelity change, recording the
 //! rationale in EXPERIMENTS.md:
 //!
 //! ```text
-//! cargo run --release -p polymer-bench --bin phasecosts_golden -- --out results
+//! cargo run --release -p polymer-bench -- golden_phasecosts --out results
 //! ```
 
 use polymer_algos::{Bfs, ConnectedComponents, PageRank, Sssp};
 use polymer_api::{Engine, RunResult};
-use polymer_core::PolymerEngine;
-use polymer_galois::GaloisEngine;
+use polymer_core::PolymerConfig;
 use polymer_graph::{gen, Graph};
-use polymer_ligra::LigraEngine;
 use polymer_numa::{Machine, MachineSpec};
-use polymer_xstream::XStreamEngine;
 use serde::{Deserialize, Serialize};
+
+use crate::runner::SystemId;
 
 /// One (engine, algorithm) cell of the golden matrix: every field the
 /// bit-identity contract covers. Times serialize at full f64 precision.
@@ -90,19 +89,15 @@ pub fn golden_graphs() -> (Graph, Graph) {
 pub fn golden_matrix(spec: &MachineSpec) -> Vec<GoldenRow> {
     let (g, sym) = golden_graphs();
     let mut rows = Vec::new();
-    macro_rules! cell {
-        ($engine:expr, $name:expr, $graph:expr, $prog:expr, $algo:expr) => {{
-            let m = Machine::new(spec.clone());
-            let r = $engine.run(&m, 4, $graph, &$prog);
-            rows.push(row($name, $algo, &r));
-        }};
-    }
     macro_rules! engines {
         ($graph:expr, $prog:expr, $algo:expr) => {
-            cell!(PolymerEngine::new(), "Polymer", $graph, $prog, $algo);
-            cell!(LigraEngine::new(), "Ligra", $graph, $prog, $algo);
-            cell!(XStreamEngine::new(), "X-Stream", $graph, $prog, $algo);
-            cell!(GaloisEngine::new(), "Galois", $graph, $prog, $algo);
+            for sys in SystemId::ALL {
+                let m = Machine::new(spec.clone());
+                let r = crate::with_engine!(sys, PolymerConfig::default(), |engine| {
+                    engine.run(&m, 4, $graph, &$prog)
+                });
+                rows.push(row(sys.name(), $algo, &r));
+            }
         };
     }
     engines!(&g, PageRank::new(g.num_vertices()), "PR");

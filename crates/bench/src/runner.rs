@@ -5,12 +5,9 @@
 
 use polymer_algos::{BeliefPropagation, Bfs, ConnectedComponents, PageRank, SpMV, Sssp};
 use polymer_api::{Backend, Engine, RunOptions, RunResult};
-use polymer_core::{PolymerConfig, PolymerEngine};
-use polymer_galois::GaloisEngine;
+use polymer_core::PolymerConfig;
 use polymer_graph::{dataset, DatasetId, Graph, VId};
-use polymer_ligra::LigraEngine;
 use polymer_numa::{Machine, MachineSpec, RemoteAccessReport, TraceBuffer};
-use polymer_xstream::XStreamEngine;
 use serde::Serialize;
 
 /// The four systems of the paper's comparison.
@@ -345,17 +342,9 @@ pub fn run_with(
                 traced,
                 ..RunOptions::default()
             };
-            macro_rules! on {
-                ($engine:expr) => {
-                    $engine.try_run_with(machine, threads, g, &prog, &opts)
-                };
-            }
-            let r = match system {
-                SystemId::Polymer => on!(PolymerEngine::with_config(config)),
-                SystemId::Ligra => on!(LigraEngine::new()),
-                SystemId::XStream => on!(XStreamEngine::new()),
-                SystemId::Galois => on!(GaloisEngine::new()),
-            };
+            let r = crate::with_engine!(system, config, |engine| {
+                engine.try_run_with(machine, threads, g, &prog, &opts)
+            });
             let r =
                 r.unwrap_or_else(|e| panic!("{system:?}/{algo:?} run failed [{}]: {e}", e.code()));
             (
@@ -460,12 +449,9 @@ mod tests {
             let g = wl.graph_for(AlgoId::BFS);
             let machine = Machine::new(spec.clone());
             let prog = Bfs::new(wl.source);
-            let values = match sys {
-                SystemId::Polymer => PolymerEngine::new().run(&machine, 4, g, &prog).values,
-                SystemId::Ligra => LigraEngine::new().run(&machine, 4, g, &prog).values,
-                SystemId::XStream => XStreamEngine::new().run(&machine, 4, g, &prog).values,
-                SystemId::Galois => GaloisEngine::new().run(&machine, 4, g, &prog).values,
-            };
+            let values = crate::with_engine!(sys, PolymerConfig::default(), |engine| {
+                engine.run(&machine, 4, g, &prog).values
+            });
             assert_eq!(values, want, "{:?} diverged", sys);
         }
     }

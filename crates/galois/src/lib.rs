@@ -33,7 +33,7 @@ use polymer_api::{
     Checkpoint, Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession,
     RunResult, TopoArrays,
 };
-use polymer_faults::{PolymerError, PolymerResult};
+use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
 use polymer_numa::{AllocPolicy, BarrierKind, Machine};
 use polymer_sync::{DenseBitmap, FrontierSnapshot, ThreadQueues};
@@ -79,15 +79,6 @@ impl Engine for GaloisEngine {
         traced: bool,
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>> {
-        if let Some(ck) = recovery.resume() {
-            if ck.values.len() != g.num_vertices() {
-                return Err(PolymerError::InvalidConfig(format!(
-                    "resume checkpoint has {} values for a {}-vertex graph",
-                    ck.values.len(),
-                    g.num_vertices()
-                )));
-            }
-        }
         if prog.name() == "CC" && !self.no_union_find {
             return run_union_find(machine, threads, g, prog, traced, recovery);
         }

@@ -28,7 +28,7 @@ use polymer_api::{
 use std::cell::OnceCell;
 use std::ops::Range;
 
-use polymer_faults::{PolymerError, PolymerResult};
+use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
 use polymer_numa::{AllocPolicy, BarrierKind, Machine};
 use polymer_sync::{should_densify, DenseBitmap, Frontier, ThreadQueues};
@@ -100,12 +100,6 @@ impl Engine for LigraEngine {
             IterationDriver::new(machine, threads, BarrierKind::Hierarchical, traced, n);
         let mut frontier = match recovery.resume() {
             Some(ck) => {
-                if ck.values.len() != n {
-                    return Err(PolymerError::InvalidConfig(format!(
-                        "resume checkpoint has {} values for a {n}-vertex graph",
-                        ck.values.len()
-                    )));
-                }
                 // Restore the checkpointed vertex state through a charged
                 // "restore" sweep and continue the global iteration count.
                 charged_values_restore(driver.sim(), threads, &curr, &ck.values);

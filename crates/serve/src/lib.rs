@@ -65,8 +65,9 @@
 //! Every response is stamped with its request id (the
 //! [`polymer_api::RunResult::tag`] mechanism), so results fanned out of a
 //! coalesced sweep stay attributable. `docs/SERVING.md` walks through the
-//! design; `bench_serve` measures sustained throughput and latency
-//! percentiles under an open-loop arrival process.
+//! design; the repository benchmark's `serve-read` / `serve-ingest`
+//! workloads (`benchmark/`) measure throughput and latency percentiles, and
+//! `tests/serve.rs` checks the admission ledger under multi-worker overload.
 //!
 //! ```
 //! use polymer_graph::{gen, Graph};

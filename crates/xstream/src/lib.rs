@@ -231,12 +231,6 @@ impl Engine for XStreamEngine {
             IterationDriver::new(machine, threads, BarrierKind::Hierarchical, traced, n);
 
         if let Some(ck) = recovery.resume() {
-            if ck.values.len() != n {
-                return Err(PolymerError::InvalidConfig(format!(
-                    "resume checkpoint has {} values for a {n}-vertex graph",
-                    ck.values.len()
-                )));
-            }
             // Rebuild the per-partition state bitmaps and restore each
             // partition's value slice through a charged "restore" sweep
             // (each thread rewrites its own partition locally).

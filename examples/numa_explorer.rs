@@ -138,7 +138,7 @@ fn main() {
     println!("\ncentralized placement is controller-bound — the paper's Issue 1.");
 
     // Tracing demo: record a two-phase BSP step and print the per-phase
-    // breakdown table the bench binaries emit (see docs/OBSERVABILITY.md).
+    // breakdown table `polymer-bench` emits (see docs/OBSERVABILITY.md).
     println!("\n=== traced BSP step: per-phase breakdown ===\n");
     let data = machine.alloc_array::<u64>("explorer/traced", N, AllocPolicy::Interleaved);
     let mut sim = SimExecutor::new(&machine, 80);
@@ -162,7 +162,7 @@ fn main() {
     print!("{}", polymer::numa::phase_table(buf));
     println!(
         "\nexport the same buffer with polymer::numa::chrome_trace_json for\n\
-         chrome://tracing / ui.perfetto.dev, or pass --trace <path> to the\n\
-         polymer-bench binaries."
+         chrome://tracing / ui.perfetto.dev, or pass --trace <path> to\n\
+         `polymer-bench fig10_barrier` / `polymer-bench bench_baseline`."
     );
 }

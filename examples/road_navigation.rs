@@ -72,7 +72,7 @@ fn main() {
     println!(
         "\nadaptive-states ablation: {:.2} ms adaptive vs {:.2} ms always-dense ({:.1}x)\n\
          (the dense-state penalty grows with vertex count x diameter; run\n\
-         `cargo run -p polymer-bench --release --bin table6_ablations` for the\n\
+         `cargo run -p polymer-bench --release -- table6_ablations` for the\n\
          paper-scale version of this experiment)",
         fast.micros() / 1000.0,
         dense.micros() / 1000.0,

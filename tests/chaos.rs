@@ -26,20 +26,10 @@ use polymer::api::{
 };
 use polymer::graph::gen;
 use polymer::prelude::*;
+use polymer_bench::{with_engine, SystemId};
 
 fn chaos_graph() -> Graph {
     Graph::from_edges(&gen::rmat(8, 2_000, gen::RMAT_GRAPH500, 13))
-}
-
-macro_rules! for_each_engine {
-    ($f:expr) => {{
-        #[allow(unused_mut)]
-        let mut f = $f;
-        f("Polymer", &PolymerEngine::new());
-        f("Ligra", &LigraEngine::new());
-        f("X-Stream", &XStreamEngine::new());
-        f("Galois", &GaloisEngine::new());
-    }};
 }
 
 /// A supervisor config for tests: checkpoints every iteration, records the
@@ -53,14 +43,13 @@ fn chaos_config(plan: FaultPlan) -> SupervisorConfig {
     }
 }
 
-/// Run one supervised cell on a watchdog thread: a regression to the old
-/// deadlock behaviour fails the sweep instead of wedging the suite.
+/// Run one supervised BFS cell (4 threads) on a watchdog thread: a
+/// regression to the old deadlock behaviour fails the sweep instead of
+/// wedging the suite.
 fn supervised_bfs<E: Engine + Clone + Send + 'static>(
     engine: &E,
     backend: Backend,
     cfg: SupervisorConfig,
-    spill: SpillPolicy,
-    threads: usize,
     source: u32,
 ) -> (PolymerResult<RunResult<u32>>, RecoveryReport) {
     let engine = engine.clone();
@@ -68,9 +57,9 @@ fn supervised_bfs<E: Engine + Clone + Send + 'static>(
     thread::spawn(move || {
         let g = chaos_graph();
         let prog = Bfs::new(source);
-        let sup = RunSupervisor::new(SupervisorConfig { spill, ..cfg });
+        let sup = RunSupervisor::new(cfg);
         let spec = MachineSpec::test2();
-        let out = sup.run_reported(&engine, &backend, &spec, threads, &g, &prog, None);
+        let out = sup.run_reported(&engine, &backend, &spec, 4, &g, &prog, None);
         let _ = tx.send(out);
     });
     rx.recv_timeout(Duration::from_secs(120))
@@ -91,33 +80,37 @@ fn bfs_oracle() -> Vec<u32> {
 #[test]
 fn one_shot_worker_panic_recovers_by_resuming_a_checkpoint() {
     let want = bfs_oracle();
-    for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-        let plan = FaultPlan::new()
-            .with_seed(42)
-            .panic_worker_at(1, 2)
-            .barrier_timeout(Duration::from_secs(30));
-        let (result, report) = engine.supervise(Backend::real_threads(), chaos_config(plan));
-        let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
-        assert_eq!(run.values, want, "{ename}: recovered answer diverged");
-        assert!(
-            report.recovered,
-            "{ename}: expected a recovery, got {report:?}"
-        );
-        assert!(
-            report.resumed,
-            "{ename}: recovery should have resumed from a checkpoint: {report:?}"
-        );
-        assert!(report.checkpoints > 0, "{ename}: no checkpoints published");
-        assert_eq!(
-            report.error_codes(),
-            vec!["worker-panicked"],
-            "{ename}: unexpected failure codes"
-        );
-        assert!(
-            report.attempts.last().unwrap().resumed_from.is_some(),
-            "{ename}: final attempt did not resume: {report:?}"
-        );
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            let plan = FaultPlan::new()
+                .with_seed(42)
+                .panic_worker_at(1, 2)
+                .barrier_timeout(Duration::from_secs(30));
+            let (result, report) =
+                supervised_bfs(engine, Backend::real_threads(), chaos_config(plan), 0);
+            let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
+            assert_eq!(run.values, want, "{ename}: recovered answer diverged");
+            assert!(
+                report.recovered,
+                "{ename}: expected a recovery, got {report:?}"
+            );
+            assert!(
+                report.resumed,
+                "{ename}: recovery should have resumed from a checkpoint: {report:?}"
+            );
+            assert!(report.checkpoints > 0, "{ename}: no checkpoints published");
+            assert_eq!(
+                report.error_codes(),
+                vec!["worker-panicked"],
+                "{ename}: unexpected failure codes"
+            );
+            assert!(
+                report.attempts.last().unwrap().resumed_from.is_some(),
+                "{ename}: final attempt did not resume: {report:?}"
+            );
+        });
+    }
 }
 
 /// A persistent straggler under a tight barrier deadline: plain retries
@@ -128,36 +121,40 @@ fn one_shot_worker_panic_recovers_by_resuming_a_checkpoint() {
 #[test]
 fn persistent_straggler_recovers_by_degrading_to_simulated() {
     let want = bfs_oracle();
-    for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-        // Stragglers on every iteration a BFS on this graph can reach, so
-        // resuming past the first delay site never dodges the fault.
-        let mut plan = FaultPlan::new()
-            .with_seed(7)
-            .barrier_timeout(Duration::from_millis(5));
-        for iter in 0..12 {
-            plan = plan.delay_worker(1, iter, Duration::from_millis(40));
-        }
-        let (result, report) = engine.supervise(Backend::real_threads(), chaos_config(plan));
-        let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
-        assert_eq!(run.values, want, "{ename}: degraded answer diverged");
-        assert!(
-            report.degraded,
-            "{ename}: expected substrate degradation: {report:?}"
-        );
-        assert!(report.recovered, "{ename}: expected a recovery: {report:?}");
-        let last = report.attempts.last().unwrap();
-        assert_eq!(
-            last.backend, "simulated",
-            "{ename}: ladder should end on the simulated backend: {report:?}"
-        );
-        assert!(
-            report
-                .error_codes()
-                .iter()
-                .all(|&c| c == "barrier-timeout" || c == "barrier-poisoned"),
-            "{ename}: unexpected failure codes: {report:?}"
-        );
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            // Stragglers on every iteration a BFS on this graph can reach, so
+            // resuming past the first delay site never dodges the fault.
+            let mut plan = FaultPlan::new()
+                .with_seed(7)
+                .barrier_timeout(Duration::from_millis(5));
+            for iter in 0..12 {
+                plan = plan.delay_worker(1, iter, Duration::from_millis(40));
+            }
+            let (result, report) =
+                supervised_bfs(engine, Backend::real_threads(), chaos_config(plan), 0);
+            let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
+            assert_eq!(run.values, want, "{ename}: degraded answer diverged");
+            assert!(
+                report.degraded,
+                "{ename}: expected substrate degradation: {report:?}"
+            );
+            assert!(report.recovered, "{ename}: expected a recovery: {report:?}");
+            let last = report.attempts.last().unwrap();
+            assert_eq!(
+                last.backend, "simulated",
+                "{ename}: ladder should end on the simulated backend: {report:?}"
+            );
+            assert!(
+                report
+                    .error_codes()
+                    .iter()
+                    .all(|&c| c == "barrier-timeout" || c == "barrier-poisoned"),
+                "{ename}: unexpected failure codes: {report:?}"
+            );
+        });
+    }
 }
 
 /// A one-shot allocation failure on the simulated backend: the shared plan
@@ -165,18 +162,22 @@ fn persistent_straggler_recovers_by_degrading_to_simulated() {
 #[test]
 fn one_shot_alloc_failure_recovers_on_retry() {
     let want = bfs_oracle();
-    for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-        let plan = FaultPlan::new().with_seed(3).fail_nth_alloc(2);
-        let (result, report) = engine.supervise(Backend::Simulated, chaos_config(plan));
-        let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
-        assert_eq!(run.values, want, "{ename}: recovered answer diverged");
-        assert!(report.recovered, "{ename}: expected a recovery: {report:?}");
-        assert_eq!(
-            report.error_codes(),
-            vec!["alloc-failed"],
-            "{ename}: unexpected failure codes"
-        );
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            let plan = FaultPlan::new().with_seed(3).fail_nth_alloc(2);
+            let (result, report) =
+                supervised_bfs(engine, Backend::Simulated, chaos_config(plan), 0);
+            let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
+            assert_eq!(run.values, want, "{ename}: recovered answer diverged");
+            assert!(report.recovered, "{ename}: expected a recovery: {report:?}");
+            assert_eq!(
+                report.error_codes(),
+                vec!["alloc-failed"],
+                "{ename}: unexpected failure codes"
+            );
+        });
+    }
 }
 
 /// The toggles ride on the spec, so the fresh machine the supervisor builds
@@ -213,50 +214,61 @@ fn retried_attempt_inherits_the_specs_toggles() {
 /// error (with the full attempt history in the report), not loop forever.
 #[test]
 fn persistent_capacity_clamp_exhausts_retries_with_a_typed_error() {
-    for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-        let plan = FaultPlan::new().with_seed(5).clamp_node_capacity(512);
-        let cfg = SupervisorConfig {
-            spill: SpillPolicy::Fail,
-            ..chaos_config(plan)
-        };
-        let (result, report) = engine.supervise(Backend::Simulated, cfg);
-        let err = match result {
-            Err(e) => e,
-            Ok(_) => panic!("{ename}: a 512-byte node clamp cannot fit the graph"),
-        };
-        assert_eq!(err.code(), "node-capacity-exceeded", "{ename}");
-        assert!(err.is_retryable(), "{ename}: clamp errors are retryable");
-        assert_eq!(
-            report.attempts.len(),
-            RetryPolicy::default().max_attempts,
-            "{ename}: should have exhausted every attempt: {report:?}"
-        );
-        assert!(!report.recovered, "{ename}");
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            let plan = FaultPlan::new().with_seed(5).clamp_node_capacity(512);
+            let cfg = SupervisorConfig {
+                spill: SpillPolicy::Fail,
+                ..chaos_config(plan)
+            };
+            let (result, report) = supervised_bfs(engine, Backend::Simulated, cfg, 0);
+            let err = match result {
+                Err(e) => e,
+                Ok(_) => panic!("{ename}: a 512-byte node clamp cannot fit the graph"),
+            };
+            assert_eq!(err.code(), "node-capacity-exceeded", "{ename}");
+            assert!(err.is_retryable(), "{ename}: clamp errors are retryable");
+            assert_eq!(
+                report.attempts.len(),
+                RetryPolicy::default().max_attempts,
+                "{ename}: should have exhausted every attempt: {report:?}"
+            );
+            assert!(!report.recovered, "{ename}");
+        });
+    }
 }
 
 /// Fatal (non-retryable) errors abort on the first attempt — no retries,
 /// no degradation, typed error out.
 #[test]
 fn fatal_config_errors_abort_without_retrying() {
-    for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-        let (result, report) = engine.supervise_bad_source(Backend::Simulated);
-        let err = match result {
-            Err(e) => e,
-            Ok(_) => panic!("{ename}: out-of-range source must fail"),
-        };
-        assert_eq!(err.code(), "invalid-config", "{ename}");
-        assert!(!err.is_retryable(), "{ename}");
-        assert_eq!(
-            report.attempts.len(),
-            1,
-            "{ename}: fatal errors must not retry"
-        );
-        assert!(
-            !report.recovered && !report.degraded && !report.resumed,
-            "{ename}"
-        );
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            let (result, report) = supervised_bfs(
+                engine,
+                Backend::Simulated,
+                chaos_config(FaultPlan::new()),
+                u32::MAX,
+            );
+            let err = match result {
+                Err(e) => e,
+                Ok(_) => panic!("{ename}: out-of-range source must fail"),
+            };
+            assert_eq!(err.code(), "invalid-config", "{ename}");
+            assert!(!err.is_retryable(), "{ename}");
+            assert_eq!(
+                report.attempts.len(),
+                1,
+                "{ename}: fatal errors must not retry"
+            );
+            assert!(
+                !report.recovered && !report.degraded && !report.resumed,
+                "{ename}"
+            );
+        });
+    }
 }
 
 /// The full seeded sweep: fault scenarios × engines × backends on BFS,
@@ -321,44 +333,47 @@ fn chaos_sweep_terminates_every_cell_and_exhibits_both_recovery_modes() {
     let mut resumed_recoveries = 0usize;
     let mut degraded_recoveries = 0usize;
     for (sname, backend, plan, spill) in &scenarios {
-        for_each_engine!(|ename: &str, engine: &dyn ChaosEngine| {
-            cells += 1;
-            // fork_attempt: each cell gets fresh one-shot state over the
-            // same fault sites, so earlier cells can't spend this cell's
-            // faults.
-            let cfg = SupervisorConfig {
-                spill: *spill,
-                ..chaos_config(plan.fork_attempt())
-            };
-            let (result, report) = engine.supervise(backend.clone(), cfg);
-            match result {
-                Ok(run) => {
-                    assert_eq!(
-                        run.values, want,
-                        "{sname}/{ename}: supervised answer diverged from fault-free oracle"
-                    );
-                    if report.recovered && report.resumed {
-                        resumed_recoveries += 1;
+        for system in SystemId::ALL {
+            let ename = system.name();
+            with_engine!(system, Default::default(), |engine| {
+                cells += 1;
+                // fork_attempt: each cell gets fresh one-shot state over the
+                // same fault sites, so earlier cells can't spend this cell's
+                // faults.
+                let cfg = SupervisorConfig {
+                    spill: *spill,
+                    ..chaos_config(plan.fork_attempt())
+                };
+                let (result, report) = supervised_bfs(engine, backend.clone(), cfg, 0);
+                match result {
+                    Ok(run) => {
+                        assert_eq!(
+                            run.values, want,
+                            "{sname}/{ename}: supervised answer diverged from fault-free oracle"
+                        );
+                        if report.recovered && report.resumed {
+                            resumed_recoveries += 1;
+                        }
+                        if report.degraded {
+                            degraded_recoveries += 1;
+                        }
                     }
-                    if report.degraded {
-                        degraded_recoveries += 1;
+                    Err(e) => {
+                        // Termination with a *typed* error is a legal outcome;
+                        // a panic or hang would have failed the watchdog.
+                        assert!(
+                            !e.code().is_empty(),
+                            "{sname}/{ename}: untyped failure {e:?}"
+                        );
+                        assert_eq!(
+                            e.code(),
+                            "node-capacity-exceeded",
+                            "{sname}/{ename}: only the persistent clamp may exhaust retries, got {e}"
+                        );
                     }
                 }
-                Err(e) => {
-                    // Termination with a *typed* error is a legal outcome;
-                    // a panic or hang would have failed the watchdog.
-                    assert!(
-                        !e.code().is_empty(),
-                        "{sname}/{ename}: untyped failure {e:?}"
-                    );
-                    assert_eq!(
-                        e.code(),
-                        "node-capacity-exceeded",
-                        "{sname}/{ename}: only the persistent clamp may exhaust retries, got {e}"
-                    );
-                }
-            }
-        });
+            });
+        }
     }
     assert!(cells >= 24, "sweep shrank: only {cells} cells");
     assert!(
@@ -441,39 +456,4 @@ fn degrade_policy_thresholds_shape_the_ladder() {
         "fallback_to_simulated_after=1 should degrade immediately after the first failure"
     );
     assert!(report.degraded && report.recovered);
-}
-
-/// Object-safe shim so the sweep can iterate heterogeneous engines: each
-/// cell runs BFS under supervision on a watchdog thread.
-trait ChaosEngine {
-    fn supervise(
-        &self,
-        backend: Backend,
-        cfg: SupervisorConfig,
-    ) -> (PolymerResult<RunResult<u32>>, RecoveryReport);
-    /// Same, but with an out-of-range BFS source (the fatal-error probe).
-    fn supervise_bad_source(
-        &self,
-        backend: Backend,
-    ) -> (PolymerResult<RunResult<u32>>, RecoveryReport);
-}
-
-impl<E: Engine + Clone + Send + 'static> ChaosEngine for E {
-    fn supervise(
-        &self,
-        backend: Backend,
-        cfg: SupervisorConfig,
-    ) -> (PolymerResult<RunResult<u32>>, RecoveryReport) {
-        let spill = cfg.spill;
-        supervised_bfs(self, backend, cfg, spill, 4, 0)
-    }
-
-    fn supervise_bad_source(
-        &self,
-        backend: Backend,
-    ) -> (PolymerResult<RunResult<u32>>, RecoveryReport) {
-        let cfg = chaos_config(FaultPlan::new());
-        let spill = cfg.spill;
-        supervised_bfs(self, backend, cfg, spill, 4, u32::MAX)
-    }
 }

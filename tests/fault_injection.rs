@@ -11,6 +11,8 @@ use std::time::Duration;
 use polymer::api::{Combine, FrontierInit, RealThreadsConfig};
 use polymer::graph::{gen, io, VId, Weight};
 use polymer::prelude::*;
+use polymer::sync::FrontierSnapshot;
+use polymer_bench::{with_engine, SystemId};
 
 /// (a) A worker panicking mid-iteration must poison the barrier, wake its
 /// siblings, and come back as `Err(WorkerPanicked)` — not hang the run.
@@ -188,5 +190,73 @@ fn nan_values_are_reported_as_divergence() {
     match err {
         PolymerError::Divergence { iteration, .. } => assert_eq!(iteration, 0),
         other => panic!("expected Divergence, got {other:?}"),
+    }
+}
+
+/// (e) One typed front door on both backends: a deterministic
+/// misconfiguration — a resume checkpoint that does not describe the graph
+/// (too few values, a frontier vertex out of range), or more simulated
+/// threads than the machine has cores — is `invalid-config`, which is fatal,
+/// on every engine. It used to surface on the simulated backend as the
+/// retryable `engine-panicked`, so a supervisor spent its whole retry /
+/// backoff / degrade ladder on a run that could never succeed.
+#[test]
+fn deterministic_misconfigurations_are_invalid_config_on_both_backends() {
+    let g = Graph::from_edges(&gen::rmat(7, 600, gen::RMAT_GRAPH500, 5));
+    let n = g.num_vertices();
+    let prog = Bfs::new(0);
+    let spec = MachineSpec::test2();
+    let checkpoint = |values: usize, frontier: Vec<u32>| Checkpoint {
+        iteration: 1,
+        values: vec![0u32; values],
+        frontier: FrontierSnapshot::sparse(frontier, 0),
+    };
+    let cases = [
+        ("short values", 4, Some(checkpoint(n - 1, vec![0]))),
+        (
+            "frontier vertex >= n",
+            4,
+            Some(checkpoint(n, vec![n as u32])),
+        ),
+        ("threads > cores", 5, None),
+    ];
+    let backends = [
+        ("simulated", Backend::Simulated),
+        ("real-threads", Backend::real_threads()),
+    ];
+    for system in SystemId::ALL {
+        for (bname, backend) in &backends {
+            for (case, threads, resume) in &cases {
+                // Real threads are OS threads: the machine's cores do not
+                // bound them, so that case is the simulated backend's only.
+                if resume.is_none() && *bname == "real-threads" {
+                    continue;
+                }
+                let opts = RunOptions {
+                    backend: backend.clone(),
+                    recovery: RecoverySession::disabled().with_resume(resume.clone()),
+                    ..RunOptions::default()
+                };
+                let machine = Machine::new(spec.clone());
+                let err = with_engine!(system, Default::default(), |engine| {
+                    engine.try_run_with(&machine, *threads, &g, &prog, &opts)
+                })
+                .map(|r| r.iterations)
+                .expect_err("a misconfigured run cannot succeed");
+                let cell = format!("{}/{bname}/{case}", system.name());
+                assert_eq!(err.code(), "invalid-config", "{cell}: {err}");
+                assert!(!err.is_retryable(), "{cell}");
+            }
+        }
+        // Under supervision the fatal code ends the run at once.
+        let sup = RunSupervisor::new(SupervisorConfig::default());
+        let (result, report) = with_engine!(system, Default::default(), |engine| {
+            sup.run_reported(engine, &Backend::Simulated, &spec, 5, &g, &prog, None)
+        });
+        let code = result.map(|r| r.iterations).unwrap_err().code();
+        assert_eq!(code, "invalid-config", "{}", system.name());
+        assert_eq!(report.attempts.len(), 1, "{}: {report:?}", system.name());
+        assert_eq!(report.attempts[0].backoff, Duration::ZERO);
+        assert!(!report.degraded && !report.recovered);
     }
 }

@@ -21,6 +21,7 @@ use polymer::algos::reference::max_rel_error;
 use polymer::api::{Checkpoint, CheckpointPolicy, CheckpointStore, RecoverySession};
 use polymer::graph::gen;
 use polymer::prelude::*;
+use polymer_bench::{with_engine, SystemId};
 
 fn machine() -> Machine {
     Machine::new(MachineSpec::test2())
@@ -41,15 +42,6 @@ fn backends() -> Vec<(&'static str, Backend)> {
         ("simulated", Backend::Simulated),
         ("real-threads", Backend::real_threads()),
     ]
-}
-
-macro_rules! for_each_engine {
-    (|$name:ident, $engine:ident| $body:expr) => {{
-        (|$name: &str, $engine: &PolymerEngine| $body)("Polymer", &PolymerEngine::new());
-        (|$name: &str, $engine: &LigraEngine| $body)("Ligra", &LigraEngine::new());
-        (|$name: &str, $engine: &XStreamEngine| $body)("X-Stream", &XStreamEngine::new());
-        (|$name: &str, $engine: &GaloisEngine| $body)("Galois", &GaloisEngine::new());
-    }};
 }
 
 /// [`Engine::try_run_with`] on a fresh machine under `backend` and
@@ -119,53 +111,59 @@ where
     P::Val: Eq + std::fmt::Debug,
 {
     for (bname, backend) in backends() {
-        for_each_engine!(|ename, engine| {
-            let (base, history) = baseline_with_history(engine, &backend, g, prog);
-            assert!(
-                !history.is_empty(),
-                "{ename}/{bname}/{label}: EveryN(1) run produced no checkpoints"
-            );
-            for i in replay_indices(history.len(), bname) {
-                let ck_iter = history[i].iteration;
-                let resumed = resume_from(engine, &backend, g, prog, history[i].clone());
-                assert_eq!(
-                    resumed.values, base.values,
-                    "{ename}/{bname}/{label}: resume from iteration {ck_iter} diverged"
+        for system in SystemId::ALL {
+            let ename = system.name();
+            with_engine!(system, Default::default(), |engine| {
+                let (base, history) = baseline_with_history(engine, &backend, g, prog);
+                assert!(
+                    !history.is_empty(),
+                    "{ename}/{bname}/{label}: EveryN(1) run produced no checkpoints"
                 );
-                assert_eq!(
-                    resumed.iterations, base.iterations,
-                    "{ename}/{bname}/{label}: resume from iteration {ck_iter} changed the iteration count"
-                );
-            }
-        });
+                for i in replay_indices(history.len(), bname) {
+                    let ck_iter = history[i].iteration;
+                    let resumed = resume_from(engine, &backend, g, prog, history[i].clone());
+                    assert_eq!(
+                        resumed.values, base.values,
+                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} diverged"
+                    );
+                    assert_eq!(
+                        resumed.iterations, base.iterations,
+                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} changed the iteration count"
+                    );
+                }
+            });
+        }
     }
 }
 
 fn check_resume_float<P: Program<Val = f64>>(g: &Graph, prog: &P, label: &str) {
     for (bname, backend) in backends() {
-        for_each_engine!(|ename, engine| {
-            let (base, history) = baseline_with_history(engine, &backend, g, prog);
-            assert!(
-                !history.is_empty(),
-                "{ename}/{bname}/{label}: EveryN(1) run produced no checkpoints"
-            );
-            for i in replay_indices(history.len(), bname) {
-                let ck_iter = history[i].iteration;
-                let resumed = resume_from(engine, &backend, g, prog, history[i].clone());
-                // Summation order is reproduced exactly on both backends,
-                // so every bit of every float must match.
+        for system in SystemId::ALL {
+            let ename = system.name();
+            with_engine!(system, Default::default(), |engine| {
+                let (base, history) = baseline_with_history(engine, &backend, g, prog);
                 assert!(
-                    same_bits(&resumed.values, &base.values),
-                    "{ename}/{bname}/{label}: resume from iteration {ck_iter} \
-                     drifted bitwise (max rel error {})",
-                    max_rel_error(&resumed.values, &base.values)
+                    !history.is_empty(),
+                    "{ename}/{bname}/{label}: EveryN(1) run produced no checkpoints"
                 );
-                assert_eq!(
-                    resumed.iterations, base.iterations,
-                    "{ename}/{bname}/{label}: resume from iteration {ck_iter} changed the iteration count"
-                );
-            }
-        });
+                for i in replay_indices(history.len(), bname) {
+                    let ck_iter = history[i].iteration;
+                    let resumed = resume_from(engine, &backend, g, prog, history[i].clone());
+                    // Summation order is reproduced exactly on both backends,
+                    // so every bit of every float must match.
+                    assert!(
+                        same_bits(&resumed.values, &base.values),
+                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} \
+                         drifted bitwise (max rel error {})",
+                        max_rel_error(&resumed.values, &base.values)
+                    );
+                    assert_eq!(
+                        resumed.iterations, base.iterations,
+                        "{ename}/{bname}/{label}: resume from iteration {ck_iter} changed the iteration count"
+                    );
+                }
+            });
+        }
     }
 }
 
@@ -280,26 +278,29 @@ fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations(
 fn never_policy_is_bit_identical_to_plain_runs() {
     let g = small_graph();
     let prog = Bfs::new(0);
-    for_each_engine!(|ename, engine| {
-        let run = |session| run_rec(engine, &Backend::Simulated, 4, &g, &prog, session);
-        let plain = run(RecoverySession::disabled()).expect("plain run succeeds");
-        let never = run(RecoverySession::new(
-            CheckpointPolicy::Never,
-            CheckpointStore::new(),
-        ))
-        .expect("Never-policy run succeeds");
-        assert_eq!(never.values, plain.values, "{ename}: values drifted");
-        assert_eq!(
-            never.seconds(),
-            plain.seconds(),
-            "{ename}: CheckpointPolicy::Never changed simulated time"
-        );
-        assert_eq!(
-            never.total_cost(),
-            plain.total_cost(),
-            "{ename}: CheckpointPolicy::Never changed phase accounting"
-        );
-    });
+    for system in SystemId::ALL {
+        let ename = system.name();
+        with_engine!(system, Default::default(), |engine| {
+            let run = |session| run_rec(engine, &Backend::Simulated, 4, &g, &prog, session);
+            let plain = run(RecoverySession::disabled()).expect("plain run succeeds");
+            let never = run(RecoverySession::new(
+                CheckpointPolicy::Never,
+                CheckpointStore::new(),
+            ))
+            .expect("Never-policy run succeeds");
+            assert_eq!(never.values, plain.values, "{ename}: values drifted");
+            assert_eq!(
+                never.seconds(),
+                plain.seconds(),
+                "{ename}: CheckpointPolicy::Never changed simulated time"
+            );
+            assert_eq!(
+                never.total_cost(),
+                plain.total_cost(),
+                "{ename}: CheckpointPolicy::Never changed phase accounting"
+            );
+        });
+    }
 }
 
 mod resume_proptest {
@@ -316,21 +317,24 @@ mod resume_proptest {
             let el = gen::rmat(7, 1_000, gen::RMAT_GRAPH500, seed);
             let g = Graph::from_edges(&el);
             let prog = Bfs::new(0);
-            for_each_engine!(|ename, engine| {
-                let (base, history) =
-                    baseline_with_history(engine, &Backend::Simulated, &g, &prog);
-                if history.is_empty() {
-                    return;
-                }
-                let mid = history[history.len() / 2].clone();
-                let from = mid.iteration;
-                let resumed = resume_from(engine, &Backend::Simulated, &g, &prog, mid);
-                assert_eq!(
-                    resumed.values, base.values,
-                    "{ename}: seed {seed}, resume from {from} diverged"
-                );
-                assert_eq!(resumed.iterations, base.iterations, "{ename}: seed {seed}");
-            });
+            for system in SystemId::ALL {
+                let ename = system.name();
+                with_engine!(system, Default::default(), |engine| {
+                    let (base, history) =
+                        baseline_with_history(engine, &Backend::Simulated, &g, &prog);
+                    if history.is_empty() {
+                        continue;
+                    }
+                    let mid = history[history.len() / 2].clone();
+                    let from = mid.iteration;
+                    let resumed = resume_from(engine, &Backend::Simulated, &g, &prog, mid);
+                    assert_eq!(
+                        resumed.values, base.values,
+                        "{ename}: seed {seed}, resume from {from} diverged"
+                    );
+                    assert_eq!(resumed.iterations, base.iterations, "{ename}: seed {seed}");
+                });
+            }
         }
     }
 }

@@ -1,12 +1,15 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
 //! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends — and warm-started answers across several ingests.
+//! backends — warm-started answers across several ingests, and the
+//! admission ledger under multi-worker overload.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
 use polymer_api::Backend;
+use polymer_faults::PolymerError;
 use polymer_graph::{gen, Graph};
 use polymer_serve::{GraphService, RequestKind, ServeConfig};
 
@@ -335,4 +338,107 @@ fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
     ingest(&svc, &[(0, 1, 20)], &[]);
     assert_eq!(sssp().unwrap().values.distances().unwrap(), [0, 11, 1]);
     assert_eq!(svc.stats().failed, 0);
+}
+
+/// Overload with three live workers: arrivals outrun service, the bounded
+/// queue sheds, and the admission ledger must still balance. The queue is
+/// first filled to capacity with dispatch paused — so rejections are
+/// certain, not a matter of timing — then dispatch resumes and requests
+/// keep arriving as fast as `submit` returns while all three workers drain
+/// and coalesce. Whatever the interleaving: every rejection
+/// is a typed `queue-full` / `memory-budget-exceeded`, every admitted
+/// ticket resolves, `completed + failed == issued − rejected`, and every
+/// completed answer equals the sequential oracle.
+#[test]
+fn overload_sheds_with_typed_rejections_and_a_balanced_ledger() {
+    const QUEUE: usize = 32;
+    const SOURCES: u32 = 8;
+    const WATCHDOG: Duration = Duration::from_secs(120);
+    let g = Graph::from_edges(&gen::rmat(9, 1 << 12, gen::RMAT_GRAPH500, 23));
+    let bfs_want: Vec<_> = (0..SOURCES)
+        .map(|s| run_reference(&g, &Bfs::new(s)).0)
+        .collect();
+    let sssp_want: Vec<_> = (0..SOURCES)
+        .map(|s| run_reference(&g, &Sssp::new(s)).0)
+        .collect();
+    let cfg = ServeConfig {
+        queue_capacity: QUEUE,
+        ..cfg_on(Backend::real_threads())
+    };
+    let svc = GraphService::new(g, cfg).unwrap();
+
+    // Mostly BFS (the coalescing case), some SSSP, an occasional PageRank.
+    let request = |i: u32| match i % 10 {
+        0..=5 => RequestKind::Bfs {
+            source: i % SOURCES,
+        },
+        6..=8 => RequestKind::Sssp {
+            source: i % SOURCES,
+            delta: 100,
+        },
+        _ => RequestKind::PageRank { iters: 3 },
+    };
+    let (mut issued, mut rejected_queue_full, mut rejected_memory) = (0u64, 0u64, 0u64);
+    let mut tickets = Vec::new();
+    svc.pause();
+    // Keep arriving until three queues' worth has been admitted: past the
+    // first `QUEUE` that takes slots the live workers free, so arrivals and
+    // service interleave by construction, not by a sleep.
+    let started = Instant::now();
+    while tickets.len() < 3 * QUEUE {
+        assert!(started.elapsed() < WATCHDOG, "the workers stopped draining");
+        if issued == QUEUE as u64 + 4 {
+            svc.resume();
+        }
+        let kind = request(issued as u32);
+        issued += 1;
+        match svc.submit(kind.clone()) {
+            Ok(t) => tickets.push((kind, t)),
+            Err(PolymerError::QueueFull { .. }) => rejected_queue_full += 1,
+            Err(PolymerError::MemoryBudgetExceeded { .. }) => rejected_memory += 1,
+            Err(e) => panic!("untyped rejection [{}]: {e}", e.code()),
+        }
+    }
+    assert!(rejected_queue_full >= 4, "a full queue must shed");
+    let admitted = tickets.len() as u64;
+    assert_eq!(admitted, issued - rejected_queue_full - rejected_memory);
+
+    // Harvest on a helper thread: an admitted ticket that never resolves
+    // (an admission deadlock) fails the test instead of hanging the suite.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let outcomes: Vec<_> = tickets.into_iter().map(|(k, t)| (k, t.wait())).collect();
+        let _ = tx.send(outcomes);
+    });
+    let outcomes = rx
+        .recv_timeout(WATCHDOG)
+        .expect("an admitted ticket never resolved");
+    let (mut completed, mut failed) = (0u64, 0u64);
+    for (kind, outcome) in &outcomes {
+        let Ok(r) = outcome else {
+            failed += 1;
+            continue;
+        };
+        completed += 1;
+        match kind {
+            RequestKind::Bfs { source } => {
+                assert_eq!(r.values.levels(), Some(&bfs_want[*source as usize][..]));
+            }
+            RequestKind::Sssp { source, .. } => {
+                assert_eq!(r.values.distances(), Some(&sssp_want[*source as usize][..]));
+            }
+            _ => assert!(r.values.ranks().unwrap().iter().all(|x| x.is_finite())),
+        }
+    }
+    assert_eq!(completed + failed, admitted);
+    assert_eq!(failed, 0, "no deadline and no stop: nothing may fail");
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.submitted, stats.completed, stats.failed),
+        (admitted, completed, failed)
+    );
+    assert_eq!(
+        (stats.rejected_queue_full, stats.rejected_memory),
+        (rejected_queue_full, rejected_memory)
+    );
 }
