@@ -3,31 +3,31 @@
 //! The serving layer (`polymer-serve`) coalesces queued same-algorithm
 //! single-source requests — BFS levels, SSSP distances — into **one**
 //! frontier sweep that carries a *lane* of per-source state per vertex
-//! (the MS-BFS idiom): the graph's adjacency is walked once per iteration
-//! and every edge read is amortized across all lanes whose source set is
-//! active at that vertex. Lane state is laid out struct-of-arrays
-//! (`state[v·K + lane]`), lane membership is a per-vertex `u64` bitmask
-//! (hence [`MAX_LANES`] = 64 lanes per sweep), and the bulk-synchronous
-//! loop runs under the shared [`IterationDriver`] skeleton so the safety
-//! cap and iteration stamping behave exactly like a single-source run.
+//! (the MS-BFS idiom): the adjacency is walked once per iteration and every
+//! edge read is amortized across the lanes active at that vertex. Lane
+//! state is plain values laid out vertex-major (`state[v·K + lane]`), lane
+//! membership is a per-vertex `u64` bitmask (hence [`MAX_LANES`] = 64), and
+//! the loop runs under the shared [`IterationDriver`] skeleton, so the
+//! safety cap and iteration stamping behave like a single-source run's.
 //!
-//! Correctness does not depend on batching: the programs this applies to
-//! are integer-valued min-combine fixed points (BFS, SSSP), whose per-
-//! iteration accumulators and final values are order-independent — so a
-//! batched sweep is **bit-identical** to running each source on its own.
-//! The workspace conformance test pins this against both backends.
+//! The kernel is the paper's rule taken literally: **every cell has one
+//! writer**, so no update is atomic. One thread sweeps all `K` lanes over
+//! one joint frontier — that sharing is the amortisation; splitting the
+//! lanes across threads would make each thread re-walk its own frontier
+//! (see `docs/SERVING.md`, "Coalescing").
 //!
-//! Like the `RealThreads` backend, the sweep computes on host memory:
-//! values and iteration counts are real, the simulated clock stays empty.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Correctness does not depend on batching: these programs are integer-
+//! valued min-combine fixed points, whose per-iteration accumulators and
+//! final values are order-independent — a batched sweep is **bit-identical**
+//! to running each source on its own (pinned by the proptest below and the
+//! workspace conformance test).
 
 use polymer_api::{
-    catch_engine_faults, validate_run_config, Combine, FrontierInit, IterationDriver, PolymerError,
+    catch_engine_faults, validate_run_config, FrontierInit, IterationDriver, PolymerError,
     PolymerResult, Program, RunResult,
 };
 use polymer_graph::{Graph, VId};
-use polymer_numa::{Atom, BarrierKind, Machine};
+use polymer_numa::{BarrierKind, Machine};
 
 /// Maximum lanes (sources) per sweep — one bit per lane in the per-vertex
 /// active mask. Callers with bigger batches split them into several sweeps.
@@ -72,7 +72,8 @@ pub struct MultiSource<P> {
 
 impl<P: SingleSource> MultiSource<P> {
     /// A batch from per-request programs. Rejects empty batches, batches
-    /// over [`MAX_LANES`], and mixed batches (differing name or combine).
+    /// over [`MAX_LANES`], and mixed batches (differing name, combine or
+    /// iteration cap — the sweep runs every lane under one cap).
     pub fn new(progs: Vec<P>) -> PolymerResult<Self> {
         if progs.is_empty() {
             return Err(PolymerError::InvalidConfig(
@@ -85,11 +86,8 @@ impl<P: SingleSource> MultiSource<P> {
                 progs.len()
             )));
         }
-        let (name, combine) = (progs[0].name(), progs[0].combine());
-        if progs
-            .iter()
-            .any(|p| p.name() != name || p.combine() != combine)
-        {
+        let class = |p: &P| (p.name(), p.combine(), p.max_iters());
+        if progs.iter().any(|p| class(p) != class(&progs[0])) {
             return Err(PolymerError::InvalidConfig(
                 "multi-source batch mixes programs".to_string(),
             ));
@@ -141,17 +139,31 @@ impl<V: Copy> MultiRunResult<V> {
             .copied()
             .collect()
     }
+
+    /// Every lane's [`MultiRunResult::lane_values`], in lane order, as one
+    /// blocked transpose: a block of vertices is read while it is cache-hot
+    /// instead of striding the whole state once per lane.
+    pub fn into_lanes(self) -> Vec<Vec<V>> {
+        const BLOCK_VERTICES: usize = 256;
+        let k = self.lanes;
+        let n = self.run.values.len() / k;
+        let mut lanes: Vec<Vec<V>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
+        for block in self.run.values.chunks(BLOCK_VERTICES * k) {
+            for (lane, out) in lanes.iter_mut().enumerate() {
+                out.extend(block.iter().skip(lane).step_by(k));
+            }
+        }
+        lanes
+    }
 }
 
-/// Frontier size below which the sweep stays sequential: spawning scoped
-/// threads costs more than relaxing a few hundred vertices.
-const PARALLEL_THRESHOLD: usize = 512;
-
-/// Run a batched multi-source sweep over `graph` with up to `threads`
-/// host threads. `machine` supplies the [`IterationDriver`] skeleton
-/// (iteration stamping, the `2|V|+64` safety cap, result assembly); the
-/// sweep itself computes on host memory, so the simulated clock stays
-/// empty — exactly the `RealThreads` backend's contract.
+/// Run a batched multi-source sweep over `graph` on the calling thread.
+/// `machine` supplies the [`IterationDriver`] skeleton (iteration stamping,
+/// the `2|V|+64` safety cap, result assembly); the sweep itself computes on
+/// host memory, so the simulated clock stays empty — exactly the
+/// `RealThreads` backend's contract. `threads` is validated and stamped on
+/// the driver as for an engine run and changes nothing else: the result is
+/// identical at every count.
 ///
 /// Every failure surfaces as a typed [`PolymerError`]; panics escaping the
 /// sweep body are caught and converted, as with the engines.
@@ -169,174 +181,132 @@ pub fn run_multi_source<P: SingleSource>(
         }
         validate_run_config(threads, graph, prog)?;
     }
-    catch_engine_faults(|| sweep(machine, threads, graph, batch))
+    catch_engine_faults(|| sweep(machine, threads, graph, batch.programs()))
 }
 
+/// Sweep every lane to its fixed point.
 fn sweep<P: SingleSource>(
     machine: &Machine,
     threads: usize,
     graph: &Graph,
-    batch: &MultiSource<P>,
+    progs: &[P],
 ) -> PolymerResult<MultiRunResult<P::Val>> {
-    let n = graph.num_vertices();
-    let k = batch.lanes();
-    let progs = batch.programs();
-    let identity = progs[0].next_identity();
-    let combine = progs[0].combine();
-    let max_iters = progs.iter().map(|p| p.max_iters()).max().unwrap_or(0);
-
-    // SoA lane state, vertex-major: curr/next[v*k + lane]. Atomic cells so
-    // the scatter phase can fold contributions race-free across threads.
-    let curr: Vec<<P::Val as Atom>::Repr> = (0..n * k)
-        .map(|i| Atom::new_atomic(progs[i % k].init((i / k) as VId, graph)))
-        .collect();
-    let next: Vec<<P::Val as Atom>::Repr> =
-        (0..n * k).map(|_| Atom::new_atomic(identity)).collect();
-    // Per-vertex lane bitmasks: `active` is the current frontier's lane
-    // membership, `updated` collects the lanes that received contributions
-    // this iteration (its first setter claims the vertex for `touched`).
-    let active: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let updated: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-    let mut frontier: Vec<u32> = Vec::new();
-    for (lane, prog) in progs.iter().enumerate() {
-        let s = prog.source() as usize;
-        if active[s].fetch_or(1 << lane, Ordering::Relaxed) == 0 {
-            frontier.push(s as u32);
-        }
+    let (n, k) = (graph.num_vertices(), progs.len());
+    let mut state = LaneState {
+        curr: Vec::with_capacity(n * k),
+        next: vec![progs[0].next_identity(); n * k],
+        active: vec![0; n],
+        updated: vec![0; n],
+        touched: Vec::new(),
+        frontier: Vec::new(),
+    };
+    for v in 0..n as VId {
+        state.curr.extend(progs.iter().map(|p| p.init(v, graph)));
     }
-    frontier.sort_unstable();
+    for (lane, prog) in progs.iter().enumerate() {
+        let s = prog.source();
+        if state.active[s as usize] == 0 {
+            state.frontier.push(s);
+        }
+        state.active[s as usize] |= 1 << lane;
+    }
+    state.frontier.sort_unstable();
 
     let mut driver = IterationDriver::new(machine, threads, BarrierKind::Hierarchical, false, n);
     driver.run_synchronous(
-        max_iters,
-        &mut frontier,
-        |f| !f.is_empty(),
-        |_sim, _iter, frontier| {
-            // Scatter: one adjacency walk per frontier vertex serves every
-            // lane active there.
-            let touched = {
-                let scatter_chunk = |chunk: &[u32]| -> Vec<u32> {
-                    let mut local_touched = Vec::new();
-                    for &v in chunk {
-                        let mask = active[v as usize].load(Ordering::Relaxed);
-                        let deg = graph.out_degree(v) as u32;
-                        for (&t, &w) in graph.out_neighbors(v).iter().zip(graph.out_weights(v)) {
-                            let ti = t as usize;
-                            let mut m = mask;
-                            while m != 0 {
-                                let lane = m.trailing_zeros() as usize;
-                                m &= m - 1;
-                                let sv = Atom::atom_load(&curr[v as usize * k + lane]);
-                                let c = progs[lane].scatter(v, sv, w, deg);
-                                let cell = &next[ti * k + lane];
-                                match combine {
-                                    Combine::Add => {
-                                        Atom::atom_add(cell, c);
-                                    }
-                                    Combine::Min => {
-                                        Atom::atom_min(cell, c);
-                                    }
-                                    Combine::Mul => {
-                                        Atom::atom_mul(cell, c);
-                                    }
-                                }
-                            }
-                            if updated[ti].fetch_or(mask, Ordering::Relaxed) == 0 {
-                                local_touched.push(t);
-                            }
-                        }
-                    }
-                    local_touched
-                };
-                run_chunked(frontier, threads, scatter_chunk)
-            };
-
-            // Apply: each touched vertex is claimed by exactly one thread
-            // (the first `fetch_or` from zero), so per-vertex lane state has
-            // a single writer here.
-            let alive_masks = {
-                let apply_chunk = |chunk: &[u32]| -> Vec<u64> {
-                    let mut alive_out = Vec::with_capacity(chunk.len());
-                    for &t in chunk {
-                        let ti = t as usize;
-                        let um = updated[ti].swap(0, Ordering::Relaxed);
-                        let mut alive = 0u64;
-                        let mut m = um;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            let cell = ti * k + lane;
-                            let acc = Atom::atom_load(&next[cell]);
-                            let cur = Atom::atom_load(&curr[cell]);
-                            let (val, is_alive) = progs[lane].apply(t, acc, cur);
-                            Atom::atom_store(&curr[cell], val);
-                            Atom::atom_store(&next[cell], identity);
-                            if is_alive {
-                                alive |= 1 << lane;
-                            }
-                        }
-                        alive_out.push(alive);
-                    }
-                    alive_out
-                };
-                run_chunked(&touched, threads, apply_chunk)
-            };
-
-            // Rebuild the frontier: clear the old lane masks, then install
-            // the surviving lanes of this iteration's touched set.
-            for &v in frontier.iter() {
-                active[v as usize].store(0, Ordering::Relaxed);
-            }
-            let mut new_frontier = Vec::new();
-            for (&t, &alive) in touched.iter().zip(&alive_masks) {
-                if alive != 0 {
-                    active[t as usize].store(alive, Ordering::Relaxed);
-                    new_frontier.push(t);
-                }
-            }
-            new_frontier.sort_unstable();
-            *frontier = new_frontier;
+        progs[0].max_iters(),
+        &mut state,
+        |st| !st.frontier.is_empty(),
+        |_sim, _iter, st| {
+            st.step(graph, progs);
             Ok(())
         },
     )?;
-
-    let values: Vec<P::Val> = curr.iter().map(Atom::atom_load).collect();
-    let mut run = driver.finish(values);
-    // Host sweep: wall-clock is the caller's to measure, like RealThreads.
-    run.clock = Default::default();
+    let run = driver.finish(state.curr);
     Ok(MultiRunResult { run, lanes: k })
 }
 
-/// Map `f` over contiguous chunks of `items`, in parallel when both the
-/// thread budget and the item count warrant it, and concatenate the chunk
-/// outputs in chunk order. `f` must be safe to run concurrently on
-/// disjoint chunks (the sweep's phases are, via atomic lane state).
-fn run_chunked<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&[T]) -> Vec<R> + Sync,
-) -> Vec<R> {
-    if threads <= 1 || items.len() < PARALLEL_THRESHOLD {
-        return f(items);
+/// The single-writer kernel's state: plain values owned by the sweeping
+/// thread, every buffer allocated once and reused.
+struct LaneState<V> {
+    /// Lane state, vertex-major: `curr/next[v·k + lane]`.
+    curr: Vec<V>,
+    next: Vec<V>,
+    /// Per-vertex lane bitmasks: `active` is the current frontier's lane
+    /// membership, `updated` collects the lanes that received contributions
+    /// this iteration (its first setter records the vertex in `touched`).
+    active: Vec<u64>,
+    updated: Vec<u64>,
+    touched: Vec<u32>,
+    /// The vertices with a non-zero `active` mask, sorted.
+    frontier: Vec<u32>,
+}
+
+impl<V: Copy> LaneState<V> {
+    /// One superstep: scatter from the frontier, apply, rebuild the frontier.
+    fn step<P: Program<Val = V>>(&mut self, graph: &Graph, progs: &[P]) {
+        let (k, identity) = (progs.len(), progs[0].next_identity());
+        // Local slices: their pointers stay in registers across the stores
+        // below, which a `Vec` reached through `self` would not.
+        let (curr, next) = (&mut self.curr[..], &mut self.next[..]);
+        let (active, updated) = (&mut self.active[..], &mut self.updated[..]);
+        let (touched, frontier) = (&mut self.touched, &mut self.frontier);
+
+        // Scatter: one adjacency walk per frontier vertex serves every lane
+        // active there — and only those: `scatter` must never see an
+        // unreached lane's value (SSSP's `UNREACHED + w` overflows).
+        for &v in frontier.iter() {
+            let mask = std::mem::take(&mut active[v as usize]);
+            let deg = graph.out_degree(v) as u32;
+            let src = &curr[v as usize * k..][..k];
+            for (&t, &w) in graph.out_neighbors(v).iter().zip(graph.out_weights(v)) {
+                let ti = t as usize;
+                if updated[ti] == 0 {
+                    touched.push(t);
+                }
+                updated[ti] |= mask;
+                let acc = &mut next[ti * k..][..k];
+                let mut m = mask;
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let prog = &progs[lane];
+                    acc[lane] = prog.fold(acc[lane], prog.scatter(v, src[lane], w, deg));
+                }
+            }
+        }
+
+        // Apply over `touched` in place: fold each updated lane into `curr`,
+        // reset its accumulator, and keep the vertex — its surviving lanes
+        // are its new `active` mask — when any lane is alive.
+        touched.retain(|&t| {
+            let ti = t as usize;
+            let mut m = std::mem::take(&mut updated[ti]);
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let cell = ti * k + lane;
+                let (val, alive) = progs[lane].apply(t, next[cell], curr[cell]);
+                curr[cell] = val;
+                next[cell] = identity;
+                active[ti] |= (alive as u64) << lane;
+            }
+            active[ti] != 0
+        });
+        touched.sort_unstable();
+        std::mem::swap(frontier, touched);
+        touched.clear();
     }
-    let chunk = items.len().div_ceil(threads);
-    let parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items.chunks(chunk).map(|c| scope.spawn(|| f(c))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{run_reference, Bfs, Sssp};
-    use polymer_graph::{gen, EdgeList};
+    use polymer_api::Combine;
+    use polymer_graph::{gen, EdgeList, Weight};
     use polymer_numa::MachineSpec;
+    use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::new(MachineSpec::test2())
@@ -407,5 +377,170 @@ mod tests {
         let (want, want_iters) = run_reference(&g, &Bfs::new(4));
         assert_eq!(res.lane_values(0), want);
         assert_eq!(res.run.iterations, want_iters);
+    }
+
+    /// BFS under an iteration cap, optionally with a `scatter` that raises
+    /// a typed panic once it leaves the source.
+    #[derive(Clone)]
+    struct Probe {
+        bfs: Bfs,
+        cap: usize,
+        poisoned: bool,
+    }
+
+    impl Program for Probe {
+        type Val = u32;
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn combine(&self) -> Combine {
+            self.bfs.combine()
+        }
+        fn next_identity(&self) -> u32 {
+            self.bfs.next_identity()
+        }
+        fn init(&self, v: VId, g: &Graph) -> u32 {
+            self.bfs.init(v, g)
+        }
+        fn scatter(&self, src: VId, src_val: u32, w: Weight, deg: u32) -> u32 {
+            if self.poisoned && src != self.bfs.source {
+                // What `polymer_faults::panic_with` does.
+                std::panic::panic_any(PolymerError::InvalidConfig("poisoned lane".to_string()));
+            }
+            self.bfs.scatter(src, src_val, w, deg)
+        }
+        fn apply(&self, v: VId, acc: u32, curr: u32) -> (u32, bool) {
+            self.bfs.apply(v, acc, curr)
+        }
+        fn initial_frontier(&self, g: &Graph) -> FrontierInit {
+            self.bfs.initial_frontier(g)
+        }
+        fn max_iters(&self) -> usize {
+            self.cap
+        }
+        fn fold(&self, a: u32, b: u32) -> u32 {
+            self.bfs.fold(a, b)
+        }
+    }
+
+    impl SingleSource for Probe {
+        fn source(&self) -> VId {
+            self.bfs.source
+        }
+        fn with_source(&self, source: VId) -> Self {
+            Probe {
+                bfs: Bfs::new(source),
+                ..self.clone()
+            }
+        }
+    }
+
+    fn probe(source: VId, cap: usize, poisoned: bool) -> Probe {
+        Probe {
+            bfs: Bfs::new(source),
+            cap,
+            poisoned,
+        }
+    }
+
+    /// Regression: the sweep ran every lane to the batch's largest cap, so
+    /// a lane with a smaller one overran it. Caps are now part of the
+    /// batch class, and the one cap binds every lane.
+    #[test]
+    fn lane_caps_must_agree_and_are_honoured() {
+        let mixed = MultiSource::new(vec![probe(0, 2, false), probe(4, 5, false)]);
+        assert_eq!(mixed.err().map(|e| e.code()), Some("invalid-config"));
+
+        let g = ring(16);
+        let batch = MultiSource::from_sources(&probe(0, 2, false), &[0, 4, 4]).unwrap();
+        let res = run_multi_source(&machine(), 1, &g, &batch).unwrap();
+        assert_eq!(res.run.iterations, 2);
+        for (lane, prog) in batch.programs().iter().enumerate() {
+            assert_eq!(res.lane_values(lane), run_reference(&g, prog).0);
+        }
+    }
+
+    /// Regression: the chunk-parallel sweep re-raised a worker's panic as a
+    /// fresh `expect` panic, so a typed payload surfaced as
+    /// `engine-panicked`. The star's 600 spokes make the second frontier
+    /// wide enough that the old sweep left the caller's thread at
+    /// `threads = 2`; the sweep no longer spawns, so the payload reaches
+    /// `catch_engine_faults` as raised.
+    #[test]
+    fn typed_panic_in_a_sweep_keeps_its_code() {
+        let spokes = 600u32;
+        let edges = (1..=spokes).flat_map(|v| [(0, v), (v, 0)]);
+        let g = Graph::from_edges(&EdgeList::from_pairs(spokes as usize + 1, edges));
+        let lanes = vec![probe(0, usize::MAX, false), probe(0, usize::MAX, true)];
+        let batch = MultiSource::new(lanes).unwrap();
+        let err = match run_multi_source(&machine(), 2, &g, &batch) {
+            Err(e) => e,
+            Ok(_) => panic!("the poisoned lane must fail the sweep"),
+        };
+        assert_eq!(err.code(), "invalid-config");
+    }
+
+    /// One batch, every thread count: each lane equals its own reference
+    /// run, the sweep's iteration count is the slowest lane's, the fan-out
+    /// transposes agree, and nothing depends on `threads`.
+    fn check_batch<P: SingleSource>(m: &Machine, g: &Graph, template: &P, sources: &[u32]) {
+        let batch = MultiSource::from_sources(template, sources).unwrap();
+        let (want, want_iters): (Vec<_>, Vec<_>) = batch
+            .programs()
+            .iter()
+            .map(|prog| run_reference(g, prog))
+            .unzip();
+        let n = g.num_vertices();
+        let vertex_major: Vec<_> = (0..n)
+            .flat_map(|v| want.iter().map(move |l| l[v]))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let res = run_multi_source(m, threads, g, &batch).unwrap();
+            let what = format!(
+                "{} x{} at {threads} threads",
+                template.name(),
+                sources.len()
+            );
+            assert_eq!(res.lanes, sources.len(), "{what}");
+            assert_eq!(
+                res.run.seconds(),
+                0.0,
+                "{what}: a host sweep charges nothing"
+            );
+            assert_eq!(
+                res.run.iterations,
+                want_iters.iter().copied().max().unwrap(),
+                "{what}"
+            );
+            assert_eq!(res.run.values, vertex_major, "{what}: values[v·K + lane]");
+            let strided: Vec<_> = (0..res.lanes).map(|lane| res.lane_values(lane)).collect();
+            assert_eq!(strided, want, "{what}");
+            assert_eq!(res.into_lanes(), want, "{what}: into_lanes");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // K = 64 pins the `1 << 63` / full-mask path; the small source
+        // range forces duplicate sources at every K > 1.
+        #[test]
+        fn every_lane_matches_its_reference_run_at_every_thread_count(
+            seed in 0u64..10_000,
+            n in 2usize..=300,
+            picks in proptest::collection::vec(0u32..1 << 16, 64..65),
+        ) {
+            let m = Machine::new(MachineSpec::intel80());
+            let scale = n.ilog2().max(1);
+            for el in [gen::uniform(n, 4 * n, seed), gen::rmat(scale, 4 << scale, gen::RMAT_GRAPH500, seed)] {
+                let g = Graph::from_edges(&el);
+                let span = (g.num_vertices() as u32).min(40);
+                let sources: Vec<u32> = picks.iter().map(|p| p % span).collect();
+                for k in [1, 2, 7, 63, 64] {
+                    check_batch(&m, &g, &Bfs::new(0), &sources[..k]);
+                    check_batch(&m, &g, &Sssp::new(0), &sources[..k]);
+                }
+            }
+        }
     }
 }

@@ -22,6 +22,8 @@
 //!   equal Δ) and answers them with **one** multi-source sweep
 //!   ([`polymer_algos::run_multi_source`]): one adjacency walk per
 //!   iteration, amortized across up to [`polymer_algos::MAX_LANES`] lanes.
+//!   The sweep is single-writer — plain lane state, no atomics — and runs
+//!   on the dispatching worker's own thread.
 //!   These programs are integer min-combine fixed points, so every lane is
 //!   bit-identical to the request run alone — batching changes latency,
 //!   never answers. Whole-graph requests (PageRank) never coalesce.
@@ -64,7 +66,8 @@
 //!
 //! Every response is stamped with its request id (the
 //! [`polymer_api::RunResult::tag`] mechanism), so results fanned out of a
-//! coalesced sweep stay attributable. `docs/SERVING.md` walks through the
+//! coalesced sweep stay attributable, and with the graph version that
+//! answered it ([`ServeResponse::epoch`]). `docs/SERVING.md` walks through the
 //! design; the repository benchmark's `serve-read` / `serve-ingest`
 //! workloads (`benchmark/`) measure throughput and latency percentiles, and
 //! `tests/serve.rs` checks the admission ledger under multi-worker overload.

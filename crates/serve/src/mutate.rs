@@ -116,33 +116,35 @@ impl MutState {
         }
     }
 
-    /// Apply one mutation batch; the returned stats include whether the
-    /// application crossed the compaction threshold.
-    pub(crate) fn ingest(&mut self, batch: &DeltaBatch) -> Result<BatchStats, DeltaError> {
+    /// Apply one mutation batch. Returns its stats (which include whether
+    /// the application crossed the compaction threshold) and the epoch it
+    /// produced.
+    pub(crate) fn ingest(&mut self, batch: &DeltaBatch) -> Result<(BatchStats, u64), DeltaError> {
         let applied = self.mg.apply(batch)?;
-        let stats = applied.stats;
+        let outcome = (applied.stats, applied.epoch);
         self.batches.push(applied);
         if self.batches.len() > BATCH_WINDOW {
             let drop = self.batches.len() - BATCH_WINDOW;
             self.batches.drain(..drop);
         }
-        Ok(stats)
+        Ok(outcome)
     }
 
     /// Answer one query incrementally. Returns the values, the run's
-    /// iteration count, and which path served it.
+    /// iteration count, the graph epoch answered at, and which path served
+    /// it.
     pub(crate) fn answer(
         &mut self,
         kind: &RequestKind,
         spec: &MachineSpec,
         threads: usize,
-    ) -> PolymerResult<(ResponseValues, usize, AnswerPath)> {
+    ) -> PolymerResult<(ResponseValues, usize, u64, AnswerPath)> {
         let key = CacheKey::of(kind).expect("ingests are not answered here");
         let epoch = self.mg.epoch();
 
         if let Some(e) = self.cache.get(&key) {
             if e.epoch == epoch {
-                return Ok((e.values.clone(), e.iterations, AnswerPath::CacheHit));
+                return Ok((e.values.clone(), e.iterations, epoch, AnswerPath::CacheHit));
             }
         }
 
@@ -210,7 +212,7 @@ impl MutState {
                 values: values.clone(),
             },
         );
-        Ok((values, iterations, path))
+        Ok((values, iterations, epoch, path))
     }
 }
 

@@ -168,6 +168,11 @@ pub struct ServeResponse {
     pub algorithm: &'static str,
     /// Final per-vertex values.
     pub values: ResponseValues,
+    /// The graph version that answered: `0` in static mode (the graph as
+    /// loaded); in mutated mode the resident
+    /// [`polymer_graph::MutableGraph::epoch`] the answer was computed at —
+    /// for an ingest, the epoch its batch produced.
+    pub epoch: u64,
     /// Iterations the serving sweep executed. For a coalesced batch this is
     /// the sweep's superstep count (the max over its lanes).
     pub iterations: usize,

@@ -25,7 +25,9 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads each dispatched run uses.
+    /// Execution threads each dispatched engine run uses (solo and
+    /// mutated-mode answers). A coalesced sweep runs on its worker's own
+    /// thread whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -411,7 +413,7 @@ fn run_ingest(inner: &Inner, p: Pending) {
     let ms =
         guard.get_or_insert_with(|| MutState::new(&inner.graph, inner.cfg.compaction_fraction));
     let outcome = match ms.ingest(batch) {
-        Ok(stats) => {
+        Ok((stats, epoch)) => {
             {
                 let mut st = inner.lock();
                 st.mutated = true;
@@ -424,6 +426,7 @@ fn run_ingest(inner: &Inner, p: Pending) {
                 id: p.id,
                 algorithm: p.kind.name(),
                 values: ResponseValues::Ingested(stats),
+                epoch,
                 iterations: 0,
                 batched_lanes: 1,
                 deadline_missed: missed(&p),
@@ -446,7 +449,7 @@ fn run_incremental(inner: &Inner, p: Pending) {
     let ms = guard.as_mut().expect("mutated flag implies state");
     let outcome = ms
         .answer(&p.kind, &inner.cfg.spec, inner.cfg.threads_per_request)
-        .map(|(values, iterations, path)| {
+        .map(|(values, iterations, epoch, path)| {
             {
                 let mut st = inner.lock();
                 match path {
@@ -458,6 +461,7 @@ fn run_incremental(inner: &Inner, p: Pending) {
                 id: p.id,
                 algorithm: p.kind.name(),
                 values,
+                epoch,
                 iterations,
                 batched_lanes: 1,
                 deadline_missed: missed(&p),
@@ -537,6 +541,7 @@ fn solo_response<V>(
         id: p.id,
         algorithm: p.kind.name(),
         values: wrap(run.values),
+        epoch: 0,
         iterations: run.iterations,
         batched_lanes: 1,
         deadline_missed: missed(p),
@@ -620,8 +625,11 @@ fn sweep_with_retry<P: SingleSource>(
         let machine = Machine::new(inner.cfg.spec.clone());
         match run_multi_source(&machine, inner.cfg.threads_per_request, &inner.graph, &ms) {
             Ok(res) => {
-                let lanes = (0..res.lanes).map(|l| wrap(res.lane_values(l))).collect();
-                return Ok((lanes, res.run.iterations));
+                let iterations = res.run.iterations;
+                return Ok((
+                    res.into_lanes().into_iter().map(&wrap).collect(),
+                    iterations,
+                ));
             }
             Err(e) if e.is_retryable() && failures + 1 < retry.max_attempts.max(1) => {
                 failures += 1;
@@ -655,6 +663,7 @@ fn deliver_lanes(
                     id: p.id,
                     algorithm: p.kind.name(),
                     values,
+                    epoch: 0,
                     iterations,
                     batched_lanes: k,
                     deadline_missed: missed(p),
@@ -792,6 +801,7 @@ mod tests {
         for (t, want) in tickets.into_iter().zip(&oracle) {
             let r = t.wait().unwrap();
             assert_eq!(r.batched_lanes, sources.len());
+            assert_eq!(r.epoch, 0, "coalescing is static-mode only");
             assert_eq!(r.values.levels().unwrap(), &want[..]);
         }
         let stats = svc.stats();
@@ -870,10 +880,8 @@ mod tests {
         let svc = GraphService::new(g.clone(), quick_cfg()).unwrap();
 
         // Static-mode query first, so the service has served both modes.
-        svc.submit(RequestKind::Bfs { source: 0 })
-            .unwrap()
-            .wait()
-            .unwrap();
+        let r = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
+        assert_eq!(r.wait().unwrap().epoch, 0, "the graph as loaded");
 
         let mut b1 = DeltaBatch::new();
         b1.insert(1, n - 3, 7).insert(2, n - 2, 3).delete(0, 1);
@@ -883,6 +891,7 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(r.algorithm, "Ingest");
+        assert_eq!(r.epoch, 1, "an ingest reports the epoch it produced");
         let applied = r.values.ingest_stats().unwrap();
         assert_eq!(applied.inserted, 2);
 
@@ -895,10 +904,12 @@ mod tests {
         );
 
         // Cold incremental answer, then a pure cache hit.
-        let r1 = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
-        assert_eq!(r1.wait().unwrap().values.levels().unwrap(), &want[..]);
-        let r2 = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
-        assert_eq!(r2.wait().unwrap().values.levels().unwrap(), &want[..]);
+        for _ in 0..2 {
+            let r = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
+            let r = r.wait().unwrap();
+            assert_eq!(r.values.levels().unwrap(), &want[..]);
+            assert_eq!(r.epoch, 1);
+        }
 
         // Second ingest, then the same query warm-starts from the cache.
         let mut b2 = DeltaBatch::new();
@@ -913,7 +924,9 @@ mod tests {
             &Bfs::new(0),
         );
         let r3 = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
-        assert_eq!(r3.wait().unwrap().values.levels().unwrap(), &want[..]);
+        let r3 = r3.wait().unwrap();
+        assert_eq!(r3.values.levels().unwrap(), &want[..]);
+        assert_eq!(r3.epoch, 2);
 
         let stats = svc.stats();
         assert_eq!(stats.ingests, 2);

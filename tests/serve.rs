@@ -336,7 +336,9 @@ fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
     assert_eq!(sssp().unwrap().values.distances().unwrap(), [0, 5, 1]);
     ingest(&svc, &[(0, 1, 7)], &[]);
     ingest(&svc, &[(0, 1, 20)], &[]);
-    assert_eq!(sssp().unwrap().values.distances().unwrap(), [0, 11, 1]);
+    let warm = sssp().unwrap();
+    assert_eq!(warm.values.distances().unwrap(), [0, 11, 1]);
+    assert_eq!(warm.epoch, 3, "answered on the graph the third ingest left");
     assert_eq!(svc.stats().failed, 0);
 }
 
