@@ -8,7 +8,7 @@
 //! representations apply unchanged.
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// Level of an unvisited vertex.
 pub const UNVISITED: u32 = u32::MAX;
@@ -43,7 +43,7 @@ impl Program for Bfs {
         UNVISITED
     }
 
-    fn init(&self, v: VId, _g: &Graph) -> u32 {
+    fn init(&self, v: VId) -> u32 {
         if v == self.source {
             0
         } else {
@@ -66,7 +66,7 @@ impl Program for Bfs {
         }
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::Single(self.source)
     }
 
@@ -91,15 +91,13 @@ impl Program for Bfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_graph::EdgeList;
 
     #[test]
     fn init_marks_only_source() {
-        let g = Graph::from_edges(&EdgeList::from_pairs(3, [(0, 1)]));
         let b = Bfs::new(1);
-        assert_eq!(b.init(1, &g), 0);
-        assert_eq!(b.init(0, &g), UNVISITED);
-        assert_eq!(b.initial_frontier(&g), FrontierInit::Single(1));
+        assert_eq!(b.init(1), 0);
+        assert_eq!(b.init(0), UNVISITED);
+        assert_eq!(b.initial_frontier(), FrontierInit::Single(1));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! compute-heavy, as Table 3 shows.
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// The belief-propagation program.
 #[derive(Clone, Debug)]
@@ -73,7 +73,7 @@ impl Program for BeliefPropagation {
         0.0
     }
 
-    fn init(&self, _v: VId, _g: &Graph) -> f64 {
+    fn init(&self, _v: VId) -> f64 {
         self.local_field
     }
 
@@ -89,7 +89,7 @@ impl Program for BeliefPropagation {
         (new, (new - curr).abs() > self.epsilon)
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::All
     }
 

@@ -7,7 +7,7 @@
 //! agree exactly.
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// The connected-components program. `Val` is the current component label.
 #[derive(Clone, Debug, Default)]
@@ -35,7 +35,7 @@ impl Program for ConnectedComponents {
         u32::MAX
     }
 
-    fn init(&self, v: VId, _g: &Graph) -> u32 {
+    fn init(&self, v: VId) -> u32 {
         v
     }
 
@@ -53,7 +53,7 @@ impl Program for ConnectedComponents {
         }
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::All
     }
 
@@ -78,13 +78,11 @@ impl Program for ConnectedComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_graph::EdgeList;
 
     #[test]
     fn init_is_own_id() {
-        let g = Graph::from_edges(&EdgeList::from_pairs(3, [(0, 1)]));
         let cc = ConnectedComponents::new();
-        assert_eq!(cc.init(2, &g), 2);
+        assert_eq!(cc.init(2), 2);
         assert!(cc.needs_symmetric());
     }
 

@@ -50,7 +50,13 @@
 //!
 //! There is one copy of each repair, the charged one: it is what
 //! `polymer-serve` executes, so its host wall-clock is what
-//! `bench_incremental`'s wall columns time.
+//! `bench_incremental`'s wall columns time. The min-fixpoint repairs are
+//! written against [`Program`] — [`Bfs`], [`Sssp`], [`ConnectedComponents`]
+//! as the static engines run them: `relax` above is [`Program::scatter`],
+//! the identity [`Program::next_identity`] — and [`bfs_overlay`] and
+//! friends are shorthands that name the program. Residual PageRank is a
+//! different fixpoint iteration from [`crate::PageRank`]'s fixed-round
+//! power method and stays a stand-alone body.
 //!
 //! Accounting honesty: restored prior values are charged (a `"restore"`
 //! sweep), every adjacency read goes through charged overlay streams, every
@@ -62,14 +68,14 @@
 use std::collections::HashMap;
 
 use polymer_api::{
-    catch_engine_faults, charged_values_restore, even_chunks, validate_sim_threads,
-    weight_balanced_chunks, IterationDriver, OverlayTopo, PolymerError, PolymerResult, RunResult,
+    catch_engine_faults, charged_values_restore, even_chunks, validate_run_config,
+    validate_sim_threads, weight_balanced_chunks, FrontierInit, IterationDriver, OverlayTopo,
+    PolymerResult, Program, RunResult,
 };
 use polymer_graph::{AppliedBatch, Edge, VId};
-use polymer_numa::{AllocPolicy, Atom, BarrierKind, Machine, NumaAtomicArray};
+use polymer_numa::{AllocPolicy, BarrierKind, Machine, NumaAtomicArray};
 
-use crate::bfs::UNVISITED;
-use crate::sssp::UNREACHED;
+use crate::{Bfs, ConnectedComponents, Sssp};
 
 /// Default residual tolerance for incremental PageRank: residual mass per
 /// vertex below this is considered converged.
@@ -101,117 +107,6 @@ impl<'a, V> WarmStart<'a, V> {
     }
 }
 
-/// The shared shape of the monotone min-fixpoint programs (BFS levels,
-/// SSSP distances, CC labels): an identity ("unreached"), per-vertex cold
-/// init, and a relaxation along an out-edge.
-trait MinSpec: Copy + Sync {
-    type Val: Atom + PartialOrd;
-    /// The "no value yet" sentinel; never relaxed from.
-    fn identity(&self) -> Self::Val;
-    /// The pinned root, or `None` when every vertex roots itself (CC).
-    fn root(&self) -> Option<VId>;
-    /// Cold initial value of `v`.
-    fn init(&self, v: VId) -> Self::Val;
-    /// Value `relax(curr[src], w)` offered to the edge's target.
-    fn relax(&self, src_val: Self::Val, w: u32) -> Self::Val;
-    /// Arithmetic cycles charged per scattered edge (matches the static
-    /// programs' `scatter_cycles`).
-    fn scatter_cycles(&self) -> f64 {
-        2.0
-    }
-}
-
-#[derive(Clone, Copy)]
-struct BfsSpec {
-    source: VId,
-}
-
-impl MinSpec for BfsSpec {
-    type Val = u32;
-    fn identity(&self) -> u32 {
-        UNVISITED
-    }
-    fn root(&self) -> Option<VId> {
-        Some(self.source)
-    }
-    fn init(&self, v: VId) -> u32 {
-        if v == self.source {
-            0
-        } else {
-            UNVISITED
-        }
-    }
-    fn relax(&self, src_val: u32, _w: u32) -> u32 {
-        src_val.saturating_add(1)
-    }
-}
-
-#[derive(Clone, Copy)]
-struct SsspSpec {
-    source: VId,
-}
-
-impl MinSpec for SsspSpec {
-    type Val = u64;
-    fn identity(&self) -> u64 {
-        UNREACHED
-    }
-    fn root(&self) -> Option<VId> {
-        Some(self.source)
-    }
-    fn init(&self, v: VId) -> u64 {
-        if v == self.source {
-            0
-        } else {
-            UNREACHED
-        }
-    }
-    fn relax(&self, src_val: u64, w: u32) -> u64 {
-        src_val.saturating_add(w as u64)
-    }
-}
-
-#[derive(Clone, Copy)]
-struct CcSpec;
-
-impl MinSpec for CcSpec {
-    type Val = u32;
-    fn identity(&self) -> u32 {
-        u32::MAX
-    }
-    fn root(&self) -> Option<VId> {
-        None
-    }
-    fn init(&self, v: VId) -> u32 {
-        v
-    }
-    fn relax(&self, src_val: u32, _w: u32) -> u32 {
-        src_val
-    }
-}
-
-/// The front door the `*_overlay` entry points share with
-/// [`polymer_api::Engine`] runs: a thread count the machine cannot bind or an
-/// out-of-range source is a typed [`PolymerError::InvalidConfig`], and a
-/// panic escaping `body` (a warm-start value count mismatch, an injected
-/// fault) is converted instead of unwinding into the caller.
-fn guarded<T>(
-    machine: &Machine,
-    threads: usize,
-    topo: &OverlayTopo,
-    source: Option<VId>,
-    body: impl FnOnce() -> PolymerResult<T>,
-) -> PolymerResult<T> {
-    validate_sim_threads(machine, threads)?;
-    let n = topo.num_vertices();
-    if let Some(s) = source.filter(|&s| s as usize >= n) {
-        return Err(PolymerError::InvalidConfig(format!(
-            "source vertex {s} out of range (graph has {n} vertices)"
-        )));
-    }
-    catch_engine_faults(body)
-}
-
 /// Incremental BFS over a placed overlay: cold run when `warm` is `None`,
 /// frontier-restricted repair otherwise. Values are bit-identical to a
 /// from-scratch run either way (unique min fixpoint).
@@ -223,9 +118,7 @@ pub fn bfs_overlay(
     warm: Option<WarmStart<'_, u32>>,
     traced: bool,
 ) -> PolymerResult<RunResult<u32>> {
-    guarded(machine, threads, topo, Some(source), || {
-        min_overlay(machine, threads, topo, BfsSpec { source }, warm, traced)
-    })
+    min_overlay(machine, threads, topo, &Bfs::new(source), warm, traced)
 }
 
 /// Incremental SSSP (weighted Bellman–Ford fixpoint) over a placed
@@ -239,9 +132,7 @@ pub fn sssp_overlay(
     warm: Option<WarmStart<'_, u64>>,
     traced: bool,
 ) -> PolymerResult<RunResult<u64>> {
-    guarded(machine, threads, topo, Some(source), || {
-        min_overlay(machine, threads, topo, SsspSpec { source }, warm, traced)
-    })
+    min_overlay(machine, threads, topo, &Sssp::new(source), warm, traced)
 }
 
 /// Incremental connected components over a placed overlay of the
@@ -256,91 +147,85 @@ pub fn cc_overlay(
     warm: Option<WarmStart<'_, u32>>,
     traced: bool,
 ) -> PolymerResult<RunResult<u32>> {
-    guarded(machine, threads, topo, None, || {
-        cc_body(machine, threads, topo, warm, traced)
-    })
-}
-
-fn cc_body(
-    machine: &Machine,
-    threads: usize,
-    topo: &OverlayTopo,
-    warm: Option<WarmStart<'_, u32>>,
-    traced: bool,
-) -> PolymerResult<RunResult<u32>> {
     // Weight changes don't touch connectivity (they appear only in
     // `reweighted` and `inserts`); a structural delete may split a
     // component, which no bounded repair here can tell.
     let Some(w) = warm.filter(|w| w.batch.deletes.is_empty()) else {
-        return min_overlay(machine, threads, topo, CcSpec, None, traced);
+        return min_overlay(machine, threads, topo, &ConnectedComponents, None, traced);
     };
-    let n = topo.num_vertices();
-    assert_eq!(w.values.len(), n, "warm-start value count mismatch");
-    let mut driver = IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n);
-    let curr =
-        machine.alloc_atomic_with::<u32>("data/curr", n, AllocPolicy::Interleaved, |v| v as u32);
-    charged_values_restore(driver.sim(), threads, &curr, w.values);
-    driver.resume_from_state(w.iterations);
-    // Host union-find over the prior labels of the insert endpoints, then
-    // one charged relabel sweep: zero repair iterations.
-    let resolved = resolve_labels(&w.batch.inserts, w.values);
-    if !resolved.is_empty() {
-        let chunks = even_chunks(n, threads);
-        driver.sim().run_phase_split(
-            "inc/relabel",
-            |tid, ctx| {
-                let r = chunks[tid].clone();
-                let vals: Vec<u32> = curr.iter_seq(ctx, r.clone()).collect();
-                curr.store_seq(ctx, r.clone(), |i| {
-                    let l = vals[i - r.start];
-                    resolved.get(&l).copied().unwrap_or(l)
-                });
-            },
-            |_, _, ()| {},
-        );
-        driver.sim().charge_barrier();
-    }
-    Ok(driver.finish(curr.snapshot()))
+    validate_sim_threads(machine, threads)?;
+    catch_engine_faults(|| {
+        let n = topo.num_vertices();
+        assert_eq!(w.values.len(), n, "warm-start value count mismatch");
+        let mut driver = IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n);
+        let curr =
+            machine.alloc_atomic_with::<u32>("data/curr", n, AllocPolicy::Interleaved, |v| {
+                ConnectedComponents.init(v as VId)
+            });
+        charged_values_restore(driver.sim(), threads, &curr, w.values);
+        driver.resume_from_state(w.iterations);
+        // Host union-find over the prior labels of the insert endpoints, then
+        // one charged relabel sweep: zero repair iterations.
+        let resolved = resolve_labels(&w.batch.inserts, w.values);
+        if !resolved.is_empty() {
+            let chunks = even_chunks(n, threads);
+            driver.sim().run_phase_split(
+                "inc/relabel",
+                |tid, ctx| {
+                    let r = chunks[tid].clone();
+                    let vals: Vec<u32> = curr.iter_seq(ctx, r.clone()).collect();
+                    curr.store_seq(ctx, r.clone(), |i| {
+                        let l = vals[i - r.start];
+                        resolved.get(&l).copied().unwrap_or(l)
+                    });
+                },
+                |_, _, ()| {},
+            );
+            driver.sim().charge_barrier();
+        }
+        Ok(driver.finish(curr.snapshot()))
+    })
 }
 
-fn min_overlay<S: MinSpec>(
+/// A min-combine [`Program`] over a placed overlay: cold from its own
+/// `init` / `initial_frontier`, or repaired from `warm`. The front door is
+/// the one an [`polymer_api::Engine`] run goes through: a thread count the
+/// machine cannot bind or an out-of-range source is a typed `invalid-config`
+/// error, and a panic escaping the body (a warm-start value count mismatch,
+/// an injected fault) is converted instead of unwinding into the caller.
+/// `next_identity` is the "no value yet" sentinel, never relaxed from.
+fn min_overlay<P: Program<Val: PartialOrd>>(
     machine: &Machine,
     threads: usize,
     topo: &OverlayTopo,
-    spec: S,
-    warm: Option<WarmStart<'_, S::Val>>,
+    prog: &P,
+    warm: Option<WarmStart<'_, P::Val>>,
     traced: bool,
-) -> PolymerResult<RunResult<S::Val>> {
+) -> PolymerResult<RunResult<P::Val>> {
     let n = topo.num_vertices();
-    let mut driver = IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n);
-    let curr = machine.alloc_atomic_with::<S::Val>("data/curr", n, AllocPolicy::Interleaved, |v| {
-        spec.init(v as VId)
-    });
-    let mut frontier = match warm {
-        None => match spec.root() {
-            Some(s) => vec![s],
-            None => (0..n as VId).collect(),
-        },
-        Some(w) => {
-            assert_eq!(w.values.len(), n, "warm-start value count mismatch");
-            charged_values_restore(driver.sim(), threads, &curr, w.values);
-            driver.resume_from_state(w.iterations);
-            path_repair_seed(&mut driver, threads, topo, spec, &curr, w.batch)
-        }
-    };
-    min_push_fixpoint(&mut driver, threads, topo, spec, &curr, &mut frontier)?;
-    let values = curr.snapshot();
-    Ok(driver.finish(values))
-}
-
-/// Old weights of reweighted pairs, for support tests against pre-batch
-/// values (the live stream yields the *new* weight).
-fn old_weights(batch: &AppliedBatch) -> HashMap<(VId, VId), u32> {
-    batch
-        .reweighted
-        .iter()
-        .map(|e| ((e.src, e.dst), e.weight))
-        .collect()
+    validate_sim_threads(machine, threads)?;
+    validate_run_config(threads, n, prog)?;
+    catch_engine_faults(|| {
+        let mut driver = IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n);
+        let curr =
+            machine.alloc_atomic_with::<P::Val>("data/curr", n, AllocPolicy::Interleaved, |v| {
+                prog.init(v as VId)
+            });
+        let mut frontier = match warm {
+            None => match prog.initial_frontier() {
+                FrontierInit::Single(s) => vec![s],
+                FrontierInit::All => (0..n as VId).collect(),
+            },
+            Some(w) => {
+                assert_eq!(w.values.len(), n, "warm-start value count mismatch");
+                charged_values_restore(driver.sim(), threads, &curr, w.values);
+                driver.resume_from_state(w.iterations);
+                path_repair_seed(&mut driver, threads, topo, prog, &curr, w.batch)
+            }
+        };
+        min_push_fixpoint(&mut driver, threads, topo, prog, &curr, &mut frontier)?;
+        Ok(driver.finish(curr.snapshot()))
+    })
 }
 
 /// Seed phases of monotone path repair: suspect detection over removed
@@ -354,19 +239,31 @@ fn old_weights(batch: &AppliedBatch) -> HashMap<(VId, VId), u32> {
 /// everything downstream and repair degenerates to a from-scratch run;
 /// with it, deletes off the shortest-path DAG (the common case in graphs
 /// with path diversity) condemn nothing at all. Soundness leans on
-/// [`MinSpec::relax`] being strictly increasing (BFS adds 1, SSSP adds a
-/// validated non-zero weight), which rules out support cycles.
-fn path_repair_seed<S: MinSpec>(
+/// [`Program::scatter`] being strictly increasing in the source value (BFS
+/// adds 1, SSSP adds a validated non-zero weight), which rules out support
+/// cycles.
+fn path_repair_seed<P: Program<Val: PartialOrd>>(
     driver: &mut IterationDriver,
     threads: usize,
     topo: &OverlayTopo,
-    spec: S,
-    curr: &NumaAtomicArray<S::Val>,
+    prog: &P,
+    curr: &NumaAtomicArray<P::Val>,
     batch: &AppliedBatch,
 ) -> Vec<VId> {
     let n = topo.num_vertices();
-    let root = spec.root().expect("path repair needs a pinned root");
-    let rw = old_weights(batch);
+    let FrontierInit::Single(root) = prog.initial_frontier() else {
+        panic!("path repair needs a pinned root");
+    };
+    let identity = prog.next_identity();
+    // The offer along a live out-edge of `src`; every call site tests
+    // `src_val` against the identity first. The degree is the live one, read
+    // unaccounted: no program with a monotone repair depends on it.
+    let deg = |v: VId| topo.raw_live_out_degree(v as usize) as u32;
+    let relax = |src: VId, src_val: P::Val, w: u32| prog.scatter(src, src_val, w, deg(src));
+    // Old weights of reweighted pairs, for support tests against pre-batch
+    // values (the live stream yields the *new* weight).
+    let old_weight = |e: &Edge| ((e.src, e.dst), e.weight);
+    let rw: HashMap<(VId, VId), u32> = batch.reweighted.iter().map(old_weight).collect();
 
     // Removed support candidates: structural deletes plus reweighted pairs
     // (each carrying the weight the old value was computed with).
@@ -388,10 +285,10 @@ fn path_repair_seed<S: MinSpec>(
                         continue;
                     }
                     let uv = curr.load(ctx, e.src as usize);
-                    if uv == spec.identity() {
+                    if uv == identity {
                         continue;
                     }
-                    if curr.load(ctx, e.dst as usize) == spec.relax(uv, e.weight) {
+                    if curr.load(ctx, e.dst as usize) == relax(e.src, uv, e.weight) {
                         found.push(e.dst);
                     }
                 }
@@ -427,7 +324,7 @@ fn path_repair_seed<S: MinSpec>(
                 for &seg in &segs[chunks[tid].clone()] {
                     let t = seg.v;
                     let tv = curr.load(ctx, t as usize);
-                    if tv == spec.identity() {
+                    if tv == identity {
                         // Unreached values are the identity (the maximum):
                         // never wrong in the dangerous direction.
                         out.push((t, true));
@@ -437,7 +334,7 @@ fn path_repair_seed<S: MinSpec>(
                     for (s2, w2) in topo.in_stream_segment(ctx, seg) {
                         if !suspect[s2 as usize] {
                             let sv2 = curr.load(ctx, s2 as usize);
-                            if sv2 != spec.identity() && spec.relax(sv2, w2) == tv {
+                            if sv2 != identity && relax(s2, sv2, w2) == tv {
                                 kept = true;
                                 break;
                             }
@@ -477,7 +374,7 @@ fn path_repair_seed<S: MinSpec>(
                 for &seg in &segs[chunks[tid].clone()] {
                     let s = seg.v;
                     let sv = curr.load(ctx, s as usize);
-                    if sv == spec.identity() {
+                    if sv == identity {
                         continue;
                     }
                     for (t, w) in topo.out_stream_segment(ctx, seg) {
@@ -485,7 +382,7 @@ fn path_repair_seed<S: MinSpec>(
                         // was reweighted.
                         let w_old = rw.get(&(s, t)).copied().unwrap_or(w);
                         let tv = curr.load(ctx, t as usize);
-                        if tv == spec.relax(sv, w_old) || tv == spec.relax(sv, w) {
+                        if tv == relax(s, sv, w_old) || tv == relax(s, sv, w) {
                             out.push(t);
                         }
                     }
@@ -509,7 +406,7 @@ fn path_repair_seed<S: MinSpec>(
     // their full out-degree), which re-scans every list adjacent to the
     // region; the pulled minima are applied as offers in the graft phase
     // below, after the resets land.
-    let mut pulled: Vec<(VId, S::Val)> = Vec::new();
+    let mut pulled: Vec<(VId, P::Val)> = Vec::new();
     if !suspects.is_empty() {
         let segs = topo.plan_in_segments(&suspects, SEG_GRAIN);
         let chunks = weight_balanced_chunks(&segs, |s| s.weight as usize, threads);
@@ -517,21 +414,21 @@ fn path_repair_seed<S: MinSpec>(
         driver.sim().run_phase_split(
             "inc/reset",
             |tid, ctx| {
-                let mut out: Vec<(VId, S::Val)> = Vec::new();
+                let mut out: Vec<(VId, P::Val)> = Vec::new();
                 for &seg in &segs[chunks[tid].clone()] {
-                    let mut best = spec.identity();
+                    let mut best = identity;
                     for (s, w) in topo.in_stream_segment(ctx, seg) {
                         if !suspect[s as usize] {
                             let sv = curr.load(ctx, s as usize);
-                            if sv != spec.identity() {
-                                let c = spec.relax(sv, w);
+                            if sv != identity {
+                                let c = relax(s, sv, w);
                                 if c < best {
                                     best = c;
                                 }
                             }
                         }
                     }
-                    if best != spec.identity() {
+                    if best != identity {
                         out.push((seg.v, best));
                     }
                 }
@@ -540,7 +437,7 @@ fn path_repair_seed<S: MinSpec>(
             |tid, ctx, out| {
                 pulled.extend(out);
                 for &v in &suspects[reset_chunks[tid].clone()] {
-                    curr.store(ctx, v as usize, spec.identity());
+                    curr.store(ctx, v as usize, identity);
                 }
             },
         );
@@ -561,13 +458,13 @@ fn path_repair_seed<S: MinSpec>(
         driver.sim().run_phase_split(
             "inc/graft",
             |tid, ctx| {
-                let mut out: Vec<(VId, S::Val)> = Vec::new();
+                let mut out: Vec<(VId, P::Val)> = Vec::new();
                 for e in &batch.inserts[chunks[tid].clone()] {
                     let sv = curr.load(ctx, e.src as usize);
-                    if sv == spec.identity() {
+                    if sv == identity {
                         continue;
                     }
-                    out.push((e.dst, spec.relax(sv, e.weight)));
+                    out.push((e.dst, relax(e.src, sv, e.weight)));
                 }
                 out
             },
@@ -635,20 +532,20 @@ fn resolve_labels(inserts: &[Edge], labels: &[u32]) -> HashMap<u32, u32> {
 /// scatter round behind one thread.
 const SEG_GRAIN: usize = 128;
 
-/// The monotone push fixpoint: active vertices offer `relax(curr, w)` along
+/// The monotone push fixpoint: active vertices offer `scatter(curr, w)` along
 /// merged out-streams, targets take the min atomically, improved targets
 /// form the next frontier. Runs until the frontier drains. Scatter work is
 /// segment-balanced: heavy vertices split across threads at [`SEG_GRAIN`]
 /// base edges (the source value is re-read per segment — charged).
-fn min_push_fixpoint<S: MinSpec>(
+fn min_push_fixpoint<P: Program<Val: PartialOrd>>(
     driver: &mut IterationDriver,
     threads: usize,
     topo: &OverlayTopo,
-    spec: S,
-    curr: &NumaAtomicArray<S::Val>,
+    prog: &P,
+    curr: &NumaAtomicArray<P::Val>,
     frontier: &mut Vec<VId>,
 ) -> PolymerResult<()> {
-    let sc = spec.scatter_cycles();
+    let (sc, identity) = (prog.scatter_cycles(), prog.next_identity());
     driver.run_synchronous(
         usize::MAX,
         frontier,
@@ -661,14 +558,15 @@ fn min_push_fixpoint<S: MinSpec>(
             sim.run_phase_split(
                 "inc/push",
                 |tid, ctx| {
-                    let mut log: Vec<(VId, S::Val)> = Vec::new();
+                    let mut log: Vec<(VId, P::Val)> = Vec::new();
                     for &seg in &segs[chunks[tid].clone()] {
                         let sv = curr.load(ctx, seg.v as usize);
-                        if sv == spec.identity() {
+                        if sv == identity {
                             continue;
                         }
+                        let deg = topo.raw_live_out_degree(seg.v as usize) as u32;
                         for (t, w) in topo.out_stream_segment(ctx, seg) {
-                            log.push((t, spec.relax(sv, w)));
+                            log.push((t, prog.scatter(seg.v, sv, w, deg)));
                             ctx.charge_cycles(sc);
                         }
                     }
@@ -705,66 +603,49 @@ pub fn pagerank_overlay(
     warm: Option<WarmStart<'_, f64>>,
     traced: bool,
 ) -> PolymerResult<RunResult<f64>> {
-    guarded(machine, threads, topo, None, || {
-        pagerank_body(machine, threads, topo, damping, tol, warm, traced)
-    })
-}
-
-fn pagerank_body(
-    machine: &Machine,
-    threads: usize,
-    topo: &OverlayTopo,
-    damping: f64,
-    tol: f64,
-    warm: Option<WarmStart<'_, f64>>,
-    traced: bool,
-) -> PolymerResult<RunResult<f64>> {
-    let n = topo.num_vertices();
-    let nf = n as f64;
-    let base_score = (1.0 - damping) / nf;
-    // Residual rounds scale with log(1/tol)/log(1/damping), independent of
-    // |V|; give small graphs a cap that still fits the geometric tail.
-    let mut driver =
-        IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n.max(512));
-    let curr =
-        machine.alloc_atomic_with::<f64>("data/curr", n, AllocPolicy::Interleaved, |_| base_score);
-    let next = machine.alloc_atomic_with::<f64>("data/next", n, AllocPolicy::Interleaved, |_| 0.0);
-    let mut delta: Vec<f64> = vec![0.0; n];
-    let mut frontier: Vec<VId>;
-    match warm {
-        None => {
-            // Every vertex still owes its initial mass downstream.
-            delta.iter_mut().for_each(|d| *d = base_score);
-            frontier = (0..n as VId).collect();
-        }
-        Some(w) => {
-            assert_eq!(w.values.len(), n, "warm-start value count mismatch");
-            charged_values_restore(driver.sim(), threads, &curr, w.values);
-            driver.resume_from_state(w.iterations);
-            frontier = pr_recompute(&mut driver, threads, topo, &curr, &mut delta, w.batch, {
-                PrParams {
-                    damping,
-                    tol,
-                    base_score,
-                }
-            });
-        }
-    }
-    pr_residual_fixpoint(
-        &mut driver,
-        threads,
-        topo,
-        &curr,
-        &next,
-        &mut delta,
-        &mut frontier,
-        PrParams {
+    validate_sim_threads(machine, threads)?;
+    catch_engine_faults(|| {
+        let n = topo.num_vertices();
+        let base_score = (1.0 - damping) / n as f64;
+        let p = PrParams {
             damping,
             tol,
             base_score,
-        },
-    )?;
-    Ok(driver.finish(curr.snapshot()))
+        };
+        // Residual rounds scale with log(1/tol)/log(1/damping), independent
+        // of |V|; give small graphs a cap that still fits the geometric tail.
+        let mut driver =
+            IterationDriver::new(machine, threads, BarrierKind::SenseNuma, traced, n.max(512));
+        let alloc = |name, init| {
+            machine.alloc_atomic_with::<f64>(name, n, AllocPolicy::Interleaved, move |_| init)
+        };
+        let (curr, next) = (alloc("data/curr", base_score), alloc("data/next", 0.0));
+        let mut delta: Vec<f64> = vec![0.0; n];
+        let mut active: Vec<VId> = match warm {
+            None => {
+                // Every vertex still owes its initial mass downstream.
+                delta.fill(base_score);
+                (0..n as VId).collect()
+            }
+            Some(w) => {
+                assert_eq!(w.values.len(), n, "warm-start value count mismatch");
+                charged_values_restore(driver.sim(), threads, &curr, w.values);
+                driver.resume_from_state(w.iterations);
+                pr_recompute(&mut driver, threads, topo, &curr, &mut delta, w.batch, p)
+            }
+        };
+        pr_residual_fixpoint(
+            &mut driver,
+            threads,
+            topo,
+            &curr,
+            &next,
+            &mut delta,
+            &mut active,
+            p,
+        )?;
+        Ok(driver.finish(curr.snapshot()))
+    })
 }
 
 #[derive(Clone, Copy)]
@@ -957,17 +838,13 @@ fn pr_residual_fixpoint(
 mod tests {
     use super::*;
     use crate::reference::max_rel_error;
-    use polymer_graph::{gen, DeltaBatch, EdgeList, Graph, MutableGraph};
+    use polymer_graph::{gen, DeltaBatch, EdgeList, MutableGraph};
     use polymer_numa::MachineSpec;
 
     const THREADS: usize = 4;
 
     fn build_topo(machine: &Machine, mg: &MutableGraph, with_weights: bool) -> OverlayTopo {
         OverlayTopo::build(machine, mg, with_weights, |_| AllocPolicy::Interleaved)
-    }
-
-    fn scratch_graph(mg: &MutableGraph) -> Graph {
-        Graph::from_edges(&mg.snapshot_edge_list())
     }
 
     #[test]
@@ -977,7 +854,7 @@ mod tests {
         let machine = Machine::new(MachineSpec::test2());
         let topo = build_topo(&machine, &mg, false);
         let run = bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
-        let (oracle, _) = crate::run_reference(&scratch_graph(&mg), &crate::Bfs { source: 0 });
+        let (oracle, _) = crate::run_reference(&mg, &crate::Bfs { source: 0 });
         assert_eq!(run.values, oracle);
     }
 
@@ -993,17 +870,16 @@ mod tests {
 
         let applied = mg.apply(&gen::mixed_batch(&mg, 3, 24, false)).unwrap();
         let topo = build_topo(&machine, &mg, true);
-        let g2 = scratch_graph(&mg);
 
         let warm = WarmStart::from_result(&prior_bfs, &applied);
         let run = bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-        let (oracle, _) = crate::run_reference(&g2, &crate::Bfs { source: 0 });
+        let (oracle, _) = crate::run_reference(&mg, &crate::Bfs { source: 0 });
         assert_eq!(run.values, oracle, "incremental BFS must be oracle-exact");
         assert!(run.iterations >= prior_bfs.iterations);
 
         let warm = WarmStart::from_result(&prior_sssp, &applied);
         let run = sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-        let (oracle, _) = crate::run_reference(&g2, &crate::Sssp::new(0));
+        let (oracle, _) = crate::run_reference(&mg, &crate::Sssp::new(0));
         assert_eq!(run.values, oracle, "incremental SSSP must be oracle-exact");
     }
 
@@ -1027,7 +903,7 @@ mod tests {
         let topo = build_topo(&machine, &mg, false);
         let warm = WarmStart::from_result(&prior, &applied);
         let run = cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap();
-        let (oracle, _) = crate::run_reference(&scratch_graph(&mg), &crate::ConnectedComponents);
+        let (oracle, _) = crate::run_reference(&mg, &crate::ConnectedComponents);
         assert_eq!(run.values, oracle);
         // Union-find fast path: relabel only, zero repair iterations.
         assert_eq!(run.iterations, prior.iterations);
@@ -1056,7 +932,7 @@ mod tests {
         let topo = build_topo(&machine, &mg, false);
         let warm = WarmStart::from_result(&prior, &applied);
         let run = cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap();
-        let (oracle, _) = crate::run_reference(&scratch_graph(&mg), &crate::ConnectedComponents);
+        let (oracle, _) = crate::run_reference(&mg, &crate::ConnectedComponents);
         assert_eq!(run.values, oracle);
         // A structural delete may split a component: no repair, the cold run.
         let cold = cc_overlay(&machine, THREADS, &topo, None, false).unwrap();

@@ -23,10 +23,10 @@
 //! workspace conformance test).
 
 use polymer_api::{
-    catch_engine_faults, validate_run_config, FrontierInit, IterationDriver, PolymerError,
-    PolymerResult, Program, RunResult,
+    catch_engine_faults, validate_run_config, validate_sim_threads, FrontierInit, IterationDriver,
+    PolymerError, PolymerResult, Program, RunResult,
 };
-use polymer_graph::{Graph, VId};
+use polymer_graph::{Topology, VId};
 use polymer_numa::{BarrierKind, Machine};
 
 /// Maximum lanes (sources) per sweep — one bit per lane in the per-vertex
@@ -157,38 +157,39 @@ impl<V: Copy> MultiRunResult<V> {
     }
 }
 
-/// Run a batched multi-source sweep over `graph` on the calling thread.
-/// `machine` supplies the [`IterationDriver`] skeleton (iteration stamping,
-/// the `2|V|+64` safety cap, result assembly); the sweep itself computes on
-/// host memory, so the simulated clock stays empty — exactly the
-/// `RealThreads` backend's contract. `threads` is validated and stamped on
-/// the driver as for an engine run and changes nothing else: the result is
-/// identical at every count.
+/// Run a batched multi-source sweep over `graph` (the static CSR or a
+/// `MutableGraph`) on the calling thread. `machine` supplies the
+/// [`IterationDriver`] skeleton (iteration stamping, the `2|V|+64` safety
+/// cap, result assembly); the sweep itself computes on host memory, so the
+/// simulated clock stays empty — exactly the `RealThreads` backend's
+/// contract. `threads` is validated and stamped on the driver as for an
+/// engine run, nothing else: the result is identical at every count.
 ///
 /// Every failure surfaces as a typed [`PolymerError`]; panics escaping the
 /// sweep body are caught and converted, as with the engines.
-pub fn run_multi_source<P: SingleSource>(
+pub fn run_multi_source<T: Topology, P: SingleSource>(
     machine: &Machine,
     threads: usize,
-    graph: &Graph,
+    graph: &T,
     batch: &MultiSource<P>,
 ) -> PolymerResult<MultiRunResult<P::Val>> {
+    validate_sim_threads(machine, threads)?;
     for prog in batch.programs() {
-        if matches!(prog.initial_frontier(graph), FrontierInit::All) {
+        if matches!(prog.initial_frontier(), FrontierInit::All) {
             return Err(PolymerError::InvalidConfig(
                 "multi-source sweep requires single-source programs".to_string(),
             ));
         }
-        validate_run_config(threads, graph, prog)?;
+        validate_run_config(threads, graph.num_vertices(), prog)?;
     }
     catch_engine_faults(|| sweep(machine, threads, graph, batch.programs()))
 }
 
 /// Sweep every lane to its fixed point.
-fn sweep<P: SingleSource>(
+fn sweep<T: Topology, P: SingleSource>(
     machine: &Machine,
     threads: usize,
-    graph: &Graph,
+    graph: &T,
     progs: &[P],
 ) -> PolymerResult<MultiRunResult<P::Val>> {
     let (n, k) = (graph.num_vertices(), progs.len());
@@ -201,7 +202,7 @@ fn sweep<P: SingleSource>(
         frontier: Vec::new(),
     };
     for v in 0..n as VId {
-        state.curr.extend(progs.iter().map(|p| p.init(v, graph)));
+        state.curr.extend(progs.iter().map(|p| p.init(v)));
     }
     for (lane, prog) in progs.iter().enumerate() {
         let s = prog.source();
@@ -244,7 +245,7 @@ struct LaneState<V> {
 
 impl<V: Copy> LaneState<V> {
     /// One superstep: scatter from the frontier, apply, rebuild the frontier.
-    fn step<P: Program<Val = V>>(&mut self, graph: &Graph, progs: &[P]) {
+    fn step<T: Topology, P: Program<Val = V>>(&mut self, graph: &T, progs: &[P]) {
         let (k, identity) = (progs.len(), progs[0].next_identity());
         // Local slices: their pointers stay in registers across the stores
         // below, which a `Vec` reached through `self` would not.
@@ -259,7 +260,7 @@ impl<V: Copy> LaneState<V> {
             let mask = std::mem::take(&mut active[v as usize]);
             let deg = graph.out_degree(v) as u32;
             let src = &curr[v as usize * k..][..k];
-            for (&t, &w) in graph.out_neighbors(v).iter().zip(graph.out_weights(v)) {
+            for (t, w) in graph.out_edges(v) {
                 let ti = t as usize;
                 if updated[ti] == 0 {
                     touched.push(t);
@@ -304,7 +305,7 @@ mod tests {
     use super::*;
     use crate::{run_reference, Bfs, Sssp};
     use polymer_api::Combine;
-    use polymer_graph::{gen, EdgeList, Weight};
+    use polymer_graph::{gen, EdgeList, Graph, MutableGraph, Weight};
     use polymer_numa::MachineSpec;
     use proptest::prelude::*;
 
@@ -339,6 +340,17 @@ mod tests {
             Ok(_) => panic!("out-of-range source must be rejected"),
         };
         assert_eq!(err.code(), "invalid-config");
+        // Regression: a thread count the machine cannot bind reached the
+        // simulator's assert and came back as a retryable `engine-panicked`.
+        let batch = MultiSource::from_sources(&Bfs::new(0), &[0, 3]).unwrap();
+        for threads in [0, 5] {
+            let err = match run_multi_source(&m, threads, &g, &batch) {
+                Err(e) => e,
+                Ok(_) => panic!("{threads} threads cannot bind to 4 cores"),
+            };
+            assert_eq!(err.code(), "invalid-config", "{threads} threads: {err}");
+            assert!(!err.is_retryable());
+        }
     }
 
     #[test]
@@ -399,8 +411,8 @@ mod tests {
         fn next_identity(&self) -> u32 {
             self.bfs.next_identity()
         }
-        fn init(&self, v: VId, g: &Graph) -> u32 {
-            self.bfs.init(v, g)
+        fn init(&self, v: VId) -> u32 {
+            self.bfs.init(v)
         }
         fn scatter(&self, src: VId, src_val: u32, w: Weight, deg: u32) -> u32 {
             if self.poisoned && src != self.bfs.source {
@@ -412,8 +424,8 @@ mod tests {
         fn apply(&self, v: VId, acc: u32, curr: u32) -> (u32, bool) {
             self.bfs.apply(v, acc, curr)
         }
-        fn initial_frontier(&self, g: &Graph) -> FrontierInit {
-            self.bfs.initial_frontier(g)
+        fn initial_frontier(&self) -> FrontierInit {
+            self.bfs.initial_frontier()
         }
         fn max_iters(&self) -> usize {
             self.cap
@@ -519,6 +531,22 @@ mod tests {
         }
     }
 
+    /// Every lane of a sweep over `mg` equals its reference run on `snapshot`.
+    fn check_mutated<P: SingleSource>(
+        m: &Machine,
+        mg: &MutableGraph,
+        snapshot: &Graph,
+        template: &P,
+        sources: &[u32],
+    ) {
+        let batch = MultiSource::from_sources(template, sources).unwrap();
+        let lanes = run_multi_source(m, 1, mg, &batch).unwrap().into_lanes();
+        for (lane, prog) in lanes.iter().zip(batch.programs()) {
+            let what = format!("{} x{} from {}", prog.name(), sources.len(), prog.source());
+            assert_eq!(lane, &run_reference(snapshot, prog).0, "{what}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -539,6 +567,32 @@ mod tests {
                 for k in [1, 2, 7, 63, 64] {
                     check_batch(&m, &g, &Bfs::new(0), &sources[..k]);
                     check_batch(&m, &g, &Sssp::new(0), &sources[..k]);
+                }
+            }
+        }
+
+        // The sweep over a mutated graph — overlay inserts, tombstones and
+        // reweights in place, then a rebuilt base — equals the reference run
+        // on the graph a from-scratch build of its live edges gives.
+        #[test]
+        fn sweep_over_a_mutable_graph_matches_the_reference_on_its_snapshot(
+            seed in 0u64..10_000,
+            n in 8usize..=200,
+            picks in proptest::collection::vec(0u32..1 << 16, 64..65),
+        ) {
+            let m = Machine::new(MachineSpec::intel80());
+            let mut mg = MutableGraph::from_edge_list(gen::uniform(n, 4 * n, seed))
+                .with_compaction_fraction(f64::INFINITY);
+            let sources: Vec<u32> = picks.iter().map(|p| p % n.min(40) as u32).collect();
+            for round in 0..3 {
+                if round == 2 {
+                    mg.compact();
+                }
+                mg.apply(&gen::mixed_batch(&mg, seed + round, 24, false)).unwrap();
+                let snapshot = Graph::from_edges(&mg.snapshot_edge_list());
+                for k in [1, 7, 64] {
+                    check_mutated(&m, &mg, &snapshot, &Bfs::new(0), &sources[..k]);
+                    check_mutated(&m, &mg, &snapshot, &Sssp::new(0), &sources[..k]);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! rank moved by more than ε. The paper times the first five iterations.
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// The PageRank program.
 #[derive(Clone, Debug)]
@@ -53,7 +53,7 @@ impl Program for PageRank {
         0.0
     }
 
-    fn init(&self, _v: VId, _g: &Graph) -> f64 {
+    fn init(&self, _v: VId) -> f64 {
         1.0 / self.n
     }
 
@@ -68,7 +68,7 @@ impl Program for PageRank {
         (new, (new - curr).abs() > self.epsilon)
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::All
     }
 
@@ -94,7 +94,6 @@ impl Program for PageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_graph::EdgeList;
 
     #[test]
     fn scatter_divides_by_degree() {
@@ -116,10 +115,9 @@ mod tests {
 
     #[test]
     fn init_is_uniform() {
-        let g = Graph::from_edges(&EdgeList::from_pairs(4, [(0, 1)]));
         let pr = PageRank::new(4);
-        assert_eq!(pr.init(2, &g), 0.25);
-        assert_eq!(pr.initial_frontier(&g), FrontierInit::All);
+        assert_eq!(pr.init(2), 0.25);
+        assert_eq!(pr.initial_frontier(), FrontierInit::All);
         assert_eq!(pr.max_iters(), 5);
         assert_eq!(pr.with_iters(3).max_iters(), 3);
     }

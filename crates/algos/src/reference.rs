@@ -4,16 +4,17 @@
 //! checked against this oracle by the integration tests.
 
 use polymer_api::{FrontierInit, Program};
-use polymer_graph::Graph;
+use polymer_graph::Topology;
 
-/// Run `prog` on `g` sequentially. Returns the final values and the number
+/// Run `prog` on `g` (a CSR, or a `MutableGraph` as the oracle of a mutated
+/// graph) sequentially. Returns the final values and the number
 /// of iterations executed. The caller must pass an already-symmetrized graph
 /// when [`Program::needs_symmetric`] holds (the harness does this for every
 /// engine uniformly).
-pub fn run_reference<P: Program>(g: &Graph, prog: &P) -> (Vec<P::Val>, usize) {
+pub fn run_reference<T: Topology, P: Program>(g: &T, prog: &P) -> (Vec<P::Val>, usize) {
     let n = g.num_vertices();
-    let mut curr: Vec<P::Val> = (0..n).map(|v| prog.init(v as u32, g)).collect();
-    let mut frontier: Vec<u32> = match prog.initial_frontier(g) {
+    let mut curr: Vec<P::Val> = (0..n).map(|v| prog.init(v as u32)).collect();
+    let mut frontier: Vec<u32> = match prog.initial_frontier() {
         FrontierInit::All => (0..n as u32).collect(),
         FrontierInit::Single(s) => {
             assert!((s as usize) < n, "source vertex out of range");
@@ -32,7 +33,7 @@ pub fn run_reference<P: Program>(g: &Graph, prog: &P) -> (Vec<P::Val>, usize) {
         for &s in &frontier {
             let deg = g.out_degree(s) as u32;
             let sv = curr[s as usize];
-            for (&t, &w) in g.out_neighbors(s).iter().zip(g.out_weights(s)) {
+            for (t, w) in g.out_edges(s) {
                 let c = prog.scatter(s, sv, w, deg);
                 let t = t as usize;
                 next[t] = prog.fold(next[t], c);

@@ -4,7 +4,7 @@
 //! workload (five timed iterations over the weighted graph).
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// The SpMV program. Values are scaled by `1/100` per hop so five iterations
 /// stay in a numerically tame range with the paper's `(0, 100]` weights.
@@ -48,7 +48,7 @@ impl Program for SpMV {
         0.0
     }
 
-    fn init(&self, v: VId, _g: &Graph) -> f64 {
+    fn init(&self, v: VId) -> f64 {
         // A deterministic non-uniform input vector.
         1.0 + (v % 7) as f64 * 0.125
     }
@@ -63,7 +63,7 @@ impl Program for SpMV {
         (acc, true)
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::All
     }
 
@@ -88,7 +88,6 @@ impl Program for SpMV {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_graph::EdgeList;
 
     #[test]
     fn scatter_scales_by_weight() {
@@ -104,9 +103,8 @@ mod tests {
 
     #[test]
     fn init_varies_by_vertex() {
-        let g = Graph::from_edges(&EdgeList::from_pairs(8, [(0, 1)]));
         let s = SpMV::new();
-        assert_ne!(s.init(0, &g), s.init(1, &g));
+        assert_ne!(s.init(0), s.init(1));
         assert!(s.uses_weights());
         assert_eq!(s.with_iters(2).max_iters(), 2);
     }

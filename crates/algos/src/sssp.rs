@@ -5,7 +5,7 @@
 //! to the exact shortest distances, so results agree across engines.
 
 use polymer_api::{Combine, FrontierInit, Program};
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 
 /// Distance of an unreached vertex.
 pub const UNREACHED: u64 = u64::MAX;
@@ -50,7 +50,7 @@ impl Program for Sssp {
         UNREACHED
     }
 
-    fn init(&self, v: VId, _g: &Graph) -> u64 {
+    fn init(&self, v: VId) -> u64 {
         if v == self.source {
             0
         } else {
@@ -73,7 +73,7 @@ impl Program for Sssp {
         }
     }
 
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::Single(self.source)
     }
 
@@ -102,15 +102,13 @@ impl Program for Sssp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_graph::EdgeList;
 
     #[test]
     fn init_zero_at_source() {
-        let g = Graph::from_edges(&EdgeList::from_pairs(3, [(0, 1)]));
         let s = Sssp::new(1);
-        assert_eq!(s.init(1, &g), 0);
-        assert_eq!(s.init(0, &g), UNREACHED);
-        assert_eq!(s.initial_frontier(&g), FrontierInit::Single(1));
+        assert_eq!(s.init(1), 0);
+        assert_eq!(s.init(0), UNREACHED);
+        assert_eq!(s.initial_frontier(), FrontierInit::Single(1));
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub trait Engine {
     ) -> PolymerResult<RunResult<P::Val>> {
         match &opts.backend {
             Backend::Simulated => {
-                validate_run_config(threads, graph, prog)?;
+                validate_run_config(threads, graph.num_vertices(), prog)?;
                 validate_sim_threads(machine, threads)?;
                 if let Some(ck) = opts.recovery.resume() {
                     validate_resume(ck, graph.num_vertices())?;
@@ -220,17 +220,19 @@ pub trait Engine {
 }
 
 /// Validate the configuration shared by every run: the thread count and
-/// (for single-source programs) the source vertex. [`Engine::try_run_with`]
-/// and the real-thread executor call this before allocating anything, so a
-/// bad parameter is a typed [`PolymerError::InvalidConfig`], not a panic.
-pub fn validate_run_config<P: Program>(threads: usize, g: &Graph, prog: &P) -> PolymerResult<()> {
+/// (for single-source programs) the source vertex against `n`, the vertex
+/// count of whatever the run traverses — a CSR, a mutated graph, a placed
+/// overlay. Every entry point (engines, real-thread executor, multi-source
+/// sweep, overlay engines, the service's admission) calls this before
+/// allocating anything, so a bad parameter is a typed
+/// [`PolymerError::InvalidConfig`], not a panic, and the check exists once.
+pub fn validate_run_config<P: Program>(threads: usize, n: usize, prog: &P) -> PolymerResult<()> {
     if threads == 0 {
         return Err(PolymerError::InvalidConfig(
             "threads must be >= 1".to_string(),
         ));
     }
-    if let crate::program::FrontierInit::Single(s) = prog.initial_frontier(g) {
-        let n = g.num_vertices();
+    if let crate::program::FrontierInit::Single(s) = prog.initial_frontier() {
         if s as usize >= n {
             return Err(PolymerError::InvalidConfig(format!(
                 "source vertex {s} out of range (graph has {n} vertices)"
@@ -243,7 +245,7 @@ pub fn validate_run_config<P: Program>(threads: usize, g: &Graph, prog: &P) -> P
 /// The simulated backend binds every thread to a core of `machine`: a count
 /// the machine cannot bind is a typed [`PolymerError::InvalidConfig`]
 /// (fatal, never retried), not the simulator's assert. Shared by
-/// [`Engine::try_run_with`]'s `Simulated` arm and the overlay entry points.
+/// [`Engine::try_run_with`]'s `Simulated` arm, the sweep and the overlay engines.
 pub fn validate_sim_threads(machine: &Machine, threads: usize) -> PolymerResult<()> {
     let cores = machine.topology().total_cores();
     if threads == 0 || threads > cores {

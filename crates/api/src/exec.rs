@@ -265,8 +265,8 @@ pub fn init_values<P: Program>(
     next_policy: AllocPolicy,
 ) -> (NumaAtomicArray<P::Val>, NumaAtomicArray<P::Val>) {
     let n = g.num_vertices();
-    let curr = machine
-        .alloc_atomic_with::<P::Val>("data/curr", n, curr_policy, |v| prog.init(v as VId, g));
+    let curr =
+        machine.alloc_atomic_with::<P::Val>("data/curr", n, curr_policy, |v| prog.init(v as VId));
     let identity = prog.next_identity();
     let next = machine.alloc_atomic_with::<P::Val>("data/next", n, next_policy, |_| identity);
     (curr, next)
@@ -413,7 +413,7 @@ mod tests {
                 fn next_identity(&self) -> $t {
                     $identity
                 }
-                fn init(&self, _: VId, _: &Graph) -> $t {
+                fn init(&self, _: VId) -> $t {
                     $identity
                 }
                 fn scatter(&self, _: VId, v: $t, _: polymer_graph::Weight, _: u32) -> $t {
@@ -422,7 +422,7 @@ mod tests {
                 fn apply(&self, _: VId, acc: $t, _: $t) -> ($t, bool) {
                     (acc, false)
                 }
-                fn initial_frontier(&self, _: &Graph) -> crate::FrontierInit {
+                fn initial_frontier(&self) -> crate::FrontierInit {
                     crate::FrontierInit::All
                 }
                 fn max_iters(&self) -> usize {

@@ -410,7 +410,7 @@ pub fn try_run_threads_rec<P: Program>(
     tracer: Option<&SharedTracer>,
     recovery: &RecoverySession<P::Val>,
 ) -> PolymerResult<(Vec<P::Val>, usize)> {
-    validate_run_config(threads, g, prog)?;
+    validate_run_config(threads, g.num_vertices(), prog)?;
     let plan = &cfg.plan;
     let groups = cfg.groups.clamp(1, threads);
     let n = g.num_vertices();
@@ -430,7 +430,7 @@ pub fn try_run_threads_rec<P: Program>(
                 initial_bits[v as usize / 64] |= 1u64 << (v % 64);
             }
         }
-        None => match prog.initial_frontier(g) {
+        None => match prog.initial_frontier() {
             FrontierInit::All => {
                 initial_bits.fill(u64::MAX);
                 if !n.is_multiple_of(64) {
@@ -462,7 +462,7 @@ pub fn try_run_threads_rec<P: Program>(
         curr: match resume {
             Some(ck) => ck.values.iter().map(|&v| P::Val::new_atomic(v)).collect(),
             None => (0..n)
-                .map(|v| P::Val::new_atomic(prog.init(v as VId, g)))
+                .map(|v| P::Val::new_atomic(prog.init(v as VId)))
                 .collect(),
         },
         next: (0..n).map(|_| P::Val::new_atomic(identity)).collect(),
@@ -703,7 +703,7 @@ mod tests {
         fn next_identity(&self) -> u32 {
             u32::MAX
         }
-        fn init(&self, v: VId, _g: &Graph) -> u32 {
+        fn init(&self, v: VId) -> u32 {
             if v == self.src {
                 0
             } else {
@@ -720,7 +720,7 @@ mod tests {
                 (curr, false)
             }
         }
-        fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+        fn initial_frontier(&self) -> FrontierInit {
             FrontierInit::Single(self.src)
         }
         fn max_iters(&self) -> usize {

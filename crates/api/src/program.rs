@@ -1,6 +1,6 @@
 //! The [`Program`] trait: one algorithm, four engines.
 
-use polymer_graph::{Graph, VId, Weight};
+use polymer_graph::{VId, Weight};
 use polymer_numa::Atom;
 
 /// The commutative, associative operator folding edge contributions into a
@@ -45,7 +45,7 @@ pub trait Program: Sync {
     fn next_identity(&self) -> Self::Val;
 
     /// Initial `curr` value of vertex `v`.
-    fn init(&self, v: VId, g: &Graph) -> Self::Val;
+    fn init(&self, v: VId) -> Self::Val;
 
     /// Contribution of the edge `(src, ·)` given the source's current value
     /// `src_val`, the edge weight `w`, and the source's out-degree
@@ -58,7 +58,7 @@ pub trait Program: Sync {
     fn apply(&self, v: VId, acc: Self::Val, curr: Self::Val) -> (Self::Val, bool);
 
     /// The initial active set.
-    fn initial_frontier(&self, g: &Graph) -> FrontierInit;
+    fn initial_frontier(&self) -> FrontierInit;
 
     /// Iteration cap; `usize::MAX` means "until the frontier empties".
     fn max_iters(&self) -> usize;

@@ -467,7 +467,7 @@ mod tests {
         fn next_identity(&self) -> u32 {
             u32::MAX
         }
-        fn init(&self, v: VId, _g: &Graph) -> u32 {
+        fn init(&self, v: VId) -> u32 {
             if v == 0 {
                 0
             } else {
@@ -484,7 +484,7 @@ mod tests {
                 (curr, false)
             }
         }
-        fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+        fn initial_frontier(&self) -> FrontierInit {
             FrontierInit::Single(0)
         }
         fn max_iters(&self) -> usize {

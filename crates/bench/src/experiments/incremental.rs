@@ -8,7 +8,7 @@ use polymer_algos::{
     ConnectedComponents, Sssp, WarmStart, DEFAULT_PR_TOL,
 };
 use polymer_api::{OverlayTopo, RunResult};
-use polymer_graph::{gen, BatchStats, Graph, MutableGraph};
+use polymer_graph::{gen, BatchStats, MutableGraph};
 use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 use serde::Serialize;
 
@@ -129,7 +129,7 @@ fn min_cell<V: Eq>(scratch: &Timed<V>, warm: &Timed<V>, oracle: &[V]) -> Cell {
 ///
 /// Every row is checked against the from-scratch oracle before it is
 /// written: BFS/SSSP/CC must be **bit-identical** to
-/// [`polymer_algos::run_reference`] on the post-batch edge list, PageRank
+/// [`polymer_algos::run_reference`] on the post-batch graph, PageRank
 /// ε-close to the cold overlay fixpoint. Further violations, which the CI
 /// `experiments` job relies on: the smallest batch must be served no slower
 /// warm than from scratch, and the CC rows must carry no delete and add no
@@ -193,7 +193,6 @@ pub fn bench_incremental(s: &mut Session) -> Report {
 
         let applied = mg.apply(&batch).unwrap();
         let topo = build_topo(&machine, &mg);
-        let g2 = Graph::from_edges(&mg.snapshot_edge_list());
 
         let mut push = |algo: &str, batch_ops: usize, stats: BatchStats, c: Cell| {
             table.row(vec![
@@ -236,7 +235,7 @@ pub fn bench_incremental(s: &mut Session) -> Report {
         let warm = WarmStart::from_result(&prior_bfs, &applied);
         let scratch = timed(|| bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap());
         let inc = timed(|| bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap());
-        let (oracle, _) = run_reference(&g2, &Bfs::new(0));
+        let (oracle, _) = run_reference(&mg, &Bfs::new(0));
         let cell = min_cell(&scratch, &inc, &oracle);
         push("BFS", batch_ops, applied.stats, cell);
 
@@ -244,7 +243,7 @@ pub fn bench_incremental(s: &mut Session) -> Report {
         let warm = WarmStart::from_result(&prior_sssp, &applied);
         let scratch = timed(|| sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap());
         let inc = timed(|| sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap());
-        let (oracle, _) = run_reference(&g2, &Sssp::new(0));
+        let (oracle, _) = run_reference(&mg, &Sssp::new(0));
         let cell = min_cell(&scratch, &inc, &oracle);
         push("SSSP", batch_ops, applied.stats, cell);
 
@@ -280,7 +279,7 @@ pub fn bench_incremental(s: &mut Session) -> Report {
 
         // CC: the same batch minus its deletes, on a second copy of the base
         // (the first is dropped before the copy is placed).
-        drop((topo, g2, mg));
+        drop((topo, mg));
         let mut mg =
             MutableGraph::from_edge_list(el.clone()).with_compaction_fraction(f64::INFINITY);
         let mut batch = batch;
@@ -290,8 +289,7 @@ pub fn bench_incremental(s: &mut Session) -> Report {
         let warm = WarmStart::from_result(&prior_cc, &applied);
         let scratch = timed(|| cc_overlay(&machine, THREADS, &topo, None, false).unwrap());
         let inc = timed(|| cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap());
-        let g2 = Graph::from_edges(&mg.snapshot_edge_list());
-        let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
+        let (oracle, _) = run_reference(&mg, &ConnectedComponents::new());
         let cell = min_cell(&scratch, &inc, &oracle);
         push("CC", batch.len(), applied.stats, cell);
         // Warm CC exists for insert-only batches: the row's batch must

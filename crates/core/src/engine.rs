@@ -199,7 +199,7 @@ impl Engine for PolymerEngine {
         // Application data: contiguous virtual, physically chunked by owner.
         let curr =
             machine.alloc_atomic_with::<P::Val>("data/curr", n, layout.chunked_policy(), |v| {
-                prog.init(v as VId, g)
+                prog.init(v as VId)
             });
         let next =
             machine
@@ -221,7 +221,7 @@ impl Engine for PolymerEngine {
                     PFrontier::sparse(ck.frontier.vertices.clone())
                 }
             }
-            None => match prog.initial_frontier(g) {
+            None => match prog.initial_frontier() {
                 FrontierInit::All => {
                     let items: Vec<VId> = (0..n as VId).collect();
                     PFrontier::dense(densify_distributed(machine, &layout, &items), n, m as u64)

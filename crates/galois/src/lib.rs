@@ -135,7 +135,7 @@ fn run_async<P: Program>(
                 }
             }
         }
-        None => match prog.initial_frontier(g) {
+        None => match prog.initial_frontier() {
             FrontierInit::All => {
                 buckets.insert(0, (0..g.num_vertices() as VId).collect());
             }
@@ -258,7 +258,7 @@ fn run_sync_pull<P: Program>(
             ck.frontier.vertices.len() as u64
         }
         None => {
-            match prog.initial_frontier(g) {
+            match prog.initial_frontier() {
                 FrontierInit::All => {
                     for v in 0..n {
                         state.set_unaccounted(v);
@@ -266,7 +266,7 @@ fn run_sync_pull<P: Program>(
                 }
                 FrontierInit::Single(s) => state.set_unaccounted(s as usize),
             }
-            match prog.initial_frontier(g) {
+            match prog.initial_frontier() {
                 FrontierInit::All => n as u64,
                 FrontierInit::Single(_) => 1,
             }

@@ -22,6 +22,8 @@
 //!   the applied overlay ([`DeltaLog`]), and the merged live view
 //!   ([`MutableGraph`]) with threshold-triggered compaction
 //!   (`docs/INCREMENTAL.md`).
+//! * [`Topology`] — the read-only adjacency view [`Graph`] and
+//!   [`MutableGraph`] share; the host kernels are written against it.
 
 #![deny(unsafe_code)]
 
@@ -36,6 +38,7 @@ pub mod io;
 pub mod mutable;
 pub mod partition;
 pub mod stats;
+pub mod topology;
 pub mod types;
 
 pub use builder::GraphBuilder;
@@ -47,4 +50,5 @@ pub use edgelist::EdgeList;
 pub use mutable::{MergedEdges, MutableGraph, DEFAULT_COMPACTION_FRACTION};
 pub use partition::{edge_balanced_ranges, vertex_balanced_ranges, PartitionStats};
 pub use stats::GraphStats;
+pub use topology::Topology;
 pub use types::{Edge, VId, Weight};

@@ -112,7 +112,7 @@ impl Engine for LigraEngine {
                     &ck.frontier,
                 )
             }
-            None => match prog.initial_frontier(g) {
+            None => match prog.initial_frontier() {
                 FrontierInit::All => Frontier::all(
                     machine,
                     "stat/frontier",

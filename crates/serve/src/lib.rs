@@ -50,15 +50,18 @@
 //!   admission machinery (batches are validated at admission). The first
 //!   ingest canonicalizes the resident edge set into a
 //!   [`polymer_graph::MutableGraph`] and switches the service to *mutated
-//!   mode*: later queries are answered by the incremental overlay engines
-//!   ([`polymer_algos::bfs_overlay`] and friends) against a resident
-//!   delta-overlay topology, warm-started from a per-lane cache of
-//!   converged results (a repeat query with no intervening mutation is a
-//!   pure cache hit). Coalescing is disabled in mutated mode — the
-//!   multi-source sweep reads the pre-mutation graph — and mutated-mode
-//!   PageRank serves the tolerance-converged residual fixpoint rather
-//!   than an iteration-capped sweep. `docs/INCREMENTAL.md` covers the
-//!   delta model and warm-start semantics.
+//!   mode*, where answers are cached per lane with their epoch. A repeat
+//!   query with no intervening mutation is a pure cache hit; one after
+//!   further ingests is repaired from its cached result by the incremental
+//!   overlay engines ([`polymer_algos::bfs_overlay`] and friends) on a
+//!   resident delta-overlay topology; a BFS / SSSP query with no usable
+//!   prior is one cold lane of [`polymer_algos::run_multi_source`] over
+//!   the [`polymer_graph::MutableGraph`] itself. Nothing coalesces in
+//!   mutated mode (a warm repair beats a sweep lane, a cold answer loses
+//!   to one: a policy nobody has measured), and mutated-mode PageRank
+//!   serves the tolerance-converged residual fixpoint rather than an
+//!   iteration-capped sweep. `docs/SERVING.md` tabulates who answers what;
+//!   `docs/INCREMENTAL.md` covers the delta model and warm starts.
 //!
 //! * **Shutdown.** [`GraphService::stop`] (also on drop) fails queued
 //!   requests with [`PolymerError::ServiceStopped`], lets in-flight runs

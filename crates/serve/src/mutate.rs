@@ -11,19 +11,24 @@
 //!
 //! * Ingests apply under the graph's own validation and threshold
 //!   compaction; each returns its [`polymer_graph::BatchStats`].
-//! * Queries run the incremental overlay engines
-//!   ([`polymer_algos::bfs_overlay`] and friends) against a resident
-//!   [`OverlayTopo`] placed on a persistent simulated [`Machine`]. The
-//!   pair is rebuilt only when [`OverlayTopo::is_stale`] says the graph
-//!   moved past it (any ingest, or a compaction's generation bump, which
-//!   also re-encodes the base when compressed topology is enabled).
 //! * Each query's converged values are cached per lane (algorithm ×
-//!   source × parameters) together with the epoch they were computed at.
-//!   A repeat query at the same epoch is a pure cache hit; a query after
-//!   further ingests warm-starts from the cached values with the
-//!   intervening [`AppliedBatch`]es merged via
-//!   [`AppliedBatch::merged_with`]. Entries older than the retained batch
-//!   window fall back to a cold overlay run.
+//!   source × parameters) with the epoch they were computed at. A repeat
+//!   query at the same epoch is a pure cache hit.
+//! * A query after further ingests warm-starts from the cached values with
+//!   the intervening [`AppliedBatch`]es merged via
+//!   [`AppliedBatch::merged_with`]: the incremental overlay engines
+//!   ([`polymer_algos::bfs_overlay`] and friends) repair the prior on a
+//!   resident [`OverlayTopo`] placed on a persistent simulated [`Machine`].
+//!   The pair is placed when a repair or a PageRank first needs it and
+//!   rebuilt only when [`OverlayTopo::is_stale`] says the graph moved past
+//!   it (any ingest, or a compaction's generation bump, which also
+//!   re-encodes the base when compressed topology is enabled).
+//! * A BFS / SSSP query with no usable prior (never asked, or older than
+//!   the retained batch window) is answered cold by the kernel static mode
+//!   coalesces into: one lane of [`polymer_algos::run_multi_source`] over
+//!   the [`MutableGraph`] itself, on host memory. Its result is cached, so
+//!   the next epoch repairs it. PageRank has no host kernel over a mutated
+//!   graph and runs the residual overlay engine cold as well as warm.
 //!
 //! Everything here is called with the service's mutation mutex held, so
 //! mutated-mode requests serialize on the resident overlay — the price of
@@ -31,8 +36,11 @@
 
 use std::collections::HashMap;
 
-use polymer_algos::{bfs_overlay, pagerank_overlay, sssp_overlay, WarmStart, DEFAULT_PR_TOL};
-use polymer_api::{OverlayTopo, PolymerResult};
+use polymer_algos::{
+    bfs_overlay, pagerank_overlay, run_multi_source, sssp_overlay, Bfs, MultiSource, SingleSource,
+    Sssp, WarmStart, DEFAULT_PR_TOL,
+};
+use polymer_api::{OverlayTopo, PolymerResult, RunResult};
 use polymer_graph::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, Graph, MutableGraph, VId};
 use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 
@@ -52,7 +60,8 @@ pub(crate) enum AnswerPath {
     CacheHit,
     /// Incremental overlay run, warm-started from a cached prior.
     Warm,
-    /// Incremental overlay run from scratch (no usable prior).
+    /// From scratch (no usable prior): a host sweep over the live graph
+    /// for BFS / SSSP, the residual overlay engine for PageRank.
     Cold,
 }
 
@@ -148,18 +157,6 @@ impl MutState {
             }
         }
 
-        // (Re)place the topology if the graph moved past the resident one.
-        let stale = match &self.resident {
-            Some(r) => r.topo.is_stale(&self.mg),
-            None => true,
-        };
-        if stale {
-            let machine = Machine::new(spec.clone());
-            let topo = OverlayTopo::build(&machine, &self.mg, true, |_| AllocPolicy::Interleaved);
-            self.resident = Some(Resident { machine, topo });
-        }
-        let r = self.resident.as_ref().expect("freshly ensured");
-
         // A cached prior is usable when every batch since it is retained:
         // epochs advance by one per apply, so the composed window must span
         // (prior.epoch, epoch] exactly.
@@ -178,24 +175,35 @@ impl MutState {
         } else {
             AnswerPath::Cold
         };
-        let (machine, topo) = (&r.machine, &r.topo);
+        let (mg, resident) = (&self.mg, &mut self.resident);
         let (values, iterations) = match key {
             CacheKey::Bfs { source } => {
-                let warm = warm_start(&prior, ResponseValues::levels);
-                let run = bfs_overlay(machine, threads, topo, source, warm, false)?;
+                let run = match warm_start(&prior, ResponseValues::levels) {
+                    None => cold_sweep(mg, spec, threads, Bfs::new(source))?,
+                    warm => {
+                        let r = placed(resident, mg, spec);
+                        bfs_overlay(&r.machine, threads, &r.topo, source, warm, false)?
+                    }
+                };
                 (ResponseValues::Levels(run.values), run.iterations)
             }
-            CacheKey::Sssp { source, .. } => {
-                let warm = warm_start(&prior, ResponseValues::distances);
-                let run = sssp_overlay(machine, threads, topo, source, warm, false)?;
+            CacheKey::Sssp { source, delta } => {
+                let run = match warm_start(&prior, ResponseValues::distances) {
+                    None => cold_sweep(mg, spec, threads, Sssp::new(source).with_delta(delta))?,
+                    warm => {
+                        let r = placed(resident, mg, spec);
+                        sssp_overlay(&r.machine, threads, &r.topo, source, warm, false)?
+                    }
+                };
                 (ResponseValues::Distances(run.values), run.iterations)
             }
             CacheKey::PageRank => {
+                let r = placed(resident, mg, spec);
                 let warm = warm_start(&prior, ResponseValues::ranks);
                 let run = pagerank_overlay(
-                    machine,
+                    &r.machine,
                     threads,
-                    topo,
+                    &r.topo,
                     PR_DAMPING,
                     DEFAULT_PR_TOL,
                     warm,
@@ -216,6 +224,33 @@ impl MutState {
     }
 }
 
+/// The placed topology for `mg`, (re)placed if the graph moved past it.
+fn placed<'r>(
+    resident: &'r mut Option<Resident>,
+    mg: &MutableGraph,
+    spec: &MachineSpec,
+) -> &'r Resident {
+    resident.take_if(|r| r.topo.is_stale(mg));
+    resident.get_or_insert_with(|| {
+        let machine = Machine::new(spec.clone());
+        let topo = OverlayTopo::build(&machine, mg, true, |_| AllocPolicy::Interleaved);
+        Resident { machine, topo }
+    })
+}
+
+/// A cold BFS / SSSP answer: `prog` as one lane of [`run_multi_source`]
+/// over the live graph, on the calling thread — the kernel, front door and
+/// typed errors of a static-mode coalesced sweep — so `run.values` is the lane.
+fn cold_sweep<P: SingleSource>(
+    mg: &MutableGraph,
+    spec: &MachineSpec,
+    threads: usize,
+    prog: P,
+) -> PolymerResult<RunResult<P::Val>> {
+    let machine = Machine::new(spec.clone());
+    Ok(run_multi_source(&machine, threads, mg, &MultiSource::new(vec![prog])?)?.run)
+}
+
 /// The warm start over a cached prior and the composed batch window since
 /// it; `values` picks the lane's kind out of the cached [`ResponseValues`].
 fn warm_start<'a, V>(
@@ -228,4 +263,52 @@ fn warm_start<'a, V>(
         iterations: entry.iterations,
         batch,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polymer_algos::run_reference;
+    use polymer_graph::gen;
+
+    /// Which executor answers what: a first-time traversal is a host sweep
+    /// that places nothing, the next epoch repairs its cached result on a
+    /// freshly placed overlay, and PageRank places the overlay even cold.
+    #[test]
+    fn cold_traversals_place_nothing_and_seed_the_warm_repair() {
+        let g = Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5));
+        let spec = MachineSpec::test2();
+        let mut ms = MutState::new(&g, Some(f64::INFINITY));
+        let bfs = RequestKind::Bfs { source: 3 };
+        let sssp = RequestKind::Sssp {
+            source: 3,
+            delta: 100,
+        };
+        for epoch in 1..=2u64 {
+            let batch = gen::mixed_batch(&ms.mg, epoch, 12, false);
+            ms.ingest(&batch).unwrap();
+            let want = if epoch == 1 {
+                AnswerPath::Cold
+            } else {
+                AnswerPath::Warm
+            };
+            let (values, _, at, path) = ms.answer(&bfs, &spec, 2).unwrap();
+            assert_eq!((at, path), (epoch, want));
+            assert_eq!(
+                values.levels().unwrap(),
+                run_reference(&ms.mg, &Bfs::new(3)).0
+            );
+            let (values, _, _, path) = ms.answer(&sssp, &spec, 2).unwrap();
+            assert_eq!(path, want);
+            let oracle = run_reference(&ms.mg, &Sssp::new(3)).0;
+            assert_eq!(values.distances().unwrap(), oracle);
+            assert_eq!(ms.resident.is_some(), epoch == 2, "placed by a repair only");
+            assert_eq!(ms.answer(&bfs, &spec, 2).unwrap().3, AnswerPath::CacheHit);
+        }
+        let mut fresh = MutState::new(&g, None);
+        fresh.ingest(&DeltaBatch::new()).unwrap();
+        let pr = RequestKind::PageRank { iters: 3 };
+        assert_eq!(fresh.answer(&pr, &spec, 2).unwrap().3, AnswerPath::Cold);
+        assert!(fresh.resident.is_some(), "PageRank runs on the overlay");
+    }
 }

@@ -37,9 +37,10 @@ pub enum RequestKind {
     /// Apply an edge mutation batch to the resident graph. The first
     /// ingest switches the service into *mutated mode*: the resident edge
     /// set is canonicalized into a [`polymer_graph::MutableGraph`] and
-    /// every later query is answered incrementally against the
-    /// delta-overlay topology, warm-started from cached converged results
-    /// where possible. The batch is validated at admission
+    /// every later query is answered from it: out of the converged-result
+    /// cache, by an incremental repair of a cached result on the
+    /// delta-overlay topology, or (a traversal with no usable prior) by a
+    /// host sweep over the mutated graph. The batch is validated at admission
     /// (out-of-range endpoints, self-loops, and zero weights are rejected
     /// with [`polymer_api::PolymerError::InvalidConfig`]).
     Ingest {
@@ -269,8 +270,9 @@ pub struct ServeStats {
     pub ingests: u64,
     /// Threshold compactions triggered by ingests (base CSR rebuilds).
     pub compactions: u64,
-    /// Queries answered by the incremental overlay engines (mutated mode),
-    /// warm-started or cold; cache hits are counted separately.
+    /// Mutated-mode queries computed rather than read from the cache: warm
+    /// overlay repairs, cold residual PageRank runs, and cold BFS / SSSP
+    /// host sweeps over the mutated graph.
     pub incremental_answers: u64,
     /// Queries answered straight from the converged-result cache without
     /// running anything (no mutation since the cached run).

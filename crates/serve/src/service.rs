@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use polymer_algos::{run_multi_source, Bfs, MultiSource, PageRank, SingleSource, Sssp, MAX_LANES};
 use polymer_api::supervisor::{RunSupervisor, SupervisorConfig};
-use polymer_api::{Backend, PolymerError, PolymerResult, RunResult};
+use polymer_api::{validate_run_config, Backend, PolymerError, PolymerResult, RunResult};
 use polymer_core::PolymerEngine;
 use polymer_graph::Graph;
 use polymer_numa::{Machine, MachineSpec};
@@ -25,9 +25,10 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads each dispatched engine run uses (solo and
-    /// mutated-mode answers). A coalesced sweep runs on its worker's own
-    /// thread whatever this is.
+    /// Execution threads each dispatched engine run uses (solo runs, warm
+    /// repairs, mutated-mode PageRank). A multi-source sweep — coalesced,
+    /// or the one-lane cold answer of mutated mode — runs on its worker's
+    /// own thread whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -36,8 +37,9 @@ pub struct ServeConfig {
     /// Cap on lanes per coalesced sweep (clamped to
     /// [`polymer_algos::MAX_LANES`]).
     pub max_batch_lanes: usize,
-    /// Backend solo requests run on (batched sweeps always compute on host
-    /// memory, like the real-thread backend).
+    /// Backend solo static-mode requests run on. Multi-source sweeps
+    /// always compute on host memory, like the real-thread backend;
+    /// mutated-mode repairs and PageRank always run simulated.
     pub backend: Backend,
     /// Machine topology for every run.
     pub spec: MachineSpec,
@@ -88,8 +90,10 @@ struct State {
     stopped: bool,
     paused: bool,
     /// Set by the first successful ingest; from then on queries dispatch
-    /// through the incremental path and coalescing is disabled (the static
-    /// multi-source sweep reads the pre-mutation resident graph).
+    /// through [`crate::mutate`] one at a time. Nothing coalesces: the
+    /// sweep can read the mutated graph, but a lane that has a cached prior
+    /// is cheaper repaired than swept, so which requests to batch is a
+    /// policy waiting on a workload that measures it.
     mutated: bool,
     in_use_bytes: u64,
     next_id: u64,
@@ -141,9 +145,9 @@ impl GraphService {
                 "serve threads per request must be >= 1".to_string(),
             ));
         }
-        // Coalesced sweeps and every mutated-mode answer drive a simulated
-        // `IterationDriver` whatever `cfg.backend` is, and that binds one
-        // thread per simulated core.
+        // Multi-source sweeps and every mutated-mode answer drive a
+        // simulated `IterationDriver` whatever `cfg.backend` is, and that
+        // binds one thread per simulated core.
         let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
         if cfg.threads_per_request > cores {
             return Err(PolymerError::InvalidConfig(format!(
@@ -205,22 +209,18 @@ impl GraphService {
         deadline: Option<Duration>,
     ) -> PolymerResult<Ticket> {
         let n = self.inner.graph.num_vertices();
-        let source = match kind {
-            RequestKind::Bfs { source } => Some(source),
-            RequestKind::Sssp { source, .. } => Some(source),
-            RequestKind::PageRank { .. } | RequestKind::Ingest { .. } => None,
-        };
-        if let Some(s) = source {
-            if s as usize >= n {
-                return Err(PolymerError::InvalidConfig(format!(
-                    "source vertex {s} out of range (graph has {n} vertices)"
-                )));
+        let threads = self.inner.cfg.threads_per_request;
+        match &kind {
+            // The engines' own front-door check, run where the request
+            // enters: mutation never changes the vertex count.
+            RequestKind::Bfs { source } => validate_run_config(threads, n, &Bfs::new(*source))?,
+            RequestKind::Sssp { source, .. } => {
+                validate_run_config(threads, n, &Sssp::new(*source))?
             }
-        }
-        if let RequestKind::Ingest { batch } = &kind {
-            batch
+            RequestKind::PageRank { .. } => {}
+            RequestKind::Ingest { batch } => batch
                 .validate(n)
-                .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?;
+                .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?,
         }
         let scratch = kind.scratch_bytes(n);
         let mut st = self.inner.lock();
@@ -338,9 +338,8 @@ fn worker_loop(inner: &Inner) {
 /// Pop the head request and coalesce every queued request with the same
 /// [`BatchKey`] behind it, up to `max_lanes`. Whole-graph requests (no
 /// key) dispatch alone, and once the graph has been mutated nothing
-/// coalesces — the multi-source sweep reads the pre-mutation resident
-/// graph, so every query must go through the incremental path. FIFO order
-/// is preserved for everything left.
+/// coalesces — every query goes through the cache-aware mutated-mode
+/// path, one at a time. FIFO order is preserved for everything left.
 fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     let head = st.queue.pop_front().expect("caller checked non-empty");
     let key = if st.mutated {
@@ -443,7 +442,7 @@ fn run_ingest(inner: &Inner, p: Pending) {
 }
 
 /// Answer a query in mutated mode: cache hit, warm-started incremental
-/// repair, or cold overlay run (see [`crate::mutate`]).
+/// repair, or cold run (see [`crate::mutate`]).
 fn run_incremental(inner: &Inner, p: Pending) {
     let mut guard = inner.mut_state.lock().unwrap_or_else(|e| e.into_inner());
     let ms = guard.as_mut().expect("mutated flag implies state");
@@ -623,7 +622,7 @@ fn sweep_with_retry<P: SingleSource>(
     let mut failures = 0usize;
     loop {
         let machine = Machine::new(inner.cfg.spec.clone());
-        match run_multi_source(&machine, inner.cfg.threads_per_request, &inner.graph, &ms) {
+        match run_multi_source(&machine, inner.cfg.threads_per_request, &*inner.graph, &ms) {
             Ok(res) => {
                 let iterations = res.run.iterations;
                 return Ok((
@@ -898,10 +897,7 @@ mod tests {
         // Mirror the service's mutation to get the oracle graph.
         let mut mirror = MutableGraph::from_graph(&g);
         mirror.apply(&b1).unwrap();
-        let (want, _) = run_reference(
-            &Graph::from_edges(&mirror.snapshot_edge_list()),
-            &Bfs::new(0),
-        );
+        let (want, _) = run_reference(&mirror, &Bfs::new(0));
 
         // Cold incremental answer, then a pure cache hit.
         for _ in 0..2 {
@@ -919,10 +915,7 @@ mod tests {
             .wait()
             .unwrap();
         mirror.apply(&b2).unwrap();
-        let (want, _) = run_reference(
-            &Graph::from_edges(&mirror.snapshot_edge_list()),
-            &Bfs::new(0),
-        );
+        let (want, _) = run_reference(&mirror, &Bfs::new(0));
         let r3 = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
         let r3 = r3.wait().unwrap();
         assert_eq!(r3.values.levels().unwrap(), &want[..]);
@@ -947,7 +940,6 @@ mod tests {
             .unwrap();
         let mut mirror = MutableGraph::from_graph(&g);
         mirror.apply(&b).unwrap();
-        let g2 = Graph::from_edges(&mirror.snapshot_edge_list());
 
         let r = svc
             .submit(RequestKind::Sssp {
@@ -957,7 +949,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let (want, _) = run_reference(&g2, &Sssp::new(3));
+        let (want, _) = run_reference(&mirror, &Sssp::new(3));
         assert_eq!(r.values.distances().unwrap(), &want[..]);
 
         let r = svc
@@ -965,7 +957,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        // Oracle: the cold overlay fixpoint on a fresh machine over the mirror.
+        // Oracle: the cold residual fixpoint on a fresh machine over the mirror.
         use polymer_numa::{AllocPolicy, Machine, MachineSpec};
         let machine = Machine::new(MachineSpec::test2());
         let topo =
@@ -1021,10 +1013,7 @@ mod tests {
 
         let mut mirror = MutableGraph::from_graph(&g).with_compaction_fraction(1e-4);
         mirror.apply(&b).unwrap();
-        let (want, _) = run_reference(
-            &Graph::from_edges(&mirror.snapshot_edge_list()),
-            &Bfs::new(0),
-        );
+        let (want, _) = run_reference(&mirror, &Bfs::new(0));
         let r = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
         assert_eq!(r.wait().unwrap().values.levels().unwrap(), &want[..]);
     }

@@ -181,7 +181,7 @@ impl Engine for XStreamEngine {
                     g.out_degree((range.start + i) as VId) as u32
                 }),
                 curr: machine.alloc_atomic_with("data/curr", len, pol(), |i| {
-                    prog.init((range.start + i) as VId, g)
+                    prog.init((range.start + i) as VId)
                 }),
                 next: machine.alloc_atomic_with("data/next", len, pol(), |_| identity),
                 state: DenseBitmap::new(machine, "stat/curr", len, pol()),
@@ -209,7 +209,7 @@ impl Engine for XStreamEngine {
         let parts = parts;
         // Initial states.
         if recovery.resume().is_none() {
-            match prog.initial_frontier(g) {
+            match prog.initial_frontier() {
                 FrontierInit::All => {
                     for part in &parts {
                         for i in 0..part.range.len() {

@@ -155,7 +155,7 @@ impl Program for Explode {
     fn next_identity(&self) -> f64 {
         0.0
     }
-    fn init(&self, _v: VId, _g: &Graph) -> f64 {
+    fn init(&self, _v: VId) -> f64 {
         1.0
     }
     fn scatter(&self, _src: VId, _val: f64, _w: Weight, _deg: u32) -> f64 {
@@ -164,7 +164,7 @@ impl Program for Explode {
     fn apply(&self, _v: VId, acc: f64, _curr: f64) -> (f64, bool) {
         (acc, true)
     }
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::All
     }
     fn max_iters(&self) -> usize {

@@ -37,10 +37,6 @@ fn build_topo(machine: &Machine, mg: &MutableGraph, with_weights: bool) -> Overl
     OverlayTopo::build(machine, mg, with_weights, |_| AllocPolicy::Interleaved)
 }
 
-fn scratch_graph(mg: &MutableGraph) -> Graph {
-    Graph::from_edges(&mg.snapshot_edge_list())
-}
-
 /// Run BFS and SSSP warm-started from priors and assert both are
 /// oracle-exact on the post-batch graph.
 fn assert_min_engines_oracle_exact(
@@ -51,16 +47,15 @@ fn assert_min_engines_oracle_exact(
     applied: &AppliedBatch,
 ) -> (RunResult<u32>, RunResult<u64>) {
     let topo = build_topo(machine, mg, true);
-    let g2 = scratch_graph(mg);
 
     let warm = WarmStart::from_result(prior_bfs, applied);
     let inc_bfs = bfs_overlay(machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-    let (oracle, _) = run_reference(&g2, &Bfs::new(0));
+    let (oracle, _) = run_reference(mg, &Bfs::new(0));
     assert_eq!(inc_bfs.values, oracle, "incremental BFS vs oracle");
 
     let warm = WarmStart::from_result(prior_sssp, applied);
     let inc_sssp = sssp_overlay(machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-    let (oracle, _) = run_reference(&g2, &Sssp::new(0));
+    let (oracle, _) = run_reference(mg, &Sssp::new(0));
     assert_eq!(inc_sssp.values, oracle, "incremental SSSP vs oracle");
 
     (inc_bfs, inc_sssp)
@@ -187,11 +182,10 @@ fn conformance_cc_and_pagerank() {
     b.symmetrize();
     let applied = mg.apply(&b).unwrap();
     let topo = build_topo(&machine, &mg, false);
-    let g2 = scratch_graph(&mg);
 
     let warm = WarmStart::from_result(&prior_cc, &applied);
     let inc = cc_overlay(&machine, THREADS, &topo, Some(warm), false).unwrap();
-    let (oracle, _) = run_reference(&g2, &ConnectedComponents::new());
+    let (oracle, _) = run_reference(&mg, &ConnectedComponents::new());
     assert_eq!(inc.values, oracle, "incremental CC vs oracle");
 
     let warm = WarmStart::from_result(&prior_pr, &applied);
@@ -358,10 +352,9 @@ fn compaction_under_compression_stays_oracle_exact() {
 
     let topo = build_topo(&compressed, &mg, false);
     assert!(!topo.is_stale(&mg));
-    let g2 = scratch_graph(&mg);
     let warm = WarmStart::from_result(&prior, &applied);
     let run = bfs_overlay(&compressed, THREADS, &topo, 0, Some(warm), false).unwrap();
-    let (oracle, _) = run_reference(&g2, &Bfs::new(0));
+    let (oracle, _) = run_reference(&mg, &Bfs::new(0));
     assert_eq!(run.values, oracle, "warm BFS after compaction vs oracle");
 
     assert!(
@@ -370,7 +363,7 @@ fn compaction_under_compression_stays_oracle_exact() {
     );
 
     // Symmetric programs decode the in-direction too.
-    let (cc_oracle, _) = run_reference(&g2, &ConnectedComponents::new());
+    let (cc_oracle, _) = run_reference(&mg, &ConnectedComponents::new());
     let cc = cc_overlay(&compressed, THREADS, &topo, None, false).unwrap();
     assert_eq!(cc.values, cc_oracle, "cold CC on compressed rebuild");
 }
@@ -470,16 +463,15 @@ mod structural {
             let b = batch_from_ops(&live, 120, &ops);
             let applied = mg.apply(&b).unwrap();
             let topo = build_topo(&machine, &mg, true);
-            let g2 = scratch_graph(&mg);
 
             let warm = WarmStart::from_result(&prior_bfs, &applied);
             let inc = bfs_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-            let (oracle, _) = run_reference(&g2, &Bfs::new(0));
+            let (oracle, _) = run_reference(&mg, &Bfs::new(0));
             prop_assert_eq!(&inc.values, &oracle, "sim BFS diverged");
 
             let warm = WarmStart::from_result(&prior_sssp, &applied);
             let inc = sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
-            let (oracle, _) = run_reference(&g2, &Sssp::new(0));
+            let (oracle, _) = run_reference(&mg, &Sssp::new(0));
             prop_assert_eq!(&inc.values, &oracle, "sim SSSP diverged");
         }
 
@@ -535,16 +527,15 @@ mod structural {
                 .collect();
             let composed = apply_composed(&mut mg, &batches);
             let topo = build_topo(&machine, &mg, true);
-            let g2 = scratch_graph(&mg);
 
             let warm = WarmStart::from_result(&prior_bfs, &composed);
             let inc = bfs_overlay(&machine, THREADS, &topo, source, Some(warm), false).unwrap();
-            let (oracle, _) = run_reference(&g2, &Bfs::new(source));
+            let (oracle, _) = run_reference(&mg, &Bfs::new(source));
             prop_assert_eq!(&inc.values, &oracle, "BFS diverged over {:?}", &batches);
 
             let warm = WarmStart::from_result(&prior_sssp, &composed);
             let inc = sssp_overlay(&machine, THREADS, &topo, source, Some(warm), false).unwrap();
-            let (oracle, _) = run_reference(&g2, &Sssp::new(source));
+            let (oracle, _) = run_reference(&mg, &Sssp::new(source));
             prop_assert_eq!(&inc.values, &oracle, "SSSP diverged over {:?}", &batches);
 
             let warm = WarmStart::from_result(&prior_pr, &composed);

@@ -228,7 +228,7 @@ impl Program for Levels {
     fn next_identity(&self) -> LoadStoreOnly {
         LoadStoreOnly(u32::MAX)
     }
-    fn init(&self, v: VId, _g: &Graph) -> LoadStoreOnly {
+    fn init(&self, v: VId) -> LoadStoreOnly {
         LoadStoreOnly(if v == self.0 { 0 } else { u32::MAX })
     }
     fn scatter(&self, _s: VId, sv: LoadStoreOnly, _w: Weight, _d: u32) -> LoadStoreOnly {
@@ -237,7 +237,7 @@ impl Program for Levels {
     fn apply(&self, _v: VId, acc: LoadStoreOnly, curr: LoadStoreOnly) -> (LoadStoreOnly, bool) {
         (acc.min(curr), acc < curr)
     }
-    fn initial_frontier(&self, _g: &Graph) -> FrontierInit {
+    fn initial_frontier(&self) -> FrontierInit {
         FrontierInit::Single(self.0)
     }
     fn max_iters(&self) -> usize {

@@ -246,11 +246,16 @@ fn overlay_entry_points_reject_bad_threads_and_sources() {
 
 /// The eight-thread real-thread config is fine on a spec that has the
 /// cores: solo, coalesced and post-ingest answers all match the oracle.
+/// After the ingest, first-time BFS / SSSP answers come cold from a host
+/// sweep over the resident mutated graph and are cached; after a second
+/// ingest the same sources are repaired warm from those host-computed
+/// priors.
 #[test]
 fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
     use polymer_graph::{DeltaBatch, MutableGraph};
 
     let g = graph();
+    let n = g.num_vertices() as u32;
     let cfg = eight_threads_on(polymer_numa::MachineSpec::intel80());
     let svc = GraphService::new(g.clone(), cfg).unwrap();
     let levels = |g: &Graph, s: u32| run_reference(g, &Bfs::new(s)).0;
@@ -271,20 +276,54 @@ fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
         assert_eq!(r.batched_lanes, 2);
         assert_eq!(r.values.levels().unwrap(), &levels(&g, s)[..], "lane {s}");
     }
+    let static_batches = svc.stats().batches;
 
-    let mut batch = DeltaBatch::new();
-    batch.insert(1, g.num_vertices() as u32 - 3, 7).delete(0, 1);
-    let ingest = RequestKind::Ingest {
-        batch: batch.clone(),
-    };
-    svc.submit(ingest).unwrap().wait().unwrap();
+    let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait().unwrap();
+    let sssp = |source| RequestKind::Sssp { source, delta: 100 };
     let mut mirror = MutableGraph::from_graph(&g);
-    mirror.apply(&batch).unwrap();
-    let mutated = Graph::from_edges(&mirror.snapshot_edge_list());
-    let after = svc.submit(RequestKind::Bfs { source: 7 }).unwrap();
-    let after = after.wait().unwrap();
-    assert_eq!(after.values.levels().unwrap(), &levels(&mutated, 7)[..]);
-    assert_eq!(svc.stats().failed, 0);
+    // Both modes of every path: each ingest is followed by two BFS and one
+    // SSSP source asked twice (computed, then a cache hit), with a PageRank
+    // in between; the first epoch computes cold, the second repairs warm.
+    let mut batch = DeltaBatch::new();
+    batch.insert(1, n - 3, 7).delete(0, 1);
+    let mut second = DeltaBatch::new();
+    second.insert(5, n - 1, 2).delete(1, n - 3).insert(7, 2, 9);
+    for (epoch, batch) in [(1, batch), (2, second)] {
+        let ingested = ask(RequestKind::Ingest {
+            batch: batch.clone(),
+        });
+        assert_eq!(ingested.epoch, epoch);
+        mirror.apply(&batch).unwrap();
+        for round in 0..2 {
+            for s in [7, 3] {
+                let r = ask(RequestKind::Bfs { source: s });
+                let want = run_reference(&mirror, &Bfs::new(s)).0;
+                assert_eq!(r.values.levels().unwrap(), &want[..], "BFS {s} @ {epoch}");
+                assert_eq!((r.epoch, r.batched_lanes), (epoch, 1));
+            }
+            let r = ask(sssp(11));
+            let want = run_reference(&mirror, &Sssp::new(11)).0;
+            assert_eq!(r.values.distances().unwrap(), &want[..], "SSSP @ {epoch}");
+            assert_eq!(r.epoch, epoch);
+            if round == 0 {
+                let ranks = ask(RequestKind::PageRank { iters: 3 });
+                assert_eq!(ranks.epoch, epoch);
+                assert!(ranks.values.ranks().unwrap().iter().all(|r| r.is_finite()));
+            }
+        }
+        // Per epoch: three traversals and the PageRank are computed (cold at
+        // the first epoch, warm at the second — both count as incremental
+        // answers), and the three repeats are cache hits.
+        let stats = svc.stats();
+        assert_eq!(stats.incremental_answers, 4 * epoch);
+        assert_eq!(stats.cache_hits, 3 * epoch);
+    }
+    let stats = svc.stats();
+    assert_eq!(
+        stats.batches, static_batches,
+        "no coalescing after mutation"
+    );
+    assert_eq!((stats.ingests, stats.failed), (2, 0));
 }
 
 /// Regression: a cached answer warm-started across *several* ingests used to
