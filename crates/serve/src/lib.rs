@@ -28,13 +28,14 @@
 //!   bit-identical to the request run alone — batching changes latency,
 //!   never answers. Whole-graph requests (PageRank) never coalesce.
 //!
-//! * **Supervision.** Solo requests run under the full
-//!   [`polymer_api::supervisor::RunSupervisor`] — checkpoint-resume,
-//!   retry/backoff, and the RealThreads → halved-groups → Simulated
-//!   degrade ladder. Batched sweeps compute on host memory (immune to the
-//!   simulated machine's injected faults) and run under a lightweight
-//!   retry loop reusing the same
-//!   [`polymer_api::supervisor::RetryPolicy`].
+//! * **Supervision.** Engine runs — every solo static-mode query, and
+//!   PageRank in either mode — go through the full
+//!   [`polymer_api::supervisor::RunSupervisor`] on [`ServeConfig::backend`]:
+//!   checkpoint-resume, retry/backoff, and the RealThreads → halved-groups
+//!   → Simulated degrade ladder. Host kernels (sweeps, warm repairs) are
+//!   deterministic and see no injected fault, so an error from one is
+//!   returned typed, at once. A panic on any answer path is caught and
+//!   fails the requests of that dispatch, never the worker.
 //!
 //! * **Deadlines.** A request may carry a budget measured from submission
 //!   (queue wait counts). Expired before dispatch → typed
@@ -51,25 +52,26 @@
 //!   ingest canonicalizes the resident edge set into a
 //!   [`polymer_graph::MutableGraph`] and switches the service to *mutated
 //!   mode*, where answers are cached per lane with their epoch. A repeat
-//!   query with no intervening mutation is a pure cache hit; one after
-//!   further ingests is repaired from its cached result by the incremental
-//!   overlay engines ([`polymer_algos::bfs_overlay`] and friends) on a
-//!   resident delta-overlay topology; a BFS / SSSP query with no usable
-//!   prior is one cold lane of [`polymer_algos::run_multi_source`] over
-//!   the [`polymer_graph::MutableGraph`] itself. Nothing coalesces in
-//!   mutated mode (a warm repair beats a sweep lane, a cold answer loses
-//!   to one: a policy nobody has measured), and mutated-mode PageRank
-//!   serves the tolerance-converged residual fixpoint rather than an
-//!   iteration-capped sweep. `docs/SERVING.md` tabulates who answers what;
+//!   query with no intervening mutation is a pure cache hit; a BFS / SSSP
+//!   query after further ingests is repaired from its cached result by the
+//!   incremental overlay engines ([`polymer_algos::bfs_overlay`],
+//!   [`polymer_algos::sssp_overlay`]) on a resident delta-overlay topology,
+//!   and one with no usable prior is one cold lane of
+//!   [`polymer_algos::run_multi_source`] over the
+//!   [`polymer_graph::MutableGraph`] itself. [`RequestKind::PageRank`]
+//!   means what it means in static mode: the mutation mutex is held for
+//!   the cache lookup and a CSR snapshot, then the same supervised engine
+//!   run reads the snapshot. Nothing coalesces in mutated mode (a warm
+//!   repair beats a sweep lane, a cold answer loses to one: a policy nobody
+//!   has measured). `docs/SERVING.md` tabulates who answers what;
 //!   `docs/INCREMENTAL.md` covers the delta model and warm starts.
 //!
 //! * **Shutdown.** [`GraphService::stop`] (also on drop) fails queued
 //!   requests with [`PolymerError::ServiceStopped`], lets in-flight runs
 //!   deliver, and joins the pool.
 //!
-//! Every response is stamped with its request id (the
-//! [`polymer_api::RunResult::tag`] mechanism), so results fanned out of a
-//! coalesced sweep stay attributable, and with the graph version that
+//! Every response is stamped with its request id, so results fanned out of
+//! a coalesced sweep stay attributable, and with the graph version that
 //! answered it ([`ServeResponse::epoch`]). `docs/SERVING.md` walks through the
 //! design; the repository benchmark's `serve-read` / `serve-ingest`
 //! workloads (`benchmark/`) measure throughput and latency percentiles, and

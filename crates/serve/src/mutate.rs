@@ -1,97 +1,43 @@
-//! Mutated-mode serving: the resident [`MutableGraph`], its placed
-//! delta-overlay topology, and the converged-result cache that warm-starts
-//! incremental queries.
+//! Mutated-mode state: the resident [`MutableGraph`], the result cache,
+//! the retained batch window, and the placed delta-overlay topology warm
+//! repairs run on.
 //!
-//! The service starts in *static mode*, answering queries against the
-//! immutable resident [`polymer_graph::Graph`]. The first
-//! [`crate::RequestKind::Ingest`] canonicalizes the resident edge set into
-//! a [`MutableGraph`] (self-loops dropped, duplicate pairs collapsed —
-//! exactly what the loaders do) and the service switches to mutated mode
-//! permanently:
+//! The first [`crate::RequestKind::Ingest`] canonicalizes the resident edge
+//! set into a [`MutableGraph`] (self-loops dropped, duplicate pairs
+//! collapsed — exactly what the loaders do) and the service switches to
+//! mutated mode permanently:
 //!
 //! * Ingests apply under the graph's own validation and threshold
 //!   compaction; each returns its [`polymer_graph::BatchStats`].
-//! * Each query's converged values are cached per lane (algorithm ×
-//!   source × parameters) with the epoch they were computed at. A repeat
-//!   query at the same epoch is a pure cache hit.
-//! * A query after further ingests warm-starts from the cached values with
-//!   the intervening [`AppliedBatch`]es merged via
-//!   [`AppliedBatch::merged_with`]: the incremental overlay engines
-//!   ([`polymer_algos::bfs_overlay`] and friends) repair the prior on a
-//!   resident [`OverlayTopo`] placed on a persistent simulated [`Machine`].
-//!   The pair is placed when a repair or a PageRank first needs it and
-//!   rebuilt only when [`OverlayTopo::is_stale`] says the graph moved past
-//!   it (any ingest, or a compaction's generation bump, which also
-//!   re-encodes the base when compressed topology is enabled).
-//! * A BFS / SSSP query with no usable prior (never asked, or older than
-//!   the retained batch window) is answered cold by the kernel static mode
-//!   coalesces into: one lane of [`polymer_algos::run_multi_source`] over
-//!   the [`MutableGraph`] itself, on host memory. Its result is cached, so
-//!   the next epoch repairs it. PageRank has no host kernel over a mutated
-//!   graph and runs the residual overlay engine cold as well as warm.
-//!
-//! Everything here is called with the service's mutation mutex held, so
-//! mutated-mode requests serialize on the resident overlay — the price of
-//! answering against a single coherent graph version.
+//! * Every computed answer is cached per lane (algorithm × parameters ×
+//!   source) with the epoch it was computed at. A repeat query at the same
+//!   epoch is a pure cache hit ([`MutState::cached`]).
+//! * A BFS / SSSP query after further ingests warm-starts from its cached
+//!   values with the intervening [`AppliedBatch`]es merged via
+//!   [`AppliedBatch::merged_with`] ([`MutState::repair`]), on a resident
+//!   [`OverlayTopo`] placed on a persistent simulated [`Machine`]. The pair
+//!   is placed when a repair first needs it and rebuilt only when
+//!   [`OverlayTopo::is_stale`] says the graph moved past it (any ingest, or
+//!   a compaction's generation bump, which also re-encodes the base when
+//!   compressed topology is enabled).
+//! * Everything else the service computes from what this state hands out —
+//!   a traversal with no usable prior sweeps [`MutState::graph`] on host
+//!   memory, a PageRank runs the static engine path over
+//!   [`MutState::snapshot`] with the mutation mutex released — and caches
+//!   through [`MutState::store`], so the next epoch repairs it.
 
 use std::collections::HashMap;
 
-use polymer_algos::{
-    bfs_overlay, pagerank_overlay, run_multi_source, sssp_overlay, Bfs, MultiSource, SingleSource,
-    Sssp, WarmStart, DEFAULT_PR_TOL,
-};
-use polymer_api::{OverlayTopo, PolymerResult, RunResult};
+use polymer_algos::{SingleSource, WarmStart};
+use polymer_api::{OverlayTopo, PolymerResult};
 use polymer_graph::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, Graph, MutableGraph, VId};
 use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 
-use crate::request::{RequestKind, ResponseValues};
-
-/// Damping factor of served PageRank (the paper's 0.85).
-const PR_DAMPING: f64 = 0.85;
+use crate::request::{with_traversal, Answer, Class, RequestKind};
 
 /// Applied batches retained for warm-start merging; cached results older
 /// than this window are recomputed cold.
 const BATCH_WINDOW: usize = 32;
-
-/// How a mutated-mode query was answered (drives the service counters).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AnswerPath {
-    /// Served straight from the cache (no mutation since that run).
-    CacheHit,
-    /// Incremental overlay run, warm-started from a cached prior.
-    Warm,
-    /// From scratch (no usable prior): a host sweep over the live graph
-    /// for BFS / SSSP, the residual overlay engine for PageRank.
-    Cold,
-}
-
-/// One converged result per serving lane.
-struct CacheEntry {
-    /// `MutableGraph::epoch` when this result was computed.
-    epoch: u64,
-    /// Iteration counter of the run (warm-starts resume after it).
-    iterations: usize,
-    values: ResponseValues,
-}
-
-/// The cache lane of a query request.
-#[derive(Clone, Debug, Hash, PartialEq, Eq)]
-enum CacheKey {
-    Bfs { source: VId },
-    Sssp { source: VId, delta: u64 },
-    PageRank,
-}
-
-impl CacheKey {
-    fn of(kind: &RequestKind) -> Option<CacheKey> {
-        match *kind {
-            RequestKind::Bfs { source } => Some(CacheKey::Bfs { source }),
-            RequestKind::Sssp { source, delta } => Some(CacheKey::Sssp { source, delta }),
-            RequestKind::PageRank { .. } => Some(CacheKey::PageRank),
-            RequestKind::Ingest { .. } => None,
-        }
-    }
-}
 
 /// The resident placed topology: a persistent simulated machine plus the
 /// overlay CSR/CSC placed into it, kept until the graph moves past them.
@@ -101,12 +47,13 @@ struct Resident {
 }
 
 /// Mutation-mode state: the live graph, its placed topology, the retained
-/// batch window, and the converged-result cache.
+/// batch window, and the result cache (one [`Answer`] per
+/// [`RequestKind::lane`]).
 pub(crate) struct MutState {
     mg: MutableGraph,
     resident: Option<Resident>,
     batches: Vec<AppliedBatch>,
-    cache: HashMap<CacheKey, CacheEntry>,
+    cache: HashMap<(Class, Option<VId>), Answer>,
 }
 
 impl MutState {
@@ -139,141 +86,105 @@ impl MutState {
         Ok(outcome)
     }
 
-    /// Answer one query incrementally. Returns the values, the run's
-    /// iteration count, the graph epoch answered at, and which path served
-    /// it.
-    pub(crate) fn answer(
+    /// The live graph (what a cold traversal sweeps).
+    pub(crate) fn graph(&self) -> &MutableGraph {
+        &self.mg
+    }
+
+    /// The live graph as a CSR of its own, with the epoch it is a snapshot
+    /// of: what an engine run reads once the mutation mutex is released.
+    pub(crate) fn snapshot(&self) -> (Graph, u64) {
+        let snapshot = Graph::from_edges(&self.mg.snapshot_edge_list());
+        (snapshot, self.mg.epoch())
+    }
+
+    /// The answer to `kind` computed at the current epoch, if there is one.
+    pub(crate) fn cached(&self, kind: &RequestKind) -> Option<Answer> {
+        let hit = self.cache.get(&kind.lane()?)?;
+        (hit.epoch == self.mg.epoch()).then(|| hit.clone())
+    }
+
+    /// Cache `answer` to `kind`, unless the graph has moved on since the
+    /// epoch it was computed at. A hit runs nothing, so the supervisor's
+    /// report stays with the response that ran.
+    pub(crate) fn store(&mut self, kind: &RequestKind, answer: &Answer) {
+        if let Some(lane) = kind.lane().filter(|_| answer.epoch == self.mg.epoch()) {
+            let mut cached = answer.clone();
+            cached.recovery = None;
+            self.cache.insert(lane, cached);
+        }
+    }
+
+    /// Repair the cached answer to the traversal `kind` up to the current
+    /// epoch on the placed overlay. `None` when there is no usable prior:
+    /// one is usable when every batch since it is retained — epochs advance
+    /// by one per apply, so the composed window must span
+    /// `(prior.epoch, epoch]` exactly.
+    pub(crate) fn repair(
         &mut self,
         kind: &RequestKind,
         spec: &MachineSpec,
         threads: usize,
-    ) -> PolymerResult<(ResponseValues, usize, u64, AnswerPath)> {
-        let key = CacheKey::of(kind).expect("ingests are not answered here");
+    ) -> PolymerResult<Option<Answer>> {
         let epoch = self.mg.epoch();
-
-        if let Some(e) = self.cache.get(&key) {
-            if e.epoch == epoch {
-                return Ok((e.values.clone(), e.iterations, epoch, AnswerPath::CacheHit));
-            }
+        let Some(prior) = kind.lane().and_then(|lane| self.cache.get(&lane)) else {
+            return Ok(None);
+        };
+        let since: Vec<&AppliedBatch> =
+            (self.batches.iter().filter(|b| b.epoch > prior.epoch)).collect();
+        if since.is_empty() || since.len() as u64 != epoch - prior.epoch {
+            return Ok(None);
         }
-
-        // A cached prior is usable when every batch since it is retained:
-        // epochs advance by one per apply, so the composed window must span
-        // (prior.epoch, epoch] exactly.
-        let prior = self.cache.get(&key).and_then(|e| {
-            let since: Vec<&AppliedBatch> =
-                self.batches.iter().filter(|b| b.epoch > e.epoch).collect();
-            if since.len() as u64 != epoch - e.epoch {
-                return None;
-            }
-            let mut it = since.into_iter();
-            let first = it.next()?.clone();
-            Some((e, it.fold(first, |acc, b| acc.merged_with(b))))
+        let batch = (since[1..].iter()).fold(since[0].clone(), |acc, b| acc.merged_with(b));
+        // The placed overlay, (re)placed if the graph moved past it.
+        self.resident.take_if(|r| r.topo.is_stale(&self.mg));
+        let Resident { machine, topo } = self.resident.get_or_insert_with(|| {
+            let machine = Machine::new(spec.clone());
+            let topo = OverlayTopo::build(&machine, &self.mg, true, |_| AllocPolicy::Interleaved);
+            Resident { machine, topo }
         });
-        let path = if prior.is_some() {
-            AnswerPath::Warm
-        } else {
-            AnswerPath::Cold
-        };
-        let (mg, resident) = (&self.mg, &mut self.resident);
-        let (values, iterations) = match key {
-            CacheKey::Bfs { source } => {
-                let run = match warm_start(&prior, ResponseValues::levels) {
-                    None => cold_sweep(mg, spec, threads, Bfs::new(source))?,
-                    warm => {
-                        let r = placed(resident, mg, spec);
-                        bfs_overlay(&r.machine, threads, &r.topo, source, warm, false)?
-                    }
-                };
-                (ResponseValues::Levels(run.values), run.iterations)
-            }
-            CacheKey::Sssp { source, delta } => {
-                let run = match warm_start(&prior, ResponseValues::distances) {
-                    None => cold_sweep(mg, spec, threads, Sssp::new(source).with_delta(delta))?,
-                    warm => {
-                        let r = placed(resident, mg, spec);
-                        sssp_overlay(&r.machine, threads, &r.topo, source, warm, false)?
-                    }
-                };
-                (ResponseValues::Distances(run.values), run.iterations)
-            }
-            CacheKey::PageRank => {
-                let r = placed(resident, mg, spec);
-                let warm = warm_start(&prior, ResponseValues::ranks);
-                let run = pagerank_overlay(
-                    &r.machine,
-                    threads,
-                    &r.topo,
-                    PR_DAMPING,
-                    DEFAULT_PR_TOL,
-                    warm,
-                    false,
-                )?;
-                (ResponseValues::Ranks(run.values), run.iterations)
-            }
-        };
-        self.cache.insert(
-            key,
-            CacheEntry {
-                epoch,
-                iterations,
-                values: values.clone(),
-            },
-        );
-        Ok((values, iterations, epoch, path))
+        let (values, iterations) = with_traversal!(kind, |prog, wrap, lane, repair| {
+            let warm = WarmStart {
+                values: lane(&prior.values).expect("a cache lane holds its own kind of values"),
+                iterations: prior.iterations,
+                batch: &batch,
+            };
+            let run = repair(machine, threads, topo, prog.source(), Some(warm), false)?;
+            (wrap(run.values), run.iterations)
+        });
+        Ok(Some(Answer::new(values, epoch, iterations)))
     }
-}
-
-/// The placed topology for `mg`, (re)placed if the graph moved past it.
-fn placed<'r>(
-    resident: &'r mut Option<Resident>,
-    mg: &MutableGraph,
-    spec: &MachineSpec,
-) -> &'r Resident {
-    resident.take_if(|r| r.topo.is_stale(mg));
-    resident.get_or_insert_with(|| {
-        let machine = Machine::new(spec.clone());
-        let topo = OverlayTopo::build(&machine, mg, true, |_| AllocPolicy::Interleaved);
-        Resident { machine, topo }
-    })
-}
-
-/// A cold BFS / SSSP answer: `prog` as one lane of [`run_multi_source`]
-/// over the live graph, on the calling thread — the kernel, front door and
-/// typed errors of a static-mode coalesced sweep — so `run.values` is the lane.
-fn cold_sweep<P: SingleSource>(
-    mg: &MutableGraph,
-    spec: &MachineSpec,
-    threads: usize,
-    prog: P,
-) -> PolymerResult<RunResult<P::Val>> {
-    let machine = Machine::new(spec.clone());
-    Ok(run_multi_source(&machine, threads, mg, &MultiSource::new(vec![prog])?)?.run)
-}
-
-/// The warm start over a cached prior and the composed batch window since
-/// it; `values` picks the lane's kind out of the cached [`ResponseValues`].
-fn warm_start<'a, V>(
-    prior: &'a Option<(&CacheEntry, AppliedBatch)>,
-    values: fn(&ResponseValues) -> Option<&[V]>,
-) -> Option<WarmStart<'a, V>> {
-    let (entry, batch) = prior.as_ref()?;
-    Some(WarmStart {
-        values: values(&entry.values).expect("a cache lane holds its own kind of values"),
-        iterations: entry.iterations,
-        batch,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_algos::run_reference;
+    use crate::ResponseValues;
+    use polymer_algos::{run_multi_source, run_reference, Bfs, MultiSource, PageRank, Sssp};
     use polymer_graph::gen;
 
-    /// Which executor answers what: a first-time traversal is a host sweep
-    /// that places nothing, the next epoch repairs its cached result on a
-    /// freshly placed overlay, and PageRank places the overlay even cold.
+    /// What the service does with a traversal the cache cannot answer:
+    /// repair it warm, else sweep the live graph cold; store either.
+    fn answer(ms: &mut MutState, kind: &RequestKind, spec: &MachineSpec) -> Answer {
+        let answer = ms.repair(kind, spec, 2).unwrap().unwrap_or_else(|| {
+            let machine = Machine::new(spec.clone());
+            let (values, iterations) = with_traversal!(kind, |prog, wrap, _lane, _repair| {
+                let batch = MultiSource::new(vec![prog]).unwrap();
+                let run = run_multi_source(&machine, 2, ms.graph(), &batch)
+                    .unwrap()
+                    .run;
+                (wrap(run.values), run.iterations)
+            });
+            Answer::new(values, ms.graph().epoch(), iterations)
+        });
+        ms.store(kind, &answer);
+        answer
+    }
+
+    /// Which state answers what: a first-time traversal has no prior to
+    /// repair and places nothing, the next epoch repairs its cached result
+    /// on a freshly placed overlay, and a PageRank needs the cache and a
+    /// snapshot only — it never places the overlay.
     #[test]
     fn cold_traversals_place_nothing_and_seed_the_warm_repair() {
         let g = Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5));
@@ -287,28 +198,45 @@ mod tests {
         for epoch in 1..=2u64 {
             let batch = gen::mixed_batch(&ms.mg, epoch, 12, false);
             ms.ingest(&batch).unwrap();
-            let want = if epoch == 1 {
-                AnswerPath::Cold
-            } else {
-                AnswerPath::Warm
-            };
-            let (values, _, at, path) = ms.answer(&bfs, &spec, 2).unwrap();
-            assert_eq!((at, path), (epoch, want));
+            assert!(ms.cached(&bfs).is_none(), "the graph moved past the cache");
+            let got = answer(&mut ms, &bfs, &spec);
+            assert_eq!(got.epoch, epoch);
             assert_eq!(
-                values.levels().unwrap(),
+                got.values.levels().unwrap(),
                 run_reference(&ms.mg, &Bfs::new(3)).0
             );
-            let (values, _, _, path) = ms.answer(&sssp, &spec, 2).unwrap();
-            assert_eq!(path, want);
-            let oracle = run_reference(&ms.mg, &Sssp::new(3)).0;
-            assert_eq!(values.distances().unwrap(), oracle);
             assert_eq!(ms.resident.is_some(), epoch == 2, "placed by a repair only");
-            assert_eq!(ms.answer(&bfs, &spec, 2).unwrap().3, AnswerPath::CacheHit);
+            ms.resident = None;
+            let got = answer(&mut ms, &sssp, &spec);
+            let oracle = run_reference(&ms.mg, &Sssp::new(3)).0;
+            assert_eq!(got.values.distances().unwrap(), oracle);
+            assert_eq!(ms.resident.is_some(), epoch == 2, "placed by a repair only");
+            assert_eq!(ms.cached(&bfs).unwrap().epoch, epoch);
         }
-        let mut fresh = MutState::new(&g, None);
-        fresh.ingest(&DeltaBatch::new()).unwrap();
+
         let pr = RequestKind::PageRank { iters: 3 };
-        assert_eq!(fresh.answer(&pr, &spec, 2).unwrap().3, AnswerPath::Cold);
-        assert!(fresh.resident.is_some(), "PageRank runs on the overlay");
+        assert!(ms.cached(&pr).is_none());
+        assert!(ms.repair(&pr, &spec, 2).unwrap().is_none(), "never warm");
+        ms.resident = None;
+        let (snapshot, epoch) = ms.snapshot();
+        let prog = PageRank::new(snapshot.num_vertices()).with_iters(3);
+        let (ranks, iterations) = run_reference(&snapshot, &prog);
+        assert_eq!(
+            ranks,
+            run_reference(&ms.mg, &prog).0,
+            "the snapshot is the graph"
+        );
+        let fresh = Answer::new(ResponseValues::Ranks(ranks), epoch, iterations);
+        ms.store(&pr, &fresh);
+        assert_eq!(ms.cached(&pr).unwrap().values, fresh.values);
+        assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
+        assert!(
+            ms.resident.is_none(),
+            "PageRank reads a snapshot, not the overlay"
+        );
+        // An answer computed on a snapshot the graph has moved past is not cached.
+        ms.ingest(&DeltaBatch::new()).unwrap();
+        ms.store(&RequestKind::PageRank { iters: 4 }, &fresh);
+        assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
     }
 }

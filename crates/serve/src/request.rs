@@ -25,22 +25,22 @@ pub enum RequestKind {
         /// widths.
         delta: u64,
     },
-    /// PageRank over the whole graph for `iters` iterations. Whole-graph
-    /// requests never coalesce — there is no per-source lane to share.
-    /// Once the graph has been mutated (see [`RequestKind::Ingest`]),
-    /// PageRank is served as the tolerance-converged residual fixpoint and
-    /// `iters` becomes a hint only.
+    /// `iters` rounds of [`polymer_algos::PageRank`] over the whole graph —
+    /// the resident one, or after an ingest a snapshot of the mutated one at
+    /// the epoch the response carries. Whole-graph requests never coalesce:
+    /// there is no per-source lane to share.
     PageRank {
-        /// Iteration cap (static-graph mode only).
+        /// Rounds of power iteration.
         iters: usize,
     },
     /// Apply an edge mutation batch to the resident graph. The first
     /// ingest switches the service into *mutated mode*: the resident edge
     /// set is canonicalized into a [`polymer_graph::MutableGraph`] and
-    /// every later query is answered from it: out of the converged-result
-    /// cache, by an incremental repair of a cached result on the
-    /// delta-overlay topology, or (a traversal with no usable prior) by a
-    /// host sweep over the mutated graph. The batch is validated at admission
+    /// every later query is answered from it: out of the result cache, by
+    /// an incremental repair of a cached traversal on the delta-overlay
+    /// topology, by a host sweep over the mutated graph (a traversal with
+    /// no usable prior), or by the supervised engine over a snapshot
+    /// (PageRank). The batch is validated at admission
     /// (out-of-range endpoints, self-loops, and zero weights are rejected
     /// with [`polymer_api::PolymerError::InvalidConfig`]).
     Ingest {
@@ -60,16 +60,23 @@ impl RequestKind {
         }
     }
 
-    /// The coalescing class: requests with equal keys can share one
-    /// multi-source sweep. `None` for whole-graph algorithms and for
-    /// mutations.
-    pub(crate) fn batch_key(&self) -> Option<BatchKey> {
-        match self {
-            RequestKind::Bfs { .. } => Some(BatchKey::Bfs),
-            RequestKind::Sssp { delta, .. } => Some(BatchKey::Sssp { delta: *delta }),
-            RequestKind::PageRank { .. } => None,
+    /// A query's result-cache lane — its class and its source, `None` for
+    /// an ingest. Equal lanes have equal answers at one epoch.
+    pub(crate) fn lane(&self) -> Option<(Class, Option<VId>)> {
+        match *self {
+            RequestKind::Bfs { source } => Some((Class::Bfs, Some(source))),
+            RequestKind::Sssp { source, delta } => Some((Class::Sssp { delta }, Some(source))),
+            RequestKind::PageRank { iters } => Some((Class::PageRank { iters }, None)),
             RequestKind::Ingest { .. } => None,
         }
+    }
+
+    /// The coalescing class: requests with equal keys can share one
+    /// multi-source sweep, one lane per source. `None` for whole-graph
+    /// algorithms and for mutations.
+    pub(crate) fn batch_key(&self) -> Option<Class> {
+        let (class, source) = self.lane()?;
+        source.map(|_| class)
     }
 
     /// Admission-control estimate of the request's scratch footprint:
@@ -88,12 +95,58 @@ impl RequestKind {
     }
 }
 
-/// The coalescing class of a request (see [`RequestKind::batch_key`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BatchKey {
+/// A query without its source: the algorithm and its parameters.
+#[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
+pub(crate) enum Class {
     Bfs,
     Sssp { delta: u64 },
+    PageRank { iters: usize },
 }
+
+/// Bind `$prog` to the single-source program `$kind` names, `$wrap` and
+/// `$lane` to the [`ResponseValues`] constructor and accessor of its value
+/// type and `$repair` to its warm overlay engine, then evaluate `$body`.
+/// `Program` is generic, so the choice cannot be a value; this macro and
+/// [`with_program!`] are the crate's one mapping from a request to what
+/// computes it.
+macro_rules! with_traversal {
+    ($kind:expr, |$prog:ident, $wrap:ident, $lane:ident, $repair:ident| $body:expr) => {
+        match *$kind {
+            $crate::RequestKind::Bfs { source } => {
+                let $prog = polymer_algos::Bfs::new(source);
+                let $wrap = $crate::ResponseValues::Levels;
+                let $lane = $crate::ResponseValues::levels;
+                let $repair = polymer_algos::bfs_overlay;
+                $body
+            }
+            $crate::RequestKind::Sssp { source, delta } => {
+                let $prog = polymer_algos::Sssp::new(source).with_delta(delta);
+                let $wrap = $crate::ResponseValues::Distances;
+                let $lane = $crate::ResponseValues::distances;
+                let $repair = polymer_algos::sssp_overlay;
+                $body
+            }
+            _ => unreachable!("only BFS and SSSP have a source lane"),
+        }
+    };
+}
+
+/// [`with_traversal!`] plus the whole-graph arm: bind `$prog` to the
+/// program any query `$kind` names over `$n` vertices and `$wrap` to its
+/// [`ResponseValues`] constructor, then evaluate `$body`.
+macro_rules! with_program {
+    ($kind:expr, $n:expr, |$prog:ident, $wrap:ident| $body:expr) => {
+        match *$kind {
+            $crate::RequestKind::PageRank { iters } => {
+                let $prog = polymer_algos::PageRank::new($n).with_iters(iters);
+                let $wrap = $crate::ResponseValues::Ranks;
+                $body
+            }
+            _ => $crate::request::with_traversal!($kind, |$prog, $wrap, _lane, _repair| $body),
+        }
+    };
+}
+pub(crate) use {with_program, with_traversal};
 
 /// Final per-vertex values of a served request, by algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -161,9 +214,8 @@ impl ResponseValues {
 /// harness reports about how it was served.
 #[derive(Clone, Debug)]
 pub struct ServeResponse {
-    /// The request's service-assigned id — the same tag stamped on the
-    /// underlying [`polymer_api::RunResult`], so results fanned out of a
-    /// coalesced batch stay attributable.
+    /// The request's service-assigned id ([`Ticket::id`]), so results
+    /// fanned out of a coalesced batch stay attributable.
     pub id: u64,
     /// Algorithm name (`"BFS"`, `"SSSP"`, `"PageRank"`).
     pub algorithm: &'static str,
@@ -184,9 +236,34 @@ pub struct ServeResponse {
     /// Submit-to-completion host latency (queue wait included).
     pub latency: Duration,
     /// The supervisor's recovery report, when the request ran solo under
-    /// the [`polymer_api::supervisor::RunSupervisor`]; `None` for batched
-    /// sweeps (their lightweight retry loop records nothing per lane).
+    /// the [`polymer_api::supervisor::RunSupervisor`]; `None` for host
+    /// kernels (sweeps, warm repairs), cache hits and ingests.
     pub recovery: Option<RecoveryReport>,
+}
+
+/// What a dispatch path computed for one request: the part of a
+/// [`ServeResponse`] the request itself does not determine. Also what the
+/// mutated-mode result cache holds.
+#[derive(Clone)]
+pub(crate) struct Answer {
+    pub(crate) values: ResponseValues,
+    pub(crate) epoch: u64,
+    pub(crate) iterations: usize,
+    pub(crate) batched_lanes: usize,
+    pub(crate) recovery: Option<RecoveryReport>,
+}
+
+impl Answer {
+    /// An unsupervised one-lane answer.
+    pub(crate) fn new(values: ResponseValues, epoch: u64, iterations: usize) -> Answer {
+        Answer {
+            values,
+            epoch,
+            iterations,
+            batched_lanes: 1,
+            recovery: None,
+        }
+    }
 }
 
 /// The one-shot completion slot a worker fills and a [`Ticket`] waits on.
@@ -271,10 +348,10 @@ pub struct ServeStats {
     /// Threshold compactions triggered by ingests (base CSR rebuilds).
     pub compactions: u64,
     /// Mutated-mode queries computed rather than read from the cache: warm
-    /// overlay repairs, cold residual PageRank runs, and cold BFS / SSSP
-    /// host sweeps over the mutated graph.
+    /// BFS / SSSP overlay repairs, cold BFS / SSSP host sweeps over the
+    /// mutated graph, and PageRank runs over a snapshot of it.
     pub incremental_answers: u64,
-    /// Queries answered straight from the converged-result cache without
-    /// running anything (no mutation since the cached run).
+    /// Queries answered straight from the result cache without running
+    /// anything (no mutation since the cached run).
     pub cache_hits: u64,
 }

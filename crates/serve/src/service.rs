@@ -5,17 +5,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use polymer_algos::{run_multi_source, Bfs, MultiSource, PageRank, SingleSource, Sssp, MAX_LANES};
+use polymer_algos::{run_multi_source, MultiSource, SingleSource, MAX_LANES};
 use polymer_api::supervisor::{RunSupervisor, SupervisorConfig};
-use polymer_api::{validate_run_config, Backend, PolymerError, PolymerResult, RunResult};
+use polymer_api::{catch_engine_faults, validate_run_config, Backend, PolymerError, PolymerResult};
 use polymer_core::PolymerEngine;
-use polymer_graph::Graph;
+use polymer_graph::{DeltaBatch, Graph, Topology, VId};
 use polymer_numa::{Machine, MachineSpec};
 
-use crate::mutate::{AnswerPath, MutState};
-use crate::request::{
-    BatchKey, RequestKind, ResponseValues, ServeResponse, ServeStats, Slot, Ticket,
-};
+use crate::mutate::MutState;
+use crate::request::{with_program, with_traversal, Answer};
+use crate::request::{RequestKind, ResponseValues, ServeResponse, ServeStats, Slot, Ticket};
 
 /// Everything a [`GraphService`] is configured with.
 #[derive(Clone, Debug)]
@@ -25,10 +24,10 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads each dispatched engine run uses (solo runs, warm
-    /// repairs, mutated-mode PageRank). A multi-source sweep — coalesced,
-    /// or the one-lane cold answer of mutated mode — runs on its worker's
-    /// own thread whatever this is.
+    /// Execution threads each dispatched engine run uses (supervised solo
+    /// runs, warm repairs). A multi-source sweep — coalesced, or the
+    /// one-lane cold answer of mutated mode — runs on its worker's own
+    /// thread whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -37,15 +36,16 @@ pub struct ServeConfig {
     /// Cap on lanes per coalesced sweep (clamped to
     /// [`polymer_algos::MAX_LANES`]).
     pub max_batch_lanes: usize,
-    /// Backend solo static-mode requests run on. Multi-source sweeps
-    /// always compute on host memory, like the real-thread backend;
-    /// mutated-mode repairs and PageRank always run simulated.
+    /// Backend supervised engine runs use: every solo static-mode query,
+    /// and PageRank in either mode. Multi-source sweeps always compute on
+    /// host memory, like the real-thread backend; warm BFS / SSSP repairs
+    /// always run simulated.
     pub backend: Backend,
     /// Machine topology for every run.
     pub spec: MachineSpec,
-    /// Supervision template: retry/backoff/degrade policy for solo runs;
-    /// batched sweeps reuse its [`polymer_api::supervisor::RetryPolicy`].
-    /// A request deadline tightens a clone of this per request via
+    /// Supervision template: retry/backoff/degrade policy of engine runs
+    /// (host kernels — sweeps, warm repairs — fail once, with a typed
+    /// error). A request deadline tightens a clone of this per request via
     /// [`SupervisorConfig::with_deadline`].
     pub supervisor: SupervisorConfig,
     /// Deadline applied to requests submitted without one.
@@ -90,10 +90,7 @@ struct State {
     stopped: bool,
     paused: bool,
     /// Set by the first successful ingest; from then on queries dispatch
-    /// through [`crate::mutate`] one at a time. Nothing coalesces: the
-    /// sweep can read the mutated graph, but a lane that has a cached prior
-    /// is cheaper repaired than swept, so which requests to batch is a
-    /// policy waiting on a workload that measures it.
+    /// through [`crate::mutate`] one at a time (see [`take_batch`]).
     mutated: bool,
     in_use_bytes: u64,
     next_id: u64,
@@ -104,8 +101,10 @@ struct Inner {
     graph: Arc<Graph>,
     cfg: ServeConfig,
     state: Mutex<State>,
-    /// Mutated-mode state (`None` until the first ingest). Held across the
-    /// whole apply/answer, so mutated-mode requests serialize on it.
+    /// Mutated-mode state (`None` until the first ingest). Ingests and
+    /// traversals hold it for the whole apply / answer and so serialize on
+    /// a single coherent graph version; a PageRank holds it for the cache
+    /// lookup and the snapshot only, not for the run.
     mut_state: Mutex<Option<MutState>>,
     cv: Condvar,
 }
@@ -113,6 +112,16 @@ struct Inner {
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Lock the mutated-mode state. A worker that panicked holding it
+    /// (caught in [`process`]) poisons the mutex, and recovering the guard
+    /// is sound: a [`MutState`] call updates the graph, the batch window or
+    /// the cache as its last step, so a call that unwound left them as the
+    /// last successful call did, and a placed overlay that was dropped on
+    /// the way is rebuilt by the next repair.
+    fn lock_mutated(&self) -> MutexGuard<'_, Option<MutState>> {
+        self.mut_state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -145,9 +154,9 @@ impl GraphService {
                 "serve threads per request must be >= 1".to_string(),
             ));
         }
-        // Multi-source sweeps and every mutated-mode answer drive a
-        // simulated `IterationDriver` whatever `cfg.backend` is, and that
-        // binds one thread per simulated core.
+        // Multi-source sweeps and warm repairs drive a simulated
+        // `IterationDriver` whatever `cfg.backend` is, and that binds one
+        // thread per simulated core.
         let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
         if cfg.threads_per_request > cores {
             return Err(PolymerError::InvalidConfig(format!(
@@ -211,16 +220,14 @@ impl GraphService {
         let n = self.inner.graph.num_vertices();
         let threads = self.inner.cfg.threads_per_request;
         match &kind {
-            // The engines' own front-door check, run where the request
-            // enters: mutation never changes the vertex count.
-            RequestKind::Bfs { source } => validate_run_config(threads, n, &Bfs::new(*source))?,
-            RequestKind::Sssp { source, .. } => {
-                validate_run_config(threads, n, &Sssp::new(*source))?
-            }
-            RequestKind::PageRank { .. } => {}
             RequestKind::Ingest { batch } => batch
                 .validate(n)
                 .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?,
+            // The engines' own front-door check, run where the request
+            // enters: mutation never changes the vertex count.
+            query => with_program!(query, n, |prog, _wrap| validate_run_config(
+                threads, n, &prog
+            ))?,
         }
         let scratch = kind.scratch_bytes(n);
         let mut st = self.inner.lock();
@@ -317,10 +324,10 @@ fn worker_loop(inner: &Inner) {
             let mut st = inner.lock();
             loop {
                 if st.stopped {
-                    while let Some(p) = st.queue.pop_front() {
-                        st.in_use_bytes -= p.scratch;
-                        st.stats.failed += 1;
-                        p.slot.fulfill(Err(PolymerError::ServiceStopped));
+                    let queued: Vec<Pending> = st.queue.drain(..).collect();
+                    drop(st);
+                    for p in &queued {
+                        complete(inner, p, Err(PolymerError::ServiceStopped));
                     }
                     return;
                 }
@@ -336,10 +343,11 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Pop the head request and coalesce every queued request with the same
-/// [`BatchKey`] behind it, up to `max_lanes`. Whole-graph requests (no
-/// key) dispatch alone, and once the graph has been mutated nothing
-/// coalesces — every query goes through the cache-aware mutated-mode
-/// path, one at a time. FIFO order is preserved for everything left.
+/// [`RequestKind::batch_key`] behind it, up to `max_lanes`. Whole-graph
+/// requests (no key) dispatch alone, and once the graph has been mutated
+/// nothing coalesces: a lane with a cached prior is cheaper repaired than
+/// swept, so which requests to batch is a policy waiting on a workload that
+/// measures it. FIFO order is preserved for everything left.
 fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     let head = st.queue.pop_front().expect("caller checked non-empty");
     let key = if st.mutated {
@@ -361,143 +369,151 @@ fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     batch
 }
 
-/// Dispatch one batch: expire dead requests, then run the rest — solo
-/// under the full supervisor, or as one coalesced multi-source sweep.
+/// Dispatch one batch: expire dead requests, then answer the rest — one
+/// alone, or two and more as one coalesced multi-source sweep. The answer
+/// paths run under [`catch_engine_faults`], so a panic on any of them (an
+/// overlay that does not fit the machine, a broken cache lane, an ingest)
+/// is the batch's typed error, not a dead worker and tickets that never
+/// resolve.
 fn process(inner: &Inner, batch: Vec<Pending>) {
     let mut live = Vec::with_capacity(batch.len());
     for p in batch {
         match p.deadline {
-            Some(d) if p.submitted.elapsed() >= d => {
-                // Every counter moves before the reply slot fills: a caller
-                // returning from `wait()` must already see the expiry.
-                {
-                    let mut st = inner.lock();
-                    st.in_use_bytes -= p.scratch;
-                    st.stats.failed += 1;
-                    st.stats.expired_in_queue += 1;
-                }
-                p.slot
-                    .fulfill(Err(PolymerError::DeadlineExceeded { deadline: d }));
+            Some(deadline) if p.submitted.elapsed() >= deadline => {
+                complete(inner, &p, Err(PolymerError::DeadlineExceeded { deadline }));
             }
             _ => live.push(p),
         }
     }
-    match live.len() {
-        0 => {}
-        1 => dispatch_one(inner, live.into_iter().next().expect("len checked")),
-        _ => run_batched(inner, live),
-    }
-}
-
-/// Route a solo request: ingests mutate the resident state; queries run
-/// incrementally once the graph has been mutated, and under the full
-/// static-graph supervisor before that.
-fn dispatch_one(inner: &Inner, p: Pending) {
-    if matches!(p.kind, RequestKind::Ingest { .. }) {
-        run_ingest(inner, p);
-    } else if inner.lock().mutated {
-        run_incremental(inner, p);
-    } else {
-        run_solo(inner, p);
-    }
-}
-
-/// Apply an ingest batch to the mutated-mode state (created lazily from
-/// the resident graph on the first ingest) and answer with its stats.
-fn run_ingest(inner: &Inner, p: Pending) {
-    let RequestKind::Ingest { batch } = &p.kind else {
-        unreachable!("caller matched Ingest");
-    };
-    let mut guard = inner.mut_state.lock().unwrap_or_else(|e| e.into_inner());
-    let ms =
-        guard.get_or_insert_with(|| MutState::new(&inner.graph, inner.cfg.compaction_fraction));
-    let outcome = match ms.ingest(batch) {
-        Ok((stats, epoch)) => {
-            {
-                let mut st = inner.lock();
-                st.mutated = true;
-                st.stats.ingests += 1;
-                if stats.compacted {
-                    st.stats.compactions += 1;
-                }
-            }
-            Ok(ServeResponse {
-                id: p.id,
-                algorithm: p.kind.name(),
-                values: ResponseValues::Ingested(stats),
-                epoch,
-                iterations: 0,
-                batched_lanes: 1,
-                deadline_missed: missed(&p),
-                latency: p.submitted.elapsed(),
-                recovery: None,
-            })
+    let outcome = catch_engine_faults(|| match &live[..] {
+        [] => Ok(Vec::new()),
+        [p] => answer_one(inner, p).map(|answer| vec![answer]),
+        lanes => {
+            let mut st = inner.lock();
+            st.stats.batches += 1;
+            st.stats.batched_requests += lanes.len() as u64;
+            st.stats.max_batch_lanes = st.stats.max_batch_lanes.max(lanes.len() as u64);
+            drop(st);
+            sweep(inner, &*inner.graph, 0, lanes)
         }
-        // Validation ran at admission; an error here means the graph
-        // changed shape underneath the queue, which it cannot.
-        Err(e) => Err(PolymerError::InvalidConfig(format!("ingest batch: {e}"))),
-    };
-    drop(guard);
-    finish(inner, &p, outcome);
+    });
+    deliver(inner, &live, outcome);
 }
 
-/// Answer a query in mutated mode: cache hit, warm-started incremental
-/// repair, or cold run (see [`crate::mutate`]).
-fn run_incremental(inner: &Inner, p: Pending) {
-    let mut guard = inner.mut_state.lock().unwrap_or_else(|e| e.into_inner());
-    let ms = guard.as_mut().expect("mutated flag implies state");
-    let outcome = ms
-        .answer(&p.kind, &inner.cfg.spec, inner.cfg.threads_per_request)
-        .map(|(values, iterations, epoch, path)| {
-            {
-                let mut st = inner.lock();
-                match path {
-                    AnswerPath::CacheHit => st.stats.cache_hits += 1,
-                    AnswerPath::Warm | AnswerPath::Cold => st.stats.incremental_answers += 1,
-                }
+/// Fan a batch's outcome back out: each request gets its own answer, or a
+/// clone of the common error.
+fn deliver(inner: &Inner, batch: &[Pending], outcome: PolymerResult<Vec<Answer>>) {
+    match outcome {
+        Ok(answers) => {
+            for (p, answer) in batch.iter().zip(answers) {
+                complete(inner, p, Ok(answer));
             }
-            ServeResponse {
-                id: p.id,
-                algorithm: p.kind.name(),
-                values,
-                epoch,
-                iterations,
-                batched_lanes: 1,
-                deadline_missed: missed(&p),
-                latency: p.submitted.elapsed(),
-                recovery: None,
+        }
+        Err(e) => {
+            for p in batch {
+                complete(inner, p, Err(e.clone()));
             }
-        });
-    drop(guard);
-    finish(inner, &p, outcome);
+        }
+    }
 }
 
-/// Deliver `outcome` for `p` and release its admission pledge.
-fn finish(inner: &Inner, p: &Pending, outcome: PolymerResult<ServeResponse>) {
+/// The one way an admitted request finishes: release its pledge, move the
+/// ledger, fill its slot. Every counter moves before the slot fills: a
+/// caller returning from `wait()` must already see them.
+fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
+    let outcome = outcome.map(|answer| ServeResponse {
+        id: p.id,
+        algorithm: p.kind.name(),
+        values: answer.values,
+        epoch: answer.epoch,
+        iterations: answer.iterations,
+        batched_lanes: answer.batched_lanes,
+        deadline_missed: p.deadline.is_some_and(|d| p.submitted.elapsed() > d),
+        latency: p.submitted.elapsed(),
+        recovery: answer.recovery,
+    });
     {
         let mut st = inner.lock();
         st.in_use_bytes -= p.scratch;
         match &outcome {
             Ok(r) => {
                 st.stats.completed += 1;
-                if r.deadline_missed {
-                    st.stats.deadline_missed += 1;
-                }
+                st.stats.deadline_missed += u64::from(r.deadline_missed);
             }
-            Err(_) => st.stats.failed += 1,
+            // Only the in-queue expiry answers `deadline-exceeded`: a run
+            // that outlives its budget is delivered late, or fails with the
+            // executor's own timeout.
+            Err(e) => {
+                st.stats.failed += 1;
+                let expired = matches!(e, PolymerError::DeadlineExceeded { .. });
+                st.stats.expired_in_queue += u64::from(expired);
+            }
         }
     }
     p.slot.fulfill(outcome);
 }
 
-/// True when the request completed after its deadline had passed.
-fn missed(p: &Pending) -> bool {
-    p.deadline.is_some_and(|d| p.submitted.elapsed() > d)
+/// Answer a request dispatched alone: an ingest mutates the resident
+/// state; a query runs under the supervisor over the resident graph until
+/// the first ingest, and through the mutated-mode state after it.
+fn answer_one(inner: &Inner, p: &Pending) -> PolymerResult<Answer> {
+    if let RequestKind::Ingest { batch } = &p.kind {
+        return ingest(inner, batch);
+    }
+    if !inner.lock().mutated {
+        return run_solo(inner, p, &inner.graph, 0);
+    }
+    let mut guard = inner.lock_mutated();
+    let ms = guard.as_mut().expect("the mutated flag implies the state");
+    if let Some(hit) = ms.cached(&p.kind) {
+        inner.lock().stats.cache_hits += 1;
+        return Ok(hit);
+    }
+    let answer = if p.kind.batch_key().is_some() {
+        // A traversal: repaired warm from its cached prior, or swept cold.
+        let warm = ms.repair(&p.kind, &inner.cfg.spec, inner.cfg.threads_per_request)?;
+        let mg = ms.graph();
+        match warm {
+            Some(answer) => answer,
+            None => sweep(inner, mg, mg.epoch(), std::slice::from_ref(p))?.remove(0),
+        }
+    } else {
+        // A whole-graph query means what it means in static mode: the same
+        // supervised engine run, over a snapshot, with the mutex released.
+        let (snapshot, epoch) = ms.snapshot();
+        drop(guard);
+        let answer = run_solo(inner, p, &snapshot, epoch)?;
+        guard = inner.lock_mutated();
+        answer
+    };
+    let ms = guard.as_mut().expect("the mutated flag implies the state");
+    ms.store(&p.kind, &answer);
+    inner.lock().stats.incremental_answers += 1;
+    Ok(answer)
 }
 
-/// Run one request under the full [`RunSupervisor`] (checkpoint-resume and
-/// the degrade ladder included) on the configured backend.
-fn run_solo(inner: &Inner, p: Pending) {
+/// Apply an ingest batch to the mutated-mode state (created lazily from
+/// the resident graph on the first ingest) and answer with its stats.
+fn ingest(inner: &Inner, batch: &DeltaBatch) -> PolymerResult<Answer> {
+    let mut guard = inner.lock_mutated();
+    let ms =
+        guard.get_or_insert_with(|| MutState::new(&inner.graph, inner.cfg.compaction_fraction));
+    // Validation ran at admission; an error here means the graph changed
+    // shape underneath the queue, which it cannot.
+    let (stats, epoch) = ms
+        .ingest(batch)
+        .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?;
+    let mut st = inner.lock();
+    st.mutated = true;
+    st.stats.ingests += 1;
+    st.stats.compactions += u64::from(stats.compacted);
+    Ok(Answer::new(ResponseValues::Ingested(stats), epoch, 0))
+}
+
+/// Run one query under the full [`RunSupervisor`] (checkpoint-resume and
+/// the degrade ladder included) on the configured backend, over `graph` —
+/// the resident one, or a snapshot of the mutated one at `epoch`.
+fn run_solo(inner: &Inner, p: &Pending, graph: &Graph, epoch: u64) -> PolymerResult<Answer> {
     let mut cfg = inner.cfg.supervisor.clone();
     if let Some(d) = p.deadline {
         // The queue already consumed part of the budget; the supervisor
@@ -505,187 +521,63 @@ fn run_solo(inner: &Inner, p: Pending) {
         cfg = cfg.with_deadline(d.saturating_sub(p.submitted.elapsed()));
     }
     let sup = RunSupervisor::new(cfg);
-    let engine = PolymerEngine::new();
-    let threads = inner.cfg.threads_per_request;
     let (backend, spec) = (&inner.cfg.backend, &inner.cfg.spec);
-    let g = &inner.graph;
-    let outcome = match p.kind {
-        RequestKind::Bfs { source } => {
-            let prog = Bfs::new(source);
-            sup.run(&engine, backend, spec, threads, g, &prog)
-                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Levels))
-        }
-        RequestKind::Sssp { source, delta } => {
-            let prog = Sssp::new(source).with_delta(delta);
-            sup.run(&engine, backend, spec, threads, g, &prog)
-                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Distances))
-        }
-        RequestKind::PageRank { iters } => {
-            let prog = PageRank::new(g.num_vertices()).with_iters(iters);
-            sup.run(&engine, backend, spec, threads, g, &prog)
-                .map(|run| solo_response(&p, run.with_tag(p.id), ResponseValues::Ranks))
-        }
-        RequestKind::Ingest { .. } => unreachable!("ingests dispatch through run_ingest"),
-    };
-    finish(inner, &p, outcome);
-}
-
-/// Package a supervised solo run for its request.
-fn solo_response<V>(
-    p: &Pending,
-    run: RunResult<V>,
-    wrap: impl FnOnce(Vec<V>) -> ResponseValues,
-) -> ServeResponse {
-    ServeResponse {
-        id: p.id,
-        algorithm: p.kind.name(),
-        values: wrap(run.values),
-        epoch: 0,
-        iterations: run.iterations,
-        batched_lanes: 1,
-        deadline_missed: missed(p),
-        latency: p.submitted.elapsed(),
-        recovery: run.recovery,
-    }
-}
-
-/// Run a coalesced batch (two or more same-class requests) as one
-/// multi-source sweep, then fan the lanes back out to their requests.
-///
-/// The sweep computes on host memory and is immune to the simulated
-/// machine's injected faults, so instead of the full engine supervisor it
-/// runs under a lightweight retry loop that reuses the supervisor's
-/// [`polymer_api::supervisor::RetryPolicy`] (attempt cap, backoff ladder)
-/// and respects the tightest live deadline in the batch between attempts.
-fn run_batched(inner: &Inner, batch: Vec<Pending>) {
-    let sources: Vec<u32> = batch
-        .iter()
-        .map(|p| match p.kind {
-            RequestKind::Bfs { source } => source,
-            RequestKind::Sssp { source, .. } => source,
-            RequestKind::PageRank { .. } | RequestKind::Ingest { .. } => {
-                unreachable!("keyless requests never coalesce")
-            }
+    let threads = inner.cfg.threads_per_request;
+    with_program!(&p.kind, graph.num_vertices(), |prog, wrap| {
+        let run = sup.run(&PolymerEngine::new(), backend, spec, threads, graph, &prog)?;
+        let recovery = run.recovery;
+        Ok(Answer {
+            recovery,
+            ..Answer::new(wrap(run.values), epoch, run.iterations)
         })
-        .collect();
-    {
-        let mut st = inner.lock();
-        st.stats.batches += 1;
-        st.stats.batched_requests += batch.len() as u64;
-        st.stats.max_batch_lanes = st.stats.max_batch_lanes.max(batch.len() as u64);
-    }
-    match batch[0]
-        .kind
-        .batch_key()
-        .expect("batched requests have a key")
-    {
-        BatchKey::Bfs => {
-            let sweep = sweep_with_retry(
-                inner,
-                &batch,
-                &Bfs::new(0),
-                &sources,
-                ResponseValues::Levels,
-            );
-            deliver_lanes(inner, batch, sweep);
-        }
-        BatchKey::Sssp { delta } => {
-            let template = Sssp::new(0).with_delta(delta);
-            let sweep = sweep_with_retry(
-                inner,
-                &batch,
-                &template,
-                &sources,
-                ResponseValues::Distances,
-            );
-            deliver_lanes(inner, batch, sweep);
-        }
-    }
+    })
 }
 
-/// Execute the sweep under the retry ladder; on success return each lane's
-/// packaged values and the sweep's iteration count.
-fn sweep_with_retry<P: SingleSource>(
+/// Answer the same-class traversals of `batch` with one multi-source sweep
+/// over `graph` (the resident CSR, or the mutated graph at `epoch`), one
+/// lane per request. The sweep is a sequential, deterministic host kernel
+/// on a fault-free machine: an error would recur on every attempt, so it is
+/// returned typed, at once.
+fn sweep<T: Topology>(
     inner: &Inner,
+    graph: &T,
+    epoch: u64,
     batch: &[Pending],
-    template: &P,
-    sources: &[u32],
-    wrap: impl Fn(Vec<P::Val>) -> ResponseValues,
-) -> PolymerResult<(Vec<ResponseValues>, usize)> {
-    let ms = MultiSource::from_sources(template, sources)?;
-    let retry = &inner.cfg.supervisor.retry;
-    let deadline_left = |b: &[Pending]| -> Option<Duration> {
-        b.iter()
-            .filter_map(|p| p.deadline.map(|d| d.saturating_sub(p.submitted.elapsed())))
-            .min()
-    };
-    let mut failures = 0usize;
-    loop {
-        let machine = Machine::new(inner.cfg.spec.clone());
-        match run_multi_source(&machine, inner.cfg.threads_per_request, &*inner.graph, &ms) {
-            Ok(res) => {
-                let iterations = res.run.iterations;
-                return Ok((
-                    res.into_lanes().into_iter().map(&wrap).collect(),
-                    iterations,
-                ));
-            }
-            Err(e) if e.is_retryable() && failures + 1 < retry.max_attempts.max(1) => {
-                failures += 1;
-                let backoff = retry.backoff_after(failures);
-                if let Some(left) = deadline_left(batch) {
-                    if left <= backoff {
-                        return Err(e);
-                    }
-                }
-                if inner.cfg.supervisor.sleep_on_backoff && !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+) -> PolymerResult<Vec<Answer>> {
+    let sources: Vec<VId> = batch.iter().filter_map(|p| p.kind.lane()?.1).collect();
+    with_traversal!(&batch[0].kind, |template, wrap, _lane, _repair| {
+        sweep_lanes(inner, graph, epoch, &template, &sources, wrap)
+    })
 }
 
-/// Fan a sweep's outcome back out: each request gets its own lane's values
-/// (or a clone of the common error).
-fn deliver_lanes(
+/// [`sweep`] with the program and its [`ResponseValues`] constructor named.
+fn sweep_lanes<T: Topology, P: SingleSource>(
     inner: &Inner,
-    batch: Vec<Pending>,
-    sweep: PolymerResult<(Vec<ResponseValues>, usize)>,
-) {
-    match sweep {
-        Ok((lanes, iterations)) => {
-            let k = batch.len();
-            for (p, values) in batch.iter().zip(lanes) {
-                let response = ServeResponse {
-                    id: p.id,
-                    algorithm: p.kind.name(),
-                    values,
-                    epoch: 0,
-                    iterations,
-                    batched_lanes: k,
-                    deadline_missed: missed(p),
-                    latency: p.submitted.elapsed(),
-                    recovery: None,
-                };
-                finish(inner, p, Ok(response));
-            }
-        }
-        Err(e) => {
-            for p in &batch {
-                finish(inner, p, Err(e.clone()));
-            }
-        }
-    }
+    graph: &T,
+    epoch: u64,
+    template: &P,
+    sources: &[VId],
+    wrap: impl Fn(Vec<P::Val>) -> ResponseValues,
+) -> PolymerResult<Vec<Answer>> {
+    let ms = MultiSource::from_sources(template, sources)?;
+    let machine = Machine::new(inner.cfg.spec.clone());
+    let res = run_multi_source(&machine, inner.cfg.threads_per_request, graph, &ms)?;
+    let (iterations, batched_lanes) = (res.run.iterations, res.lanes);
+    let answer = |lane| Answer {
+        batched_lanes,
+        ..Answer::new(wrap(lane), epoch, iterations)
+    };
+    Ok(res.into_lanes().into_iter().map(answer).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polymer_algos::run_reference;
-    use polymer_graph::gen;
-    use polymer_graph::{DeltaBatch, MutableGraph};
+    use polymer_algos::reference::max_rel_error;
+    use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
+    use polymer_api::supervisor::RetryPolicy;
+    use polymer_api::{Combine, FrontierInit, Program};
+    use polymer_graph::{gen, MutableGraph, Weight};
 
     fn graph() -> Graph {
         Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5))
@@ -952,22 +844,97 @@ mod tests {
         let (want, _) = run_reference(&mirror, &Sssp::new(3));
         assert_eq!(r.values.distances().unwrap(), &want[..]);
 
+        // One definition: `iters` rounds of the `PageRank` program, on the
+        // graph at the epoch the response carries.
         let r = svc
             .submit(RequestKind::PageRank { iters: 5 })
             .unwrap()
             .wait()
             .unwrap();
-        // Oracle: the cold residual fixpoint on a fresh machine over the mirror.
-        use polymer_numa::{AllocPolicy, Machine, MachineSpec};
-        let machine = Machine::new(MachineSpec::test2());
-        let topo =
-            polymer_api::OverlayTopo::build(&machine, &mirror, false, |_| AllocPolicy::Interleaved);
-        let tol = polymer_algos::DEFAULT_PR_TOL;
-        let want = polymer_algos::pagerank_overlay(&machine, 4, &topo, 0.85, tol, None, false)
-            .unwrap()
-            .values;
-        let err = polymer_algos::reference::max_rel_error(r.values.ranks().unwrap(), &want);
-        assert!(err < 1e-6, "served PR off by {err}");
+        assert_eq!((r.epoch, r.iterations), (1, 5));
+        let prog = PageRank::new(g.num_vertices()).with_iters(5);
+        let (want, _) = run_reference(&mirror, &prog);
+        let err = max_rel_error(r.values.ranks().unwrap(), &want);
+        assert!(err < 1e-9, "served PR off by {err}");
+    }
+
+    /// BFS whose `scatter` panics once it leaves the source (the `Probe`
+    /// shape of `multi.rs`'s tests).
+    #[derive(Clone)]
+    struct Poisoned(Bfs);
+
+    impl Program for Poisoned {
+        type Val = u32;
+        fn name(&self) -> &'static str {
+            "poisoned"
+        }
+        fn combine(&self) -> Combine {
+            self.0.combine()
+        }
+        fn next_identity(&self) -> u32 {
+            self.0.next_identity()
+        }
+        fn init(&self, v: VId) -> u32 {
+            self.0.init(v)
+        }
+        fn scatter(&self, _: VId, _: u32, _: Weight, _: u32) -> u32 {
+            panic!("poisoned lane");
+        }
+        fn apply(&self, v: VId, acc: u32, curr: u32) -> (u32, bool) {
+            self.0.apply(v, acc, curr)
+        }
+        fn initial_frontier(&self) -> FrontierInit {
+            self.0.initial_frontier()
+        }
+        fn max_iters(&self) -> usize {
+            self.0.max_iters()
+        }
+        fn fold(&self, a: u32, b: u32) -> u32 {
+            self.0.fold(a, b)
+        }
+    }
+
+    impl SingleSource for Poisoned {
+        fn source(&self) -> VId {
+            self.0.source
+        }
+        fn with_source(&self, source: VId) -> Self {
+            Poisoned(Bfs::new(source))
+        }
+    }
+
+    /// A sweep is a deterministic host kernel: its error is every lane's
+    /// typed error at once. The retry ladder this replaced slept
+    /// 1 + 2 + 4 s under this policy and then returned the same error.
+    #[test]
+    fn a_failed_sweep_fails_every_lane_once_without_backoff() {
+        let mut cfg = quick_cfg();
+        cfg.supervisor.sleep_on_backoff = true;
+        cfg.supervisor.retry = RetryPolicy {
+            base_backoff: Duration::from_secs(1),
+            max_backoff: Duration::from_secs(4),
+            ..RetryPolicy::default()
+        };
+        let svc = GraphService::new(graph(), cfg).unwrap();
+        svc.pause();
+        let sources = [0u32, 9, 17];
+        let tickets = sources.map(|source| svc.submit(RequestKind::Bfs { source }).unwrap());
+        let batch = take_batch(&mut svc.inner.lock(), MAX_LANES);
+        assert_eq!(batch.len(), sources.len());
+
+        let started = Instant::now();
+        let (inner, template) = (&svc.inner, Poisoned(Bfs::new(0)));
+        let wrap = ResponseValues::Levels;
+        let outcome = sweep_lanes(inner, &*inner.graph, 0, &template, &sources, wrap);
+        deliver(inner, &batch, outcome);
+        for t in tickets {
+            let err = t.wait().map(|r| r.id).unwrap_err();
+            assert_eq!(err.code(), "engine-panicked", "{err}");
+        }
+        assert!(started.elapsed() < Duration::from_secs(1), "no backoff");
+        let stats = svc.stats();
+        assert_eq!((stats.failed, stats.completed), (3, 0));
+        svc.resume();
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
 //! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends — warm-started answers across several ingests, and the
+//! backends — warm-started answers across several ingests, one meaning per
+//! request across the mode switch, a panicking answer path, and the
 //! admission ledger under multi-worker overload.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use polymer_algos::reference::max_rel_error;
 use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
 use polymer_api::Backend;
 use polymer_faults::PolymerError;
-use polymer_graph::{gen, Graph};
+use polymer_graph::{gen, DeltaBatch, Graph, MutableGraph};
 use polymer_serve::{GraphService, RequestKind, ServeConfig};
 
 fn graph() -> Graph {
@@ -214,7 +216,6 @@ fn threads_above_the_specs_cores_are_rejected_at_new() {
 fn overlay_entry_points_reject_bad_threads_and_sources() {
     use polymer_algos::{bfs_overlay, cc_overlay, pagerank_overlay, sssp_overlay, DEFAULT_PR_TOL};
     use polymer_api::{OverlayTopo, PolymerError, PolymerResult};
-    use polymer_graph::MutableGraph;
     use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 
     let machine = Machine::new(MachineSpec::test2());
@@ -252,8 +253,6 @@ fn overlay_entry_points_reject_bad_threads_and_sources() {
 /// priors.
 #[test]
 fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
-    use polymer_graph::{DeltaBatch, MutableGraph};
-
     let g = graph();
     let n = g.num_vertices() as u32;
     let cfg = eight_threads_on(polymer_numa::MachineSpec::intel80());
@@ -332,7 +331,7 @@ fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
 /// the weight the cached values were computed with.
 #[test]
 fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
-    use polymer_graph::{DeltaBatch, Edge, EdgeList};
+    use polymer_graph::{Edge, EdgeList};
 
     fn ingest(svc: &GraphService, inserts: &[(u32, u32, u32)], deletes: &[(u32, u32)]) {
         let mut batch = DeltaBatch::new();
@@ -379,6 +378,167 @@ fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
     assert_eq!(warm.values.distances().unwrap(), [0, 11, 1]);
     assert_eq!(warm.epoch, 3, "answered on the graph the third ingest left");
     assert_eq!(svc.stats().failed, 0);
+}
+
+/// Regression: the PageRank cache lane had no parameter, so at one epoch
+/// `PageRank { iters: 6 }` after `PageRank { iters: 2 }` was a cache hit
+/// returning the two-round answer.
+#[test]
+fn the_pagerank_cache_lane_is_keyed_by_iters() {
+    let g = graph();
+    let svc = GraphService::new(g.clone(), cfg_on(Backend::Simulated)).unwrap();
+    let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait().unwrap();
+    let mut batch = DeltaBatch::new();
+    batch.insert(3, 77, 4).delete(0, 2);
+    ask(RequestKind::Ingest {
+        batch: batch.clone(),
+    });
+    let mut mirror = MutableGraph::from_graph(&g);
+    mirror.apply(&batch).unwrap();
+
+    let mut served = Vec::new();
+    for iters in [2, 6] {
+        let r = ask(RequestKind::PageRank { iters });
+        let prog = PageRank::new(g.num_vertices()).with_iters(iters);
+        let err = max_rel_error(r.values.ranks().unwrap(), &run_reference(&mirror, &prog).0);
+        assert!(err < 1e-9, "PageRank({iters}) off by {err}");
+        served.push(r.values);
+    }
+    assert_ne!(served[0], served[1], "six rounds are not two");
+    assert_eq!(svc.stats().cache_hits, 0);
+    for (hits, iters, was) in [(1, 6, &served[1]), (2, 2, &served[0])] {
+        let again = ask(RequestKind::PageRank { iters });
+        assert_eq!(&again.values, was);
+        assert_eq!(svc.stats().cache_hits, hits);
+    }
+    assert_eq!(svc.stats().incremental_answers, 2);
+}
+
+/// One meaning per request: over a canonical resident graph an empty ingest
+/// switches the service to mutated mode without changing the graph, and the
+/// same requests get the same answers after it as before it — PageRank
+/// included, on the configured backend, supervised, with its report.
+#[test]
+fn a_request_means_the_same_thing_across_the_mode_switch() {
+    // `MutableGraph::from_graph` adopts a canonical CSR unchanged; the raw
+    // R-MAT list would lose its self-loops and duplicate pairs at the ingest.
+    let g = Graph::from_edges(&MutableGraph::from_graph(&graph()).snapshot_edge_list());
+    let n = g.num_vertices();
+    let queries = [
+        RequestKind::Bfs { source: 7 },
+        RequestKind::Sssp {
+            source: 11,
+            delta: 100,
+        },
+        RequestKind::PageRank { iters: 1 },
+        RequestKind::PageRank { iters: 3 },
+        RequestKind::PageRank { iters: 20 },
+    ];
+    for backend in [Backend::Simulated, Backend::real_threads()] {
+        let svc = GraphService::new(g.clone(), cfg_on(backend)).unwrap();
+        let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait().unwrap();
+        let ingest = |batch: &DeltaBatch| {
+            ask(RequestKind::Ingest {
+                batch: batch.clone(),
+            })
+        };
+        let before: Vec<_> = queries.iter().map(|q| ask(q.clone())).collect();
+        assert_eq!(ingest(&DeltaBatch::new()).epoch, 1);
+        for (q, was) in queries.iter().zip(&before) {
+            let now = ask(q.clone());
+            assert_eq!((was.epoch, now.epoch), (0, 1), "{q:?}");
+            assert_eq!(now.iterations, was.iterations, "{q:?}");
+            match (now.values.ranks(), was.values.ranks()) {
+                (Some(now), Some(was)) => {
+                    let err = max_rel_error(now, was);
+                    assert!(err < 1e-9, "{q:?} moved by {err} across the switch");
+                }
+                _ => assert_eq!(now.values, was.values, "{q:?}"),
+            }
+        }
+
+        // After a real ingest PageRank is still the `PageRank` program, on the
+        // graph at the epoch the response carries.
+        let mut batch = DeltaBatch::new();
+        batch.insert(1, n as u32 - 3, 7).delete(0, 1);
+        let mut mirror = MutableGraph::from_graph(&g);
+        mirror.apply(&batch).unwrap();
+        assert_eq!(ingest(&batch).epoch, 2);
+        let deadline = Some(Duration::from_secs(60));
+        let r = svc
+            .submit_with_deadline(RequestKind::PageRank { iters: 3 }, deadline)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let prog = PageRank::new(n).with_iters(3);
+        let err = max_rel_error(r.values.ranks().unwrap(), &run_reference(&mirror, &prog).0);
+        assert!(err < 1e-9, "PageRank(3) at epoch 2 off by {err}");
+        assert_eq!((r.epoch, r.deadline_missed), (2, false));
+        // Supervised like a static run: the report rides on the response
+        // that ran, not on the cache hit that repeats it.
+        assert!(before[3].recovery.is_some() && r.recovery.is_some());
+        assert!(ask(RequestKind::PageRank { iters: 3 }).recovery.is_none());
+        assert_eq!(svc.stats().failed, 0);
+    }
+}
+
+/// Regression: a panic on an answer path outside `catch_engine_faults`
+/// killed the worker — the ticket never resolved, the pledge was never
+/// released, and a one-worker service was wedged. Here the machine is too
+/// small for the overlay a warm repair places (`OverlayTopo::build` raises
+/// a typed `node-capacity-exceeded` panic); cold host sweeps allocate
+/// nothing on it and keep working.
+#[test]
+fn a_panicking_answer_path_fails_its_ticket_and_the_worker_lives() {
+    const WATCHDOG: Duration = Duration::from_secs(30);
+    let g = Graph::from_edges(&gen::rmat(10, 1 << 14, gen::RMAT_GRAPH500, 3));
+    let one_bfs = 2 * 4 * g.num_vertices() as u64;
+    let cfg = ServeConfig {
+        workers: 1,
+        threads_per_request: 2,
+        // Exactly one BFS pledge: a leaked one would refuse the next request.
+        memory_budget_bytes: one_bfs,
+        spec: polymer_numa::MachineSpec::test2().with_node_capacity(4096),
+        ..ServeConfig::default()
+    };
+    let svc = Arc::new(GraphService::new(g.clone(), cfg).unwrap());
+    let mut mirror = MutableGraph::from_graph(&g);
+    let mut batch = DeltaBatch::new();
+    batch.insert(1, 900, 7).delete(0, 1);
+
+    // Ingest, BFS (a cold sweep, cached), ingest, the same BFS (a warm
+    // repair, which has to place the overlay). On a helper thread, so a
+    // ticket that never resolves fails the test instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let (client, ops) = (Arc::clone(&svc), batch.clone());
+    std::thread::spawn(move || {
+        let ask = |kind: RequestKind| client.submit(kind).unwrap().wait();
+        ask(RequestKind::Ingest { batch: ops }).unwrap();
+        ask(RequestKind::Bfs { source: 0 }).unwrap();
+        ask(RequestKind::Ingest {
+            batch: DeltaBatch::new(),
+        })
+        .unwrap();
+        let _ = tx.send(ask(RequestKind::Bfs { source: 0 }).map(|r| r.id));
+    });
+    let err = rx
+        .recv_timeout(WATCHDOG)
+        .expect("the ticket of a panicked answer never resolved")
+        .expect_err("the overlay cannot fit a 4 KiB node");
+    assert_eq!(err.code(), "node-capacity-exceeded", "{err}");
+    let stats = svc.stats();
+    assert_eq!((stats.failed, stats.completed), (1, 3));
+
+    // The pledge was released and the one worker is alive: a cold BFS from
+    // another source is admitted and answered.
+    mirror.apply(&batch).unwrap();
+    let r = svc.submit(RequestKind::Bfs { source: 5 }).unwrap();
+    let r = r.wait().unwrap();
+    assert_eq!(
+        r.values.levels().unwrap(),
+        run_reference(&mirror, &Bfs::new(5)).0
+    );
+    assert_eq!(r.epoch, 2);
 }
 
 /// Overload with three live workers: arrivals outrun service, the bounded
