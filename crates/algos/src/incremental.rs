@@ -48,9 +48,16 @@
 //!   from-scratch residual run to ε, not bit-identically — float summation
 //!   order differs, as with the static engines.
 //!
-//! There is one copy of each repair, the charged one: it is what
-//! `polymer-serve` executes, so its host wall-clock is what
-//! `bench_incremental`'s wall columns time. The min-fixpoint repairs are
+//! Every repair here is the charged copy: the model. It is the only path
+//! that produces the simulated cost of reading through an overlay
+//! (`bench_incremental`'s `sim_*` columns; its wall columns time these very
+//! calls, simulator included). `polymer-serve` does not execute it: a served
+//! warm BFS / SSSP is [`crate::warm_repair`], the same monotone path repair
+//! as a sequential host kernel over the `MutableGraph` — the product —
+//! pinned to [`bfs_overlay`] / [`sssp_overlay`] value for value and
+//! iteration for iteration by the proptest in `repair.rs`. Model and
+//! product, as the four engines and the real-thread executor already are;
+//! no option selects between them. The min-fixpoint repairs are
 //! written against [`Program`] — [`Bfs`], [`Sssp`], [`ConnectedComponents`]
 //! as the static engines run them: `relax` above is [`Program::scatter`],
 //! the identity [`Program::next_identity`] — and [`bfs_overlay`] and

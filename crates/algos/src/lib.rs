@@ -28,6 +28,7 @@ pub mod incremental;
 pub mod multi;
 pub mod pagerank;
 pub mod reference;
+pub mod repair;
 pub mod spmv;
 pub mod sssp;
 
@@ -40,5 +41,6 @@ pub use incremental::{
 pub use multi::{run_multi_source, MultiRunResult, MultiSource, SingleSource, MAX_LANES};
 pub use pagerank::PageRank;
 pub use reference::run_reference;
+pub use repair::warm_repair;
 pub use spmv::SpMV;
 pub use sssp::{Sssp, UNREACHED};

@@ -53,12 +53,12 @@
 //!   [`polymer_graph::MutableGraph`] and switches the service to *mutated
 //!   mode*, where answers are cached per lane with their epoch. A repeat
 //!   query with no intervening mutation is a pure cache hit; a BFS / SSSP
-//!   query after further ingests is repaired from its cached result by the
-//!   incremental overlay engines ([`polymer_algos::bfs_overlay`],
-//!   [`polymer_algos::sssp_overlay`]) on a resident delta-overlay topology,
-//!   and one with no usable prior is one cold lane of
-//!   [`polymer_algos::run_multi_source`] over the
-//!   [`polymer_graph::MutableGraph`] itself. [`RequestKind::PageRank`]
+//!   query after further ingests is repaired from its cached result by
+//!   [`polymer_algos::warm_repair`], and one with no usable prior is one
+//!   cold lane of [`polymer_algos::run_multi_source`] — two sequential host
+//!   kernels over the [`polymer_graph::MutableGraph`] itself, on the
+//!   worker's thread; nothing is placed on a simulated machine to answer
+//!   either. [`RequestKind::PageRank`]
 //!   means what it means in static mode: the mutation mutex is held for
 //!   the cache lookup and a CSR snapshot, then the same supervised engine
 //!   run reads the snapshot. Nothing coalesces in mutated mode (a warm

@@ -1,6 +1,7 @@
-//! Mutated-mode state: the resident [`MutableGraph`], the result cache,
-//! the retained batch window, and the placed delta-overlay topology warm
-//! repairs run on.
+//! Mutated-mode state: the resident [`MutableGraph`], the result cache and
+//! the retained batch window. Nothing here is placed on a simulated machine:
+//! every answer this state computes or hands out the means for is computed
+//! on host memory.
 //!
 //! The first [`crate::RequestKind::Ingest`] canonicalizes the resident edge
 //! set into a [`MutableGraph`] (self-loops dropped, duplicate pairs
@@ -13,25 +14,24 @@
 //!   source) with the epoch it was computed at. A repeat query at the same
 //!   epoch is a pure cache hit ([`MutState::cached`]).
 //! * A BFS / SSSP query after further ingests warm-starts from its cached
-//!   values with the intervening [`AppliedBatch`]es merged via
-//!   [`AppliedBatch::merged_with`] ([`MutState::repair`]), on a resident
-//!   [`OverlayTopo`] placed on a persistent simulated [`Machine`]. The pair
-//!   is placed when a repair first needs it and rebuilt only when
-//!   [`OverlayTopo::is_stale`] says the graph moved past it (any ingest, or
-//!   a compaction's generation bump, which also re-encodes the base when
-//!   compressed topology is enabled).
+//!   values ([`MutState::repair`]): [`polymer_algos::warm_repair`], a
+//!   sequential host kernel over the resident graph, given the intervening
+//!   [`AppliedBatch`]es — the one batch itself when the prior is one epoch
+//!   old, their [`AppliedBatch::merged_with`] composition otherwise. Its
+//!   cost is proportional to what the batches invalidated.
+//! * A lane whose prior fell out of the batch window can neither hit nor
+//!   warm-start; [`MutState::ingest`] drops it when the window moves on.
 //! * Everything else the service computes from what this state hands out —
-//!   a traversal with no usable prior sweeps [`MutState::graph`] on host
-//!   memory, a PageRank runs the static engine path over
-//!   [`MutState::snapshot`] with the mutation mutex released — and caches
-//!   through [`MutState::store`], so the next epoch repairs it.
+//!   a traversal with no usable prior sweeps [`MutState::graph`], a PageRank
+//!   runs the static engine path over [`MutState::snapshot`] with the
+//!   mutation mutex released — and caches through [`MutState::store`], so
+//!   the next epoch repairs it.
 
 use std::collections::HashMap;
 
-use polymer_algos::{SingleSource, WarmStart};
-use polymer_api::{OverlayTopo, PolymerResult};
+use polymer_algos::{warm_repair, WarmStart};
+use polymer_api::PolymerResult;
 use polymer_graph::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, Graph, MutableGraph, VId};
-use polymer_numa::{AllocPolicy, Machine, MachineSpec};
 
 use crate::request::{with_traversal, Answer, Class, RequestKind};
 
@@ -39,19 +39,11 @@ use crate::request::{with_traversal, Answer, Class, RequestKind};
 /// than this window are recomputed cold.
 const BATCH_WINDOW: usize = 32;
 
-/// The resident placed topology: a persistent simulated machine plus the
-/// overlay CSR/CSC placed into it, kept until the graph moves past them.
-struct Resident {
-    machine: Machine,
-    topo: OverlayTopo,
-}
-
-/// Mutation-mode state: the live graph, its placed topology, the retained
-/// batch window, and the result cache (one [`Answer`] per
+/// Mutation-mode state: the live graph, the retained batch window (epochs
+/// consecutive, ascending), and the result cache (one [`Answer`] per
 /// [`RequestKind::lane`]).
 pub(crate) struct MutState {
     mg: MutableGraph,
-    resident: Option<Resident>,
     batches: Vec<AppliedBatch>,
     cache: HashMap<(Class, Option<VId>), Answer>,
 }
@@ -66,7 +58,6 @@ impl MutState {
         }
         MutState {
             mg,
-            resident: None,
             batches: Vec::new(),
             cache: HashMap::new(),
         }
@@ -74,7 +65,8 @@ impl MutState {
 
     /// Apply one mutation batch. Returns its stats (which include whether
     /// the application crossed the compaction threshold) and the epoch it
-    /// produced.
+    /// produced. When the batch window drops its oldest batches, the cache
+    /// lanes only they could bridge to the present go with them.
     pub(crate) fn ingest(&mut self, batch: &DeltaBatch) -> Result<(BatchStats, u64), DeltaError> {
         let applied = self.mg.apply(batch)?;
         let outcome = (applied.stats, applied.epoch);
@@ -82,6 +74,8 @@ impl MutState {
         if self.batches.len() > BATCH_WINDOW {
             let drop = self.batches.len() - BATCH_WINDOW;
             self.batches.drain(..drop);
+            let oldest = self.batches[0].epoch;
+            self.cache.retain(|_, lane| lane.epoch + 1 >= oldest);
         }
         Ok(outcome)
     }
@@ -116,41 +110,38 @@ impl MutState {
     }
 
     /// Repair the cached answer to the traversal `kind` up to the current
-    /// epoch on the placed overlay. `None` when there is no usable prior:
-    /// one is usable when every batch since it is retained — epochs advance
-    /// by one per apply, so the composed window must span
-    /// `(prior.epoch, epoch]` exactly.
-    pub(crate) fn repair(
-        &mut self,
-        kind: &RequestKind,
-        spec: &MachineSpec,
-        threads: usize,
-    ) -> PolymerResult<Option<Answer>> {
+    /// epoch, on host memory. `None` when there is no usable prior: one is
+    /// usable when every batch since it is retained — epochs advance by one
+    /// per apply, so the window's tail must span `(prior.epoch, epoch]`
+    /// exactly.
+    pub(crate) fn repair(&self, kind: &RequestKind) -> PolymerResult<Option<Answer>> {
         let epoch = self.mg.epoch();
         let Some(prior) = kind.lane().and_then(|lane| self.cache.get(&lane)) else {
             return Ok(None);
         };
-        let since: Vec<&AppliedBatch> =
-            (self.batches.iter().filter(|b| b.epoch > prior.epoch)).collect();
-        if since.is_empty() || since.len() as u64 != epoch - prior.epoch {
+        let since = &self.batches[self.batches.partition_point(|b| b.epoch <= prior.epoch)..];
+        if since.len() as u64 != epoch - prior.epoch {
             return Ok(None);
         }
-        let batch = (since[1..].iter()).fold(since[0].clone(), |acc, b| acc.merged_with(b));
-        // The placed overlay, (re)placed if the graph moved past it.
-        self.resident.take_if(|r| r.topo.is_stale(&self.mg));
-        let Resident { machine, topo } = self.resident.get_or_insert_with(|| {
-            let machine = Machine::new(spec.clone());
-            let topo = OverlayTopo::build(&machine, &self.mg, true, |_| AllocPolicy::Interleaved);
-            Resident { machine, topo }
-        });
-        let (values, iterations) = with_traversal!(kind, |prog, wrap, lane, repair| {
+        // A prior one epoch old (the common case) borrows its batch.
+        let merged;
+        let batch = match since {
+            [] => return Ok(None),
+            [only] => only,
+            [first, second, later @ ..] => {
+                let window = first.merged_with(second);
+                merged = later.iter().fold(window, |acc, b| acc.merged_with(b));
+                &merged
+            }
+        };
+        let (values, iterations) = with_traversal!(kind, |prog, wrap, lane| {
             let warm = WarmStart {
                 values: lane(&prior.values).expect("a cache lane holds its own kind of values"),
                 iterations: prior.iterations,
-                batch: &batch,
+                batch,
             };
-            let run = repair(machine, threads, topo, prog.source(), Some(warm), false)?;
-            (wrap(run.values), run.iterations)
+            let (values, iterations) = warm_repair(&self.mg, &prog, warm)?;
+            (wrap(values), iterations)
         });
         Ok(Some(Answer::new(values, epoch, iterations)))
     }
@@ -162,13 +153,17 @@ mod tests {
     use crate::ResponseValues;
     use polymer_algos::{run_multi_source, run_reference, Bfs, MultiSource, PageRank, Sssp};
     use polymer_graph::gen;
+    use polymer_numa::{Machine, MachineSpec};
 
     /// What the service does with a traversal the cache cannot answer:
-    /// repair it warm, else sweep the live graph cold; store either.
-    fn answer(ms: &mut MutState, kind: &RequestKind, spec: &MachineSpec) -> Answer {
-        let answer = ms.repair(kind, spec, 2).unwrap().unwrap_or_else(|| {
-            let machine = Machine::new(spec.clone());
-            let (values, iterations) = with_traversal!(kind, |prog, wrap, _lane, _repair| {
+    /// repair it warm, else sweep the live graph cold; store either. Returns
+    /// the answer and whether it was repaired.
+    fn answer(ms: &mut MutState, kind: &RequestKind) -> (Answer, bool) {
+        let warm = ms.repair(kind).unwrap();
+        let repaired = warm.is_some();
+        let answer = warm.unwrap_or_else(|| {
+            let machine = Machine::new(MachineSpec::test2());
+            let (values, iterations) = with_traversal!(kind, |prog, wrap, _lane| {
                 let batch = MultiSource::new(vec![prog]).unwrap();
                 let run = run_multi_source(&machine, 2, ms.graph(), &batch)
                     .unwrap()
@@ -178,17 +173,15 @@ mod tests {
             Answer::new(values, ms.graph().epoch(), iterations)
         });
         ms.store(kind, &answer);
-        answer
+        (answer, repaired)
     }
 
     /// Which state answers what: a first-time traversal has no prior to
-    /// repair and places nothing, the next epoch repairs its cached result
-    /// on a freshly placed overlay, and a PageRank needs the cache and a
-    /// snapshot only — it never places the overlay.
+    /// repair, the next epoch repairs its cached result, and a PageRank
+    /// needs the cache and a snapshot only — it is never repaired.
     #[test]
     fn cold_traversals_place_nothing_and_seed_the_warm_repair() {
         let g = Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5));
-        let spec = MachineSpec::test2();
         let mut ms = MutState::new(&g, Some(f64::INFINITY));
         let bfs = RequestKind::Bfs { source: 3 };
         let sssp = RequestKind::Sssp {
@@ -199,25 +192,22 @@ mod tests {
             let batch = gen::mixed_batch(&ms.mg, epoch, 12, false);
             ms.ingest(&batch).unwrap();
             assert!(ms.cached(&bfs).is_none(), "the graph moved past the cache");
-            let got = answer(&mut ms, &bfs, &spec);
-            assert_eq!(got.epoch, epoch);
+            let (got, repaired) = answer(&mut ms, &bfs);
+            assert_eq!((got.epoch, repaired), (epoch, epoch == 2));
             assert_eq!(
                 got.values.levels().unwrap(),
                 run_reference(&ms.mg, &Bfs::new(3)).0
             );
-            assert_eq!(ms.resident.is_some(), epoch == 2, "placed by a repair only");
-            ms.resident = None;
-            let got = answer(&mut ms, &sssp, &spec);
+            let (got, repaired) = answer(&mut ms, &sssp);
             let oracle = run_reference(&ms.mg, &Sssp::new(3)).0;
             assert_eq!(got.values.distances().unwrap(), oracle);
-            assert_eq!(ms.resident.is_some(), epoch == 2, "placed by a repair only");
+            assert_eq!(repaired, epoch == 2);
             assert_eq!(ms.cached(&bfs).unwrap().epoch, epoch);
         }
 
         let pr = RequestKind::PageRank { iters: 3 };
         assert!(ms.cached(&pr).is_none());
-        assert!(ms.repair(&pr, &spec, 2).unwrap().is_none(), "never warm");
-        ms.resident = None;
+        assert!(ms.repair(&pr).unwrap().is_none(), "never warm");
         let (snapshot, epoch) = ms.snapshot();
         let prog = PageRank::new(snapshot.num_vertices()).with_iters(3);
         let (ranks, iterations) = run_reference(&snapshot, &prog);
@@ -230,13 +220,50 @@ mod tests {
         ms.store(&pr, &fresh);
         assert_eq!(ms.cached(&pr).unwrap().values, fresh.values);
         assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
-        assert!(
-            ms.resident.is_none(),
-            "PageRank reads a snapshot, not the overlay"
-        );
         // An answer computed on a snapshot the graph has moved past is not cached.
         ms.ingest(&DeltaBatch::new()).unwrap();
         ms.store(&RequestKind::PageRank { iters: 4 }, &fresh);
         assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
+    }
+
+    /// A lane the batch window can no longer bridge to the present is dead
+    /// weight — it can neither hit nor warm-start — and goes when the window
+    /// moves past it; a lane refreshed inside the window stays.
+    #[test]
+    fn lanes_the_batch_window_moved_past_are_dropped() {
+        let g = Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5));
+        let mut ms = MutState::new(&g, Some(f64::INFINITY));
+        let (stale, kept) = (
+            RequestKind::Bfs { source: 3 },
+            RequestKind::Bfs { source: 9 },
+        );
+        ms.ingest(&DeltaBatch::new()).unwrap();
+        assert!(!answer(&mut ms, &stale).1 && !answer(&mut ms, &kept).1);
+        for i in 0..40u64 {
+            let batch = match i % 8 {
+                0 => gen::mixed_batch(&ms.mg, i, 3, false),
+                _ => DeltaBatch::new(),
+            };
+            ms.ingest(&batch).unwrap();
+            let bridged = i < BATCH_WINDOW as u64;
+            assert_eq!(ms.cache.contains_key(&stale.lane().unwrap()), bridged);
+            if i == 20 {
+                assert!(answer(&mut ms, &kept).1, "twenty-one batches merge");
+            }
+        }
+        assert_eq!(ms.cache.len(), 1, "the refreshed lane only");
+        let (got, repaired) = answer(&mut ms, &kept);
+        assert!(repaired);
+        assert_eq!(
+            got.values.levels().unwrap(),
+            run_reference(&ms.mg, &Bfs::new(9)).0
+        );
+        let (got, repaired) = answer(&mut ms, &stale);
+        assert!(!repaired, "nothing left to repair: a cold sweep");
+        assert_eq!(got.epoch, ms.mg.epoch());
+        assert_eq!(
+            got.values.levels().unwrap(),
+            run_reference(&ms.mg, &Bfs::new(3)).0
+        );
     }
 }

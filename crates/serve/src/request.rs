@@ -37,9 +37,9 @@ pub enum RequestKind {
     /// ingest switches the service into *mutated mode*: the resident edge
     /// set is canonicalized into a [`polymer_graph::MutableGraph`] and
     /// every later query is answered from it: out of the result cache, by
-    /// an incremental repair of a cached traversal on the delta-overlay
-    /// topology, by a host sweep over the mutated graph (a traversal with
-    /// no usable prior), or by the supervised engine over a snapshot
+    /// a host kernel over the mutated graph — the warm repair of a cached
+    /// traversal ([`polymer_algos::warm_repair`]), or a sweep when there is
+    /// no usable prior — or by the supervised engine over a snapshot
     /// (PageRank). The batch is validated at admission
     /// (out-of-range endpoints, self-loops, and zero weights are rejected
     /// with [`polymer_api::PolymerError::InvalidConfig`]).
@@ -103,27 +103,24 @@ pub(crate) enum Class {
     PageRank { iters: usize },
 }
 
-/// Bind `$prog` to the single-source program `$kind` names, `$wrap` and
+/// Bind `$prog` to the single-source program `$kind` names and `$wrap` and
 /// `$lane` to the [`ResponseValues`] constructor and accessor of its value
-/// type and `$repair` to its warm overlay engine, then evaluate `$body`.
-/// `Program` is generic, so the choice cannot be a value; this macro and
-/// [`with_program!`] are the crate's one mapping from a request to what
-/// computes it.
+/// type, then evaluate `$body`. `Program` is generic, so the choice cannot
+/// be a value; this macro and [`with_program!`] are the crate's one mapping
+/// from a request to what computes it.
 macro_rules! with_traversal {
-    ($kind:expr, |$prog:ident, $wrap:ident, $lane:ident, $repair:ident| $body:expr) => {
+    ($kind:expr, |$prog:ident, $wrap:ident, $lane:ident| $body:expr) => {
         match *$kind {
             $crate::RequestKind::Bfs { source } => {
                 let $prog = polymer_algos::Bfs::new(source);
                 let $wrap = $crate::ResponseValues::Levels;
                 let $lane = $crate::ResponseValues::levels;
-                let $repair = polymer_algos::bfs_overlay;
                 $body
             }
             $crate::RequestKind::Sssp { source, delta } => {
                 let $prog = polymer_algos::Sssp::new(source).with_delta(delta);
                 let $wrap = $crate::ResponseValues::Distances;
                 let $lane = $crate::ResponseValues::distances;
-                let $repair = polymer_algos::sssp_overlay;
                 $body
             }
             _ => unreachable!("only BFS and SSSP have a source lane"),
@@ -142,7 +139,7 @@ macro_rules! with_program {
                 let $wrap = $crate::ResponseValues::Ranks;
                 $body
             }
-            _ => $crate::request::with_traversal!($kind, |$prog, $wrap, _lane, _repair| $body),
+            _ => $crate::request::with_traversal!($kind, |$prog, $wrap, _lane| $body),
         }
     };
 }
@@ -348,8 +345,8 @@ pub struct ServeStats {
     /// Threshold compactions triggered by ingests (base CSR rebuilds).
     pub compactions: u64,
     /// Mutated-mode queries computed rather than read from the cache: warm
-    /// BFS / SSSP overlay repairs, cold BFS / SSSP host sweeps over the
-    /// mutated graph, and PageRank runs over a snapshot of it.
+    /// BFS / SSSP repairs and cold BFS / SSSP sweeps (both host kernels over
+    /// the mutated graph), and PageRank runs over a snapshot of it.
     pub incremental_answers: u64,
     /// Queries answered straight from the result cache without running
     /// anything (no mutation since the cached run).

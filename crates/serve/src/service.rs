@@ -24,10 +24,11 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads each dispatched engine run uses (supervised solo
-    /// runs, warm repairs). A multi-source sweep — coalesced, or the
-    /// one-lane cold answer of mutated mode — runs on its worker's own
-    /// thread whatever this is.
+    /// Execution threads each supervised engine run uses (every solo
+    /// static-mode query, PageRank in either mode). The host kernels — a
+    /// multi-source sweep, coalesced or the one-lane cold answer of mutated
+    /// mode, and a warm BFS / SSSP repair — run on their worker's own thread
+    /// whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -37,9 +38,9 @@ pub struct ServeConfig {
     /// [`polymer_algos::MAX_LANES`]).
     pub max_batch_lanes: usize,
     /// Backend supervised engine runs use: every solo static-mode query,
-    /// and PageRank in either mode. Multi-source sweeps always compute on
-    /// host memory, like the real-thread backend; warm BFS / SSSP repairs
-    /// always run simulated.
+    /// and PageRank in either mode. Multi-source sweeps and warm BFS / SSSP
+    /// repairs always compute on host memory, like the real-thread backend:
+    /// no setting moves them onto the simulator.
     pub backend: Backend,
     /// Machine topology for every run.
     pub spec: MachineSpec,
@@ -118,8 +119,7 @@ impl Inner {
     /// (caught in [`process`]) poisons the mutex, and recovering the guard
     /// is sound: a [`MutState`] call updates the graph, the batch window or
     /// the cache as its last step, so a call that unwound left them as the
-    /// last successful call did, and a placed overlay that was dropped on
-    /// the way is rebuilt by the next repair.
+    /// last successful call did.
     fn lock_mutated(&self) -> MutexGuard<'_, Option<MutState>> {
         self.mut_state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -154,9 +154,8 @@ impl GraphService {
                 "serve threads per request must be >= 1".to_string(),
             ));
         }
-        // Multi-source sweeps and warm repairs drive a simulated
-        // `IterationDriver` whatever `cfg.backend` is, and that binds one
-        // thread per simulated core.
+        // Multi-source sweeps drive a simulated `IterationDriver` whatever
+        // `cfg.backend` is, and that binds one thread per simulated core.
         let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
         if cfg.threads_per_request > cores {
             return Err(PolymerError::InvalidConfig(format!(
@@ -371,10 +370,9 @@ fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
 
 /// Dispatch one batch: expire dead requests, then answer the rest — one
 /// alone, or two and more as one coalesced multi-source sweep. The answer
-/// paths run under [`catch_engine_faults`], so a panic on any of them (an
-/// overlay that does not fit the machine, a broken cache lane, an ingest)
-/// is the batch's typed error, not a dead worker and tickets that never
-/// resolve.
+/// paths run under [`catch_engine_faults`], so a panic on any of them (a
+/// broken cache lane, an ingest) is the batch's typed error, not a dead
+/// worker and tickets that never resolve.
 fn process(inner: &Inner, batch: Vec<Pending>) {
     let mut live = Vec::with_capacity(batch.len());
     for p in batch {
@@ -471,7 +469,7 @@ fn answer_one(inner: &Inner, p: &Pending) -> PolymerResult<Answer> {
     }
     let answer = if p.kind.batch_key().is_some() {
         // A traversal: repaired warm from its cached prior, or swept cold.
-        let warm = ms.repair(&p.kind, &inner.cfg.spec, inner.cfg.threads_per_request)?;
+        let warm = ms.repair(&p.kind)?;
         let mg = ms.graph();
         match warm {
             Some(answer) => answer,
@@ -545,7 +543,7 @@ fn sweep<T: Topology>(
     batch: &[Pending],
 ) -> PolymerResult<Vec<Answer>> {
     let sources: Vec<VId> = batch.iter().filter_map(|p| p.kind.lane()?.1).collect();
-    with_traversal!(&batch[0].kind, |template, wrap, _lane, _repair| {
+    with_traversal!(&batch[0].kind, |template, wrap, _lane| {
         sweep_lanes(inner, graph, epoch, &template, &sources, wrap)
     })
 }
@@ -935,6 +933,52 @@ mod tests {
         let stats = svc.stats();
         assert_eq!((stats.failed, stats.completed), (3, 0));
         svc.resume();
+    }
+
+    /// Regression: a panic on an answer path outside `catch_engine_faults`
+    /// killed the worker — the ticket never resolved, the pledge was never
+    /// released, and a one-worker service was wedged. The trigger here is a
+    /// broken cache lane (a BFS lane holding distances), which the warm
+    /// repair refuses with a panic while holding the mutation lock.
+    #[test]
+    fn a_broken_cache_lane_fails_its_ticket_and_the_worker_lives() {
+        let g = graph();
+        let n = g.num_vertices();
+        let bfs = RequestKind::Bfs { source: 0 };
+        let cfg = ServeConfig {
+            workers: 1,
+            // Exactly one BFS pledge: a leaked one would refuse the next request.
+            memory_budget_bytes: bfs.scratch_bytes(n),
+            ..quick_cfg()
+        };
+        let svc = GraphService::new(g.clone(), cfg).unwrap();
+        let ingest = || {
+            let batch = DeltaBatch::new();
+            let t = svc.submit(RequestKind::Ingest { batch }).unwrap();
+            t.wait().unwrap().epoch
+        };
+        assert_eq!(ingest(), 1);
+        let broken = Answer::new(ResponseValues::Distances(vec![0; n]), 1, 0);
+        let mut guard = svc.inner.lock_mutated();
+        guard.as_mut().unwrap().store(&bfs, &broken);
+        drop(guard);
+        assert_eq!(ingest(), 2);
+
+        let err = svc.submit(bfs).unwrap().wait().map(|r| r.id).unwrap_err();
+        assert_eq!(err.code(), "engine-panicked", "{err}");
+        let stats = svc.stats();
+        assert_eq!((stats.failed, stats.completed), (1, 2));
+
+        // The pledge was released, the poisoned mutation lock is recovered
+        // and the one worker is alive: a cold BFS from another source is
+        // admitted and answered.
+        let r = svc.submit(RequestKind::Bfs { source: 5 }).unwrap();
+        let r = r.wait().unwrap();
+        assert_eq!(
+            r.values.levels().unwrap(),
+            run_reference(&g, &Bfs::new(5)).0
+        );
+        assert_eq!(r.epoch, 2);
     }
 
     #[test]
