@@ -26,6 +26,15 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Reject a flag value the generator would refuse with a panic: the reason,
+/// then the usage text and exit status 2, as for any other bad flag.
+fn require(ok: bool, reason: &str) {
+    if !ok {
+        eprintln!("{reason}");
+        usage();
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let family = args.next().unwrap_or_else(|| usage());
@@ -62,6 +71,7 @@ fn main() {
         "rmat" => {
             let scale: u32 = parse("scale", None).parse().unwrap_or_else(|_| usage());
             let edges: usize = parse("edges", None).parse().unwrap_or_else(|_| usage());
+            require((1..=30).contains(&scale), "--scale must be in 1..=30");
             gen::rmat(scale, edges, gen::RMAT_GRAPH500, seed)
         }
         "powerlaw" => {
@@ -72,6 +82,8 @@ fn main() {
             let alpha: f64 = parse("alpha", Some("2.0"))
                 .parse()
                 .unwrap_or_else(|_| usage());
+            require(n >= 2, "--vertices must be at least 2");
+            require(alpha > 1.0, "--alpha must exceed 1");
             gen::powerlaw_zipf(n, alpha, avg, seed)
         }
         "road" => {
@@ -79,11 +91,14 @@ fn main() {
             let p: f64 = parse("p-bond", Some("0.6"))
                 .parse()
                 .unwrap_or_else(|_| usage());
+            require(side >= 2, "--side must be at least 2");
+            require((0.0..=1.0).contains(&p), "--p-bond must be in [0, 1]");
             gen::road_grid(side, side, p, seed)
         }
         "uniform" => {
             let n: usize = parse("vertices", None).parse().unwrap_or_else(|_| usage());
             let edges: usize = parse("edges", None).parse().unwrap_or_else(|_| usage());
+            require(n >= 1, "--vertices must be at least 1");
             gen::uniform(n, edges, seed)
         }
         "dataset" => {

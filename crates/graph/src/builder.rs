@@ -14,7 +14,7 @@
 
 use crate::csr::Graph;
 use crate::edgelist::EdgeList;
-use crate::types::Edge;
+use crate::types::{Edge, VId, Weight};
 
 /// Shared construction pipeline for every path that turns edges into a
 /// [`Graph`]: initial loaders ([`Graph::from_edges`]), symmetrization
@@ -45,39 +45,37 @@ impl GraphBuilder {
     /// Counting-sort CSR+CSC assembly: O(V + E), deterministic, preserving
     /// input edge order within each adjacency list. This is the body that
     /// used to live in `Graph::from_edges`; that constructor now delegates
-    /// here, as does the compaction rebuild.
+    /// here, as does the compaction rebuild. The two directions share
+    /// nothing but the input, so a large graph sorts them on two threads
+    /// when the host has two cores.
     pub fn assemble(el: &EdgeList) -> Graph {
+        let two_cores = std::thread::available_parallelism().is_ok_and(|c| c.get() > 1);
+        Self::assemble_on(el, two_cores && el.edges.len() >= TWO_THREAD_MIN_EDGES)
+    }
+
+    /// [`GraphBuilder::assemble`], the CSC sorted on a scoped helper thread
+    /// when `two_threads`. Every array is allocated here, on the calling
+    /// thread; the helper only fills slices.
+    fn assemble_on(el: &EdgeList, two_threads: bool) -> Graph {
         let n = el.num_vertices;
         let m = el.edges.len();
-
-        let mut out_off = vec![0usize; n + 1];
-        let mut in_off = vec![0usize; n + 1];
-        for e in &el.edges {
-            out_off[e.src as usize + 1] += 1;
-            in_off[e.dst as usize + 1] += 1;
+        let edges = &el.edges;
+        let (mut out_off, mut out_dst, mut out_w) = (vec![0; n + 1], vec![0; m], vec![0; m]);
+        let (mut in_off, mut in_src, mut in_w) = (vec![0; n + 1], vec![0; m], vec![0; m]);
+        let mut csr = || counting_sort(edges, by_source, &mut out_off, &mut out_dst, &mut out_w);
+        let mut csc = || counting_sort(edges, by_target, &mut in_off, &mut in_src, &mut in_w);
+        if two_threads {
+            std::thread::scope(|scope| {
+                let helper = scope.spawn(csc);
+                csr();
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            });
+        } else {
+            csr();
+            csc();
         }
-        for v in 0..n {
-            out_off[v + 1] += out_off[v];
-            in_off[v + 1] += in_off[v];
-        }
-
-        let mut out_dst = vec![0; m];
-        let mut out_w = vec![0; m];
-        let mut in_src = vec![0; m];
-        let mut in_w = vec![0; m];
-        let mut out_cur = out_off.clone();
-        let mut in_cur = in_off.clone();
-        for e in &el.edges {
-            let o = out_cur[e.src as usize];
-            out_dst[o] = e.dst;
-            out_w[o] = e.weight;
-            out_cur[e.src as usize] += 1;
-            let i = in_cur[e.dst as usize];
-            in_src[i] = e.src;
-            in_w[i] = e.weight;
-            in_cur[e.dst as usize] += 1;
-        }
-
         Graph::from_parts(n, m, out_off, out_dst, out_w, in_off, in_src, in_w)
     }
 
@@ -95,9 +93,103 @@ fn key(e: &Edge) -> u64 {
     ((e.src as u64) << 32) | e.dst as u64
 }
 
+/// Fewest edges for which [`GraphBuilder::assemble`] starts a second thread;
+/// below it the spawn costs about what it saves.
+const TWO_THREAD_MIN_EDGES: usize = 1 << 15;
+
+fn by_source(e: &Edge) -> (VId, VId) {
+    (e.src, e.dst)
+}
+
+fn by_target(e: &Edge) -> (VId, VId) {
+    (e.dst, e.src)
+}
+
+/// One direction of the assembly. `key(e)` is `(vertex, neighbour)`; `off`
+/// (zeroed, `n + 1` long) becomes the offsets by vertex, and `adj` / `w`
+/// (`m` long) the neighbours and weights, in input order within a vertex.
+fn counting_sort(
+    edges: &[Edge],
+    key: impl Fn(&Edge) -> (VId, VId),
+    off: &mut [usize],
+    adj: &mut [VId],
+    w: &mut [Weight],
+) {
+    for e in edges {
+        off[key(e).0 as usize + 1] += 1;
+    }
+    // Shifted exclusive prefix sum: `off[v + 1]` becomes `v`'s first slot
+    // and serves as its cursor, which the placement leaves at `v`'s end —
+    // `v + 1`'s start. No cursor array.
+    let mut start = 0;
+    for slot in &mut off[1..] {
+        let deg = *slot;
+        *slot = start;
+        start += deg;
+    }
+    for e in edges {
+        let (v, u) = key(e);
+        let cursor = &mut off[v as usize + 1];
+        adj[*cursor] = u;
+        w[*cursor] = e.weight;
+        *cursor += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One direction the slow way: a stable sort of the edges by `vertex`,
+    /// giving `(offsets, neighbours, weights)`.
+    fn naive(
+        el: &EdgeList,
+        vertex: fn(&Edge) -> VId,
+        neighbour: fn(&Edge) -> VId,
+    ) -> (Vec<usize>, Vec<VId>, Vec<Weight>) {
+        let mut sorted = el.edges.clone();
+        sorted.sort_by_key(vertex);
+        let mut off = vec![0; el.num_vertices + 1];
+        for e in &sorted {
+            off[vertex(e) as usize + 1] += 1;
+        }
+        for v in 0..el.num_vertices {
+            off[v + 1] += off[v];
+        }
+        let adj = sorted.iter().map(neighbour).collect();
+        (off, adj, sorted.iter().map(|e| e.weight).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn assemble_equals_a_stable_sort_per_direction(
+            n in (0usize..4, 2usize..48).prop_map(|(k, n)| [0, 1, n, n][k]),
+            raw in proptest::collection::vec((0u32..1000, 0u32..1000, 1u32..4), 0..300),
+        ) {
+            let mut el = EdgeList::new(n);
+            if n > 0 {
+                let n = n as VId;
+                el.edges = raw.iter().map(|&(s, d, w)| Edge::weighted(s % n, d % n, w)).collect();
+            }
+            let (out_off, out_dst, out_w) = naive(&el, |e| e.src, |e| e.dst);
+            let (in_off, in_src, in_w) = naive(&el, |e| e.dst, |e| e.src);
+            for two_threads in [false, true] {
+                let g = GraphBuilder::assemble_on(&el, two_threads);
+                prop_assert_eq!(g.num_vertices(), n);
+                prop_assert_eq!(g.num_edges(), el.edges.len());
+                prop_assert_eq!(g.out_offsets(), &out_off[..]);
+                prop_assert_eq!(g.out_targets(), &out_dst[..]);
+                prop_assert_eq!(g.out_edge_weights(), &out_w[..]);
+                prop_assert_eq!(g.in_offsets(), &in_off[..]);
+                prop_assert_eq!(g.in_sources(), &in_src[..]);
+                prop_assert_eq!(g.in_edge_weights(), &in_w[..]);
+            }
+            prop_assert_eq!(GraphBuilder::assemble(&el), GraphBuilder::assemble_on(&el, false));
+        }
+    }
 
     #[test]
     fn canonicalize_keeps_first_in_input_weight() {

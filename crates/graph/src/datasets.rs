@@ -1,9 +1,10 @@
 //! Named, scaled-down versions of the paper's Table 2 datasets.
 //!
-//! The paper's graphs run to 2.14 billion edges; this reproduction runs on a
-//! single host core with 16 GB of RAM, so each dataset keeps its family's
-//! generative structure (degree distribution, density, diameter class) at a
-//! reduced size. `scale_shift` adds to the log2 vertex count (0 = the
+//! The paper's graphs run to 2.14 billion edges; this reproduction runs on
+//! one small host (a few cores, 16 GB of RAM), so each dataset keeps its
+//! family's generative structure (degree distribution, density, diameter
+//! class) at a reduced size. The R-MAT datasets are generated on every host
+//! core, and the edges do not depend on how many there are. `scale_shift` adds to the log2 vertex count (0 = the
 //! defaults below, +1 doubles, −1 halves), letting the harness and tests
 //! trade fidelity for speed uniformly.
 //!
