@@ -26,7 +26,8 @@
 //!   on the dispatching worker's own thread.
 //!   These programs are integer min-combine fixed points, so every lane is
 //!   bit-identical to the request run alone — batching changes latency,
-//!   never answers. Whole-graph requests (PageRank) never coalesce.
+//!   never answers. Whole-graph requests (PageRank) never coalesce. After an
+//!   ingest a batch sweeps only the lanes nothing cheaper answers (below).
 //!
 //! * **Supervision.** Engine runs — every solo static-mode query, and
 //!   PageRank in either mode — go through the full
@@ -54,17 +55,16 @@
 //!   mode*, where answers are cached per lane with their epoch. A repeat
 //!   query with no intervening mutation is a pure cache hit; a BFS / SSSP
 //!   query after further ingests is repaired from its cached result by
-//!   [`polymer_algos::warm_repair`], and one with no usable prior is one
-//!   cold lane of [`polymer_algos::run_multi_source`] — two sequential host
-//!   kernels over the [`polymer_graph::MutableGraph`] itself, on the
-//!   worker's thread; nothing is placed on a simulated machine to answer
-//!   either. [`RequestKind::PageRank`]
-//!   means what it means in static mode: the mutation mutex is held for
-//!   the cache lookup and a CSR snapshot, then the same supervised engine
-//!   run reads the snapshot. Nothing coalesces in mutated mode (a warm
-//!   repair beats a sweep lane, a cold answer loses to one: a policy nobody
-//!   has measured). `docs/SERVING.md` tabulates who answers what;
-//!   `docs/INCREMENTAL.md` covers the delta model and warm starts.
+//!   [`polymer_algos::warm_repair`], and the ones of a batch with no usable
+//!   prior share one cold [`polymer_algos::run_multi_source`] sweep — two
+//!   sequential host kernels over the [`polymer_graph::MutableGraph`]
+//!   itself, on the worker's thread, under one hold of the mutation mutex;
+//!   nothing is placed on a simulated machine to answer either.
+//!   [`RequestKind::PageRank`] means what it means in static mode: the
+//!   mutation mutex is held for the cache lookup and a CSR snapshot, then
+//!   the same supervised engine run reads the snapshot. `docs/SERVING.md`
+//!   tabulates who answers what; `docs/INCREMENTAL.md` covers the delta
+//!   model and warm starts.
 //!
 //! * **Shutdown.** [`GraphService::stop`] (also on drop) fails queued
 //!   requests with [`PolymerError::ServiceStopped`], lets in-flight runs

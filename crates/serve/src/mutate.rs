@@ -100,11 +100,10 @@ impl MutState {
 
     /// Cache `answer` to `kind`, unless the graph has moved on since the
     /// epoch it was computed at. A hit runs nothing, so the supervisor's
-    /// report stays with the response that ran.
+    /// report and the sweep's lane count stay with the response that ran.
     pub(crate) fn store(&mut self, kind: &RequestKind, answer: &Answer) {
         if let Some(lane) = kind.lane().filter(|_| answer.epoch == self.mg.epoch()) {
-            let mut cached = answer.clone();
-            cached.recovery = None;
+            let cached = Answer::new(answer.values.clone(), answer.epoch, answer.iterations);
             self.cache.insert(lane, cached);
         }
     }

@@ -226,7 +226,7 @@ pub struct ServeResponse {
     /// Iterations the serving sweep executed. For a coalesced batch this is
     /// the sweep's superstep count (the max over its lanes).
     pub iterations: usize,
-    /// Lanes of the sweep that answered this request; `1` for a solo run.
+    /// Lanes of the sweep that answered this request; `1` on any other path.
     pub batched_lanes: usize,
     /// The request completed, but after its deadline had already passed.
     pub deadline_missed: bool,
@@ -334,9 +334,10 @@ pub struct ServeStats {
     pub expired_in_queue: u64,
     /// Requests that completed after their deadline.
     pub deadline_missed: u64,
-    /// Coalesced sweeps executed (two or more lanes).
+    /// Coalesced sweeps executed (two or more lanes), in either mode.
     pub batches: u64,
-    /// Requests answered by a coalesced sweep.
+    /// Lanes of coalesced sweeps: the requests they answered, except that
+    /// after an ingest a repeated source shares its twin's lane.
     pub batched_requests: u64,
     /// Largest lane count of any sweep so far.
     pub max_batch_lanes: u64,
@@ -348,7 +349,8 @@ pub struct ServeStats {
     /// BFS / SSSP repairs and cold BFS / SSSP sweeps (both host kernels over
     /// the mutated graph), and PageRank runs over a snapshot of it.
     pub incremental_answers: u64,
-    /// Queries answered straight from the result cache without running
-    /// anything (no mutation since the cached run).
+    /// Mutated-mode queries answered without computing anything of their
+    /// own: from the result cache (no mutation since the cached run), or by
+    /// the sweep lane of an equal request in the same batch.
     pub cache_hits: u64,
 }

@@ -26,9 +26,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Execution threads each supervised engine run uses (every solo
     /// static-mode query, PageRank in either mode). The host kernels — a
-    /// multi-source sweep, coalesced or the one-lane cold answer of mutated
-    /// mode, and a warm BFS / SSSP repair — run on their worker's own thread
-    /// whatever this is.
+    /// multi-source sweep in either mode, and a warm BFS / SSSP repair — run
+    /// on their worker's own thread whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -90,8 +89,8 @@ struct State {
     queue: VecDeque<Pending>,
     stopped: bool,
     paused: bool,
-    /// Set by the first successful ingest; from then on queries dispatch
-    /// through [`crate::mutate`] one at a time (see [`take_batch`]).
+    /// Set by the first successful ingest; from then on queries are answered
+    /// through [`crate::mutate`] (see [`answer_traversals`]).
     mutated: bool,
     in_use_bytes: u64,
     next_id: u64,
@@ -103,9 +102,9 @@ struct Inner {
     cfg: ServeConfig,
     state: Mutex<State>,
     /// Mutated-mode state (`None` until the first ingest). Ingests and
-    /// traversals hold it for the whole apply / answer and so serialize on
-    /// a single coherent graph version; a PageRank holds it for the cache
-    /// lookup and the snapshot only, not for the run.
+    /// traversal batches hold it for the whole apply / answer and so
+    /// serialize on a single coherent graph version; a PageRank holds it for
+    /// the cache lookup and the snapshot only, not for the run.
     mut_state: Mutex<Option<MutState>>,
     cv: Condvar,
 }
@@ -342,18 +341,14 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Pop the head request and coalesce every queued request with the same
-/// [`RequestKind::batch_key`] behind it, up to `max_lanes`. Whole-graph
-/// requests (no key) dispatch alone, and once the graph has been mutated
-/// nothing coalesces: a lane with a cached prior is cheaper repaired than
-/// swept, so which requests to batch is a policy waiting on a workload that
-/// measures it. FIFO order is preserved for everything left.
+/// [`RequestKind::batch_key`] behind it, up to `max_lanes`, in either mode.
+/// Whole-graph requests (no key) dispatch alone. Which lanes of a
+/// mutated-mode batch are cache hits, warm repairs or sweep lanes is
+/// decided under the mutation lock ([`answer_traversals`]), so this never
+/// reads the cache. FIFO order is preserved for everything left.
 fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     let head = st.queue.pop_front().expect("caller checked non-empty");
-    let key = if st.mutated {
-        None
-    } else {
-        head.kind.batch_key()
-    };
+    let key = head.kind.batch_key();
     let mut batch = vec![head];
     if let Some(key) = key {
         let mut i = 0;
@@ -369,10 +364,11 @@ fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
 }
 
 /// Dispatch one batch: expire dead requests, then answer the rest — one
-/// alone, or two and more as one coalesced multi-source sweep. The answer
-/// paths run under [`catch_engine_faults`], so a panic on any of them (a
-/// broken cache lane, an ingest) is the batch's typed error, not a dead
-/// worker and tickets that never resolve.
+/// alone, or two and more together: one coalesced multi-source sweep in
+/// static mode, [`answer_traversals`] once mutated. The answer paths run
+/// under [`catch_engine_faults`], so a panic on any of them (a broken cache
+/// lane, an ingest) is the batch's typed error, not a dead worker and
+/// tickets that never resolve.
 fn process(inner: &Inner, batch: Vec<Pending>) {
     let mut live = Vec::with_capacity(batch.len());
     for p in batch {
@@ -386,13 +382,10 @@ fn process(inner: &Inner, batch: Vec<Pending>) {
     let outcome = catch_engine_faults(|| match &live[..] {
         [] => Ok(Vec::new()),
         [p] => answer_one(inner, p).map(|answer| vec![answer]),
+        lanes if inner.lock().mutated => answer_traversals(inner, lanes),
         lanes => {
-            let mut st = inner.lock();
-            st.stats.batches += 1;
-            st.stats.batched_requests += lanes.len() as u64;
-            st.stats.max_batch_lanes = st.stats.max_batch_lanes.max(lanes.len() as u64);
-            drop(st);
-            sweep(inner, &*inner.graph, 0, lanes)
+            let kinds: Vec<&RequestKind> = lanes.iter().map(|p| &p.kind).collect();
+            sweep(inner, &*inner.graph, 0, &kinds)
         }
     });
     deliver(inner, &live, outcome);
@@ -419,6 +412,8 @@ fn deliver(inner: &Inner, batch: &[Pending], outcome: PolymerResult<Vec<Answer>>
 /// ledger, fill its slot. Every counter moves before the slot fills: a
 /// caller returning from `wait()` must already see them.
 fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
+    // One clock read: the flag and the latency it is judged by agree.
+    let latency = p.submitted.elapsed();
     let outcome = outcome.map(|answer| ServeResponse {
         id: p.id,
         algorithm: p.kind.name(),
@@ -426,8 +421,8 @@ fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
         epoch: answer.epoch,
         iterations: answer.iterations,
         batched_lanes: answer.batched_lanes,
-        deadline_missed: p.deadline.is_some_and(|d| p.submitted.elapsed() > d),
-        latency: p.submitted.elapsed(),
+        deadline_missed: p.deadline.is_some_and(|d| latency > d),
+        latency,
         recovery: answer.recovery,
     });
     {
@@ -461,33 +456,69 @@ fn answer_one(inner: &Inner, p: &Pending) -> PolymerResult<Answer> {
     if !inner.lock().mutated {
         return run_solo(inner, p, &inner.graph, 0);
     }
+    if p.kind.batch_key().is_some() {
+        return Ok(answer_traversals(inner, std::slice::from_ref(p))?.remove(0));
+    }
+    // A whole-graph query means what it means in static mode: the same
+    // supervised engine run, over a snapshot, with the mutex released.
     let mut guard = inner.lock_mutated();
     let ms = guard.as_mut().expect("the mutated flag implies the state");
     if let Some(hit) = ms.cached(&p.kind) {
         inner.lock().stats.cache_hits += 1;
         return Ok(hit);
     }
-    let answer = if p.kind.batch_key().is_some() {
-        // A traversal: repaired warm from its cached prior, or swept cold.
-        let warm = ms.repair(&p.kind)?;
-        let mg = ms.graph();
-        match warm {
-            Some(answer) => answer,
-            None => sweep(inner, mg, mg.epoch(), std::slice::from_ref(p))?.remove(0),
-        }
-    } else {
-        // A whole-graph query means what it means in static mode: the same
-        // supervised engine run, over a snapshot, with the mutex released.
-        let (snapshot, epoch) = ms.snapshot();
-        drop(guard);
-        let answer = run_solo(inner, p, &snapshot, epoch)?;
-        guard = inner.lock_mutated();
-        answer
-    };
+    let (snapshot, epoch) = ms.snapshot();
+    drop(guard);
+    let answer = run_solo(inner, p, &snapshot, epoch)?;
+    let mut guard = inner.lock_mutated();
     let ms = guard.as_mut().expect("the mutated flag implies the state");
     ms.store(&p.kind, &answer);
     inner.lock().stats.incremental_answers += 1;
     Ok(answer)
+}
+
+/// Answer same-class traversals on the mutated graph under one hold of the
+/// mutation lock, in FIFO order: a lane already answered at this epoch is a
+/// cache hit, one with a usable prior is repaired warm, and every other one
+/// joins one sweep of the graph — a repeated source shares its twin's sweep
+/// lane and counts as a hit. Every answer carries the current epoch, every
+/// computed one is cached, and an error fails the whole dispatch.
+fn answer_traversals(inner: &Inner, batch: &[Pending]) -> PolymerResult<Vec<Answer>> {
+    let mut guard = inner.lock_mutated();
+    let ms = guard.as_mut().expect("the mutated flag implies the state");
+    let mut warm = 0;
+    let mut cold: Vec<&RequestKind> = Vec::new();
+    // Per request: its answer, or the sweep lane that computes it.
+    let mut routes = Vec::with_capacity(batch.len());
+    for p in batch {
+        let route = if let Some(hit) = ms.cached(&p.kind) {
+            Ok(hit)
+        } else if let Some(lane) = cold.iter().position(|&kind| *kind == p.kind) {
+            Err(lane)
+        } else if let Some(answer) = ms.repair(&p.kind)? {
+            ms.store(&p.kind, &answer);
+            warm += 1;
+            Ok(answer)
+        } else {
+            cold.push(&p.kind);
+            Err(cold.len() - 1)
+        };
+        routes.push(route);
+    }
+    let swept = match cold[..] {
+        [] => Vec::new(),
+        _ => sweep(inner, ms.graph(), ms.graph().epoch(), &cold)?,
+    };
+    for (kind, answer) in cold.iter().zip(&swept) {
+        ms.store(kind, answer);
+    }
+    let answer = |route: Result<Answer, usize>| route.unwrap_or_else(|lane| swept[lane].clone());
+    let answers: Vec<Answer> = routes.into_iter().map(answer).collect();
+    // Every request is a hit, a warm repair or a sweep lane's first asker.
+    let mut st = inner.lock();
+    st.stats.cache_hits += (batch.len() - warm - cold.len()) as u64;
+    st.stats.incremental_answers += (warm + cold.len()) as u64;
+    Ok(answers)
 }
 
 /// Apply an ingest batch to the mutated-mode state (created lazily from
@@ -531,19 +562,25 @@ fn run_solo(inner: &Inner, p: &Pending, graph: &Graph, epoch: u64) -> PolymerRes
     })
 }
 
-/// Answer the same-class traversals of `batch` with one multi-source sweep
-/// over `graph` (the resident CSR, or the mutated graph at `epoch`), one
-/// lane per request. The sweep is a sequential, deterministic host kernel
-/// on a fault-free machine: an error would recur on every attempt, so it is
-/// returned typed, at once.
+/// Answer the same-class traversals `lanes` with one multi-source sweep over
+/// `graph` (the resident CSR, or the mutated graph at `epoch`), one lane
+/// each; two lanes and more count as a coalesced sweep. The sweep is a
+/// sequential, deterministic host kernel on a fault-free machine: an error
+/// would recur on every attempt, so it is returned typed, at once.
 fn sweep<T: Topology>(
     inner: &Inner,
     graph: &T,
     epoch: u64,
-    batch: &[Pending],
+    lanes: &[&RequestKind],
 ) -> PolymerResult<Vec<Answer>> {
-    let sources: Vec<VId> = batch.iter().filter_map(|p| p.kind.lane()?.1).collect();
-    with_traversal!(&batch[0].kind, |template, wrap, _lane| {
+    if lanes.len() > 1 {
+        let (mut st, k) = (inner.lock(), lanes.len() as u64);
+        st.stats.batches += 1;
+        st.stats.batched_requests += k;
+        st.stats.max_batch_lanes = st.stats.max_batch_lanes.max(k);
+    }
+    let sources: Vec<VId> = lanes.iter().filter_map(|kind| kind.lane()?.1).collect();
+    with_traversal!(lanes[0], |template, wrap, _lane| {
         sweep_lanes(inner, graph, epoch, &template, &sources, wrap)
     })
 }
@@ -690,7 +727,7 @@ mod tests {
         for (t, want) in tickets.into_iter().zip(&oracle) {
             let r = t.wait().unwrap();
             assert_eq!(r.batched_lanes, sources.len());
-            assert_eq!(r.epoch, 0, "coalescing is static-mode only");
+            assert_eq!(r.epoch, 0, "the graph as loaded");
             assert_eq!(r.values.levels().unwrap(), &want[..]);
         }
         let stats = svc.stats();
@@ -1029,24 +1066,72 @@ mod tests {
         assert_eq!(r.wait().unwrap().values.levels().unwrap(), &want[..]);
     }
 
+    /// One mutated-mode dispatch splits its lanes: the source answered an
+    /// epoch ago is repaired warm, the two new sources share one sweep (and
+    /// so does the repeat of one of them, as a cache hit), and the source
+    /// answered at this epoch is a cache hit.
     #[test]
-    fn coalescing_is_disabled_once_mutated() {
-        let svc = GraphService::new(graph(), quick_cfg()).unwrap();
-        let mut b = DeltaBatch::new();
-        b.insert(0, 99, 1);
-        svc.submit(RequestKind::Ingest { batch: b })
-            .unwrap()
-            .wait()
-            .unwrap();
+    fn cold_lanes_coalesce_after_an_ingest() {
+        let g = graph();
+        let n = g.num_vertices() as u32;
+        let svc = GraphService::new(g.clone(), quick_cfg()).unwrap();
+        let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait().unwrap();
+        let mut mirror = MutableGraph::from_graph(&g);
+        let (warm, cached, new) = (0u32, 5u32, [9u32, 17]);
+        let mut first = DeltaBatch::new();
+        first.insert(0, n - 1, 1).delete(0, 1);
+        let mut second = DeltaBatch::new();
+        second.insert(n - 1, 9, 1).insert(3, 40, 2);
+        for (epoch, batch, source) in [(1, first, warm), (2, second, cached)] {
+            let ingested = ask(RequestKind::Ingest {
+                batch: batch.clone(),
+            });
+            assert_eq!(ingested.epoch, epoch);
+            mirror.apply(&batch).unwrap();
+            assert_eq!(ask(RequestKind::Bfs { source }).epoch, epoch);
+        }
+        let before = svc.stats();
+
         svc.pause();
-        let t1 = svc.submit(RequestKind::Bfs { source: 0 }).unwrap();
-        let t2 = svc.submit(RequestKind::Bfs { source: 5 }).unwrap();
+        let sources = [warm, new[0], new[1], new[0], cached];
+        let tickets = sources.map(|source| svc.submit(RequestKind::Bfs { source }).unwrap());
         svc.resume();
-        assert_eq!(t1.wait().unwrap().batched_lanes, 1);
-        assert_eq!(t2.wait().unwrap().batched_lanes, 1);
+        for (source, t) in sources.into_iter().zip(tickets) {
+            let r = t.wait().unwrap();
+            let want = run_reference(&mirror, &Bfs::new(source)).0;
+            assert_eq!(r.values.levels().unwrap(), &want[..], "BFS {source}");
+            assert_eq!(r.epoch, 2);
+            let lanes = if new.contains(&source) { 2 } else { 1 };
+            assert_eq!(r.batched_lanes, lanes, "BFS {source}");
+        }
         let stats = svc.stats();
-        assert_eq!(stats.batches, 0, "no coalesced sweep after mutation");
-        assert_eq!(stats.incremental_answers, 2);
+        assert_eq!(stats.batches - before.batches, 1);
+        assert_eq!(stats.batched_requests - before.batched_requests, 2);
+        assert_eq!(stats.cache_hits - before.cache_hits, 2);
+        assert_eq!(stats.incremental_answers - before.incremental_answers, 3);
+        assert_eq!(stats.failed, 0);
+    }
+
+    /// Regression: `complete` read the clock once for the flag and once for
+    /// the latency, so a response could carry `latency > deadline` with
+    /// `deadline_missed == false`. With the deadline at the median latency,
+    /// about half the answers are late; each must say so exactly.
+    #[test]
+    fn a_late_answer_is_flagged_by_the_latency_it_reports() {
+        let svc = GraphService::new(graph(), quick_cfg()).unwrap();
+        let ask = |deadline| {
+            let t = svc.submit_with_deadline(RequestKind::Bfs { source: 3 }, deadline);
+            t.unwrap().wait()
+        };
+        let mut latencies: Vec<Duration> = (0..15).map(|_| ask(None).unwrap().latency).collect();
+        latencies.sort();
+        let deadline = latencies[latencies.len() / 2];
+        for _ in 0..200 {
+            // An answer that expired in the queue is not a response.
+            if let Ok(r) = ask(Some(deadline)) {
+                assert_eq!(r.deadline_missed, r.latency > deadline, "{r:?}");
+            }
+        }
     }
 
     #[test]

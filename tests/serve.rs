@@ -1,7 +1,8 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
 //! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends — warm-started answers across several ingests, one meaning per
+//! backends — post-ingest bursts that coalesce and match the graph at their
+//! epoch, warm-started answers across several ingests, one meaning per
 //! request across the mode switch, a panicking answer path, and the
 //! admission ledger under multi-worker overload.
 
@@ -320,9 +321,77 @@ fn eight_threads_serve_every_path_on_a_spec_with_enough_cores() {
     let stats = svc.stats();
     assert_eq!(
         stats.batches, static_batches,
-        "no coalescing after mutation"
+        "no coalescing after mutation: each `ask` waits for its answer, so no \
+         request ever queues beside another (post-ingest bursts do coalesce)"
     );
     assert_eq!((stats.ingests, stats.failed), (2, 0));
+}
+
+/// After every ingest a burst of BFS and SSSP requests queues up at once:
+/// sources asked before (repaired warm from the previous epoch), new ones
+/// (swept together) and repeats. Every answer is the graph's at the epoch it
+/// carries, on both backends, and the cold lanes of every burst coalesce.
+#[test]
+fn post_ingest_bursts_coalesce_and_match_the_graph_at_their_epoch() {
+    let g = graph();
+    let n = g.num_vertices() as u32;
+    for backend in [Backend::Simulated, Backend::real_threads()] {
+        let cfg = ServeConfig {
+            workers: 2,
+            ..cfg_on(backend)
+        };
+        let svc = GraphService::new(g.clone(), cfg).unwrap();
+        let mut mirror = MutableGraph::from_graph(&g);
+        // The graph at every epoch, indexed by it.
+        let mut at_epoch = vec![mirror.clone()];
+        for round in 1..=3u32 {
+            let mut batch = DeltaBatch::new();
+            batch
+                .insert(round, n - round, round)
+                .insert(7, 40 + round, 2)
+                .delete(0, round);
+            let ingested = svc.submit(RequestKind::Ingest {
+                batch: batch.clone(),
+            });
+            assert_eq!(ingested.unwrap().wait().unwrap().epoch, u64::from(round));
+            mirror.apply(&batch).unwrap();
+            at_epoch.push(mirror.clone());
+            let before = svc.stats().batches;
+
+            let fresh = 10 * round;
+            let bfs = [0, 7, fresh, fresh + 1, 7, fresh];
+            let sssp = [11, fresh + 2, 11, fresh + 3];
+            // Interleaved, so each class's batch gathers across the other.
+            let mut burst = Vec::new();
+            for (i, &source) in bfs.iter().enumerate() {
+                burst.push(RequestKind::Bfs { source });
+                if let Some(&source) = sssp.get(i) {
+                    burst.push(RequestKind::Sssp { source, delta: 100 });
+                }
+            }
+            svc.pause();
+            let tickets: Vec<_> = burst.iter().map(|k| svc.submit(k.clone())).collect();
+            svc.resume();
+            for (kind, t) in burst.iter().zip(tickets) {
+                let r = t.unwrap().wait().unwrap();
+                let graph = &at_epoch[r.epoch as usize];
+                match *kind {
+                    RequestKind::Bfs { source } => {
+                        let want = run_reference(graph, &Bfs::new(source)).0;
+                        assert_eq!(r.values.levels().unwrap(), &want[..], "{kind:?}");
+                    }
+                    RequestKind::Sssp { source, .. } => {
+                        let want = run_reference(graph, &Sssp::new(source)).0;
+                        assert_eq!(r.values.distances().unwrap(), &want[..], "{kind:?}");
+                    }
+                    _ => unreachable!("the burst holds traversals only"),
+                }
+            }
+            let stats = svc.stats();
+            assert!(stats.batches > before, "round {round}: no burst coalesced");
+            assert_eq!(stats.failed, 0);
+        }
+    }
 }
 
 /// Regression: a cached answer warm-started across *several* ingests used to
