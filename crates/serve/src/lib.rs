@@ -26,23 +26,25 @@
 //!   on the dispatching worker's own thread.
 //!   These programs are integer min-combine fixed points, so every lane is
 //!   bit-identical to the request run alone — batching changes latency,
-//!   never answers. Whole-graph requests (PageRank) never coalesce. After an
+//!   never answers. A BFS / SSSP dispatched alone is a one-lane sweep of the
+//!   same kernel. Whole-graph requests (PageRank) never coalesce. After an
 //!   ingest a batch sweeps only the lanes nothing cheaper answers (below).
 //!
-//! * **Supervision.** Engine runs — every solo static-mode query, and
-//!   PageRank in either mode — go through the full
-//!   [`polymer_api::supervisor::RunSupervisor`] on [`ServeConfig::backend`]:
-//!   checkpoint-resume, retry/backoff, and the RealThreads → halved-groups
-//!   → Simulated degrade ladder. Host kernels (sweeps, warm repairs) are
-//!   deterministic and see no injected fault, so an error from one is
-//!   returned typed, at once. A panic on any answer path is caught and
-//!   fails the requests of that dispatch, never the worker.
+//! * **Supervision.** PageRank, in either mode, is the one engine run: it
+//!   goes through the full [`polymer_api::supervisor::RunSupervisor`] on
+//!   [`ServeConfig::backend`]: checkpoint-resume, retry/backoff, and the
+//!   RealThreads → halved-groups → Simulated degrade ladder. Every BFS /
+//!   SSSP is a host kernel (a sweep or a warm repair), deterministic and
+//!   blind to injected faults, so an error from one is returned typed, at
+//!   once. A panic on any answer path is caught and fails the requests of
+//!   that dispatch, never the worker.
 //!
 //! * **Deadlines.** A request may carry a budget measured from submission
 //!   (queue wait counts). Expired before dispatch → typed
 //!   [`PolymerError::DeadlineExceeded`], never run. Still live at dispatch
-//!   → the remaining budget tightens the supervisor via
-//!   [`polymer_api::supervisor::SupervisorConfig::with_deadline`].
+//!   → a PageRank's remaining budget tightens the supervisor via
+//!   [`polymer_api::supervisor::SupervisorConfig::with_deadline`]; a
+//!   traversal's tightens nothing, it only gated the dispatch.
 //!   Completed but late → the answer is delivered with
 //!   [`ServeResponse::deadline_missed`] set, and counted in
 //!   [`ServeStats::deadline_missed`].

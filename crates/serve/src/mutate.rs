@@ -23,7 +23,7 @@
 //!   warm-start; [`MutState::ingest`] drops it when the window moves on.
 //! * Everything else the service computes from what this state hands out —
 //!   a traversal with no usable prior sweeps [`MutState::graph`], a PageRank
-//!   runs the static engine path over [`MutState::snapshot`] with the
+//!   runs the supervised engine over [`MutState::snapshot`] with the
 //!   mutation mutex released — and caches through [`MutState::store`], so
 //!   the next epoch repairs it.
 

@@ -21,14 +21,14 @@ pub enum RequestKind {
     Sssp {
         /// The source vertex.
         source: VId,
-        /// Delta-stepping bucket width; requests only coalesce with equal
-        /// widths.
+        /// Delta-stepping bucket width, at least 1 (admission rejects 0);
+        /// requests only coalesce with equal widths.
         delta: u64,
     },
     /// `iters` rounds of [`polymer_algos::PageRank`] over the whole graph —
     /// the resident one, or after an ingest a snapshot of the mutated one at
-    /// the epoch the response carries. Whole-graph requests never coalesce:
-    /// there is no per-source lane to share.
+    /// the epoch the response carries — the service's one supervised engine
+    /// run. Whole-graph requests never coalesce: there is no per-source lane.
     PageRank {
         /// Rounds of power iteration.
         iters: usize,
@@ -103,11 +103,17 @@ pub(crate) enum Class {
     PageRank { iters: usize },
 }
 
+/// The program `PageRank { iters }` means over `n` vertices, in either mode.
+/// With [`with_traversal!`], the crate's one mapping from a request to what
+/// computes it.
+pub(crate) fn pagerank_program(n: usize, iters: usize) -> polymer_algos::PageRank {
+    polymer_algos::PageRank::new(n).with_iters(iters)
+}
+
 /// Bind `$prog` to the single-source program `$kind` names and `$wrap` and
 /// `$lane` to the [`ResponseValues`] constructor and accessor of its value
 /// type, then evaluate `$body`. `Program` is generic, so the choice cannot
-/// be a value; this macro and [`with_program!`] are the crate's one mapping
-/// from a request to what computes it.
+/// be a value.
 macro_rules! with_traversal {
     ($kind:expr, |$prog:ident, $wrap:ident, $lane:ident| $body:expr) => {
         match *$kind {
@@ -127,23 +133,7 @@ macro_rules! with_traversal {
         }
     };
 }
-
-/// [`with_traversal!`] plus the whole-graph arm: bind `$prog` to the
-/// program any query `$kind` names over `$n` vertices and `$wrap` to its
-/// [`ResponseValues`] constructor, then evaluate `$body`.
-macro_rules! with_program {
-    ($kind:expr, $n:expr, |$prog:ident, $wrap:ident| $body:expr) => {
-        match *$kind {
-            $crate::RequestKind::PageRank { iters } => {
-                let $prog = polymer_algos::PageRank::new($n).with_iters(iters);
-                let $wrap = $crate::ResponseValues::Ranks;
-                $body
-            }
-            _ => $crate::request::with_traversal!($kind, |$prog, $wrap, _lane| $body),
-        }
-    };
-}
-pub(crate) use {with_program, with_traversal};
+pub(crate) use with_traversal;
 
 /// Final per-vertex values of a served request, by algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -232,9 +222,9 @@ pub struct ServeResponse {
     pub deadline_missed: bool,
     /// Submit-to-completion host latency (queue wait included).
     pub latency: Duration,
-    /// The supervisor's recovery report, when the request ran solo under
-    /// the [`polymer_api::supervisor::RunSupervisor`]; `None` for host
-    /// kernels (sweeps, warm repairs), cache hits and ingests.
+    /// The supervisor's recovery report of a PageRank run, the one request
+    /// the [`polymer_api::supervisor::RunSupervisor`] runs; `None` for every
+    /// BFS / SSSP (host kernels: sweeps, warm repairs), cache hits and ingests.
     pub recovery: Option<RecoveryReport>,
 }
 

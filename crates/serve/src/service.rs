@@ -13,7 +13,7 @@ use polymer_graph::{DeltaBatch, Graph, Topology, VId};
 use polymer_numa::{Machine, MachineSpec};
 
 use crate::mutate::MutState;
-use crate::request::{with_program, with_traversal, Answer};
+use crate::request::{pagerank_program, with_traversal, Answer};
 use crate::request::{RequestKind, ResponseValues, ServeResponse, ServeStats, Slot, Ticket};
 
 /// Everything a [`GraphService`] is configured with.
@@ -24,10 +24,10 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads each supervised engine run uses (every solo
-    /// static-mode query, PageRank in either mode). The host kernels — a
-    /// multi-source sweep in either mode, and a warm BFS / SSSP repair — run
-    /// on their worker's own thread whatever this is.
+    /// Execution threads of the one supervised engine run: PageRank, in
+    /// either mode. The host kernels — every BFS / SSSP sweep, of one lane
+    /// or many, and a warm repair — run on their worker's own thread
+    /// whatever this is.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -36,17 +36,18 @@ pub struct ServeConfig {
     /// Cap on lanes per coalesced sweep (clamped to
     /// [`polymer_algos::MAX_LANES`]).
     pub max_batch_lanes: usize,
-    /// Backend supervised engine runs use: every solo static-mode query,
-    /// and PageRank in either mode. Multi-source sweeps and warm BFS / SSSP
-    /// repairs always compute on host memory, like the real-thread backend:
-    /// no setting moves them onto the simulator.
+    /// Backend of the one supervised engine run: PageRank, in either mode.
+    /// Every BFS / SSSP answer — a sweep or a warm repair — computes on host
+    /// memory, like the real-thread backend: no setting moves it onto the
+    /// simulator.
     pub backend: Backend,
     /// Machine topology for every run.
     pub spec: MachineSpec,
-    /// Supervision template: retry/backoff/degrade policy of engine runs
+    /// Supervision template of PageRank runs: retry/backoff/degrade policy
     /// (host kernels — sweeps, warm repairs — fail once, with a typed
-    /// error). A request deadline tightens a clone of this per request via
-    /// [`SupervisorConfig::with_deadline`].
+    /// error). A PageRank's deadline tightens a clone of this per request
+    /// via [`SupervisorConfig::with_deadline`]; a traversal's only gates its
+    /// dispatch and flags a late answer.
     pub supervisor: SupervisorConfig,
     /// Deadline applied to requests submitted without one.
     pub default_deadline: Option<Duration>,
@@ -89,9 +90,6 @@ struct State {
     queue: VecDeque<Pending>,
     stopped: bool,
     paused: bool,
-    /// Set by the first successful ingest; from then on queries are answered
-    /// through [`crate::mutate`] (see [`answer_traversals`]).
-    mutated: bool,
     in_use_bytes: u64,
     next_id: u64,
     stats: ServeStats,
@@ -101,7 +99,8 @@ struct Inner {
     graph: Arc<Graph>,
     cfg: ServeConfig,
     state: Mutex<State>,
-    /// Mutated-mode state (`None` until the first ingest). Ingests and
+    /// Mutated-mode state (`None` until the first ingest). Every query
+    /// dispatch peeks it to learn the mode. Ingests and mutated-mode
     /// traversal batches hold it for the whole apply / answer and so
     /// serialize on a single coherent graph version; a PageRank holds it for
     /// the cache lookup and the snapshot only, not for the run.
@@ -175,7 +174,6 @@ impl GraphService {
                 queue: VecDeque::new(),
                 stopped: false,
                 paused: false,
-                mutated: false,
                 in_use_bytes: 0,
                 next_id: 0,
                 stats: ServeStats::default(),
@@ -221,11 +219,17 @@ impl GraphService {
             RequestKind::Ingest { batch } => batch
                 .validate(n)
                 .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?,
+            // Checked before the program is built: `Sssp::with_delta` asserts.
+            RequestKind::Sssp { delta: 0, .. } => {
+                return Err(PolymerError::InvalidConfig("SSSP delta must be > 0".into()));
+            }
+            // A whole-graph program has no source to range-check.
+            RequestKind::PageRank { .. } => {}
             // The engines' own front-door check, run where the request
             // enters: mutation never changes the vertex count.
-            query => with_program!(query, n, |prog, _wrap| validate_run_config(
-                threads, n, &prog
-            ))?,
+            traversal => with_traversal!(traversal, |prog, _wrap, _lane| {
+                validate_run_config(threads, n, &prog)
+            })?,
         }
         let scratch = kind.scratch_bytes(n);
         let mut st = self.inner.lock();
@@ -363,12 +367,12 @@ fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     batch
 }
 
-/// Dispatch one batch: expire dead requests, then answer the rest — one
-/// alone, or two and more together: one coalesced multi-source sweep in
-/// static mode, [`answer_traversals`] once mutated. The answer paths run
-/// under [`catch_engine_faults`], so a panic on any of them (a broken cache
-/// lane, an ingest) is the batch's typed error, not a dead worker and
-/// tickets that never resolve.
+/// Dispatch one batch: expire dead requests, then answer the rest by
+/// request kind — an ingest or a PageRank alone, BFS / SSSP as traversal
+/// lanes of one class, one or many. The answer paths run under
+/// [`catch_engine_faults`], so a panic on any of them (a broken cache lane,
+/// an ingest) is the batch's typed error, not a dead worker and tickets
+/// that never resolve.
 fn process(inner: &Inner, batch: Vec<Pending>) {
     let mut live = Vec::with_capacity(batch.len());
     for p in batch {
@@ -379,14 +383,11 @@ fn process(inner: &Inner, batch: Vec<Pending>) {
             _ => live.push(p),
         }
     }
-    let outcome = catch_engine_faults(|| match &live[..] {
-        [] => Ok(Vec::new()),
-        [p] => answer_one(inner, p).map(|answer| vec![answer]),
-        lanes if inner.lock().mutated => answer_traversals(inner, lanes),
-        lanes => {
-            let kinds: Vec<&RequestKind> = lanes.iter().map(|p| &p.kind).collect();
-            sweep(inner, &*inner.graph, 0, &kinds)
-        }
+    let outcome = catch_engine_faults(|| match live.first().map(|p| &p.kind) {
+        None => Ok(Vec::new()),
+        Some(RequestKind::Ingest { batch }) => Ok(vec![ingest(inner, batch)?]),
+        Some(&RequestKind::PageRank { iters }) => Ok(vec![pagerank(inner, &live[0], iters)?]),
+        Some(_) => traverse(inner, &live),
     });
     deliver(inner, &live, outcome);
 }
@@ -446,34 +447,54 @@ fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
     p.slot.fulfill(outcome);
 }
 
-/// Answer a request dispatched alone: an ingest mutates the resident
-/// state; a query runs under the supervisor over the resident graph until
-/// the first ingest, and through the mutated-mode state after it.
-fn answer_one(inner: &Inner, p: &Pending) -> PolymerResult<Answer> {
-    if let RequestKind::Ingest { batch } = &p.kind {
-        return ingest(inner, batch);
+/// Answer same-class BFS / SSSP requests, one or many: until the first
+/// ingest, one sweep of the resident graph at epoch 0 with the mutation
+/// lock released (a lone request is a one-lane sweep); after it,
+/// [`answer_traversals`] under that lock.
+fn traverse(inner: &Inner, lanes: &[Pending]) -> PolymerResult<Vec<Answer>> {
+    if let Some(ms) = inner.lock_mutated().as_mut() {
+        return answer_traversals(inner, ms, lanes);
     }
-    if !inner.lock().mutated {
-        return run_solo(inner, p, &inner.graph, 0);
-    }
-    if p.kind.batch_key().is_some() {
-        return Ok(answer_traversals(inner, std::slice::from_ref(p))?.remove(0));
-    }
-    // A whole-graph query means what it means in static mode: the same
-    // supervised engine run, over a snapshot, with the mutex released.
-    let mut guard = inner.lock_mutated();
-    let ms = guard.as_mut().expect("the mutated flag implies the state");
-    if let Some(hit) = ms.cached(&p.kind) {
+    let kinds: Vec<&RequestKind> = lanes.iter().map(|p| &p.kind).collect();
+    sweep(inner, &*inner.graph, 0, &kinds)
+}
+
+/// Answer `PageRank { iters }` — the service's only engine run — under the
+/// full [`RunSupervisor`] (checkpoint-resume and the degrade ladder
+/// included) on the configured backend: over the resident graph at epoch 0
+/// until the first ingest; after it from the cache, or over a snapshot
+/// taken under the mutation lock and run with the lock released.
+fn pagerank(inner: &Inner, p: &Pending, iters: usize) -> PolymerResult<Answer> {
+    let guard = inner.lock_mutated();
+    if let Some(hit) = guard.as_ref().and_then(|ms| ms.cached(&p.kind)) {
         inner.lock().stats.cache_hits += 1;
         return Ok(hit);
     }
-    let (snapshot, epoch) = ms.snapshot();
+    let snapshot = guard.as_ref().map(MutState::snapshot);
     drop(guard);
-    let answer = run_solo(inner, p, &snapshot, epoch)?;
-    let mut guard = inner.lock_mutated();
-    let ms = guard.as_mut().expect("the mutated flag implies the state");
-    ms.store(&p.kind, &answer);
-    inner.lock().stats.incremental_answers += 1;
+    let (graph, epoch) = snapshot
+        .as_ref()
+        .map_or((&*inner.graph, 0), |(g, e)| (g, *e));
+    let mut cfg = inner.cfg.supervisor.clone();
+    if let Some(d) = p.deadline {
+        // The queue already consumed part of the budget; the supervisor
+        // gets only what remains (expiry at zero was handled upstream).
+        cfg = cfg.with_deadline(d.saturating_sub(p.submitted.elapsed()));
+    }
+    let (backend, spec) = (&inner.cfg.backend, &inner.cfg.spec);
+    let (threads, sup) = (inner.cfg.threads_per_request, RunSupervisor::new(cfg));
+    let prog = pagerank_program(graph.num_vertices(), iters);
+    let run = sup.run(&PolymerEngine::new(), backend, spec, threads, graph, &prog)?;
+    let answer = Answer {
+        recovery: run.recovery,
+        ..Answer::new(ResponseValues::Ranks(run.values), epoch, run.iterations)
+    };
+    if snapshot.is_some() {
+        if let Some(ms) = inner.lock_mutated().as_mut() {
+            ms.store(&p.kind, &answer);
+        }
+        inner.lock().stats.incremental_answers += 1;
+    }
     Ok(answer)
 }
 
@@ -483,9 +504,11 @@ fn answer_one(inner: &Inner, p: &Pending) -> PolymerResult<Answer> {
 /// joins one sweep of the graph — a repeated source shares its twin's sweep
 /// lane and counts as a hit. Every answer carries the current epoch, every
 /// computed one is cached, and an error fails the whole dispatch.
-fn answer_traversals(inner: &Inner, batch: &[Pending]) -> PolymerResult<Vec<Answer>> {
-    let mut guard = inner.lock_mutated();
-    let ms = guard.as_mut().expect("the mutated flag implies the state");
+fn answer_traversals(
+    inner: &Inner,
+    ms: &mut MutState,
+    batch: &[Pending],
+) -> PolymerResult<Vec<Answer>> {
     let mut warm = 0;
     let mut cold: Vec<&RequestKind> = Vec::new();
     // Per request: its answer, or the sweep lane that computes it.
@@ -533,33 +556,9 @@ fn ingest(inner: &Inner, batch: &DeltaBatch) -> PolymerResult<Answer> {
         .ingest(batch)
         .map_err(|e| PolymerError::InvalidConfig(format!("ingest batch: {e}")))?;
     let mut st = inner.lock();
-    st.mutated = true;
     st.stats.ingests += 1;
     st.stats.compactions += u64::from(stats.compacted);
     Ok(Answer::new(ResponseValues::Ingested(stats), epoch, 0))
-}
-
-/// Run one query under the full [`RunSupervisor`] (checkpoint-resume and
-/// the degrade ladder included) on the configured backend, over `graph` —
-/// the resident one, or a snapshot of the mutated one at `epoch`.
-fn run_solo(inner: &Inner, p: &Pending, graph: &Graph, epoch: u64) -> PolymerResult<Answer> {
-    let mut cfg = inner.cfg.supervisor.clone();
-    if let Some(d) = p.deadline {
-        // The queue already consumed part of the budget; the supervisor
-        // gets only what remains (expiry at zero was handled upstream).
-        cfg = cfg.with_deadline(d.saturating_sub(p.submitted.elapsed()));
-    }
-    let sup = RunSupervisor::new(cfg);
-    let (backend, spec) = (&inner.cfg.backend, &inner.cfg.spec);
-    let threads = inner.cfg.threads_per_request;
-    with_program!(&p.kind, graph.num_vertices(), |prog, wrap| {
-        let run = sup.run(&PolymerEngine::new(), backend, spec, threads, graph, &prog)?;
-        let recovery = run.recovery;
-        Ok(Answer {
-            recovery,
-            ..Answer::new(wrap(run.values), epoch, run.iterations)
-        })
-    })
 }
 
 /// Answer the same-class traversals `lanes` with one multi-source sweep over
@@ -648,6 +647,20 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), "invalid-config");
         assert_eq!(svc.stats().submitted, 0);
+    }
+
+    /// Regression: admission built `Sssp::with_delta(0)`, whose assert
+    /// unwound the caller's thread out of `submit`.
+    #[test]
+    fn rejects_zero_delta_sssp_at_admission() {
+        let svc = GraphService::new(graph(), quick_cfg()).unwrap();
+        let zero = RequestKind::Sssp {
+            source: 0,
+            delta: 0,
+        };
+        let err = svc.submit(zero).map(|t| t.id()).unwrap_err();
+        assert_eq!(err.code(), "invalid-config");
+        assert_eq!((svc.stats().submitted, svc.queue_len()), (0, 0));
     }
 
     #[test]

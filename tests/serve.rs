@@ -1,10 +1,12 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
 //! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends — post-ingest bursts that coalesce and match the graph at their
+//! backends — a lone traversal as a host kernel beside a supervised
+//! PageRank, post-ingest bursts that coalesce and match the graph at their
 //! epoch, warm-started answers across several ingests, one meaning per
-//! request across the mode switch, a panicking answer path, and the
-//! admission ledger under multi-worker overload.
+//! request across the mode switch, a panicking answer path, the admission
+//! ledger under multi-worker overload, and admission over arbitrary
+//! requests.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -76,9 +78,9 @@ fn mixed_algorithm_requests_from_concurrent_clients() {
 
 /// The conformance contract: coalesced BFS and SSSP answers are
 /// bit-identical to the same requests served one at a time, on both the
-/// simulated and the real-thread backend (solo runs take the backend's
-/// engine path; the sweep is backend-independent host compute — all of it
-/// must agree with the oracle exactly).
+/// simulated and the real-thread backend (a request served alone is a
+/// one-lane sweep, a batch one sweep of many lanes; both are
+/// backend-independent host compute and must agree with the oracle exactly).
 #[test]
 fn batched_answers_are_bit_identical_to_per_source_runs_on_both_backends() {
     let g = graph();
@@ -156,6 +158,46 @@ fn batched_answers_are_bit_identical_to_per_source_runs_on_both_backends() {
         assert!(stats.batches >= 2, "both classes must have coalesced");
         assert_eq!(stats.failed, 0);
     }
+}
+
+/// A lone BFS / SSSP takes the path its coalesced twin takes — a host sweep
+/// — in static mode too. The supervisor here fails its first engine attempt
+/// and may not retry: the two traversals asked first are still answered
+/// exactly, unsupervised, at epoch 0, and the PageRank asked after them, the
+/// service's one supervised engine run, meets the planted fault and fails
+/// typed.
+#[test]
+fn a_lone_traversal_is_a_host_kernel_and_pagerank_the_only_engine_run() {
+    use polymer_faults::FaultPlan;
+
+    let g = graph();
+    let mut cfg = cfg_on(Backend::real_threads());
+    cfg.supervisor.plan = FaultPlan::new().panic_worker_at(0, 0);
+    cfg.supervisor.retry.max_attempts = 1;
+    let svc = GraphService::new(g.clone(), cfg).unwrap();
+    let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait();
+
+    let bfs = ask(RequestKind::Bfs { source: 7 }).unwrap();
+    assert_eq!(
+        bfs.values.levels().unwrap(),
+        run_reference(&g, &Bfs::new(7)).0
+    );
+    let sssp = ask(RequestKind::Sssp {
+        source: 11,
+        delta: 100,
+    })
+    .unwrap();
+    let want = run_reference(&g, &Sssp::new(11).with_delta(100)).0;
+    assert_eq!(sssp.values.distances().unwrap(), want);
+    for r in [&bfs, &sssp] {
+        assert_eq!((r.batched_lanes, r.epoch), (1, 0), "{}", r.algorithm);
+        assert!(r.recovery.is_none(), "{} ran supervised", r.algorithm);
+    }
+
+    let err = ask(RequestKind::PageRank { iters: 3 }).map(|r| r.id);
+    assert_eq!(err.unwrap_err().code(), "worker-panicked");
+    let stats = svc.stats();
+    assert_eq!((stats.completed, stats.failed, stats.batches), (2, 1, 0));
 }
 
 /// PageRank answers served solo match a direct engine run (ranks are
@@ -716,4 +758,126 @@ fn overload_sheds_with_typed_rejections_and_a_balanced_ledger() {
         (stats.rejected_queue_full, stats.rejected_memory),
         (rejected_queue_full, rejected_memory)
     );
+}
+
+/// Admission over arbitrary requests.
+mod admission {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Vertices of the property's graph. Sources are drawn in `0..2 * N`, so
+    /// about half are out of range; ingest endpoints in `0..N + 8`, so a
+    /// short op list is often valid and changes the graph.
+    const N: u32 = 64;
+
+    /// One drawn request: `((kind, source), delta, iters, ingest ops)`, each
+    /// op `(delete?, src, dst, weight)`. Zero deltas, self-loops and zero
+    /// weights are in range.
+    type Drawn = ((u8, u32), u64, usize, Vec<(u8, u32, u32, u32)>);
+
+    fn drawn_kind(((kind, source), delta, iters, ops): Drawn) -> RequestKind {
+        match kind {
+            0 => RequestKind::Bfs { source },
+            1 => RequestKind::Sssp { source, delta },
+            2 => RequestKind::PageRank { iters },
+            _ => {
+                let mut batch = DeltaBatch::new();
+                for (delete, src, dst, w) in ops {
+                    match delete {
+                        0 => batch.insert(src, dst, w),
+                        _ => batch.delete(src, dst),
+                    };
+                }
+                RequestKind::Ingest { batch }
+            }
+        }
+    }
+
+    // Admission never panics: whatever is asked, `submit` returns a ticket or
+    // a typed `invalid-config`, and nothing rejected moves the ledger. Every
+    // ticket then resolves to the oracle's answer on the graph at the epoch
+    // its response carries, ingests interleaved with queries on two workers.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn admission_never_panics_and_every_ticket_meets_the_oracle(
+            drawn in proptest::collection::vec(
+                (
+                    (0u8..4, 0..2 * N),
+                    0u64..3,
+                    0usize..40,
+                    proptest::collection::vec((0u8..2, 0..N + 8, 0..N + 8, 0u32..3), 0..5),
+                ),
+                1..16,
+            )
+        ) {
+            // Canonical, so the loaded graph is the mutable graph at epoch 0.
+            let raw = Graph::from_edges(&gen::rmat(6, 512, gen::RMAT_GRAPH500, 29));
+            let g = Graph::from_edges(&MutableGraph::from_graph(&raw).snapshot_edge_list());
+            let n = g.num_vertices();
+            prop_assert_eq!(n, N as usize);
+            let cfg = ServeConfig {
+                workers: 2,
+                ..cfg_on(Backend::real_threads())
+            };
+            let svc = GraphService::new(g.clone(), cfg).unwrap();
+            svc.pause();
+            let mut tickets = Vec::new();
+            for d in drawn {
+                let kind = drawn_kind(d);
+                match svc.submit(kind.clone()) {
+                    Ok(t) => tickets.push((kind, t)),
+                    Err(e) => prop_assert_eq!(e.code(), "invalid-config", "{:?}", kind),
+                }
+            }
+            prop_assert_eq!(svc.stats().submitted, tickets.len() as u64);
+            svc.resume();
+            let answered: Vec<_> = tickets
+                .into_iter()
+                .map(|(kind, t)| (kind, t.wait().unwrap()))
+                .collect();
+
+            // The graph at every epoch: ingests apply in the order of the
+            // epochs they report, whichever worker took them.
+            let mut ingests: Vec<_> = answered
+                .iter()
+                .filter_map(|(kind, r)| match kind {
+                    RequestKind::Ingest { batch } => Some((r.epoch, batch, &r.values)),
+                    _ => None,
+                })
+                .collect();
+            ingests.sort_by_key(|&(epoch, ..)| epoch);
+            let mut mirror = MutableGraph::from_graph(&g);
+            let mut at_epoch = vec![mirror.clone()];
+            for (epoch, batch, values) in ingests {
+                prop_assert_eq!(epoch, at_epoch.len() as u64);
+                let applied = mirror.apply(batch).unwrap();
+                prop_assert_eq!(values.ingest_stats(), Some(&applied.stats));
+                at_epoch.push(mirror.clone());
+            }
+            for (kind, r) in &answered {
+                let graph = &at_epoch[r.epoch as usize];
+                match *kind {
+                    RequestKind::Bfs { source } => {
+                        let want = run_reference(graph, &Bfs::new(source)).0;
+                        prop_assert_eq!(r.values.levels().unwrap(), &want[..], "{:?}", kind);
+                    }
+                    RequestKind::Sssp { source, delta } => {
+                        let want = run_reference(graph, &Sssp::new(source).with_delta(delta)).0;
+                        prop_assert_eq!(r.values.distances().unwrap(), &want[..], "{:?}", kind);
+                    }
+                    RequestKind::PageRank { iters } => {
+                        let want = run_reference(graph, &PageRank::new(n).with_iters(iters)).0;
+                        let err = max_rel_error(r.values.ranks().unwrap(), &want);
+                        prop_assert!(err < 1e-9, "{:?} off by {}", kind, err);
+                    }
+                    RequestKind::Ingest { .. } => {}
+                }
+            }
+            let stats = svc.stats();
+            prop_assert_eq!(stats.submitted, stats.completed + stats.failed);
+            prop_assert_eq!(stats.failed, 0);
+        }
+    }
 }
