@@ -62,7 +62,9 @@ pub struct RunOptions<'t, V> {
     /// from [`crate::driver::Checkpoint::iteration`].
     pub recovery: RecoverySession<V>,
     /// Real-thread backend only: every worker records one `"iteration"`
-    /// span per superstep and one `"barrier-wait"` span per barrier crossing
+    /// span per superstep, one edge-phase span named after its path
+    /// (`"gather"`, `"push-bins"` or `"push-dense"`), one `"apply"` span for
+    /// the owner phase and one `"barrier-wait"` span per barrier crossing
     /// (µs since the tracer's epoch). An abnormal end — injected panic,
     /// poisoned barrier, timeout — flushes the buffer *truncated* but valid.
     pub tracer: Option<&'t SharedTracer>,
@@ -146,7 +148,10 @@ pub trait Engine {
                     self.run_simulated(machine, threads, graph, prog, opts.traced, &opts.recovery)
                 })
             }
-            Backend::RealThreads(cfg) => {
+            // Set-up before the workers exist (`Program::init`, the
+            // executor's allocations) runs on this thread: a panic there is
+            // an `engine-panicked`, as on the simulator.
+            Backend::RealThreads(cfg) => catch_engine_faults(|| {
                 let (values, iterations) = crate::parallel::try_run_threads_rec(
                     graph,
                     prog,
@@ -166,7 +171,7 @@ pub trait Engine {
                     recovery: None,
                     tag: None,
                 })
-            }
+            }),
         }
     }
 

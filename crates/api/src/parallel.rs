@@ -21,20 +21,31 @@
 //!    the contributions of its active in-neighbours (CSC order) straight
 //!    into `next`; when every vertex is active the bitmap test is skipped.
 //!    A *push* iteration gives each thread a contiguous slice of the sorted
-//!    frontier carrying an equal share of out-edges; a contribution to an
-//!    owned target is folded in place, one to a foreign target is appended
-//!    to the (producer, owner) *bin* — X-Stream's scatter → shuffle →
-//!    gather and Polymer's "random writes stay local" are the same
-//!    mechanism here.
-//! 2. **Drain + apply.** After a push the owner drains the bins addressed to
-//!    it in producer order, then every owner scans its own `updated` words,
-//!    applies each touched vertex, and in the same pass produces its slice
-//!    of the next active bitmap, its part of the next frontier (already in
-//!    ascending order) and that part's out-degree sum.
+//!    frontier carrying an equal share of out-edges, and takes one of two
+//!    paths, chosen by memory alone (`dense_push_pays`):
+//!    - a *binned* push folds a contribution to an owned target in place
+//!      and appends one to a foreign target to the (producer, owner) *bin*
+//!      — X-Stream's scatter → shuffle → gather;
+//!    - a *dense* push scatters every contribution, whatever its target's
+//!      owner, into the producer's own `|V|`-long *partial* array and marks
+//!      the target in the producer's touched bitmap: no owner test, no bin,
+//!      the flat CSR walked by edge index.
+//!
+//!    Either way the random writes stay private to their producer, which is
+//!    Polymer's "random writes stay local" on this backend.
+//! 2. **Owner phase.** After a binned push the owner drains the bins
+//!    addressed to it in producer order; after a dense push it walks its own
+//!    words of every producer's touched bitmap, producer by producer, folds
+//!    each touched partial cell into `next` and resets the cell to the
+//!    identity and the word to 0 — remote reads, but sequential ones. Then
+//!    every owner scans its own `updated` words, applies each touched
+//!    vertex, and in the same pass produces its slice of the next active
+//!    bitmap, its part of the next frontier (already in ascending order) and
+//!    that part's out-degree sum.
 //! 3. **Swap.** One thread adds up the per-owner counts and degrees — O(threads)
-//!    — and picks the next direction. The per-owner lists are concatenated
-//!    (owner order is vertex order, so nothing is sorted) only when the next
-//!    iteration pushes or a checkpoint is due.
+//!    — and picks the next direction and push path. The per-owner lists are
+//!    concatenated (owner order is vertex order, so nothing is sorted) only
+//!    when the next iteration pushes or a checkpoint is due.
 //!
 //! An [`ExecProfile`] maps an engine's strategy onto the executor: hybrid
 //! adaptive profiles gather when the frontier's exact out-degree crosses
@@ -44,16 +55,21 @@
 //! simulated machines and is not consulted.
 //!
 //! Contributions are folded with [`Program::fold`] in an order fixed by the
-//! graph, the frontier and the thread count (CSC order in a gather; own
-//! slice first, then bins by producer, in a push). Integer programs
-//! therefore match the sequential reference exactly, and floating-point
-//! programs are ε-close to it *and bit-identical from run to run* at a
-//! given thread count — including across a checkpoint/resume.
+//! graph, the frontier and the thread count: CSC order in a gather; own
+//! slice first, then bins by producer, in a binned push; producer partials,
+//! in producer order, in a dense push. Integer programs therefore match the
+//! sequential reference exactly, and floating-point programs are ε-close to
+//! it *and bit-identical from run to run* at a given thread count —
+//! including across a checkpoint/resume.
 //!
-//! Bin memory is bounded by (threads − 1)/threads × the frontier's out-edges
-//! × (4 + `size_of::<Val>()`) bytes; the buffers are reused across
-//! iterations. Every owner scans all of its bitmap words each iteration, so
-//! an iteration costs at least |V|/64 word loads however small the frontier.
+//! A push takes the smaller of two memory bounds. Bins hold at most
+//! (threads − 1)/threads × the frontier's out-edges × (4 + `size_of::<Val>()`)
+//! bytes; partials take threads × (|V| × `size_of::<Val>()` + ⌈|V|/8⌉) bytes,
+//! and a push goes dense exactly when that is no more than the bins would
+//! take. Both are allocated on first use and reused across the run's
+//! iterations, so a run that never pushes densely allocates no partial.
+//! Every owner scans all of its bitmap words each iteration, so an iteration
+//! costs at least |V|/64 word loads however small the frontier.
 //!
 //! Two entry points: [`try_run_threads_rec`] is the executor itself (fault
 //! plan, profile, tracer, recovery session all explicit) and is what
@@ -69,6 +85,7 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use polymer_faults::{panic_with, FaultPlan, PolymerError, PolymerResult};
@@ -193,13 +210,38 @@ fn vertices_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Contributions one producer thread addressed to one owner thread during a
-/// push iteration, in production order. Targets and values are kept apart so
+/// binned push, in production order. Targets and values are kept apart so
 /// an entry costs `4 + size_of::<V>()` bytes. Aligned to its own cache lines:
 /// the bins sit side by side in one array and every append moves a length.
 #[repr(align(128))]
 struct Bin<V> {
     targets: Vec<VId>,
     vals: Vec<V>,
+}
+
+/// One producer's private scatter target for a dense push: an accumulator
+/// per vertex, at the identity between iterations, and the bitmap of the
+/// cells it touched. The producer writes it in the edge phase; every owner
+/// folds and resets its own range of it in the owner phase.
+struct Partial<V: Atom> {
+    vals: Vec<V::Repr>,
+    touched: Vec<AtomicU64>,
+}
+
+/// Whether a push over a frontier whose out-edges number `degree` scatters
+/// into per-producer partials rather than bins: with at least two threads,
+/// exactly when the partials, `threads · (n · val_bytes + ⌈n/8⌉)` bytes,
+/// take no more memory than the bin entries they replace,
+/// `(threads − 1) · degree · (4 + val_bytes) / threads` bytes. One thread
+/// owns every target and never bins, so it never goes dense.
+fn dense_push_pays(threads: usize, n: usize, val_bytes: usize, degree: u64) -> bool {
+    if threads < 2 {
+        return false;
+    }
+    let (t, n, vb) = (threads as u128, n as u128, val_bytes as u128);
+    let partials = t * (n * vb + n.div_ceil(8));
+    let bins = (t - 1) * u128::from(degree) * (4 + vb) / t;
+    partials <= bins
 }
 
 /// What one owner's apply pass found in its range: the vertices active next
@@ -218,15 +260,34 @@ enum Mode {
     /// Owners fold over the in-edges of their targets, gated by the active
     /// bitmap unless every vertex is active.
     Gather { all_active: bool },
-    /// Threads scatter along the out-edges of their frontier slice.
-    Push,
+    /// Threads scatter along the out-edges of their frontier slice,
+    /// binning the contributions to foreign targets.
+    PushBins,
+    /// Threads scatter along the out-edges of their frontier slice into
+    /// their own partial arrays.
+    PushDense,
+}
+
+impl Mode {
+    fn pushes(self) -> bool {
+        matches!(self, Mode::PushBins | Mode::PushDense)
+    }
+
+    /// The name of this mode's edge-phase worker span.
+    fn span_name(self) -> &'static str {
+        match self {
+            Mode::Gather { .. } => "gather",
+            Mode::PushBins => "push-bins",
+            Mode::PushDense => "push-dense",
+        }
+    }
 }
 
 /// The coming iteration's plan, rewritten by the serial thread at each swap.
 struct Plan {
     mode: Mode,
-    /// The frontier in ascending order. Current only when `mode` is
-    /// [`Mode::Push`] or a checkpoint was just taken.
+    /// The frontier in ascending order. Current only when `mode` pushes or a
+    /// checkpoint was just taken.
     items: Vec<VId>,
     /// One slice of `items` per thread, balanced by out-degree + 1.
     slices: Vec<Range<usize>>,
@@ -245,6 +306,7 @@ struct Exec<'a, P: Program> {
     /// Out-degree of every vertex: one load where the offset array takes two.
     degs: Vec<u32>,
     in_w: Option<&'a [Weight]>,
+    out_w: Option<&'a [Weight]>,
     curr: Vec<<P::Val as Atom>::Repr>,
     next: Vec<<P::Val as Atom>::Repr>,
     /// Targets that received a contribution this iteration.
@@ -253,6 +315,9 @@ struct Exec<'a, P: Program> {
     active_bits: Vec<AtomicU64>,
     /// `bins[producer * threads + owner]`.
     bins: Vec<parking_lot::Mutex<Bin<P::Val>>>,
+    /// `partials[producer]`, allocated by the producer on its first dense
+    /// push.
+    partials: Vec<OnceLock<Partial<P::Val>>>,
     outs: Vec<parking_lot::Mutex<OwnerOut>>,
 }
 
@@ -306,7 +371,7 @@ impl<P: Program> Exec<'_, P> {
         }
     }
 
-    /// Push iteration: scatter along the out-edges of `sources`, folding
+    /// Binned push: scatter along the out-edges of `sources`, folding
     /// contributions to owned targets in place and binning the rest for
     /// their owners.
     fn push(&self, tid: usize, sources: &[VId]) {
@@ -326,6 +391,71 @@ impl<P: Program> Exec<'_, P> {
                 } else {
                     bins[owner].targets.push(t);
                     bins[owner].vals.push(c);
+                }
+            }
+        }
+    }
+
+    /// Dense push: scatter along the out-edges of `sources` into this
+    /// thread's own partial array, whatever the target's owner.
+    fn push_dense(&self, tid: usize, sources: &[VId]) {
+        let n = self.curr.len();
+        let part = self.partials[tid].get_or_init(|| Partial {
+            vals: (0..n).map(|_| P::Val::new_atomic(self.identity)).collect(),
+            touched: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+        });
+        match self.out_w {
+            Some(ws) => self.scatter_into(part, sources, |e| ws[e]),
+            None => self.scatter_into(part, sources, |_| 1),
+        }
+    }
+
+    /// The body of [`Exec::push_dense`], with the weight of out-edge `e`
+    /// read by `weight` (a constant where the program ignores weights).
+    #[inline]
+    fn scatter_into(
+        &self,
+        part: &Partial<P::Val>,
+        sources: &[VId],
+        weight: impl Fn(usize) -> Weight,
+    ) {
+        let out_off = self.g.out_offsets();
+        let out_dst = self.g.out_targets();
+        for &s in sources {
+            let si = s as usize;
+            let sv = P::Val::atom_load(&self.curr[si]);
+            let deg = self.degs[si];
+            let edges = out_off[si]..out_off[si + 1];
+            for (e, &t) in edges.clone().zip(&out_dst[edges]) {
+                let t = t as usize;
+                let c = self.prog.scatter(s, sv, weight(e), deg);
+                let cell = &part.vals[t];
+                P::Val::atom_store(cell, self.prog.fold(P::Val::atom_load(cell), c));
+                let word = &part.touched[t / 64];
+                word.store(
+                    word.load(Ordering::Relaxed) | 1u64 << (t % 64),
+                    Ordering::Relaxed,
+                );
+            }
+        }
+    }
+
+    /// Fold every producer's partials for the targets `tid` owns into
+    /// `next`, producer by producer, resetting each folded cell to the
+    /// identity and each touched word to 0.
+    fn fold_partials(&self, tid: usize) {
+        for part in self.partials.iter().filter_map(OnceLock::get) {
+            for word in self.own.words(tid) {
+                let bits = part.touched[word].load(Ordering::Relaxed);
+                if bits == 0 {
+                    continue;
+                }
+                part.touched[word].store(0, Ordering::Relaxed);
+                for t in vertices_of(word, bits) {
+                    let cell = &part.vals[t];
+                    let c = P::Val::atom_load(cell);
+                    P::Val::atom_store(cell, self.identity);
+                    self.accumulate(t as VId, c);
                 }
             }
         }
@@ -378,7 +508,8 @@ impl<P: Program> Exec<'_, P> {
 /// [`ExecProfile`] ([`crate::Engine::try_run_with`] dispatches here for
 /// [`crate::Backend::RealThreads`]). Hybrid adaptive profiles gather on dense
 /// frontiers and push on sparse ones; push-only profiles push on every
-/// iteration.
+/// iteration. Whether a push bins or scatters into per-producer partials is
+/// decided per iteration by memory alone (`dense_push_pays`).
 ///
 /// Validates the configuration up front, honors `cfg.plan` (stragglers,
 /// injected worker panics, barrier deadlines), and converts every worker
@@ -387,9 +518,11 @@ impl<P: Program> Exec<'_, P> {
 /// error wins; the `BarrierPoisoned` cascade it triggers in sibling workers
 /// is not reported over it.
 ///
-/// When `tracer` is given, every worker records one `"iteration"` span per
-/// superstep and one `"barrier-wait"` span per barrier crossing into the
-/// shared buffer (times are µs since the tracer's epoch). If the run ends
+/// When `tracer` is given, every worker records into the shared buffer, per
+/// superstep, one `"iteration"` span, one edge-phase span named after its
+/// path — `"gather"`, `"push-bins"` or `"push-dense"` — one `"apply"` span
+/// for the owner phase, and one `"barrier-wait"` span per barrier crossing
+/// (times are µs since the tracer's epoch). If the run ends
 /// abnormally the buffer is flushed *truncated* but remains valid:
 /// everything recorded before the failure stays exportable.
 ///
@@ -459,6 +592,7 @@ pub fn try_run_threads_rec<P: Program>(
         identity,
         own: Ownership::balanced(g.in_offsets(), n, threads),
         in_w: prog.uses_weights().then(|| g.in_edge_weights()),
+        out_w: prog.uses_weights().then(|| g.out_edge_weights()),
         curr: match resume {
             Some(ck) => ck.values.iter().map(|&v| P::Val::new_atomic(v)).collect(),
             None => (0..n)
@@ -476,6 +610,7 @@ pub fn try_run_threads_rec<P: Program>(
                 })
             })
             .collect(),
+        partials: (0..threads).map(|_| OnceLock::new()).collect(),
         outs: (0..threads).map(|_| Default::default()).collect(),
         degs,
     };
@@ -483,24 +618,29 @@ pub fn try_run_threads_rec<P: Program>(
     let degree_of = |v: VId| exec.degs[v as usize] as usize;
 
     // Direction switch: hybrid adaptive profiles gather when the frontier's
-    // exact out-degree crosses Ligra's density threshold.
+    // exact out-degree crosses Ligra's density threshold. A push goes dense
+    // when the partials take no more memory than the bins would.
     let adaptive = profile.direction == DirectionPolicy::Hybrid && profile.adaptive_frontier;
+    let val_bytes = std::mem::size_of::<P::Val>();
     let decide = |count: u64, degree: u64| -> Mode {
         if adaptive && should_densify(count, degree, m) {
             Mode::Gather {
                 all_active: count == n as u64,
             }
+        } else if dense_push_pays(threads, n, val_bytes, degree) {
+            Mode::PushDense
         } else {
-            Mode::Push
+            Mode::PushBins
         }
     };
     let initial_mode = decide(
         initial_items.len() as u64,
         initial_items.iter().map(|&v| degree_of(v) as u64).sum(),
     );
-    let initial_slices = match initial_mode {
-        Mode::Push => degree_balanced_chunks(&initial_items, degree_of, threads),
-        Mode::Gather { .. } => Vec::new(),
+    let initial_slices = if initial_mode.pushes() {
+        degree_balanced_chunks(&initial_items, degree_of, threads)
+    } else {
+        Vec::new()
     };
     let resume_from = resume.map_or(0, |ck| ck.iteration);
     let initially_done = initial_items.is_empty() || resume_from >= prog.max_iters();
@@ -532,22 +672,27 @@ pub fn try_run_threads_rec<P: Program>(
             let decide = &decide;
             scope.spawn(move |_| {
                 let group = group_of(tid);
-                // Every barrier crossing is bounded: a sibling that died
-                // before arriving turns into a timeout + poison instead of
-                // an eternal spin. When traced, the wall-clock wait becomes
-                // a per-worker "barrier-wait" span.
-                let sync = |group: usize, iter: usize| -> PolymerResult<bool> {
-                    let t0 = tracer.map(|tr| tr.now_us());
-                    let r = barrier.wait_deadline(group, Instant::now() + barrier_timeout);
+                // When traced, close a span named `name` that began at `t0`.
+                let span = |name: &'static str, iter: usize, t0: Option<f64>| {
                     if let (Some(tr), Some(t0)) = (tracer, t0) {
                         tr.push_worker_span(WorkerSpan {
-                            name: "barrier-wait",
+                            name,
                             worker: tid,
                             iteration: Some(iter as u64),
                             start_us: t0,
                             dur_us: tr.now_us() - t0,
                         });
                     }
+                };
+                let now = || tracer.map(|tr| tr.now_us());
+                // Every barrier crossing is bounded: a sibling that died
+                // before arriving turns into a timeout + poison instead of
+                // an eternal spin. When traced, the wall-clock wait becomes
+                // a per-worker "barrier-wait" span.
+                let sync = |group: usize, iter: usize| -> PolymerResult<bool> {
+                    let t0 = now();
+                    let r = barrier.wait_deadline(group, Instant::now() + barrier_timeout);
+                    span("barrier-wait", iter, t0);
                     r
                 };
                 let body = || -> PolymerResult<()> {
@@ -556,7 +701,7 @@ pub fn try_run_threads_rec<P: Program>(
                         if done.load(Ordering::Acquire) {
                             break;
                         }
-                        let iter_t0 = tracer.map(|tr| tr.now_us());
+                        let iter_t0 = now();
                         // --- Fault-plan injection points.
                         if let Some(delay) = plan.straggle_delay(tid, iter) {
                             std::thread::sleep(delay);
@@ -566,22 +711,30 @@ pub fn try_run_threads_rec<P: Program>(
                         }
                         // --- Edge phase: gather into owned targets, or push
                         // this thread's slice of the frontier.
-                        let pushed = {
-                            let now = next_plan.read();
-                            match now.mode {
+                        let edge_t0 = now();
+                        let mode = {
+                            let current = next_plan.read();
+                            let slice = || &current.items[current.slices[tid].clone()];
+                            match current.mode {
                                 Mode::Gather { all_active } => exec.gather(tid, all_active),
-                                Mode::Push => exec.push(tid, &now.items[now.slices[tid].clone()]),
+                                Mode::PushBins => exec.push(tid, slice()),
+                                Mode::PushDense => exec.push_dense(tid, slice()),
                             }
-                            now.mode == Mode::Push
+                            current.mode
                         };
+                        span(mode.span_name(), iter, edge_t0);
                         sync(group, iter)?;
 
                         // --- Owner phase: take in the other threads'
                         // contributions, then apply the owned range.
-                        if pushed {
-                            exec.drain(tid);
+                        let apply_t0 = now();
+                        match mode {
+                            Mode::Gather { .. } => {}
+                            Mode::PushBins => exec.drain(tid),
+                            Mode::PushDense => exec.fold_partials(tid),
                         }
                         exec.apply(tid);
+                        span("apply", iter, apply_t0);
 
                         // --- Frontier swap by the serial thread: O(threads),
                         // plus a concatenation when the list is needed.
@@ -595,7 +748,7 @@ pub fn try_run_threads_rec<P: Program>(
                             let checkpoint_due = recovery.should_checkpoint(iters);
                             let mut upcoming = next_plan.write();
                             upcoming.mode = decide(count, degree);
-                            let pushes_next = !finished && upcoming.mode == Mode::Push;
+                            let pushes_next = !finished && upcoming.mode.pushes();
                             if pushes_next || checkpoint_due {
                                 // Owner order is vertex order: the
                                 // concatenation is already sorted.
@@ -626,15 +779,7 @@ pub fn try_run_threads_rec<P: Program>(
                             }
                         }
                         sync(group, iter)?;
-                        if let (Some(tr), Some(t0)) = (tracer, iter_t0) {
-                            tr.push_worker_span(WorkerSpan {
-                                name: "iteration",
-                                worker: tid,
-                                iteration: Some(iter as u64),
-                                start_us: t0,
-                                dur_us: tr.now_us() - t0,
-                            });
-                        }
+                        span("iteration", iter, iter_t0);
                         iter += 1;
                     }
                     Ok(())
@@ -879,6 +1024,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dense_push_rule_flips_where_partials_meet_bins() {
+        // Three threads, 8-byte values, 17 vertices: partials take
+        // 3 · (17 · 8 + 3) = 417 bytes. 52 out-edges bin 2 · 52 · 12 / 3 =
+        // 416 bytes, one short; 53 bin 424.
+        assert!(!dense_push_pays(3, 17, 8, 52));
+        assert!(dense_push_pays(3, 17, 8, 53));
+        // 64 vertices: 3 · (64 · 8 + 8) = 1560 bytes, exactly what 195
+        // out-edges bin (2 · 195 · 12 / 3); 194 bin 1552.
+        assert!(dense_push_pays(3, 64, 8, 195));
+        assert!(!dense_push_pays(3, 64, 8, 194));
+        // Two threads, 4-byte values, 64 vertices: 2 · (64 · 4 + 8) = 528
+        // bytes, what 132 out-edges bin (132 · 8 / 2); 131 bin 524.
+        assert!(dense_push_pays(2, 64, 4, 132));
+        assert!(!dense_push_pays(2, 64, 4, 131));
+        // One thread owns every target: never dense, however large the push.
+        for degree in [0, 1, 1 << 20, u64::MAX] {
+            for n in [0usize, 1, 64, 1 << 20] {
+                assert!(!dense_push_pays(1, n, 8, degree));
+                assert!(!dense_push_pays(0, n, 8, degree));
+            }
+        }
+        // No overflow at the extremes.
+        assert!(dense_push_pays(2, 1, 8, u64::MAX));
+        assert!(!dense_push_pays(64, usize::MAX / 16, 8, 1));
     }
 
     #[test]

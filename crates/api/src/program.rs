@@ -81,8 +81,8 @@ pub trait Program: Sync {
     /// simulator-backed engines only: on [`crate::Backend::RealThreads`] the
     /// direction follows frontier density alone (see
     /// [`crate::ExecProfile`]), because there a dense gather is a single
-    /// owner-local store per target while a dense push bins and re-reads
-    /// every remote contribution.
+    /// owner-local store per target while a dense push writes every
+    /// contribution to a private partial and folds it in a second pass.
     fn prefer_push(&self) -> bool {
         false
     }

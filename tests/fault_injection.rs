@@ -260,3 +260,65 @@ fn deterministic_misconfigurations_are_invalid_config_on_both_backends() {
         assert!(!report.degraded && !report.recovered);
     }
 }
+
+/// A program whose `init` panics on vertex 3: the panic happens before any
+/// worker exists, on the caller's thread.
+struct PanicsInInit;
+
+impl Program for PanicsInInit {
+    type Val = u32;
+
+    fn name(&self) -> &'static str {
+        "PANICS-IN-INIT"
+    }
+    fn combine(&self) -> Combine {
+        Combine::Min
+    }
+    fn next_identity(&self) -> u32 {
+        u32::MAX
+    }
+    fn init(&self, v: VId) -> u32 {
+        assert_ne!(v, 3, "init refuses vertex 3");
+        v
+    }
+    fn scatter(&self, _src: VId, val: u32, _w: Weight, _deg: u32) -> u32 {
+        val
+    }
+    fn apply(&self, _v: VId, acc: u32, curr: u32) -> (u32, bool) {
+        (acc.min(curr), acc < curr)
+    }
+    fn initial_frontier(&self) -> FrontierInit {
+        FrontierInit::All
+    }
+    fn max_iters(&self) -> usize {
+        8
+    }
+    fn fold(&self, a: u32, b: u32) -> u32 {
+        a.min(b)
+    }
+}
+
+/// (f) A panicking program is an `engine-panicked` on both backends, never
+/// a panic out of `try_run_with`: set-up code on the real-thread backend
+/// (`Program::init`, the executor's allocations) runs outside every worker.
+#[test]
+fn a_panicking_init_is_engine_panicked_on_both_backends() {
+    let g = Graph::from_edges(&gen::rmat(7, 600, gen::RMAT_GRAPH500, 5));
+    let backends = [
+        ("simulated", Backend::Simulated),
+        ("real-threads", Backend::real_threads()),
+    ];
+    for system in SystemId::ALL {
+        for (bname, backend) in &backends {
+            let machine = Machine::new(MachineSpec::test2());
+            let err = with_engine!(system, Default::default(), |engine| {
+                engine.try_run_on(backend, &machine, 2, &g, &PanicsInInit)
+            })
+            .map(|r| r.iterations)
+            .expect_err("init panics");
+            let cell = format!("{}/{bname}", system.name());
+            assert_eq!(err.code(), "engine-panicked", "{cell}: {err}");
+            assert!(err.to_string().contains("vertex 3"), "{cell}: {err}");
+        }
+    }
+}

@@ -2,8 +2,9 @@
 //! the sequential reference under genuine concurrency: exactly for
 //! min-combining programs, ε-close for floating-point accumulation. This is
 //! the end-to-end check on the owner-computes executor: target ownership
-//! (including owners of nothing), the gather and binned-push edge phases,
-//! the hierarchical barrier, and the per-owner frontier machinery.
+//! (including owners of nothing), the gather, binned-push and dense-push
+//! edge phases, the hierarchical barrier, and the per-owner frontier
+//! machinery.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -11,7 +12,7 @@ use polymer::algos::reference::max_rel_error;
 use polymer::api::program::{fold_f64, fold_u32, fold_u64};
 use polymer::api::{run_parallel, Combine, FrontierInit};
 use polymer::graph::{gen, VId, Weight};
-use polymer::numa::Atom;
+use polymer::numa::{Atom, SharedTracer};
 use polymer::prelude::*;
 
 /// The executor's two edge-phase profiles, reached through the engines
@@ -171,6 +172,51 @@ fn ownership_edge_cases_match_reference() {
                 check_all_algorithms(&el, threads, profile);
             }
         }
+    }
+}
+
+/// Push-only BFS and SSSP on a skewed graph take both push paths in one
+/// run: the single-source start bins, the heavy middle iterations scatter
+/// into per-producer partials, the thin tail bins again. Every thread count
+/// must land on the reference exactly, which it cannot if a dense push
+/// leaves a partial cell or touched bit behind for a later one.
+#[test]
+fn push_only_runs_switch_between_bins_and_partials_and_match_reference() {
+    fn check<P: Program>(g: &Graph, prog: &P, threads: usize)
+    where
+        P::Val: PartialEq + std::fmt::Debug,
+    {
+        let tracer = SharedTracer::new(1, threads);
+        let opts = RunOptions {
+            backend: Backend::real_threads(),
+            tracer: Some(&tracer),
+            ..RunOptions::default()
+        };
+        let machine = Machine::new(MachineSpec::test2());
+        let got = XStreamEngine::new()
+            .try_run_with(&machine, threads, g, prog, &opts)
+            .expect("healthy run");
+        let label = format!("{} at {threads} threads", prog.name());
+        assert_eq!(got.values, run_reference(g, prog).0, "{label}");
+        let buf = tracer.into_buffer();
+        for path in ["push-bins", "push-dense", "apply"] {
+            assert!(
+                buf.worker_spans.iter().any(|s| s.name == path),
+                "{label}: no {path} span"
+            );
+        }
+        assert!(
+            !buf.worker_spans.iter().any(|s| s.name == "gather"),
+            "{label}"
+        );
+    }
+    let g = Graph::from_edges(&gen::rmat(12, 16 << 12, gen::RMAT_GRAPH500, 29));
+    let src = (0..g.num_vertices() as u32)
+        .max_by_key(|&v| g.out_degree(v))
+        .unwrap();
+    for threads in [2, 3, 4, 7] {
+        check(&g, &Bfs::new(src), threads);
+        check(&g, &Sssp::new(src), threads);
     }
 }
 

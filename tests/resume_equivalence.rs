@@ -12,14 +12,16 @@
 //!   On the simulator checkpoints preserve frontier representation and
 //!   member order; on real threads the owner-computes executor fixes the
 //!   summation order by construction (CSC order in a gather iteration; own
-//!   frontier slice, then bins by producer, in a push iteration), and a
-//!   resumed frontier yields the same direction, slices and bins;
+//!   frontier slice, then bins by producer, in a binned push; producer
+//!   partials, in producer order, in a dense push), and a resumed frontier
+//!   yields the same direction, push path, slices and bins;
 //! - the resumed run must finish at the same iteration count, proving the
 //!   checkpoint's iteration stamp threads through correctly.
 
 use polymer::algos::reference::max_rel_error;
 use polymer::api::{Checkpoint, CheckpointPolicy, CheckpointStore, RecoverySession};
 use polymer::graph::gen;
+use polymer::numa::SharedTracer;
 use polymer::prelude::*;
 use polymer_bench::{with_engine, SystemId};
 
@@ -210,34 +212,45 @@ fn resume_equivalence_bp() {
     check_resume_float(&g, &BeliefPropagation::new(), "BP");
 }
 
-/// Real threads, both edge phases: PageRank under the hybrid profile
-/// gathers on every iteration, under the push-only profile it scatters
-/// through the (producer, owner) bins on every iteration. A run resumed from
-/// a checkpoint taken after either kind of iteration must reproduce the
-/// uninterrupted run bit for bit — as must a second uninterrupted run.
+/// Real threads, gather and binned push: PageRank under the hybrid profile
+/// gathers on every iteration; under the push-only profile, on a graph with
+/// fewer than two out-edges per vertex, the bins take less memory than
+/// per-producer partials would, so it bins on every iteration. A run
+/// resumed from a checkpoint taken after either kind of iteration must
+/// reproduce the uninterrupted run bit for bit — as must a second
+/// uninterrupted run.
 #[test]
 fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations() {
-    fn check<E: Engine>(name: &str, engine: &E) {
-        let g = small_graph();
+    fn check<E: Engine>(name: &str, engine: &E, g: &Graph) {
         let prog = PageRank::new(g.num_vertices());
         for threads in [2, 3] {
-            let run = |session: RecoverySession<f64>| {
-                run_rec(
-                    engine,
-                    &Backend::real_threads(),
-                    threads,
-                    &g,
-                    &prog,
-                    session,
-                )
-                .expect("healthy run")
+            let run = |session: RecoverySession<f64>, tracer: Option<&SharedTracer>| {
+                let opts = RunOptions {
+                    backend: Backend::real_threads(),
+                    recovery: session,
+                    tracer,
+                    ..RunOptions::default()
+                };
+                engine
+                    .try_run_with(&machine(), threads, g, &prog, &opts)
+                    .expect("healthy run")
             };
             let store = CheckpointStore::with_history();
-            let base = run(RecoverySession::new(
-                CheckpointPolicy::EveryN(1),
-                store.clone(),
-            ));
-            let again = run(RecoverySession::disabled());
+            let tracer = SharedTracer::new(1, threads);
+            let base = run(
+                RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()),
+                Some(&tracer),
+            );
+            let buf = tracer.into_buffer();
+            assert!(
+                buf.worker_spans.iter().any(|s| s.name == name),
+                "{name}/{threads} threads: no {name} span"
+            );
+            assert!(
+                !buf.worker_spans.iter().any(|s| s.name == "push-dense"),
+                "{name}/{threads} threads: pushed densely"
+            );
+            let again = run(RecoverySession::disabled(), None);
             assert!(
                 same_bits(&again.values, &base.values),
                 "{name}/{threads} threads: two uninterrupted runs differ"
@@ -250,11 +263,11 @@ fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations(
             );
             for ck in history {
                 let from = ck.iteration;
-                let resumed = run(RecoverySession::new(
-                    CheckpointPolicy::Never,
-                    CheckpointStore::new(),
-                )
-                .with_resume(Some(ck)));
+                let resumed = run(
+                    RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+                        .with_resume(Some(ck)),
+                    None,
+                );
                 assert!(
                     same_bits(&resumed.values, &base.values),
                     "{name}/{threads} threads: resume from iteration {from} drifted bitwise"
@@ -268,8 +281,73 @@ fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations(
     }
     // Polymer's profile is hybrid-adaptive (all-active PageRank gathers),
     // X-Stream's is push-only.
-    check("gather", &PolymerEngine::new());
-    check("binned push", &XStreamEngine::new());
+    check("gather", &PolymerEngine::new(), &small_graph());
+    let sparse = Graph::from_edges(&gen::rmat(8, 400, gen::RMAT_GRAPH500, 13));
+    check("push-bins", &XStreamEngine::new(), &sparse);
+}
+
+/// Real threads, dense push: push-only PageRank at two and three threads
+/// scatters into per-producer partials on every iteration (the trace says
+/// so), and the fold order — producer partials, in producer order — is a
+/// function of the graph, the frontier and the thread count. Two runs, and
+/// a run resumed from the checkpoint after iteration 2, agree bit for bit.
+#[test]
+fn real_threads_dense_push_is_bit_identical_across_runs_and_a_resume() {
+    let g = small_graph();
+    let prog = PageRank::new(g.num_vertices());
+    let engine = XStreamEngine::new();
+    for threads in [2, 3] {
+        let tracer = SharedTracer::new(1, threads);
+        let store = CheckpointStore::with_history();
+        let opts = RunOptions {
+            backend: Backend::real_threads(),
+            recovery: RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()),
+            tracer: Some(&tracer),
+            ..RunOptions::default()
+        };
+        let base = engine
+            .try_run_with(&machine(), threads, &g, &prog, &opts)
+            .expect("healthy run");
+        let buf = tracer.into_buffer();
+        let spans = |name| buf.worker_spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(
+            spans("push-dense"),
+            threads * base.iterations,
+            "{threads} threads: every worker pushes densely on every iteration"
+        );
+        assert_eq!(spans("push-bins") + spans("gather"), 0);
+
+        let run = |session| {
+            run_rec(
+                &engine,
+                &Backend::real_threads(),
+                threads,
+                &g,
+                &prog,
+                session,
+            )
+            .expect("healthy run")
+        };
+        let again = run(RecoverySession::disabled());
+        assert!(
+            same_bits(&again.values, &base.values),
+            "{threads} threads: two uninterrupted runs differ"
+        );
+        let at_two = store
+            .history()
+            .into_iter()
+            .find(|ck| ck.iteration == 2)
+            .expect("a checkpoint after iteration 2");
+        let resumed = run(
+            RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+                .with_resume(Some(at_two)),
+        );
+        assert!(
+            same_bits(&resumed.values, &base.values),
+            "{threads} threads: resume from iteration 2 drifted bitwise"
+        );
+        assert_eq!(resumed.iterations, base.iterations);
+    }
 }
 
 /// A disabled recovery session and a `Never` policy must both be the plain

@@ -178,7 +178,8 @@ fn poisoned_barrier_still_flushes_truncated_trace() {
 }
 
 /// Healthy real-thread runs record per-worker iteration and barrier-wait
-/// spans into the shared tracer.
+/// spans into the shared tracer, and per iteration one edge-phase span
+/// named after the path it took plus one `apply` span for the owner phase.
 #[test]
 fn parallel_runs_record_worker_spans() {
     let (g, src) = workload();
@@ -207,10 +208,39 @@ fn parallel_runs_record_worker_spans() {
     let workers: std::collections::BTreeSet<_> =
         buf.worker_spans.iter().map(|s| s.worker).collect();
     assert_eq!(workers.len(), 4);
+    // Push-only BFS from one source starts binned and goes dense once the
+    // frontier's out-edges outweigh the partials; it never gathers.
+    let count = |buf: &polymer::numa::TraceBuffer, name: &str| {
+        buf.worker_spans.iter().filter(|s| s.name == name).count()
+    };
+    assert!(count(&buf, "push-bins") > 0, "no push-bins span");
+    assert!(count(&buf, "push-dense") > 0, "no push-dense span");
+    assert_eq!(count(&buf, "gather"), 0);
+    assert_eq!(
+        count(&buf, "push-bins") + count(&buf, "push-dense"),
+        iters.len(),
+        "one edge-phase span per worker and iteration"
+    );
+    assert_eq!(count(&buf, "apply"), iters.len());
     // And the export of a wall-clock trace is well-formed too.
     let doc: serde_json::Value =
         serde_json::from_str(&chrome_trace_json(&buf)).expect("valid JSON");
     assert!(doc.as_object().unwrap().get("traceEvents").is_some());
+
+    // Polymer's hybrid profile gathers an all-active PageRank.
+    let tracer = SharedTracer::new(1, 2);
+    let opts = RunOptions {
+        backend: Backend::real_threads(),
+        tracer: Some(&tracer),
+        ..RunOptions::default()
+    };
+    let machine = Machine::new(MachineSpec::test2());
+    let pr = PolymerEngine::new()
+        .try_run_with(&machine, 2, &g, &PageRank::new(g.num_vertices()), &opts)
+        .expect("healthy run");
+    let buf = tracer.into_buffer();
+    assert_eq!(count(&buf, "gather"), 2 * pr.iterations);
+    assert_eq!(count(&buf, "apply"), 2 * pr.iterations);
 }
 
 /// Executor level: a disabled tracer records nothing and — more
