@@ -6,9 +6,10 @@
 //! (the MS-BFS idiom): the adjacency is walked once per iteration and every
 //! edge read is amortized across the lanes active at that vertex. Lane
 //! state is plain values laid out vertex-major (`state[v·K + lane]`), lane
-//! membership is a per-vertex `u64` bitmask (hence [`MAX_LANES`] = 64), and
-//! the loop runs under the shared [`IterationDriver`] skeleton, so the
-//! safety cap and iteration stamping behave like a single-source run's.
+//! membership is a per-vertex `u64` bitmask (hence [`MAX_LANES`] = 64). The
+//! superstep loop is the kernel's own: it stops at the batch's `max_iters`
+//! and fails past the `2·|V| + 64` safety cap with the same typed error a
+//! single-source engine run gives.
 //!
 //! The kernel is the paper's rule taken literally: **every cell has one
 //! writer**, so no update is atomic. One thread sweeps all `K` lanes over
@@ -23,11 +24,11 @@
 //! workspace conformance test).
 
 use polymer_api::{
-    catch_engine_faults, validate_run_config, validate_sim_threads, FrontierInit, IterationDriver,
-    PolymerError, PolymerResult, Program, RunResult,
+    catch_engine_faults, validate_run_config, validate_sim_threads, FrontierInit, PolymerError,
+    PolymerResult, Program,
 };
 use polymer_graph::{Topology, VId};
-use polymer_numa::{BarrierKind, Machine};
+use polymer_numa::Machine;
 
 /// Maximum lanes (sources) per sweep — one bit per lane in the per-vertex
 /// active mask. Callers with bigger batches split them into several sweeps.
@@ -116,39 +117,29 @@ impl<P: SingleSource> MultiSource<P> {
     }
 }
 
-/// The outcome of a batched sweep: a [`RunResult`] whose `values` hold all
-/// lanes vertex-major (`values[v·K + lane]`), plus the lane geometry to
-/// fan results back out per request.
+/// The outcome of a batched sweep: every lane's final values, vertex-major,
+/// and the superstep count.
 pub struct MultiRunResult<V> {
-    /// The sweep's result; `values.len() == num_vertices · lanes`,
-    /// `iterations` counts sweep supersteps (the max over lanes).
-    pub run: RunResult<V>,
+    /// All lanes' final values, `values[v·K + lane]`;
+    /// `values.len() == num_vertices · lanes`.
+    pub values: Vec<V>,
     /// Lane count of the batch.
     pub lanes: usize,
+    /// Sweep supersteps executed (the max over lanes).
+    pub iterations: usize,
 }
 
 impl<V: Copy> MultiRunResult<V> {
-    /// Extract one lane's per-vertex values (the answer to one request).
-    pub fn lane_values(&self, lane: usize) -> Vec<V> {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        self.run
-            .values
-            .iter()
-            .skip(lane)
-            .step_by(self.lanes)
-            .copied()
-            .collect()
-    }
-
-    /// Every lane's [`MultiRunResult::lane_values`], in lane order, as one
-    /// blocked transpose: a block of vertices is read while it is cache-hot
-    /// instead of striding the whole state once per lane.
+    /// Every lane's per-vertex values (the answer to one request each), in
+    /// lane order, as one blocked transpose: a block of vertices is read
+    /// while it is cache-hot instead of striding the whole state once per
+    /// lane.
     pub fn into_lanes(self) -> Vec<Vec<V>> {
         const BLOCK_VERTICES: usize = 256;
         let k = self.lanes;
-        let n = self.run.values.len() / k;
+        let n = self.values.len() / k;
         let mut lanes: Vec<Vec<V>> = (0..k).map(|_| Vec::with_capacity(n)).collect();
-        for block in self.run.values.chunks(BLOCK_VERTICES * k) {
+        for block in self.values.chunks(BLOCK_VERTICES * k) {
             for (lane, out) in lanes.iter_mut().enumerate() {
                 out.extend(block.iter().skip(lane).step_by(k));
             }
@@ -158,12 +149,10 @@ impl<V: Copy> MultiRunResult<V> {
 }
 
 /// Run a batched multi-source sweep over `graph` (the static CSR or a
-/// `MutableGraph`) on the calling thread. `machine` supplies the
-/// [`IterationDriver`] skeleton (iteration stamping, the `2|V|+64` safety
-/// cap, result assembly); the sweep itself computes on host memory, so the
-/// simulated clock stays empty — exactly the `RealThreads` backend's
-/// contract. `threads` is validated and stamped on the driver as for an
-/// engine run, nothing else: the result is identical at every count.
+/// `MutableGraph`) on the calling thread, in host memory. `machine` and
+/// `threads` are validated as for an engine run ([`validate_sim_threads`])
+/// and otherwise unused: nothing is placed or charged, and the result is
+/// identical at every count.
 ///
 /// Every failure surfaces as a typed [`PolymerError`]; panics escaping the
 /// sweep body are caught and converted, as with the engines.
@@ -182,13 +171,13 @@ pub fn run_multi_source<T: Topology, P: SingleSource>(
         }
         validate_run_config(threads, graph.num_vertices(), prog)?;
     }
-    catch_engine_faults(|| sweep(machine, threads, graph, batch.programs()))
+    catch_engine_faults(|| sweep(graph, batch.programs()))
 }
 
-/// Sweep every lane to its fixed point.
+/// Sweep every lane to its fixed point: at most `max_iters` supersteps, and
+/// a [`PolymerError::IterationCapExceeded`] when the frontier is still
+/// alive after `2·|V| + 64` of them.
 fn sweep<T: Topology, P: SingleSource>(
-    machine: &Machine,
-    threads: usize,
     graph: &T,
     progs: &[P],
 ) -> PolymerResult<MultiRunResult<P::Val>> {
@@ -213,18 +202,20 @@ fn sweep<T: Topology, P: SingleSource>(
     }
     state.frontier.sort_unstable();
 
-    let mut driver = IterationDriver::new(machine, threads, BarrierKind::Hierarchical, false, n);
-    driver.run_synchronous(
-        progs[0].max_iters(),
-        &mut state,
-        |st| !st.frontier.is_empty(),
-        |_sim, _iter, st| {
-            st.step(graph, progs);
-            Ok(())
-        },
-    )?;
-    let run = driver.finish(state.curr);
-    Ok(MultiRunResult { run, lanes: k })
+    let (max_iters, cap) = (progs[0].max_iters(), 2 * n + 64);
+    let mut iterations = 0;
+    while !state.frontier.is_empty() && iterations < max_iters {
+        if iterations >= cap {
+            return Err(PolymerError::IterationCapExceeded { cap });
+        }
+        state.step(graph, progs);
+        iterations += 1;
+    }
+    Ok(MultiRunResult {
+        values: state.curr,
+        lanes: k,
+        iterations,
+    })
 }
 
 /// The single-writer kernel's state: plain values owned by the sweeping
@@ -360,10 +351,10 @@ mod tests {
         let sources = [0u32, 1, 5, 200, 5];
         let batch = MultiSource::from_sources(&Bfs::new(0), &sources).unwrap();
         let res = run_multi_source(&m, 2, &g, &batch).unwrap();
-        assert_eq!(res.run.values.len(), g.num_vertices() * sources.len());
-        for (lane, &s) in sources.iter().enumerate() {
+        assert_eq!(res.values.len(), g.num_vertices() * sources.len());
+        for (lane, (got, &s)) in res.into_lanes().iter().zip(&sources).enumerate() {
             let (want, _) = run_reference(&g, &Bfs::new(s));
-            assert_eq!(res.lane_values(lane), want, "lane {lane} (source {s})");
+            assert_eq!(got, &want, "lane {lane} (source {s})");
         }
     }
 
@@ -374,9 +365,9 @@ mod tests {
         let sources = [3u32, 9, 31];
         let batch = MultiSource::from_sources(&Sssp::new(0), &sources).unwrap();
         let res = run_multi_source(&m, 3, &g, &batch).unwrap();
-        for (lane, &s) in sources.iter().enumerate() {
+        for (lane, (got, &s)) in res.into_lanes().iter().zip(&sources).enumerate() {
             let (want, _) = run_reference(&g, &Sssp::new(s));
-            assert_eq!(res.lane_values(lane), want, "lane {lane} (source {s})");
+            assert_eq!(got, &want, "lane {lane} (source {s})");
         }
     }
 
@@ -387,8 +378,8 @@ mod tests {
         let batch = MultiSource::from_sources(&Bfs::new(0), &[4]).unwrap();
         let res = run_multi_source(&m, 1, &g, &batch).unwrap();
         let (want, want_iters) = run_reference(&g, &Bfs::new(4));
-        assert_eq!(res.lane_values(0), want);
-        assert_eq!(res.run.iterations, want_iters);
+        assert_eq!(res.iterations, want_iters);
+        assert_eq!(res.into_lanes(), vec![want]);
     }
 
     /// BFS under an iteration cap, optionally with a `scatter` that raises
@@ -466,10 +457,28 @@ mod tests {
         let g = ring(16);
         let batch = MultiSource::from_sources(&probe(0, 2, false), &[0, 4, 4]).unwrap();
         let res = run_multi_source(&machine(), 1, &g, &batch).unwrap();
-        assert_eq!(res.run.iterations, 2);
-        for (lane, prog) in batch.programs().iter().enumerate() {
-            assert_eq!(res.lane_values(lane), run_reference(&g, prog).0);
+        assert_eq!(res.iterations, 2);
+        for (lane, prog) in res.into_lanes().iter().zip(batch.programs()) {
+            assert_eq!(lane, &run_reference(&g, prog).0);
         }
+    }
+
+    /// The sweep's own loop stops at the programs' `max_iters`, as the
+    /// reference does: a one-lane BFS capped at 3 on a 200-vertex path
+    /// reaches exactly the first three hops.
+    #[test]
+    fn a_capped_sweep_stops_at_max_iters_with_the_reference_values() {
+        let n = 200u32;
+        let g = Graph::from_edges(&EdgeList::from_pairs(
+            n as usize,
+            (0..n - 1).map(|v| (v, v + 1)),
+        ));
+        let batch = MultiSource::new(vec![probe(0, 3, false)]).unwrap();
+        let res = run_multi_source(&machine(), 1, &g, &batch).unwrap();
+        assert_eq!(res.iterations, 3);
+        let (want, want_iters) = run_reference(&g, &batch.programs()[0]);
+        assert_eq!(want_iters, 3);
+        assert_eq!(res.into_lanes(), vec![want]);
     }
 
     /// Regression: the chunk-parallel sweep re-raised a worker's panic as a
@@ -515,18 +524,11 @@ mod tests {
             );
             assert_eq!(res.lanes, sources.len(), "{what}");
             assert_eq!(
-                res.run.seconds(),
-                0.0,
-                "{what}: a host sweep charges nothing"
-            );
-            assert_eq!(
-                res.run.iterations,
+                res.iterations,
                 want_iters.iter().copied().max().unwrap(),
                 "{what}"
             );
-            assert_eq!(res.run.values, vertex_major, "{what}: values[v·K + lane]");
-            let strided: Vec<_> = (0..res.lanes).map(|lane| res.lane_values(lane)).collect();
-            assert_eq!(strided, want, "{what}");
+            assert_eq!(res.values, vertex_major, "{what}: values[v·K + lane]");
             assert_eq!(res.into_lanes(), want, "{what}: into_lanes");
         }
     }

@@ -12,50 +12,32 @@
 //!   baselines.
 //!
 //! An engine describes how its strategy maps onto the real-thread executor
-//! with an [`ExecProfile`]; [`crate::Engine::try_run_with`] dispatches on
-//! [`crate::RunOptions::backend`].
+//! with an [`ExecProfile`] — hybrid or push-only, the one setting the
+//! executor reads. [`crate::Engine::try_run_with`] dispatches on
+//! [`crate::RunOptions::backend`] and is the only way onto either backend.
 
 use polymer_faults::FaultPlan;
 
-/// Edge-traversal direction policy for the real-thread executor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DirectionPolicy {
-    /// Always push: every thread scatters along the out-edges of its slice
-    /// of the frontier, folding contributions to targets it owns in place
-    /// and binning the rest for their owners to drain after the barrier.
-    /// X-Stream's scatter → shuffle → gather and Ligra's `force_push`
-    /// ablation map here.
-    PushOnly,
-    /// Beamer-style hybrid: gather (each owner folds over the in-edges of
-    /// its targets, gated by an active-source bitmap) when the frontier is
-    /// dense, push otherwise.
+/// How an engine's strategy maps onto the real-thread executor. The profile
+/// only chooses *which edge phase* an iteration runs; ownership of targets,
+/// the barrier structure and the answers are the same under both.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ExecProfile {
+    /// Beamer-style hybrid: after every iteration Ligra's density rule
+    /// ([`polymer_sync::should_densify`]) is applied to the frontier's exact
+    /// size and out-degree, and the next iteration gathers (each owner folds
+    /// over the in-edges of its targets, gated by an active-source bitmap)
+    /// when it fires and pushes otherwise. The choice follows frontier
+    /// density alone; [`crate::Program::prefer_push`] is a simulator-model
+    /// flag and is not consulted on this backend.
+    #[default]
     Hybrid,
-}
-
-/// How an engine's strategy maps onto the real-thread executor. Both fields
-/// only choose *which edge phase* an iteration runs; ownership of targets,
-/// the barrier structure and the answers are the same under every profile.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecProfile {
-    /// Direction policy. Under `Hybrid` the choice is made per iteration
-    /// from the frontier's density alone; [`crate::Program::prefer_push`]
-    /// is a simulator-model flag and is not consulted on this backend.
-    pub direction: DirectionPolicy,
-    /// Apply Ligra's density rule ([`polymer_sync::should_densify`]) to the
-    /// frontier's exact size and out-degree after every iteration, and
-    /// gather when it fires. When false a `Hybrid` profile never gathers —
-    /// every iteration is a push over the sorted frontier list, exactly as
-    /// under `PushOnly`.
-    pub adaptive_frontier: bool,
-}
-
-impl Default for ExecProfile {
-    fn default() -> Self {
-        ExecProfile {
-            direction: DirectionPolicy::Hybrid,
-            adaptive_frontier: true,
-        }
-    }
+    /// Always push: every thread scatters along the out-edges of its slice
+    /// of the frontier, into bins for the targets' owners or into its own
+    /// partial array, as memory decides. X-Stream's scatter → shuffle →
+    /// gather, Ligra's `force_push` ablation and Polymer without adaptive
+    /// states map here.
+    PushOnly,
 }
 
 /// Configuration of the real-thread backend.

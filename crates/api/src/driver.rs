@@ -444,7 +444,6 @@ impl IterationDriver {
             threads: self.threads,
             sockets,
             recovery: None,
-            tag: None,
         }
     }
 }

@@ -113,9 +113,9 @@ pub trait Engine {
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>>;
 
-    /// How this engine's strategy maps onto the real-thread executor
-    /// (direction policy, frontier adaptivity). The default is the full
-    /// hybrid profile; engines with pinned strategies override it.
+    /// How this engine's strategy maps onto the real-thread executor: hybrid
+    /// (gather on dense frontiers) or push-only. The default is hybrid;
+    /// engines with pinned strategies override it.
     fn exec_profile(&self) -> ExecProfile {
         ExecProfile::default()
     }
@@ -169,7 +169,6 @@ pub trait Engine {
                     threads,
                     sockets: cfg.groups.clamp(1, threads.max(1)),
                     recovery: None,
-                    tag: None,
                 })
             }),
         }

@@ -242,11 +242,6 @@ impl TopoArrays {
         self.in_adj.stream(ctx, v, lo, hi)
     }
 
-    /// True when the neighbour arrays are delta/varint-compressed.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self.out_adj, Adj::Compressed(_))
-    }
-
     /// Simulated bytes one full out-edge plus in-edge sweep moves through
     /// the neighbour arrays (raw `u32`s or encoded payload), for reporting.
     pub fn neighbor_sweep_bytes(&self) -> usize {

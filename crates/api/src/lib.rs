@@ -40,7 +40,7 @@ pub mod program;
 pub mod result;
 pub mod supervisor;
 
-pub use backend::{Backend, DirectionPolicy, ExecProfile, RealThreadsConfig};
+pub use backend::{Backend, ExecProfile, RealThreadsConfig};
 pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver, RecoverySession};
 pub use engine::{
     catch_engine_faults, validate_resume, validate_run_config, validate_sim_threads, Engine,
@@ -52,7 +52,6 @@ pub use exec::{
     NeighborStream, TopoArrays,
 };
 pub use overlay::{MergedTopoStream, OutSegment, OverlayTopo};
-pub use parallel::{run_parallel, try_run_threads_rec};
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};
 pub use program::{Combine, FrontierInit, Program};
 pub use result::RunResult;

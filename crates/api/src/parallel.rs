@@ -47,12 +47,13 @@
 //!    concatenated (owner order is vertex order, so nothing is sorted) only
 //!    when the next iteration pushes or a checkpoint is due.
 //!
-//! An [`ExecProfile`] maps an engine's strategy onto the executor: hybrid
-//! adaptive profiles gather when the frontier's exact out-degree crosses
-//! Ligra's density threshold ([`should_densify`]) and push otherwise;
-//! push-only profiles always push. On this backend the direction follows
-//! frontier density alone — [`Program::prefer_push`] describes the paper's
-//! simulated machines and is not consulted.
+//! An [`ExecProfile`] maps an engine's strategy onto the executor:
+//! [`ExecProfile::Hybrid`] gathers when the frontier's exact out-degree
+//! crosses Ligra's density threshold ([`should_densify`]) and pushes
+//! otherwise; [`ExecProfile::PushOnly`] always pushes, binned or dense as
+//! memory decides. On this backend the direction follows frontier density
+//! alone — [`Program::prefer_push`] describes the paper's simulated machines
+//! and is not consulted.
 //!
 //! Contributions are folded with [`Program::fold`] in an order fixed by the
 //! graph, the frontier and the thread count: CSC order in a gather; own
@@ -71,11 +72,10 @@
 //! Every owner scans all of its bitmap words each iteration, so an iteration
 //! costs at least |V|/64 word loads however small the frontier.
 //!
-//! Two entry points: [`try_run_threads_rec`] is the executor itself (fault
-//! plan, profile, tracer, recovery session all explicit) and is what
-//! [`crate::Engine::try_run_with`] calls for [`crate::Backend::RealThreads`]
-//! — go through the engine wherever there is one; [`run_parallel`] is the
-//! push-only, plan-free, panicking shorthand the examples use.
+//! One door: [`crate::Engine::try_run_with`] under
+//! [`crate::Backend::RealThreads`] is the only caller of the crate-private
+//! `try_run_threads_rec`, passing the engine's profile, the backend's fault
+//! plan and the run's tracer and recovery session.
 //!
 //! It is also the template for running this crate's programs on actual
 //! hardware: place each owner's slice of `curr`/`next` and its in-edges with
@@ -88,12 +88,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use polymer_faults::{panic_with, FaultPlan, PolymerError, PolymerResult};
+use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId, Weight};
 use polymer_numa::{Atom, SharedTracer, WorkerSpan};
 use polymer_sync::{should_densify, FrontierSnapshot, HierBarrier};
 
-use crate::backend::{DirectionPolicy, ExecProfile, RealThreadsConfig};
+use crate::backend::{ExecProfile, RealThreadsConfig};
 use crate::driver::{Checkpoint, RecoverySession};
 use crate::engine::{validate_resume, validate_run_config};
 use crate::exec::degree_balanced_chunks;
@@ -103,12 +103,6 @@ use crate::program::{FrontierInit, Program};
 /// run on an oversubscribed host ever hits it, small enough that a dead
 /// sibling turns into an error rather than an eternal hang.
 const DEFAULT_BARRIER_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The profile of [`run_parallel`]: push on every iteration.
-const LEGACY_PROFILE: ExecProfile = ExecProfile {
-    direction: DirectionPolicy::PushOnly,
-    adaptive_frontier: false,
-};
 
 /// Record `err` as the run's failure unless a more informative error is
 /// already recorded. `BarrierPoisoned` is the *consequence* of a sibling's
@@ -123,25 +117,6 @@ fn record_error(slot: &parking_lot::Mutex<Option<PolymerError>>, err: PolymerErr
     if replace {
         *slot = Some(err);
     }
-}
-
-/// Run `prog` on `g` with `threads` real OS threads grouped into
-/// `groups` barrier groups (modelling sockets), push-only, with no fault
-/// plan, tracer or recovery session. Returns the final values and the
-/// iteration count. Panics (with a typed [`PolymerError`] payload) on invalid
-/// configuration or worker failure; everything else goes through
-/// [`crate::Engine::try_run_with`] (or [`try_run_threads_rec`] where there is
-/// no engine).
-pub fn run_parallel<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    groups: usize,
-) -> (Vec<P::Val>, usize) {
-    let (plan, off) = (FaultPlan::default(), RecoverySession::disabled());
-    let cfg = RealThreadsConfig { groups, plan };
-    try_run_threads_rec(g, prog, threads, &cfg, &LEGACY_PROFILE, None, &off)
-        .unwrap_or_else(|e| panic_with(e))
 }
 
 /// Word-aligned ownership of the target vertices: thread `k` owns bitmap
@@ -504,12 +479,13 @@ impl<P: Program> Exec<'_, P> {
     }
 }
 
-/// The executor's one full-control entry: run `prog` under an engine's
-/// [`ExecProfile`] ([`crate::Engine::try_run_with`] dispatches here for
-/// [`crate::Backend::RealThreads`]). Hybrid adaptive profiles gather on dense
-/// frontiers and push on sparse ones; push-only profiles push on every
-/// iteration. Whether a push bins or scatters into per-producer partials is
-/// decided per iteration by memory alone (`dense_push_pays`).
+/// The executor: run `prog` under an engine's [`ExecProfile`]
+/// ([`crate::Engine::try_run_with`] dispatches here for
+/// [`crate::Backend::RealThreads`], and nothing else enters). A hybrid
+/// profile gathers on dense frontiers and pushes on sparse ones; a push-only
+/// profile pushes on every iteration. Whether a push bins or scatters into
+/// per-producer partials is decided per iteration by memory alone
+/// (`dense_push_pays`).
 ///
 /// Validates the configuration up front, honors `cfg.plan` (stragglers,
 /// injected worker panics, barrier deadlines), and converts every worker
@@ -534,7 +510,7 @@ impl<P: Program> Exec<'_, P> {
 /// *global* iteration space, so injections already crossed are not replayed.
 /// A resumed frontier is taken as a *set*: duplicates collapse and members
 /// are visited in ascending order, as in the run that wrote the checkpoint.
-pub fn try_run_threads_rec<P: Program>(
+pub(crate) fn try_run_threads_rec<P: Program>(
     g: &Graph,
     prog: &P,
     threads: usize,
@@ -617,10 +593,10 @@ pub fn try_run_threads_rec<P: Program>(
 
     let degree_of = |v: VId| exec.degs[v as usize] as usize;
 
-    // Direction switch: hybrid adaptive profiles gather when the frontier's
-    // exact out-degree crosses Ligra's density threshold. A push goes dense
-    // when the partials take no more memory than the bins would.
-    let adaptive = profile.direction == DirectionPolicy::Hybrid && profile.adaptive_frontier;
+    // Direction switch: a hybrid profile gathers when the frontier's exact
+    // out-degree crosses Ligra's density threshold. A push goes dense when
+    // the partials take no more memory than the bins would.
+    let adaptive = *profile == ExecProfile::Hybrid;
     let val_bytes = std::mem::size_of::<P::Val>();
     let decide = |count: u64, degree: u64| -> Mode {
         if adaptive && should_densify(count, degree, m) {
@@ -830,6 +806,7 @@ mod tests {
     use super::*;
 
     use crate::program::Combine;
+    use polymer_faults::FaultPlan;
     use polymer_graph::EdgeList;
 
     // Minimal local BFS-by-level program to avoid a circular dev-dependency
@@ -900,7 +877,9 @@ mod tests {
     #[test]
     fn parallel_bfs_matches_expected_levels_on_ring() {
         let g = ring(64);
-        let (vals, iters) = run_parallel(&g, &Levels { src: 0 }, 4, 2);
+        let plan = FaultPlan::default();
+        let run = plain(&g, &Levels { src: 0 }, 4, 2, plan, &ExecProfile::PushOnly);
+        let (vals, iters) = run.unwrap();
         for (v, &lvl) in vals.iter().enumerate() {
             assert_eq!(lvl as usize, v, "ring level mismatch at {v}");
         }
@@ -910,7 +889,9 @@ mod tests {
     #[test]
     fn parallel_single_thread_works() {
         let g = ring(16);
-        let (vals, _) = run_parallel(&g, &Levels { src: 3 }, 1, 1);
+        let plan = FaultPlan::default();
+        let run = plain(&g, &Levels { src: 3 }, 1, 1, plan, &ExecProfile::PushOnly);
+        let (vals, _) = run.unwrap();
         assert_eq!(vals[3], 0);
         assert_eq!(vals[2], 15);
     }
@@ -918,7 +899,9 @@ mod tests {
     #[test]
     fn parallel_more_groups_than_threads_is_clamped() {
         let g = ring(8);
-        let (vals, _) = run_parallel(&g, &Levels { src: 0 }, 2, 8);
+        let plan = FaultPlan::default();
+        let run = plain(&g, &Levels { src: 0 }, 2, 8, plan, &ExecProfile::PushOnly);
+        let (vals, _) = run.unwrap();
         assert_eq!(vals[7], 7);
     }
 
@@ -926,7 +909,7 @@ mod tests {
     fn zero_threads_is_a_typed_error() {
         let g = ring(8);
         let plan = FaultPlan::default();
-        let err = plain(&g, &Levels { src: 0 }, 0, 1, plan, &LEGACY_PROFILE).unwrap_err();
+        let err = plain(&g, &Levels { src: 0 }, 0, 1, plan, &ExecProfile::PushOnly).unwrap_err();
         assert!(matches!(err, PolymerError::InvalidConfig(_)));
     }
 
@@ -934,7 +917,7 @@ mod tests {
     fn out_of_range_source_is_a_typed_error() {
         let g = ring(8);
         let plan = FaultPlan::default();
-        let err = plain(&g, &Levels { src: 99 }, 2, 1, plan, &LEGACY_PROFILE).unwrap_err();
+        let err = plain(&g, &Levels { src: 99 }, 2, 1, plan, &ExecProfile::PushOnly).unwrap_err();
         match err {
             PolymerError::InvalidConfig(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected: {other:?}"),
@@ -989,7 +972,7 @@ mod tests {
                 &Levels { src: 0 },
                 2,
                 &cfg,
-                &LEGACY_PROFILE,
+                &ExecProfile::PushOnly,
                 None,
                 &session,
             )
@@ -1059,7 +1042,7 @@ mod tests {
         let plan = FaultPlan::new()
             .panic_worker_at(1, 2)
             .barrier_timeout(Duration::from_secs(5));
-        let err = plain(&g, &Levels { src: 0 }, 4, 2, plan, &LEGACY_PROFILE).unwrap_err();
+        let err = plain(&g, &Levels { src: 0 }, 4, 2, plan, &ExecProfile::PushOnly).unwrap_err();
         match err {
             PolymerError::WorkerPanicked { worker, ref detail } => {
                 assert_eq!(worker, 1);
@@ -1073,7 +1056,7 @@ mod tests {
     fn straggler_delays_but_still_completes() {
         let g = ring(16);
         let plan = FaultPlan::new().delay_worker(0, 1, Duration::from_millis(5));
-        let (vals, _) = plain(&g, &Levels { src: 0 }, 2, 1, plan, &LEGACY_PROFILE).unwrap();
+        let (vals, _) = plain(&g, &Levels { src: 0 }, 2, 1, plan, &ExecProfile::PushOnly).unwrap();
         assert_eq!(vals[15], 15);
     }
 
@@ -1088,12 +1071,8 @@ mod tests {
         ));
         let prog = Levels { src: 0 };
         let plan = FaultPlan::default();
-        let hybrid = ExecProfile {
-            direction: DirectionPolicy::Hybrid,
-            adaptive_frontier: true,
-        };
-        let (want, _) = plain(&g, &prog, 3, 2, plan.clone(), &LEGACY_PROFILE).unwrap();
-        let (got, _) = plain(&g, &prog, 3, 2, plan, &hybrid).unwrap();
+        let (want, _) = plain(&g, &prog, 3, 2, plan.clone(), &ExecProfile::PushOnly).unwrap();
+        let (got, _) = plain(&g, &prog, 3, 2, plan, &ExecProfile::Hybrid).unwrap();
         assert_eq!(got, want);
     }
 }

@@ -23,18 +23,6 @@ pub struct RunResult<V> {
     /// [`crate::supervisor::RunSupervisor`]: every attempt, fallback, and
     /// checkpoint-resume on the way to this result. `None` for plain runs.
     pub recovery: Option<RecoveryReport>,
-    /// Caller-assigned request tag. The serving layer stamps every result
-    /// with the id of the request it answers, so results fanned out of a
-    /// coalesced batch stay attributable; `None` for plain runs.
-    pub tag: Option<u64>,
-}
-
-impl<V> RunResult<V> {
-    /// Stamp this result with a request tag (serving layer attribution).
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = Some(tag);
-        self
-    }
 }
 
 impl<V> RunResult<V> {
@@ -101,7 +89,6 @@ mod tests {
             threads: 4,
             sockets: 2,
             recovery: None,
-            tag: None,
         };
         assert!((r.seconds() - 2.0).abs() < 1e-12);
         assert_eq!(r.per_socket_us(2), vec![5.0, 4.0]);

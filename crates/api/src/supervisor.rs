@@ -550,7 +550,6 @@ mod tests {
                 threads,
                 sockets: 1,
                 recovery: None,
-                tag: None,
             })
         }
 

@@ -2,8 +2,8 @@
 
 use polymer_api::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
-    serial_combine, DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit,
-    IterationDriver, Program, RecoverySession, RunResult,
+    serial_combine, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
+    RecoverySession, RunResult,
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
@@ -148,9 +148,10 @@ impl Engine for PolymerEngine {
     }
 
     fn exec_profile(&self) -> ExecProfile {
-        ExecProfile {
-            direction: DirectionPolicy::Hybrid,
-            adaptive_frontier: self.config.adaptive_states,
+        if self.config.adaptive_states {
+            ExecProfile::Hybrid
+        } else {
+            ExecProfile::PushOnly
         }
     }
 
@@ -783,68 +784,68 @@ mod tests {
         );
     }
 
-    /// A traced, checkpointed, resumed real-thread run goes through
-    /// `try_run_with` like everything else, and is exactly the executor
-    /// call it replaces: same values bit for bit, same iterations, same
-    /// checkpoints, same worker spans.
+    /// A traced, checkpointed real-thread run through `try_run_with`,
+    /// resumed from its middle checkpoint through `try_run_with` again,
+    /// finishes bit for bit where the uninterrupted run did: same values,
+    /// same iterations, the same checkpoints from the resume point on, and
+    /// the same worker spans over those iterations.
     #[test]
-    fn real_thread_tracer_and_resume_through_try_run_with_match_the_executor() {
-        use polymer_api::{
-            try_run_threads_rec, Backend, CheckpointPolicy, CheckpointStore, RealThreadsConfig,
-            RunOptions,
-        };
+    fn real_thread_resume_through_try_run_with_matches_the_checkpointed_run() {
+        use polymer_api::{Backend, CheckpointPolicy, CheckpointStore, RunOptions};
         use polymer_numa::SharedTracer;
 
         let g = Graph::from_edges(&gen::rmat(9, 5_000, gen::RMAT_GRAPH500, 9));
         let prog = PageRank::new(g.num_vertices());
         let engine = PolymerEngine::new();
-        let cfg = RealThreadsConfig::default();
         let m = Machine::new(MachineSpec::test2());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let span_names = |t: SharedTracer| {
+        // The sorted names of the worker spans stamped `from` or later.
+        let span_names = |t: SharedTracer, from: usize| {
             let buf = t.into_buffer();
-            let mut names: Vec<_> = buf.worker_spans.iter().map(|s| s.name).collect();
+            let mut names: Vec<_> = (buf.worker_spans.iter())
+                .filter(|s| s.iteration.is_some_and(|i| i >= from as u64))
+                .map(|s| s.name)
+                .collect();
             names.sort_unstable();
             names
         };
-
-        // Both ways of running a session, each with its own tracer.
-        let both = |session: &dyn Fn() -> RecoverySession<f64>| {
-            let (t_direct, t_engine) = (SharedTracer::new(1, 3), SharedTracer::new(1, 3));
-            let (profile, tracer) = (engine.exec_profile(), Some(&t_direct));
-            let direct = try_run_threads_rec(&g, &prog, 3, &cfg, &profile, tracer, &session());
-            let direct = direct.expect("direct executor call");
+        let run = |recovery: RecoverySession<f64>, tracer: &SharedTracer| {
             let opts = RunOptions {
-                backend: Backend::RealThreads(cfg.clone()),
-                recovery: session(),
-                tracer: Some(&t_engine),
+                backend: Backend::real_threads(),
+                recovery,
+                tracer: Some(tracer),
                 ..RunOptions::default()
             };
-            let run = engine.try_run_with(&m, 3, &g, &prog, &opts).unwrap();
-            assert_eq!(bits(&run.values), bits(&direct.0));
-            assert_eq!(run.iterations, direct.1);
-            let spans = span_names(t_engine);
-            assert!(spans.contains(&"iteration") && spans.contains(&"barrier-wait"));
-            assert_eq!(spans, span_names(t_direct));
-            run
+            engine.try_run_with(&m, 3, &g, &prog, &opts).unwrap()
+        };
+        let every = |store: &CheckpointStore<f64>| {
+            RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone())
         };
 
-        let store = CheckpointStore::with_history();
-        let base = both(&|| RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()));
+        let (store, t_base) = (CheckpointStore::with_history(), SharedTracer::new(1, 3));
+        let base = run(every(&store), &t_base);
         let history = store.history();
-        let (from_direct, from_engine) = history.split_at(base.iterations);
-        assert_eq!(from_engine.len(), base.iterations);
-        for (a, b) in from_direct.iter().zip(from_engine) {
-            assert_eq!(a.iteration, b.iteration);
-            assert_eq!(bits(&a.values), bits(&b.values));
-        }
+        assert_eq!(history.len(), base.iterations);
+        let half = base.iterations / 2;
+        let from = history[half].iteration;
 
-        let mid = &history[base.iterations / 2];
-        let resumed = both(&|| {
-            RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
-                .with_resume(Some(mid.clone()))
-        });
+        let (again, t_resumed) = (CheckpointStore::with_history(), SharedTracer::new(1, 3));
+        let resumed = run(
+            every(&again).with_resume(Some(history[half].clone())),
+            &t_resumed,
+        );
         assert_eq!(bits(&resumed.values), bits(&base.values));
         assert_eq!(resumed.iterations, base.iterations);
+        let (later, again) = (&history[half + 1..], again.history());
+        assert_eq!(again.len(), later.len());
+        for (a, b) in later.iter().zip(&again) {
+            assert_eq!(a.iteration, b.iteration);
+            assert_eq!(bits(&a.values), bits(&b.values));
+            assert_eq!(a.frontier.vertices, b.frontier.vertices);
+        }
+
+        let spans = span_names(t_resumed, from);
+        assert!(spans.contains(&"iteration") && spans.contains(&"barrier-wait"));
+        assert_eq!(spans, span_names(t_base, from));
     }
 }

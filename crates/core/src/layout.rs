@@ -54,11 +54,6 @@ impl EndpointStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether the endpoints are delta/varint-encoded.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, EndpointStore::Compressed { .. })
-    }
 }
 
 /// Accounted stream over one agent's endpoints (no edge indices).

@@ -7,7 +7,7 @@
 //!
 //! * [`PolymerError`] — the workspace-wide error taxonomy. Every fallible
 //!   entry point (`Machine::try_alloc_*`, `HierBarrier::wait_checked`,
-//!   `try_run_threads_rec`, `Engine::try_run_with`) returns `Result<_, PolymerError>`
+//!   `Engine::try_run_with`, `run_multi_source`) returns `Result<_, PolymerError>`
 //!   instead of panicking. Deep call paths that still panic do so with a
 //!   `PolymerError` payload via [`panic_with`], which [`PolymerError::from_panic`]
 //!   recovers at the catch site — so a panic anywhere below an engine surfaces

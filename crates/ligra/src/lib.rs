@@ -22,8 +22,8 @@
 
 use polymer_api::{
     charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
-    even_chunks, init_values, serial_combine, DirectionPolicy, Engine, EngineKind, ExecProfile,
-    FrontierInit, IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
+    even_chunks, init_values, serial_combine, Engine, EngineKind, ExecProfile, FrontierInit,
+    IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
 };
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -59,13 +59,10 @@ impl Engine for LigraEngine {
     }
 
     fn exec_profile(&self) -> ExecProfile {
-        ExecProfile {
-            direction: if self.force_push {
-                DirectionPolicy::PushOnly
-            } else {
-                DirectionPolicy::Hybrid
-            },
-            adaptive_frontier: true,
+        if self.force_push {
+            ExecProfile::PushOnly
+        } else {
+            ExecProfile::Hybrid
         }
     }
 

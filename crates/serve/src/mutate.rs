@@ -164,10 +164,8 @@ mod tests {
             let machine = Machine::new(MachineSpec::test2());
             let (values, iterations) = with_traversal!(kind, |prog, wrap, _lane| {
                 let batch = MultiSource::new(vec![prog]).unwrap();
-                let run = run_multi_source(&machine, 2, ms.graph(), &batch)
-                    .unwrap()
-                    .run;
-                (wrap(run.values), run.iterations)
+                let res = run_multi_source(&machine, 2, ms.graph(), &batch).unwrap();
+                (wrap(res.values), res.iterations)
             });
             Answer::new(values, ms.graph().epoch(), iterations)
         });

@@ -152,8 +152,9 @@ impl GraphService {
                 "serve threads per request must be >= 1".to_string(),
             ));
         }
-        // Multi-source sweeps drive a simulated `IterationDriver` whatever
-        // `cfg.backend` is, and that binds one thread per simulated core.
+        // Every multi-source sweep validates `threads_per_request` against
+        // the spec's cores, as a simulated run binds them, whatever
+        // `cfg.backend` is.
         let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
         if cfg.threads_per_request > cores {
             return Err(PolymerError::InvalidConfig(format!(
@@ -596,7 +597,7 @@ fn sweep_lanes<T: Topology, P: SingleSource>(
     let ms = MultiSource::from_sources(template, sources)?;
     let machine = Machine::new(inner.cfg.spec.clone());
     let res = run_multi_source(&machine, inner.cfg.threads_per_request, graph, &ms)?;
-    let (iterations, batched_lanes) = (res.run.iterations, res.lanes);
+    let (iterations, batched_lanes) = (res.iterations, res.lanes);
     let answer = |lane| Answer {
         batched_lanes,
         ..Answer::new(wrap(lane), epoch, iterations)

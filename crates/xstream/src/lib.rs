@@ -26,8 +26,8 @@
 use std::ops::Range;
 
 use polymer_api::{
-    DirectionPolicy, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
-    RecoverySession, RunResult,
+    Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program, RecoverySession,
+    RunResult,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::DeltaDecoder;
@@ -103,10 +103,7 @@ impl Engine for XStreamEngine {
     fn exec_profile(&self) -> ExecProfile {
         // Edge-centric streaming is a pure scatter (push) engine with
         // always-dense states.
-        ExecProfile {
-            direction: DirectionPolicy::PushOnly,
-            adaptive_frontier: false,
-        }
+        ExecProfile::PushOnly
     }
 
     fn run_simulated<P: Program>(

@@ -1,9 +1,6 @@
-//! Real OS threads, no simulation: runs the scatter–gather programs through
-//! `polymer::api::run_parallel`, which coordinates genuine worker threads
-//! with Polymer's hierarchical sense-reversing barrier and owner-computes
-//! updates (every thread writes only the targets it owns; contributions to
-//! other threads' targets travel through bins) — exercised end-to-end and
-//! verified against the sequential oracle.
+//! Real OS threads, no simulation: X-Stream's push-only profile on
+//! `Backend::real_threads()` (owner-computes workers behind Polymer's
+//! hierarchical barrier), verified against the sequential oracle.
 //!
 //! ```sh
 //! cargo run --release --example parallel_threads
@@ -11,7 +8,7 @@
 
 use std::time::Instant;
 
-use polymer::api::run_parallel;
+use polymer::algos::reference::max_rel_error;
 use polymer::prelude::*;
 
 fn main() {
@@ -24,13 +21,15 @@ fn main() {
     );
 
     // PageRank across thread counts (grouped into 2 barrier groups).
+    let (xs, rt) = (XStreamEngine::new(), Backend::real_threads());
+    let m = Machine::new(MachineSpec::test2());
     let prog = PageRank::new(graph.num_vertices());
     let (want, _) = run_reference(&graph, &prog);
     for threads in [1, 2, 4] {
         let t0 = Instant::now();
-        let (got, iters) = run_parallel(&graph, &prog, threads, 2);
+        let run = xs.try_run_on(&rt, &m, threads, &graph, &prog).unwrap();
         let host_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let err = polymer::algos::reference::max_rel_error(&got, &want);
+        let (err, iters) = (max_rel_error(&run.values, &want), run.iterations);
         println!(
             "PageRank  {threads} thread(s): {iters} iterations, {host_ms:7.1} ms host, \
              max rel err vs reference {err:.2e}"
@@ -45,7 +44,8 @@ fn main() {
     let bfs = Bfs::new(src);
     let (want, _) = run_reference(&graph, &bfs);
     let t0 = Instant::now();
-    let (got, iters) = run_parallel(&graph, &bfs, 4, 2);
+    let run = xs.try_run_on(&rt, &m, 4, &graph, &bfs).unwrap();
+    let (got, iters) = (run.values, run.iterations);
     println!(
         "\nBFS       4 thread(s): {iters} iterations, {:7.1} ms host, exact match: {}",
         t0.elapsed().as_secs_f64() * 1000.0,

@@ -1,5 +1,6 @@
-//! The real-threads executor (`polymer_api::run_parallel`) must agree with
-//! the sequential reference under genuine concurrency: exactly for
+//! The real-threads executor, reached as every real-thread run reaches it
+//! (`Engine::try_run_with` on `Backend::RealThreads`), must agree with the
+//! sequential reference under genuine concurrency: exactly for
 //! min-combining programs, ε-close for floating-point accumulation. This is
 //! the end-to-end check on the owner-computes executor: target ownership
 //! (including owners of nothing), the gather, binned-push and dense-push
@@ -10,7 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use polymer::algos::reference::max_rel_error;
 use polymer::api::program::{fold_f64, fold_u32, fold_u64};
-use polymer::api::{run_parallel, Combine, FrontierInit};
+use polymer::api::{Combine, FrontierInit};
 use polymer::graph::{gen, VId, Weight};
 use polymer::numa::{Atom, SharedTracer};
 use polymer::prelude::*;
@@ -25,15 +26,21 @@ enum Profile {
 }
 const PROFILES: [Profile; 2] = [Profile::Hybrid, Profile::PushOnly];
 
-fn run_profile<P: Program>(g: &Graph, prog: &P, threads: usize, profile: Profile) -> Vec<P::Val> {
+/// Final values and iteration count of `prog` under `profile`.
+fn run_profile<P: Program>(
+    g: &Graph,
+    prog: &P,
+    threads: usize,
+    profile: Profile,
+) -> (Vec<P::Val>, usize) {
     let backend = Backend::real_threads();
     let machine = Machine::new(MachineSpec::test2());
-    match profile {
+    let run = match profile {
         Profile::Hybrid => PolymerEngine::new().try_run_on(&backend, &machine, threads, g, prog),
         Profile::PushOnly => XStreamEngine::new().try_run_on(&backend, &machine, threads, g, prog),
     }
-    .expect("healthy run")
-    .values
+    .expect("healthy run");
+    (run.values, run.iterations)
 }
 
 /// BFS, SSSP, CC (exact) and PageRank (≤ 1e-9) against `run_reference` on
@@ -51,19 +58,19 @@ fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: 
 
     let bfs = Bfs::new(src);
     assert_eq!(
-        run_profile(&g, &bfs, threads, profile),
+        run_profile(&g, &bfs, threads, profile).0,
         run_reference(&g, &bfs).0,
         "BFS {label}"
     );
     let sssp = Sssp::new(src);
     assert_eq!(
-        run_profile(&g, &sssp, threads, profile),
+        run_profile(&g, &sssp, threads, profile).0,
         run_reference(&g, &sssp).0,
         "SSSP {label}"
     );
     let pr = PageRank::new(g.num_vertices());
     let err = max_rel_error(
-        &run_profile(&g, &pr, threads, profile),
+        &run_profile(&g, &pr, threads, profile).0,
         &run_reference(&g, &pr).0,
     );
     assert!(err <= 1e-9, "PR {label}: max rel error {err}");
@@ -73,7 +80,7 @@ fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: 
     let g = Graph::from_edges(&sym);
     let cc = ConnectedComponents::new();
     assert_eq!(
-        run_profile(&g, &cc, threads, profile),
+        run_profile(&g, &cc, threads, profile).0,
         run_reference(&g, &cc).0,
         "CC {label}"
     );
@@ -97,7 +104,7 @@ fn parallel_bfs_matches_reference() {
         let prog = Bfs::new(src);
         let (want, _) = run_reference(&g, &prog);
         for threads in [1, 3, 4] {
-            let (got, _) = run_parallel(&g, &prog, threads, 2);
+            let (got, _) = run_profile(&g, &prog, threads, Profile::PushOnly);
             assert_eq!(got, want, "{threads} threads diverged");
         }
     }
@@ -112,7 +119,7 @@ fn parallel_sssp_matches_reference() {
             .unwrap();
         let prog = Sssp::new(src);
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_parallel(&g, &prog, 4, 2);
+        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
         assert_eq!(got, want);
     }
 }
@@ -124,7 +131,7 @@ fn parallel_cc_matches_reference() {
         let g = Graph::from_edges(&el);
         let prog = ConnectedComponents::new();
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_parallel(&g, &prog, 4, 2);
+        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
         assert_eq!(got, want);
     }
 }
@@ -135,7 +142,7 @@ fn parallel_pagerank_close_to_reference() {
         let g = Graph::from_edges(&el);
         let prog = PageRank::new(g.num_vertices());
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_parallel(&g, &prog, 4, 2);
+        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
         let err = max_rel_error(&got, &want);
         assert!(err < 1e-9, "max rel error {err}");
     }
@@ -146,7 +153,7 @@ fn parallel_spmv_close_to_reference() {
     let g = Graph::from_edges(&gen::uniform(300, 1_500, 4));
     let prog = SpMV::new();
     let (want, _) = run_reference(&g, &prog);
-    let (got, iters) = run_parallel(&g, &prog, 3, 3);
+    let (got, iters) = run_profile(&g, &prog, 3, Profile::PushOnly);
     assert_eq!(iters, 5);
     assert!(max_rel_error(&got, &want) < 1e-9);
 }
@@ -156,8 +163,49 @@ fn parallel_bp_close_to_reference() {
     let g = Graph::from_edges(&gen::rmat(8, 1_500, gen::RMAT_GRAPH500, 6));
     let prog = BeliefPropagation::new();
     let (want, _) = run_reference(&g, &prog);
-    let (got, _) = run_parallel(&g, &prog, 4, 2);
+    let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
     assert!(max_rel_error(&got, &want) < 1e-9);
+}
+
+/// Each engine's profile, end to end: Polymer without adaptive states and
+/// Ligra's push-only ablation push on every iteration exactly as X-Stream
+/// does, and Ligra's default is Polymer's hybrid. PageRank's fold order
+/// differs between a gather and a push, so its bits tell the two apart.
+#[test]
+fn engine_profiles_map_onto_the_executor() {
+    fn run<E: Engine, P: Program>(
+        engine: &E,
+        g: &Graph,
+        prog: &P,
+        threads: usize,
+        bits: fn(P::Val) -> u64,
+    ) -> (Vec<u64>, usize) {
+        let (backend, machine) = (Backend::real_threads(), Machine::new(MachineSpec::test2()));
+        let run = engine.try_run_on(&backend, &machine, threads, g, prog);
+        let run = run.expect("healthy run");
+        (run.values.into_iter().map(bits).collect(), run.iterations)
+    }
+    fn check<P: Program>(g: &Graph, prog: &P, bits: fn(P::Val) -> u64) {
+        for threads in [2, 3] {
+            let what = format!("{} at {threads} threads", prog.name());
+            let push = run(&XStreamEngine::new(), g, prog, threads, bits);
+            let polymer_push = PolymerEngine::new().without_adaptive_states();
+            let polymer_push = run(&polymer_push, g, prog, threads, bits);
+            assert!(
+                polymer_push == push,
+                "Polymer without adaptive states: {what}"
+            );
+            let ligra_push = run(&LigraEngine::new().push_only(), g, prog, threads, bits);
+            assert!(ligra_push == push, "Ligra push-only: {what}");
+            let hybrid = run(&PolymerEngine::new(), g, prog, threads, bits);
+            let ligra = run(&LigraEngine::new(), g, prog, threads, bits);
+            assert!(ligra == hybrid, "Ligra: {what}");
+        }
+    }
+    let g = Graph::from_edges(&gen::rmat(9, 5_000, gen::RMAT_GRAPH500, 3));
+    check(&g, &Bfs::new(0), u64::from);
+    check(&g, &Sssp::new(0), |d| d);
+    check(&g, &PageRank::new(g.num_vertices()), f64::to_bits);
 }
 
 /// Ownership edge cases end to end: fewer 64-vertex bitmap words than
@@ -306,7 +354,7 @@ fn executor_issues_only_loads_and_stores_on_values() {
     for profile in PROFILES {
         for threads in [1, 2, 4] {
             assert_eq!(
-                run_profile(&g, &prog, threads, profile),
+                run_profile(&g, &prog, threads, profile).0,
                 want,
                 "{profile:?}, {threads} threads"
             );

@@ -1,12 +1,10 @@
 //! One way to run a program: every kept shorthand — `Engine::run`,
 //! `Engine::run_traced`, `Engine::try_run_on` on both backends,
-//! `RunSupervisor::run`, `runner::run_on` and `run_parallel` — must return
-//! exactly what the general call, [`Engine::try_run_with`] under the
-//! corresponding [`RunOptions`], returns: values, iterations, the simulated
-//! clock bit for bit and, when traced, the phase count. On all four engines.
+//! `RunSupervisor::run` and `runner::run_on` — must return exactly what the
+//! general call, [`Engine::try_run_with`] under the corresponding
+//! [`RunOptions`], returns: values, iterations, the simulated clock bit for
+//! bit and, when traced, the phase count. On all four engines.
 
-use polymer::api::{run_parallel, RealThreadsConfig};
-use polymer::graph::gen;
 use polymer::prelude::*;
 use polymer_bench::runner::{run_on, AlgoId, SystemId, Workload};
 
@@ -109,24 +107,4 @@ fn every_shorthand_equals_the_general_call_on_all_four_engines() {
     check_engine("Ligra", SystemId::Ligra, &LigraEngine::new(), &wl);
     check_engine("X-Stream", SystemId::XStream, &XStreamEngine::new(), &wl);
     check_engine("Galois", SystemId::Galois, &GaloisEngine::new(), &wl);
-}
-
-/// `run_parallel` is the push-only executor with no plan, tracer or
-/// recovery — X-Stream's profile through the general call.
-#[test]
-fn run_parallel_equals_the_general_call_under_the_push_only_profile() {
-    fn check<P: Program>(g: &Graph, prog: &P, bits: fn(P::Val) -> u64) {
-        for (threads, groups) in [(1, 1), (3, 2), (4, 2)] {
-            let (plan, engine) = (FaultPlan::default(), XStreamEngine::new());
-            let backend = Backend::RealThreads(RealThreadsConfig { groups, plan });
-            let want = engine.try_run_with(&machine(), threads, g, prog, &on(&backend));
-            let (values, iterations) = run_parallel(g, prog, threads, groups);
-            let values: Vec<u64> = values.into_iter().map(bits).collect();
-            let want = print(want.unwrap(), bits);
-            assert_eq!((values, iterations), (want.0, want.1), "{threads} threads");
-        }
-    }
-    let g = Graph::from_edges(&gen::rmat(9, 5_000, gen::RMAT_GRAPH500, 3));
-    check(&g, &Bfs::new(0), u64::from);
-    check(&g, &PageRank::new(g.num_vertices()), f64::to_bits);
 }
