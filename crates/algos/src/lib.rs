@@ -40,7 +40,7 @@ pub use incremental::{
 };
 pub use multi::{run_multi_source, MultiRunResult, MultiSource, SingleSource, MAX_LANES};
 pub use pagerank::PageRank;
-pub use reference::run_reference;
+pub use reference::{run_reference, run_reference_rounds};
 pub use repair::warm_repair;
 pub use spmv::SpMV;
 pub use sssp::{Sssp, UNREACHED};

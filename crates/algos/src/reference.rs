@@ -12,6 +12,20 @@ use polymer_graph::Topology;
 /// when [`Program::needs_symmetric`] holds (the harness does this for every
 /// engine uniformly).
 pub fn run_reference<T: Topology, P: Program>(g: &T, prog: &P) -> (Vec<P::Val>, usize) {
+    let mut last = run_reference_rounds(g, prog, &[prog.max_iters()]);
+    last.pop().expect("one round asked")
+}
+
+/// One [`run_reference`] run to the last of `rounds` (ascending), copied out
+/// after each: entry *i* is `run_reference` of `prog` capped at `rounds[i]`
+/// iterations, values and iterations run. For a program whose `max_iters`
+/// is only a cap, such as [`crate::PageRank`], one run answers every cap.
+pub fn run_reference_rounds<T: Topology, P: Program>(
+    g: &T,
+    prog: &P,
+    rounds: &[usize],
+) -> Vec<(Vec<P::Val>, usize)> {
+    assert!(rounds.is_sorted(), "rounds must be ascending");
     let n = g.num_vertices();
     let mut curr: Vec<P::Val> = (0..n).map(|v| prog.init(v as u32)).collect();
     let mut frontier: Vec<u32> = match prog.initial_frontier() {
@@ -26,9 +40,16 @@ pub fn run_reference<T: Topology, P: Program>(g: &T, prog: &P) -> (Vec<P::Val>, 
     let mut next: Vec<P::Val> = vec![identity; n];
     let mut updated: Vec<bool> = vec![false; n];
     let mut touched: Vec<u32> = Vec::new();
+    let mut copies = Vec::with_capacity(rounds.len());
 
+    let cap = rounds.last().map_or(0, |&last| last.min(prog.max_iters()));
     let mut iters = 0usize;
-    while !frontier.is_empty() && iters < prog.max_iters() {
+    while !frontier.is_empty() && iters < cap {
+        // Copy out the rounds that end here while the run goes on.
+        while rounds.get(copies.len()) == Some(&iters) {
+            copies.push((curr.clone(), iters));
+        }
+
         // Scatter: fold contributions of active out-edges into next.
         for &s in &frontier {
             let deg = g.out_degree(s) as u32;
@@ -62,7 +83,9 @@ pub fn run_reference<T: Topology, P: Program>(g: &T, prog: &P) -> (Vec<P::Val>, 
         iters += 1;
     }
 
-    (curr, iters)
+    // Every round left ends at or past the last iteration run.
+    copies.resize(rounds.len(), (curr, iters));
+    copies
 }
 
 /// Maximum relative error between two float value vectors (for comparing
@@ -82,7 +105,67 @@ pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::{Bfs, ConnectedComponents, PageRank, SpMV, Sssp, UNREACHED, UNVISITED};
-    use polymer_graph::{EdgeList, Graph};
+    use polymer_graph::{gen, EdgeList, Graph, MutableGraph};
+    use proptest::prelude::*;
+
+    /// The cap of the runs below: past the round at which PageRank's
+    /// frontier empties on the acyclic graphs they draw.
+    const CAP: usize = 200;
+
+    /// Copies out of one PageRank run capped at [`CAP`] — at `rounds`, at
+    /// round 0, and at the last round the run makes and its neighbours, one
+    /// of them past the cap — each equal the run capped there, bit for bit.
+    /// Returns that last round: below `CAP` once the frontier empties, which
+    /// on a cyclic graph it need not (a vertex leaves the frontier when its
+    /// rank moves by at most ε, and comes back when a neighbour's leaving
+    /// moves it again).
+    fn rounds_match_capped_runs<T: Topology>(g: &T, rounds: &[usize]) -> usize {
+        let pr = |k: usize| PageRank::new(g.num_vertices()).with_iters(k.min(CAP));
+        let last = run_reference(g, &pr(CAP)).1;
+        let mut rounds = rounds.to_vec();
+        rounds.extend([0, last.saturating_sub(1), last, last + 1, CAP + 1]);
+        rounds.sort_unstable();
+        let copies = run_reference_rounds(g, &pr(CAP), &rounds);
+        assert_eq!(copies.len(), rounds.len());
+        for (&k, copy) in rounds.iter().zip(&copies) {
+            assert_eq!(copy, &run_reference(g, &pr(k)), "round {k}");
+        }
+        last
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // On a CSR and on a mutated graph, cyclic and acyclic (every edge
+        // from the lower id to the higher or a self-loop, before and after
+        // the batch), with repeated rounds and rounds past the frontier's
+        // last.
+        #[test]
+        fn one_run_copies_out_each_capped_round(
+            seed in 0u64..10_000,
+            n in 2usize..=64,
+            rounds in proptest::collection::vec(0usize..160, 0..6),
+        ) {
+            let acyclic = |e: &mut polymer_graph::Edge| {
+                (e.src, e.dst) = (e.src.min(e.dst), e.src.max(e.dst));
+            };
+            let cyclic = gen::uniform(n, 3 * n, seed);
+            let mut dag = cyclic.clone();
+            dag.edges.iter_mut().for_each(acyclic);
+            for (el, is_dag) in [(cyclic, false), (dag, true)] {
+                let last = rounds_match_capped_runs(&Graph::from_edges(&el), &rounds);
+                prop_assert!(last < CAP || !is_dag);
+                let mut mg = MutableGraph::from_edge_list(el);
+                let mut batch = gen::mixed_batch(&mg, seed, n / 2 + 1, false);
+                if is_dag {
+                    batch.inserts.iter_mut().for_each(acyclic);
+                }
+                mg.apply(&batch).unwrap();
+                let last = rounds_match_capped_runs(&mg, &rounds);
+                prop_assert!(last < CAP || !is_dag);
+            }
+        }
+    }
 
     fn chain() -> Graph {
         // 0 -> 1 -> 2 -> 3 with weights 5, 10, 20.

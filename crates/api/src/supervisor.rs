@@ -165,20 +165,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-impl SupervisorConfig {
-    /// Budget the whole supervised run (all attempts and backoffs) with
-    /// `deadline`, and tighten every attempt to it too. This is the
-    /// serve-layer hook: a request that arrives with a deadline maps it
-    /// straight onto the supervisor, so the retry ladder can never outlive
-    /// the request's budget.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        let tighter = |cur: Option<Duration>| Some(cur.map_or(deadline, |d| d.min(deadline)));
-        self.retry.attempt_deadline = tighter(self.retry.attempt_deadline);
-        self.retry.total_deadline = tighter(self.retry.total_deadline);
-        self
-    }
-}
-
 /// One supervised attempt, as recorded in the [`RecoveryReport`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttemptRecord {
@@ -633,25 +619,6 @@ mod tests {
         };
         assert_eq!(r.backoff_after(1), Duration::from_millis(5));
         assert_eq!(r.backoff_after(7), Duration::from_millis(5));
-    }
-
-    #[test]
-    fn with_deadline_tightens_but_never_loosens() {
-        let cfg = SupervisorConfig::default().with_deadline(Duration::from_millis(100));
-        assert_eq!(cfg.retry.attempt_deadline, Some(Duration::from_millis(100)));
-        assert_eq!(cfg.retry.total_deadline, Some(Duration::from_millis(100)));
-        // A looser request deadline must not widen an existing budget.
-        let cfg = SupervisorConfig {
-            retry: RetryPolicy {
-                attempt_deadline: Some(Duration::from_millis(10)),
-                total_deadline: Some(Duration::from_millis(50)),
-                ..RetryPolicy::default()
-            },
-            ..SupervisorConfig::default()
-        }
-        .with_deadline(Duration::from_secs(5));
-        assert_eq!(cfg.retry.attempt_deadline, Some(Duration::from_millis(10)));
-        assert_eq!(cfg.retry.total_deadline, Some(Duration::from_millis(50)));
     }
 
     #[test]

@@ -12,40 +12,39 @@
 //!   request or rejects it *now* with a typed error: queue at capacity →
 //!   [`PolymerError::QueueFull`]; aggregate scratch estimate past the
 //!   configured budget → [`PolymerError::MemoryBudgetExceeded`] (both
-//!   retryable: back off and resubmit); invalid for the resident graph →
-//!   [`PolymerError::InvalidConfig`]; stopped service →
+//!   retryable: back off and resubmit); invalid for the resident graph (a
+//!   source out of range, an SSSP Δ of 0, a PageRank past `2·|V| + 64`
+//!   rounds) → [`PolymerError::InvalidConfig`]; stopped service →
 //!   [`PolymerError::ServiceStopped`]. Admitted requests pledge their
 //!   scratch estimate until completion.
 //!
 //! * **Coalescing.** A dispatching worker takes the queue head plus every
 //!   queued request in the same batching class (BFS with BFS, SSSP with
-//!   equal Δ) and answers them with **one** multi-source sweep
-//!   ([`polymer_algos::run_multi_source`]): one adjacency walk per
-//!   iteration, amortized across up to [`polymer_algos::MAX_LANES`] lanes.
-//!   The sweep is single-writer — plain lane state, no atomics — and runs
-//!   on the dispatching worker's own thread.
-//!   These programs are integer min-combine fixed points, so every lane is
-//!   bit-identical to the request run alone — batching changes latency,
-//!   never answers. A BFS / SSSP dispatched alone is a one-lane sweep of the
-//!   same kernel. Whole-graph requests (PageRank) never coalesce. After an
-//!   ingest a batch sweeps only the lanes nothing cheaper answers (below).
+//!   equal Δ, PageRank with PageRank of any `iters`) and answers them with
+//!   **one** host kernel run on its own thread. BFS / SSSP share a
+//!   multi-source sweep ([`polymer_algos::run_multi_source`]): one
+//!   adjacency walk per iteration, amortized across up to
+//!   [`polymer_algos::MAX_LANES`] lanes, single-writer — plain lane state,
+//!   no atomics. These programs are integer min-combine fixed points, so
+//!   every lane is bit-identical to the request run alone. PageRank
+//!   requests share one sequential run to the largest `iters`
+//!   ([`polymer_algos::run_reference_rounds`]), copied out at every `iters`
+//!   asked, each copy bit-identical to a run of its own. Batching changes
+//!   latency, never answers; a request dispatched alone is a one-lane run
+//!   of the same kernel. After an ingest a batch computes only the lanes
+//!   nothing cheaper answers (below).
 //!
-//! * **Supervision.** PageRank, in either mode, is the one engine run: it
-//!   goes through the full [`polymer_api::supervisor::RunSupervisor`] on
-//!   [`ServeConfig::backend`]: checkpoint-resume, retry/backoff, and the
-//!   RealThreads → halved-groups → Simulated degrade ladder. Every BFS /
-//!   SSSP is a host kernel (a sweep or a warm repair), deterministic and
-//!   blind to injected faults, so an error from one is returned typed, at
-//!   once. A panic on any answer path is caught and fails the requests of
-//!   that dispatch, never the worker.
+//! * **Faults.** Every answer is a host kernel (a sweep, a PageRank run or
+//!   a warm repair), deterministic, so an error from one is returned typed,
+//!   at once: nothing retries, resumes from a checkpoint or degrades to
+//!   another backend. A panic on any answer path is caught and fails the
+//!   requests of that dispatch, never the worker.
 //!
 //! * **Deadlines.** A request may carry a budget measured from submission
 //!   (queue wait counts). Expired before dispatch → typed
 //!   [`PolymerError::DeadlineExceeded`], never run. Still live at dispatch
-//!   → a PageRank's remaining budget tightens the supervisor via
-//!   [`polymer_api::supervisor::SupervisorConfig::with_deadline`]; a
-//!   traversal's tightens nothing, it only gated the dispatch.
-//!   Completed but late → the answer is delivered with
+//!   → it runs to the end: a budget never interrupts a run, PageRank
+//!   included. Completed but late → the answer is delivered with
 //!   [`ServeResponse::deadline_missed`] set, and counted in
 //!   [`ServeStats::deadline_missed`].
 //!
@@ -58,15 +57,15 @@
 //!   query with no intervening mutation is a pure cache hit; a BFS / SSSP
 //!   query after further ingests is repaired from its cached result by
 //!   [`polymer_algos::warm_repair`], and the ones of a batch with no usable
-//!   prior share one cold [`polymer_algos::run_multi_source`] sweep — two
-//!   sequential host kernels over the [`polymer_graph::MutableGraph`]
-//!   itself, on the worker's thread, under one hold of the mutation mutex;
-//!   nothing is placed on a simulated machine to answer either.
+//!   prior share one cold [`polymer_algos::run_multi_source`] sweep.
 //!   [`RequestKind::PageRank`] means what it means in static mode: the
-//!   mutation mutex is held for the cache lookup and a CSR snapshot, then
-//!   the same supervised engine run reads the snapshot. `docs/SERVING.md`
-//!   tabulates who answers what; `docs/INCREMENTAL.md` covers the delta
-//!   model and warm starts.
+//!   distinct `iters` of a batch with no cached answer share one run. Every
+//!   one of these is a sequential host kernel over the
+//!   [`polymer_graph::MutableGraph`] itself, on the worker's thread, under
+//!   one hold of the mutation mutex, so an ingest waits for a running
+//!   PageRank; nothing is placed on a simulated machine to answer any of
+//!   them. `docs/SERVING.md` tabulates who answers what;
+//!   `docs/INCREMENTAL.md` covers the delta model and warm starts.
 //!
 //! * **Shutdown.** [`GraphService::stop`] (also on drop) fails queued
 //!   requests with [`PolymerError::ServiceStopped`], lets in-flight runs

@@ -21,17 +21,17 @@
 //!   cost is proportional to what the batches invalidated.
 //! * A lane whose prior fell out of the batch window can neither hit nor
 //!   warm-start; [`MutState::ingest`] drops it when the window moves on.
-//! * Everything else the service computes from what this state hands out —
-//!   a traversal with no usable prior sweeps [`MutState::graph`], a PageRank
-//!   runs the supervised engine over [`MutState::snapshot`] with the
-//!   mutation mutex released — and caches through [`MutState::store`], so
-//!   the next epoch repairs it.
+//! * Everything else the service computes over [`MutState::graph`] under
+//!   the mutation mutex — a sweep of the traversals with no usable prior, a
+//!   PageRank run — and caches through [`MutState::store`], so the next
+//!   epoch repairs a traversal. A PageRank is never repaired: a later epoch
+//!   runs it again.
 
 use std::collections::HashMap;
 
 use polymer_algos::{warm_repair, WarmStart};
 use polymer_api::PolymerResult;
-use polymer_graph::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, Graph, MutableGraph, VId};
+use polymer_graph::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, Graph, MutableGraph};
 
 use crate::request::{with_traversal, Answer, Class, RequestKind};
 
@@ -45,7 +45,7 @@ const BATCH_WINDOW: usize = 32;
 pub(crate) struct MutState {
     mg: MutableGraph,
     batches: Vec<AppliedBatch>,
-    cache: HashMap<(Class, Option<VId>), Answer>,
+    cache: HashMap<(Class, usize), Answer>,
 }
 
 impl MutState {
@@ -80,16 +80,9 @@ impl MutState {
         Ok(outcome)
     }
 
-    /// The live graph (what a cold traversal sweeps).
+    /// The live graph (what a cold sweep and a PageRank run read).
     pub(crate) fn graph(&self) -> &MutableGraph {
         &self.mg
-    }
-
-    /// The live graph as a CSR of its own, with the epoch it is a snapshot
-    /// of: what an engine run reads once the mutation mutex is released.
-    pub(crate) fn snapshot(&self) -> (Graph, u64) {
-        let snapshot = Graph::from_edges(&self.mg.snapshot_edge_list());
-        (snapshot, self.mg.epoch())
     }
 
     /// The answer to `kind` computed at the current epoch, if there is one.
@@ -99,8 +92,8 @@ impl MutState {
     }
 
     /// Cache `answer` to `kind`, unless the graph has moved on since the
-    /// epoch it was computed at. A hit runs nothing, so the supervisor's
-    /// report and the sweep's lane count stay with the response that ran.
+    /// epoch it was computed at. A hit runs nothing, so the lane count of the
+    /// run stays with the response that ran.
     pub(crate) fn store(&mut self, kind: &RequestKind, answer: &Answer) {
         if let Some(lane) = kind.lane().filter(|_| answer.epoch == self.mg.epoch()) {
             let cached = Answer::new(answer.values.clone(), answer.epoch, answer.iterations);
@@ -109,13 +102,14 @@ impl MutState {
     }
 
     /// Repair the cached answer to the traversal `kind` up to the current
-    /// epoch, on host memory. `None` when there is no usable prior: one is
-    /// usable when every batch since it is retained — epochs advance by one
-    /// per apply, so the window's tail must span `(prior.epoch, epoch]`
-    /// exactly.
+    /// epoch, on host memory. `None` for a PageRank, and when there is no
+    /// usable prior: one is usable when every batch since it is retained —
+    /// epochs advance by one per apply, so the window's tail must span
+    /// `(prior.epoch, epoch]` exactly.
     pub(crate) fn repair(&self, kind: &RequestKind) -> PolymerResult<Option<Answer>> {
         let epoch = self.mg.epoch();
-        let Some(prior) = kind.lane().and_then(|lane| self.cache.get(&lane)) else {
+        let traversal = kind.lane().filter(|(class, _)| *class != Class::PageRank);
+        let Some(prior) = traversal.and_then(|lane| self.cache.get(&lane)) else {
             return Ok(None);
         };
         let since = &self.batches[self.batches.partition_point(|b| b.epoch <= prior.epoch)..];
@@ -175,7 +169,7 @@ mod tests {
 
     /// Which state answers what: a first-time traversal has no prior to
     /// repair, the next epoch repairs its cached result, and a PageRank
-    /// needs the cache and a snapshot only — it is never repaired.
+    /// needs the cache and the graph only — it is never repaired.
     #[test]
     fn cold_traversals_place_nothing_and_seed_the_warm_repair() {
         let g = Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5));
@@ -204,21 +198,18 @@ mod tests {
 
         let pr = RequestKind::PageRank { iters: 3 };
         assert!(ms.cached(&pr).is_none());
-        assert!(ms.repair(&pr).unwrap().is_none(), "never warm");
-        let (snapshot, epoch) = ms.snapshot();
-        let prog = PageRank::new(snapshot.num_vertices()).with_iters(3);
-        let (ranks, iterations) = run_reference(&snapshot, &prog);
-        assert_eq!(
-            ranks,
-            run_reference(&ms.mg, &prog).0,
-            "the snapshot is the graph"
-        );
-        let fresh = Answer::new(ResponseValues::Ranks(ranks), epoch, iterations);
+        let prog = PageRank::new(ms.mg.num_vertices()).with_iters(3);
+        let (ranks, iterations) = run_reference(&ms.mg, &prog);
+        let fresh = Answer::new(ResponseValues::Ranks(ranks), ms.mg.epoch(), iterations);
         ms.store(&pr, &fresh);
         assert_eq!(ms.cached(&pr).unwrap().values, fresh.values);
         assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
-        // An answer computed on a snapshot the graph has moved past is not cached.
+        // A cached PageRank is a hit at its epoch and never warm after it,
+        // and an answer computed at an epoch the graph has moved past is not
+        // cached.
         ms.ingest(&DeltaBatch::new()).unwrap();
+        assert!(ms.cached(&pr).is_none());
+        assert!(ms.repair(&pr).unwrap().is_none(), "never warm");
         ms.store(&RequestKind::PageRank { iters: 4 }, &fresh);
         assert!(ms.cached(&RequestKind::PageRank { iters: 4 }).is_none());
     }

@@ -3,7 +3,6 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use polymer_api::supervisor::RecoveryReport;
 use polymer_api::PolymerResult;
 use polymer_graph::{BatchStats, DeltaBatch, VId};
 
@@ -25,22 +24,22 @@ pub enum RequestKind {
         /// requests only coalesce with equal widths.
         delta: u64,
     },
-    /// `iters` rounds of [`polymer_algos::PageRank`] over the whole graph —
-    /// the resident one, or after an ingest a snapshot of the mutated one at
-    /// the epoch the response carries — the service's one supervised engine
-    /// run. Whole-graph requests never coalesce: there is no per-source lane.
+    /// `iters` rounds of [`polymer_algos::PageRank`] over the whole graph at
+    /// the epoch the response carries, computed by the sequential kernel
+    /// [`polymer_algos::run_reference_rounds`]. Requests of any `iters`
+    /// coalesce: one run to the largest answers every smaller one.
     PageRank {
-        /// Rounds of power iteration.
+        /// Rounds of power iteration, at most `2·|V| + 64` (admission
+        /// rejects more, like the engines' iteration cap).
         iters: usize,
     },
     /// Apply an edge mutation batch to the resident graph. The first
     /// ingest switches the service into *mutated mode*: the resident edge
     /// set is canonicalized into a [`polymer_graph::MutableGraph`] and
     /// every later query is answered from it: out of the result cache, by
-    /// a host kernel over the mutated graph — the warm repair of a cached
-    /// traversal ([`polymer_algos::warm_repair`]), or a sweep when there is
-    /// no usable prior — or by the supervised engine over a snapshot
-    /// (PageRank). The batch is validated at admission
+    /// a host kernel over the mutated graph: the warm repair of a cached
+    /// traversal ([`polymer_algos::warm_repair`]), else a sweep or a
+    /// PageRank run. The batch is validated at admission
     /// (out-of-range endpoints, self-loops, and zero weights are rejected
     /// with [`polymer_api::PolymerError::InvalidConfig`]).
     Ingest {
@@ -60,23 +59,23 @@ impl RequestKind {
         }
     }
 
-    /// A query's result-cache lane — its class and its source, `None` for
-    /// an ingest. Equal lanes have equal answers at one epoch.
-    pub(crate) fn lane(&self) -> Option<(Class, Option<VId>)> {
+    /// A query's result-cache lane — its class and the parameter the class
+    /// leaves open: a traversal's source, a PageRank's rounds. `None` for an
+    /// ingest. Equal lanes have equal answers at one epoch.
+    pub(crate) fn lane(&self) -> Option<(Class, usize)> {
         match *self {
-            RequestKind::Bfs { source } => Some((Class::Bfs, Some(source))),
-            RequestKind::Sssp { source, delta } => Some((Class::Sssp { delta }, Some(source))),
-            RequestKind::PageRank { iters } => Some((Class::PageRank { iters }, None)),
+            RequestKind::Bfs { source } => Some((Class::Bfs, source as usize)),
+            RequestKind::Sssp { source, delta } => Some((Class::Sssp { delta }, source as usize)),
+            RequestKind::PageRank { iters } => Some((Class::PageRank, iters)),
             RequestKind::Ingest { .. } => None,
         }
     }
 
-    /// The coalescing class: requests with equal keys can share one
-    /// multi-source sweep, one lane per source. `None` for whole-graph
-    /// algorithms and for mutations.
+    /// The coalescing class: requests with equal keys share one run — a
+    /// multi-source sweep with a lane per source, or a PageRank run to the
+    /// largest `iters`. `None` for mutations.
     pub(crate) fn batch_key(&self) -> Option<Class> {
-        let (class, source) = self.lane()?;
-        source.map(|_| class)
+        self.lane().map(|(class, _)| class)
     }
 
     /// Admission-control estimate of the request's scratch footprint:
@@ -95,19 +94,21 @@ impl RequestKind {
     }
 }
 
-/// A query without its source: the algorithm and its parameters.
+/// A query without its source or rounds: the algorithm and the parameters
+/// every request of one run shares.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq)]
 pub(crate) enum Class {
     Bfs,
     Sssp { delta: u64 },
-    PageRank { iters: usize },
+    PageRank,
 }
 
-/// The program `PageRank { iters }` means over `n` vertices, in either mode.
-/// With [`with_traversal!`], the crate's one mapping from a request to what
+/// The program every PageRank run over `n` vertices runs, in either mode:
+/// uncapped, because the rounds asked cap the run. With
+/// [`with_traversal!`], the crate's one mapping from a request to what
 /// computes it.
-pub(crate) fn pagerank_program(n: usize, iters: usize) -> polymer_algos::PageRank {
-    polymer_algos::PageRank::new(n).with_iters(iters)
+pub(crate) fn pagerank_program(n: usize) -> polymer_algos::PageRank {
+    polymer_algos::PageRank::new(n).with_iters(usize::MAX)
 }
 
 /// Bind `$prog` to the single-source program `$kind` names and `$wrap` and
@@ -216,16 +217,14 @@ pub struct ServeResponse {
     /// Iterations the serving sweep executed. For a coalesced batch this is
     /// the sweep's superstep count (the max over its lanes).
     pub iterations: usize,
-    /// Lanes of the sweep that answered this request; `1` on any other path.
+    /// Lanes of the run that answered this request: the sources of a
+    /// multi-source sweep, the requests one PageRank run answered; `1` on
+    /// any other path.
     pub batched_lanes: usize,
     /// The request completed, but after its deadline had already passed.
     pub deadline_missed: bool,
     /// Submit-to-completion host latency (queue wait included).
     pub latency: Duration,
-    /// The supervisor's recovery report of a PageRank run, the one request
-    /// the [`polymer_api::supervisor::RunSupervisor`] runs; `None` for every
-    /// BFS / SSSP (host kernels: sweeps, warm repairs), cache hits and ingests.
-    pub recovery: Option<RecoveryReport>,
 }
 
 /// What a dispatch path computed for one request: the part of a
@@ -237,18 +236,16 @@ pub(crate) struct Answer {
     pub(crate) epoch: u64,
     pub(crate) iterations: usize,
     pub(crate) batched_lanes: usize,
-    pub(crate) recovery: Option<RecoveryReport>,
 }
 
 impl Answer {
-    /// An unsupervised one-lane answer.
+    /// A one-lane answer.
     pub(crate) fn new(values: ResponseValues, epoch: u64, iterations: usize) -> Answer {
         Answer {
             values,
             epoch,
             iterations,
             batched_lanes: 1,
-            recovery: None,
         }
     }
 }
@@ -324,23 +321,24 @@ pub struct ServeStats {
     pub expired_in_queue: u64,
     /// Requests that completed after their deadline.
     pub deadline_missed: u64,
-    /// Coalesced sweeps executed (two or more lanes), in either mode.
+    /// Coalesced runs executed (two or more lanes), in either mode:
+    /// multi-source sweeps, and PageRank runs that answered several requests.
     pub batches: u64,
-    /// Lanes of coalesced sweeps: the requests they answered, except that
-    /// after an ingest a repeated source shares its twin's lane.
+    /// Lanes of coalesced runs: the requests they answered, except that
+    /// after an ingest a repeated source or `iters` shares its twin's lane.
     pub batched_requests: u64,
-    /// Largest lane count of any sweep so far.
+    /// Largest lane count of any run so far.
     pub max_batch_lanes: u64,
     /// Mutation batches applied to the resident graph.
     pub ingests: u64,
     /// Threshold compactions triggered by ingests (base CSR rebuilds).
     pub compactions: u64,
-    /// Mutated-mode queries computed rather than read from the cache: warm
-    /// BFS / SSSP repairs and cold BFS / SSSP sweeps (both host kernels over
-    /// the mutated graph), and PageRank runs over a snapshot of it.
+    /// Mutated-mode queries computed rather than read from the cache, each
+    /// by a host kernel over the mutated graph: warm BFS / SSSP repairs, and
+    /// the lanes of cold BFS / SSSP sweeps and of PageRank runs.
     pub incremental_answers: u64,
     /// Mutated-mode queries answered without computing anything of their
     /// own: from the result cache (no mutation since the cached run), or by
-    /// the sweep lane of an equal request in the same batch.
+    /// the lane of an equal request in the same batch.
     pub cache_hits: u64,
 }

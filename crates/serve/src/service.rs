@@ -5,10 +5,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use polymer_algos::{run_multi_source, MultiSource, SingleSource, MAX_LANES};
-use polymer_api::supervisor::{RunSupervisor, SupervisorConfig};
-use polymer_api::{catch_engine_faults, validate_run_config, Backend, PolymerError, PolymerResult};
-use polymer_core::PolymerEngine;
+use polymer_algos::{run_multi_source, run_reference_rounds, MultiSource, SingleSource, MAX_LANES};
+use polymer_api::{catch_engine_faults, validate_run_config, Backend, Program};
+use polymer_api::{PolymerError, PolymerResult};
 use polymer_graph::{DeltaBatch, Graph, Topology, VId};
 use polymer_numa::{Machine, MachineSpec};
 
@@ -24,10 +23,9 @@ pub struct ServeConfig {
     /// Worker threads dispatching requests; each runs one request or one
     /// coalesced batch at a time.
     pub workers: usize,
-    /// Execution threads of the one supervised engine run: PageRank, in
-    /// either mode. The host kernels — every BFS / SSSP sweep, of one lane
-    /// or many, and a warm repair — run on their worker's own thread
-    /// whatever this is.
+    /// Threads every sweep validates against the spec's cores; every answer
+    /// runs on its worker's own thread whatever this is. Kept because the
+    /// repository benchmark sets it, until the benchmark stops setting it.
     pub threads_per_request: usize,
     /// Aggregate scratch-byte budget across admitted, unfinished requests.
     /// Each request pledges a deterministic estimate of twice its value
@@ -36,19 +34,13 @@ pub struct ServeConfig {
     /// Cap on lanes per coalesced sweep (clamped to
     /// [`polymer_algos::MAX_LANES`]).
     pub max_batch_lanes: usize,
-    /// Backend of the one supervised engine run: PageRank, in either mode.
-    /// Every BFS / SSSP answer — a sweep or a warm repair — computes on host
-    /// memory, like the real-thread backend: no setting moves it onto the
-    /// simulator.
+    /// Read by nothing: every answer is a host kernel on its worker's own
+    /// thread. Kept because the repository benchmark sets it, until the
+    /// benchmark stops setting it.
     pub backend: Backend,
-    /// Machine topology for every run.
+    /// The machine whose cores bound `threads_per_request`; nothing is
+    /// placed on it. Kept, and goes, with `threads_per_request`.
     pub spec: MachineSpec,
-    /// Supervision template of PageRank runs: retry/backoff/degrade policy
-    /// (host kernels — sweeps, warm repairs — fail once, with a typed
-    /// error). A PageRank's deadline tightens a clone of this per request
-    /// via [`SupervisorConfig::with_deadline`]; a traversal's only gates its
-    /// dispatch and flags a late answer.
-    pub supervisor: SupervisorConfig,
     /// Deadline applied to requests submitted without one.
     pub default_deadline: Option<Duration>,
     /// Compaction-threshold override for mutated mode (`None` keeps
@@ -68,7 +60,6 @@ impl Default for ServeConfig {
             max_batch_lanes: MAX_LANES,
             backend: Backend::real_threads(),
             spec: MachineSpec::test2(),
-            supervisor: SupervisorConfig::default(),
             default_deadline: None,
             compaction_fraction: None,
         }
@@ -100,10 +91,9 @@ struct Inner {
     cfg: ServeConfig,
     state: Mutex<State>,
     /// Mutated-mode state (`None` until the first ingest). Every query
-    /// dispatch peeks it to learn the mode. Ingests and mutated-mode
-    /// traversal batches hold it for the whole apply / answer and so
-    /// serialize on a single coherent graph version; a PageRank holds it for
-    /// the cache lookup and the snapshot only, not for the run.
+    /// dispatch peeks it to learn the mode. Ingests and mutated-mode query
+    /// batches hold it for the whole apply / answer — a PageRank run
+    /// included — and so serialize on a single coherent graph version.
     mut_state: Mutex<Option<MutState>>,
     cv: Condvar,
 }
@@ -153,8 +143,7 @@ impl GraphService {
             ));
         }
         // Every multi-source sweep validates `threads_per_request` against
-        // the spec's cores, as a simulated run binds them, whatever
-        // `cfg.backend` is.
+        // the spec's cores, as a simulated run binds them.
         let cores = cfg.spec.nodes * cfg.spec.cores_per_node;
         if cfg.threads_per_request > cores {
             return Err(PolymerError::InvalidConfig(format!(
@@ -224,7 +213,14 @@ impl GraphService {
             RequestKind::Sssp { delta: 0, .. } => {
                 return Err(PolymerError::InvalidConfig("SSSP delta must be > 0".into()));
             }
-            // A whole-graph program has no source to range-check.
+            // A whole-graph program has no source to range-check; its rounds
+            // meet the engines' iteration cap, so no request outlives it.
+            &RequestKind::PageRank { iters } if iters > 2 * n + 64 => {
+                return Err(PolymerError::InvalidConfig(format!(
+                    "PageRank iters ({iters}) exceed the iteration cap 2·|V| + 64 = {}",
+                    2 * n + 64
+                )));
+            }
             RequestKind::PageRank { .. } => {}
             // The engines' own front-door check, run where the request
             // enters: mutation never changes the vertex count.
@@ -347,10 +343,10 @@ fn worker_loop(inner: &Inner) {
 
 /// Pop the head request and coalesce every queued request with the same
 /// [`RequestKind::batch_key`] behind it, up to `max_lanes`, in either mode.
-/// Whole-graph requests (no key) dispatch alone. Which lanes of a
-/// mutated-mode batch are cache hits, warm repairs or sweep lanes is
-/// decided under the mutation lock ([`answer_traversals`]), so this never
-/// reads the cache. FIFO order is preserved for everything left.
+/// An ingest (no key) dispatches alone. Which lanes of a mutated-mode batch
+/// are cache hits, warm repairs or run lanes is decided under the mutation
+/// lock ([`answer_mutated`]), so this never reads the cache. FIFO order is
+/// preserved for everything left.
 fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
     let head = st.queue.pop_front().expect("caller checked non-empty");
     let key = head.kind.batch_key();
@@ -369,11 +365,10 @@ fn take_batch(st: &mut State, max_lanes: usize) -> Vec<Pending> {
 }
 
 /// Dispatch one batch: expire dead requests, then answer the rest by
-/// request kind — an ingest or a PageRank alone, BFS / SSSP as traversal
-/// lanes of one class, one or many. The answer paths run under
-/// [`catch_engine_faults`], so a panic on any of them (a broken cache lane,
-/// an ingest) is the batch's typed error, not a dead worker and tickets
-/// that never resolve.
+/// request kind — an ingest alone, or queries of one class, one or many.
+/// The answer paths run under [`catch_engine_faults`], so a panic on any of
+/// them (a broken cache lane, an ingest, a kernel) is the batch's typed
+/// error, not a dead worker and tickets that never resolve.
 fn process(inner: &Inner, batch: Vec<Pending>) {
     let mut live = Vec::with_capacity(batch.len());
     for p in batch {
@@ -384,11 +379,10 @@ fn process(inner: &Inner, batch: Vec<Pending>) {
             _ => live.push(p),
         }
     }
-    let outcome = catch_engine_faults(|| match live.first().map(|p| &p.kind) {
-        None => Ok(Vec::new()),
-        Some(RequestKind::Ingest { batch }) => Ok(vec![ingest(inner, batch)?]),
-        Some(&RequestKind::PageRank { iters }) => Ok(vec![pagerank(inner, &live[0], iters)?]),
-        Some(_) => traverse(inner, &live),
+    let Some(head) = live.first() else { return };
+    let outcome = catch_engine_faults(|| match &head.kind {
+        RequestKind::Ingest { batch } => Ok(vec![ingest(inner, batch)?]),
+        _ => query(inner, &live),
     });
     deliver(inner, &live, outcome);
 }
@@ -425,7 +419,6 @@ fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
         batched_lanes: answer.batched_lanes,
         deadline_missed: p.deadline.is_some_and(|d| latency > d),
         latency,
-        recovery: answer.recovery,
     });
     {
         let mut st = inner.lock();
@@ -436,8 +429,7 @@ fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
                 st.stats.deadline_missed += u64::from(r.deadline_missed);
             }
             // Only the in-queue expiry answers `deadline-exceeded`: a run
-            // that outlives its budget is delivered late, or fails with the
-            // executor's own timeout.
+            // that outlives its budget is delivered late.
             Err(e) => {
                 st.stats.failed += 1;
                 let expired = matches!(e, PolymerError::DeadlineExceeded { .. });
@@ -448,71 +440,31 @@ fn complete(inner: &Inner, p: &Pending, outcome: PolymerResult<Answer>) {
     p.slot.fulfill(outcome);
 }
 
-/// Answer same-class BFS / SSSP requests, one or many: until the first
-/// ingest, one sweep of the resident graph at epoch 0 with the mutation
-/// lock released (a lone request is a one-lane sweep); after it,
-/// [`answer_traversals`] under that lock.
-fn traverse(inner: &Inner, lanes: &[Pending]) -> PolymerResult<Vec<Answer>> {
+/// Answer same-class queries, one or many: until the first ingest, one
+/// [`compute`] over the resident graph at epoch 0 with the mutation lock
+/// released; after it, [`answer_mutated`] under that lock.
+fn query(inner: &Inner, batch: &[Pending]) -> PolymerResult<Vec<Answer>> {
     if let Some(ms) = inner.lock_mutated().as_mut() {
-        return answer_traversals(inner, ms, lanes);
+        return answer_mutated(inner, ms, batch);
     }
-    let kinds: Vec<&RequestKind> = lanes.iter().map(|p| &p.kind).collect();
-    sweep(inner, &*inner.graph, 0, &kinds)
+    let kinds: Vec<&RequestKind> = batch.iter().map(|p| &p.kind).collect();
+    compute(inner, &*inner.graph, 0, &kinds)
 }
 
-/// Answer `PageRank { iters }` — the service's only engine run — under the
-/// full [`RunSupervisor`] (checkpoint-resume and the degrade ladder
-/// included) on the configured backend: over the resident graph at epoch 0
-/// until the first ingest; after it from the cache, or over a snapshot
-/// taken under the mutation lock and run with the lock released.
-fn pagerank(inner: &Inner, p: &Pending, iters: usize) -> PolymerResult<Answer> {
-    let guard = inner.lock_mutated();
-    if let Some(hit) = guard.as_ref().and_then(|ms| ms.cached(&p.kind)) {
-        inner.lock().stats.cache_hits += 1;
-        return Ok(hit);
-    }
-    let snapshot = guard.as_ref().map(MutState::snapshot);
-    drop(guard);
-    let (graph, epoch) = snapshot
-        .as_ref()
-        .map_or((&*inner.graph, 0), |(g, e)| (g, *e));
-    let mut cfg = inner.cfg.supervisor.clone();
-    if let Some(d) = p.deadline {
-        // The queue already consumed part of the budget; the supervisor
-        // gets only what remains (expiry at zero was handled upstream).
-        cfg = cfg.with_deadline(d.saturating_sub(p.submitted.elapsed()));
-    }
-    let (backend, spec) = (&inner.cfg.backend, &inner.cfg.spec);
-    let (threads, sup) = (inner.cfg.threads_per_request, RunSupervisor::new(cfg));
-    let prog = pagerank_program(graph.num_vertices(), iters);
-    let run = sup.run(&PolymerEngine::new(), backend, spec, threads, graph, &prog)?;
-    let answer = Answer {
-        recovery: run.recovery,
-        ..Answer::new(ResponseValues::Ranks(run.values), epoch, run.iterations)
-    };
-    if snapshot.is_some() {
-        if let Some(ms) = inner.lock_mutated().as_mut() {
-            ms.store(&p.kind, &answer);
-        }
-        inner.lock().stats.incremental_answers += 1;
-    }
-    Ok(answer)
-}
-
-/// Answer same-class traversals on the mutated graph under one hold of the
+/// Answer same-class queries on the mutated graph under one hold of the
 /// mutation lock, in FIFO order: a lane already answered at this epoch is a
-/// cache hit, one with a usable prior is repaired warm, and every other one
-/// joins one sweep of the graph — a repeated source shares its twin's sweep
-/// lane and counts as a hit. Every answer carries the current epoch, every
-/// computed one is cached, and an error fails the whole dispatch.
-fn answer_traversals(
+/// cache hit, a traversal with a usable prior is repaired warm, and every
+/// other lane joins one [`compute`] over the graph — a repeated lane shares
+/// its twin's and counts as a hit. Every answer carries the current epoch,
+/// every computed one is cached, and an error fails the whole dispatch.
+fn answer_mutated(
     inner: &Inner,
     ms: &mut MutState,
     batch: &[Pending],
 ) -> PolymerResult<Vec<Answer>> {
     let mut warm = 0;
     let mut cold: Vec<&RequestKind> = Vec::new();
-    // Per request: its answer, or the sweep lane that computes it.
+    // Per request: its answer, or the cold lane that computes it.
     let mut routes = Vec::with_capacity(batch.len());
     for p in batch {
         let route = if let Some(hit) = ms.cached(&p.kind) {
@@ -529,16 +481,16 @@ fn answer_traversals(
         };
         routes.push(route);
     }
-    let swept = match cold[..] {
+    let computed = match cold[..] {
         [] => Vec::new(),
-        _ => sweep(inner, ms.graph(), ms.graph().epoch(), &cold)?,
+        _ => compute(inner, ms.graph(), ms.graph().epoch(), &cold)?,
     };
-    for (kind, answer) in cold.iter().zip(&swept) {
+    for (kind, answer) in cold.iter().zip(&computed) {
         ms.store(kind, answer);
     }
-    let answer = |route: Result<Answer, usize>| route.unwrap_or_else(|lane| swept[lane].clone());
+    let answer = |route: Result<Answer, usize>| route.unwrap_or_else(|lane| computed[lane].clone());
     let answers: Vec<Answer> = routes.into_iter().map(answer).collect();
-    // Every request is a hit, a warm repair or a sweep lane's first asker.
+    // Every request is a hit, a warm repair or a cold lane's first asker.
     let mut st = inner.lock();
     st.stats.cache_hits += (batch.len() - warm - cold.len()) as u64;
     st.stats.incremental_answers += (warm + cold.len()) as u64;
@@ -562,12 +514,13 @@ fn ingest(inner: &Inner, batch: &DeltaBatch) -> PolymerResult<Answer> {
     Ok(Answer::new(ResponseValues::Ingested(stats), epoch, 0))
 }
 
-/// Answer the same-class traversals `lanes` with one multi-source sweep over
-/// `graph` (the resident CSR, or the mutated graph at `epoch`), one lane
-/// each; two lanes and more count as a coalesced sweep. The sweep is a
-/// sequential, deterministic host kernel on a fault-free machine: an error
+/// Answer the same-class queries `lanes` with one host kernel run over
+/// `graph` (the resident CSR, or the mutated graph at `epoch`) on the
+/// worker's own thread: a multi-source sweep with a lane per BFS / SSSP, or
+/// one PageRank run to the largest `iters`. Two lanes and more count as a
+/// coalesced run. The kernels are sequential and deterministic: an error
 /// would recur on every attempt, so it is returned typed, at once.
-fn sweep<T: Topology>(
+fn compute<T: Topology>(
     inner: &Inner,
     graph: &T,
     epoch: u64,
@@ -579,14 +532,45 @@ fn sweep<T: Topology>(
         st.stats.batched_requests += k;
         st.stats.max_batch_lanes = st.stats.max_batch_lanes.max(k);
     }
-    let sources: Vec<VId> = lanes.iter().filter_map(|kind| kind.lane()?.1).collect();
+    // Each lane's source, or its rounds.
+    let params: Vec<usize> = lanes.iter().filter_map(|k| Some(k.lane()?.1)).collect();
+    if let RequestKind::PageRank { .. } = lanes[0] {
+        let prog = pagerank_program(graph.num_vertices());
+        return Ok(pagerank_rounds(graph, epoch, &prog, &params));
+    }
+    let sources: Vec<VId> = params.iter().map(|&source| source as VId).collect();
     with_traversal!(lanes[0], |template, wrap, _lane| {
-        sweep_lanes(inner, graph, epoch, &template, &sources, wrap)
+        sweep(inner, graph, epoch, &template, &sources, wrap)
     })
 }
 
-/// [`sweep`] with the program and its [`ResponseValues`] constructor named.
-fn sweep_lanes<T: Topology, P: SingleSource>(
+/// Answer PageRank requests for `asked` rounds each with one run of `prog`,
+/// copied out at every round asked: each answer is bit-identical to a run
+/// of its own.
+fn pagerank_rounds<T: Topology, P: Program<Val = f64>>(
+    graph: &T,
+    epoch: u64,
+    prog: &P,
+    asked: &[usize],
+) -> Vec<Answer> {
+    let mut rounds = asked.to_vec();
+    rounds.sort_unstable();
+    rounds.dedup();
+    let copies = run_reference_rounds(graph, prog, &rounds);
+    let answer = |iters: &usize| {
+        let copy = rounds.binary_search(iters).expect("a round per iters");
+        let (ranks, iterations) = &copies[copy];
+        Answer {
+            batched_lanes: asked.len(),
+            ..Answer::new(ResponseValues::Ranks(ranks.clone()), epoch, *iterations)
+        }
+    };
+    asked.iter().map(answer).collect()
+}
+
+/// [`compute`]'s sweep, with the program and its [`ResponseValues`]
+/// constructor named.
+fn sweep<T: Topology, P: SingleSource>(
     inner: &Inner,
     graph: &T,
     epoch: u64,
@@ -610,8 +594,7 @@ mod tests {
     use super::*;
     use polymer_algos::reference::max_rel_error;
     use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
-    use polymer_api::supervisor::RetryPolicy;
-    use polymer_api::{Combine, FrontierInit, Program};
+    use polymer_api::{Combine, FrontierInit};
     use polymer_graph::{gen, MutableGraph, Weight};
 
     fn graph() -> Graph {
@@ -907,6 +890,61 @@ mod tests {
         assert!(err < 1e-9, "served PR off by {err}");
     }
 
+    /// PageRank requests of any `iters` share one batch key: a paused queue
+    /// of four is one dispatch and one run to the largest (every response
+    /// names the run's lanes), and every answer is bit-identical to a run of
+    /// its own. After an ingest the repeated `iters` shares its twin's lane
+    /// as a cache hit.
+    #[test]
+    fn pagerank_requests_of_any_iters_share_one_run() {
+        let g = graph();
+        let n = g.num_vertices();
+        let svc = GraphService::new(g.clone(), quick_cfg()).unwrap();
+        let asked = [5, 1, 3, 3];
+        let mut mirror = MutableGraph::from_graph(&g);
+        let mut batch = DeltaBatch::new();
+        batch.insert(3, 77, 4).delete(0, 2);
+        for epoch in [0, 1] {
+            let before = svc.stats();
+            svc.pause();
+            let tickets = asked.map(|iters| svc.submit(RequestKind::PageRank { iters }).unwrap());
+            svc.resume();
+            // Static mode makes a lane of every request, mutated mode of
+            // every distinct `iters`.
+            let run_lanes = if epoch == 0 { 4 } else { 3 };
+            for (iters, t) in asked.into_iter().zip(tickets) {
+                let r = t.wait().unwrap();
+                let want = if epoch == 0 {
+                    run_reference(&g, &PageRank::new(n).with_iters(iters))
+                } else {
+                    run_reference(&mirror, &PageRank::new(n).with_iters(iters))
+                };
+                assert_eq!(r.values.ranks().unwrap(), &want.0[..], "PageRank({iters})");
+                assert_eq!((r.iterations, r.epoch), (want.1, epoch));
+                assert_eq!(r.batched_lanes, run_lanes);
+            }
+            let stats = svc.stats();
+            assert_eq!(stats.batches - before.batches, 1, "one run");
+            assert_eq!(
+                stats.batched_requests - before.batched_requests,
+                run_lanes as u64
+            );
+            assert_eq!(stats.cache_hits - before.cache_hits, u64::from(epoch == 1));
+            let computed = stats.incremental_answers - before.incremental_answers;
+            assert_eq!(computed, if epoch == 0 { 0 } else { 3 });
+            if epoch == 0 {
+                let t = svc
+                    .submit(RequestKind::Ingest {
+                        batch: batch.clone(),
+                    })
+                    .unwrap();
+                assert_eq!(t.wait().unwrap().epoch, 1);
+                mirror.apply(&batch).unwrap();
+            }
+        }
+        assert_eq!(svc.stats().failed, 0);
+    }
+
     /// BFS whose `scatter` panics once it leaves the source (the `Probe`
     /// shape of `multi.rs`'s tests).
     #[derive(Clone)]
@@ -953,18 +991,11 @@ mod tests {
     }
 
     /// A sweep is a deterministic host kernel: its error is every lane's
-    /// typed error at once. The retry ladder this replaced slept
-    /// 1 + 2 + 4 s under this policy and then returned the same error.
+    /// typed error at once. The retry ladder this replaced slept 1 + 2 + 4 s
+    /// under a one-second backoff and then returned the same error.
     #[test]
     fn a_failed_sweep_fails_every_lane_once_without_backoff() {
-        let mut cfg = quick_cfg();
-        cfg.supervisor.sleep_on_backoff = true;
-        cfg.supervisor.retry = RetryPolicy {
-            base_backoff: Duration::from_secs(1),
-            max_backoff: Duration::from_secs(4),
-            ..RetryPolicy::default()
-        };
-        let svc = GraphService::new(graph(), cfg).unwrap();
+        let svc = GraphService::new(graph(), quick_cfg()).unwrap();
         svc.pause();
         let sources = [0u32, 9, 17];
         let tickets = sources.map(|source| svc.submit(RequestKind::Bfs { source }).unwrap());
@@ -974,7 +1005,7 @@ mod tests {
         let started = Instant::now();
         let (inner, template) = (&svc.inner, Poisoned(Bfs::new(0)));
         let wrap = ResponseValues::Levels;
-        let outcome = sweep_lanes(inner, &*inner.graph, 0, &template, &sources, wrap);
+        let outcome = sweep(inner, &*inner.graph, 0, &template, &sources, wrap);
         deliver(inner, &batch, outcome);
         for t in tickets {
             let err = t.wait().map(|r| r.id).unwrap_err();
@@ -984,6 +1015,90 @@ mod tests {
         let stats = svc.stats();
         assert_eq!((stats.failed, stats.completed), (3, 0));
         svc.resume();
+    }
+
+    /// PageRank whose `scatter` panics: the whole-graph twin of [`Poisoned`].
+    struct PoisonedRanks(PageRank);
+
+    impl Program for PoisonedRanks {
+        type Val = f64;
+        fn name(&self) -> &'static str {
+            "poisoned-ranks"
+        }
+        fn combine(&self) -> Combine {
+            self.0.combine()
+        }
+        fn next_identity(&self) -> f64 {
+            self.0.next_identity()
+        }
+        fn init(&self, v: VId) -> f64 {
+            self.0.init(v)
+        }
+        fn scatter(&self, _: VId, _: f64, _: Weight, _: u32) -> f64 {
+            panic!("poisoned ranks");
+        }
+        fn apply(&self, v: VId, acc: f64, curr: f64) -> (f64, bool) {
+            self.0.apply(v, acc, curr)
+        }
+        fn initial_frontier(&self) -> FrontierInit {
+            self.0.initial_frontier()
+        }
+        fn max_iters(&self) -> usize {
+            self.0.max_iters()
+        }
+        fn fold(&self, a: f64, b: f64) -> f64 {
+            self.0.fold(a, b)
+        }
+    }
+
+    /// A PageRank run that panics — here after an ingest, so under the
+    /// mutation lock, as the dispatch runs it — fails every request of its
+    /// dispatch `engine-panicked`, at once. The one worker then recovers
+    /// the poisoned lock and answers the next PageRank exactly.
+    #[test]
+    fn a_panicking_pagerank_run_fails_its_dispatch_and_the_worker_lives() {
+        let g = graph();
+        let n = g.num_vertices();
+        let cfg = ServeConfig {
+            workers: 1,
+            ..quick_cfg()
+        };
+        let svc = GraphService::new(g.clone(), cfg).unwrap();
+        let t = svc.submit(RequestKind::Ingest {
+            batch: DeltaBatch::new(),
+        });
+        assert_eq!(t.unwrap().wait().unwrap().epoch, 1);
+        svc.pause();
+        let asked = [4, 2];
+        let tickets = asked.map(|iters| svc.submit(RequestKind::PageRank { iters }).unwrap());
+        let batch = take_batch(&mut svc.inner.lock(), MAX_LANES);
+
+        let inner = &svc.inner;
+        let outcome = catch_engine_faults(|| {
+            let guard = inner.lock_mutated();
+            let graph = guard.as_ref().expect("mutated mode").graph();
+            let poisoned = PoisonedRanks(pagerank_program(n));
+            Ok(pagerank_rounds(graph, 1, &poisoned, &asked))
+        });
+        deliver(inner, &batch, outcome);
+        for t in tickets {
+            let err = t.wait().map(|r| r.id).unwrap_err();
+            assert_eq!(err.code(), "engine-panicked", "{err}");
+        }
+        assert!(inner.mut_state.is_poisoned());
+        svc.resume();
+
+        let r = svc.submit(RequestKind::PageRank { iters: 4 }).unwrap();
+        let r = r.wait().unwrap();
+        let mirror = MutableGraph::from_graph(&g);
+        let want = run_reference(&mirror, &PageRank::new(n).with_iters(4));
+        assert_eq!(
+            (r.values.ranks().unwrap(), r.iterations),
+            (&want.0[..], want.1)
+        );
+        assert_eq!(r.epoch, 1);
+        let stats = svc.stats();
+        assert_eq!((stats.failed, stats.completed), (2, 2));
     }
 
     /// Regression: a panic on an answer path outside `catch_engine_faults`

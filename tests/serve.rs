@@ -1,9 +1,8 @@
 //! Integration tests of the serving layer: concurrent mixed-algorithm
 //! load end-to-end, the batching conformance contract — a coalesced
 //! multi-source sweep must be bit-identical to per-source runs, on both
-//! backends — a lone traversal as a host kernel beside a supervised
-//! PageRank, post-ingest bursts that coalesce and match the graph at their
-//! epoch, warm-started answers across several ingests, one meaning per
+//! backends — a lone query as a host kernel whatever the backend,
+//! post-ingest bursts that coalesce and match the graph at their epoch, warm-started answers across several ingests, one meaning per
 //! request across the mode switch, a panicking answer path, the admission
 //! ledger under multi-worker overload, and admission over arbitrary
 //! requests.
@@ -160,58 +159,48 @@ fn batched_answers_are_bit_identical_to_per_source_runs_on_both_backends() {
     }
 }
 
-/// A lone BFS / SSSP takes the path its coalesced twin takes — a host sweep
-/// — in static mode too. The supervisor here fails its first engine attempt
-/// and may not retry: the two traversals asked first are still answered
-/// exactly, unsupervised, at epoch 0, and the PageRank asked after them, the
-/// service's one supervised engine run, meets the planted fault and fails
-/// typed.
+/// A lone query takes the path its coalesced twin takes — a host kernel on
+/// the worker's thread — in static mode too, and the configured backend
+/// changes nothing: a lone BFS, SSSP and PageRank are answered exactly,
+/// as one-lane runs at epoch 0, on both.
 #[test]
-fn a_lone_traversal_is_a_host_kernel_and_pagerank_the_only_engine_run() {
-    use polymer_faults::FaultPlan;
-
+fn a_lone_query_is_a_host_kernel_whatever_the_backend() {
     let g = graph();
-    let mut cfg = cfg_on(Backend::real_threads());
-    cfg.supervisor.plan = FaultPlan::new().panic_worker_at(0, 0);
-    cfg.supervisor.retry.max_attempts = 1;
-    let svc = GraphService::new(g.clone(), cfg).unwrap();
-    let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait();
+    let n = g.num_vertices();
+    for backend in [Backend::Simulated, Backend::real_threads()] {
+        let svc = GraphService::new(g.clone(), cfg_on(backend)).unwrap();
+        let ask = |kind: RequestKind| svc.submit(kind).unwrap().wait().unwrap();
 
-    let bfs = ask(RequestKind::Bfs { source: 7 }).unwrap();
-    assert_eq!(
-        bfs.values.levels().unwrap(),
-        run_reference(&g, &Bfs::new(7)).0
-    );
-    let sssp = ask(RequestKind::Sssp {
-        source: 11,
-        delta: 100,
-    })
-    .unwrap();
-    let want = run_reference(&g, &Sssp::new(11).with_delta(100)).0;
-    assert_eq!(sssp.values.distances().unwrap(), want);
-    for r in [&bfs, &sssp] {
-        assert_eq!((r.batched_lanes, r.epoch), (1, 0), "{}", r.algorithm);
-        assert!(r.recovery.is_none(), "{} ran supervised", r.algorithm);
+        let bfs = ask(RequestKind::Bfs { source: 7 });
+        assert_eq!(
+            bfs.values.levels().unwrap(),
+            run_reference(&g, &Bfs::new(7)).0
+        );
+        let sssp = ask(RequestKind::Sssp {
+            source: 11,
+            delta: 100,
+        });
+        let want = run_reference(&g, &Sssp::new(11).with_delta(100)).0;
+        assert_eq!(sssp.values.distances().unwrap(), want);
+        let ranks = ask(RequestKind::PageRank { iters: 3 });
+        let want = run_reference(&g, &PageRank::new(n).with_iters(3));
+        assert_eq!(ranks.values.ranks().unwrap(), want.0);
+        assert_eq!(ranks.iterations, want.1);
+        for r in [&bfs, &sssp, &ranks] {
+            assert_eq!((r.batched_lanes, r.epoch), (1, 0), "{}", r.algorithm);
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.completed, stats.failed, stats.batches), (3, 0, 0));
     }
-
-    let err = ask(RequestKind::PageRank { iters: 3 }).map(|r| r.id);
-    assert_eq!(err.unwrap_err().code(), "worker-panicked");
-    let stats = svc.stats();
-    assert_eq!((stats.completed, stats.failed, stats.batches), (2, 1, 0));
 }
 
-/// PageRank answers served solo match a direct engine run (ranks are
-/// float-valued, so the service must take the exact same engine path).
+/// PageRank answers served solo are bit-identical to a direct run of the
+/// sequential kernel, values and iterations.
 #[test]
 fn pagerank_served_matches_direct_engine_run() {
-    use polymer_api::Engine;
-    use polymer_core::PolymerEngine;
-    use polymer_numa::{Machine, MachineSpec};
-
     let g = graph();
     let prog = PageRank::new(g.num_vertices()).with_iters(4);
-    let machine = Machine::new(MachineSpec::test2());
-    let direct = PolymerEngine::new().run(&machine, 2, &g, &prog);
+    let direct = run_reference(&g, &prog);
 
     let svc = GraphService::new(graph(), cfg_on(Backend::Simulated)).unwrap();
     let served = svc
@@ -219,8 +208,8 @@ fn pagerank_served_matches_direct_engine_run() {
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(served.values.ranks().unwrap(), &direct.values[..]);
-    assert_eq!(served.iterations, direct.iterations);
+    assert_eq!(served.values.ranks().unwrap(), &direct.0[..]);
+    assert_eq!(served.iterations, direct.1);
 }
 
 fn eight_threads_on(spec: polymer_numa::MachineSpec) -> ServeConfig {
@@ -528,7 +517,7 @@ fn the_pagerank_cache_lane_is_keyed_by_iters() {
 /// One meaning per request: over a canonical resident graph an empty ingest
 /// switches the service to mutated mode without changing the graph, and the
 /// same requests get the same answers after it as before it — PageRank
-/// included, on the configured backend, supervised, with its report.
+/// included, whatever the configured backend.
 #[test]
 fn a_request_means_the_same_thing_across_the_mode_switch() {
     // `MutableGraph::from_graph` adopts a canonical CSR unchanged; the raw
@@ -585,10 +574,6 @@ fn a_request_means_the_same_thing_across_the_mode_switch() {
         let err = max_rel_error(r.values.ranks().unwrap(), &run_reference(&mirror, &prog).0);
         assert!(err < 1e-9, "PageRank(3) at epoch 2 off by {err}");
         assert_eq!((r.epoch, r.deadline_missed), (2, false));
-        // Supervised like a static run: the report rides on the response
-        // that ran, not on the cache hit that repeats it.
-        assert!(before[3].recovery.is_some() && r.recovery.is_some());
-        assert!(ask(RequestKind::PageRank { iters: 3 }).recovery.is_none());
         assert_eq!(svc.stats().failed, 0);
     }
 }
@@ -770,9 +755,12 @@ mod admission {
     /// short op list is often valid and changes the graph.
     const N: u32 = 64;
 
+    /// PageRank's iteration cap on the property's graph, `2·|V| + 64`.
+    const CAP: usize = 2 * N as usize + 64;
+
     /// One drawn request: `((kind, source), delta, iters, ingest ops)`, each
-    /// op `(delete?, src, dst, weight)`. Zero deltas, self-loops and zero
-    /// weights are in range.
+    /// op `(delete?, src, dst, weight)`. Zero deltas, self-loops, zero
+    /// weights and rounds past [`CAP`] are in range.
     type Drawn = ((u8, u32), u64, usize, Vec<(u8, u32, u32, u32)>);
 
     fn drawn_kind(((kind, source), delta, iters, ops): Drawn) -> RequestKind {
@@ -806,7 +794,11 @@ mod admission {
                 (
                     (0u8..4, 0..2 * N),
                     0u64..3,
-                    0usize..40,
+                    // A quarter of the draws at the cap or one round off it.
+                    (0u8..4, 0usize..40).prop_map(|(near, iters)| match near {
+                        0 => CAP - 1 + iters % 3,
+                        _ => iters,
+                    }),
                     proptest::collection::vec((0u8..2, 0..N + 8, 0..N + 8, 0u32..3), 0..5),
                 ),
                 1..16,
@@ -826,9 +818,18 @@ mod admission {
             let mut tickets = Vec::new();
             for d in drawn {
                 let kind = drawn_kind(d);
-                match svc.submit(kind.clone()) {
-                    Ok(t) => tickets.push((kind, t)),
-                    Err(e) => prop_assert_eq!(e.code(), "invalid-config", "{:?}", kind),
+                let admitted = match svc.submit(kind.clone()) {
+                    Ok(t) => {
+                        tickets.push((kind.clone(), t));
+                        true
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e.code(), "invalid-config", "{:?}", kind);
+                        false
+                    }
+                };
+                if let RequestKind::PageRank { iters } = kind {
+                    prop_assert_eq!(admitted, iters <= CAP, "PageRank({})", iters);
                 }
             }
             prop_assert_eq!(svc.stats().submitted, tickets.len() as u64);
