@@ -32,7 +32,6 @@ use std::sync::{Arc, Mutex};
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_numa::{BarrierKind, Machine, MemoryReport, SimExecutor};
 use polymer_sync::FrontierSnapshot;
-use serde::{Deserialize, Error as SerdeError, Map, Serialize, Value};
 
 use crate::result::RunResult;
 
@@ -46,28 +45,21 @@ pub enum CheckpointPolicy {
     /// Checkpoint after every `k`th completed iteration (`EveryN(1)` =
     /// every iteration). `EveryN(0)` is treated as `Never`.
     EveryN(usize),
-    /// Checkpoint after every iteration *while the run is under deadline
-    /// pressure* (a barrier deadline or supervisor attempt budget is
-    /// configured — see [`RecoverySession::with_deadline_pressure`]);
-    /// behaves as `Never` otherwise.
-    OnDeadlinePressure,
 }
 
 impl CheckpointPolicy {
     /// True when a snapshot is due after `completed` iterations.
-    pub fn due(&self, completed: usize, deadline_pressure: bool) -> bool {
+    pub fn due(&self, completed: usize) -> bool {
         match *self {
             CheckpointPolicy::Never => false,
             CheckpointPolicy::EveryN(0) => false,
             CheckpointPolicy::EveryN(k) => completed.is_multiple_of(k),
-            CheckpointPolicy::OnDeadlinePressure => deadline_pressure,
         }
     }
 }
 
 /// One recoverable image of a run: everything an engine needs to continue
 /// from the end of iteration `iteration` as if never interrupted.
-/// Serializable through the vendored `serde` for on-disk persistence.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint<V> {
     /// Iterations completed when the snapshot was taken; a resumed run
@@ -77,47 +69,6 @@ pub struct Checkpoint<V> {
     pub values: Vec<V>,
     /// The live frontier, representation-exact (see [`FrontierSnapshot`]).
     pub frontier: FrontierSnapshot,
-}
-
-impl<V: Serialize> Serialize for Checkpoint<V> {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("iteration", Value::U64(self.iteration as u64));
-        m.insert(
-            "values",
-            Value::Arr(self.values.iter().map(Serialize::to_value).collect()),
-        );
-        m.insert("frontier", self.frontier.to_value());
-        Value::Obj(m)
-    }
-}
-
-impl<V: Deserialize> Deserialize for Checkpoint<V> {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| SerdeError::custom("Checkpoint: expected object"))?;
-        let field = |k: &str| {
-            m.get(k)
-                .ok_or_else(|| SerdeError::custom(format!("Checkpoint: missing field {k:?}")))
-        };
-        let iteration = field("iteration")?
-            .as_u64()
-            .ok_or_else(|| SerdeError::custom("Checkpoint: iteration must be an integer"))?
-            as usize;
-        let values = field("values")?
-            .as_array()
-            .ok_or_else(|| SerdeError::custom("Checkpoint: values must be an array"))?
-            .iter()
-            .map(V::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let frontier = FrontierSnapshot::from_value(field("frontier")?)?;
-        Ok(Checkpoint {
-            iteration,
-            values,
-            frontier,
-        })
-    }
 }
 
 /// A shared slot for the latest [`Checkpoint`] of a run. Cheap to clone
@@ -219,7 +170,6 @@ pub struct RecoverySession<V> {
     policy: CheckpointPolicy,
     store: Option<CheckpointStore<V>>,
     resume: Option<Checkpoint<V>>,
-    deadline_pressure: bool,
 }
 
 impl<V> Default for RecoverySession<V> {
@@ -235,7 +185,6 @@ impl<V> RecoverySession<V> {
             policy: CheckpointPolicy::Never,
             store: None,
             resume: None,
-            deadline_pressure: false,
         }
     }
 
@@ -245,7 +194,6 @@ impl<V> RecoverySession<V> {
             policy,
             store: Some(store),
             resume: None,
-            deadline_pressure: false,
         }
     }
 
@@ -256,13 +204,6 @@ impl<V> RecoverySession<V> {
         self
     }
 
-    /// Mark the run as under deadline pressure (activates
-    /// [`CheckpointPolicy::OnDeadlinePressure`]).
-    pub fn with_deadline_pressure(mut self, pressure: bool) -> Self {
-        self.deadline_pressure = pressure;
-        self
-    }
-
     /// The checkpoint to resume from, if any.
     pub fn resume(&self) -> Option<&Checkpoint<V>> {
         self.resume.as_ref()
@@ -270,7 +211,7 @@ impl<V> RecoverySession<V> {
 
     /// True when a snapshot is due after `completed` iterations.
     pub fn should_checkpoint(&self, completed: usize) -> bool {
-        self.store.is_some() && self.policy.due(completed, self.deadline_pressure)
+        self.store.is_some() && self.policy.due(completed)
     }
 
     /// Publish a checkpoint to the session's store (no-op without one).
@@ -443,7 +384,6 @@ impl IterationDriver {
             memory,
             threads: self.threads,
             sockets,
-            recovery: None,
         }
     }
 }
@@ -504,13 +444,11 @@ mod tests {
 
     #[test]
     fn checkpoint_policy_cadence() {
-        assert!(!CheckpointPolicy::Never.due(1, true));
-        assert!(!CheckpointPolicy::EveryN(0).due(4, false));
-        assert!(CheckpointPolicy::EveryN(1).due(1, false));
-        assert!(CheckpointPolicy::EveryN(3).due(6, false));
-        assert!(!CheckpointPolicy::EveryN(3).due(7, false));
-        assert!(CheckpointPolicy::OnDeadlinePressure.due(1, true));
-        assert!(!CheckpointPolicy::OnDeadlinePressure.due(1, false));
+        assert!(!CheckpointPolicy::Never.due(1));
+        assert!(!CheckpointPolicy::EveryN(0).due(4));
+        assert!(CheckpointPolicy::EveryN(1).due(1));
+        assert!(CheckpointPolicy::EveryN(3).due(6));
+        assert!(!CheckpointPolicy::EveryN(3).due(7));
     }
 
     #[test]
@@ -615,21 +553,6 @@ mod tests {
             |_, _| panic!("snapshot must not run without a store"),
         )
         .unwrap();
-    }
-
-    #[test]
-    fn checkpoint_serde_round_trip() {
-        let ck = Checkpoint {
-            iteration: 3,
-            values: vec![7u64, 9],
-            frontier: FrontierSnapshot::dense(vec![1, 4], 11),
-        };
-        let v = ck.to_value();
-        let back = Checkpoint::<u64>::from_value(&v).expect("checkpoint deserializes");
-        assert_eq!(back, ck);
-        // Text round trip through the vendored serde_json layer happens in
-        // the workspace tests; the Value tree is the contract here.
-        assert!(Checkpoint::<u64>::from_value(&Value::Bool(true)).is_err());
     }
 
     #[test]

@@ -168,7 +168,6 @@ pub trait Engine {
                     memory: MemoryReport::default(),
                     threads,
                     sockets: cfg.groups.clamp(1, threads.max(1)),
-                    recovery: None,
                 })
             }),
         }

@@ -2,8 +2,6 @@
 
 use polymer_numa::{MemoryReport, PhaseCost, RemoteAccessReport, RunClock, TraceBuffer};
 
-use crate::supervisor::RecoveryReport;
-
 /// The outcome of running a [`crate::Program`] on an [`crate::Engine`].
 pub struct RunResult<V> {
     /// Final `curr` value of every vertex.
@@ -19,10 +17,6 @@ pub struct RunResult<V> {
     pub threads: usize,
     /// Sockets spanned.
     pub sockets: usize,
-    /// How the run was supervised, when it went through a
-    /// [`crate::supervisor::RunSupervisor`]: every attempt, fallback, and
-    /// checkpoint-resume on the way to this result. `None` for plain runs.
-    pub recovery: Option<RecoveryReport>,
 }
 
 impl<V> RunResult<V> {
@@ -88,7 +82,6 @@ mod tests {
             },
             threads: 4,
             sockets: 2,
-            recovery: None,
         };
         assert!((r.seconds() - 2.0).abs() < 1e-12);
         assert_eq!(r.per_socket_us(2), vec![5.0, 4.0]);

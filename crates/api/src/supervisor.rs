@@ -15,20 +15,23 @@
 //!    shrinking the real-thread configuration — halving barrier groups —
 //!    and ultimately by falling back to the deterministic simulated backend
 //!    ([`DegradePolicy`]), which is immune to scheduling hazards.
-//! 3. **Accountability.** Every attempt is recorded in a
-//!    [`RecoveryReport`] (attached to the final [`RunResult::recovery`])
-//!    and, when a tracer is supplied, as `"supervisor-attempt"` /
+//! 3. **Accountability.** Every attempt is recorded in the
+//!    [`RecoveryReport`] that [`RunSupervisor::run_reported`] returns and,
+//!    when a tracer is supplied, as `"supervisor-attempt"` /
 //!    `"supervisor-degrade"` spans on the shared timeline.
 //!
 //! Two entry points: [`RunSupervisor::run_reported`] is the full-control
-//! one (the report is returned on failure too, and it takes the optional
-//! tracer); [`RunSupervisor::run`] is the same call keeping only the result.
-//! Every attempt goes through [`Engine::try_run_with`] under a
-//! [`RunOptions`] carrying the attempt's backend and recovery session.
+//! one (the report is returned on success and failure alike, and it takes
+//! the optional tracer); [`RunSupervisor::run`] is the same call keeping
+//! only the result. Every attempt goes through [`Engine::try_run_with`]
+//! under a [`RunOptions`] carrying the attempt's backend and recovery
+//! session.
 //!
 //! The supervisor never reclassifies errors: a fatal error
 //! (`InvalidConfig`, `Divergence`, …) aborts immediately and is returned
 //! typed, exactly as an unsupervised run would return it.
+//! It has no wall-clock budget: to bound attempts, set
+//! [`FaultPlan::barrier_timeout`] in [`SupervisorConfig::plan`].
 //!
 //! ```
 //! use polymer_api::{RunSupervisor, SupervisorConfig, Backend};
@@ -36,7 +39,7 @@
 //! // sup.run(&engine, &Backend::Simulated, &spec, threads, &graph, &prog)
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use polymer_faults::{FaultPlan, PolymerError, PolymerResult};
 use polymer_graph::Graph;
@@ -48,7 +51,7 @@ use crate::engine::{Engine, RunOptions};
 use crate::program::Program;
 use crate::result::RunResult;
 
-/// Backoff and deadline policy for supervised retries.
+/// Backoff policy for supervised retries.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`1` means "no retries").
@@ -59,14 +62,6 @@ pub struct RetryPolicy {
     pub backoff_factor: u32,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Per-attempt deadline. On the real-thread backend this tightens the
-    /// plan's barrier deadline (the executor's only preemption point); the
-    /// simulated backend completes attempts synchronously, so there it only
-    /// contributes deadline pressure to [`CheckpointPolicy::due`].
-    pub attempt_deadline: Option<Duration>,
-    /// Wall-clock budget across all attempts and backoffs; once exceeded no
-    /// further attempt starts and the last error is returned.
-    pub total_deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -76,8 +71,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(10),
             backoff_factor: 2,
             max_backoff: Duration::from_secs(1),
-            attempt_deadline: None,
-            total_deadline: None,
         }
     }
 }
@@ -86,9 +79,7 @@ impl RetryPolicy {
     /// Backoff after the `failures`-th consecutive failure (1-based):
     /// `base · factor^(failures-1)`, capped at [`RetryPolicy::max_backoff`].
     /// With no failures yet (`failures == 0`) there is nothing to back off
-    /// from and the answer is [`Duration::ZERO`] — serve-layer callers poll
-    /// "how long until the next retry" before any failure has happened, and
-    /// must not sleep spuriously.
+    /// from and the answer is [`Duration::ZERO`].
     pub fn backoff_after(&self, failures: usize) -> Duration {
         if failures == 0 {
             return Duration::ZERO;
@@ -135,7 +126,7 @@ pub struct SupervisorConfig {
     /// recover, so it checkpoints by default; pass
     /// [`CheckpointPolicy::Never`] for retry-from-scratch semantics.
     pub checkpoint: CheckpointPolicy,
-    /// Retry/backoff/deadline policy.
+    /// Retry/backoff policy.
     pub retry: RetryPolicy,
     /// Degradation ladder.
     pub degrade: DegradePolicy,
@@ -186,9 +177,9 @@ pub struct AttemptRecord {
     pub backoff: Duration,
 }
 
-/// How a supervised run reached its outcome. Attached to
-/// [`RunResult::recovery`] on success; also returned alongside the error by
-/// [`RunSupervisor::run_reported`] so failed sweeps stay inspectable.
+/// How a supervised run reached its outcome, returned by
+/// [`RunSupervisor::run_reported`] alongside the result or the error, so
+/// failed sweeps stay inspectable.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Every attempt, in order.
@@ -240,20 +231,15 @@ impl RunSupervisor {
         RunSupervisor { config }
     }
 
-    /// The configuration this supervisor runs under.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
-    /// Run `prog` under supervision. On success the result carries the
-    /// [`RecoveryReport`]; on a fatal error or retry exhaustion the last
-    /// typed error is returned (use [`RunSupervisor::run_reported`] to keep
-    /// the report in that case too).
+    /// Run `prog` under supervision. On a fatal error or retry exhaustion
+    /// the last typed error is returned (use [`RunSupervisor::run_reported`]
+    /// to keep the [`RecoveryReport`]).
     ///
     /// A fresh [`Machine`] is built per attempt from `spec` (machines
     /// accumulate allocations, so reuse would double-count memory), all
     /// sharing [`SupervisorConfig::plan`] — including its one-shot fault
-    /// state, so a spent transient fault does not re-fire on retry.
+    /// state, so a spent transient fault does not re-fire on retry. A
+    /// real-thread `backend` with faults in its own plan is `InvalidConfig`.
     pub fn run<E: Engine, P: Program>(
         &self,
         engine: &E,
@@ -285,27 +271,18 @@ impl RunSupervisor {
     ) -> (PolymerResult<RunResult<P::Val>>, RecoveryReport) {
         let cfg = &self.config;
         let store: CheckpointStore<P::Val> = CheckpointStore::new();
-        let pressure = cfg.retry.attempt_deadline.is_some()
-            || cfg.retry.total_deadline.is_some()
-            || cfg.plan.barrier_deadline().is_some();
+        // Every attempt runs under `cfg.plan`, so a fault planted in the
+        // backend's own plan would silently never fire: reject it.
+        let foreign_faults = matches!(backend, Backend::RealThreads(rt)
+            if rt.plan.has_worker_sites() || rt.plan.barrier_deadline().is_some());
         // Where the next attempt runs; the degradation ladder shrinks it.
         let mut substrate = match backend {
             Backend::Simulated => Backend::Simulated,
-            Backend::RealThreads(rt) => {
-                let mut plan = cfg.plan.clone();
-                // The barrier deadline is the executor's only preemption
-                // point, so the per-attempt deadline is enforced there
-                // (never loosening a deadline the plan already sets).
-                if let Some(d) = cfg.retry.attempt_deadline {
-                    if plan.barrier_deadline().is_none_or(|b| d < b) {
-                        plan = plan.barrier_timeout(d);
-                    }
-                }
-                let groups = rt.groups.clamp(1, threads.max(1));
-                Backend::RealThreads(RealThreadsConfig { groups, plan })
-            }
+            Backend::RealThreads(rt) => Backend::RealThreads(RealThreadsConfig {
+                groups: rt.groups.clamp(1, threads.max(1)),
+                plan: cfg.plan.clone(),
+            }),
         };
-        let started = Instant::now();
         let mut report = RecoveryReport::default();
         let mut last_err: Option<PolymerError> = None;
 
@@ -314,9 +291,7 @@ impl RunSupervisor {
             let resume = store.latest();
             let resumed_from = resume.as_ref().map(|c| c.iteration);
             report.resumed |= resumed_from.is_some();
-            let session = RecoverySession::new(cfg.checkpoint, store.clone())
-                .with_resume(resume)
-                .with_deadline_pressure(pressure);
+            let session = RecoverySession::new(cfg.checkpoint, store.clone()).with_resume(resume);
             let machine = Machine::with_faults(spec.clone(), cfg.spill, cfg.plan.clone());
             let opts = RunOptions {
                 backend: substrate.clone(),
@@ -324,7 +299,13 @@ impl RunSupervisor {
                 ..RunOptions::default()
             };
             let span_start = tracer.map(|t| t.now_us());
-            let outcome = engine.try_run_with(&machine, threads, graph, prog, &opts);
+            let outcome = if foreign_faults {
+                Err(PolymerError::InvalidConfig(
+                    "supervisor: put the backend's faults in SupervisorConfig::plan".to_string(),
+                ))
+            } else {
+                engine.try_run_with(&machine, threads, graph, prog, &opts)
+            };
             if let (Some(t), Some(start_us)) = (tracer, span_start) {
                 t.push_worker_span(WorkerSpan {
                     name: "supervisor-attempt",
@@ -336,7 +317,7 @@ impl RunSupervisor {
             }
 
             match outcome {
-                Ok(mut result) => {
+                Ok(result) => {
                     report.attempts.push(AttemptRecord {
                         attempt,
                         backend: label(&substrate),
@@ -347,16 +328,10 @@ impl RunSupervisor {
                     });
                     report.recovered = attempt > 1;
                     report.checkpoints = store.taken();
-                    result.recovery = Some(report.clone());
                     return (Ok(result), report);
                 }
                 Err(err) => {
-                    let fatal = !err.is_retryable();
-                    let out_of_budget = cfg
-                        .retry
-                        .total_deadline
-                        .is_some_and(|d| started.elapsed() >= d);
-                    let will_retry = !fatal && !out_of_budget && attempt < max_attempts;
+                    let will_retry = err.is_retryable() && attempt < max_attempts;
                     let backoff = if will_retry {
                         cfg.retry.backoff_after(attempt)
                     } else {
@@ -535,7 +510,6 @@ mod tests {
                 memory: MemoryReport::default(),
                 threads,
                 sockets: 1,
-                recovery: None,
             })
         }
 
@@ -635,20 +609,19 @@ mod tests {
             ..fast_config()
         });
         let g = tiny_graph();
-        let res = sup
-            .run(
-                &Flaky::new(2),
-                &Backend::RealThreads(RealThreadsConfig {
-                    groups: 4,
-                    plan: FaultPlan::default(),
-                }),
-                &MachineSpec::test2(),
-                4,
-                &g,
-                &Levels,
-            )
-            .expect("recovers");
-        let rep = res.recovery.expect("report attached");
+        let (res, rep) = sup.run_reported(
+            &Flaky::new(2),
+            &Backend::RealThreads(RealThreadsConfig {
+                groups: 4,
+                plan: FaultPlan::default(),
+            }),
+            &MachineSpec::test2(),
+            4,
+            &g,
+            &Levels,
+            None,
+        );
+        res.expect("recovers");
         let backends: Vec<&str> = rep.attempts.iter().map(|a| a.backend.as_str()).collect();
         assert_eq!(
             backends,
@@ -670,20 +643,19 @@ mod tests {
             ..fast_config()
         });
         let g = tiny_graph();
-        let res = sup
-            .run(
-                &Flaky::new(3),
-                &Backend::RealThreads(RealThreadsConfig {
-                    groups: 4,
-                    plan: FaultPlan::default(),
-                }),
-                &MachineSpec::test2(),
-                4,
-                &g,
-                &Levels,
-            )
-            .expect("recovers by plain retry");
-        let rep = res.recovery.expect("report attached");
+        let (res, rep) = sup.run_reported(
+            &Flaky::new(3),
+            &Backend::RealThreads(RealThreadsConfig {
+                groups: 4,
+                plan: FaultPlan::default(),
+            }),
+            &MachineSpec::test2(),
+            4,
+            &g,
+            &Levels,
+            None,
+        );
+        res.expect("recovers by plain retry");
         assert!(!rep.degraded);
         assert!(rep
             .attempts
@@ -695,17 +667,16 @@ mod tests {
     fn first_try_success_reports_clean_single_attempt() {
         let sup = RunSupervisor::new(fast_config());
         let g = tiny_graph();
-        let res = sup
-            .run(
-                &Flaky::new(0),
-                &Backend::Simulated,
-                &MachineSpec::test2(),
-                2,
-                &g,
-                &Levels,
-            )
-            .expect("clean run");
-        let rep = res.recovery.expect("report attached");
+        let (res, rep) = sup.run_reported(
+            &Flaky::new(0),
+            &Backend::Simulated,
+            &MachineSpec::test2(),
+            2,
+            &g,
+            &Levels,
+            None,
+        );
+        res.expect("clean run");
         assert_eq!(rep.attempts.len(), 1);
         assert!(!rep.recovered && !rep.degraded && !rep.resumed);
         assert_eq!(rep.attempts[0].error, None);
@@ -716,17 +687,16 @@ mod tests {
     fn retry_resumes_from_the_published_checkpoint() {
         let sup = RunSupervisor::new(fast_config());
         let g = tiny_graph();
-        let res = sup
-            .run(
-                &Flaky::new(2),
-                &Backend::Simulated,
-                &MachineSpec::test2(),
-                2,
-                &g,
-                &Levels,
-            )
-            .expect("recovers within 4 attempts");
-        let rep = res.recovery.expect("report attached");
+        let (res, rep) = sup.run_reported(
+            &Flaky::new(2),
+            &Backend::Simulated,
+            &MachineSpec::test2(),
+            2,
+            &g,
+            &Levels,
+            None,
+        );
+        let res = res.expect("recovers within 4 attempts");
         assert_eq!(rep.attempts.len(), 3);
         assert!(rep.recovered && rep.resumed);
         assert_eq!(
@@ -811,20 +781,19 @@ mod tests {
     fn degradation_ladder_halves_groups_then_falls_back_to_simulated() {
         let sup = RunSupervisor::new(fast_config());
         let g = tiny_graph();
-        let res = sup
-            .run(
-                &Flaky::new(3),
-                &Backend::RealThreads(RealThreadsConfig {
-                    groups: 4,
-                    plan: FaultPlan::default(),
-                }),
-                &MachineSpec::test2(),
-                4,
-                &g,
-                &Levels,
-            )
-            .expect("recovers on the simulated fallback");
-        let rep = res.recovery.expect("report attached");
+        let (res, rep) = sup.run_reported(
+            &Flaky::new(3),
+            &Backend::RealThreads(RealThreadsConfig {
+                groups: 4,
+                plan: FaultPlan::default(),
+            }),
+            &MachineSpec::test2(),
+            4,
+            &g,
+            &Levels,
+            None,
+        );
+        res.expect("recovers on the simulated fallback");
         assert!(rep.degraded);
         let backends: Vec<&str> = rep.attempts.iter().map(|a| a.backend.as_str()).collect();
         assert_eq!(

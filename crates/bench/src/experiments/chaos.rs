@@ -35,7 +35,7 @@ struct ChaosRow {
     answer_matches: Option<bool>,
 }
 
-/// A fault scenario: a seeded plan plus the backend it targets.
+/// A fault scenario: a plan plus the backend it targets.
 struct Scenario {
     name: &'static str,
     backend: Backend,
@@ -46,9 +46,7 @@ struct Scenario {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    let mut straggle = FaultPlan::new()
-        .with_seed(12)
-        .barrier_timeout(Duration::from_millis(5));
+    let mut straggle = FaultPlan::new().barrier_timeout(Duration::from_millis(5));
     for iter in 0..16 {
         straggle = straggle.delay_worker(1, iter, Duration::from_millis(40));
     }
@@ -56,14 +54,14 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "clean/simulated",
             backend: Backend::Simulated,
-            plan: FaultPlan::new().with_seed(1),
+            plan: FaultPlan::new(),
             spill: SpillPolicy::NearestRemote,
             may_fail: false,
         },
         Scenario {
             name: "clean/real-threads",
             backend: Backend::real_threads(),
-            plan: FaultPlan::new().with_seed(1),
+            plan: FaultPlan::new(),
             spill: SpillPolicy::NearestRemote,
             may_fail: false,
         },
@@ -71,7 +69,6 @@ fn scenarios() -> Vec<Scenario> {
             name: "worker-panic",
             backend: Backend::real_threads(),
             plan: FaultPlan::new()
-                .with_seed(11)
                 .panic_worker_at(1, 2)
                 .barrier_timeout(Duration::from_secs(30)),
             spill: SpillPolicy::NearestRemote,
@@ -87,14 +84,14 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "alloc-fail",
             backend: Backend::Simulated,
-            plan: FaultPlan::new().with_seed(13).fail_nth_alloc(2),
+            plan: FaultPlan::new().fail_nth_alloc(2),
             spill: SpillPolicy::NearestRemote,
             may_fail: false,
         },
         Scenario {
             name: "capacity-clamp",
             backend: Backend::Simulated,
-            plan: FaultPlan::new().with_seed(14).clamp_node_capacity(512),
+            plan: FaultPlan::new().clamp_node_capacity(512),
             spill: SpillPolicy::Fail,
             may_fail: true,
         },
@@ -128,7 +125,7 @@ fn quiet_injected_panics() {
 }
 
 /// Chaos-sweep benchmark: the recoverable-execution story as a committed
-/// artifact. Seeded fault scenarios × the four systems run BFS under the
+/// artifact. Fault scenarios × the four systems run BFS under the
 /// [`RunSupervisor`], and every cell is checked against the fault-free
 /// oracle: a supervised run must terminate with the bit-identical answer or
 /// a typed error — and across the sweep both recovery modes (checkpoint

@@ -12,8 +12,8 @@
 //!   `PolymerError` payload via [`panic_with`], which [`PolymerError::from_panic`]
 //!   recovers at the catch site — so a panic anywhere below an engine surfaces
 //!   as a typed error, never as an abort.
-//! * [`FaultPlan`] — a deterministic, seedable injection plan threaded
-//!   through the simulated machine, the barriers, and the real executor.
+//! * [`FaultPlan`] — a deterministic injection plan threaded through the
+//!   simulated machine, the barriers, and the real executor.
 //!   A plan can fail the nth allocation, clamp per-node memory capacity,
 //!   delay one worker at a barrier (straggler), panic one worker at a given
 //!   iteration, and truncate I/O streams ([`ShortReader`]). All trigger

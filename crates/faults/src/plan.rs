@@ -7,7 +7,7 @@ use std::time::Duration;
 /// Sentinel for "no allocation has failed yet" in [`PlanState`].
 const NO_FAILED_ALLOC: u64 = u64::MAX;
 
-/// A deterministic, seedable schedule of faults to inject into one run.
+/// A deterministic schedule of faults to inject into one run.
 ///
 /// A plan is a cheap clone: the immutable *schedule* (which faults fire
 /// where) and the mutable *trigger state* (allocation counters, one-shot
@@ -38,7 +38,6 @@ const NO_FAILED_ALLOC: u64 = u64::MAX;
 /// use std::time::Duration;
 ///
 /// let plan = FaultPlan::new()
-///     .with_seed(42)
 ///     .fail_nth_alloc(3)
 ///     .panic_worker_at(1, 2)
 ///     .barrier_timeout(Duration::from_secs(5));
@@ -60,7 +59,6 @@ pub struct FaultPlan {
 /// The immutable schedule: which faults fire at which trigger points.
 #[derive(Clone, Debug, Default)]
 struct PlanCfg {
-    seed: u64,
     /// Fail the allocations with these zero-based indices.
     fail_allocs: Vec<u64>,
     /// Clamp every node's memory capacity to this many bytes (overrides any
@@ -107,9 +105,8 @@ impl FaultPlan {
 
     fn edit(mut self, f: impl FnOnce(&mut PlanCfg)) -> Self {
         // Copy-on-write: editing a shared plan clones the schedule (the
-        // trigger state stays shared), so a supervisor can derive a
-        // per-attempt variant — e.g. tighten the barrier deadline — without
-        // perturbing the plan its caller holds.
+        // trigger state stays shared), so a derived variant never perturbs
+        // the plan its caller holds.
         f(Arc::make_mut(&mut self.cfg));
         self
     }
@@ -124,12 +121,6 @@ impl FaultPlan {
             cfg: Arc::clone(&self.cfg),
             state: Arc::new(PlanState::default()),
         }
-    }
-
-    /// Set the seed used to derive per-worker jitter (see
-    /// [`FaultPlan::jitter_for`]).
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.edit(|p| p.seed = seed)
     }
 
     /// Fail the `n`th allocation registered on the machine (zero-based),
@@ -250,25 +241,6 @@ impl FaultPlan {
     pub fn has_worker_sites(&self) -> bool {
         !self.cfg.stragglers.is_empty() || !self.cfg.panic_workers.is_empty()
     }
-
-    /// A deterministic pseudo-random jitter in `[0, max)` derived from the
-    /// plan's seed and a stream index (splitmix64) — lets tests spread
-    /// worker start times reproducibly without a RNG dependency.
-    pub fn jitter_for(&self, stream: u64, max: Duration) -> Duration {
-        let mut z = self
-            .cfg
-            .seed
-            .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let nanos = max.as_nanos() as u64;
-        if nanos == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(z % nanos)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -362,10 +334,9 @@ mod tests {
 
     #[test]
     fn builder_edits_on_a_shared_plan_are_copy_on_write() {
-        let base = FaultPlan::new().with_seed(9);
+        let base = FaultPlan::new();
         let machine_copy = base.clone();
-        // Deriving a per-attempt variant (e.g. a supervisor tightening the
-        // barrier deadline) must not perturb the copy other layers hold...
+        // Deriving a variant must not perturb the copy other layers hold...
         let derived = base.barrier_timeout(Duration::from_millis(5));
         assert_eq!(machine_copy.barrier_deadline(), None);
         assert_eq!(derived.barrier_deadline(), Some(Duration::from_millis(5)));
@@ -376,21 +347,5 @@ mod tests {
         let tightened = armed.barrier_timeout(Duration::from_millis(5));
         assert!(tightened.should_panic_worker(0, 0));
         assert!(!shared.should_panic_worker(0, 0));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let p = FaultPlan::new().with_seed(7);
-        let q = FaultPlan::new().with_seed(7);
-        let max = Duration::from_millis(5);
-        for s in 0..32 {
-            let a = p.jitter_for(s, max);
-            assert_eq!(a, q.jitter_for(s, max));
-            assert!(a < max);
-        }
-        assert_eq!(p.jitter_for(3, Duration::ZERO), Duration::ZERO);
-        // Different seeds give different schedules (overwhelmingly likely).
-        let r = FaultPlan::new().with_seed(8);
-        assert!((0..32).any(|s| p.jitter_for(s, max) != r.jitter_for(s, max)));
     }
 }

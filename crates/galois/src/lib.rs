@@ -44,24 +44,12 @@ const CHUNK: usize = 64;
 
 /// The Galois-like engine.
 #[derive(Clone, Debug, Default)]
-pub struct GaloisEngine {
-    /// Disable the union-find CC specialization (fall back to async label
-    /// propagation); for ablations.
-    pub no_union_find: bool,
-}
+pub struct GaloisEngine;
 
 impl GaloisEngine {
-    /// A new engine with all specializations enabled.
+    /// A new engine.
     pub fn new() -> Self {
-        GaloisEngine {
-            no_union_find: false,
-        }
-    }
-
-    /// Disable the union-find CC specialization.
-    pub fn without_union_find(mut self) -> Self {
-        self.no_union_find = true;
-        self
+        GaloisEngine
     }
 }
 
@@ -79,7 +67,7 @@ impl Engine for GaloisEngine {
         traced: bool,
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>> {
-        if prog.name() == "CC" && !self.no_union_find {
+        if prog.name() == "CC" {
             return run_union_find(machine, threads, g, prog, traced, recovery);
         }
         match prog.combine() {
@@ -563,20 +551,6 @@ mod tests {
         el.symmetrize();
         let g = Graph::from_edges(&el);
         check_exact(&g, &ConnectedComponents::new());
-    }
-
-    #[test]
-    fn cc_fallback_label_prop_matches_too() {
-        let mut el = gen::uniform(200, 300, 17);
-        el.symmetrize();
-        let g = Graph::from_edges(&el);
-        let m = Machine::new(MachineSpec::test2());
-        let got =
-            GaloisEngine::new()
-                .without_union_find()
-                .run(&m, 4, &g, &ConnectedComponents::new());
-        let (want, _) = run_reference(&g, &ConnectedComponents::new());
-        assert_eq!(got.values, want);
     }
 
     #[test]

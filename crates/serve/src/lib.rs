@@ -41,10 +41,11 @@
 //!   requests of that dispatch, never the worker.
 //!
 //! * **Deadlines.** A request may carry a budget measured from submission
-//!   (queue wait counts). Expired before dispatch → typed
-//!   [`PolymerError::DeadlineExceeded`], never run. Still live at dispatch
-//!   → it runs to the end: a budget never interrupts a run, PageRank
-//!   included. Completed but late → the answer is delivered with
+//!   (queue wait counts), given to [`GraphService::submit_with_deadline`].
+//!   Expired before dispatch → typed [`PolymerError::DeadlineExceeded`],
+//!   never run. Still live at dispatch → it runs to the end: a budget
+//!   never interrupts a run, PageRank included. Completed but late → the
+//!   answer is delivered with
 //!   [`ServeResponse::deadline_missed`] set, and counted in
 //!   [`ServeStats::deadline_missed`].
 //!

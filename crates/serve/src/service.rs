@@ -41,8 +41,6 @@ pub struct ServeConfig {
     /// The machine whose cores bound `threads_per_request`; nothing is
     /// placed on it. Kept, and goes, with `threads_per_request`.
     pub spec: MachineSpec,
-    /// Deadline applied to requests submitted without one.
-    pub default_deadline: Option<Duration>,
     /// Compaction-threshold override for mutated mode (`None` keeps
     /// [`polymer_graph::DEFAULT_COMPACTION_FRACTION`]); pending overlay
     /// entries past this fraction of the base edge count trigger a base
@@ -60,7 +58,6 @@ impl Default for ServeConfig {
             max_batch_lanes: MAX_LANES,
             backend: Backend::real_threads(),
             spec: MachineSpec::test2(),
-            default_deadline: None,
             compaction_fraction: None,
         }
     }
@@ -188,9 +185,9 @@ impl GraphService {
         &self.inner.graph
     }
 
-    /// Submit a request under the configured default deadline.
+    /// Submit a request with no deadline.
     pub fn submit(&self, kind: RequestKind) -> PolymerResult<Ticket> {
-        self.submit_with_deadline(kind, self.inner.cfg.default_deadline)
+        self.submit_with_deadline(kind, None)
     }
 
     /// Submit a request with an explicit deadline budget (measured from

@@ -20,7 +20,6 @@
 
 use parking_lot::Mutex;
 use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaAtomicArray};
-use serde::{Deserialize, Serialize};
 
 use crate::bitmap::DenseBitmap;
 
@@ -162,7 +161,7 @@ impl<D> FrontierRepr<D> {
 /// `tags` carries optional per-member auxiliary state for engines whose
 /// frontier is more than a vertex set (Galois stores its priority-bucket
 /// keys here); set-shaped engines leave it `None`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FrontierSnapshot {
     /// Active vertex ids, in the frontier's live order (ascending for dense
     /// representations, queue order for sparse ones). May contain
@@ -565,15 +564,6 @@ mod tests {
         assert_eq!(back.len(), 3);
         assert_eq!(back.out_degree(|_| 0), 42);
         assert_eq!(back.to_sorted_vec(), vec![3, 7, 9]);
-    }
-
-    #[test]
-    fn snapshot_serializes_via_vendored_serde() {
-        use serde::{Deserialize, Serialize};
-        let snap = FrontierSnapshot::sparse(vec![5, 1], 12).with_tags(vec![2, 3]);
-        let v = snap.to_value();
-        let back = FrontierSnapshot::from_value(&v).expect("snapshot deserializes");
-        assert_eq!(back, snap);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chaos-sweep harness: seeded fault injections × programs × engines ×
+//! Chaos-sweep harness: fault injections × programs × engines ×
 //! backends, every cell driven through the [`RunSupervisor`].
 //!
 //! The invariant under test is the supervisor's contract: **every
@@ -22,7 +22,8 @@ use std::time::Duration;
 
 use polymer::algos::reference::max_rel_error;
 use polymer::api::{
-    CheckpointPolicy, DegradePolicy, RecoveryReport, RetryPolicy, RunSupervisor, SupervisorConfig,
+    CheckpointPolicy, DegradePolicy, RealThreadsConfig, RecoveryReport, RetryPolicy, RunSupervisor,
+    SupervisorConfig,
 };
 use polymer::graph::gen;
 use polymer::prelude::*;
@@ -84,7 +85,6 @@ fn one_shot_worker_panic_recovers_by_resuming_a_checkpoint() {
         let ename = system.name();
         with_engine!(system, Default::default(), |engine| {
             let plan = FaultPlan::new()
-                .with_seed(42)
                 .panic_worker_at(1, 2)
                 .barrier_timeout(Duration::from_secs(30));
             let (result, report) =
@@ -113,6 +113,45 @@ fn one_shot_worker_panic_recovers_by_resuming_a_checkpoint() {
     }
 }
 
+/// A supervised run takes its faults from `SupervisorConfig::plan` alone, so
+/// a panic planted in the real-thread backend's own plan is rejected as
+/// `invalid-config` up front instead of the run silently going fault-free.
+/// The same panic moved into the supervisor's plan fires and is recovered.
+#[test]
+fn a_fault_in_the_backends_own_plan_is_invalid_config_not_dropped() {
+    let backend = |plan| Backend::RealThreads(RealThreadsConfig { groups: 2, plan });
+    let planted = || FaultPlan::new().panic_worker_at(1, 1);
+    let engine = LigraEngine::new();
+
+    let (result, report) = supervised_bfs(
+        &engine,
+        backend(planted()),
+        chaos_config(FaultPlan::new()),
+        0,
+    );
+    match result {
+        Err(PolymerError::InvalidConfig(msg)) => {
+            assert!(msg.contains("SupervisorConfig::plan"), "{msg}")
+        }
+        Err(e) => panic!("expected invalid-config, got {e}"),
+        Ok(_) => panic!("the planted panic was silently dropped"),
+    }
+    assert_eq!(report.error_codes(), vec!["invalid-config"]);
+    assert_eq!(report.attempts.len(), 1);
+    assert_eq!(report.total_backoff, Duration::ZERO);
+
+    let (result, report) = supervised_bfs(
+        &engine,
+        backend(FaultPlan::new()),
+        chaos_config(planted()),
+        0,
+    );
+    let run = result.unwrap_or_else(|e| panic!("supervised run failed: {e}"));
+    assert_eq!(run.values, bfs_oracle());
+    assert_eq!(report.error_codes(), vec!["worker-panicked"]);
+    assert!(report.recovered && report.resumed, "{report:?}");
+}
+
 /// A persistent straggler under a tight barrier deadline: plain retries
 /// keep timing out, so the supervisor must walk the degradation ladder
 /// (halve groups, then fall back to the simulated backend) and still
@@ -126,9 +165,7 @@ fn persistent_straggler_recovers_by_degrading_to_simulated() {
         with_engine!(system, Default::default(), |engine| {
             // Stragglers on every iteration a BFS on this graph can reach, so
             // resuming past the first delay site never dodges the fault.
-            let mut plan = FaultPlan::new()
-                .with_seed(7)
-                .barrier_timeout(Duration::from_millis(5));
+            let mut plan = FaultPlan::new().barrier_timeout(Duration::from_millis(5));
             for iter in 0..12 {
                 plan = plan.delay_worker(1, iter, Duration::from_millis(40));
             }
@@ -165,7 +202,7 @@ fn one_shot_alloc_failure_recovers_on_retry() {
     for system in SystemId::ALL {
         let ename = system.name();
         with_engine!(system, Default::default(), |engine| {
-            let plan = FaultPlan::new().with_seed(3).fail_nth_alloc(2);
+            let plan = FaultPlan::new().fail_nth_alloc(2);
             let (result, report) =
                 supervised_bfs(engine, Backend::Simulated, chaos_config(plan), 0);
             let run = result.unwrap_or_else(|e| panic!("{ename}: supervised run failed: {e}"));
@@ -217,7 +254,7 @@ fn persistent_capacity_clamp_exhausts_retries_with_a_typed_error() {
     for system in SystemId::ALL {
         let ename = system.name();
         with_engine!(system, Default::default(), |engine| {
-            let plan = FaultPlan::new().with_seed(5).clamp_node_capacity(512);
+            let plan = FaultPlan::new().clamp_node_capacity(512);
             let cfg = SupervisorConfig {
                 spill: SpillPolicy::Fail,
                 ..chaos_config(plan)
@@ -271,7 +308,7 @@ fn fatal_config_errors_abort_without_retrying() {
     }
 }
 
-/// The full seeded sweep: fault scenarios × engines × backends on BFS,
+/// The full sweep: fault scenarios × engines × backends on BFS,
 /// plus a float row (PageRank) for summation-order coverage. Every cell
 /// must terminate with the fault-free answer or a typed error, and the
 /// matrix as a whole must exhibit both recovery modes.
@@ -282,20 +319,19 @@ fn chaos_sweep_terminates_every_cell_and_exhibits_both_recovery_modes() {
         (
             "clean/simulated",
             Backend::Simulated,
-            FaultPlan::new().with_seed(1),
+            FaultPlan::new(),
             SpillPolicy::NearestRemote,
         ),
         (
             "clean/real-threads",
             Backend::real_threads(),
-            FaultPlan::new().with_seed(1),
+            FaultPlan::new(),
             SpillPolicy::NearestRemote,
         ),
         (
             "worker-panic",
             Backend::real_threads(),
             FaultPlan::new()
-                .with_seed(11)
                 .panic_worker_at(2, 1)
                 .panic_worker_at(1, 3)
                 .barrier_timeout(Duration::from_secs(30)),
@@ -305,9 +341,7 @@ fn chaos_sweep_terminates_every_cell_and_exhibits_both_recovery_modes() {
             "straggler-deadline",
             Backend::real_threads(),
             {
-                let mut p = FaultPlan::new()
-                    .with_seed(12)
-                    .barrier_timeout(Duration::from_millis(5));
+                let mut p = FaultPlan::new().barrier_timeout(Duration::from_millis(5));
                 for iter in 0..12 {
                     p = p.delay_worker(0, iter, Duration::from_millis(40));
                 }
@@ -318,13 +352,13 @@ fn chaos_sweep_terminates_every_cell_and_exhibits_both_recovery_modes() {
         (
             "alloc-fail",
             Backend::Simulated,
-            FaultPlan::new().with_seed(13).fail_nth_alloc(1),
+            FaultPlan::new().fail_nth_alloc(1),
             SpillPolicy::NearestRemote,
         ),
         (
             "capacity-clamp",
             Backend::Simulated,
-            FaultPlan::new().with_seed(14).clamp_node_capacity(512),
+            FaultPlan::new().clamp_node_capacity(512),
             SpillPolicy::Fail,
         ),
     ];
@@ -395,7 +429,6 @@ fn supervised_pagerank_recovery_stays_close_to_reference() {
     let prog = PageRank::new(g.num_vertices());
     let (want, _) = run_reference(&g, &prog);
     let plan = FaultPlan::new()
-        .with_seed(21)
         .panic_worker_at(1, 2)
         .barrier_timeout(Duration::from_secs(30));
     let sup = RunSupervisor::new(chaos_config(plan));
@@ -419,9 +452,7 @@ fn supervised_pagerank_recovery_stays_close_to_reference() {
 /// retries to the simulated fallback.
 #[test]
 fn degrade_policy_thresholds_shape_the_ladder() {
-    let mut plan = FaultPlan::new()
-        .with_seed(9)
-        .barrier_timeout(Duration::from_millis(5));
+    let mut plan = FaultPlan::new().barrier_timeout(Duration::from_millis(5));
     for iter in 0..12 {
         plan = plan.delay_worker(1, iter, Duration::from_millis(40));
     }
