@@ -35,6 +35,7 @@ impl Program for Bfs {
         "BFS"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Min
     }
@@ -74,15 +75,6 @@ impl Program for Bfs {
         usize::MAX
     }
 
-    #[inline]
-    fn fold(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
-    fn val_from_u64(&self, raw: u64) -> u32 {
-        raw as u32
-    }
-
     fn priority_of(&self, val: u32) -> u64 {
         val as u64
     }
@@ -119,6 +111,5 @@ mod tests {
     fn priority_is_level() {
         let b = Bfs::new(0);
         assert_eq!(b.priority_of(7), 7);
-        assert_eq!(b.val_from_u64(9), 9);
     }
 }

@@ -65,6 +65,7 @@ impl Program for BeliefPropagation {
         "BP"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Add
     }
@@ -108,11 +109,6 @@ impl Program for BeliefPropagation {
     fn scatter_cycles(&self) -> f64 {
         // tanh + atanh + multiplies: roughly 80 cycles per message.
         80.0
-    }
-
-    #[inline]
-    fn fold(&self, a: f64, b: f64) -> f64 {
-        a + b
     }
 }
 

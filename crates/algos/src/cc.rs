@@ -27,6 +27,7 @@ impl Program for ConnectedComponents {
         "CC"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Min
     }
@@ -60,19 +61,6 @@ impl Program for ConnectedComponents {
     fn max_iters(&self) -> usize {
         usize::MAX
     }
-
-    fn needs_symmetric(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn fold(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-
-    fn val_from_u64(&self, raw: u64) -> u32 {
-        raw as u32
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +71,6 @@ mod tests {
     fn init_is_own_id() {
         let cc = ConnectedComponents::new();
         assert_eq!(cc.init(2), 2);
-        assert!(cc.needs_symmetric());
     }
 
     #[test]
@@ -98,6 +85,5 @@ mod tests {
     fn scatter_forwards_label() {
         let cc = ConnectedComponents::new();
         assert_eq!(cc.scatter(9, 3, 1, 2), 3);
-        assert_eq!(cc.val_from_u64(7), 7);
     }
 }

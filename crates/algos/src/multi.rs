@@ -28,7 +28,7 @@ use polymer_api::{
     PolymerResult, Program,
 };
 use polymer_graph::{Topology, VId};
-use polymer_numa::Machine;
+use polymer_numa::{Atom, Machine};
 
 /// Maximum lanes (sources) per sweep — one bit per lane in the per-vertex
 /// active mask. Callers with bigger batches split them into several sweeps.
@@ -234,7 +234,7 @@ struct LaneState<V> {
     frontier: Vec<u32>,
 }
 
-impl<V: Copy> LaneState<V> {
+impl<V: Atom> LaneState<V> {
     /// One superstep: scatter from the frontier, apply, rebuild the frontier.
     fn step<T: Topology, P: Program<Val = V>>(&mut self, graph: &T, progs: &[P]) {
         let (k, identity) = (progs.len(), progs[0].next_identity());
@@ -263,7 +263,9 @@ impl<V: Copy> LaneState<V> {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
                     let prog = &progs[lane];
-                    acc[lane] = prog.fold(acc[lane], prog.scatter(v, src[lane], w, deg));
+                    acc[lane] = prog
+                        .combine()
+                        .fold(acc[lane], prog.scatter(v, src[lane], w, deg));
                 }
             }
         }
@@ -420,9 +422,6 @@ mod tests {
         }
         fn max_iters(&self) -> usize {
             self.cap
-        }
-        fn fold(&self, a: u32, b: u32) -> u32 {
-            self.bfs.fold(a, b)
         }
     }
 

@@ -45,6 +45,7 @@ impl Program for PageRank {
         "PR"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Add
     }
@@ -83,11 +84,6 @@ impl Program for PageRank {
 
     fn max_iters(&self) -> usize {
         self.max_iters
-    }
-
-    #[inline]
-    fn fold(&self, a: f64, b: f64) -> f64 {
-        a + b
     }
 }
 

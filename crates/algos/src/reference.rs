@@ -9,8 +9,8 @@ use polymer_graph::Topology;
 /// Run `prog` on `g` (a CSR, or a `MutableGraph` as the oracle of a mutated
 /// graph) sequentially. Returns the final values and the number
 /// of iterations executed. The caller must pass an already-symmetrized graph
-/// when [`Program::needs_symmetric`] holds (the harness does this for every
-/// engine uniformly).
+/// for an algorithm defined over the undirected graph (CC; the harness's
+/// `AlgoId::needs_symmetric` does this for every engine uniformly).
 pub fn run_reference<T: Topology, P: Program>(g: &T, prog: &P) -> (Vec<P::Val>, usize) {
     let mut last = run_reference_rounds(g, prog, &[prog.max_iters()]);
     last.pop().expect("one round asked")
@@ -57,7 +57,7 @@ pub fn run_reference_rounds<T: Topology, P: Program>(
             for (t, w) in g.out_edges(s) {
                 let c = prog.scatter(s, sv, w, deg);
                 let t = t as usize;
-                next[t] = prog.fold(next[t], c);
+                next[t] = prog.combine().fold(next[t], c);
                 if !updated[t] {
                     updated[t] = true;
                     touched.push(t as u32);

@@ -40,6 +40,7 @@ impl Program for SpMV {
         "SpMV"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Add
     }
@@ -77,11 +78,6 @@ impl Program for SpMV {
 
     fn prefer_push(&self) -> bool {
         true
-    }
-
-    #[inline]
-    fn fold(&self, a: f64, b: f64) -> f64 {
-        a + b
     }
 }
 

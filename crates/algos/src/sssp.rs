@@ -42,6 +42,7 @@ impl Program for Sssp {
         "SSSP"
     }
 
+    #[inline]
     fn combine(&self) -> Combine {
         Combine::Min
     }
@@ -83,15 +84,6 @@ impl Program for Sssp {
 
     fn uses_weights(&self) -> bool {
         true
-    }
-
-    #[inline]
-    fn fold(&self, a: u64, b: u64) -> u64 {
-        a.min(b)
-    }
-
-    fn val_from_u64(&self, raw: u64) -> u64 {
-        raw
     }
 
     fn priority_of(&self, val: u64) -> u64 {

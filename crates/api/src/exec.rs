@@ -284,9 +284,6 @@ pub fn atomic_combine<P: Program>(
         Combine::Min => {
             arr.fetch_min(ctx, i, c);
         }
-        Combine::Mul => {
-            arr.fetch_mul(ctx, i, c);
-        }
     }
 }
 
@@ -295,9 +292,9 @@ pub fn atomic_combine<P: Program>(
 /// [`SimExecutor::run_phase_split`](polymer_numa::SimExecutor::run_phase_split),
 /// which runs on the calling thread after every shard has joined. Records
 /// the same single write transaction the atomic read-modify-write records
-/// and leaves the same value behind ([`Program::fold`] must agree with
-/// [`Program::combine`]), without the compare-exchange loop an `f64`
-/// combine costs.
+/// and leaves the same value behind ([`Combine::fold`] is the host form of
+/// the same operator), without the compare-exchange loop an `f64` combine
+/// costs.
 #[inline]
 pub fn serial_combine<P: Program>(
     prog: &P,
@@ -306,7 +303,7 @@ pub fn serial_combine<P: Program>(
     i: usize,
     c: P::Val,
 ) {
-    arr.store(ctx, i, prog.fold(arr.raw_load(i), c));
+    arr.store(ctx, i, prog.combine().fold(arr.raw_load(i), c));
 }
 
 /// Charged checkpoint sweep: every simulated thread streams its even chunk
@@ -395,43 +392,33 @@ mod tests {
     /// A program that is nothing but its combine operator over `T`.
     struct Folder<T>(Combine, std::marker::PhantomData<T>);
 
-    macro_rules! folder_program {
-        ($t:ty, $fold:path, $identity:expr) => {
-            impl Program for Folder<$t> {
-                type Val = $t;
-                fn name(&self) -> &'static str {
-                    "fold"
-                }
-                fn combine(&self) -> Combine {
-                    self.0
-                }
-                fn next_identity(&self) -> $t {
-                    $identity
-                }
-                fn init(&self, _: VId) -> $t {
-                    $identity
-                }
-                fn scatter(&self, _: VId, v: $t, _: polymer_graph::Weight, _: u32) -> $t {
-                    v
-                }
-                fn apply(&self, _: VId, acc: $t, _: $t) -> ($t, bool) {
-                    (acc, false)
-                }
-                fn initial_frontier(&self) -> crate::FrontierInit {
-                    crate::FrontierInit::All
-                }
-                fn max_iters(&self) -> usize {
-                    1
-                }
-                fn fold(&self, a: $t, b: $t) -> $t {
-                    $fold(self.0, a, b)
-                }
-            }
-        };
+    impl<T: Atom + PartialEq + std::fmt::Debug> Program for Folder<T> {
+        type Val = T;
+        fn name(&self) -> &'static str {
+            "fold"
+        }
+        fn combine(&self) -> Combine {
+            self.0
+        }
+        fn next_identity(&self) -> T {
+            T::zero()
+        }
+        fn init(&self, _: VId) -> T {
+            T::zero()
+        }
+        fn scatter(&self, _: VId, v: T, _: polymer_graph::Weight, _: u32) -> T {
+            v
+        }
+        fn apply(&self, _: VId, acc: T, _: T) -> (T, bool) {
+            (acc, false)
+        }
+        fn initial_frontier(&self) -> crate::FrontierInit {
+            crate::FrontierInit::All
+        }
+        fn max_iters(&self) -> usize {
+            1
+        }
     }
-    folder_program!(f64, crate::program::fold_f64, 0.0);
-    folder_program!(u32, crate::program::fold_u32, 0);
-    folder_program!(u64, crate::program::fold_u64, 0);
 
     /// Replay `script` (slot, contribution) through `combine` on a fresh
     /// machine; return the final cells and the classified access statistics.
@@ -456,7 +443,7 @@ mod tests {
         // script revisits cells, walks forward and jumps, so every
         // pattern × destination bucket is exercised.
         let slots: Vec<usize> = (0..400).map(|k| (k * 37 + (k % 5) * 211) % 1024).collect();
-        for op in [Combine::Add, Combine::Min, Combine::Mul] {
+        for op in [Combine::Add, Combine::Min] {
             let f = Folder::<f64>(op, Default::default());
             let start: Vec<f64> = (0..1024).map(|i| 1.0 + i as f64 / 7.0).collect();
             let script: Vec<(usize, f64)> = slots
@@ -499,6 +486,18 @@ mod tests {
                 "u64 {op:?}"
             );
         }
+
+        // Where `f64::min` and `<` part ways: a NaN cell offered 0.5, and
+        // signed zeros offered each other (`f64::min` leaves their order
+        // unspecified). The atomic keeps the cell in all three cases.
+        let f = Folder::<f64>(Combine::Min, Default::default());
+        let start = [f64::NAN, 0.0, 2.0, -0.0];
+        let script = [(0, 0.5), (1, -0.0), (2, f64::NAN), (2, 1.0), (3, 0.0)];
+        let serial = replay(&f, &start, &script, serial_combine);
+        let atomic = replay(&f, &start, &script, atomic_combine);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial.0), bits(&atomic.0), "f64 Min edge cells");
+        assert_eq!(bits(&atomic.0), bits(&[f64::NAN, 0.0, 1.0, -0.0]));
     }
 
     #[test]

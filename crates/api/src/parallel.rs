@@ -55,13 +55,13 @@
 //! alone — [`Program::prefer_push`] describes the paper's simulated machines
 //! and is not consulted.
 //!
-//! Contributions are folded with [`Program::fold`] in an order fixed by the
-//! graph, the frontier and the thread count: CSC order in a gather; own
-//! slice first, then bins by producer, in a binned push; producer partials,
-//! in producer order, in a dense push. Integer programs therefore match the
-//! sequential reference exactly, and floating-point programs are ε-close to
-//! it *and bit-identical from run to run* at a given thread count —
-//! including across a checkpoint/resume.
+//! Contributions are folded with [`crate::Combine::fold`] in an order fixed
+//! by the graph, the frontier and the thread count: CSC order in a gather;
+//! own slice first, then bins by producer, in a binned push; producer
+//! partials, in producer order, in a dense push. Integer programs therefore
+//! match the sequential reference exactly, and floating-point programs are
+//! ε-close to it *and bit-identical from run to run* at a given thread
+//! count — including across a checkpoint/resume.
 //!
 //! A push takes the smaller of two memory bounds. Bins hold at most
 //! (threads − 1)/threads × the frontier's out-edges × (4 + `size_of::<Val>()`)
@@ -302,7 +302,7 @@ impl<P: Program> Exec<'_, P> {
     fn accumulate(&self, t: VId, c: P::Val) {
         let t = t as usize;
         let cell = &self.next[t];
-        P::Val::atom_store(cell, self.prog.fold(P::Val::atom_load(cell), c));
+        P::Val::atom_store(cell, self.prog.combine().fold(P::Val::atom_load(cell), c));
         let word = &self.updated[t / 64];
         word.store(
             word.load(Ordering::Relaxed) | 1u64 << (t % 64),
@@ -334,6 +334,7 @@ impl<P: Program> Exec<'_, P> {
                     let w = self.in_w.map_or(1, |ws| ws[edges.start + i]);
                     acc = self
                         .prog
+                        .combine()
                         .fold(acc, self.prog.scatter(s, sv, w, self.degs[si]));
                     any = true;
                 }
@@ -405,7 +406,7 @@ impl<P: Program> Exec<'_, P> {
                 let t = t as usize;
                 let c = self.prog.scatter(s, sv, weight(e), deg);
                 let cell = &part.vals[t];
-                P::Val::atom_store(cell, self.prog.fold(P::Val::atom_load(cell), c));
+                P::Val::atom_store(cell, self.prog.combine().fold(P::Val::atom_load(cell), c));
                 let word = &part.touched[t / 64];
                 word.store(
                     word.load(Ordering::Relaxed) | 1u64 << (t % 64),
@@ -847,9 +848,6 @@ mod tests {
         }
         fn max_iters(&self) -> usize {
             usize::MAX
-        }
-        fn fold(&self, a: u32, b: u32) -> u32 {
-            a.min(b)
         }
     }
 

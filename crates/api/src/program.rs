@@ -4,18 +4,29 @@ use polymer_graph::{VId, Weight};
 use polymer_numa::Atom;
 
 /// The commutative, associative operator folding edge contributions into a
-/// target's `next` cell. The simulated engines dispatch to the matching
-/// atomic operation in push mode and to a plain fold in pull mode; the
-/// real-thread executor always folds through [`Program::fold`], which must
-/// be the same operator.
+/// target's `next` cell — the one place a program states it. The simulated
+/// engines issue the matching atomic in push mode
+/// ([`crate::exec::atomic_combine`]); pull mode, the real-thread executor and
+/// the host kernels fold plain values with [`Combine::fold`], which leaves
+/// the value the atomic would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
     /// `next[t] += c` (PageRank, SpMV, log-domain BP).
     Add,
     /// `next[t] = min(next[t], c)` (BFS parents, CC labels, SSSP distances).
     Min,
-    /// `next[t] *= c`.
-    Mul,
+}
+
+impl Combine {
+    /// Fold contribution `b` into the value `a` on the host: the value the
+    /// matching atomic leaves in a cell holding `a`.
+    #[inline]
+    pub fn fold<V: Atom>(self, a: V, b: V) -> V {
+        match self {
+            Combine::Add => V::host_add(a, b),
+            Combine::Min => V::host_min(a, b),
+        }
+    }
 }
 
 /// The initial active set of a program.
@@ -63,12 +74,6 @@ pub trait Program: Sync {
     /// Iteration cap; `usize::MAX` means "until the frontier empties".
     fn max_iters(&self) -> usize;
 
-    /// True when the algorithm is defined over the undirected (symmetrized)
-    /// graph — the harness symmetrizes before running (CC).
-    fn needs_symmetric(&self) -> bool {
-        false
-    }
-
     /// True when edge weights are semantically meaningful (SpMV, SSSP, BP).
     fn uses_weights(&self) -> bool {
         false
@@ -96,19 +101,6 @@ pub trait Program: Sync {
         2.0
     }
 
-    /// Fold two contributions on the host (pull mode, the real-thread
-    /// executor in both directions, reference implementations). Must agree
-    /// with [`Program::combine`].
-    fn fold(&self, a: Self::Val, b: Self::Val) -> Self::Val;
-
-    /// Reinterpret a raw integer as a `Val` — implemented by integer-valued
-    /// programs so engines with algorithm specializations (e.g. the
-    /// Galois-like engine's union-find connected components) can emit values
-    /// directly. The default panics.
-    fn val_from_u64(&self, _raw: u64) -> Self::Val {
-        unimplemented!("this program has no integer value embedding")
-    }
-
     /// Scheduling priority of a value for priority-ordered asynchronous
     /// engines (the Galois-like engine's delta-stepping uses the tentative
     /// distance). Lower runs first. Default: no ordering.
@@ -117,49 +109,17 @@ pub trait Program: Sync {
     }
 }
 
-/// Dispatch a combine op on host values — helper for implementing
-/// [`Program::fold`] uniformly.
-#[inline]
-pub fn fold_f64(op: Combine, a: f64, b: f64) -> f64 {
-    match op {
-        Combine::Add => a + b,
-        Combine::Min => a.min(b),
-        Combine::Mul => a * b,
-    }
-}
-
-/// Integer variant of [`fold_f64`].
-#[inline]
-pub fn fold_u64(op: Combine, a: u64, b: u64) -> u64 {
-    match op {
-        Combine::Add => a.wrapping_add(b),
-        Combine::Min => a.min(b),
-        Combine::Mul => a.wrapping_mul(b),
-    }
-}
-
-/// `u32` variant of [`fold_f64`].
-#[inline]
-pub fn fold_u32(op: Combine, a: u32, b: u32) -> u32 {
-    match op {
-        Combine::Add => a.wrapping_add(b),
-        Combine::Min => a.min(b),
-        Combine::Mul => a.wrapping_mul(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn fold_helpers() {
-        assert_eq!(fold_f64(Combine::Add, 1.5, 2.0), 3.5);
-        assert_eq!(fold_f64(Combine::Min, 1.5, 2.0), 1.5);
-        assert_eq!(fold_f64(Combine::Mul, 1.5, 2.0), 3.0);
-        assert_eq!(fold_u64(Combine::Min, 7, 3), 3);
-        assert_eq!(fold_u64(Combine::Add, 7, 3), 10);
-        assert_eq!(fold_u32(Combine::Min, 7, 3), 3);
-        assert_eq!(fold_u32(Combine::Mul, 7, 3), 21);
+    fn combine_fold() {
+        assert_eq!(Combine::Add.fold(1.5, 2.0), 3.5);
+        assert_eq!(Combine::Min.fold(1.5, 2.0), 1.5);
+        assert_eq!(Combine::Min.fold(7u64, 3), 3);
+        assert_eq!(Combine::Add.fold(7u64, 3), 10);
+        assert_eq!(Combine::Add.fold(u32::MAX, 2), 1);
+        assert_eq!(Combine::Min.fold(7u32, 3), 3);
     }
 }

@@ -451,9 +451,6 @@ mod tests {
         fn max_iters(&self) -> usize {
             usize::MAX
         }
-        fn fold(&self, a: u32, b: u32) -> u32 {
-            a.min(b)
-        }
     }
 
     /// An engine that fails its first `fail_first` attempts with the given

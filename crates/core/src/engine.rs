@@ -333,7 +333,9 @@ impl Engine for PolymerEngine {
                                         };
                                         let sv = curr.load(ctx, s);
                                         let deg = layout.out_deg.get(ctx, s);
-                                        acc = prog.fold(acc, prog.scatter(s as VId, sv, w, deg));
+                                        acc = prog
+                                            .combine()
+                                            .fold(acc, prog.scatter(s as VId, sv, w, deg));
                                         ctx.charge_cycles(sc);
                                         any = true;
                                     }

@@ -16,9 +16,9 @@
 //!   simulated machine, the barriers, and the real executor.
 //!   A plan can fail the nth allocation, clamp per-node memory capacity,
 //!   delay one worker at a barrier (straggler), panic one worker at a given
-//!   iteration, and truncate I/O streams ([`ShortReader`]). All trigger
-//!   points are counted with shared atomic counters, so a cloned plan
-//!   observes one global schedule and runs are reproducible.
+//!   iteration, and bound every barrier wait. All trigger points are
+//!   counted with shared atomic counters, so a cloned plan observes one
+//!   global schedule and runs are reproducible.
 //!
 //! This crate deliberately has **no dependencies** (std only) so every other
 //! crate in the workspace can depend on it without cycles.
@@ -27,9 +27,7 @@
 #![warn(missing_docs)]
 
 mod error;
-mod io;
 mod plan;
 
 pub use error::{panic_with, PolymerError, PolymerResult};
-pub use io::ShortReader;
 pub use plan::FaultPlan;

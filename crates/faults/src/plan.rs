@@ -68,8 +68,6 @@ struct PlanCfg {
     stragglers: Vec<(usize, usize, Duration)>,
     /// Panic worker `tid` at the start of iteration `iteration`.
     panic_workers: Vec<(usize, usize)>,
-    /// Truncate injected I/O streams after this many bytes.
-    short_read_after: Option<u64>,
     /// Deadline for every barrier wait of the run.
     barrier_timeout: Option<Duration>,
 }
@@ -151,12 +149,6 @@ impl FaultPlan {
         self.edit(|p| p.panic_workers.push((tid, iteration)))
     }
 
-    /// Truncate streams wrapped in [`crate::ShortReader::from_plan`] after
-    /// `bytes` bytes.
-    pub fn short_read_after(self, bytes: u64) -> Self {
-        self.edit(|p| p.short_read_after = Some(bytes))
-    }
-
     /// Bound every barrier wait of the run by `timeout`; an expired wait
     /// poisons the barrier and surfaces as a typed error.
     pub fn barrier_timeout(self, timeout: Duration) -> Self {
@@ -226,11 +218,6 @@ impl FaultPlan {
         self.state.panics_spent.fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
-    /// The configured short-read byte limit, if any.
-    pub fn short_read_limit(&self) -> Option<u64> {
-        self.cfg.short_read_after
-    }
-
     /// The configured barrier-wait deadline, if any.
     pub fn barrier_deadline(&self) -> Option<Duration> {
         self.cfg.barrier_timeout
@@ -256,7 +243,6 @@ mod tests {
         assert_eq!(p.node_capacity_clamp(), None);
         assert_eq!(p.straggle_delay(0, 0), None);
         assert!(!p.should_panic_worker(0, 0));
-        assert_eq!(p.short_read_limit(), None);
         assert_eq!(p.barrier_deadline(), None);
         assert!(!p.has_worker_sites());
     }

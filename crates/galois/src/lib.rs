@@ -72,7 +72,7 @@ impl Engine for GaloisEngine {
         }
         match prog.combine() {
             Combine::Min => run_async(machine, threads, g, prog, traced, recovery),
-            _ => run_sync_pull(machine, threads, g, prog, traced, recovery),
+            Combine::Add => run_sync_pull(machine, threads, g, prog, traced, recovery),
         }
     }
 }
@@ -313,7 +313,7 @@ fn run_sync_pull<P: Program>(
                                 // Source values are vertex-indexed — random,
                                 // scalar path.
                                 let sv = curr.load(ctx, s as usize);
-                                acc = prog.fold(acc, prog.scatter(s, sv, w, deg));
+                                acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
                                 ctx.charge_cycles(sc);
                                 any = true;
                             }
@@ -331,7 +331,7 @@ fn run_sync_pull<P: Program>(
                                     };
                                     let sv = curr.load(ctx, s as usize);
                                     let deg = topo.in_src_deg.get(ctx, e);
-                                    acc = prog.fold(acc, prog.scatter(s, sv, w, deg));
+                                    acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
                                     ctx.charge_cycles(sc);
                                     any = true;
                                 }
@@ -402,7 +402,9 @@ fn run_sync_pull<P: Program>(
 
 /// Union-find connected components (Galois's topology-driven algorithm).
 /// Union-by-minimum keeps every root the smallest id of its set, so the
-/// final labels equal label propagation's fixed point exactly.
+/// final labels equal label propagation's fixed point exactly. Each vertex
+/// is emitted as `prog.init(root)`: CC's initial label of a vertex is its
+/// own id, so that is the root's label.
 fn run_union_find<P: Program>(
     machine: &Machine,
     threads: usize,
@@ -497,10 +499,7 @@ fn run_union_find<P: Program>(
     }
     driver.advance_round();
 
-    let values: Vec<P::Val> = labels
-        .into_iter()
-        .map(|l| prog.val_from_u64(l as u64))
-        .collect();
+    let values: Vec<P::Val> = labels.into_iter().map(|l| prog.init(l)).collect();
     if recovery.should_checkpoint(driver.iterations()) {
         // Charge the checkpoint sweep against the engine's resident state
         // (the parent array); the recorded values are the final labels.

@@ -299,17 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_short_read_surfaces_as_clean_io_error() {
-        let el = sample();
-        let mut buf = Vec::new();
-        write_binary(&el, &mut buf).unwrap();
-        let plan = polymer_faults::FaultPlan::new().short_read_after(30);
-        let r = polymer_faults::ShortReader::from_plan(&buf[..], &plan);
-        let err = read_binary(r).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
     fn load_rejects_truncated_binary_file() {
         let dir = std::env::temp_dir();
         let p = dir.join("polymer_io_truncated.bin");

@@ -204,7 +204,7 @@ impl Engine for LigraEngine {
                                         // Source values are indexed by vertex
                                         // id — random, scalar path.
                                         let sv = curr.load(ctx, s as usize);
-                                        acc = prog.fold(acc, prog.scatter(s, sv, w, deg));
+                                        acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
                                         ctx.charge_cycles(sc);
                                         any = true;
                                     }
@@ -222,7 +222,9 @@ impl Engine for LigraEngine {
                                             };
                                             let sv = curr.load(ctx, s as usize);
                                             let deg = topo.in_src_deg.get(ctx, e);
-                                            acc = prog.fold(acc, prog.scatter(s, sv, w, deg));
+                                            acc = prog
+                                                .combine()
+                                                .fold(acc, prog.scatter(s, sv, w, deg));
                                             ctx.charge_cycles(sc);
                                             any = true;
                                         }

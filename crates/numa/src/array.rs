@@ -15,9 +15,9 @@
 //! the byte offset at page granularity.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::atomicf::{AtomicF32, AtomicF64};
+use crate::atomicf::AtomicF64;
 use crate::ctx::{AccessCtx, Rw};
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
@@ -47,14 +47,12 @@ pub trait Atom: Copy + Send + Sync + 'static {
     fn atom_add(r: &Self::Repr, v: Self) -> Self;
     /// Atomic min, returning the previous value.
     fn atom_min(r: &Self::Repr, v: Self) -> Self;
-    /// Atomic max, returning the previous value.
-    fn atom_max(r: &Self::Repr, v: Self) -> Self;
-    /// Atomic multiply, returning the previous value.
-    fn atom_mul(r: &Self::Repr, v: Self) -> Self;
-    /// Atomic bitwise OR, returning the previous value. Panics for floats.
-    fn atom_or(r: &Self::Repr, v: Self) -> Self;
-    /// Compare-and-swap; `Ok(previous)` on success, `Err(actual)` on failure.
-    fn atom_cas(r: &Self::Repr, cur: Self, new: Self) -> Result<Self, Self>;
+    /// `a + b` on plain values: the value [`Atom::atom_add`] leaves behind
+    /// (integers wrap).
+    fn host_add(a: Self, b: Self) -> Self;
+    /// `min(a, b)` on plain values: the value [`Atom::atom_min`] leaves
+    /// behind in a cell holding `a` (for floats, `b` wins only when `b < a`).
+    fn host_min(a: Self, b: Self) -> Self;
 }
 
 macro_rules! int_atom {
@@ -86,31 +84,12 @@ macro_rules! int_atom {
                 r.fetch_min(v, Ordering::Relaxed)
             }
             #[inline]
-            fn atom_max(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_max(v, Ordering::Relaxed)
+            fn host_add(a: Self, b: Self) -> Self {
+                a.wrapping_add(b)
             }
             #[inline]
-            fn atom_mul(r: &Self::Repr, v: Self) -> Self {
-                let mut cur = r.load(Ordering::Relaxed);
-                loop {
-                    match r.compare_exchange_weak(
-                        cur,
-                        cur.wrapping_mul(v),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(old) => return old,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            #[inline]
-            fn atom_or(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_or(v, Ordering::Relaxed)
-            }
-            #[inline]
-            fn atom_cas(r: &Self::Repr, cur: Self, new: Self) -> Result<Self, Self> {
-                r.compare_exchange(cur, new, Ordering::Relaxed, Ordering::Relaxed)
+            fn host_min(a: Self, b: Self) -> Self {
+                a.min(b)
             }
         }
     };
@@ -118,73 +97,51 @@ macro_rules! int_atom {
 
 int_atom!(u32, AtomicU32);
 int_atom!(u64, AtomicU64);
-int_atom!(usize, AtomicUsize);
 
-macro_rules! float_atom {
-    ($ty:ty, $cell:ty, $bits:ty) => {
-        impl Atom for $ty {
-            type Repr = $cell;
-            const CHECK_FINITE: bool = true;
-            #[inline]
-            fn finite(self) -> bool {
-                self.is_finite()
-            }
-            #[inline]
-            fn zero() -> Self {
-                0.0
-            }
-            #[inline]
-            fn new_atomic(v: Self) -> Self::Repr {
-                <$cell>::new(v)
-            }
-            #[inline]
-            fn atom_load(r: &Self::Repr) -> Self {
-                r.load()
-            }
-            #[inline]
-            fn atom_store(r: &Self::Repr, v: Self) {
-                r.store(v)
-            }
-            #[inline]
-            fn atom_add(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_add(v)
-            }
-            #[inline]
-            fn atom_min(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_min(v)
-            }
-            #[inline]
-            fn atom_max(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_max(v)
-            }
-            #[inline]
-            fn atom_mul(r: &Self::Repr, v: Self) -> Self {
-                r.fetch_mul(v)
-            }
-            #[inline]
-            fn atom_or(_r: &Self::Repr, _v: Self) -> Self {
-                unimplemented!("bitwise OR is not defined for float atomics")
-            }
-            #[inline]
-            fn atom_cas(r: &Self::Repr, cur: Self, new: Self) -> Result<Self, Self> {
-                // Bit-exact CAS through the underlying integer atomic.
-                let r_bits: &$bits = r.as_bits();
-                match r_bits.compare_exchange(
-                    cur.to_bits(),
-                    new.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(b) => Ok(<$ty>::from_bits(b)),
-                    Err(b) => Err(<$ty>::from_bits(b)),
-                }
-            }
+impl Atom for f64 {
+    type Repr = AtomicF64;
+    const CHECK_FINITE: bool = true;
+    #[inline]
+    fn finite(self) -> bool {
+        self.is_finite()
+    }
+    #[inline]
+    fn zero() -> Self {
+        0.0
+    }
+    #[inline]
+    fn new_atomic(v: Self) -> Self::Repr {
+        AtomicF64::new(v)
+    }
+    #[inline]
+    fn atom_load(r: &Self::Repr) -> Self {
+        r.load()
+    }
+    #[inline]
+    fn atom_store(r: &Self::Repr, v: Self) {
+        r.store(v)
+    }
+    #[inline]
+    fn atom_add(r: &Self::Repr, v: Self) -> Self {
+        r.fetch_add(v)
+    }
+    #[inline]
+    fn atom_min(r: &Self::Repr, v: Self) -> Self {
+        r.fetch_min(v)
+    }
+    #[inline]
+    fn host_add(a: Self, b: Self) -> Self {
+        a + b
+    }
+    #[inline]
+    fn host_min(a: Self, b: Self) -> Self {
+        if b < a {
+            b
+        } else {
+            a
         }
-    };
+    }
 }
-
-float_atom!(f64, AtomicF64, AtomicU64);
-float_atom!(f32, AtomicF32, AtomicU32);
 
 /// Shared metadata of one instrumented allocation.
 #[derive(Clone)]
@@ -381,34 +338,6 @@ impl<T: Atom> NumaAtomicArray<T> {
         T::atom_min(&self.data[i], v)
     }
 
-    /// Accounted atomic max.
-    #[inline]
-    pub fn fetch_max(&self, ctx: &mut AccessCtx, i: usize, v: T) -> T {
-        self.meta.record(ctx, i, Rw::Write);
-        T::atom_max(&self.data[i], v)
-    }
-
-    /// Accounted atomic multiply.
-    #[inline]
-    pub fn fetch_mul(&self, ctx: &mut AccessCtx, i: usize, v: T) -> T {
-        self.meta.record(ctx, i, Rw::Write);
-        T::atom_mul(&self.data[i], v)
-    }
-
-    /// Accounted atomic bitwise OR (integers only).
-    #[inline]
-    pub fn fetch_or(&self, ctx: &mut AccessCtx, i: usize, v: T) -> T {
-        self.meta.record(ctx, i, Rw::Write);
-        T::atom_or(&self.data[i], v)
-    }
-
-    /// Accounted compare-and-swap.
-    #[inline]
-    pub fn cas(&self, ctx: &mut AccessCtx, i: usize, cur: T, new: T) -> Result<T, T> {
-        self.meta.record(ctx, i, Rw::Write);
-        T::atom_cas(&self.data[i], cur, new)
-    }
-
     /// Accounted sequential iteration over the element range `r`, charged as
     /// one coalesced run — identical statistics to calling
     /// [`NumaAtomicArray::load`] once per element.
@@ -507,6 +436,15 @@ impl<T: Atom> NumaAtomicArray<T> {
     }
 }
 
+impl NumaAtomicArray<u64> {
+    /// Accounted atomic bitwise OR, returning the previous word (bitmaps).
+    #[inline]
+    pub fn fetch_or(&self, ctx: &mut AccessCtx, i: usize, v: u64) -> u64 {
+        self.meta.record(ctx, i, Rw::Write);
+        self.data[i].fetch_or(v, Ordering::Relaxed)
+    }
+}
+
 /// Sequential append cursor over a [`NumaAtomicArray`], for streams whose
 /// length is not known up front (X-Stream's update buffers). Stores land
 /// immediately; accounting for the contiguous run accumulates until
@@ -599,10 +537,8 @@ mod tests {
         assert_eq!(a.fetch_add(&mut ctx, 0, 3), 5);
         assert_eq!(a.load(&mut ctx, 0), 8);
         assert_eq!(a.fetch_min(&mut ctx, 0, 2), 8);
-        assert_eq!(a.fetch_max(&mut ctx, 0, 100), 2);
-        assert_eq!(a.cas(&mut ctx, 0, 100, 1), Ok(100));
-        assert_eq!(a.cas(&mut ctx, 0, 100, 2), Err(1));
-        assert_eq!(a.raw_load(0), 1);
+        assert_eq!(a.fetch_or(&mut ctx, 0, 5), 2);
+        assert_eq!(a.raw_load(0), 7);
     }
 
     #[test]
@@ -613,9 +549,8 @@ mod tests {
         a.fetch_add(&mut ctx, 2, 1.5);
         a.fetch_add(&mut ctx, 2, 1.5);
         assert_eq!(a.load(&mut ctx, 2), 3.0);
-        a.fetch_mul(&mut ctx, 2, 2.0);
-        assert_eq!(a.raw_load(2), 6.0);
-        assert_eq!(a.cas(&mut ctx, 2, 6.0, 0.5), Ok(6.0));
+        assert_eq!(a.fetch_min(&mut ctx, 2, 0.5), 3.0);
+        assert_eq!(a.raw_load(2), 0.5);
     }
 
     #[test]

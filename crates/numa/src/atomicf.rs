@@ -1,103 +1,73 @@
-//! Atomic floating-point cells built from integer atomics via bit casts.
+//! An atomic `f64` cell built from an integer atomic via bit casts.
 //!
 //! The paper's `PREdgeF` uses `AtomicAdd` on application-defined `f64` rank
-//! data; Rust has no `AtomicF64`, so these wrappers implement atomic
-//! add/min/max with compare-exchange loops over `AtomicU64`/`AtomicU32`.
+//! data; Rust has no `AtomicF64`, so this wrapper implements atomic add and
+//! min with compare-exchange loops over `AtomicU64`.
 //! The reductions used by the engines are commutative and associative, so
 //! `Relaxed` ordering suffices for the data itself; phase boundaries (the
 //! barriers in `polymer-sync`) provide the cross-thread happens-before edges.
 //!
 //! No `unsafe` is needed: `f64::to_bits`/`from_bits` are safe transmutes.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-macro_rules! atomic_float {
-    ($name:ident, $float:ty, $atomic:ty, $bits:ty) => {
-        /// Atomic floating-point cell; see module docs for the memory-order
-        /// contract.
-        #[derive(Debug, Default)]
-        pub struct $name {
-            bits: $atomic,
-        }
-
-        impl $name {
-            /// Create a cell holding `v`.
-            #[inline]
-            pub fn new(v: $float) -> Self {
-                Self {
-                    bits: <$atomic>::new(v.to_bits()),
-                }
-            }
-
-            /// Load the current value.
-            #[inline]
-            pub fn load(&self) -> $float {
-                <$float>::from_bits(self.bits.load(Ordering::Relaxed))
-            }
-
-            /// Store a new value.
-            #[inline]
-            pub fn store(&self, v: $float) {
-                self.bits.store(v.to_bits(), Ordering::Relaxed);
-            }
-
-            /// Atomically add `v`, returning the previous value.
-            #[inline]
-            pub fn fetch_add(&self, v: $float) -> $float {
-                self.rmw(|cur| cur + v)
-            }
-
-            /// Atomically take the minimum with `v`, returning the previous
-            /// value. NaN inputs are ignored (the stored value wins).
-            #[inline]
-            pub fn fetch_min(&self, v: $float) -> $float {
-                self.rmw(|cur| if v < cur { v } else { cur })
-            }
-
-            /// Atomically take the maximum with `v`, returning the previous
-            /// value.
-            #[inline]
-            pub fn fetch_max(&self, v: $float) -> $float {
-                self.rmw(|cur| if v > cur { v } else { cur })
-            }
-
-            /// Atomically multiply by `v`, returning the previous value
-            /// (used by the belief-propagation message product).
-            #[inline]
-            pub fn fetch_mul(&self, v: $float) -> $float {
-                self.rmw(|cur| cur * v)
-            }
-
-            /// The underlying integer atomic (crate-internal, for bit-exact
-            /// compare-and-swap in the `Atom` impl).
-            #[inline]
-            pub(crate) fn as_bits(&self) -> &$atomic {
-                &self.bits
-            }
-
-            #[inline]
-            fn rmw(&self, f: impl Fn($float) -> $float) -> $float {
-                let mut cur = self.bits.load(Ordering::Relaxed);
-                loop {
-                    let old = <$float>::from_bits(cur);
-                    let new = f(old).to_bits();
-                    match self.bits.compare_exchange_weak(
-                        cur,
-                        new,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return old,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-        }
-    };
+/// Atomic `f64` cell; see module docs for the memory-order contract.
+#[derive(Debug, Default)]
+pub struct AtomicF64 {
+    bits: AtomicU64,
 }
 
-atomic_float!(AtomicF64, f64, AtomicU64, u64);
-atomic_float!(AtomicF32, f32, AtomicU32, u32);
+impl AtomicF64 {
+    /// Create a cell holding `v`.
+    #[inline]
+    pub fn new(v: f64) -> Self {
+        Self {
+            bits: AtomicU64::new(v.to_bits()),
+        }
+    }
+
+    /// Load the current value.
+    #[inline]
+    pub fn load(&self) -> f64 {
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
+    }
+
+    /// Store a new value.
+    #[inline]
+    pub fn store(&self, v: f64) {
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Atomically add `v`, returning the previous value.
+    #[inline]
+    pub fn fetch_add(&self, v: f64) -> f64 {
+        self.rmw(|cur| cur + v)
+    }
+
+    /// Atomically take the minimum with `v`, returning the previous value.
+    /// `v` replaces the stored value only when `v < cur`, so a NaN on either
+    /// side keeps the stored value, and so does `-0.0` against `0.0`.
+    #[inline]
+    pub fn fetch_min(&self, v: f64) -> f64 {
+        self.rmw(|cur| if v < cur { v } else { cur })
+    }
+
+    #[inline]
+    fn rmw(&self, f: impl Fn(f64) -> f64) -> f64 {
+        let mut cur = self.bits.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let new = f(old).to_bits();
+            match self
+                .bits
+                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return old,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -112,21 +82,6 @@ mod tests {
         assert_eq!(a.load(), 3.0);
         assert_eq!(a.fetch_min(5.0), 3.0);
         assert_eq!(a.load(), 3.0);
-        assert_eq!(a.fetch_max(10.0), 3.0);
-        assert_eq!(a.load(), 10.0);
-        assert_eq!(a.fetch_mul(0.5), 10.0);
-        assert_eq!(a.load(), 5.0);
-    }
-
-    #[test]
-    fn f32_variant() {
-        let a = AtomicF32::new(0.0);
-        a.fetch_add(1.25);
-        a.fetch_add(1.25);
-        assert_eq!(a.load(), 2.5);
-        a.store(-1.0);
-        assert_eq!(a.fetch_min(-2.0), -1.0);
-        assert_eq!(a.load(), -2.0);
     }
 
     #[test]

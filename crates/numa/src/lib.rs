@@ -66,7 +66,7 @@ pub mod tier;
 pub mod topology;
 
 pub use array::{Atom, NumaArray, NumaAtomicArray, SeqWriter};
-pub use atomicf::{AtomicF32, AtomicF64};
+pub use atomicf::AtomicF64;
 pub use compress::CompressedLists;
 pub use cost::{BarrierKind, CostConfig, CostModel, PhaseCost, SocketCost};
 pub use ctx::{AccessCtx, AccessStats, Pattern, Rw};
@@ -79,7 +79,7 @@ pub use polymer_trace::{
 };
 pub use report::{MemoryReport, RemoteAccessReport};
 pub use shard::SimShardMode;
-pub use sim::{PhaseKind, RunClock, SimExecutor};
+pub use sim::{RunClock, SimExecutor};
 pub use tables::{
     BandwidthTable, DistClass, LatencyTable, TierClass, SLOW_LOAD_FACTOR, SLOW_RAND_BW_DIVISOR,
     SLOW_SEQ_BW_DIVISOR, SLOW_STORE_FACTOR,

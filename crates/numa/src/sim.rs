@@ -41,17 +41,6 @@ use crate::machine::{AllocId, Machine};
 use crate::tier::TierRuntime;
 use crate::topology::NodeId;
 
-/// Category labels for phase-time breakdowns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PhaseKind {
-    /// Edge-parallel scatter work.
-    Scatter,
-    /// Vertex-parallel gather/apply work.
-    Gather,
-    /// Anything else.
-    Other,
-}
-
 /// The simulated run clock: accumulated phase costs, barrier time, and a
 /// per-phase-name time breakdown.
 #[derive(Clone, Debug, Default)]

@@ -973,9 +973,6 @@ mod tests {
         fn max_iters(&self) -> usize {
             self.0.max_iters()
         }
-        fn fold(&self, a: u32, b: u32) -> u32 {
-            self.0.fold(a, b)
-        }
     }
 
     impl SingleSource for Poisoned {
@@ -1042,9 +1039,6 @@ mod tests {
         }
         fn max_iters(&self) -> usize {
             self.0.max_iters()
-        }
-        fn fold(&self, a: f64, b: f64) -> f64 {
-            self.0.fold(a, b)
         }
     }
 

@@ -170,9 +170,6 @@ impl Program for Explode {
     fn max_iters(&self) -> usize {
         8
     }
-    fn fold(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
 }
 
 /// (d) Numerical divergence is detected at the iteration boundary and
@@ -292,9 +289,6 @@ impl Program for PanicsInInit {
     }
     fn max_iters(&self) -> usize {
         8
-    }
-    fn fold(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
     }
 }
 

@@ -10,7 +10,6 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use polymer::algos::reference::max_rel_error;
-use polymer::api::program::{fold_f64, fold_u32, fold_u64};
 use polymer::api::{Combine, FrontierInit};
 use polymer::graph::{gen, VId, Weight};
 use polymer::numa::{Atom, SharedTracer};
@@ -294,17 +293,11 @@ impl Atom for LoadStoreOnly {
     fn atom_min(_: &AtomicU32, _: Self) -> Self {
         unreachable!("the executor issued an atomic min")
     }
-    fn atom_max(_: &AtomicU32, _: Self) -> Self {
-        unreachable!("the executor issued an atomic max")
+    fn host_add(a: Self, b: Self) -> Self {
+        LoadStoreOnly(a.0.wrapping_add(b.0))
     }
-    fn atom_mul(_: &AtomicU32, _: Self) -> Self {
-        unreachable!("the executor issued an atomic multiply")
-    }
-    fn atom_or(_: &AtomicU32, _: Self) -> Self {
-        unreachable!("the executor issued an atomic or")
-    }
-    fn atom_cas(_: &AtomicU32, _: Self, _: Self) -> Result<Self, Self> {
-        unreachable!("the executor issued a compare-and-swap")
+    fn host_min(a: Self, b: Self) -> Self {
+        a.min(b)
     }
 }
 
@@ -337,9 +330,6 @@ impl Program for Levels {
     fn max_iters(&self) -> usize {
         usize::MAX
     }
-    fn fold(&self, a: LoadStoreOnly, b: LoadStoreOnly) -> LoadStoreOnly {
-        a.min(b)
-    }
 }
 
 #[test]
@@ -359,50 +349,6 @@ fn executor_issues_only_loads_and_stores_on_values() {
                 "{profile:?}, {threads} threads"
             );
         }
-    }
-}
-
-/// The executor folds through [`Program::fold`], the simulated engines
-/// through a [`Program::combine`]-dispatched atomic: the two must be the
-/// same operator for every shipped program.
-#[test]
-fn fold_agrees_with_combine_for_every_shipped_program() {
-    fn pairs<T: Copy>(samples: &[T]) -> impl Iterator<Item = (T, T)> + '_ {
-        samples
-            .iter()
-            .flat_map(move |&a| samples.iter().map(move |&b| (a, b)))
-    }
-    let f64s = [0.0, 1.0, -2.5, 0.15, 1e-12, 3.0e7];
-    let u32s = [0, 1, 7, 1 << 20, u32::MAX - 1, u32::MAX];
-    let u64s = [0, 1, 7, 1 << 40, u64::MAX - 1, u64::MAX];
-    fn same_f64<P: Program<Val = f64>>(p: &P, samples: &[f64]) {
-        for (a, b) in pairs(samples) {
-            let (got, want) = (p.fold(a, b), fold_f64(p.combine(), a, b));
-            assert_eq!(got.to_bits(), want.to_bits(), "{}: {a} ∘ {b}", p.name());
-        }
-    }
-    fn same_u32<P: Program<Val = u32>>(p: &P, samples: &[u32]) {
-        for (a, b) in pairs(samples) {
-            assert_eq!(
-                p.fold(a, b),
-                fold_u32(p.combine(), a, b),
-                "{}: {a} ∘ {b}",
-                p.name()
-            );
-        }
-    }
-    same_f64(&PageRank::new(100), &f64s);
-    same_f64(&SpMV::new(), &f64s);
-    same_f64(&BeliefPropagation::new(), &f64s);
-    same_u32(&Bfs::new(0), &u32s);
-    same_u32(&ConnectedComponents::new(), &u32s);
-    let sssp = Sssp::new(0);
-    for (a, b) in pairs(&u64s) {
-        assert_eq!(
-            sssp.fold(a, b),
-            fold_u64(sssp.combine(), a, b),
-            "SSSP: {a} ∘ {b}"
-        );
     }
 }
 
