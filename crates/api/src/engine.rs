@@ -9,7 +9,7 @@ use polymer_faults::{panic_with, PolymerError, PolymerResult};
 use polymer_graph::Graph;
 use polymer_numa::{Machine, MemoryReport, RunClock, SharedTracer};
 
-use crate::backend::{Backend, ExecProfile};
+use crate::backend::Backend;
 use crate::driver::{Checkpoint, RecoverySession};
 use crate::program::Program;
 use crate::result::RunResult;
@@ -62,8 +62,8 @@ pub struct RunOptions<'t, V> {
     /// from [`crate::driver::Checkpoint::iteration`].
     pub recovery: RecoverySession<V>,
     /// Real-thread backend only: every worker records one `"iteration"`
-    /// span per superstep, one edge-phase span named after its path
-    /// (`"gather"`, `"push-bins"` or `"push-dense"`), one `"apply"` span for
+    /// span per superstep, one edge-phase span named after its push path
+    /// (`"push-bins"` or `"push-dense"`), one `"apply"` span for
     /// the owner phase and one `"barrier-wait"` span per barrier crossing
     /// (µs since the tracer's epoch). An abnormal end — injected panic,
     /// poisoned barrier, timeout — flushes the buffer *truncated* but valid.
@@ -83,11 +83,14 @@ impl<V> Default for RunOptions<'_, V> {
 
 /// A graph-analytics engine: executes a [`Program`] over a graph on a
 /// simulated machine with `threads` simulated threads (bound node-major),
-/// or on real OS threads under its [`ExecProfile`].
+/// or on real OS threads.
 ///
 /// Engines are configured at construction (partitioning strategy, barrier
-/// family, adaptive-states toggle, ...); a run is side-effect free with
-/// respect to the engine itself, so one engine value can serve many runs.
+/// family, adaptive-states toggle, ...). That configuration shapes simulated
+/// runs only: on [`Backend::RealThreads`] every engine runs the same
+/// owner-computes push executor and returns the same bits. A run is
+/// side-effect free with respect to the engine itself, so one engine value
+/// can serve many runs.
 /// An engine implements [`Engine::run_simulated`]; callers start every run
 /// through [`Engine::try_run_with`] or one of its three shorthands.
 pub trait Engine {
@@ -113,22 +116,15 @@ pub trait Engine {
         recovery: &RecoverySession<P::Val>,
     ) -> PolymerResult<RunResult<P::Val>>;
 
-    /// How this engine's strategy maps onto the real-thread executor: hybrid
-    /// (gather on dense frontiers) or push-only. The default is hybrid;
-    /// engines with pinned strategies override it.
-    fn exec_profile(&self) -> ExecProfile {
-        ExecProfile::default()
-    }
-
     /// Run `prog` under `opts` — the only place the backend is dispatched.
     /// Every failure — invalid configuration, injected faults, divergence, a
     /// panicking engine body — comes back as a typed [`PolymerError`], never
     /// a panic. `Simulated` runs [`Engine::run_simulated`] on `machine`
     /// (deterministic, fully accounted); `RealThreads` runs the program on
-    /// real OS threads under this engine's [`ExecProfile`] — values and
-    /// iterations are real, while the simulated clock and memory report are
-    /// empty (wall-clock time is the caller's to measure, and `sockets`
-    /// reports the barrier group count).
+    /// real OS threads, pushing on every iteration whatever the engine —
+    /// values and iterations are real, while the simulated clock and memory
+    /// report are empty (wall-clock time is the caller's to measure, and
+    /// `sockets` reports the barrier group count).
     fn try_run_with<P: Program>(
         &self,
         machine: &Machine,
@@ -157,7 +153,6 @@ pub trait Engine {
                     prog,
                     threads,
                     cfg,
-                    &self.exec_profile(),
                     opts.tracer,
                     &opts.recovery,
                 )?;

@@ -40,7 +40,7 @@ pub mod program;
 pub mod result;
 pub mod supervisor;
 
-pub use backend::{Backend, ExecProfile, RealThreadsConfig};
+pub use backend::{Backend, RealThreadsConfig};
 pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver, RecoverySession};
 pub use engine::{
     catch_engine_faults, validate_resume, validate_run_config, validate_sim_threads, Engine,

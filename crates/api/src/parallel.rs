@@ -17,12 +17,10 @@
 //!
 //! One iteration is three barrier-separated phases:
 //!
-//! 1. **Edge phase.** A *gather* iteration folds, for every owned target,
-//!    the contributions of its active in-neighbours (CSC order) straight
-//!    into `next`; when every vertex is active the bitmap test is skipped.
-//!    A *push* iteration gives each thread a contiguous slice of the sorted
-//!    frontier carrying an equal share of out-edges, and takes one of two
-//!    paths, chosen by memory alone (`dense_push_pays`):
+//! 1. **Edge phase.** Every iteration pushes: each thread takes a
+//!    contiguous slice of the sorted frontier carrying an equal share of
+//!    out-edges, and takes one of two paths, chosen by memory alone
+//!    (`dense_push_pays`):
 //!    - a *binned* push folds a contribution to an owned target in place
 //!      and appends one to a foreign target to the (producer, owner) *bin*
 //!      — X-Stream's scatter → shuffle → gather;
@@ -39,29 +37,30 @@
 //!    each touched partial cell into `next` and resets the cell to the
 //!    identity and the word to 0 — remote reads, but sequential ones. Then
 //!    every owner scans its own `updated` words, applies each touched
-//!    vertex, and in the same pass produces its slice of the next active
-//!    bitmap, its part of the next frontier (already in ascending order) and
-//!    that part's out-degree sum.
+//!    vertex, and in the same pass produces its part of the next frontier
+//!    (already in ascending order) and that part's out-degree sum.
 //! 3. **Swap.** One thread adds up the per-owner counts and degrees — O(threads)
-//!    — and picks the next direction and push path. The per-owner lists are
-//!    concatenated (owner order is vertex order, so nothing is sorted) only
-//!    when the next iteration pushes or a checkpoint is due.
+//!    — picks the next push path, and concatenates the per-owner lists into
+//!    the next frontier (owner order is vertex order, so nothing is sorted)
+//!    unless the run is finishing with no checkpoint due.
 //!
-//! An [`ExecProfile`] maps an engine's strategy onto the executor:
-//! [`ExecProfile::Hybrid`] gathers when the frontier's exact out-degree
-//! crosses Ligra's density threshold ([`should_densify`]) and pushes
-//! otherwise; [`ExecProfile::PushOnly`] always pushes, binned or dense as
-//! memory decides. On this backend the direction follows frontier density
-//! alone — [`Program::prefer_push`] describes the paper's simulated machines
-//! and is not consulted.
+//! There is no pull direction. The paper's engines gather on dense frontiers
+//! because there a pull turns atomic remote writes into local reads; here the
+//! dense push already keeps every random write in a private partial array,
+//! and it walks only the frontier's out-edges where a gather walks every
+//! in-edge of every owned target and tests an active bit per edge. Measured
+//! on the `real-threads` benchmark input, the push is the faster direction
+//! at every frontier density that input reaches (`docs/PERFORMANCE.md`), so
+//! every engine runs this one executor and [`Program::prefer_push`] is not
+//! consulted.
 //!
 //! Contributions are folded with [`crate::Combine::fold`] in an order fixed
-//! by the graph, the frontier and the thread count: CSC order in a gather;
-//! own slice first, then bins by producer, in a binned push; producer
-//! partials, in producer order, in a dense push. Integer programs therefore
-//! match the sequential reference exactly, and floating-point programs are
-//! ε-close to it *and bit-identical from run to run* at a given thread
-//! count — including across a checkpoint/resume.
+//! by the graph, the frontier and the thread count: own slice first, then
+//! bins by producer, in a binned push; producer partials, in producer
+//! order, in a dense push. Integer programs therefore match the sequential
+//! reference exactly, and floating-point programs are ε-close to it *and
+//! bit-identical from run to run* at a given thread count — including
+//! across a checkpoint/resume.
 //!
 //! A push takes the smaller of two memory bounds. Bins hold at most
 //! (threads − 1)/threads × the frontier's out-edges × (4 + `size_of::<Val>()`)
@@ -74,13 +73,13 @@
 //!
 //! One door: [`crate::Engine::try_run_with`] under
 //! [`crate::Backend::RealThreads`] is the only caller of the crate-private
-//! `try_run_threads_rec`, passing the engine's profile, the backend's fault
-//! plan and the run's tracer and recovery session.
+//! `try_run_threads_rec`, passing the backend's fault plan and the run's
+//! tracer and recovery session.
 //!
 //! It is also the template for running this crate's programs on actual
-//! hardware: place each owner's slice of `curr`/`next` and its in-edges with
-//! `mbind` on the owner's node and pin the threads, and every random write
-//! below is node-local.
+//! hardware: place each owner's slice of `curr`/`next` with `mbind` on the
+//! owner's node, let each producer first-touch its own bins and partials,
+//! and pin the threads, and every random write below is node-local.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,9 +90,9 @@ use std::time::{Duration, Instant};
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId, Weight};
 use polymer_numa::{Atom, SharedTracer, WorkerSpan};
-use polymer_sync::{should_densify, FrontierSnapshot, HierBarrier};
+use polymer_sync::{FrontierSnapshot, HierBarrier};
 
-use crate::backend::{ExecProfile, RealThreadsConfig};
+use crate::backend::RealThreadsConfig;
 use crate::driver::{Checkpoint, RecoverySession};
 use crate::engine::{validate_resume, validate_run_config};
 use crate::exec::degree_balanced_chunks;
@@ -129,8 +128,8 @@ struct Ownership {
 
 impl Ownership {
     /// Cut the `n.div_ceil(64)` bitmap words into `threads` contiguous
-    /// ranges carrying equal shares of in-degree + 1 (a gather's work per
-    /// target, and a push's work per drained contribution).
+    /// ranges carrying equal shares of in-degree + 1 (the owner phase's work:
+    /// a contribution drained or folded per in-edge, an apply per target).
     fn balanced(in_off: &[usize], n: usize, threads: usize) -> Self {
         let words = n.div_ceil(64);
         let weight_before = |word: usize| {
@@ -229,12 +228,9 @@ struct OwnerOut {
     degree: u64,
 }
 
-/// How the coming iteration traverses edges.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Which path the coming iteration's push takes.
+#[derive(Clone, Copy)]
 enum Mode {
-    /// Owners fold over the in-edges of their targets, gated by the active
-    /// bitmap unless every vertex is active.
-    Gather { all_active: bool },
     /// Threads scatter along the out-edges of their frontier slice,
     /// binning the contributions to foreign targets.
     PushBins,
@@ -244,14 +240,9 @@ enum Mode {
 }
 
 impl Mode {
-    fn pushes(self) -> bool {
-        matches!(self, Mode::PushBins | Mode::PushDense)
-    }
-
     /// The name of this mode's edge-phase worker span.
     fn span_name(self) -> &'static str {
         match self {
-            Mode::Gather { .. } => "gather",
             Mode::PushBins => "push-bins",
             Mode::PushDense => "push-dense",
         }
@@ -261,17 +252,17 @@ impl Mode {
 /// The coming iteration's plan, rewritten by the serial thread at each swap.
 struct Plan {
     mode: Mode,
-    /// The frontier in ascending order. Current only when `mode` pushes or a
-    /// checkpoint was just taken.
+    /// The frontier in ascending order; stale once the run has finished with
+    /// no checkpoint due.
     items: Vec<VId>,
     /// One slice of `items` per thread, balanced by out-degree + 1.
     slices: Vec<Range<usize>>,
 }
 
-/// The state all workers share. Every cell of `next`, `updated` and
-/// `active_bits` has one writer — the owner of its vertex (or word) — and
-/// `curr` is written only in the apply pass, again by the owner; phases that
-/// read what another thread wrote are separated by a barrier.
+/// The state all workers share. Every cell of `next` and `updated` has one
+/// writer — the owner of its vertex (or word) — and `curr` is written only
+/// in the apply pass, again by the owner; phases that read what another
+/// thread wrote are separated by a barrier.
 struct Exec<'a, P: Program> {
     g: &'a Graph,
     prog: &'a P,
@@ -280,14 +271,11 @@ struct Exec<'a, P: Program> {
     own: Ownership,
     /// Out-degree of every vertex: one load where the offset array takes two.
     degs: Vec<u32>,
-    in_w: Option<&'a [Weight]>,
     out_w: Option<&'a [Weight]>,
     curr: Vec<<P::Val as Atom>::Repr>,
     next: Vec<<P::Val as Atom>::Repr>,
     /// Targets that received a contribution this iteration.
     updated: Vec<AtomicU64>,
-    /// The frontier as a bitmap, rewritten word by word in every apply pass.
-    active_bits: Vec<AtomicU64>,
     /// `bins[producer * threads + owner]`.
     bins: Vec<parking_lot::Mutex<Bin<P::Val>>>,
     /// `partials[producer]`, allocated by the producer on its first dense
@@ -308,43 +296,6 @@ impl<P: Program> Exec<'_, P> {
             word.load(Ordering::Relaxed) | 1u64 << (t % 64),
             Ordering::Relaxed,
         );
-    }
-
-    /// Gather iteration: fold the contributions of active in-neighbours into
-    /// every target `tid` owns.
-    fn gather(&self, tid: usize, all_active: bool) {
-        let n = self.curr.len();
-        let in_off = self.g.in_offsets();
-        let in_src = self.g.in_sources();
-        for word in self.own.words(tid) {
-            let base = word * 64;
-            let mut touched = 0u64;
-            for t in base..(base + 64).min(n) {
-                let edges = in_off[t]..in_off[t + 1];
-                let mut acc = self.identity;
-                let mut any = false;
-                for (i, &s) in in_src[edges.clone()].iter().enumerate() {
-                    let si = s as usize;
-                    if !all_active
-                        && self.active_bits[si / 64].load(Ordering::Relaxed) >> (si % 64) & 1 == 0
-                    {
-                        continue;
-                    }
-                    let sv = P::Val::atom_load(&self.curr[si]);
-                    let w = self.in_w.map_or(1, |ws| ws[edges.start + i]);
-                    acc = self
-                        .prog
-                        .combine()
-                        .fold(acc, self.prog.scatter(s, sv, w, self.degs[si]));
-                    any = true;
-                }
-                if any {
-                    P::Val::atom_store(&self.next[t], acc);
-                    touched |= 1u64 << (t - base);
-                }
-            }
-            self.updated[word].store(touched, Ordering::Relaxed);
-        }
     }
 
     /// Binned push: scatter along the out-edges of `sources`, folding
@@ -451,15 +402,14 @@ impl<P: Program> Exec<'_, P> {
     }
 
     /// Apply every updated vertex `tid` owns, in ascending order, leaving
-    /// `next` and `updated` reset, the owned words of the active bitmap
-    /// rewritten, and the survivors with their degree sum in `outs[tid]`.
+    /// `next` and `updated` reset and the survivors with their degree sum in
+    /// `outs[tid]`.
     fn apply(&self, tid: usize) {
         let mut out = self.outs[tid].lock();
         out.alive.clear();
         out.degree = 0;
         for word in self.own.words(tid) {
             let bits = self.updated[word].load(Ordering::Relaxed);
-            let mut alive_bits = 0u64;
             if bits != 0 {
                 self.updated[word].store(0, Ordering::Relaxed);
             }
@@ -470,23 +420,19 @@ impl<P: Program> Exec<'_, P> {
                 P::Val::atom_store(&self.curr[t], val);
                 P::Val::atom_store(&self.next[t], self.identity);
                 if alive {
-                    alive_bits |= 1u64 << (t % 64);
                     out.alive.push(t as VId);
                     out.degree += u64::from(self.degs[t]);
                 }
             }
-            self.active_bits[word].store(alive_bits, Ordering::Relaxed);
         }
     }
 }
 
-/// The executor: run `prog` under an engine's [`ExecProfile`]
-/// ([`crate::Engine::try_run_with`] dispatches here for
-/// [`crate::Backend::RealThreads`], and nothing else enters). A hybrid
-/// profile gathers on dense frontiers and pushes on sparse ones; a push-only
-/// profile pushes on every iteration. Whether a push bins or scatters into
-/// per-producer partials is decided per iteration by memory alone
-/// (`dense_push_pays`).
+/// The executor: run `prog` on `threads` OS threads, pushing on every
+/// iteration ([`crate::Engine::try_run_with`] dispatches here for
+/// [`crate::Backend::RealThreads`], and nothing else enters). Whether a push
+/// bins or scatters into per-producer partials is decided per iteration by
+/// memory alone (`dense_push_pays`).
 ///
 /// Validates the configuration up front, honors `cfg.plan` (stragglers,
 /// injected worker panics, barrier deadlines), and converts every worker
@@ -497,11 +443,11 @@ impl<P: Program> Exec<'_, P> {
 ///
 /// When `tracer` is given, every worker records into the shared buffer, per
 /// superstep, one `"iteration"` span, one edge-phase span named after its
-/// path — `"gather"`, `"push-bins"` or `"push-dense"` — one `"apply"` span
-/// for the owner phase, and one `"barrier-wait"` span per barrier crossing
-/// (times are µs since the tracer's epoch). If the run ends
-/// abnormally the buffer is flushed *truncated* but remains valid:
-/// everything recorded before the failure stays exportable.
+/// path — `"push-bins"` or `"push-dense"` — one `"apply"` span for the
+/// owner phase, and one `"barrier-wait"` span per barrier crossing (times
+/// are µs since the tracer's epoch). If the run ends abnormally the buffer
+/// is flushed *truncated* but remains valid: everything recorded before the
+/// failure stays exportable.
 ///
 /// Recovery: the serial thread
 /// publishes a [`Checkpoint`] (value sweep + the swapped-in frontier) to the
@@ -516,7 +462,6 @@ pub(crate) fn try_run_threads_rec<P: Program>(
     prog: &P,
     threads: usize,
     cfg: &RealThreadsConfig,
-    profile: &ExecProfile,
     tracer: Option<&SharedTracer>,
     recovery: &RecoverySession<P::Val>,
 ) -> PolymerResult<(Vec<P::Val>, usize)> {
@@ -524,38 +469,25 @@ pub(crate) fn try_run_threads_rec<P: Program>(
     let plan = &cfg.plan;
     let groups = cfg.groups.clamp(1, threads);
     let n = g.num_vertices();
-    let m = g.num_edges() as u64;
     let identity = prog.next_identity();
     let barrier_timeout = plan.barrier_deadline().unwrap_or(DEFAULT_BARRIER_TIMEOUT);
 
-    // The initial frontier as bitmap words: a set, whatever order (or
+    // The initial frontier, ascending: a set, whatever order (or
     // multiplicity) a resume checkpoint lists its members in.
-    let words = n.div_ceil(64);
-    let mut initial_bits = vec![0u64; words];
     let resume = recovery.resume();
-    match resume {
+    let initial_items: Vec<VId> = match resume {
         Some(ck) => {
             validate_resume(ck, n)?;
-            for &v in &ck.frontier.vertices {
-                initial_bits[v as usize / 64] |= 1u64 << (v % 64);
-            }
+            let mut items = ck.frontier.vertices.clone();
+            items.sort_unstable();
+            items.dedup();
+            items
         }
         None => match prog.initial_frontier() {
-            FrontierInit::All => {
-                initial_bits.fill(u64::MAX);
-                if !n.is_multiple_of(64) {
-                    initial_bits[words - 1] = (1u64 << (n % 64)) - 1;
-                }
-            }
-            FrontierInit::Single(s) => initial_bits[s as usize / 64] |= 1u64 << (s % 64),
+            FrontierInit::All => (0..n as VId).collect(),
+            FrontierInit::Single(s) => vec![s],
         },
-    }
-    let initial_items: Vec<VId> = initial_bits
-        .iter()
-        .enumerate()
-        .flat_map(|(word, &bits)| vertices_of(word, bits))
-        .map(|v| v as VId)
-        .collect();
+    };
 
     let degs: Vec<u32> = g
         .out_offsets()
@@ -568,7 +500,6 @@ pub(crate) fn try_run_threads_rec<P: Program>(
         threads,
         identity,
         own: Ownership::balanced(g.in_offsets(), n, threads),
-        in_w: prog.uses_weights().then(|| g.in_edge_weights()),
         out_w: prog.uses_weights().then(|| g.out_edge_weights()),
         curr: match resume {
             Some(ck) => ck.values.iter().map(|&v| P::Val::new_atomic(v)).collect(),
@@ -577,8 +508,7 @@ pub(crate) fn try_run_threads_rec<P: Program>(
                 .collect(),
         },
         next: (0..n).map(|_| P::Val::new_atomic(identity)).collect(),
-        updated: (0..words).map(|_| AtomicU64::new(0)).collect(),
-        active_bits: initial_bits.into_iter().map(AtomicU64::new).collect(),
+        updated: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         bins: (0..threads * threads)
             .map(|_| {
                 parking_lot::Mutex::new(Bin {
@@ -594,31 +524,18 @@ pub(crate) fn try_run_threads_rec<P: Program>(
 
     let degree_of = |v: VId| exec.degs[v as usize] as usize;
 
-    // Direction switch: a hybrid profile gathers when the frontier's exact
-    // out-degree crosses Ligra's density threshold. A push goes dense when
-    // the partials take no more memory than the bins would.
-    let adaptive = *profile == ExecProfile::Hybrid;
+    // A push goes dense when the partials take no more memory than the bins
+    // would.
     let val_bytes = std::mem::size_of::<P::Val>();
-    let decide = |count: u64, degree: u64| -> Mode {
-        if adaptive && should_densify(count, degree, m) {
-            Mode::Gather {
-                all_active: count == n as u64,
-            }
-        } else if dense_push_pays(threads, n, val_bytes, degree) {
+    let decide = |degree: u64| -> Mode {
+        if dense_push_pays(threads, n, val_bytes, degree) {
             Mode::PushDense
         } else {
             Mode::PushBins
         }
     };
-    let initial_mode = decide(
-        initial_items.len() as u64,
-        initial_items.iter().map(|&v| degree_of(v) as u64).sum(),
-    );
-    let initial_slices = if initial_mode.pushes() {
-        degree_balanced_chunks(&initial_items, degree_of, threads)
-    } else {
-        Vec::new()
-    };
+    let initial_mode = decide(initial_items.iter().map(|&v| degree_of(v) as u64).sum());
+    let initial_slices = degree_balanced_chunks(&initial_items, degree_of, threads);
     let resume_from = resume.map_or(0, |ck| ck.iteration);
     let initially_done = initial_items.is_empty() || resume_from >= prog.max_iters();
     let next_plan = parking_lot::RwLock::new(Plan {
@@ -686,16 +603,15 @@ pub(crate) fn try_run_threads_rec<P: Program>(
                         if plan.should_panic_worker(tid, iter) {
                             panic!("injected worker panic");
                         }
-                        // --- Edge phase: gather into owned targets, or push
-                        // this thread's slice of the frontier.
+                        // --- Edge phase: push this thread's slice of the
+                        // frontier.
                         let edge_t0 = now();
                         let mode = {
                             let current = next_plan.read();
-                            let slice = || &current.items[current.slices[tid].clone()];
+                            let slice = &current.items[current.slices[tid].clone()];
                             match current.mode {
-                                Mode::Gather { all_active } => exec.gather(tid, all_active),
-                                Mode::PushBins => exec.push(tid, slice()),
-                                Mode::PushDense => exec.push_dense(tid, slice()),
+                                Mode::PushBins => exec.push(tid, slice),
+                                Mode::PushDense => exec.push_dense(tid, slice),
                             }
                             current.mode
                         };
@@ -706,7 +622,6 @@ pub(crate) fn try_run_threads_rec<P: Program>(
                         // contributions, then apply the owned range.
                         let apply_t0 = now();
                         match mode {
-                            Mode::Gather { .. } => {}
                             Mode::PushBins => exec.drain(tid),
                             Mode::PushDense => exec.fold_partials(tid),
                         }
@@ -724,9 +639,8 @@ pub(crate) fn try_run_threads_rec<P: Program>(
                             let finished = count == 0 || iters >= prog.max_iters();
                             let checkpoint_due = recovery.should_checkpoint(iters);
                             let mut upcoming = next_plan.write();
-                            upcoming.mode = decide(count, degree);
-                            let pushes_next = !finished && upcoming.mode.pushes();
-                            if pushes_next || checkpoint_due {
+                            upcoming.mode = decide(degree);
+                            if !finished || checkpoint_due {
                                 // Owner order is vertex order: the
                                 // concatenation is already sorted.
                                 upcoming.items.clear();
@@ -734,7 +648,7 @@ pub(crate) fn try_run_threads_rec<P: Program>(
                                     upcoming.items.extend_from_slice(&out.alive);
                                 }
                             }
-                            if pushes_next {
+                            if !finished {
                                 upcoming.slices =
                                     degree_balanced_chunks(&upcoming.items, degree_of, threads);
                             }
@@ -858,11 +772,10 @@ mod tests {
         threads: usize,
         groups: usize,
         plan: FaultPlan,
-        profile: &ExecProfile,
     ) -> PolymerResult<(Vec<u32>, usize)> {
         let cfg = RealThreadsConfig { groups, plan };
         let off = RecoverySession::disabled();
-        try_run_threads_rec(g, prog, threads, &cfg, profile, None, &off)
+        try_run_threads_rec(g, prog, threads, &cfg, None, &off)
     }
 
     fn ring(n: usize) -> Graph {
@@ -876,7 +789,7 @@ mod tests {
     fn parallel_bfs_matches_expected_levels_on_ring() {
         let g = ring(64);
         let plan = FaultPlan::default();
-        let run = plain(&g, &Levels { src: 0 }, 4, 2, plan, &ExecProfile::PushOnly);
+        let run = plain(&g, &Levels { src: 0 }, 4, 2, plan);
         let (vals, iters) = run.unwrap();
         for (v, &lvl) in vals.iter().enumerate() {
             assert_eq!(lvl as usize, v, "ring level mismatch at {v}");
@@ -888,7 +801,7 @@ mod tests {
     fn parallel_single_thread_works() {
         let g = ring(16);
         let plan = FaultPlan::default();
-        let run = plain(&g, &Levels { src: 3 }, 1, 1, plan, &ExecProfile::PushOnly);
+        let run = plain(&g, &Levels { src: 3 }, 1, 1, plan);
         let (vals, _) = run.unwrap();
         assert_eq!(vals[3], 0);
         assert_eq!(vals[2], 15);
@@ -898,7 +811,7 @@ mod tests {
     fn parallel_more_groups_than_threads_is_clamped() {
         let g = ring(8);
         let plan = FaultPlan::default();
-        let run = plain(&g, &Levels { src: 0 }, 2, 8, plan, &ExecProfile::PushOnly);
+        let run = plain(&g, &Levels { src: 0 }, 2, 8, plan);
         let (vals, _) = run.unwrap();
         assert_eq!(vals[7], 7);
     }
@@ -907,7 +820,7 @@ mod tests {
     fn zero_threads_is_a_typed_error() {
         let g = ring(8);
         let plan = FaultPlan::default();
-        let err = plain(&g, &Levels { src: 0 }, 0, 1, plan, &ExecProfile::PushOnly).unwrap_err();
+        let err = plain(&g, &Levels { src: 0 }, 0, 1, plan).unwrap_err();
         assert!(matches!(err, PolymerError::InvalidConfig(_)));
     }
 
@@ -915,7 +828,7 @@ mod tests {
     fn out_of_range_source_is_a_typed_error() {
         let g = ring(8);
         let plan = FaultPlan::default();
-        let err = plain(&g, &Levels { src: 99 }, 2, 1, plan, &ExecProfile::PushOnly).unwrap_err();
+        let err = plain(&g, &Levels { src: 99 }, 2, 1, plan).unwrap_err();
         match err {
             PolymerError::InvalidConfig(msg) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("unexpected: {other:?}"),
@@ -939,7 +852,6 @@ mod tests {
             &Levels { src: 0 },
             2,
             &RealThreadsConfig::default(),
-            &ExecProfile::default(),
             None,
             &session,
         )
@@ -965,16 +877,7 @@ mod tests {
                     frontier: FrontierSnapshot::sparse(frontier, 2),
                 }));
             let cfg = RealThreadsConfig::default();
-            try_run_threads_rec(
-                &g,
-                &Levels { src: 0 },
-                2,
-                &cfg,
-                &ExecProfile::PushOnly,
-                None,
-                &session,
-            )
-            .unwrap()
+            try_run_threads_rec(&g, &Levels { src: 0 }, 2, &cfg, None, &session).unwrap()
         };
         assert_eq!(resume(vec![2, 1, 2]), resume(vec![1, 2]));
     }
@@ -1040,7 +943,7 @@ mod tests {
         let plan = FaultPlan::new()
             .panic_worker_at(1, 2)
             .barrier_timeout(Duration::from_secs(5));
-        let err = plain(&g, &Levels { src: 0 }, 4, 2, plan, &ExecProfile::PushOnly).unwrap_err();
+        let err = plain(&g, &Levels { src: 0 }, 4, 2, plan).unwrap_err();
         match err {
             PolymerError::WorkerPanicked { worker, ref detail } => {
                 assert_eq!(worker, 1);
@@ -1054,23 +957,7 @@ mod tests {
     fn straggler_delays_but_still_completes() {
         let g = ring(16);
         let plan = FaultPlan::new().delay_worker(0, 1, Duration::from_millis(5));
-        let (vals, _) = plain(&g, &Levels { src: 0 }, 2, 1, plan, &ExecProfile::PushOnly).unwrap();
+        let (vals, _) = plain(&g, &Levels { src: 0 }, 2, 1, plan).unwrap();
         assert_eq!(vals[15], 15);
-    }
-
-    #[test]
-    fn hybrid_profile_matches_push_only_on_dense_frontiers() {
-        // A complete-ish graph densifies immediately: the hybrid profile
-        // must pull and still produce the push-only (and reference) levels.
-        let n = 40u32;
-        let g = Graph::from_edges(&EdgeList::from_pairs(
-            n as usize,
-            (0..n).flat_map(|v| (1..4u32).map(move |d| (v, (v + d) % n))),
-        ));
-        let prog = Levels { src: 0 };
-        let plan = FaultPlan::default();
-        let (want, _) = plain(&g, &prog, 3, 2, plan.clone(), &ExecProfile::PushOnly).unwrap();
-        let (got, _) = plain(&g, &prog, 3, 2, plan, &ExecProfile::Hybrid).unwrap();
-        assert_eq!(got, want);
     }
 }

@@ -83,11 +83,13 @@ pub trait Program: Sync {
     /// on dense frontiers (the paper runs synchronous push-based PageRank on
     /// Polymer, Ligra and X-Stream "because it is relatively faster"). This
     /// is a statement about the paper's machines and is honoured by the
-    /// simulator-backed engines only: on [`crate::Backend::RealThreads`] the
-    /// direction follows frontier density alone (see
-    /// [`crate::ExecProfile`]), because there a dense gather is a single
-    /// owner-local store per target while a dense push writes every
-    /// contribution to a private partial and folds it in a second pass.
+    /// simulator-backed engines only. [`crate::Backend::RealThreads`] pushes
+    /// on every iteration whatever this says: its dense push already keeps
+    /// every random write in a private partial array (what a pull buys on
+    /// the paper's machines), and it walks only the frontier's out-edges
+    /// where a gather walks every in-edge of every target; measured there, the
+    /// push is the faster direction at every frontier density the benchmark
+    /// input reaches (see [`crate::parallel`]).
     fn prefer_push(&self) -> bool {
         false
     }

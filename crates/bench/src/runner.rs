@@ -375,8 +375,8 @@ pub fn run_with(
 /// fresh machine of the given spec.
 ///
 /// `Backend::Simulated` gives fully accounted simulated metrics;
-/// the real-thread backend executes the program with real OS threads under
-/// the engine's [`polymer_api::ExecProfile`] — values and iteration counts
+/// the real-thread backend executes the program with real OS threads on the
+/// one push executor every engine shares — values and iteration counts
 /// are real while every simulated field (seconds, remote profile, memory)
 /// reads zero, so callers measure wall-clock themselves.
 pub fn run_on(

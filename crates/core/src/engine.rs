@@ -2,8 +2,8 @@
 
 use polymer_api::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
-    serial_combine, Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program,
-    RecoverySession, RunResult,
+    serial_combine, Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession,
+    RunResult,
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
@@ -21,7 +21,9 @@ pub struct PolymerConfig {
     /// Edge-oriented balanced partitioning (Table 6(b), Figure 11).
     pub balanced_partitioning: bool,
     /// Adaptive runtime states — sparse queues when the frontier is small
-    /// (Table 6(a)). When off, states are always dense bitmaps.
+    /// (Table 6(a)). When off, states are always dense bitmaps. Simulated
+    /// runs only: [`polymer_api::Backend::RealThreads`] runs the same push
+    /// executor whatever this says.
     pub adaptive_states: bool,
     /// Barrier family (Figure 10: `SenseNuma` is the NUMA-aware barrier;
     /// `Pthread` is the w/o-optimization baseline).
@@ -145,14 +147,6 @@ fn rolling(len: usize, pivot: usize) -> impl Iterator<Item = usize> {
 impl Engine for PolymerEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Polymer
-    }
-
-    fn exec_profile(&self) -> ExecProfile {
-        if self.config.adaptive_states {
-            ExecProfile::Hybrid
-        } else {
-            ExecProfile::PushOnly
-        }
     }
 
     fn run_simulated<P: Program>(

@@ -22,8 +22,8 @@
 
 use polymer_api::{
     charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
-    even_chunks, init_values, serial_combine, Engine, EngineKind, ExecProfile, FrontierInit,
-    IterationDriver, Program, RecoverySession, RunResult, TopoArrays,
+    even_chunks, init_values, serial_combine, Engine, EngineKind, FrontierInit, IterationDriver,
+    Program, RecoverySession, RunResult, TopoArrays,
 };
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -36,7 +36,9 @@ use polymer_sync::{should_densify, DenseBitmap, Frontier, ThreadQueues};
 /// The Ligra-like engine. Construct with [`LigraEngine::new`].
 #[derive(Clone, Debug, Default)]
 pub struct LigraEngine {
-    /// Force push mode (disable the hybrid switch); for ablations.
+    /// Force push mode (disable the hybrid switch); for ablations. Simulated
+    /// runs only: [`polymer_api::Backend::RealThreads`] pushes on every
+    /// iteration whatever this says.
     pub force_push: bool,
 }
 
@@ -46,7 +48,7 @@ impl LigraEngine {
         LigraEngine { force_push: false }
     }
 
-    /// Disable pull mode (always push), for experiments.
+    /// Disable pull mode (always push), for simulated experiments.
     pub fn push_only(mut self) -> Self {
         self.force_push = true;
         self
@@ -56,14 +58,6 @@ impl LigraEngine {
 impl Engine for LigraEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Ligra
-    }
-
-    fn exec_profile(&self) -> ExecProfile {
-        if self.force_push {
-            ExecProfile::PushOnly
-        } else {
-            ExecProfile::Hybrid
-        }
     }
 
     fn run_simulated<P: Program>(

@@ -26,8 +26,7 @@
 use std::ops::Range;
 
 use polymer_api::{
-    Engine, EngineKind, ExecProfile, FrontierInit, IterationDriver, Program, RecoverySession,
-    RunResult,
+    Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
 };
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::DeltaDecoder;
@@ -98,12 +97,6 @@ impl XStreamEngine {
 impl Engine for XStreamEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::XStream
-    }
-
-    fn exec_profile(&self) -> ExecProfile {
-        // Edge-centric streaming is a pure scatter (push) engine with
-        // always-dense states.
-        ExecProfile::PushOnly
     }
 
     fn run_simulated<P: Program>(

@@ -1,6 +1,6 @@
-//! Real OS threads, no simulation: X-Stream's push-only profile on
-//! `Backend::real_threads()` (owner-computes workers behind Polymer's
-//! hierarchical barrier), verified against the sequential oracle.
+//! Real OS threads, no simulation: X-Stream on `Backend::real_threads()`,
+//! the owner-computes push executor every engine shares (workers behind
+//! Polymer's hierarchical barrier), verified against the sequential oracle.
 //!
 //! ```sh
 //! cargo run --release --example parallel_threads

@@ -3,9 +3,10 @@
 //! sequential reference under genuine concurrency: exactly for
 //! min-combining programs, ε-close for floating-point accumulation. This is
 //! the end-to-end check on the owner-computes executor: target ownership
-//! (including owners of nothing), the gather, binned-push and dense-push
-//! edge phases, the hierarchical barrier, and the per-owner frontier
-//! machinery.
+//! (including owners of nothing), the binned-push and dense-push edge
+//! phases, the hierarchical barrier, and the per-owner frontier machinery.
+//! Every engine runs this one executor, and
+//! `every_engine_runs_the_same_executor` pins that.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -15,38 +16,21 @@ use polymer::graph::{gen, VId, Weight};
 use polymer::numa::{Atom, SharedTracer};
 use polymer::prelude::*;
 
-/// The executor's two edge-phase profiles, reached through the engines
-/// that carry them: Polymer's is hybrid and adaptive, X-Stream's pushes on
-/// every iteration.
-#[derive(Clone, Copy, Debug)]
-enum Profile {
-    Hybrid,
-    PushOnly,
-}
-const PROFILES: [Profile; 2] = [Profile::Hybrid, Profile::PushOnly];
-
-/// Final values and iteration count of `prog` under `profile`.
-fn run_profile<P: Program>(
-    g: &Graph,
-    prog: &P,
-    threads: usize,
-    profile: Profile,
-) -> (Vec<P::Val>, usize) {
+/// Final values and iteration count of `prog` on `threads` real threads.
+fn run_threads<P: Program>(g: &Graph, prog: &P, threads: usize) -> (Vec<P::Val>, usize) {
     let backend = Backend::real_threads();
     let machine = Machine::new(MachineSpec::test2());
-    let run = match profile {
-        Profile::Hybrid => PolymerEngine::new().try_run_on(&backend, &machine, threads, g, prog),
-        Profile::PushOnly => XStreamEngine::new().try_run_on(&backend, &machine, threads, g, prog),
-    }
-    .expect("healthy run");
+    let run = PolymerEngine::new()
+        .try_run_on(&backend, &machine, threads, g, prog)
+        .expect("healthy run");
     (run.values, run.iterations)
 }
 
 /// BFS, SSSP, CC (exact) and PageRank (≤ 1e-9) against `run_reference` on
-/// `el`, under `profile` on `threads` threads.
-fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: Profile) {
+/// `el`, on `threads` threads.
+fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize) {
     let label = format!(
-        "n={} m={} threads={threads} {profile:?}",
+        "n={} m={} threads={threads}",
         el.num_vertices,
         el.num_edges(),
     );
@@ -57,21 +41,18 @@ fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: 
 
     let bfs = Bfs::new(src);
     assert_eq!(
-        run_profile(&g, &bfs, threads, profile).0,
+        run_threads(&g, &bfs, threads).0,
         run_reference(&g, &bfs).0,
         "BFS {label}"
     );
     let sssp = Sssp::new(src);
     assert_eq!(
-        run_profile(&g, &sssp, threads, profile).0,
+        run_threads(&g, &sssp, threads).0,
         run_reference(&g, &sssp).0,
         "SSSP {label}"
     );
     let pr = PageRank::new(g.num_vertices());
-    let err = max_rel_error(
-        &run_profile(&g, &pr, threads, profile).0,
-        &run_reference(&g, &pr).0,
-    );
+    let err = max_rel_error(&run_threads(&g, &pr, threads).0, &run_reference(&g, &pr).0);
     assert!(err <= 1e-9, "PR {label}: max rel error {err}");
 
     let mut sym = el.clone();
@@ -79,7 +60,7 @@ fn check_all_algorithms(el: &polymer::graph::EdgeList, threads: usize, profile: 
     let g = Graph::from_edges(&sym);
     let cc = ConnectedComponents::new();
     assert_eq!(
-        run_profile(&g, &cc, threads, profile).0,
+        run_threads(&g, &cc, threads).0,
         run_reference(&g, &cc).0,
         "CC {label}"
     );
@@ -103,7 +84,7 @@ fn parallel_bfs_matches_reference() {
         let prog = Bfs::new(src);
         let (want, _) = run_reference(&g, &prog);
         for threads in [1, 3, 4] {
-            let (got, _) = run_profile(&g, &prog, threads, Profile::PushOnly);
+            let (got, _) = run_threads(&g, &prog, threads);
             assert_eq!(got, want, "{threads} threads diverged");
         }
     }
@@ -118,7 +99,7 @@ fn parallel_sssp_matches_reference() {
             .unwrap();
         let prog = Sssp::new(src);
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
+        let (got, _) = run_threads(&g, &prog, 4);
         assert_eq!(got, want);
     }
 }
@@ -130,7 +111,7 @@ fn parallel_cc_matches_reference() {
         let g = Graph::from_edges(&el);
         let prog = ConnectedComponents::new();
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
+        let (got, _) = run_threads(&g, &prog, 4);
         assert_eq!(got, want);
     }
 }
@@ -141,7 +122,7 @@ fn parallel_pagerank_close_to_reference() {
         let g = Graph::from_edges(&el);
         let prog = PageRank::new(g.num_vertices());
         let (want, _) = run_reference(&g, &prog);
-        let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
+        let (got, _) = run_threads(&g, &prog, 4);
         let err = max_rel_error(&got, &want);
         assert!(err < 1e-9, "max rel error {err}");
     }
@@ -152,7 +133,7 @@ fn parallel_spmv_close_to_reference() {
     let g = Graph::from_edges(&gen::uniform(300, 1_500, 4));
     let prog = SpMV::new();
     let (want, _) = run_reference(&g, &prog);
-    let (got, iters) = run_profile(&g, &prog, 3, Profile::PushOnly);
+    let (got, iters) = run_threads(&g, &prog, 3);
     assert_eq!(iters, 5);
     assert!(max_rel_error(&got, &want) < 1e-9);
 }
@@ -162,16 +143,16 @@ fn parallel_bp_close_to_reference() {
     let g = Graph::from_edges(&gen::rmat(8, 1_500, gen::RMAT_GRAPH500, 6));
     let prog = BeliefPropagation::new();
     let (want, _) = run_reference(&g, &prog);
-    let (got, _) = run_profile(&g, &prog, 4, Profile::PushOnly);
+    let (got, _) = run_threads(&g, &prog, 4);
     assert!(max_rel_error(&got, &want) < 1e-9);
 }
 
-/// Each engine's profile, end to end: Polymer without adaptive states and
-/// Ligra's push-only ablation push on every iteration exactly as X-Stream
-/// does, and Ligra's default is Polymer's hybrid. PageRank's fold order
-/// differs between a gather and a push, so its bits tell the two apart.
+/// Every engine, whatever its configuration, runs the one push executor on
+/// real threads: the same values, bit for bit, and the same iteration
+/// count. PageRank's bits depend on the fold order, so they would tell a
+/// gather from a push.
 #[test]
-fn engine_profiles_map_onto_the_executor() {
+fn every_engine_runs_the_same_executor() {
     fn run<E: Engine, P: Program>(
         engine: &E,
         g: &Graph,
@@ -187,18 +168,32 @@ fn engine_profiles_map_onto_the_executor() {
     fn check<P: Program>(g: &Graph, prog: &P, bits: fn(P::Val) -> u64) {
         for threads in [2, 3] {
             let what = format!("{} at {threads} threads", prog.name());
-            let push = run(&XStreamEngine::new(), g, prog, threads, bits);
-            let polymer_push = PolymerEngine::new().without_adaptive_states();
-            let polymer_push = run(&polymer_push, g, prog, threads, bits);
-            assert!(
-                polymer_push == push,
-                "Polymer without adaptive states: {what}"
-            );
-            let ligra_push = run(&LigraEngine::new().push_only(), g, prog, threads, bits);
-            assert!(ligra_push == push, "Ligra push-only: {what}");
-            let hybrid = run(&PolymerEngine::new(), g, prog, threads, bits);
-            let ligra = run(&LigraEngine::new(), g, prog, threads, bits);
-            assert!(ligra == hybrid, "Ligra: {what}");
+            let want = run(&XStreamEngine::new(), g, prog, threads, bits);
+            let others = [
+                (
+                    "Polymer",
+                    run(&PolymerEngine::new(), g, prog, threads, bits),
+                ),
+                (
+                    "Polymer without adaptive states",
+                    run(
+                        &PolymerEngine::new().without_adaptive_states(),
+                        g,
+                        prog,
+                        threads,
+                        bits,
+                    ),
+                ),
+                ("Ligra", run(&LigraEngine::new(), g, prog, threads, bits)),
+                (
+                    "Ligra push-only",
+                    run(&LigraEngine::new().push_only(), g, prog, threads, bits),
+                ),
+                ("Galois", run(&GaloisEngine::new(), g, prog, threads, bits)),
+            ];
+            for (engine, got) in others {
+                assert!(got == want, "{engine}: {what}");
+            }
         }
     }
     let g = Graph::from_edges(&gen::rmat(9, 5_000, gen::RMAT_GRAPH500, 3));
@@ -209,20 +204,18 @@ fn engine_profiles_map_onto_the_executor() {
 
 /// Ownership edge cases end to end: fewer 64-vertex bitmap words than
 /// threads (owners of nothing), a last word that is only partly populated,
-/// and one-vertex graphs — every algorithm, both profiles.
+/// and one-vertex graphs — every algorithm.
 #[test]
 fn ownership_edge_cases_match_reference() {
     for n in [1usize, 2, 63, 64, 65, 129, 1000] {
         let el = gen::uniform(n, 4 * n, 11 + n as u64);
         for threads in [1, 2, 3, 8] {
-            for profile in PROFILES {
-                check_all_algorithms(&el, threads, profile);
-            }
+            check_all_algorithms(&el, threads);
         }
     }
 }
 
-/// Push-only BFS and SSSP on a skewed graph take both push paths in one
+/// BFS and SSSP on a skewed graph take both push paths in one
 /// run: the single-source start bins, the heavy middle iterations scatter
 /// into per-producer partials, the thin tail bins again. Every thread count
 /// must land on the reference exactly, which it cannot if a dense push
@@ -252,10 +245,6 @@ fn push_only_runs_switch_between_bins_and_partials_and_match_reference() {
                 "{label}: no {path} span"
             );
         }
-        assert!(
-            !buf.worker_spans.iter().any(|s| s.name == "gather"),
-            "{label}"
-        );
     }
     let g = Graph::from_edges(&gen::rmat(12, 16 << 12, gen::RMAT_GRAPH500, 29));
     let src = (0..g.num_vertices() as u32)
@@ -269,7 +258,7 @@ fn push_only_runs_switch_between_bins_and_partials_and_match_reference() {
 
 /// The executor may only load and store value cells: a `Val` whose every
 /// atomic read-modify-write is `unreachable!()` must run to the reference
-/// answer under both profiles.
+/// answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct LoadStoreOnly(u32);
 
@@ -334,21 +323,16 @@ impl Program for Levels {
 
 #[test]
 fn executor_issues_only_loads_and_stores_on_values() {
-    // Skewed enough that the hybrid profile both pushes and gathers.
+    // A skewed graph: the frontier grows from one source to most of the
+    // graph and shrinks again.
     let g = Graph::from_edges(&gen::rmat(9, 6_000, gen::RMAT_GRAPH500, 21));
     let src = (0..g.num_vertices() as u32)
         .max_by_key(|&v| g.out_degree(v))
         .unwrap();
     let prog = Levels(src);
     let (want, _) = run_reference(&g, &prog);
-    for profile in PROFILES {
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                run_profile(&g, &prog, threads, profile).0,
-                want,
-                "{profile:?}, {threads} threads"
-            );
-        }
+    for threads in [1, 2, 4] {
+        assert_eq!(run_threads(&g, &prog, threads).0, want, "{threads} threads");
     }
 }
 
@@ -359,16 +343,15 @@ mod random_graphs {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        // Random graphs, thread counts and profiles against the reference.
+        // Random graphs and thread counts against the reference.
         #[test]
         fn executor_matches_reference(
             shape in (1usize..200, 0usize..4, 0u64..10_000),
-            threads in 1usize..9,
-            profile in 0usize..2
+            threads in 1usize..9
         ) {
             let (n, density, seed) = shape;
             let el = gen::uniform(n, (n << density) / 2 + 1, seed);
-            check_all_algorithms(&el, threads, PROFILES[profile]);
+            check_all_algorithms(&el, threads);
         }
     }
 }

@@ -11,10 +11,10 @@
 //! - float programs (PR, SpMV, BP): exact equality on both backends too.
 //!   On the simulator checkpoints preserve frontier representation and
 //!   member order; on real threads the owner-computes executor fixes the
-//!   summation order by construction (CSC order in a gather iteration; own
-//!   frontier slice, then bins by producer, in a binned push; producer
-//!   partials, in producer order, in a dense push), and a resumed frontier
-//!   yields the same direction, push path, slices and bins;
+//!   summation order by construction (own frontier slice, then bins by
+//!   producer, in a binned push; producer partials, in producer order, in a
+//!   dense push), and a resumed frontier yields the same push path, slices
+//!   and bins;
 //! - the resumed run must finish at the same iteration count, proving the
 //!   checkpoint's iteration stamp threads through correctly.
 
@@ -212,78 +212,70 @@ fn resume_equivalence_bp() {
     check_resume_float(&g, &BeliefPropagation::new(), "BP");
 }
 
-/// Real threads, gather and binned push: PageRank under the hybrid profile
-/// gathers on every iteration; under the push-only profile, on a graph with
-/// fewer than two out-edges per vertex, the bins take less memory than
-/// per-producer partials would, so it bins on every iteration. A run
-/// resumed from a checkpoint taken after either kind of iteration must
-/// reproduce the uninterrupted run bit for bit — as must a second
-/// uninterrupted run.
+/// Real threads, binned push: on a graph with fewer than two out-edges per
+/// vertex the bins take less memory than per-producer partials would, so
+/// PageRank bins on every iteration. A run resumed from a checkpoint taken
+/// after any iteration must reproduce the uninterrupted run bit for bit —
+/// as must a second uninterrupted run.
 #[test]
-fn real_threads_resume_is_bit_identical_after_gather_and_binned_push_iterations() {
-    fn check<E: Engine>(name: &str, engine: &E, g: &Graph) {
-        let prog = PageRank::new(g.num_vertices());
-        for threads in [2, 3] {
-            let run = |session: RecoverySession<f64>, tracer: Option<&SharedTracer>| {
-                let opts = RunOptions {
-                    backend: Backend::real_threads(),
-                    recovery: session,
-                    tracer,
-                    ..RunOptions::default()
-                };
-                engine
-                    .try_run_with(&machine(), threads, g, &prog, &opts)
-                    .expect("healthy run")
+fn real_threads_resume_is_bit_identical_after_binned_push_iterations() {
+    let g = Graph::from_edges(&gen::rmat(8, 400, gen::RMAT_GRAPH500, 13));
+    let prog = PageRank::new(g.num_vertices());
+    for threads in [2, 3] {
+        let run = |session: RecoverySession<f64>, tracer: Option<&SharedTracer>| {
+            let opts = RunOptions {
+                backend: Backend::real_threads(),
+                recovery: session,
+                tracer,
+                ..RunOptions::default()
             };
-            let store = CheckpointStore::with_history();
-            let tracer = SharedTracer::new(1, threads);
-            let base = run(
-                RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()),
-                Some(&tracer),
+            XStreamEngine::new()
+                .try_run_with(&machine(), threads, &g, &prog, &opts)
+                .expect("healthy run")
+        };
+        let store = CheckpointStore::with_history();
+        let tracer = SharedTracer::new(1, threads);
+        let base = run(
+            RecoverySession::new(CheckpointPolicy::EveryN(1), store.clone()),
+            Some(&tracer),
+        );
+        let buf = tracer.into_buffer();
+        assert!(
+            buf.worker_spans.iter().any(|s| s.name == "push-bins"),
+            "{threads} threads: no push-bins span"
+        );
+        assert!(
+            !buf.worker_spans.iter().any(|s| s.name == "push-dense"),
+            "{threads} threads: pushed densely"
+        );
+        let again = run(RecoverySession::disabled(), None);
+        assert!(
+            same_bits(&again.values, &base.values),
+            "{threads} threads: two uninterrupted runs differ"
+        );
+        let history = store.history();
+        assert_eq!(
+            history.len(),
+            base.iterations,
+            "one checkpoint per iteration"
+        );
+        for ck in history {
+            let from = ck.iteration;
+            let resumed = run(
+                RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
+                    .with_resume(Some(ck)),
+                None,
             );
-            let buf = tracer.into_buffer();
             assert!(
-                buf.worker_spans.iter().any(|s| s.name == name),
-                "{name}/{threads} threads: no {name} span"
+                same_bits(&resumed.values, &base.values),
+                "{threads} threads: resume from iteration {from} drifted bitwise"
             );
-            assert!(
-                !buf.worker_spans.iter().any(|s| s.name == "push-dense"),
-                "{name}/{threads} threads: pushed densely"
-            );
-            let again = run(RecoverySession::disabled(), None);
-            assert!(
-                same_bits(&again.values, &base.values),
-                "{name}/{threads} threads: two uninterrupted runs differ"
-            );
-            let history = store.history();
             assert_eq!(
-                history.len(),
-                base.iterations,
-                "{name}: one checkpoint per iteration"
+                resumed.iterations, base.iterations,
+                "iteration count after resume"
             );
-            for ck in history {
-                let from = ck.iteration;
-                let resumed = run(
-                    RecoverySession::new(CheckpointPolicy::Never, CheckpointStore::new())
-                        .with_resume(Some(ck)),
-                    None,
-                );
-                assert!(
-                    same_bits(&resumed.values, &base.values),
-                    "{name}/{threads} threads: resume from iteration {from} drifted bitwise"
-                );
-                assert_eq!(
-                    resumed.iterations, base.iterations,
-                    "{name}: iteration count after resume"
-                );
-            }
         }
     }
-    // Polymer's profile is hybrid-adaptive (all-active PageRank gathers),
-    // X-Stream's is push-only.
-    check("gather", &PolymerEngine::new(), &small_graph());
-    let sparse = Graph::from_edges(&gen::rmat(8, 400, gen::RMAT_GRAPH500, 13));
-    check("push-bins", &XStreamEngine::new(), &sparse);
 }
 
 /// Real threads, dense push: push-only PageRank at two and three threads
@@ -315,7 +307,7 @@ fn real_threads_dense_push_is_bit_identical_across_runs_and_a_resume() {
             threads * base.iterations,
             "{threads} threads: every worker pushes densely on every iteration"
         );
-        assert_eq!(spans("push-bins") + spans("gather"), 0);
+        assert_eq!(spans("push-bins"), 0);
 
         let run = |session| {
             run_rec(

@@ -208,8 +208,8 @@ fn parallel_runs_record_worker_spans() {
     let workers: std::collections::BTreeSet<_> =
         buf.worker_spans.iter().map(|s| s.worker).collect();
     assert_eq!(workers.len(), 4);
-    // Push-only BFS from one source starts binned and goes dense once the
-    // frontier's out-edges outweigh the partials; it never gathers.
+    // BFS from one source starts binned and goes dense once the frontier's
+    // out-edges outweigh the partials; it never gathers.
     let count = |buf: &polymer::numa::TraceBuffer, name: &str| {
         buf.worker_spans.iter().filter(|s| s.name == name).count()
     };
@@ -227,7 +227,8 @@ fn parallel_runs_record_worker_spans() {
         serde_json::from_str(&chrome_trace_json(&buf)).expect("valid JSON");
     assert!(doc.as_object().unwrap().get("traceEvents").is_some());
 
-    // Polymer's hybrid profile gathers an all-active PageRank.
+    // Polymer pushes an all-active PageRank densely on every iteration: no
+    // engine gathers on real threads.
     let tracer = SharedTracer::new(1, 2);
     let opts = RunOptions {
         backend: Backend::real_threads(),
@@ -239,7 +240,8 @@ fn parallel_runs_record_worker_spans() {
         .try_run_with(&machine, 2, &g, &PageRank::new(g.num_vertices()), &opts)
         .expect("healthy run");
     let buf = tracer.into_buffer();
-    assert_eq!(count(&buf, "gather"), 2 * pr.iterations);
+    assert_eq!(count(&buf, "push-dense"), 2 * pr.iterations);
+    assert_eq!(count(&buf, "gather"), 0);
     assert_eq!(count(&buf, "apply"), 2 * pr.iterations);
 }
 
