@@ -1010,7 +1010,9 @@ mod tests {
         let topo = build_topo(&machine, &mg, true);
         let prior = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
         let applied = mg.apply(&DeltaBatch::new()).unwrap();
-        assert!(applied.is_noop());
+        assert!([&applied.inserts, &applied.deletes, &applied.reweighted]
+            .iter()
+            .all(|l| l.is_empty()));
         let warm = WarmStart::from_result(&prior, &applied);
         let run = sssp_overlay(&machine, THREADS, &topo, 0, Some(warm), false).unwrap();
         assert_eq!(run.values, prior.values);

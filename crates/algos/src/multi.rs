@@ -101,16 +101,6 @@ impl<P: SingleSource> MultiSource<P> {
         Self::new(sources.iter().map(|&s| template.with_source(s)).collect())
     }
 
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.progs.len()
-    }
-
-    /// The per-lane source vertices, in lane order.
-    pub fn sources(&self) -> Vec<VId> {
-        self.progs.iter().map(|p| p.source()).collect()
-    }
-
     /// The per-lane programs.
     pub fn programs(&self) -> &[P] {
         &self.progs
@@ -319,8 +309,8 @@ mod tests {
         let too_many: Vec<Bfs> = (0..65).map(Bfs::new).collect();
         assert!(MultiSource::new(too_many).is_err());
         let ok = MultiSource::from_sources(&Bfs::new(0), &[0, 3, 3, 7]).unwrap();
-        assert_eq!(ok.lanes(), 4);
-        assert_eq!(ok.sources(), vec![0, 3, 3, 7]);
+        let sources: Vec<VId> = ok.programs().iter().map(|p| p.source()).collect();
+        assert_eq!(sources, vec![0, 3, 3, 7]);
     }
 
     #[test]

@@ -258,7 +258,7 @@ mod tests {
                     });
                 }
                 let batch = batch.expect("the window has a batch");
-                prop_assert_eq!(mg.generation(), u64::from(window > 2));
+                prop_assert_eq!(mg.compactions(), usize::from(window > 2));
 
                 let topo = OverlayTopo::build(&machine, &mg, true, |_| AllocPolicy::Interleaved);
                 for (&s, ((levels, bfs_iters), (dists, sssp_iters))) in sources.iter().zip(&priors) {

@@ -16,7 +16,7 @@
 //! * a **live out-degree** array (base degree − tombstones + inserts),
 //!   because scatter contributions divide by the *live* degree.
 //!
-//! [`OverlayTopo::out_stream`] / [`OverlayTopo::in_stream`] merge the three
+//! [`OverlayTopo::in_stream`] and the segment streams merge the three
 //! sources in sorted neighbour order, charging every constituent read: the
 //! base offset pair and neighbour run (at the resident representation's
 //! size), the per-vertex flag byte and — when flagged — the mask run, and
@@ -28,13 +28,11 @@
 //! same one: a whole vertex is the segment `lo..hi` carrying the delta run)
 //! over a private per-direction view; the public names only pick the side.
 //!
-//! Staleness: the overlay snapshots the mutable graph's `epoch` and
-//! `generation`. [`OverlayTopo::is_stale`] tells a resident holder (the
-//! serve layer) when its placed copy no longer matches — in particular,
-//! after a compaction (`generation` bump) the *base* arrays themselves are
-//! stale, and rebuilding re-encodes the [`polymer_numa::CompressedLists`]
-//! and re-creates every page→node placement map; serving from the old
-//! encoding is the staleness bug the regression suite pins.
+//! An overlay is a placed copy of one state of the graph: after any batch
+//! it no longer matches, and after a compaction its *base* arrays — the
+//! [`polymer_numa::CompressedLists`] encoding and every page→node
+//! placement map — describe a CSR that no longer exists. Rebuild it with
+//! [`OverlayTopo::build`].
 
 use polymer_graph::{MutableGraph, VId, Weight};
 use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaArray};
@@ -50,8 +48,6 @@ pub struct OverlayTopo {
     inc: DirOverlay,
     /// Live out-degree of every vertex (base − tombstoned + inserted).
     pub live_out_deg: NumaArray<u32>,
-    epoch: u64,
-    generation: u64,
     n: usize,
     live_edges: usize,
 }
@@ -280,8 +276,6 @@ impl OverlayTopo {
             out,
             inc,
             live_out_deg,
-            epoch: mg.epoch(),
-            generation: mg.generation(),
             n,
             live_edges: mg.num_live_edges(),
         }
@@ -295,24 +289,6 @@ impl OverlayTopo {
     /// Number of live (merged) edges.
     pub fn num_live_edges(&self) -> usize {
         self.live_edges
-    }
-
-    /// Epoch of the [`MutableGraph`] this overlay was placed from.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Generation (compaction counter) this overlay was placed from.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Whether the placed copy no longer matches `mg`: any newer batch
-    /// (epoch) means the delta arrays are stale; a newer generation means
-    /// the *base* arrays — including any compressed encoding and every
-    /// page→node placement map — are stale and must be rebuilt.
-    pub fn is_stale(&self, mg: &MutableGraph) -> bool {
-        self.epoch != mg.epoch() || self.generation != mg.generation()
     }
 
     fn out_dir(&self) -> Dir<'_> {
@@ -333,17 +309,11 @@ impl OverlayTopo {
         }
     }
 
-    /// Accounted merged stream of `v`'s live out-edges as
-    /// `(dst, weight)` in increasing `dst` order (weight 1 when built
-    /// without weights). Charges: base offset pair + neighbour run (+
-    /// weight run), tombstone flag byte (+ mask run when flagged), delta
-    /// offset pair (+ endpoint/weight runs when non-empty).
-    pub fn out_stream(&self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'_> {
-        self.out_dir().stream(ctx, v, None)
-    }
-
     /// Accounted merged stream of `v`'s live in-edges as `(src, weight)`
-    /// in increasing `src` order. Mirror of [`OverlayTopo::out_stream`].
+    /// in increasing `src` order (weight 1 when built without weights).
+    /// Charges: base offset pair + neighbour run (+ weight run), tombstone
+    /// flag byte (+ mask run when flagged), delta offset pair (+
+    /// endpoint/weight runs when non-empty).
     pub fn in_stream(&self, ctx: &mut AccessCtx, v: usize) -> MergedTopoStream<'_> {
         self.in_dir().stream(ctx, v, None)
     }
@@ -371,7 +341,7 @@ impl OverlayTopo {
 
     /// Accounted merged stream over one planned segment of `v`'s live
     /// out-edges ([`OverlayTopo::plan_out_segments`]). Charges mirror
-    /// [`OverlayTopo::out_stream`] restricted to the segment: the offset
+    /// [`OverlayTopo::in_stream`]'s, restricted to the segment: the offset
     /// pair, the base neighbour/weight sub-runs, the tombstone flag byte
     /// (+ mask sub-run when flagged), and — only for the delta-carrying
     /// segment — the delta offset pair and endpoint/weight runs.
@@ -518,13 +488,15 @@ mod tests {
         let mut ctx = AccessCtx::new(&machine, 0);
         for v in 0..mg.num_vertices() {
             let host = mg.out_edges(v as VId);
-            assert!(topo.out_stream(&mut ctx, v).eq(host), "out-edges of {v}");
+            assert!(
+                topo.out_dir().stream(&mut ctx, v, None).eq(host),
+                "out-edges of {v}"
+            );
             let host = mg.in_edges(v as VId);
             assert!(topo.in_stream(&mut ctx, v).eq(host), "in-edges of {v}");
         }
         assert_eq!(topo.num_live_edges(), mg.num_live_edges());
         assert_eq!(topo.raw_live_out_degree(0), 6);
-        assert!(!topo.is_stale(&mg));
     }
 
     /// One line per accessor call over every vertex of [`hub_graph`]: the
@@ -544,7 +516,11 @@ mod tests {
             trace.push('\n');
         };
         for v in 0..8 {
-            note(format!("out {v}"), topo.out_stream(&mut ctx, v), &mut ctx);
+            note(
+                format!("out {v}"),
+                topo.out_dir().stream(&mut ctx, v, None),
+                &mut ctx,
+            );
             note(format!("in {v}"), topo.in_stream(&mut ctx, v), &mut ctx);
             for seg in topo.plan_out_segments(&[v as VId], 2) {
                 let stream = topo.out_stream_segment(&mut ctx, seg);
@@ -567,7 +543,7 @@ mod tests {
         // run is read. Vertex 0 has tombstones: offset pairs (base + delta,
         // 2×16B), base run (5×4B), flag (1B), mask run (5B, aligned with the
         // base run), delta run (3×4B).
-        let out0: Vec<(u32, u32)> = topo.out_stream(&mut ctx, 0).collect();
+        let out0: Vec<(u32, u32)> = topo.out_dir().stream(&mut ctx, 0, None).collect();
         assert_eq!(out0, [1, 3, 4, 5, 6, 7].map(|d| (d, 1)));
         assert_eq!(ctx.take_stats().total_bytes(), 16 + 16 + 20 + 1 + 5 + 12);
 

@@ -189,13 +189,8 @@ impl Provenance {
 }
 
 impl BenchMeta {
-    /// The block for a run at `scale` on machines built from `spec`;
-    /// everything else comes from the host, read now.
-    pub fn capture(scale: i32, spec: &MachineSpec) -> BenchMeta {
-        BenchMeta::with_provenance(scale, spec, &Provenance::read())
-    }
-
-    /// [`BenchMeta::capture`] around provenance values already read.
+    /// The block for a run at `scale` on machines built from `spec`, with
+    /// the host's provenance values `p`.
     pub(crate) fn with_provenance(scale: i32, spec: &MachineSpec, p: &Provenance) -> BenchMeta {
         BenchMeta {
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -330,7 +325,7 @@ mod tests {
         let spec = MachineSpec::test2().with_compressed_topology(true);
         let report = Report::bench(
             "BENCH_t",
-            BenchMeta::capture(-3, &spec),
+            BenchMeta::with_provenance(-3, &spec, &Provenance::read()),
             &vec![7u64, 8],
             Vec::new(),
         );

@@ -48,8 +48,8 @@ impl Session {
     }
 
     /// The provenance block of a `BENCH_*` artifact produced at the current
-    /// scale on machines built from `spec` ([`BenchMeta::capture`], with
-    /// the commit / compiler / date read once per process).
+    /// scale on machines built from `spec`, with the commit / compiler /
+    /// date read once per process.
     pub fn meta(&mut self, spec: &MachineSpec) -> BenchMeta {
         let provenance = self.provenance.get_or_insert_with(Provenance::read);
         BenchMeta::with_provenance(self.scale, spec, provenance)

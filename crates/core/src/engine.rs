@@ -64,28 +64,9 @@ impl PolymerEngine {
         PolymerEngine { config }
     }
 
-    /// Disable edge-oriented balanced partitioning.
-    pub fn without_balanced_partitioning(mut self) -> Self {
-        self.config.balanced_partitioning = false;
-        self
-    }
-
     /// Disable adaptive runtime states (always-dense bitmaps).
     pub fn without_adaptive_states(mut self) -> Self {
         self.config.adaptive_states = false;
-        self
-    }
-
-    /// Use a different barrier family.
-    pub fn with_barrier(mut self, kind: BarrierKind) -> Self {
-        self.config.barrier = kind;
-        self
-    }
-
-    /// Disable NUMA-aware placement (interleaved allocations, centralized
-    /// states) while keeping the factored computation.
-    pub fn without_numa_placement(mut self) -> Self {
-        self.config.numa_aware_placement = false;
         self
     }
 }
@@ -652,10 +633,12 @@ mod tests {
         check_exact(
             &g,
             &Bfs::new(0),
-            &PolymerEngine::new()
-                .without_adaptive_states()
-                .without_balanced_partitioning()
-                .with_barrier(BarrierKind::Pthread),
+            &PolymerEngine::with_config(PolymerConfig {
+                adaptive_states: false,
+                balanced_partitioning: false,
+                barrier: BarrierKind::Pthread,
+                ..Default::default()
+            }),
         );
     }
 
@@ -718,9 +701,11 @@ mod tests {
         let m1 = Machine::new(MachineSpec::intel80());
         let aware = PolymerEngine::new().run(&m1, 80, &g, &prog);
         let m2 = Machine::new(MachineSpec::intel80());
-        let oblivious = PolymerEngine::new()
-            .without_numa_placement()
-            .run(&m2, 80, &g, &prog);
+        let oblivious = PolymerEngine::with_config(PolymerConfig {
+            numa_aware_placement: false,
+            ..Default::default()
+        })
+        .run(&m2, 80, &g, &prog);
         let err = polymer_algos::reference::max_rel_error(&aware.values, &oblivious.values);
         assert!(err < 1e-9, "placement must not change results: {err}");
         assert!(

@@ -187,21 +187,6 @@ impl DirLayout {
             }
         }
     }
-
-    /// Unaccounted copy of every endpoint in edge order (tests,
-    /// verification).
-    pub fn endpoint_values(&self) -> Vec<u32> {
-        match &self.endpoint {
-            EndpointStore::Raw(arr) => arr.raw().to_vec(),
-            EndpointStore::Compressed { lists, edges } => {
-                let mut out = Vec::with_capacity(*edges);
-                for (slot, &v) in self.agent_id.raw().iter().enumerate() {
-                    out.extend(DeltaDecoder::new(v, lists.raw_list(slot)));
-                }
-                out
-            }
-        }
-    }
 }
 
 /// Everything one node owns.
@@ -483,11 +468,6 @@ impl PolymerLayout {
         owner_of(&self.bounds, v)
     }
 
-    /// The vertex ranges, for building chunked placements.
-    pub fn ranges(&self) -> Vec<Range<usize>> {
-        self.nodes.iter().map(|nl| nl.range.clone()).collect()
-    }
-
     /// `ChunkedElems` placement matching the vertex ranges (for the
     /// contiguous-virtual application data), or interleaved when placement
     /// awareness is disabled.
@@ -607,6 +587,20 @@ mod tests {
     use polymer_graph::{gen, EdgeList};
     use polymer_numa::MachineSpec;
 
+    /// Unaccounted copy of every endpoint of `dir`, in edge order.
+    fn endpoint_values(dir: &DirLayout) -> Vec<u32> {
+        match &dir.endpoint {
+            EndpointStore::Raw(arr) => arr.raw().to_vec(),
+            EndpointStore::Compressed { lists, edges } => {
+                let mut out = Vec::with_capacity(*edges);
+                for (slot, &v) in dir.agent_id.raw().iter().enumerate() {
+                    out.extend(DeltaDecoder::new(v, lists.raw_list(slot)));
+                }
+                out
+            }
+        }
+    }
+
     fn build(g: &Graph, balanced: bool, with_pull: bool) -> (Machine, PolymerLayout) {
         let m = Machine::new(MachineSpec::test2());
         let l = PolymerLayout::build(&m, g, &[2, 2], balanced, with_pull, false);
@@ -662,7 +656,7 @@ mod tests {
         assert_eq!(dir.agent_id.raw(), &ids[..]);
         assert_eq!(dir.agent_deg.raw(), &degs[..]);
         assert_eq!(dir.agent_off.raw(), &offs[..]);
-        assert_eq!(dir.endpoint_values(), endpoints);
+        assert_eq!(endpoint_values(dir), endpoints);
         assert_eq!(dir.endpoint.len(), endpoints.len());
         assert_eq!(dir.slices, slice_by_edges(&offs, parts));
         for part in ["idx", "id", "deg", "off"] {
@@ -760,7 +754,7 @@ mod tests {
         let g = Graph::from_edges(&el);
         let (_m, l) = build(&g, false, false);
         for nl in &l.nodes {
-            for t in nl.push.endpoint_values() {
+            for t in endpoint_values(&nl.push) {
                 assert!(nl.range.contains(&(t as usize)));
             }
         }
@@ -772,7 +766,7 @@ mod tests {
         let g = Graph::from_edges(&el);
         let (_m, l) = build(&g, false, true);
         for nl in &l.nodes {
-            for s in nl.pull.as_ref().unwrap().endpoint_values() {
+            for s in endpoint_values(nl.pull.as_ref().unwrap()) {
                 assert!(nl.range.contains(&(s as usize)));
             }
         }

@@ -112,11 +112,6 @@ impl Iterator for DeltaDecoder<'_> {
     }
 }
 
-/// Decode the neighbour list encoded by [`encode_list`]`(vertex, ..)`.
-pub fn decode_list(vertex: VId, bytes: &[u8]) -> impl Iterator<Item = VId> + '_ {
-    DeltaDecoder::new(vertex, bytes)
-}
-
 /// One compressed adjacency structure (out- or in-edges): per-vertex byte
 /// offsets into a single concatenated delta/varint payload.
 #[derive(Clone, Debug, Default)]
@@ -165,11 +160,6 @@ impl CompressedAdjacency {
         &self.bytes[self.offs[v] as usize..self.offs[v + 1] as usize]
     }
 
-    /// Decoded neighbour list of `v`, in original order.
-    pub fn neighbors(&self, v: VId) -> impl Iterator<Item = VId> + '_ {
-        decode_list(v, self.list(v))
-    }
-
     /// Encoded payload size in bytes.
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len()
@@ -184,7 +174,7 @@ mod tests {
     fn roundtrip(vertex: VId, list: &[VId]) {
         let mut bytes = Vec::new();
         encode_list(vertex, list, &mut bytes);
-        let got: Vec<VId> = decode_list(vertex, &bytes).collect();
+        let got: Vec<VId> = DeltaDecoder::new(vertex, &bytes).collect();
         assert_eq!(got, list, "vertex {vertex}");
     }
 
@@ -207,7 +197,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_list(v, &list, &mut bytes);
         assert!(bytes.len() <= list.len() + 8, "got {} bytes", bytes.len());
-        assert_eq!(decode_list(v, &bytes).collect::<Vec<_>>(), list);
+        assert_eq!(DeltaDecoder::new(v, &bytes).collect::<Vec<_>>(), list);
     }
 
     #[test]
@@ -219,12 +209,12 @@ mod tests {
         assert_eq!(out.offs.len(), 7);
         for v in 0..6u32 {
             assert_eq!(
-                out.neighbors(v).collect::<Vec<_>>(),
+                DeltaDecoder::new(v, out.list(v)).collect::<Vec<_>>(),
                 g.out_neighbors(v),
                 "out {v}"
             );
             assert_eq!(
-                inn.neighbors(v).collect::<Vec<_>>(),
+                DeltaDecoder::new(v, inn.list(v)).collect::<Vec<_>>(),
                 g.in_neighbors(v),
                 "in {v}"
             );

@@ -54,12 +54,6 @@ impl DatasetId {
             DatasetId::RoadUsS => "roadUS",
         }
     }
-
-    /// True for the high-diameter road network (traversal algorithms need
-    /// many iterations there).
-    pub fn high_diameter(self) -> bool {
-        matches!(self, DatasetId::RoadUsS)
-    }
 }
 
 /// Generate a dataset at `scale_shift` relative to the defaults (see module
@@ -133,7 +127,5 @@ mod tests {
     fn names_match_paper() {
         assert_eq!(DatasetId::TwitterS.name(), "twitter");
         assert_eq!(DatasetId::RoadUsS.name(), "roadUS");
-        assert!(DatasetId::RoadUsS.high_diameter());
-        assert!(!DatasetId::TwitterS.high_diameter());
     }
 }

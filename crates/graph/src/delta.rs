@@ -283,12 +283,6 @@ pub struct AppliedBatch {
 }
 
 impl AppliedBatch {
-    /// Whether the batch changed nothing (all deletes missing, every
-    /// insert an idempotent upsert).
-    pub fn is_noop(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty() && self.reweighted.is_empty()
-    }
-
     /// Compose this batch with one *that happened after it* into the single
     /// batch that takes the graph from before `self` to after `later`. Used
     /// when a query warm-starts from a result older than the latest epoch.

@@ -1,6 +1,6 @@
 //! The construction-stage edge-list representation.
 
-use crate::types::{Edge, VId, Weight};
+use crate::types::{Edge, VId};
 
 /// A list of directed edges plus the vertex-count bound. Generators and I/O
 /// produce this; [`crate::Graph::from_edges`] consumes it.
@@ -73,23 +73,6 @@ impl EdgeList {
         self.edges.extend(rev);
         self.dedup();
     }
-
-    /// Overwrite all weights using `f(src, dst)`; used to attach the paper's
-    /// random `(0, 100]` weights for SpMV/SSSP.
-    pub fn reweight(&mut self, mut f: impl FnMut(VId, VId) -> Weight) {
-        for e in &mut self.edges {
-            e.weight = f(e.src, e.dst);
-        }
-    }
-
-    /// Out-degree of every vertex.
-    pub fn out_degrees(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.num_vertices];
-        for e in &self.edges {
-            d[e.src as usize] += 1;
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +83,9 @@ mod tests {
     fn from_pairs_and_degrees() {
         let el = EdgeList::from_pairs(4, [(0, 1), (0, 2), (3, 0)]);
         assert_eq!(el.num_edges(), 3);
-        assert_eq!(el.out_degrees(), vec![2, 0, 0, 1]);
+        let g = crate::csr::Graph::from_edges(&el);
+        let degrees: Vec<usize> = (0..4).map(|v| g.out_degree(v)).collect();
+        assert_eq!(degrees, vec![2, 0, 0, 1]);
     }
 
     #[test]
@@ -125,13 +110,5 @@ mod tests {
         assert_eq!(el.num_edges(), 4);
         assert!(el.edges.contains(&Edge::new(1, 0)));
         assert!(el.edges.contains(&Edge::new(2, 1)));
-    }
-
-    #[test]
-    fn reweight_applies_function() {
-        let mut el = EdgeList::from_pairs(3, [(0, 1), (1, 2)]);
-        el.reweight(|s, d| s + d);
-        assert_eq!(el.edges[0].weight, 1);
-        assert_eq!(el.edges[1].weight, 3);
     }
 }

@@ -42,7 +42,7 @@ pub mod topology;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use compress::{decode_list, encode_list, CompressedAdjacency, DeltaDecoder};
+pub use compress::{encode_list, CompressedAdjacency, DeltaDecoder};
 pub use csr::Graph;
 pub use datasets::{dataset, DatasetId};
 pub use delta::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, DeltaLog};

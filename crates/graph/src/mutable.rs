@@ -12,9 +12,9 @@
 //! from scratch — the `incremental` proptest suite pins this.
 //!
 //! The struct tracks two monotone counters consumers key caches on:
-//! `epoch` bumps on every applied batch; `generation` bumps on every
-//! compaction (i.e. whenever the base CSR itself is replaced and any
-//! placed or compressed copy of it is stale).
+//! `epoch` bumps on every applied batch; `compactions` bumps whenever the
+//! base CSR itself is replaced and any placed or compressed copy of it is
+//! stale.
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
@@ -32,7 +32,6 @@ pub struct MutableGraph {
     base: Graph,
     log: DeltaLog,
     epoch: u64,
-    generation: u64,
     compaction_fraction: f64,
     compactions: usize,
 }
@@ -54,7 +53,6 @@ impl MutableGraph {
             base,
             log: DeltaLog::new(n),
             epoch: 0,
-            generation: 0,
             compaction_fraction: DEFAULT_COMPACTION_FRACTION,
             compactions: 0,
         }
@@ -80,7 +78,6 @@ impl MutableGraph {
             base,
             log: DeltaLog::new(n),
             epoch: 0,
-            generation: 0,
             compaction_fraction: DEFAULT_COMPACTION_FRACTION,
             compactions: 0,
         }
@@ -108,13 +105,8 @@ impl MutableGraph {
         self.epoch
     }
 
-    /// Monotone compaction counter: bumps whenever the base CSR is
+    /// Number of compactions performed: bumps whenever the base CSR is
     /// replaced, invalidating placed/compressed copies of it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of compactions performed.
     pub fn compactions(&self) -> usize {
         self.compactions
     }
@@ -132,11 +124,6 @@ impl MutableGraph {
     /// Live out-degree of `v`.
     pub fn live_out_degree(&self, v: VId) -> usize {
         self.base.out_degree(v) - self.log.tombstones_out(v).len() + self.log.inserts_out(v).len()
-    }
-
-    /// Live in-degree of `v`.
-    pub fn live_in_degree(&self, v: VId) -> usize {
-        self.base.in_degree(v) - self.log.tombstones_in(v).len() + self.log.inserts_in(v).len()
     }
 
     /// Weight of the live edge `(src, dst)`, or `None` if not live.
@@ -192,7 +179,7 @@ impl MutableGraph {
     /// within-batch duplicates collapsed ([`DeltaBatch::normalize`]). On
     /// success returns the effective mutations (repair engines seed from
     /// them) and bumps the epoch; if the overlay crossed the compaction
-    /// threshold the base is rebuilt and the generation bumps too.
+    /// threshold the base is rebuilt and the compaction count bumps too.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<AppliedBatch, DeltaError> {
         batch.validate(self.num_vertices())?;
         let mut b = batch.clone();
@@ -236,7 +223,7 @@ impl MutableGraph {
     }
 
     /// Rebuild the base CSR from the live edge set through the shared
-    /// [`GraphBuilder`] path, clear the overlay, and bump the generation.
+    /// [`GraphBuilder`] path, clear the overlay, and bump the compaction count.
     /// No-op when the overlay is empty.
     pub fn compact(&mut self) {
         if self.log.is_empty() {
@@ -246,7 +233,6 @@ impl MutableGraph {
         debug_assert!(GraphBuilder::is_canonical(&el));
         self.base = GraphBuilder::assemble(&el);
         self.log = DeltaLog::new(self.base.num_vertices());
-        self.generation += 1;
         self.compactions += 1;
     }
 
@@ -483,9 +469,9 @@ mod tests {
         let in2: Vec<_> = g.in_edges(2).collect();
         assert_eq!(in2, vec![(1, 99)]);
         assert_eq!(g.live_out_degree(0), 1);
-        assert_eq!(g.live_in_degree(2), 1);
+        assert_eq!(g.in_edges(2).count(), 1);
         assert_eq!(g.epoch(), 1);
-        assert_eq!(g.generation(), 0);
+        assert_eq!(g.compactions(), 0);
     }
 
     #[test]
@@ -511,7 +497,12 @@ mod tests {
         b.insert(0, 1, 1); // weight already 1
         let applied = g.apply(&b).unwrap();
         assert_eq!(applied.stats.updated, 1);
-        assert!(applied.is_noop(), "idempotent upsert changes nothing");
+        assert!(
+            [&applied.inserts, &applied.deletes, &applied.reweighted]
+                .iter()
+                .all(|l| l.is_empty()),
+            "idempotent upsert changes nothing"
+        );
         assert!(g.log().is_empty());
     }
 
@@ -523,7 +514,7 @@ mod tests {
         g.apply(&b).unwrap();
         let snapshot = g.snapshot_edge_list();
         g.compact();
-        assert_eq!(g.generation(), 1);
+        assert_eq!(g.compactions(), 1);
         assert!(g.log().is_empty());
         assert_eq!(*g.base(), GraphBuilder::build_canonical(snapshot));
         // Live view unchanged by compaction.
@@ -543,7 +534,6 @@ mod tests {
         let applied = g.apply(&b).unwrap();
         // 3 overlay edges > 0.25 * 7 → compacted.
         assert!(applied.stats.compacted);
-        assert_eq!(g.generation(), 1);
         assert_eq!(g.compactions(), 1);
         assert_eq!(g.num_live_edges(), 10);
     }
@@ -565,7 +555,9 @@ mod tests {
     fn empty_batch_bumps_epoch_only() {
         let mut g = small();
         let applied = g.apply(&DeltaBatch::new()).unwrap();
-        assert!(applied.is_noop());
+        assert!([&applied.inserts, &applied.deletes, &applied.reweighted]
+            .iter()
+            .all(|l| l.is_empty()));
         assert_eq!(g.epoch(), 1);
         assert_eq!(g.num_live_edges(), 4);
     }

@@ -157,7 +157,7 @@ mod tests {
             for round in 0..10 {
                 if round == 5 {
                     mg.compact();
-                    prop_assert_eq!(mg.generation(), 1);
+                    prop_assert_eq!(mg.compactions(), 1);
                     let snapshot = Graph::from_edges(&mg.snapshot_edge_list());
                     prop_assert_eq!(view(&mg), view(&snapshot), "after the rebuild");
                 }

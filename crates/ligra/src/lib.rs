@@ -47,12 +47,6 @@ impl LigraEngine {
     pub fn new() -> Self {
         LigraEngine { force_push: false }
     }
-
-    /// Disable pull mode (always push), for simulated experiments.
-    pub fn push_only(mut self) -> Self {
-        self.force_push = true;
-        self
-    }
 }
 
 impl Engine for LigraEngine {
@@ -447,7 +441,7 @@ mod tests {
         let m1 = Machine::new(MachineSpec::test2());
         let hybrid = LigraEngine::new().run(&m1, 4, &g, &prog);
         let m2 = Machine::new(MachineSpec::test2());
-        let push = LigraEngine::new().push_only().run(&m2, 4, &g, &prog);
+        let push = LigraEngine { force_push: true }.run(&m2, 4, &g, &prog);
         assert_eq!(hybrid.values, push.values);
     }
 

@@ -372,25 +372,6 @@ impl<T: Atom> NumaAtomicArray<T> {
         }
     }
 
-    /// Accounted sequential read-modify-write sweep for degree/delta
-    /// updates: atomically adds `f(i)` to `arr[i]` for `i` in `r`, charged
-    /// as one coalesced run of write transactions (read-modify-writes count
-    /// as writes, as in the scalar [`NumaAtomicArray::fetch_add`]).
-    #[inline]
-    pub fn fetch_add_seq(
-        &self,
-        ctx: &mut AccessCtx,
-        r: Range<usize>,
-        mut f: impl FnMut(usize) -> T,
-    ) {
-        assert!(r.end <= self.data.len(), "fetch_add_seq out of bounds");
-        self.meta.record_run(ctx, r.start, r.len(), Rw::Write);
-        let start = r.start;
-        for (k, cell) in self.data[r].iter().enumerate() {
-            T::atom_add(cell, f(start + k));
-        }
-    }
-
     /// A sequential append cursor starting at `start`: consecutive
     /// [`SeqWriter::push`] calls store to consecutive slots, and the
     /// accounting is coalesced into page-runs when the writer is flushed.
@@ -587,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn store_seq_fill_fetch_add_seq_store_values_and_account_like_scalar() {
+    fn store_seq_and_fill_store_values_and_account_like_scalar() {
         let m = machine();
         let a = m.alloc_atomic::<u64>("sw", 1024, AllocPolicy::Interleaved);
         let b = m.alloc_atomic::<u64>("sw2", 1024, AllocPolicy::Interleaved);
@@ -595,22 +576,18 @@ mod tests {
         let mut cb = AccessCtx::new(&m, 0);
         a.store_seq(&mut ca, 10..600, |i| i as u64);
         a.fill(&mut ca, 600..700, 7);
-        a.fetch_add_seq(&mut ca, 0..1024, |i| (i % 3) as u64);
         for i in 10..600 {
             b.store(&mut cb, i, i as u64);
         }
         for i in 600..700 {
             b.store(&mut cb, i, 7);
         }
-        for i in 0..1024 {
-            b.fetch_add(&mut cb, i, (i % 3) as u64);
-        }
         assert_eq!(a.snapshot(), b.snapshot());
         // Allocation ids differ, but the per-array counters must match.
         let (sa, sb) = (ca.take_stats(), cb.take_stats());
         assert_eq!(
-            format!("{:?}", sa.array_bytes(a.alloc_id()).unwrap()),
-            format!("{:?}", sb.array_bytes(b.alloc_id()).unwrap())
+            format!("{:?}", sa.iter_arrays().next().unwrap().1),
+            format!("{:?}", sb.iter_arrays().next().unwrap().1)
         );
     }
 
@@ -645,7 +622,7 @@ mod tests {
         let got: Vec<u64> = a.iter_seq(&mut ctx, 8..16).collect();
         assert_eq!(got, (8..16).map(|i| i * 2).collect::<Vec<u64>>());
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = s.iter_arrays().next().unwrap().1;
         assert_eq!(
             st.count[crate::Rw::Read.index()]
                 .iter()

@@ -315,11 +315,6 @@ impl CostModel {
         }
     }
 
-    /// The model's constants.
-    pub fn config(&self) -> &CostConfig {
-        &self.config
-    }
-
     /// Integrate one phase: `threads` pairs each thread's home node with its
     /// access statistics for the phase.
     // Index loops here traverse several parallel arrays at once; iterator

@@ -17,7 +17,7 @@
 
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
-use crate::topology::{NodeId, NumaTopology, MAX_NODES};
+use crate::topology::{NodeId, MAX_NODES};
 
 /// Access pattern: sequential stream vs. random.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -149,34 +149,6 @@ impl AccessStats {
         self.iter_arrays().map(|(_, s)| s.total_bytes()).sum()
     }
 
-    /// Transactions whose destination differs from `from` under `topo`.
-    pub fn remote_count(&self, topo: &NumaTopology, from: NodeId) -> u64 {
-        self.iter_arrays()
-            .map(|(_, s)| {
-                let mut c = 0;
-                for rw in 0..2 {
-                    for pat in 0..2 {
-                        for dst in 0..topo.num_nodes() {
-                            if dst != from {
-                                c += s.count[rw][pat][dst];
-                            }
-                        }
-                    }
-                }
-                c
-            })
-            .sum()
-    }
-
-    /// Bytes moved per `(pattern, dst)` summed over read/write, for one
-    /// allocation. Returns `None` when the allocation was never touched.
-    pub fn array_bytes(&self, alloc: AllocId) -> Option<&ArrStat> {
-        self.per
-            .binary_search_by_key(&alloc, |(a, _)| *a)
-            .ok()
-            .map(|k| &*self.per[k].1)
-    }
-
     /// True when no accesses were recorded.
     pub fn is_empty(&self) -> bool {
         self.per.is_empty()
@@ -238,7 +210,6 @@ pub(crate) enum HeatMode {
 /// [`AccessCtx::take_stats`].
 pub struct AccessCtx {
     tid: usize,
-    core: usize,
     node: NodeId,
     num_threads: usize,
     /// Extra CPU cycles charged via [`AccessCtx::charge_cycles`].
@@ -273,7 +244,6 @@ impl AccessCtx {
         let topo = machine.topology();
         AccessCtx {
             tid: core,
-            core,
             node: topo.node_of_core(core),
             num_threads: topo.total_cores(),
             extra_cycles: 0.0,
@@ -298,12 +268,6 @@ impl AccessCtx {
     #[inline]
     pub fn tid(&self) -> usize {
         self.tid
-    }
-
-    /// The core this thread is bound to.
-    #[inline]
-    pub fn core(&self) -> usize {
-        self.core
     }
 
     /// The memory node of the bound core.
@@ -641,20 +605,6 @@ impl AccessCtx {
         }
         (out, visited)
     }
-
-    /// Snapshot the statistics accumulated since the last
-    /// [`AccessCtx::take_stats`], without resetting anything.
-    pub fn stats(&self) -> AccessStats {
-        let mut ids = self.touched.clone();
-        ids.sort_unstable();
-        AccessStats {
-            per: ids
-                .into_iter()
-                .map(|id| (id, Box::new(self.per[id as usize].stat.clone())))
-                .collect(),
-            extra_cycles: self.extra_cycles,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -662,6 +612,11 @@ mod tests {
     use super::*;
     use crate::policy::AllocPolicy;
     use crate::topology::MachineSpec;
+
+    /// The counters of allocation `id`, if `s` recorded any.
+    fn arr(s: &AccessStats, id: AllocId) -> Option<&ArrStat> {
+        s.iter_arrays().find(|&(a, _)| a == id).map(|(_, st)| st)
+    }
 
     fn setup() -> (Machine, AccessCtx) {
         let m = Machine::new(MachineSpec::test2());
@@ -677,7 +632,7 @@ mod tests {
             a.get(&mut ctx, i);
         }
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         // First access is cold (random); the rest stream sequentially.
         assert_eq!(st.count[Rw::Read.index()][Pattern::Rand.index()][0], 1);
         assert_eq!(st.count[Rw::Read.index()][Pattern::Seq.index()][0], 99);
@@ -691,7 +646,7 @@ mod tests {
             a.get(&mut ctx, i);
         }
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         assert_eq!(st.count[0][Pattern::Rand.index()][0], 8);
         assert_eq!(st.count[0][Pattern::Seq.index()][0], 0);
     }
@@ -705,7 +660,7 @@ mod tests {
             a.get(&mut ctx, i);
         }
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         assert_eq!(st.count[0][Pattern::Seq.index()][0], 127);
     }
 
@@ -717,12 +672,11 @@ mod tests {
         a.get(&mut ctx, 0);
         a.get(&mut ctx, 600);
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         let total_node0: u64 = (0..2).map(|p| st.count[0][p][0]).sum();
         let total_node1: u64 = (0..2).map(|p| st.count[0][p][1]).sum();
         assert_eq!(total_node0, 1);
         assert_eq!(total_node1, 1);
-        assert_eq!(s.remote_count(m.topology(), 0), 1);
     }
 
     #[test]
@@ -736,7 +690,7 @@ mod tests {
         // After reset the next access is cold again.
         a.get(&mut ctx, 2);
         let s2 = ctx.take_stats();
-        let st = s2.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s2, a.alloc_id()).unwrap();
         assert_eq!(st.count[0][Pattern::Rand.index()][0], 1);
     }
 
@@ -760,13 +714,13 @@ mod tests {
         let (one, visited) = ctx.harvest();
         assert_eq!(visited, 1);
         assert_eq!(one.iter_arrays().count(), 1);
-        assert_eq!(one.array_bytes(hot.alloc_id()).unwrap().total_count(), 1);
+        assert_eq!(arr(&one, hot.alloc_id()).unwrap().total_count(), 1);
         // Skipping the others lost nothing: their stream trackers were reset
         // when they were harvested, so continuing a stream is cold again.
         arrays[7].get(&mut ctx, 1);
         let (next, visited) = ctx.harvest();
         assert_eq!(visited, 1);
-        let st = next.array_bytes(arrays[7].alloc_id()).unwrap();
+        let st = arr(&next, arrays[7].alloc_id()).unwrap();
         assert_eq!(st.count[Rw::Read.index()][Pattern::Rand.index()][0], 1);
         // An idle phase visits nothing.
         assert_eq!(ctx.harvest().1, 0);
@@ -787,17 +741,10 @@ mod tests {
             .iter()
             .map(|&k| arrays[k].alloc_id())
             .collect();
-        assert_eq!(ids(&ctx.stats()), want);
         let taken = ctx.take_stats();
         assert_eq!(ids(&taken), want);
-        assert_eq!(
-            taken
-                .array_bytes(arrays[1].alloc_id())
-                .unwrap()
-                .total_count(),
-            2
-        );
-        assert!(taken.array_bytes(arrays[2].alloc_id()).is_none());
+        assert_eq!(arr(&taken, arrays[1].alloc_id()).unwrap().total_count(), 2);
+        assert!(arr(&taken, arrays[2].alloc_id()).is_none());
         // Merging keeps the order and adds matching entries.
         arrays[2].get(&mut ctx, 0);
         arrays[4].get(&mut ctx, 0);
@@ -807,20 +754,13 @@ mod tests {
             ids(&total),
             arrays.iter().map(|a| a.alloc_id()).collect::<Vec<_>>()
         );
-        assert_eq!(
-            total
-                .array_bytes(arrays[4].alloc_id())
-                .unwrap()
-                .total_count(),
-            2
-        );
+        assert_eq!(arr(&total, arrays[4].alloc_id()).unwrap().total_count(), 2);
     }
 
     #[test]
     fn ctx_accessors_reflect_binding() {
         let m = Machine::new(MachineSpec::test2());
         let ctx = AccessCtx::new(&m, 3);
-        assert_eq!(ctx.core(), 3);
         assert_eq!(ctx.node(), 1);
         assert_eq!(ctx.tid(), 3);
         assert_eq!(ctx.num_threads(), 4);
@@ -898,7 +838,7 @@ mod tests {
         let a = m.alloc_array::<u64>("a", 512, AllocPolicy::OnNode(0));
         ctx.record_migration(a.alloc_id(), 4096, 1, 0);
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         let seqi = Pattern::Seq.index();
         assert_eq!(st.bytes[Rw::Read.index()][seqi][1], 4096);
         assert_eq!(st.count[Rw::Read.index()][seqi][1], 64);
@@ -917,7 +857,7 @@ mod tests {
         assert_eq!(m.migrate_page(a.alloc_id(), 0, 2), Some(0));
         a.get(&mut ctx, 1);
         let s = ctx.take_stats();
-        let st = s.array_bytes(a.alloc_id()).unwrap();
+        let st = arr(&s, a.alloc_id()).unwrap();
         let hit_node2: u64 = (0..2).map(|p| st.count[0][p][2]).sum();
         assert_eq!(
             hit_node2, 1,

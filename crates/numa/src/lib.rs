@@ -11,7 +11,8 @@
 //!   HyperTransport multi-chip modules).
 //! * **Access cost tables** ([`LatencyTable`], [`BandwidthTable`]): load/store
 //!   latency per hop and sequential/random bandwidth per hop, populated with
-//!   the paper's measured values (Figures 3(b) and 4).
+//!   the paper's measured values (Figures 3(b) and 4). The cost model charges
+//!   the bandwidth rows; the latency rows are reported, not charged.
 //! * **Placement** ([`AllocPolicy`], [`Machine`]): every allocation owns a
 //!   page-granular map from virtual page to home node, supporting the
 //!   first-touch, interleaved, centralized, bound, and chunked
@@ -81,8 +82,7 @@ pub use report::{MemoryReport, RemoteAccessReport};
 pub use shard::SimShardMode;
 pub use sim::{RunClock, SimExecutor};
 pub use tables::{
-    BandwidthTable, DistClass, LatencyTable, TierClass, SLOW_LOAD_FACTOR, SLOW_RAND_BW_DIVISOR,
-    SLOW_SEQ_BW_DIVISOR, SLOW_STORE_FACTOR,
+    BandwidthTable, DistClass, LatencyTable, TierClass, SLOW_RAND_BW_DIVISOR, SLOW_SEQ_BW_DIVISOR,
 };
 pub use tier::{TierPolicy, TierRuntime};
 pub use topology::{MachineSpec, NodeId, NumaTopology, PAGE_SIZE};

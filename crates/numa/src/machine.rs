@@ -179,25 +179,6 @@ impl Machine {
         &self.inner.spec
     }
 
-    /// The policy applied when a node's capacity would be exceeded.
-    pub fn spill_policy(&self) -> SpillPolicy {
-        self.inner.spill_policy
-    }
-
-    /// Effective uniform per-node capacity in bytes (the spec's legacy
-    /// `node_capacity_bytes` tightened by any fault-plan clamp); `None`
-    /// means unbounded. Tiered machines resolve per-tier capacities through
-    /// [`Machine::capacity_of_node`] instead.
-    pub fn node_capacity_bytes(&self) -> Option<u64> {
-        match (
-            self.inner.spec.node_capacity_bytes,
-            self.inner.plan.node_capacity_clamp(),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Effective capacity of one node in bytes, after per-tier resolution
     /// and any fault-plan clamp; `None` means unbounded.
     pub fn capacity_of_node(&self, node: NodeId) -> Option<u64> {
@@ -252,11 +233,6 @@ impl Machine {
                 slow.push(t.to_string());
             }
         }
-    }
-
-    /// The tags currently routed to the slow tier.
-    pub fn slow_routed_tags(&self) -> Vec<String> {
-        self.inner.slow_tags.lock().clone()
     }
 
     /// Set the promotion policy every subsequently created executor on this
@@ -708,16 +684,6 @@ impl Machine {
         v
     }
 
-    /// Reset the peak trackers to the current live values (used between
-    /// experiment runs that share a machine).
-    pub fn reset_peak(&self) {
-        let live = self.inner.live_bytes.load(Ordering::Relaxed);
-        self.inner.peak_bytes.store(live, Ordering::Relaxed);
-        for u in self.inner.tags.lock().values_mut() {
-            u.peak = u.live;
-        }
-    }
-
     /// Number of allocations ever registered (live or freed).
     pub fn num_allocs(&self) -> usize {
         self.inner.allocs.lock().len()
@@ -777,17 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_peak_rebases_to_live() {
-        let m = Machine::new(MachineSpec::test2());
-        {
-            let _big = m.alloc_array::<u64>("big", 10_000, AllocPolicy::Interleaved);
-        }
-        assert_eq!(m.mem_usage().peak, 80_000);
-        m.reset_peak();
-        assert_eq!(m.mem_usage().peak, 0);
-    }
-
-    #[test]
     fn alloc_with_initializer() {
         let m = Machine::new(MachineSpec::test2());
         let a = m.alloc_array_with("sq", 10, AllocPolicy::OnNode(0), |i| (i * i) as u64);
@@ -803,7 +758,10 @@ mod tests {
 
     fn capped(pages: u64, spill: SpillPolicy) -> Machine {
         Machine::with_faults(
-            MachineSpec::test2().with_node_capacity(pages * PAGE),
+            MachineSpec {
+                node_capacity_bytes: Some(pages * PAGE),
+                ..MachineSpec::test2()
+            },
             spill,
             FaultPlan::default(),
         )
@@ -866,9 +824,9 @@ mod tests {
         let spec = MachineSpec {
             nodes: 4,
             cores_per_node: 1,
+            node_capacity_bytes: Some(2 * PAGE),
             ..MachineSpec::test2()
-        }
-        .with_node_capacity(2 * PAGE);
+        };
         let m = Machine::with_faults(spec, SpillPolicy::Interleave, FaultPlan::default());
         // 6 pages on node 0: 2 fit, 4 interleave over the other nodes.
         let a = m
@@ -908,13 +866,16 @@ mod tests {
     #[test]
     fn capacity_clamp_comes_from_plan_or_spec() {
         let plan = FaultPlan::new().clamp_node_capacity(3 * PAGE);
-        let spec = MachineSpec::test2().with_node_capacity(2 * PAGE);
+        let spec = MachineSpec {
+            node_capacity_bytes: Some(2 * PAGE),
+            ..MachineSpec::test2()
+        };
         let m = Machine::with_faults(spec, SpillPolicy::Fail, plan.clone());
-        assert_eq!(m.node_capacity_bytes(), Some(2 * PAGE));
+        assert_eq!(m.capacity_of_node(0), Some(2 * PAGE));
         let m = Machine::with_faults(MachineSpec::test2(), SpillPolicy::Fail, plan);
-        assert_eq!(m.node_capacity_bytes(), Some(3 * PAGE));
+        assert_eq!(m.capacity_of_node(0), Some(3 * PAGE));
         let m = Machine::new(MachineSpec::test2());
-        assert_eq!(m.node_capacity_bytes(), None);
+        assert_eq!(m.capacity_of_node(0), None);
     }
 
     #[test]
@@ -938,9 +899,10 @@ mod tests {
 
     #[test]
     fn demote_falls_back_to_nearest_remote_when_slow_full() {
-        let spec = MachineSpec::test2_tiered()
-            .with_fast_capacity(2 * PAGE)
-            .with_slow_capacity(PAGE);
+        let spec = MachineSpec {
+            slow_capacity_bytes: Some(PAGE),
+            ..MachineSpec::test2_tiered().with_fast_capacity(2 * PAGE)
+        };
         let m = Machine::with_faults(spec, SpillPolicy::Demote, FaultPlan::default());
         let _a = m
             .try_alloc_array::<u8>("a", 6 * PAGE as usize, AllocPolicy::OnNode(0))
@@ -1016,10 +978,6 @@ mod tests {
         let _v = m.alloc_array::<u8>("data/curr", 2 * PAGE as usize, AllocPolicy::OnNode(0));
         // Edge pages interleave over slow nodes {2,3}; vertex data stays fast.
         assert_eq!(m.node_live_bytes(), vec![2 * PAGE, 0, 2 * PAGE, 2 * PAGE]);
-        assert_eq!(m.slow_routed_tags(), vec!["topo".to_string()]);
-        // Routing a tag twice does not duplicate it.
-        m.route_tags_to_slow(&["topo"]);
-        assert_eq!(m.slow_routed_tags().len(), 1);
         // No effect on single-tier machines.
         let m1 = Machine::new(MachineSpec::test2());
         m1.route_tags_to_slow(&["topo"]);

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::topology::{NodeId, PAGE_SIZE};
+use crate::topology::NodeId;
 
 /// Mutable per-page home-node map, shared (via `Arc`) between the machine's
 /// allocation registry and every array that cloned the placement.
@@ -109,13 +109,8 @@ enum PlacementKind {
 
 impl Placement {
     /// Resolve a policy for an allocation of `len` elements of `elem_size`
-    /// bytes on a machine with `nodes` memory nodes and 4 KiB pages.
-    pub fn resolve(policy: &AllocPolicy, len: usize, elem_size: usize, nodes: usize) -> Placement {
-        Self::resolve_paged(policy, len, elem_size, nodes, PAGE_SIZE)
-    }
-
-    /// Like [`Placement::resolve`] with an explicit page size (must be a
-    /// power of two).
+    /// bytes on a machine with `nodes` memory nodes and `page_bytes`-byte
+    /// pages (a power of two).
     pub fn resolve_paged(
         policy: &AllocPolicy,
         len: usize,
@@ -287,19 +282,25 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::PAGE_SIZE;
+
+    /// [`Placement::resolve_paged`] with 4 KiB pages.
+    fn resolve(policy: &AllocPolicy, len: usize, elem_size: usize, nodes: usize) -> Placement {
+        Placement::resolve_paged(policy, len, elem_size, nodes, PAGE_SIZE)
+    }
 
     #[test]
     fn on_node_and_centralized() {
-        let p = Placement::resolve(&AllocPolicy::OnNode(3), 1000, 8, 8);
+        let p = resolve(&AllocPolicy::OnNode(3), 1000, 8, 8);
         assert_eq!(p.node_of(0), 3);
         assert_eq!(p.node_of(7999), 3);
-        let c = Placement::resolve(&AllocPolicy::Centralized, 1000, 8, 8);
+        let c = resolve(&AllocPolicy::Centralized, 1000, 8, 8);
         assert_eq!(c.node_of(4097), 0);
     }
 
     #[test]
     fn interleaved_round_robin() {
-        let p = Placement::resolve(&AllocPolicy::Interleaved, 10_000, 8, 4);
+        let p = resolve(&AllocPolicy::Interleaved, 10_000, 8, 4);
         assert_eq!(p.node_of(0), 0);
         assert_eq!(p.node_of(PAGE_SIZE), 1);
         assert_eq!(p.node_of(4 * PAGE_SIZE), 0);
@@ -309,7 +310,7 @@ mod tests {
     #[test]
     fn chunked_elems_maps_ranges_to_nodes() {
         // 1024 u64 elements per node over 2 nodes: 8 KiB each = 2 pages each.
-        let p = Placement::resolve(
+        let p = resolve(
             &AllocPolicy::ChunkedElems(vec![(1024, 0), (1024, 1)]),
             2048,
             8,
@@ -324,13 +325,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "must cover the array exactly")]
     fn chunked_must_cover() {
-        Placement::resolve(&AllocPolicy::ChunkedElems(vec![(10, 0)]), 11, 8, 2);
+        resolve(&AllocPolicy::ChunkedElems(vec![(10, 0)]), 11, 8, 2);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn node_out_of_range_rejected() {
-        Placement::resolve(&AllocPolicy::OnNode(9), 10, 8, 2);
+        resolve(&AllocPolicy::OnNode(9), 10, 8, 2);
     }
 
     #[test]
@@ -354,7 +355,7 @@ mod tests {
 
     #[test]
     fn chunked_skips_empty_ranges() {
-        let p = Placement::resolve(
+        let p = resolve(
             &AllocPolicy::ChunkedElems(vec![(0, 1), (1024, 0), (0, 1), (1024, 1)]),
             2048,
             8,
@@ -383,10 +384,10 @@ mod tests {
         // Mixed shapes: straddling elements, runs spanning multiple pages,
         // single-node placements, interleaving.
         let cases = [
-            (Placement::resolve(&AllocPolicy::Interleaved, 4096, 8, 4), 8),
-            (Placement::resolve(&AllocPolicy::OnNode(2), 4096, 8, 4), 8),
+            (resolve(&AllocPolicy::Interleaved, 4096, 8, 4), 8),
+            (resolve(&AllocPolicy::OnNode(2), 4096, 8, 4), 8),
             (
-                Placement::resolve(
+                resolve(
                     &AllocPolicy::ChunkedElems(vec![(700, 1), (1348, 0)]),
                     2048,
                     12,
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn sub_page_allocation_has_one_page() {
-        let p = Placement::resolve(&AllocPolicy::ChunkedElems(vec![(3, 1)]), 3, 4, 2);
+        let p = resolve(&AllocPolicy::ChunkedElems(vec![(3, 1)]), 3, 4, 2);
         assert_eq!(p.node_of(0), 1);
         assert_eq!(p.node_of(11), 1);
     }

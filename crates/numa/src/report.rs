@@ -110,17 +110,6 @@ impl MemoryReport {
         }
     }
 
-    /// Total pages demoted to the slow tier (alloc-time overflow plus
-    /// runtime migrations).
-    pub fn demoted_pages(&self) -> u64 {
-        self.demoted_by_node.iter().sum()
-    }
-
-    /// Total pages promoted to the fast tier by runtime migrations.
-    pub fn promoted_pages(&self) -> u64 {
-        self.promoted_by_node.iter().sum()
-    }
-
     /// Peak bytes of one tag (0 when absent).
     pub fn tag_peak(&self, tag: &str) -> u64 {
         self.tags
@@ -172,8 +161,8 @@ mod tests {
         assert!(m.migrate_page(a.alloc_id(), 1, 1).is_some());
         assert!(m.migrate_page(a.alloc_id(), 0, 3).is_some());
         let r = MemoryReport::from_machine(&m);
-        assert_eq!(r.promoted_pages(), 2);
-        assert_eq!(r.demoted_pages(), 1);
+        assert_eq!(r.promoted_by_node.iter().sum::<u64>(), 2);
+        assert_eq!(r.demoted_by_node.iter().sum::<u64>(), 1);
         assert_eq!(r.promoted_by_node[0], 1);
         assert_eq!(r.promoted_by_node[1], 1);
         assert_eq!(r.demoted_by_node[3], 1);
@@ -183,7 +172,7 @@ mod tests {
         assert_eq!(back.promoted_by_node, r.promoted_by_node);
         // Old documents without the vectors still parse.
         let old: MemoryReport = serde_json::from_str(r#"{"peak_bytes": 1, "tags": []}"#).unwrap();
-        assert_eq!(old.promoted_pages(), 0);
+        assert!(old.promoted_by_node.is_empty());
     }
 
     #[test]

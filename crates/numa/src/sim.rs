@@ -70,16 +70,6 @@ impl RunClock {
     pub fn elapsed_sec(&self) -> f64 {
         self.elapsed_us() / 1e6
     }
-
-    /// Serialize the recorded timeline as Chrome trace-event JSON (open in
-    /// `chrome://tracing` or Perfetto). An empty-but-valid document unless
-    /// tracing was enabled.
-    pub fn to_chrome_trace(&self) -> String {
-        match self.trace.buffer() {
-            Some(buf) => polymer_trace::chrome_trace_json(buf),
-            None => polymer_trace::chrome_trace_json(&Default::default()),
-        }
-    }
 }
 
 /// Convert the cost model's per-socket counters into trace samples (same
@@ -194,14 +184,9 @@ impl SimExecutor {
         self.tier = Some(runtime);
     }
 
-    /// The attached tier runtime, if any.
-    pub fn tiering(&self) -> Option<&TierRuntime> {
-        self.tier.as_ref()
-    }
-
     /// Record a phase/barrier timeline with per-socket counters into the
-    /// clock's [`Tracer`] (export via [`RunClock::to_chrome_trace`] or query
-    /// through [`polymer_trace::TraceBuffer`]). Tracing does not change
+    /// clock's [`Tracer`] (export via [`polymer_trace::chrome_trace_json`] or
+    /// query through [`polymer_trace::TraceBuffer`]). Tracing does not change
     /// simulated time.
     pub fn enable_trace(&mut self) {
         self.clock
@@ -249,17 +234,6 @@ impl SimExecutor {
         (0..self.ctxs.len())
             .filter(|&t| self.nodes[t] == node)
             .collect()
-    }
-
-    /// Change the barrier family charged by [`SimExecutor::charge_barrier`]
-    /// (the Figure 10 ablation).
-    pub fn set_barrier_kind(&mut self, kind: BarrierKind) {
-        self.barrier_kind = kind;
-    }
-
-    /// The currently configured barrier family.
-    pub fn barrier_kind(&self) -> BarrierKind {
-        self.barrier_kind
     }
 
     /// Run one bulk-synchronous phase: `task(tid, ctx)` is invoked once per
@@ -428,17 +402,6 @@ impl SimExecutor {
     pub fn clock(&self) -> &RunClock {
         &self.clock
     }
-
-    /// Reset the clock (e.g. to exclude graph-construction phases from a
-    /// timed computation stage, as the paper does). Tracing remains enabled
-    /// if it was, recording into a fresh buffer.
-    pub fn reset_clock(&mut self) {
-        let traced = self.clock.trace.is_enabled();
-        self.clock = RunClock::default();
-        if traced {
-            self.enable_trace();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -485,27 +448,14 @@ mod tests {
     #[test]
     fn barrier_kind_switch_changes_cost() {
         let m = Machine::new(MachineSpec::intel80());
-        let mut sim = SimExecutor::new(&m, 80);
-        sim.charge_barrier();
-        let cheap = sim.clock().barrier_us;
-        sim.set_barrier_kind(BarrierKind::Pthread);
-        sim.charge_barrier();
-        let expensive = sim.clock().barrier_us - cheap;
+        let cost = |kind| {
+            let mut sim = SimExecutor::with_config(&m, 80, CostConfig::default(), kind);
+            sim.charge_barrier();
+            sim.clock().barrier_us
+        };
+        let cheap = cost(BarrierKind::SenseNuma);
+        let expensive = cost(BarrierKind::Pthread);
         assert!(expensive > 100.0 * cheap);
-    }
-
-    #[test]
-    fn reset_clock_clears_everything() {
-        let m = Machine::new(MachineSpec::test2());
-        let a = m.alloc_array::<u64>("a", 1024, AllocPolicy::Centralized);
-        let mut sim = SimExecutor::new(&m, 2);
-        sim.run_phase("x", |_, ctx| {
-            a.get(ctx, 0);
-        });
-        sim.charge_barrier();
-        sim.reset_clock();
-        assert_eq!(sim.clock().elapsed_us(), 0.0);
-        assert_eq!(sim.clock().barriers, 0);
     }
 
     #[test]
@@ -539,12 +489,12 @@ mod tests {
         assert!((buf.total_phase_us() - clock.total.time_us).abs() < 1e-9);
         // Per-socket counters rode along from the cost model: node 0 issued
         // the accesses (thread 0 did all the work on a 2-thread test2 box).
-        let totals = buf.socket_totals();
+        let sockets = buf.phases.iter().flat_map(|p| &p.per_socket);
         assert_eq!(
-            totals.iter().map(|s| s.total_count()).sum::<u64>(),
+            sockets.map(|s| s.total_count()).sum::<u64>(),
             clock.total.count_local + clock.total.count_remote
         );
-        let json = clock.to_chrome_trace();
+        let json = polymer_trace::chrome_trace_json(buf);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"scan\""));
         assert!(json.contains("\"barrier-wait\""));
@@ -558,25 +508,6 @@ mod tests {
         sim.run_phase("x", |_, _| {});
         assert!(!sim.clock().trace.is_enabled());
         assert!(sim.clock().trace.buffer().is_none());
-        // Still a valid (empty) chrome document.
-        assert!(sim.clock().to_chrome_trace().contains("\"traceEvents\""));
-    }
-
-    #[test]
-    fn reset_clock_keeps_tracing_enabled_with_fresh_buffer() {
-        let m = Machine::new(MachineSpec::test2());
-        let mut sim = SimExecutor::new(&m, 2);
-        sim.enable_trace();
-        sim.run_phase("construct", |_, _| {});
-        sim.charge_barrier();
-        sim.reset_clock();
-        let buf = sim.clock().trace.buffer().expect("still tracing");
-        assert!(buf.phases.is_empty() && buf.barriers.is_empty());
-        sim.run_phase("compute", |_, _| {});
-        assert_eq!(
-            sim.clock().trace.buffer().unwrap().phases[0].name,
-            "compute"
-        );
     }
 
     #[test]
@@ -612,7 +543,6 @@ mod tests {
         };
         let cold = sim.run_phase("scan", scan);
         // The boundary promoted all touched pages to the fast tier...
-        assert!(sim.tiering().unwrap().promotions() > 0);
         assert!(!m.spec().tier_of(a.node_of(0)).is_slow());
         // ...charging the copies on the clock as their own phase.
         let (migrate_us, n) = sim.clock().by_phase["tier-migrate"];

@@ -26,10 +26,10 @@ pub enum DistClass {
 ///
 /// Tiers *compose* with [`DistClass`]: an access still has a hop distance to
 /// the owning node, and on top of that the owning node's tier selects which
-/// latency/bandwidth row is charged. The slow-tier rows are calibrated from
-/// the Optane single-machine graph-analytics measurements (see
-/// `docs/TIERING.md`): ~3.4× DRAM load latency, sequential bandwidth ÷2.6,
-/// random bandwidth ÷8, with an extra write penalty.
+/// bandwidth row is charged. The slow-tier rows are calibrated from the
+/// Optane single-machine graph-analytics measurements (see
+/// `docs/TIERING.md`): sequential bandwidth ÷2.6, random bandwidth ÷8.
+/// Latency is not tiered: no cost computation reads a [`LatencyTable`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TierClass {
     /// DRAM: the paper's measured tables apply unchanged.
@@ -40,9 +40,6 @@ pub enum TierClass {
 }
 
 impl TierClass {
-    /// Both tiers, fast first.
-    pub const ALL: [TierClass; 2] = [TierClass::Fast, TierClass::Slow];
-
     /// Index into per-tier tables (`Fast = 0`, `Slow = 1`).
     #[inline]
     pub fn index(self) -> usize {
@@ -59,11 +56,6 @@ impl TierClass {
     }
 }
 
-/// Slow-tier load-latency multiplier over DRAM (Optane random read ≈ 3.4×).
-pub const SLOW_LOAD_FACTOR: f64 = 3.4;
-/// Slow-tier store-latency multiplier over DRAM (write path is costlier than
-/// the read path on persistent memory).
-pub const SLOW_STORE_FACTOR: f64 = 4.6;
 /// Slow-tier sequential bandwidth is DRAM ÷ this factor.
 pub const SLOW_SEQ_BW_DIVISOR: f64 = 2.6;
 /// Slow-tier random bandwidth is DRAM ÷ this factor (the Optane paper's
@@ -76,14 +68,6 @@ fn scale4(a: [f64; 4], f: f64) -> [f64; 4] {
 }
 
 impl DistClass {
-    /// All classes, in increasing distance order.
-    pub const ALL: [DistClass; 4] = [
-        DistClass::Local,
-        DistClass::OneHopIntra,
-        DistClass::OneHop,
-        DistClass::TwoHop,
-    ];
-
     /// Index into per-class tables.
     #[inline]
     pub fn index(self) -> usize {
@@ -119,78 +103,37 @@ pub struct LatencyTable {
     pub load_cycles: [f64; 4],
     /// Store latency in cycles, indexed by [`DistClass::index`].
     pub store_cycles: [f64; 4],
-    /// Slow-tier load latency in cycles per distance class. Legacy specs
-    /// without the field deserialize to the intel80-derived calibration.
-    #[serde(default = "default_slow_load")]
-    pub slow_load_cycles: [f64; 4],
-    /// Slow-tier store latency in cycles per distance class.
-    #[serde(default = "default_slow_store")]
-    pub slow_store_cycles: [f64; 4],
-}
-
-fn default_slow_load() -> [f64; 4] {
-    LatencyTable::intel80().slow_load_cycles
-}
-
-fn default_slow_store() -> [f64; 4] {
-    LatencyTable::intel80().slow_store_cycles
 }
 
 impl LatencyTable {
     /// Figure 3(b), 80-core Intel Xeon machine. The one-hop-intra column is
     /// unused on Intel (no multi-die sockets) and mirrors the one-hop value.
     pub fn intel80() -> Self {
-        let load_cycles = [117.0, 271.0, 271.0, 372.0];
-        let store_cycles = [108.0, 304.0, 304.0, 409.0];
         LatencyTable {
-            load_cycles,
-            store_cycles,
-            slow_load_cycles: scale4(load_cycles, SLOW_LOAD_FACTOR),
-            slow_store_cycles: scale4(store_cycles, SLOW_STORE_FACTOR),
+            load_cycles: [117.0, 271.0, 271.0, 372.0],
+            store_cycles: [108.0, 304.0, 304.0, 409.0],
         }
     }
 
     /// Figure 3(b), 64-core AMD Opteron machine. The paper reports a single
     /// one-hop number, reused for both one-hop classes.
     pub fn amd64() -> Self {
-        let load_cycles = [228.0, 419.0, 419.0, 498.0];
-        let store_cycles = [256.0, 463.0, 463.0, 544.0];
         LatencyTable {
-            load_cycles,
-            store_cycles,
-            slow_load_cycles: scale4(load_cycles, SLOW_LOAD_FACTOR),
-            slow_store_cycles: scale4(store_cycles, SLOW_STORE_FACTOR),
+            load_cycles: [228.0, 419.0, 419.0, 498.0],
+            store_cycles: [256.0, 463.0, 463.0, 544.0],
         }
     }
 
-    /// Load latency for a distance class, in cycles (fast tier).
+    /// Load latency for a distance class, in cycles.
     #[inline]
     pub fn load(&self, d: DistClass) -> f64 {
         self.load_cycles[d.index()]
     }
 
-    /// Store latency for a distance class, in cycles (fast tier).
+    /// Store latency for a distance class, in cycles.
     #[inline]
     pub fn store(&self, d: DistClass) -> f64 {
         self.store_cycles[d.index()]
-    }
-
-    /// Load latency for a distance class on a given tier, in cycles.
-    #[inline]
-    pub fn load_t(&self, d: DistClass, t: TierClass) -> f64 {
-        match t {
-            TierClass::Fast => self.load_cycles[d.index()],
-            TierClass::Slow => self.slow_load_cycles[d.index()],
-        }
-    }
-
-    /// Store latency for a distance class on a given tier, in cycles.
-    #[inline]
-    pub fn store_t(&self, d: DistClass, t: TierClass) -> f64 {
-        match t {
-            TierClass::Fast => self.store_cycles[d.index()],
-            TierClass::Slow => self.slow_store_cycles[d.index()],
-        }
     }
 }
 
@@ -284,10 +227,18 @@ impl BandwidthTable {
 mod tests {
     use super::*;
 
+    /// Every distance class, in increasing distance order.
+    const CLASSES: [DistClass; 4] = [
+        DistClass::Local,
+        DistClass::OneHopIntra,
+        DistClass::OneHop,
+        DistClass::TwoHop,
+    ];
+
     #[test]
     fn dist_class_round_trip() {
-        for d in DistClass::ALL {
-            assert_eq!(DistClass::ALL[d.index()], d);
+        for d in CLASSES {
+            assert_eq!(CLASSES[d.index()], d);
         }
     }
 
@@ -323,8 +274,9 @@ mod tests {
 
     #[test]
     fn tier_class_round_trip_and_default() {
-        for t in TierClass::ALL {
-            assert_eq!(TierClass::ALL[t.index()], t);
+        let tiers = [TierClass::Fast, TierClass::Slow];
+        for t in tiers {
+            assert_eq!(tiers[t.index()], t);
         }
         assert_eq!(TierClass::default(), TierClass::Fast);
         assert!(TierClass::Slow.is_slow());
@@ -333,17 +285,8 @@ mod tests {
 
     #[test]
     fn fast_tier_rows_are_the_paper_tables() {
-        let lat = LatencyTable::intel80();
         let bw = BandwidthTable::intel80();
-        for d in DistClass::ALL {
-            assert_eq!(
-                lat.load_t(d, TierClass::Fast).to_bits(),
-                lat.load(d).to_bits()
-            );
-            assert_eq!(
-                lat.store_t(d, TierClass::Fast).to_bits(),
-                lat.store(d).to_bits()
-            );
+        for d in CLASSES {
             for seq in [true, false] {
                 assert_eq!(
                     bw.bw_t(seq, d, TierClass::Fast).to_bits(),
@@ -355,15 +298,8 @@ mod tests {
 
     #[test]
     fn slow_tier_calibration_ratios() {
-        for (lat, bw) in [
-            (LatencyTable::intel80(), BandwidthTable::intel80()),
-            (LatencyTable::amd64(), BandwidthTable::amd64()),
-        ] {
-            for d in DistClass::ALL {
-                let load_x = lat.load_t(d, TierClass::Slow) / lat.load(d);
-                let store_x = lat.store_t(d, TierClass::Slow) / lat.store(d);
-                assert!((load_x - SLOW_LOAD_FACTOR).abs() < 1e-12);
-                assert!((store_x - SLOW_STORE_FACTOR).abs() < 1e-12);
+        for bw in [BandwidthTable::intel80(), BandwidthTable::amd64()] {
+            for d in CLASSES {
                 let seq_div = bw.bw(true, d) / bw.bw_t(true, d, TierClass::Slow);
                 let rand_div = bw.bw(false, d) / bw.bw_t(false, d, TierClass::Slow);
                 assert!((seq_div - SLOW_SEQ_BW_DIVISOR).abs() < 1e-9);
@@ -389,17 +325,6 @@ mod tests {
         assert_eq!(
             legacy.slow_seq_mbs[0].to_bits(),
             BandwidthTable::intel80().slow_seq_mbs[0].to_bits()
-        );
-        let json = serde_json::to_string(&LatencyTable::amd64()).unwrap();
-        let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("slow_load_cycles");
-        obj.remove("slow_store_cycles");
-        let legacy: LatencyTable = serde_json::from_value(v).unwrap();
-        // Defaults come from the intel80 calibration, not amd64's own rows.
-        assert_eq!(
-            legacy.slow_load_cycles[0].to_bits(),
-            LatencyTable::intel80().slow_load_cycles[0].to_bits()
         );
     }
 

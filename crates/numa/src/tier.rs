@@ -61,13 +61,6 @@ pub enum TierPolicy {
 }
 
 impl TierPolicy {
-    /// Every policy, in ablation order.
-    pub const ALL: [TierPolicy; 3] = [
-        TierPolicy::FirstTouch,
-        TierPolicy::HotPageLru,
-        TierPolicy::Sampled,
-    ];
-
     /// Stable lower-case name (bench tables, JSON artifacts).
     pub fn name(self) -> &'static str {
         match self {
@@ -135,9 +128,6 @@ pub struct TierRuntime {
     /// Consecutive boundaries each promoted page has gone untouched, for
     /// idle reclaim. Reset to zero on any touch; missing means touched.
     idle: BTreeMap<(AllocId, usize), u32>,
-    /// Total promotions/demotions performed, for reports and tests.
-    promotions: u64,
-    demotions: u64,
 }
 
 impl TierRuntime {
@@ -175,30 +165,12 @@ impl TierRuntime {
             promoted: VecDeque::new(),
             ewma: BTreeMap::new(),
             idle: BTreeMap::new(),
-            promotions: 0,
-            demotions: 0,
         }
-    }
-
-    /// Override the per-phase promotion budget (pages).
-    pub fn with_budget(mut self, pages: usize) -> Self {
-        self.budget_pages = pages;
-        self
     }
 
     /// The policy this runtime applies.
     pub fn policy(&self) -> TierPolicy {
         self.policy
-    }
-
-    /// Total pages promoted so far.
-    pub fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Total pages demoted so far (capacity-forced evictions).
-    pub fn demotions(&self) -> u64 {
-        self.demotions
     }
 
     /// The fast node with the most free capacity (ties to the lowest id).
@@ -291,7 +263,6 @@ impl TierRuntime {
         let from = machine.migrate_page(alloc, page, to)?;
         live[from] = live[from].saturating_sub(page_bytes);
         live[to] += page_bytes;
-        self.demotions += 1;
         Some(Migration {
             alloc,
             bytes: page_bytes,
@@ -418,7 +389,6 @@ impl TierRuntime {
                 live[to] += page_bytes;
                 self.promoted.push_back((alloc, page));
                 self.idle.remove(&(alloc, page));
-                self.promotions += 1;
                 promoted_now += 1;
                 out.push(Migration {
                     alloc,
@@ -458,7 +428,6 @@ impl TierRuntime {
             if let Some(from) = machine.migrate_page(alloc, page, to) {
                 live[from] = live[from].saturating_sub(page_bytes);
                 live[to] += page_bytes;
-                self.demotions += 1;
                 out.push(Migration {
                     alloc,
                     bytes: page_bytes,
@@ -479,6 +448,16 @@ mod tests {
 
     fn tiered_machine() -> Machine {
         Machine::new(MachineSpec::test2_tiered())
+    }
+
+    /// Pages the machine has promoted to the fast tier so far.
+    fn promoted(m: &Machine) -> u64 {
+        m.promoted_pages_by_node().iter().sum()
+    }
+
+    /// Pages the machine has demoted to the slow tier so far.
+    fn demoted(m: &Machine) -> u64 {
+        m.demoted_pages_by_node().iter().sum()
     }
 
     /// Heat vector with `hot` at the given pages.
@@ -502,7 +481,7 @@ mod tests {
         assert!(migs.iter().all(|m2| m2.from == 2));
         assert!(migs.iter().all(|m2| !m.spec().tier_of(m2.to).is_slow()));
         // Hottest page first.
-        assert_eq!(rt.promotions(), 2);
+        assert_eq!(promoted(&m), 2);
         assert_eq!(a.node_of(0), migs[0].to);
         assert_eq!(a.node_of(2 * 512), migs[1].to);
     }
@@ -514,14 +493,17 @@ mod tests {
         let mut rt = TierRuntime::new(TierPolicy::FirstTouch);
         let migs = rt.run_boundary(&m, &heat_for(a.alloc_id(), &[(0, 100)]));
         assert!(migs.is_empty());
-        assert_eq!(rt.promotions(), 0);
+        assert_eq!(promoted(&m), 0);
     }
 
     #[test]
     fn budget_caps_promotions_per_boundary() {
         let m = tiered_machine();
         let a = m.alloc_array::<u64>("a", 8 * 512, AllocPolicy::OnNode(3));
-        let mut rt = TierRuntime::new(TierPolicy::FirstTouch).with_budget(3);
+        let mut rt = TierRuntime {
+            budget_pages: 3,
+            ..TierRuntime::new(TierPolicy::FirstTouch)
+        };
         let hot: Vec<(usize, u32)> = (0..8).map(|p| (p, 1)).collect();
         let migs = rt.run_boundary(&m, &heat_for(a.alloc_id(), &hot));
         assert_eq!(migs.len(), 3);
@@ -530,7 +512,7 @@ mod tests {
         assert_eq!(migs2.len(), 3);
         let migs3 = rt.run_boundary(&m, &heat_for(a.alloc_id(), &hot));
         assert_eq!(migs3.len(), 2);
-        assert_eq!(rt.promotions(), 8);
+        assert_eq!(promoted(&m), 8);
     }
 
     #[test]
@@ -547,16 +529,16 @@ mod tests {
             &heat_for(a.alloc_id(), &[(0, 9), (1, 8), (2, 7), (3, 6)]),
         );
         assert_eq!(migs.len(), 4);
-        assert_eq!(rt.demotions(), 0);
+        assert_eq!(demoted(&m), 0);
         // Promoting two hotter pages must evict the two coldest residents.
         let migs2 = rt.run_boundary(&m, &heat_for(a.alloc_id(), &[(4, 9), (5, 8)]));
-        let demoted: Vec<_> = migs2
+        let down = migs2
             .iter()
             .filter(|mg| m.spec().tier_of(mg.to).is_slow())
-            .collect();
-        assert_eq!(demoted.len(), 2);
-        assert_eq!(rt.demotions(), 2);
-        assert_eq!(rt.promotions(), 6);
+            .count();
+        assert_eq!(down, 2);
+        assert_eq!(demoted(&m), 2);
+        assert_eq!(promoted(&m), 6);
         // Pages 2 and 3 — coldest after decay, untouched this boundary —
         // went back down; the still-warmer pages 0 and 1 stayed.
         assert!(m.spec().tier_of(a.node_of(2 * 512)).is_slow());
@@ -593,7 +575,7 @@ mod tests {
         let migs3 = rt.run_boundary(&m, &heat_for(a.alloc_id(), &heats));
         assert_eq!(migs3.len(), 2); // one demotion + one promotion
         assert!(!m.spec().tier_of(a.node_of(7 * 512)).is_slow());
-        assert_eq!(rt.demotions(), 1);
+        assert_eq!(demoted(&m), 1);
     }
 
     #[test]
@@ -647,7 +629,7 @@ mod tests {
             rt.run_boundary(&m, &[]);
         }
         assert!(m.spec().tier_of(a.node_of(0)).is_slow());
-        assert_eq!(rt.demotions(), 1);
+        assert_eq!(demoted(&m), 1);
         // A touch in between resets the clock.
         let migs = rt.run_boundary(&m, &heat_for(a.alloc_id(), &[(1, 50)]));
         assert_eq!(migs.len(), 1);

@@ -60,7 +60,8 @@ pub struct MachineSpec {
     /// Last-level cache per memory node, in bytes (Intel: 24 MiB, AMD: 16 MiB
     /// per the paper's Section 6.3).
     pub llc_bytes: usize,
-    /// Load/store latency per distance class.
+    /// Load/store latency per distance class (Figure 3(b); reported, not
+    /// charged by the cost model).
     pub latency: LatencyTable,
     /// Sequential/random bandwidth per distance class.
     pub bandwidth: BandwidthTable,
@@ -224,9 +225,9 @@ impl MachineSpec {
     /// cores, same tables as `test2`) in front of 2 slow capacity nodes,
     /// full-mesh. Thread counts up to 4 bind node-major onto the fast
     /// nodes only, so compute stays on the fast tier and the slow nodes act
-    /// purely as memory — the shape the tier tests and the `tiering-smoke`
-    /// CI job assume. Capacities are unbounded by default; tests cap the
-    /// fast tier via [`MachineSpec::with_fast_capacity`].
+    /// purely as memory — the shape the tier tests assume. Capacities are
+    /// unbounded by default; tests cap the fast tier via
+    /// [`MachineSpec::with_fast_capacity`].
     pub fn test2_tiered() -> Self {
         let mut s = MachineSpec::test2();
         s.name = "test2_tiered".to_string();
@@ -242,7 +243,7 @@ impl MachineSpec {
 
     /// A tiered sibling of [`MachineSpec::intel80`]: the same 8-node twisted
     /// hypercube, with nodes 4–7 reclassified as the slow capacity tier
-    /// (Optane-calibrated latency/bandwidth rows). Thread counts up to 40
+    /// (Optane-calibrated bandwidth rows). Thread counts up to 40
     /// bind node-major onto the fast nodes 0–3 only, so the slow nodes act
     /// purely as far memory — the shape `bench_tiering` runs.
     pub fn intel80_tiered() -> Self {
@@ -306,13 +307,6 @@ impl MachineSpec {
         self
     }
 
-    /// A copy of this spec with each slow-tier node's usable memory capped
-    /// at `bytes`.
-    pub fn with_slow_capacity(mut self, bytes: u64) -> Self {
-        self.slow_capacity_bytes = Some(bytes);
-        self
-    }
-
     /// Panic unless the tier layout is well-formed: `node_tiers` is empty or
     /// exactly `nodes` long, fast nodes precede slow nodes, and at least one
     /// node is fast. Called by the topology and machine constructors.
@@ -363,13 +357,6 @@ impl MachineSpec {
         s
     }
 
-    /// A copy of this spec with each node's usable memory capped at `bytes`
-    /// (rounded down to whole pages when compared against allocations).
-    pub fn with_node_capacity(mut self, bytes: u64) -> Self {
-        self.node_capacity_bytes = Some(bytes);
-        self
-    }
-
     /// A copy of this spec with run-coalesced accounting on or off.
     pub fn with_bulk_accounting(mut self, enabled: bool) -> Self {
         self.bulk_accounting = enabled;
@@ -400,7 +387,6 @@ impl MachineSpec {
 pub struct NumaTopology {
     nodes: usize,
     cores_per_node: usize,
-    ghz: f64,
     llc_bytes: usize,
     /// `dist[a * nodes + b]` — distance class between nodes `a` and `b`.
     dist: Vec<DistClass>,
@@ -424,7 +410,6 @@ impl NumaTopology {
         NumaTopology {
             nodes: n,
             cores_per_node: spec.cores_per_node,
-            ghz: spec.ghz,
             llc_bytes: ((spec.llc_bytes as f64 * spec.llc_scale) as usize).max(1),
             dist,
             tiers: (0..n).map(|i| spec.tier_of(i)).collect(),
@@ -477,11 +462,6 @@ impl NumaTopology {
         self.nodes * self.cores_per_node
     }
 
-    /// CPU frequency in GHz.
-    pub fn ghz(&self) -> f64 {
-        self.ghz
-    }
-
     /// Last-level cache capacity of one node, in bytes.
     pub fn llc_bytes(&self) -> usize {
         self.llc_bytes
@@ -515,20 +495,20 @@ impl NumaTopology {
     pub fn hops(&self, a: NodeId, b: NodeId) -> usize {
         self.dist(a, b).hops()
     }
-
-    /// Maximum hop distance present in this topology.
-    pub fn max_hops(&self) -> usize {
-        (0..self.nodes)
-            .flat_map(|a| (0..self.nodes).map(move |b| (a, b)))
-            .map(|(a, b)| self.hops(a, b))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The largest hop count between any two nodes of `t`.
+    fn max_hops(t: &NumaTopology) -> usize {
+        let n = t.num_nodes();
+        (0..n)
+            .flat_map(|a| (0..n).map(move |b| t.hops(a, b)))
+            .max()
+            .unwrap_or(0)
+    }
 
     #[test]
     fn intel80_shape() {
@@ -536,7 +516,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 8);
         assert_eq!(t.cores_per_node(), 10);
         assert_eq!(t.total_cores(), 80);
-        assert_eq!(t.max_hops(), 2);
+        assert_eq!(max_hops(&t), 2);
     }
 
     #[test]
@@ -567,7 +547,7 @@ mod tests {
         assert_eq!(t.dist(0, 2), DistClass::OneHop);
         // Secondary die to secondary die of another socket: two hops.
         assert_eq!(t.dist(1, 3), DistClass::TwoHop);
-        assert_eq!(t.max_hops(), 2);
+        assert_eq!(max_hops(&t), 2);
     }
 
     #[test]
@@ -593,7 +573,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 4);
         assert_eq!(t.total_cores(), 20);
         // Prefix sockets {0..3} of the hypercube stay within 2 hops.
-        assert!(t.max_hops() <= 2);
+        assert!(max_hops(&t) <= 2);
     }
 
     #[test]
@@ -626,12 +606,6 @@ mod tests {
         assert_eq!(legacy.node_capacity_bytes, None);
         assert!(legacy.bulk_accounting && !legacy.compressed_topology);
         assert_eq!(legacy.shard_mode, SimShardMode::Auto);
-    }
-
-    #[test]
-    fn with_node_capacity_sets_cap() {
-        let spec = MachineSpec::test2().with_node_capacity(1 << 20);
-        assert_eq!(spec.node_capacity_bytes, Some(1 << 20));
     }
 
     #[test]
@@ -670,13 +644,17 @@ mod tests {
 
     #[test]
     fn per_tier_capacity_resolution() {
-        let s = MachineSpec::test2_tiered()
-            .with_fast_capacity(1 << 16)
-            .with_slow_capacity(1 << 24);
+        let s = MachineSpec {
+            slow_capacity_bytes: Some(1 << 24),
+            ..MachineSpec::test2_tiered().with_fast_capacity(1 << 16)
+        };
         assert_eq!(s.capacity_of(0), Some(1 << 16));
         assert_eq!(s.capacity_of(2), Some(1 << 24));
         // Per-tier caps fall back to the legacy uniform cap when unset.
-        let mut s = MachineSpec::test2_tiered().with_node_capacity(1 << 20);
+        let mut s = MachineSpec {
+            node_capacity_bytes: Some(1 << 20),
+            ..MachineSpec::test2_tiered()
+        };
         assert_eq!(s.capacity_of(0), Some(1 << 20));
         assert_eq!(s.capacity_of(3), Some(1 << 20));
         s.fast_capacity_bytes = Some(1 << 12);
@@ -727,6 +705,6 @@ mod tests {
     fn full_mesh_all_one_hop() {
         let t = MachineSpec::test2().topology();
         assert_eq!(t.dist(0, 1), DistClass::OneHop);
-        assert_eq!(t.max_hops(), 1);
+        assert_eq!(max_hops(&t), 1);
     }
 }

@@ -174,14 +174,6 @@ impl ResponseValues {
         }
     }
 
-    /// Applied-batch counters, if this is an ingest response.
-    pub fn ingest_stats(&self) -> Option<&BatchStats> {
-        match self {
-            ResponseValues::Ingested(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Number of vertices covered (`0` for ingest responses).
     pub fn len(&self) -> usize {
         match self {

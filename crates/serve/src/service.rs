@@ -276,11 +276,6 @@ impl GraphService {
         self.inner.cv.notify_all();
     }
 
-    /// Requests currently queued (admitted, not yet dispatched).
-    pub fn queue_len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServeStats {
         self.inner.lock().stats.clone()
@@ -592,10 +587,18 @@ mod tests {
     use polymer_algos::reference::max_rel_error;
     use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
     use polymer_api::{Combine, FrontierInit};
-    use polymer_graph::{gen, MutableGraph, Weight};
+    use polymer_graph::{gen, BatchStats, MutableGraph, Weight};
 
     fn graph() -> Graph {
         Graph::from_edges(&gen::rmat(7, 1 << 10, gen::RMAT_GRAPH500, 5))
+    }
+
+    /// The counters of an ingest response.
+    fn ingest_stats(values: &ResponseValues) -> &BatchStats {
+        match values {
+            ResponseValues::Ingested(stats) => stats,
+            other => panic!("not an ingest response: {other:?}"),
+        }
     }
 
     fn quick_cfg() -> ServeConfig {
@@ -641,7 +644,10 @@ mod tests {
         };
         let err = svc.submit(zero).map(|t| t.id()).unwrap_err();
         assert_eq!(err.code(), "invalid-config");
-        assert_eq!((svc.stats().submitted, svc.queue_len()), (0, 0));
+        assert_eq!(
+            (svc.stats().submitted, svc.inner.lock().queue.len()),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -716,7 +722,7 @@ mod tests {
             .iter()
             .map(|&s| svc.submit(RequestKind::Bfs { source: s }).unwrap())
             .collect();
-        assert_eq!(svc.queue_len(), sources.len());
+        assert_eq!(svc.inner.lock().queue.len(), sources.len());
         svc.resume();
         for (t, want) in tickets.into_iter().zip(&oracle) {
             let r = t.wait().unwrap();
@@ -812,7 +818,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.algorithm, "Ingest");
         assert_eq!(r.epoch, 1, "an ingest reports the epoch it produced");
-        let applied = r.values.ingest_stats().unwrap();
+        let applied = ingest_stats(&r.values);
         assert_eq!(applied.inserted, 2);
 
         // Mirror the service's mutation to get the oracle graph.
@@ -1176,7 +1182,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(r.values.ingest_stats().unwrap().compacted);
+        assert!(ingest_stats(&r.values).compacted);
         assert_eq!(svc.stats().compactions, 1);
 
         let mut mirror = MutableGraph::from_graph(&g).with_compaction_fraction(1e-4);

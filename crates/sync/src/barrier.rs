@@ -1,7 +1,7 @@
-//! The three barrier families of the paper's Figure 10(a).
+//! The two spin-barrier families of the paper's Figure 10(a). The third,
+//! `pthread_barrier`, whose waiters trap into the kernel, exists only as the
+//! simulated cost `BarrierKind::Pthread`: nothing runs it on real threads.
 //!
-//! * [`CondvarBarrier`] — the `pthread_barrier` analogue: a flat barrier
-//!   whose waiters block on a condition variable (trapping into the kernel).
 //! * [`SenseBarrier`] — a centralized sense-reversing spin barrier built on
 //!   atomic fetch-and-add (Mellor-Crummey & Scott, the paper's ref. 36); the
 //!   sense is carried by a generation counter so no per-thread state is
@@ -33,47 +33,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
 use polymer_faults::{panic_with, PolymerError, PolymerResult};
-
-/// A flat kernel-assisted barrier (Mutex + Condvar), modelling
-/// `pthread_barrier`.
-pub struct CondvarBarrier {
-    n: usize,
-    state: Mutex<(usize, u64)>, // (arrived, generation)
-    cv: Condvar,
-}
-
-impl CondvarBarrier {
-    /// A barrier for `n` participants.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "barrier needs at least one participant");
-        CondvarBarrier {
-            n,
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until all `n` participants have arrived. Returns `true` for
-    /// exactly one participant per round (the "serial" thread).
-    pub fn wait(&self) -> bool {
-        let mut st = self.state.lock();
-        let gen = st.1;
-        st.0 += 1;
-        if st.0 == self.n {
-            st.0 = 0;
-            st.1 += 1;
-            self.cv.notify_all();
-            true
-        } else {
-            while st.1 == gen {
-                self.cv.wait(&mut st);
-            }
-            false
-        }
-    }
-}
 
 /// A centralized sense-reversing spin barrier on fetch-and-add. The
 /// "sense" is the generation word: a waiter records the generation at
@@ -363,12 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_barrier_releases_all_rounds() {
-        let b = CondvarBarrier::new(4);
-        stress(4, 50, |_| b.wait());
-    }
-
-    #[test]
     fn hier_barrier_releases_all_rounds() {
         // 2 groups of 2 (a 2-node machine with 2 cores per node).
         let b = HierBarrier::new(&[2, 2]);
@@ -384,7 +338,6 @@ mod tests {
     #[test]
     fn single_thread_barriers_pass_through() {
         assert!(SenseBarrier::new(1).wait());
-        assert!(CondvarBarrier::new(1).wait());
         assert!(HierBarrier::new(&[1]).wait(0));
     }
 

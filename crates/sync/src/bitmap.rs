@@ -57,15 +57,9 @@ impl DenseBitmap {
         self.bits.load(ctx, v / 64) & (1u64 << (v % 64)) != 0
     }
 
-    /// Accounted read of backing word `w` (for sequential word scans).
-    #[inline]
-    pub fn word(&self, ctx: &mut AccessCtx, w: usize) -> u64 {
-        self.bits.load(ctx, w)
-    }
-
     /// Accounted sequential scan of the backing words `r`, charged through
-    /// the run-coalesced bulk path — bit-identical statistics to calling
-    /// [`DenseBitmap::word`] once per word.
+    /// the run-coalesced bulk path — bit-identical statistics to one
+    /// accounted load per word.
     #[inline]
     pub fn words_seq(
         &self,
@@ -178,8 +172,8 @@ mod tests {
         b.set_unaccounted(1);
         b.set_unaccounted(64);
         let mut ctx = AccessCtx::new(&m, 0);
-        assert_eq!(b.word(&mut ctx, 0), 2);
-        assert_eq!(b.word(&mut ctx, 1), 1);
+        let words: Vec<u64> = b.words_seq(&mut ctx, 0..2).collect();
+        assert_eq!(words, vec![2, 1]);
         assert_eq!(b.num_words(), 2);
     }
 

@@ -88,11 +88,6 @@ impl<D> FrontierRepr<D> {
         self.len() == 0
     }
 
-    /// True for the dense representation.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, FrontierRepr::Dense { .. })
-    }
-
     /// The sparse vertex list, if sparse.
     pub fn as_sparse(&self) -> Option<&[u32]> {
         match self {
@@ -282,14 +277,6 @@ impl Frontier {
         }
     }
 
-    /// Unaccounted membership test in either representation.
-    pub fn contains_unaccounted(&self, v: u32) -> bool {
-        match self {
-            FrontierRepr::Dense { repr, .. } => repr.test_unaccounted(v as usize),
-            FrontierRepr::Sparse(items) => items.contains(&v),
-        }
-    }
-
     /// Capture this frontier as a [`FrontierSnapshot`], preserving the live
     /// representation and member order. `degree_of` supplies per-vertex
     /// out-degrees for sparse frontiers (dense ones carry their recorded
@@ -327,18 +314,6 @@ impl Frontier {
             Frontier::dense(bits, snap.vertices.len(), snap.out_degree)
         } else {
             Frontier::sparse(snap.vertices.clone())
-        }
-    }
-
-    /// All active vertices, ascending, unaccounted (verification only).
-    pub fn to_sorted_vec(&self) -> Vec<u32> {
-        match self {
-            FrontierRepr::Dense { repr, .. } => repr.iter_set().map(checked_vid).collect(),
-            FrontierRepr::Sparse(items) => {
-                let mut v = items.clone();
-                v.sort_unstable();
-                v
-            }
         }
     }
 }
@@ -465,7 +440,7 @@ mod tests {
         // 4-edge graph, single active vertex of degree 0: previously
         // densified (threshold 0), now stays sparse.
         let f = Frontier::rebuild(vec![2], 0, 4, true, true, mk);
-        assert!(!f.is_dense());
+        assert!(!matches!(f, Frontier::Dense { .. }));
     }
 
     #[test]
@@ -473,18 +448,16 @@ mod tests {
         let m = machine();
         let f = Frontier::sparse(vec![3, 7, 100]);
         assert_eq!(f.len(), 3);
-        assert!(!f.is_dense());
+        assert!(!matches!(f, Frontier::Dense { .. }));
         let f = f.into_dense(&m, "stat/f", 128, AllocPolicy::Interleaved, 42);
-        assert!(f.is_dense());
+        assert!(matches!(f, Frontier::Dense { .. }));
         assert_eq!(f.len(), 3);
         assert_eq!(
             f.out_degree(|_| unreachable!("dense degree is recorded")),
             42
         );
-        assert!(f.contains_unaccounted(7));
-        assert!(!f.contains_unaccounted(8));
         let f = f.into_sparse();
-        assert_eq!(f.to_sorted_vec(), vec![3, 7, 100]);
+        assert_eq!(f.as_sparse(), Some(&[3, 7, 100][..]));
     }
 
     #[test]
@@ -492,9 +465,9 @@ mod tests {
         let m = machine();
         let f = Frontier::all(&m, "stat/all", 100, AllocPolicy::Centralized, 500);
         assert_eq!(f.len(), 100);
-        assert!(f.is_dense());
+        assert!(matches!(f, Frontier::Dense { .. }));
         assert_eq!(f.out_degree(|_| 0), 500);
-        assert_eq!(f.to_sorted_vec().len(), 100);
+        assert_eq!(f.to_snapshot(|_| 0).vertices.len(), 100);
         assert!(!f.is_empty());
     }
 
@@ -524,18 +497,18 @@ mod tests {
         };
         // Below threshold (|E|/20 = 50): stays sparse.
         let f = Frontier::rebuild(vec![1, 2], 10, 1000, true, true, mk);
-        assert!(!f.is_dense());
+        assert!(!matches!(f, Frontier::Dense { .. }));
         // Above threshold: densifies, recording the exact degree.
         let f = Frontier::rebuild(vec![1, 2], 90, 1000, true, true, mk);
-        assert!(f.is_dense());
+        assert!(matches!(f, Frontier::Dense { .. }));
         assert_eq!(f.out_degree(|_| 0), 90);
         assert_eq!(f.len(), 2);
         // Sparse disallowed (always-dense ablation): densifies regardless.
         let f = Frontier::rebuild(vec![1], 0, 1000, false, true, mk);
-        assert!(f.is_dense());
+        assert!(matches!(f, Frontier::Dense { .. }));
         // Dense disallowed (push-pinned): stays sparse regardless.
         let f = Frontier::rebuild(vec![1, 2], 900, 1000, true, false, mk);
-        assert!(!f.is_dense());
+        assert!(!matches!(f, Frontier::Dense { .. }));
     }
 
     #[test]
@@ -549,7 +522,7 @@ mod tests {
         assert_eq!(snap.vertices, vec![9, 3, 7]);
         assert_eq!(snap.out_degree, 19);
         let back = Frontier::from_snapshot(&m, "stat/f", 16, AllocPolicy::Interleaved, &snap);
-        assert!(!back.is_dense());
+        assert!(!matches!(back, Frontier::Dense { .. }));
         assert_eq!(back.as_sparse().unwrap(), &[9, 3, 7]);
 
         // Dense: members and the recorded degree survive; representation is
@@ -560,10 +533,10 @@ mod tests {
         assert_eq!(snap.vertices, vec![3, 7, 9]);
         assert_eq!(snap.out_degree, 42);
         let back = Frontier::from_snapshot(&m, "stat/f", 16, AllocPolicy::Interleaved, &snap);
-        assert!(back.is_dense());
+        assert!(matches!(back, Frontier::Dense { .. }));
         assert_eq!(back.len(), 3);
         assert_eq!(back.out_degree(|_| 0), 42);
-        assert_eq!(back.to_sorted_vec(), vec![3, 7, 9]);
+        assert_eq!(back.to_snapshot(|_| 0).vertices, vec![3, 7, 9]);
     }
 
     #[test]
@@ -578,7 +551,7 @@ mod tests {
         tq.push(&mut ctx1, 99);
         assert_eq!(tq.total_len(), 11);
         // Pushes were charged to the machine model.
-        assert_eq!(ctx0.stats().total_count(), 10);
+        assert_eq!(ctx0.take_stats().total_count(), 10);
         let merged = tq.drain_merged();
         assert_eq!(merged.len(), 11);
         assert_eq!(merged[10], 99);
@@ -595,6 +568,11 @@ mod tests {
         }
         let stats = ctx.take_stats();
         // All writes live on node 0 (local to core 0).
-        assert_eq!(stats.remote_count(m.topology(), 0), 0);
+        let remote: u64 = stats
+            .iter_arrays()
+            .flat_map(|(_, s)| s.count.iter().flatten())
+            .map(|per_dst| per_dst[1..].iter().sum::<u64>())
+            .sum();
+        assert_eq!(remote, 0);
     }
 }

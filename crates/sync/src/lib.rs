@@ -3,12 +3,12 @@
 //! Real, thread-safe implementations of the synchronization machinery from
 //! Section 5 of the paper:
 //!
-//! * [`barrier`] — the three barrier families compared in Figure 10(a): a
-//!   Mutex+Condvar barrier (the `pthread_barrier` analogue that traps into
-//!   the kernel), a flat sense-reversing user-level barrier built on
-//!   fetch-and-add (Mellor-Crummey & Scott), and Polymer's hierarchical
-//!   NUMA-aware barrier that synchronizes within a socket group first and
-//!   then across group leaders.
+//! * [`barrier`] — the two spin-barrier families compared in Figure 10(a):
+//!   a flat sense-reversing user-level barrier built on fetch-and-add
+//!   (Mellor-Crummey & Scott), and Polymer's hierarchical NUMA-aware barrier
+//!   that synchronizes within a socket group first and then across group
+//!   leaders. The third family, `pthread_barrier`, is only a simulated cost
+//!   (`polymer_numa::BarrierKind::Pthread`).
 //! * [`lookup`] — the lock-less tree-structured lookup table (router array)
 //!   Polymer uses to collect per-node runtime-state partitions without
 //!   contention.
@@ -27,7 +27,7 @@ pub mod bitmap;
 pub mod frontier;
 pub mod lookup;
 
-pub use barrier::{CondvarBarrier, HierBarrier, SenseBarrier};
+pub use barrier::{HierBarrier, SenseBarrier};
 pub use bitmap::DenseBitmap;
 pub use frontier::{
     should_densify, Frontier, FrontierRepr, FrontierSnapshot, ThreadQueues, DENSITY_DENOMINATOR,

@@ -100,16 +100,6 @@ impl SocketSample {
         self.bytes.iter().map(|p| p[1] + p[2] + p[3]).sum()
     }
 
-    /// LLC hit fraction by bytes (0 when nothing was accessed).
-    pub fn llc_hit_ratio(&self) -> f64 {
-        let all = self.llc_hit_bytes + self.llc_miss_bytes;
-        if all == 0.0 {
-            0.0
-        } else {
-            self.llc_hit_bytes / all
-        }
-    }
-
     /// Fold another sample into this one (counters add; busy time adds,
     /// since per-phase busy times are disjoint on the timeline).
     pub fn merge(&mut self, other: &SocketSample) {
@@ -257,26 +247,6 @@ impl TraceBuffer {
         self.truncated = true;
     }
 
-    /// End of the last recorded span, µs (the recorded timeline's extent).
-    pub fn end_us(&self) -> f64 {
-        let p = self
-            .phases
-            .iter()
-            .map(|s| s.start_us + s.dur_us)
-            .fold(0.0, f64::max);
-        let b = self
-            .barriers
-            .iter()
-            .map(|s| s.start_us + s.dur_us)
-            .fold(0.0, f64::max);
-        let w = self
-            .worker_spans
-            .iter()
-            .map(|s| s.start_us + s.dur_us)
-            .fold(0.0, f64::max);
-        p.max(b).max(w)
-    }
-
     /// Total synchronization time over all recorded barriers, µs.
     pub fn total_barrier_us(&self) -> f64 {
         self.barriers.iter().map(|b| b.dur_us).sum()
@@ -292,17 +262,6 @@ impl TraceBuffer {
     /// Sum of phase durations, µs.
     pub fn total_phase_us(&self) -> f64 {
         self.phases.iter().map(|p| p.dur_us).sum()
-    }
-
-    /// Merge of all per-socket counters over every phase.
-    pub fn socket_totals(&self) -> Vec<SocketSample> {
-        let mut totals = vec![SocketSample::default(); self.sockets];
-        for p in &self.phases {
-            for (t, s) in totals.iter_mut().zip(&p.per_socket) {
-                t.merge(s);
-            }
-        }
-        totals
     }
 
     /// Per-phase-name aggregation in first-seen order, with a final
@@ -404,11 +363,6 @@ impl Tracer {
     /// Replaces any previously recorded buffer.
     pub fn enable(&mut self, sockets: usize, workers: usize) {
         *self = Tracer::On(Box::new(TraceBuffer::new(sockets, workers)));
-    }
-
-    /// Stop recording and drop any buffer.
-    pub fn disable(&mut self) {
-        *self = Tracer::Off;
     }
 
     /// Run `f` against the buffer if recording is enabled; otherwise do
@@ -563,7 +517,6 @@ mod tests {
         let buf = demo_buffer();
         assert_eq!(buf.total_barrier_us(), 16.0);
         assert_eq!(buf.barrier_wait_per_socket(), vec![16.0, 16.0]);
-        assert_eq!(buf.end_us(), 166.0);
     }
 
     #[test]
@@ -589,7 +542,13 @@ mod tests {
 
     #[test]
     fn socket_totals_merge_all_phases() {
-        let totals = demo_buffer().socket_totals();
+        let buf = demo_buffer();
+        let mut totals = vec![SocketSample::default(); buf.sockets];
+        for p in &buf.phases {
+            for (t, s) in totals.iter_mut().zip(&p.per_socket) {
+                t.merge(s);
+            }
+        }
         assert_eq!(totals.len(), 2);
         assert_eq!(totals[0].local_bytes(), 1200);
         assert_eq!(totals[0].remote_bytes(), 240);

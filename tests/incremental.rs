@@ -12,10 +12,10 @@
 //!    batches, chained batches, a batch that triggers threshold compaction
 //!    mid-sequence, and windows of several batches composed with
 //!    `AppliedBatch::merged_with` that hit the same pairs repeatedly.
-//! 3. **Staleness**: an `OverlayTopo` built before a mutation or compaction
-//!    reports `is_stale`, so resident services know to rebuild — also under
-//!    the delta/varint-compressed topology, where a stale placed copy would
-//!    decode neighbours of a graph that no longer exists.
+//! 3. **Compaction**: an `OverlayTopo` rebuilt after a compaction
+//!    re-encodes the new base — also under the delta/varint-compressed
+//!    topology, where the old placed copy would decode neighbours of a graph
+//!    that no longer exists — and warm-started queries stay oracle-exact.
 
 use polymer::algos::reference::max_rel_error;
 use polymer::algos::{
@@ -218,7 +218,9 @@ fn conformance_empty_batch_all_programs() {
         pagerank_overlay(&machine, THREADS, &topo, 0.85, DEFAULT_PR_TOL, None, false).unwrap();
 
     let applied = mg.apply(&DeltaBatch::new()).unwrap();
-    assert!(applied.is_noop());
+    assert!([&applied.inserts, &applied.deletes, &applied.reweighted]
+        .iter()
+        .all(|l| l.is_empty()));
 
     let run = bfs_overlay(
         &machine,
@@ -282,42 +284,19 @@ fn conformance_through_threshold_compaction() {
     let prior_bfs = bfs_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
     let prior_sssp = sssp_overlay(&machine, THREADS, &topo, 0, None, false).unwrap();
 
-    let gen_before = mg.generation();
+    let compactions_before = mg.compactions();
     let applied = mg.apply(&mixed_batch(&mg, 59, 24, false)).unwrap();
     assert!(applied.stats.compacted, "batch must trigger compaction");
-    assert_eq!(mg.generation(), gen_before + 1);
+    assert_eq!(mg.compactions(), compactions_before + 1);
     assert!(mg.log().is_empty(), "compaction clears the overlay");
-    assert!(
-        topo.is_stale(&mg),
-        "pre-compaction topology must report stale"
-    );
 
     assert_min_engines_oracle_exact(&machine, &mg, &prior_bfs, &prior_sssp, &applied);
 }
 
-#[test]
-fn overlay_topo_staleness_tracks_epoch_and_generation() {
-    let el = gen::uniform(60, 300, 61);
-    let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
-    let machine = machine();
-    let topo = build_topo(&machine, &mg, false);
-    assert!(!topo.is_stale(&mg));
-
-    let mut b = DeltaBatch::new();
-    b.insert(1, 50, 4);
-    mg.apply(&b).unwrap();
-    assert!(topo.is_stale(&mg), "epoch advance must flag staleness");
-
-    let topo = build_topo(&machine, &mg, false);
-    assert!(!topo.is_stale(&mg));
-    mg.compact();
-    assert!(topo.is_stale(&mg), "generation advance must flag staleness");
-}
-
 /// Compaction replaces the base CSR, so a placed *and encoded* copy of it is
-/// stale: `is_stale` must flag it, a rebuild on the compressed machine must
-/// re-encode the new base, and warm-started queries stay oracle-exact while
-/// still sweeping fewer bytes than the raw machine's layout.
+/// stale: a rebuild on the compressed machine must re-encode the new base,
+/// and warm-started queries stay oracle-exact while still sweeping fewer
+/// bytes than the raw machine's layout.
 #[test]
 fn compaction_under_compression_stays_oracle_exact() {
     let raw = machine();
@@ -345,13 +324,8 @@ fn compaction_under_compression_stays_oracle_exact() {
     // the encoded base the resident topology holds.
     let applied = mg.apply(&mixed_batch(&mg, 3, 30, false)).unwrap();
     assert!(applied.stats.compacted, "batch must trigger compaction");
-    assert!(
-        topo.is_stale(&mg),
-        "pre-compaction topology must report stale under compression"
-    );
 
     let topo = build_topo(&compressed, &mg, false);
-    assert!(!topo.is_stale(&mg));
     let warm = WarmStart::from_result(&prior, &applied);
     let run = bfs_overlay(&compressed, THREADS, &topo, 0, Some(warm), false).unwrap();
     let (oracle, _) = run_reference(&mg, &Bfs::new(0));
@@ -429,14 +403,14 @@ mod structural {
 
             let scratch = Graph::from_edges(&mg.snapshot_edge_list());
             let had_overlay = !mg.log().is_empty();
-            let gen_before = mg.generation();
+            let compactions_before = mg.compactions();
             mg.compact();
             prop_assert_eq!(mg.base(), &scratch, "compacted CSR differs from scratch build");
             prop_assert!(mg.log().is_empty());
             prop_assert_eq!(
-                mg.generation(),
-                gen_before + u64::from(had_overlay),
-                "compact bumps the generation exactly when the overlay was non-empty"
+                mg.compactions(),
+                compactions_before + usize::from(had_overlay),
+                "compact counts a compaction exactly when the overlay was non-empty"
             );
             // The live edge view is unchanged by compaction.
             prop_assert_eq!(mg.num_live_edges(), scratch.num_edges());

@@ -187,7 +187,7 @@ fn every_engine_runs_the_same_executor() {
                 ("Ligra", run(&LigraEngine::new(), g, prog, threads, bits)),
                 (
                     "Ligra push-only",
-                    run(&LigraEngine::new().push_only(), g, prog, threads, bits),
+                    run(&LigraEngine { force_push: true }, g, prog, threads, bits),
                 ),
                 ("Galois", run(&GaloisEngine::new(), g, prog, threads, bits)),
             ];

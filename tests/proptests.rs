@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use polymer::algos::reference::max_rel_error;
-use polymer::graph::{edge_balanced_ranges, vertex_balanced_ranges, PartitionStats};
+use polymer::graph::{edge_balanced_ranges, vertex_balanced_ranges, DeltaDecoder, PartitionStats};
 use polymer::prelude::*;
 use polymer::sync::{DenseBitmap, Frontier};
 
@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(f.len(), items.len());
         prop_assert_eq!(f.out_degree(|_| 1), degree);
         let f = f.into_sparse();
-        prop_assert_eq!(f.to_sorted_vec(), items);
+        prop_assert_eq!(f.as_sparse(), Some(&items[..]));
     }
 
     #[test]
@@ -198,7 +198,7 @@ proptest! {
         let page = PAGE_SIZE as u64;
         let policy = if nearest == 1 { SpillPolicy::NearestRemote } else { SpillPolicy::Interleave };
         let m = Machine::with_faults(
-            MachineSpec::test2().with_node_capacity(cap_pages * page),
+            MachineSpec { node_capacity_bytes: Some(cap_pages * page), ..MachineSpec::test2() },
             policy,
             FaultPlan::default(),
         );
@@ -339,11 +339,11 @@ proptest! {
 
     #[test]
     fn compressed_list_roundtrips(anchored in arb_anchored_list()) {
-        use polymer::graph::{decode_list, encode_list};
+        use polymer::graph::encode_list;
         let (vertex, list) = anchored;
         let mut bytes = Vec::new();
         encode_list(vertex, &list, &mut bytes);
-        let got: Vec<u32> = decode_list(vertex, &bytes).collect();
+        let got: Vec<u32> = DeltaDecoder::new(vertex, &bytes).collect();
         prop_assert_eq!(got, list);
     }
 
@@ -368,8 +368,8 @@ proptest! {
         let out = CompressedAdjacency::out_edges(&g);
         let inn = CompressedAdjacency::in_edges(&g);
         for v in 0..g.num_vertices() as u32 {
-            prop_assert_eq!(out.neighbors(v).collect::<Vec<_>>(), g.out_neighbors(v));
-            prop_assert_eq!(inn.neighbors(v).collect::<Vec<_>>(), g.in_neighbors(v));
+            prop_assert_eq!(DeltaDecoder::new(v, out.list(v)).collect::<Vec<_>>(), g.out_neighbors(v));
+            prop_assert_eq!(DeltaDecoder::new(v, inn.list(v)).collect::<Vec<_>>(), g.in_neighbors(v));
         }
         // Zero-degree runs: vertices absent from the edge list still get
         // (empty) lists, and the offsets stay monotone.

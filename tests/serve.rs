@@ -15,7 +15,7 @@ use polymer_algos::{run_reference, Bfs, PageRank, Sssp};
 use polymer_api::Backend;
 use polymer_faults::PolymerError;
 use polymer_graph::{gen, DeltaBatch, Graph, MutableGraph};
-use polymer_serve::{GraphService, RequestKind, ServeConfig};
+use polymer_serve::{GraphService, RequestKind, ResponseValues, ServeConfig};
 
 fn graph() -> Graph {
     Graph::from_edges(&gen::rmat(8, 1 << 11, gen::RMAT_GRAPH500, 17))
@@ -595,7 +595,10 @@ fn a_panicking_answer_path_fails_its_ticket_and_the_worker_lives() {
         threads_per_request: 2,
         // Exactly one BFS pledge: a leaked one would refuse the next request.
         memory_budget_bytes: one_bfs,
-        spec: polymer_numa::MachineSpec::test2().with_node_capacity(4096),
+        spec: polymer_numa::MachineSpec {
+            node_capacity_bytes: Some(4096),
+            ..polymer_numa::MachineSpec::test2()
+        },
         ..ServeConfig::default()
     };
     let svc = Arc::new(GraphService::new(g.clone(), cfg).unwrap());
@@ -854,7 +857,7 @@ mod admission {
             for (epoch, batch, values) in ingests {
                 prop_assert_eq!(epoch, at_epoch.len() as u64);
                 let applied = mirror.apply(batch).unwrap();
-                prop_assert_eq!(values.ingest_stats(), Some(&applied.stats));
+                prop_assert_eq!(values, &ResponseValues::Ingested(applied.stats));
                 at_epoch.push(mirror.clone());
             }
             for (kind, r) in &answered {

@@ -170,12 +170,11 @@ fn numa_barrier_matters_on_high_diameter_graphs() {
     let prog = Bfs::new(src);
     let spec = MachineSpec::intel80(); // unscaled barriers: full effect
     let with = PolymerEngine::new().run(&Machine::new(spec.clone()), 80, &g, &prog);
-    let without = PolymerEngine::new().with_barrier(BarrierKind::Pthread).run(
-        &Machine::new(spec),
-        80,
-        &g,
-        &prog,
-    );
+    let without = PolymerEngine::with_config(PolymerConfig {
+        barrier: BarrierKind::Pthread,
+        ..Default::default()
+    })
+    .run(&Machine::new(spec), 80, &g, &prog);
     assert_eq!(with.values, without.values);
     assert!(
         without.seconds() > 10.0 * with.seconds(),
@@ -192,12 +191,11 @@ fn balanced_partitioning_helps_on_skewed_graphs() {
     let prog = PageRank::new(g.num_vertices());
     let spec = scaled_intel(&g);
     let with = PolymerEngine::new().run(&Machine::new(spec.clone()), 80, &g, &prog);
-    let without = PolymerEngine::new().without_balanced_partitioning().run(
-        &Machine::new(spec),
-        80,
-        &g,
-        &prog,
-    );
+    let without = PolymerEngine::with_config(PolymerConfig {
+        balanced_partitioning: false,
+        ..Default::default()
+    })
+    .run(&Machine::new(spec), 80, &g, &prog);
     let err = polymer::algos::reference::max_rel_error(&with.values, &without.values);
     assert!(err < 1e-9);
     assert!(

@@ -18,7 +18,7 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 
-use polymer::numa::{PhaseCost, SimExecutor, SimShardMode};
+use polymer::numa::{chrome_trace_json, PhaseCost, SimExecutor, SimShardMode};
 use polymer::prelude::*;
 use polymer_bench::golden::{golden_graphs, golden_matrix, GoldenRow};
 
@@ -38,7 +38,6 @@ enum Op {
     IterSeq(usize, usize),
     StoreSeq(usize, usize),
     Fill(usize, usize),
-    FetchAddSeq(usize, usize),
     /// `k` consecutive appends at `start` on `wo`, then flush.
     Writer(usize, usize),
 }
@@ -48,7 +47,7 @@ enum Op {
 fn decode_op(n: usize, (kind, a, l): (u8, usize, usize)) -> Op {
     let s = a % n;
     let l = 1 + l % 16;
-    match kind % 10 {
+    match kind % 9 {
         0 => Op::Get(s),
         1 => Op::LoadRange(s, l),
         2 => Op::Load(s),
@@ -57,7 +56,6 @@ fn decode_op(n: usize, (kind, a, l): (u8, usize, usize)) -> Op {
         5 => Op::IterSeq(s, l),
         6 => Op::StoreSeq(s, l),
         7 => Op::Fill(s, l),
-        8 => Op::FetchAddSeq(s, l),
         _ => Op::Writer(s, l),
     }
 }
@@ -123,10 +121,6 @@ fn run_script(
                         let e = (s + l).min(n);
                         atom.fill(ctx, s..e, sink);
                     }
-                    Op::FetchAddSeq(s, l) => {
-                        let e = (s + l).min(n);
-                        atom.fetch_add_seq(ctx, s..e, |i| i as u64);
-                    }
                     Op::Writer(s, k) => {
                         let mut w = wo.seq_writer(s);
                         for j in 0..k {
@@ -143,7 +137,8 @@ fn run_script(
     }
     let mut values = atom.snapshot();
     values.extend(wo.snapshot());
-    (costs, values, sim.clock().to_chrome_trace())
+    let trace = sim.clock().trace.buffer().expect("tracing enabled");
+    (costs, values, chrome_trace_json(trace))
 }
 
 proptest! {
