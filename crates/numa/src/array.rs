@@ -159,6 +159,13 @@ impl ArrayMeta {
         ctx.record(self.id, &self.placement, idx * self.elem, self.elem, rw);
     }
 
+    /// Charge `k` accesses of element `idx` in one step (see
+    /// [`AccessCtx::record_repeat`]).
+    #[inline]
+    fn record_repeat(&self, ctx: &mut AccessCtx, idx: usize, k: usize, rw: Rw) {
+        ctx.record_repeat(self.id, &self.placement, idx * self.elem, self.elem, k, rw);
+    }
+
     /// Charge a contiguous element range `[start, start + n)` as one
     /// coalesced run (or per element when the fast path is disabled).
     #[inline]
@@ -211,6 +218,15 @@ impl<T: Copy> NumaArray<T> {
     #[inline]
     pub fn get(&self, ctx: &mut AccessCtx, i: usize) -> T {
         self.meta.record(ctx, i, Rw::Read);
+        self.data[i]
+    }
+
+    /// Accounted read of element `i`, charged as `k` reads of it —
+    /// identical statistics to calling [`NumaArray::get`] `k` times, with
+    /// one classification. `k = 0` charges nothing.
+    #[inline]
+    pub fn get_repeat(&self, ctx: &mut AccessCtx, i: usize, k: usize) -> T {
+        self.meta.record_repeat(ctx, i, k, Rw::Read);
         self.data[i]
     }
 
@@ -313,6 +329,15 @@ impl<T: Atom> NumaAtomicArray<T> {
     #[inline]
     pub fn load(&self, ctx: &mut AccessCtx, i: usize) -> T {
         self.meta.record(ctx, i, Rw::Read);
+        T::atom_load(&self.data[i])
+    }
+
+    /// Accounted relaxed load of element `i`, charged as `k` loads of it —
+    /// identical statistics to calling [`NumaAtomicArray::load`] `k` times,
+    /// with one classification. `k = 0` charges nothing.
+    #[inline]
+    pub fn load_repeat(&self, ctx: &mut AccessCtx, i: usize, k: usize) -> T {
+        self.meta.record_repeat(ctx, i, k, Rw::Read);
         T::atom_load(&self.data[i])
     }
 

@@ -450,6 +450,58 @@ impl AccessCtx {
         }
     }
 
+    /// Record `k` accesses of `len` bytes at byte offset `off` — exactly `k`
+    /// calls to [`AccessCtx::record`] at one offset, charged with one
+    /// classification.
+    ///
+    /// Bit-identical to the scalar loop by construction: the first access is
+    /// classified against the stream tracker as usual and leaves
+    /// `last_end = off + len`; every later one starts at `off`, which
+    /// satisfies the back window (`off + 64 ≥ off + len` while
+    /// `len ≤ 64`) and the forward one, so it is sequential, and it lands on
+    /// the page the first one left in the page cache. The literal loop runs
+    /// instead when bulk accounting is off (the scalar oracle), when heat is
+    /// sampled or counted (the heat paths stay per access) and when
+    /// `len > 64`.
+    #[inline]
+    pub(crate) fn record_repeat(
+        &mut self,
+        alloc: AllocId,
+        placement: &Placement,
+        off: usize,
+        len: usize,
+        k: usize,
+        rw: Rw,
+    ) {
+        if !self.bulk || self.heat_mode != HeatMode::Off || len as u64 > SEQ_WINDOW_BACK {
+            for _ in 0..k {
+                self.record(alloc, placement, off, len, rw);
+            }
+            return;
+        }
+        if k == 0 {
+            return;
+        }
+        self.record(alloc, placement, off, len, rw);
+        let rest = (k - 1) as u64;
+        let st = &mut self.per[alloc as usize];
+        let (rwi, seqi, dst) = (rw.index(), Pattern::Seq.index(), st.node);
+        st.stat.bytes[rwi][seqi][dst] += rest * len as u64;
+        st.stat.count[rwi][seqi][dst] += rest;
+    }
+
+    /// Whether this context wants accesses in program order, one at a
+    /// time: with bulk accounting off (the scalar oracle) or while heat is
+    /// sampled, where one sampling tick counts the accesses of every
+    /// allocation and so the order *across* allocations shows in the
+    /// sampled heat. Otherwise an allocation's statistics depend only on its
+    /// own access order, and an engine may regroup its accesses by
+    /// allocation (X-Stream's word-at-a-time scatter does).
+    #[inline]
+    pub fn keeps_access_order(&self) -> bool {
+        !self.bulk || matches!(self.heat_mode, HeatMode::Sampled(_))
+    }
+
     /// Record page heat for a coalesced run: in `Full` mode each page is
     /// credited with the elements that start on it; in `Sampled` mode the
     /// run advances the access tick and credits any samples it crosses to
@@ -612,6 +664,7 @@ mod tests {
     use super::*;
     use crate::policy::AllocPolicy;
     use crate::topology::MachineSpec;
+    use proptest::prelude::*;
 
     /// The counters of allocation `id`, if `s` recorded any.
     fn arr(s: &AccessStats, id: AllocId) -> Option<&ArrStat> {
@@ -878,5 +931,103 @@ mod tests {
         assert_eq!(total.total_count(), 3);
         assert_eq!(total.total_bytes(), 24);
         assert!(!total.is_empty());
+    }
+
+    /// Everything an access can leave behind in a context: every
+    /// allocation's tracker, page cache, touched flag and counters, the
+    /// touched list, the extra cycles and the heat.
+    fn state_of(ctx: &AccessCtx) -> String {
+        let per: Vec<String> = ctx
+            .per
+            .iter()
+            .map(|st| {
+                let s = &st.stat;
+                format!(
+                    "{} {} {} {} {:?} {:?}",
+                    st.last_end, st.page, st.node, st.touched, s.bytes, s.count
+                )
+            })
+            .collect();
+        format!(
+            "{per:?} {:?} {} {:?} {}",
+            ctx.touched, ctx.extra_cycles, ctx.heat, ctx.heat_tick
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // `record_repeat(.., k, ..)` against `k` calls to `record` on a twin
+        // context, over every placement shape, element size (96 B takes the
+        // `len > 64` fallback), heat mode, tier layout, accounting mode,
+        // `k` in {0, 1, 2, drawn}, a cold tracker and a tracker warmed by a
+        // drawn prefix; compared after the repeat, after one more access and
+        // after the harvest.
+        #[test]
+        fn record_repeat_is_k_scalar_records(
+            offs in (0usize..4096, 0usize..4096, 0usize..4096),
+            draws in (3usize..300, 1usize..6, 1u32..7, 0u8..2),
+            cut in 1usize..4096,
+        ) {
+            let (at, warm_at, next_at) = offs;
+            let (k_drawn, warm_len, period, rw_pick) = draws;
+            let rw = if rw_pick == 0 { Rw::Read } else { Rw::Write };
+            let n = 4096usize;
+            let policies = [
+                AllocPolicy::OnNode(1),
+                AllocPolicy::Interleaved,
+                AllocPolicy::ChunkedElems(vec![(cut, 1), (n - cut, 0)]),
+            ];
+            let heats = [HeatMode::Off, HeatMode::Full, HeatMode::Sampled(period)];
+            for tiered in [false, true] {
+                for bulk in [true, false] {
+                    let spec = if tiered { MachineSpec::test2_tiered() } else { MachineSpec::test2() };
+                    let m = Machine::new(spec.with_bulk_accounting(bulk));
+                    for policy in &policies {
+                        for elem in [4usize, 8, 96] {
+                            let pl = Placement::resolve_paged(policy, n, elem, 2, 4096);
+                            for heat in heats {
+                                for k in [0usize, 1, 2, k_drawn] {
+                                    for warm in [false, true] {
+                                        let mut fast = AccessCtx::new(&m, 0);
+                                        let mut slow = AccessCtx::new(&m, 0);
+                                        let what = format!(
+                                            "tiered={tiered} bulk={bulk} {policy:?} elem={elem} \
+                                             {heat:?} k={k} warm={warm}"
+                                        );
+                                        for c in [&mut fast, &mut slow] {
+                                            c.set_heat_mode(heat);
+                                            // Another allocation first, so the
+                                            // repeated one is not id 0 and the
+                                            // heat tick is shared.
+                                            c.record(0, &pl, 0, elem, Rw::Read);
+                                            if warm {
+                                                for j in 0..warm_len {
+                                                    let off = (warm_at + j) % n * elem;
+                                                    c.record(3, &pl, off, elem, Rw::Read);
+                                                }
+                                            }
+                                        }
+                                        fast.record_repeat(3, &pl, at * elem, elem, k, rw);
+                                        for _ in 0..k {
+                                            slow.record(3, &pl, at * elem, elem, rw);
+                                        }
+                                        prop_assert_eq!(state_of(&fast), state_of(&slow), "{}", what);
+                                        for c in [&mut fast, &mut slow] {
+                                            c.record(3, &pl, next_at * elem, elem, Rw::Read);
+                                        }
+                                        prop_assert_eq!(state_of(&fast), state_of(&slow), "{}", what);
+                                        let (f, s) = (fast.take_stats(), slow.take_stats());
+                                        prop_assert_eq!(format!("{f:?}"), format!("{s:?}"), "{}", what);
+                                        prop_assert_eq!(fast.take_heat(), slow.take_heat(), "{}", what);
+                                        prop_assert_eq!(state_of(&fast), state_of(&slow), "{}", what);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -57,6 +57,14 @@ impl DenseBitmap {
         self.bits.load(ctx, v / 64) & (1u64 << (v % 64)) != 0
     }
 
+    /// Accounted read of backing word `w`, charged as `k` loads of it — what
+    /// `k` [`DenseBitmap::test`]s of bits in that word cost, with one
+    /// classification. `k = 0` charges nothing.
+    #[inline]
+    pub fn word_repeat(&self, ctx: &mut AccessCtx, w: usize, k: usize) -> u64 {
+        self.bits.load_repeat(ctx, w, k)
+    }
+
     /// Accounted sequential scan of the backing words `r`, charged through
     /// the run-coalesced bulk path — bit-identical statistics to one
     /// accounted load per word.

@@ -20,6 +20,17 @@
 //!   pathological traversal times on high-diameter graphs (paper Table 3:
 //!   557 s for BFS on roadUS) and of its extra memory for stream buffers
 //!   (Table 5).
+//!
+//! The *model* charges that scan per edge: every edge record, and a state
+//! test per edge, plus the source's value and degree per edge of an active
+//! source. The *host* does not walk it per edge: the scatter reads the state
+//! bitmap a word at a time, charges each word once for every edge whose
+//! source lies in it, skips a zero word's edges outright, and charges an
+//! active source's value and degree once for its whole out-degree
+//! (`AccessCtx::record_repeat` behind `DenseBitmap::word_repeat`,
+//! `NumaAtomicArray::load_repeat` and `NumaArray::get_repeat`). Every
+//! allocation sees the same access sequence either way, so every phase
+//! cost is the same.
 
 #![deny(unsafe_code)]
 
@@ -32,7 +43,7 @@ use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::DeltaDecoder;
 use polymer_graph::{Graph, VId};
 use polymer_numa::{
-    AllocPolicy, Atom, BarrierKind, CompressedLists, Machine, NumaArray, NumaAtomicArray,
+    AccessCtx, AllocPolicy, Atom, BarrierKind, CompressedLists, Machine, NumaArray, NumaAtomicArray,
 };
 use polymer_sync::{DenseBitmap, FrontierSnapshot};
 
@@ -55,6 +66,11 @@ enum PartEdges {
         e_src: NumaArray<u32>,
         /// Edge targets.
         e_dst: NumaArray<u32>,
+        /// Host-side CSR offsets: local vertex `li`'s edges are
+        /// `first[li]..first[li + 1]`. Unaccounted and not placed on the
+        /// machine — the modelled system has no such index; the host uses
+        /// it to walk the state bitmap a word at a time.
+        first: Vec<usize>,
     },
     /// One encoded neighbour list per partition-local vertex.
     Compressed(CompressedLists),
@@ -81,6 +97,52 @@ struct Part<V: polymer_numa::Atom> {
     /// Incoming update buffer (capacity = partition's in-edge count).
     uin_dst: NumaAtomicArray<u32>,
     uin_val: NumaAtomicArray<V>,
+}
+
+/// Calls `visit(ctx, li, units)` for every active source `li` of one
+/// partition, in ascending order, and charges the state tests the modelled
+/// system makes: one load of `li`'s state word per unit in
+/// `unit(li)..unit(li + 1)` (`li`'s edge records in the raw layout, `li`
+/// itself in the compressed one), active or not.
+///
+/// The host charges each word once for all the units of its 64 sources
+/// ([`DenseBitmap::word_repeat`]) and skips a zero word in O(1). Each
+/// allocation still sees the access sequence of a per-unit test, and that
+/// is all its statistics depend on, so phase costs are bit-identical. A
+/// context that keeps access order ([`AccessCtx::keeps_access_order`]) gets
+/// the per-unit interleaving itself: one state test per unit, then `visit`
+/// with that one unit.
+fn walk_active_sources(
+    state: &DenseBitmap,
+    ctx: &mut AccessCtx,
+    unit: impl Fn(usize) -> usize,
+    mut visit: impl FnMut(&mut AccessCtx, usize, Range<usize>),
+) {
+    let len = state.len();
+    if ctx.keeps_access_order() {
+        for li in 0..len {
+            for u in unit(li)..unit(li + 1) {
+                if state.word_repeat(ctx, li / 64, 1) & (1u64 << (li % 64)) != 0 {
+                    visit(ctx, li, u..u + 1);
+                }
+            }
+        }
+        return;
+    }
+    for w in 0..state.num_words() {
+        let lo = w * 64;
+        let hi = (lo + 64).min(len);
+        let k = unit(hi) - unit(lo);
+        if k == 0 {
+            continue;
+        }
+        let mut bits = state.word_repeat(ctx, w, k);
+        while bits != 0 {
+            let li = lo + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            visit(ctx, li, unit(li)..unit(li + 1));
+        }
+    }
 }
 
 /// The X-Stream-like engine.
@@ -125,7 +187,9 @@ impl Engine for XStreamEngine {
             let mut src = Vec::new();
             let mut dst = Vec::new();
             let mut wts = Vec::new();
+            let mut first = Vec::with_capacity(len + 1);
             for v in range.clone() {
+                first.push(src.len());
                 for (&t, &w) in g
                     .out_neighbors(v as VId)
                     .iter()
@@ -136,6 +200,7 @@ impl Engine for XStreamEngine {
                     wts.push(w);
                 }
             }
+            first.push(src.len());
             let in_edges: usize = range.clone().map(|v| g.in_degree(v as VId)).sum();
             let ecount = src.len();
             let edges = if machine.spec().compressed_topology && !prog.uses_weights() {
@@ -157,6 +222,7 @@ impl Engine for XStreamEngine {
                 PartEdges::Raw {
                     e_src: machine.alloc_array_with("topo/e_src", ecount, pol(), |i| src[i]),
                     e_dst: machine.alloc_array_with("topo/e_dst", ecount, pol(), |i| dst[i]),
+                    first,
                 }
             };
             parts.push(Part {
@@ -273,7 +339,11 @@ impl Engine for XStreamEngine {
                             let mut uout_d = part.uout_dst.seq_writer(0);
                             let mut uout_v = part.uout_val.seq_writer(0);
                             match &part.edges {
-                                PartEdges::Raw { e_src, e_dst } => {
+                                PartEdges::Raw {
+                                    e_src,
+                                    e_dst,
+                                    first,
+                                } => {
                                     let ecount = e_src.len();
                                     // X-Stream streams whole edge *records* —
                                     // source, target and weight are read for
@@ -284,36 +354,39 @@ impl Engine for XStreamEngine {
                                     // pathological). The unconditional
                                     // full-range sweeps go through the bulk
                                     // accounting path.
-                                    let src_it = e_src.iter_seq(ctx, 0..ecount);
-                                    let dst_it = e_dst.iter_seq(ctx, 0..ecount);
-                                    let mut w_it =
-                                        part.e_w.as_ref().map(|ws| ws.iter_seq(ctx, 0..ecount));
+                                    let srcs = e_src.load_range(ctx, 0..ecount);
+                                    let dsts = e_dst.load_range(ctx, 0..ecount);
+                                    let wts =
+                                        part.e_w.as_ref().map(|ws| ws.load_range(ctx, 0..ecount));
                                     // X-Stream's edge list is unordered (it
                                     // never sorts or groups edges — that is the
                                     // system's core design trade-off), so the
-                                    // source-state lookup and, for active
-                                    // sources, the value/degree loads happen
-                                    // per edge record; nothing can be
-                                    // register-cached across edges. These are
-                                    // frontier-dependent vertex-indexed
-                                    // accesses — scalar path.
-                                    for (s, t) in src_it.zip(dst_it) {
-                                        let w = match &mut w_it {
-                                            Some(it) => it.next().expect("weight stream aligned"),
-                                            None => 1,
-                                        };
-                                        let li = s as usize - part.range.start;
-                                        if !part.state.test(ctx, li) {
-                                            continue;
-                                        }
-                                        let sv = part.curr.load(ctx, li);
-                                        let deg = part.deg.get(ctx, li);
-                                        let c = prog.scatter(s as VId, sv, w, deg);
-                                        ctx.charge_cycles(sc);
-                                        uout_d.push(ctx, t);
-                                        uout_v.push(ctx, c);
-                                        row[part_of(t as usize)] += 1;
-                                    }
+                                    // modelled system tests the source's state
+                                    // and, for an active source, loads its
+                                    // value and degree once per edge record:
+                                    // nothing is register-cached across edges.
+                                    // The model charges exactly that; the host
+                                    // charges it a state word at a time.
+                                    walk_active_sources(
+                                        &part.state,
+                                        ctx,
+                                        |li| first[li],
+                                        |ctx, li, edges| {
+                                            let s = (part.range.start + li) as u32;
+                                            let sv = part.curr.load_repeat(ctx, li, edges.len());
+                                            let deg = part.deg.get_repeat(ctx, li, edges.len());
+                                            for e in edges {
+                                                debug_assert_eq!(srcs[e], s);
+                                                let t = dsts[e];
+                                                let w = wts.map_or(1, |ws| ws[e]);
+                                                let c = prog.scatter(s as VId, sv, w, deg);
+                                                ctx.charge_cycles(sc);
+                                                uout_d.push(ctx, t);
+                                                uout_v.push(ctx, c);
+                                                row[part_of(t as usize)] += 1;
+                                            }
+                                        },
+                                    );
                                 }
                                 PartEdges::Compressed(lists) => {
                                     // Grouped lists gate on the state bit once
@@ -322,21 +395,23 @@ impl Engine for XStreamEngine {
                                     // billed by encoded size. Update order is
                                     // unchanged (CSR order), so values are
                                     // bit-identical to raw mode.
-                                    for li in 0..part.range.len() {
-                                        if !part.state.test(ctx, li) {
-                                            continue;
-                                        }
-                                        let s = (part.range.start + li) as u32;
-                                        let sv = part.curr.load(ctx, li);
-                                        let deg = part.deg.get(ctx, li);
-                                        for t in DeltaDecoder::new(s, lists.list(ctx, li)) {
-                                            let c = prog.scatter(s as VId, sv, 1, deg);
-                                            ctx.charge_cycles(sc);
-                                            uout_d.push(ctx, t);
-                                            uout_v.push(ctx, c);
-                                            row[part_of(t as usize)] += 1;
-                                        }
-                                    }
+                                    walk_active_sources(
+                                        &part.state,
+                                        ctx,
+                                        |li| li,
+                                        |ctx, li, _| {
+                                            let s = (part.range.start + li) as u32;
+                                            let sv = part.curr.load(ctx, li);
+                                            let deg = part.deg.get(ctx, li);
+                                            for t in DeltaDecoder::new(s, lists.list(ctx, li)) {
+                                                let c = prog.scatter(s as VId, sv, 1, deg);
+                                                ctx.charge_cycles(sc);
+                                                uout_d.push(ctx, t);
+                                                uout_v.push(ctx, c);
+                                                row[part_of(t as usize)] += 1;
+                                            }
+                                        },
+                                    );
                                 }
                             }
                             uout_d.flush(ctx);
@@ -622,5 +697,79 @@ mod tests {
             g.num_edges(),
             r.iterations
         );
+    }
+
+    /// Values and everything the simulated clock shows of one traced run:
+    /// iterations, simulated seconds, the total phase cost and every
+    /// phase's per-socket counters.
+    fn observe<P: Program>(spec: &MachineSpec, threads: usize, g: &Graph, prog: &P) -> String
+    where
+        P::Val: std::fmt::Debug,
+    {
+        let m = Machine::new(spec.clone());
+        let r = XStreamEngine::new().run_traced(&m, threads, g, prog);
+        format!(
+            "{:?} {} {} {:?} {:?}",
+            r.values,
+            r.iterations,
+            r.seconds().to_bits(),
+            r.total_cost(),
+            r.trace()
+        )
+    }
+
+    /// With bulk accounting off the scatter charges in the literal per-edge
+    /// order (a state test per edge record, value and degree per edge of an
+    /// active source); with it on, a state word at a time. Both must give
+    /// the same phase costs, trace and values.
+    fn assert_word_walk_matches_per_edge_walk<P: Program>(
+        what: &str,
+        g: &Graph,
+        prog: &P,
+        threads: &[usize],
+    ) where
+        P::Val: std::fmt::Debug,
+    {
+        for compressed in [false, true] {
+            let spec = MachineSpec::intel80().with_compressed_topology(compressed);
+            for &t in threads {
+                let per_edge = observe(&spec.clone().with_bulk_accounting(false), t, g, prog);
+                let by_word = observe(&spec, t, g, prog);
+                assert_eq!(
+                    per_edge, by_word,
+                    "{what}, {t} threads, compressed={compressed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_walk_charges_what_the_per_edge_walk_charges() {
+        // 203 vertices: no thread count here splits them into multiples of
+        // 64; 300 edges leave many sinks, so active sources of out-degree 0
+        // and all-zero state words are common on BFS and SSSP.
+        let g = Graph::from_edges(&gen::uniform(203, 300, 17));
+        let sink = (0..203u32).find(|&v| g.out_degree(v) == 0).expect("a sink");
+        let hub = (0..203u32).max_by_key(|&v| g.out_degree(v)).unwrap();
+        let threads = [1, 3, 7];
+        assert_word_walk_matches_per_edge_walk("BFS", &g, &Bfs::new(hub), &threads);
+        // A lone active vertex of out-degree 0: one iteration, no updates.
+        assert_word_walk_matches_per_edge_walk("BFS from a sink", &g, &Bfs::new(sink), &threads);
+        assert_word_walk_matches_per_edge_walk("SSSP", &g, &Sssp::new(hub), &threads);
+        let pr = PageRank::new(g.num_vertices());
+        assert_word_walk_matches_per_edge_walk("PageRank", &g, &pr, &threads);
+        let mut sym = gen::uniform(203, 300, 5);
+        sym.symmetrize();
+        let sym = Graph::from_edges(&sym);
+        let cc = ConnectedComponents::new();
+        assert_word_walk_matches_per_edge_walk("CC", &sym, &cc, &threads);
+        // A high-diameter grid: long runs of near-empty frontiers.
+        let road = Graph::from_edges(&gen::road_grid(20, 13, 0.6, 2));
+        assert_word_walk_matches_per_edge_walk("road BFS", &road, &Bfs::new(0), &threads);
+        assert_word_walk_matches_per_edge_walk("road SSSP", &road, &Sssp::new(0), &threads);
+        // More threads than vertices: empty partitions.
+        let tiny = Graph::from_edges(&gen::uniform(5, 9, 3));
+        assert_word_walk_matches_per_edge_walk("tiny BFS", &tiny, &Bfs::new(0), &[7]);
+        assert_word_walk_matches_per_edge_walk("tiny SSSP", &tiny, &Sssp::new(0), &[7]);
     }
 }

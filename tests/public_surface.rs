@@ -31,7 +31,12 @@
 //! `const` and `static`, including the `fn`s and `const`s of inherent `impl`
 //! blocks. A re-exported item is found where it is declared. Out of scope:
 //! `pub(crate)` and other restricted items (`rustc` already flags those),
-//! struct fields, enum variants and trait methods.
+//! struct fields, enum variants and trait methods — and, in effect, any
+//! `pub` method whose name another type's method shares: a read of a method
+//! is `.name(` on any receiver (the test resolves no types), so
+//! `Type::name` counts as read whenever some other `name` is. Unread
+//! `OverlayTopo::epoch` and `OverlayTopo::generation` once hid this way,
+//! and `new`, `len` and `is_empty` are declared on 10 to 36 types each.
 //!
 //! *A read* of a method or associated const `Type::name` is `.name(`,
 //! `.name::<`, `Type::name` or, inside an `impl` of `Type`, `Self::name`. A
