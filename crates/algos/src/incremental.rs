@@ -143,8 +143,8 @@ pub fn sssp_overlay(
 }
 
 /// Incremental connected components over a placed overlay of the
-/// *symmetrized* graph; a warm batch must be symmetrized too
-/// ([`polymer_graph::DeltaBatch::symmetrize`]). Insert-only batches take
+/// *symmetrized* graph; a warm batch must be symmetrized too (every insert
+/// and delete queued in both directions). Insert-only batches take
 /// the union-find fast path (one relabel sweep, zero repair iterations); a
 /// batch with structural deletes is answered by the cold run.
 pub fn cc_overlay(
@@ -895,8 +895,8 @@ mod tests {
         // Two chains, symmetrized; an insert bridges them.
         let mut el = EdgeList::new(8);
         for (s, d) in [(0u32, 1u32), (1, 2), (4, 5), (5, 6), (6, 7)] {
-            el.push(polymer_graph::Edge::weighted(s, d, 1));
-            el.push(polymer_graph::Edge::weighted(d, s, 1));
+            el.edges.push(polymer_graph::Edge::weighted(s, d, 1));
+            el.edges.push(polymer_graph::Edge::weighted(d, s, 1));
         }
         let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
         let machine = Machine::new(MachineSpec::test2());
@@ -904,8 +904,7 @@ mod tests {
         let prior = cc_overlay(&machine, THREADS, &topo, None, false).unwrap();
 
         let mut b = DeltaBatch::new();
-        b.insert(2, 4, 1);
-        b.symmetrize();
+        b.insert(2, 4, 1).insert(4, 2, 1);
         let applied = mg.apply(&b).unwrap();
         let topo = build_topo(&machine, &mg, false);
         let warm = WarmStart::from_result(&prior, &applied);

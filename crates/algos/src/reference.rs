@@ -170,9 +170,9 @@ mod tests {
     fn chain() -> Graph {
         // 0 -> 1 -> 2 -> 3 with weights 5, 10, 20.
         let mut el = EdgeList::new(4);
-        el.push(polymer_graph::Edge::weighted(0, 1, 5));
-        el.push(polymer_graph::Edge::weighted(1, 2, 10));
-        el.push(polymer_graph::Edge::weighted(2, 3, 20));
+        el.edges.push(polymer_graph::Edge::weighted(0, 1, 5));
+        el.edges.push(polymer_graph::Edge::weighted(1, 2, 10));
+        el.edges.push(polymer_graph::Edge::weighted(2, 3, 20));
         Graph::from_edges(&el)
     }
 
@@ -202,9 +202,9 @@ mod tests {
     fn sssp_prefers_shorter_path() {
         // 0->1 (100), 0->2 (1), 2->1 (1): shortest 0->1 is 2.
         let mut el = EdgeList::new(3);
-        el.push(polymer_graph::Edge::weighted(0, 1, 100));
-        el.push(polymer_graph::Edge::weighted(0, 2, 1));
-        el.push(polymer_graph::Edge::weighted(2, 1, 1));
+        el.edges.push(polymer_graph::Edge::weighted(0, 1, 100));
+        el.edges.push(polymer_graph::Edge::weighted(0, 2, 1));
+        el.edges.push(polymer_graph::Edge::weighted(2, 1, 1));
         let (dist, _) = run_reference(&Graph::from_edges(&el), &Sssp::new(0));
         assert_eq!(dist, vec![0, 2, 1]);
         assert_ne!(dist[1], UNREACHED);

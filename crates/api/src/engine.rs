@@ -14,31 +14,6 @@ use crate::driver::{Checkpoint, RecoverySession};
 use crate::program::Program;
 use crate::result::RunResult;
 
-/// Which system an engine models, for reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The paper's contribution (crate `polymer-core`).
-    Polymer,
-    /// Vertex-centric hybrid push/pull baseline (crate `polymer-ligra`).
-    Ligra,
-    /// Edge-centric scatter–shuffle–gather baseline (crate `polymer-xstream`).
-    XStream,
-    /// Asynchronous worklist baseline (crate `polymer-galois`).
-    Galois,
-}
-
-impl EngineKind {
-    /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Polymer => "Polymer",
-            EngineKind::Ligra => "Ligra",
-            EngineKind::XStream => "X-Stream",
-            EngineKind::Galois => "Galois",
-        }
-    }
-}
-
 /// Everything that varies between two runs of the same program on the same
 /// engine, machine and thread count. [`Engine::try_run_with`] is the one
 /// door a run goes through; the `Default` is the plain path (simulated,
@@ -94,9 +69,6 @@ impl<V> Default for RunOptions<'_, V> {
 /// An engine implements [`Engine::run_simulated`]; callers start every run
 /// through [`Engine::try_run_with`] or one of its three shorthands.
 pub trait Engine {
-    /// Which system this engine models.
-    fn kind(&self) -> EngineKind;
-
     /// The hook an engine implements: the simulated body — build the layout
     /// on `machine`, then execute `prog` to completion. Called only by
     /// [`Engine::try_run_with`], which has already checked the configuration
@@ -283,18 +255,5 @@ pub fn catch_engine_faults<T>(f: impl FnOnce() -> PolymerResult<T>) -> PolymerRe
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => Err(PolymerError::from_panic(payload)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_names_match_paper() {
-        assert_eq!(EngineKind::Polymer.name(), "Polymer");
-        assert_eq!(EngineKind::Ligra.name(), "Ligra");
-        assert_eq!(EngineKind::XStream.name(), "X-Stream");
-        assert_eq!(EngineKind::Galois.name(), "Galois");
     }
 }

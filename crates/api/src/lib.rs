@@ -44,7 +44,7 @@ pub use backend::{Backend, RealThreadsConfig};
 pub use driver::{Checkpoint, CheckpointPolicy, CheckpointStore, IterationDriver, RecoverySession};
 pub use engine::{
     catch_engine_faults, validate_resume, validate_run_config, validate_sim_threads, Engine,
-    EngineKind, RunOptions,
+    RunOptions,
 };
 pub use exec::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,

@@ -159,13 +159,9 @@ impl Default for SupervisorConfig {
 /// One supervised attempt, as recorded in the [`RecoveryReport`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttemptRecord {
-    /// 1-based attempt number.
-    pub attempt: usize,
     /// Backend the attempt ran on: `"simulated"` or
     /// `"real-threads(groups=G)"`.
     pub backend: String,
-    /// Thread count of the attempt.
-    pub threads: usize,
     /// Iteration the attempt resumed from, when it started from a
     /// checkpoint rather than iteration 0.
     pub resumed_from: Option<usize>,
@@ -319,9 +315,7 @@ impl RunSupervisor {
             match outcome {
                 Ok(result) => {
                     report.attempts.push(AttemptRecord {
-                        attempt,
                         backend: label(&substrate),
-                        threads,
                         resumed_from,
                         error: None,
                         backoff: Duration::ZERO,
@@ -338,9 +332,7 @@ impl RunSupervisor {
                         Duration::ZERO
                     };
                     report.attempts.push(AttemptRecord {
-                        attempt,
                         backend: label(&substrate),
-                        threads,
                         resumed_from,
                         error: Some((err.code(), err.to_string())),
                         backoff,
@@ -408,7 +400,6 @@ mod tests {
     use polymer_numa::RunClock;
 
     use crate::driver::{Checkpoint, RecoverySession};
-    use crate::engine::EngineKind;
     use crate::program::{Combine, FrontierInit};
     use crate::result::RunResult;
     use polymer_numa::MemoryReport;
@@ -473,10 +464,6 @@ mod tests {
     }
 
     impl Engine for Flaky {
-        fn kind(&self) -> EngineKind {
-            EngineKind::Polymer
-        }
-
         fn run_simulated<P: Program>(
             &self,
             _machine: &Machine,
@@ -718,9 +705,6 @@ mod tests {
     fn fatal_errors_abort_without_retry() {
         struct Fatal;
         impl Engine for Fatal {
-            fn kind(&self) -> EngineKind {
-                EngineKind::Polymer
-            }
             fn run_simulated<P: Program>(
                 &self,
                 _machine: &Machine,

@@ -53,13 +53,23 @@ pub mod engines {
 /// Polymer arm (the baselines take none).
 ///
 /// ```
-/// use polymer_bench::{with_engine, SystemId};
+/// use polymer_algos::Bfs;
 /// use polymer_api::Engine;
+/// use polymer_bench::{with_engine, SystemId};
+/// use polymer_graph::{gen, Graph};
+/// use polymer_numa::{Machine, MachineSpec};
 ///
-/// for system in SystemId::ALL {
-///     let name = with_engine!(system, Default::default(), |e| e.kind().name());
-///     assert_eq!(name, system.name());
-/// }
+/// let graph = Graph::from_edges(&gen::road_grid(6, 6, 1.0, 7));
+/// let machine = Machine::new(MachineSpec::test2());
+/// let levels: Vec<_> = SystemId::ALL
+///     .into_iter()
+///     .map(|system| {
+///         with_engine!(system, Default::default(), |e| {
+///             e.run(&machine, 2, &graph, &Bfs::new(0)).values
+///         })
+///     })
+///     .collect();
+/// assert!(levels.iter().all(|l| *l == levels[0]));
 /// ```
 #[macro_export]
 macro_rules! with_engine {

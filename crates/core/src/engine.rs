@@ -2,8 +2,7 @@
 
 use polymer_api::{
     atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
-    serial_combine, Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession,
-    RunResult,
+    serial_combine, Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
@@ -126,10 +125,6 @@ fn rolling(len: usize, pivot: usize) -> impl Iterator<Item = usize> {
 }
 
 impl Engine for PolymerEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Polymer
-    }
-
     fn run_simulated<P: Program>(
         &self,
         machine: &Machine,

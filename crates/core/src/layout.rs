@@ -31,29 +31,8 @@ use polymer_numa::{AccessCtx, AllocPolicy, CompressedLists, Machine, NumaArray};
 pub enum EndpointStore {
     /// One `u32` per edge, grouped by agent.
     Raw(NumaArray<u32>),
-    /// Delta/varint-encoded lists (one per agent) plus the total edge count,
-    /// which the encoding no longer stores explicitly.
-    Compressed {
-        /// The encoded lists with their byte offsets.
-        lists: CompressedLists,
-        /// Number of edges across all lists.
-        edges: usize,
-    },
-}
-
-impl EndpointStore {
-    /// Number of edges stored (all agents together).
-    pub fn len(&self) -> usize {
-        match self {
-            EndpointStore::Raw(arr) => arr.len(),
-            EndpointStore::Compressed { edges, .. } => *edges,
-        }
-    }
-
-    /// Whether the store holds no edges.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Delta/varint-encoded lists (one per agent) with their byte offsets.
+    Compressed(CompressedLists),
 }
 
 /// Accounted stream over one agent's endpoints (no edge indices).
@@ -148,7 +127,7 @@ impl DirLayout {
                     .map(|ws| ws.load_range(ctx, lo..hi).iter().copied());
                 (eps, w)
             }
-            EndpointStore::Compressed { lists, .. } => {
+            EndpointStore::Compressed(lists) => {
                 let w = self.weight.as_ref().map(|ws| {
                     let lo = self.agent_off.get(ctx, a) as usize;
                     let hi = self.agent_off.get(ctx, a + 1) as usize;
@@ -175,7 +154,7 @@ impl DirLayout {
                 let hi = self.agent_off.get(ctx, a + 1) as usize;
                 IndexedEndpointIter::Raw((lo..hi).zip(arr.load_range(ctx, lo..hi).iter().copied()))
             }
-            EndpointStore::Compressed { lists, .. } => {
+            EndpointStore::Compressed(lists) => {
                 let lo = if self.weight.is_some() {
                     self.agent_off.get(ctx, a) as usize
                 } else {
@@ -422,17 +401,14 @@ impl PolymerLayout {
                 polymer_graph::encode_list(v, &endpoints[lo..hi], &mut bytes);
                 coffs.push(bytes.len() as u64);
             }
-            EndpointStore::Compressed {
-                lists: CompressedLists::from_encoded(
-                    machine,
-                    &format!("topo/{dir}_edges"),
-                    coffs,
-                    bytes,
-                    pol(),
-                    pol(),
-                ),
-                edges: endpoints.len(),
-            }
+            EndpointStore::Compressed(CompressedLists::from_encoded(
+                machine,
+                &format!("topo/{dir}_edges"),
+                coffs,
+                bytes,
+                pol(),
+                pol(),
+            ))
         } else {
             EndpointStore::Raw(machine.alloc_array_with(
                 &format!("topo/{dir}_edges"),
@@ -591,8 +567,8 @@ mod tests {
     fn endpoint_values(dir: &DirLayout) -> Vec<u32> {
         match &dir.endpoint {
             EndpointStore::Raw(arr) => arr.raw().to_vec(),
-            EndpointStore::Compressed { lists, edges } => {
-                let mut out = Vec::with_capacity(*edges);
+            EndpointStore::Compressed(lists) => {
+                let mut out = Vec::new();
                 for (slot, &v) in dir.agent_id.raw().iter().enumerate() {
                     out.extend(DeltaDecoder::new(v, lists.raw_list(slot)));
                 }
@@ -657,7 +633,6 @@ mod tests {
         assert_eq!(dir.agent_deg.raw(), &degs[..]);
         assert_eq!(dir.agent_off.raw(), &offs[..]);
         assert_eq!(endpoint_values(dir), endpoints);
-        assert_eq!(dir.endpoint.len(), endpoints.len());
         assert_eq!(dir.slices, slice_by_edges(&offs, parts));
         for part in ["idx", "id", "deg", "off"] {
             names.push(format!("agents/{name}_{part}"));
@@ -667,7 +642,7 @@ mod tests {
                 assert_eq!(arr.raw(), &endpoints[..]);
                 names.push(format!("topo/{name}_edges"));
             }
-            EndpointStore::Compressed { lists, .. } => {
+            EndpointStore::Compressed(lists) => {
                 assert_eq!(lists.num_lists(), ids.len());
                 for (slot, &v) in ids.iter().enumerate() {
                     let mut want = Vec::new();
@@ -706,7 +681,7 @@ mod tests {
                 (flags.0 == 1, flags.1 == 1, flags.2 == 1, flags.3 == 1);
             let mut el = EdgeList::new(n);
             for (s, t, w) in raw_edges {
-                el.push(polymer_graph::Edge::weighted((s % n) as VId, (t % n) as VId, w));
+                el.edges.push(polymer_graph::Edge::weighted((s % n) as VId, (t % n) as VId, w));
             }
             let g = Graph::from_edges(&el);
             let m = Machine::new(MachineSpec::intel80().with_compressed_topology(compressed));
@@ -738,11 +713,15 @@ mod tests {
         let el = gen::rmat(8, 2_000, gen::RMAT_GRAPH500, 3);
         let g = Graph::from_edges(&el);
         let (_m, l) = build(&g, true, true);
-        let push_edges: usize = l.nodes.iter().map(|nl| nl.push.endpoint.len()).sum();
+        let push_edges: usize = l
+            .nodes
+            .iter()
+            .map(|nl| endpoint_values(&nl.push).len())
+            .sum();
         let pull_edges: usize = l
             .nodes
             .iter()
-            .map(|nl| nl.pull.as_ref().unwrap().endpoint.len())
+            .map(|nl| endpoint_values(nl.pull.as_ref().unwrap()).len())
             .sum();
         assert_eq!(push_edges, g.num_edges());
         assert_eq!(pull_edges, g.num_edges());
@@ -818,7 +797,11 @@ mod tests {
         let (_m, bal) = build(&g, true, false);
         let (_m2, unbal) = build(&g, false, false);
         let spread = |l: &PolymerLayout| {
-            let counts: Vec<usize> = l.nodes.iter().map(|nl| nl.push.endpoint.len()).collect();
+            let counts: Vec<usize> = l
+                .nodes
+                .iter()
+                .map(|nl| endpoint_values(&nl.push).len())
+                .collect();
             let max = *counts.iter().max().unwrap() as f64;
             let min = *counts.iter().min().unwrap() as f64;
             max / min.max(1.0)

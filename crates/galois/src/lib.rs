@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use polymer_api::Combine;
 use polymer_api::{
     charged_values_restore, charged_values_snapshot, check_divergence, even_chunks, init_values,
-    Checkpoint, Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession,
-    RunResult, TopoArrays,
+    Checkpoint, Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
+    TopoArrays,
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
@@ -54,10 +54,6 @@ impl GaloisEngine {
 }
 
 impl Engine for GaloisEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Galois
-    }
-
     fn run_simulated<P: Program>(
         &self,
         machine: &Machine,

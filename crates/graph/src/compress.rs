@@ -120,8 +120,6 @@ pub struct CompressedAdjacency {
     pub offs: Vec<u64>,
     /// Concatenated encoded neighbour lists.
     pub bytes: Vec<u8>,
-    /// Size of the uncompressed `u32` neighbour array, for ratio reporting.
-    pub raw_bytes: usize,
 }
 
 impl CompressedAdjacency {
@@ -129,19 +127,12 @@ impl CompressedAdjacency {
     pub fn build<'a>(n: usize, mut lists: impl FnMut(VId) -> &'a [VId]) -> CompressedAdjacency {
         let mut offs = Vec::with_capacity(n + 1);
         let mut bytes = Vec::new();
-        let mut raw = 0usize;
         offs.push(0);
         for v in 0..n {
-            let list = lists(v as VId);
-            raw += std::mem::size_of_val(list);
-            encode_list(v as VId, list, &mut bytes);
+            encode_list(v as VId, lists(v as VId), &mut bytes);
             offs.push(bytes.len() as u64);
         }
-        CompressedAdjacency {
-            offs,
-            bytes,
-            raw_bytes: raw,
-        }
+        CompressedAdjacency { offs, bytes }
     }
 
     /// Compressed out-edge adjacency of `g`.
@@ -152,17 +143,6 @@ impl CompressedAdjacency {
     /// Compressed in-edge adjacency of `g`.
     pub fn in_edges(g: &Graph) -> CompressedAdjacency {
         Self::build(g.num_vertices(), |v| g.in_neighbors(v))
-    }
-
-    /// Vertex `v`'s encoded payload.
-    pub fn list(&self, v: VId) -> &[u8] {
-        let v = v as usize;
-        &self.bytes[self.offs[v] as usize..self.offs[v + 1] as usize]
-    }
-
-    /// Encoded payload size in bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        self.bytes.len()
     }
 }
 
@@ -207,18 +187,13 @@ mod tests {
         let out = CompressedAdjacency::out_edges(&g);
         let inn = CompressedAdjacency::in_edges(&g);
         assert_eq!(out.offs.len(), 7);
+        let list = |a: &CompressedAdjacency, v: usize| {
+            let payload = &a.bytes[a.offs[v] as usize..a.offs[v + 1] as usize];
+            DeltaDecoder::new(v as VId, payload).collect::<Vec<_>>()
+        };
         for v in 0..6u32 {
-            assert_eq!(
-                DeltaDecoder::new(v, out.list(v)).collect::<Vec<_>>(),
-                g.out_neighbors(v),
-                "out {v}"
-            );
-            assert_eq!(
-                DeltaDecoder::new(v, inn.list(v)).collect::<Vec<_>>(),
-                g.in_neighbors(v),
-                "in {v}"
-            );
+            assert_eq!(list(&out, v as usize), g.out_neighbors(v), "out {v}");
+            assert_eq!(list(&inn, v as usize), g.in_neighbors(v), "in {v}");
         }
-        assert_eq!(out.raw_bytes, g.num_edges() * 4);
     }
 }

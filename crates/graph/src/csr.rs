@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn weights_follow_edges_in_both_directions() {
         let mut el = EdgeList::new(3);
-        el.push(Edge::weighted(0, 2, 7));
-        el.push(Edge::weighted(1, 2, 9));
+        el.edges.push(Edge::weighted(0, 2, 7));
+        el.edges.push(Edge::weighted(1, 2, 9));
         let g = Graph::from_edges(&el);
         assert_eq!(g.out_weights(0), &[7]);
         assert_eq!(g.in_neighbors(2), &[0, 1]);

@@ -164,17 +164,6 @@ impl DeltaBatch {
             .sort_by_key(|e| ((e.src as u64) << 32) | e.dst as u64);
         self.inserts.dedup_by_key(|e| (e.src, e.dst));
     }
-
-    /// Make the batch symmetric: every insert/delete also queues its
-    /// reverse. Used for the undirected (symmetrized) graphs consumed by
-    /// connected components, which represent one undirected edge as a
-    /// directed pair.
-    pub fn symmetrize(&mut self) {
-        let rev: Vec<Edge> = self.inserts.iter().map(|e| e.reversed()).collect();
-        self.inserts.extend(rev);
-        let rev: Vec<(VId, VId)> = self.deletes.iter().map(|&(s, d)| (d, s)).collect();
-        self.deletes.extend(rev);
-    }
 }
 
 /// The accumulated overlay of applied batches on top of a base CSR:
@@ -388,15 +377,6 @@ mod tests {
         assert_eq!(b.inserts.len(), 2);
         assert_eq!(b.inserts[0], Edge::weighted(0, 1, 8));
         assert_eq!(b.deletes, vec![(4, 5)]);
-    }
-
-    #[test]
-    fn symmetrize_mirrors_both_kinds() {
-        let mut b = DeltaBatch::new();
-        b.insert(0, 1, 3).delete(2, 3);
-        b.symmetrize();
-        assert!(b.inserts.contains(&Edge::weighted(1, 0, 3)));
-        assert!(b.deletes.contains(&(3, 2)));
     }
 
     #[test]

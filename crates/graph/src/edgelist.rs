@@ -37,13 +37,6 @@ impl EdgeList {
         self.edges.len()
     }
 
-    /// Append one edge.
-    pub fn push(&mut self, e: Edge) {
-        debug_assert!((e.src as usize) < self.num_vertices);
-        debug_assert!((e.dst as usize) < self.num_vertices);
-        self.edges.push(e);
-    }
-
     /// Panic if any endpoint is out of range (used after deserialization).
     pub fn validate(&self) {
         for e in &self.edges {

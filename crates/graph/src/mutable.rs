@@ -440,7 +440,7 @@ mod tests {
         // 0 -> 1 -> 2 -> 3, 0 -> 2 (weights = 10*src + dst)
         let mut el = EdgeList::new(5);
         for (s, d) in [(0, 1), (1, 2), (2, 3), (0, 2)] {
-            el.push(Edge::weighted(s, d, 10 * s + d));
+            el.edges.push(Edge::weighted(s, d, 10 * s + d));
         }
         MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY)
     }
@@ -526,7 +526,7 @@ mod tests {
     fn threshold_triggers_auto_compaction() {
         let mut el = EdgeList::new(8);
         for v in 0..7 {
-            el.push(Edge::new(v, v + 1));
+            el.edges.push(Edge::new(v, v + 1));
         }
         let mut g = MutableGraph::from_edge_list(el).with_compaction_fraction(0.25);
         let mut b = DeltaBatch::new();

@@ -52,22 +52,16 @@ pub fn edge_balanced_ranges(degrees: &[u32], parts: usize) -> Vec<Range<usize>> 
 pub struct PartitionStats {
     /// Degree (edge) sum of each part.
     pub edges_per_part: Vec<u64>,
-    /// Vertex count of each part.
-    pub vertices_per_part: Vec<usize>,
 }
 
 impl PartitionStats {
-    /// Compute the per-part edge and vertex counts for contiguous ranges.
+    /// Compute the per-part edge counts for contiguous ranges.
     pub fn compute(degrees: &[u32], ranges: &[Range<usize>]) -> Self {
         let edges_per_part = ranges
             .iter()
             .map(|r| degrees[r.clone()].iter().map(|&d| d as u64).sum())
             .collect();
-        let vertices_per_part = ranges.iter().map(|r| r.len()).collect();
-        PartitionStats {
-            edges_per_part,
-            vertices_per_part,
-        }
+        PartitionStats { edges_per_part }
     }
 
     /// Normalized per-part edge deviation `(edges_p − mean) / mean`, the

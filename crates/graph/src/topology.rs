@@ -12,12 +12,8 @@ use crate::types::{VId, Weight};
 pub trait Topology {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
-    /// Number of (live) directed edges.
-    fn num_edges(&self) -> usize;
     /// Out-degree of `v`.
     fn out_degree(&self, v: VId) -> usize;
-    /// In-degree of `v`.
-    fn in_degree(&self, v: VId) -> usize;
     /// Out-edges of `v` as `(dst, weight)`.
     fn out_edges(&self, v: VId) -> impl Iterator<Item = (VId, Weight)> + '_;
     /// In-edges of `v` as `(src, weight)`.
@@ -30,16 +26,8 @@ impl Topology for Graph {
         Graph::num_vertices(self)
     }
     #[inline]
-    fn num_edges(&self) -> usize {
-        Graph::num_edges(self)
-    }
-    #[inline]
     fn out_degree(&self, v: VId) -> usize {
         Graph::out_degree(self, v)
-    }
-    #[inline]
-    fn in_degree(&self, v: VId) -> usize {
-        Graph::in_degree(self, v)
     }
     #[inline]
     fn out_edges(&self, v: VId) -> impl Iterator<Item = (VId, Weight)> + '_ {
@@ -61,20 +49,12 @@ impl Topology for MutableGraph {
     fn num_vertices(&self) -> usize {
         MutableGraph::num_vertices(self)
     }
-    fn num_edges(&self) -> usize {
-        self.num_live_edges()
-    }
     // The live degrees spelled out, so a kernel inlines them: it reads one
     // per frontier vertex, and `live_*_degree` are not `#[inline]`.
     #[inline]
     fn out_degree(&self, v: VId) -> usize {
         let log = self.log();
         self.base().out_degree(v) - log.tombstones_out(v).len() + log.inserts_out(v).len()
-    }
-    #[inline]
-    fn in_degree(&self, v: VId) -> usize {
-        let log = self.log();
-        self.base().in_degree(v) - log.tombstones_in(v).len() + log.inserts_in(v).len()
     }
     #[inline]
     fn out_edges(&self, v: VId) -> impl Iterator<Item = (VId, Weight)> + '_ {
@@ -123,15 +103,14 @@ mod tests {
 
     type Adjacency = Vec<(VId, Weight)>;
 
-    /// Everything the trait exposes, through the trait: the edge count and,
-    /// per vertex, out-edges, in-edges and both degrees.
-    fn view<T: Topology>(t: &T) -> (usize, Vec<(Adjacency, Adjacency, usize, usize)>) {
+    /// Everything the trait exposes, through the trait: per vertex,
+    /// out-edges, in-edges and the out-degree.
+    fn view<T: Topology>(t: &T) -> Vec<(Adjacency, Adjacency, usize)> {
         let per_vertex = |v| {
             let (outs, ins) = (t.out_edges(v).collect(), t.in_edges(v).collect());
-            (outs, ins, t.out_degree(v), t.in_degree(v))
+            (outs, ins, t.out_degree(v))
         };
-        let vertices = 0..t.num_vertices() as VId;
-        (t.num_edges(), vertices.map(per_vertex).collect())
+        (0..t.num_vertices() as VId).map(per_vertex).collect()
     }
 
     proptest! {

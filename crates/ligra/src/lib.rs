@@ -22,8 +22,8 @@
 
 use polymer_api::{
     charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
-    even_chunks, init_values, serial_combine, Engine, EngineKind, FrontierInit, IterationDriver,
-    Program, RecoverySession, RunResult, TopoArrays,
+    even_chunks, init_values, serial_combine, Engine, FrontierInit, IterationDriver, Program,
+    RecoverySession, RunResult, TopoArrays,
 };
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -50,10 +50,6 @@ impl LigraEngine {
 }
 
 impl Engine for LigraEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Ligra
-    }
-
     fn run_simulated<P: Program>(
         &self,
         machine: &Machine,

@@ -386,17 +386,6 @@ impl<T: Atom> NumaAtomicArray<T> {
         }
     }
 
-    /// Accounted fill of the element range `r` with `v`, charged as one
-    /// coalesced write run.
-    #[inline]
-    pub fn fill(&self, ctx: &mut AccessCtx, r: Range<usize>, v: T) {
-        assert!(r.end <= self.data.len(), "fill out of bounds");
-        self.meta.record_run(ctx, r.start, r.len(), Rw::Write);
-        for cell in &self.data[r] {
-            T::atom_store(cell, v);
-        }
-    }
-
     /// A sequential append cursor starting at `start`: consecutive
     /// [`SeqWriter::push`] calls store to consecutive slots, and the
     /// accounting is coalesced into page-runs when the writer is flushed.
@@ -427,12 +416,6 @@ impl<T: Atom> NumaAtomicArray<T> {
     /// Copy out all values, unaccounted.
     pub fn snapshot(&self) -> Vec<T> {
         self.data.iter().map(T::atom_load).collect()
-    }
-
-    /// Home node of element `i`.
-    #[inline]
-    pub fn node_of(&self, i: usize) -> usize {
-        self.meta.placement.node_of(i * self.meta.elem)
     }
 
     /// The allocation id, which keys per-array access statistics.
@@ -600,7 +583,8 @@ mod tests {
         let mut ca = AccessCtx::new(&m, 0);
         let mut cb = AccessCtx::new(&m, 0);
         a.store_seq(&mut ca, 10..600, |i| i as u64);
-        a.fill(&mut ca, 600..700, 7);
+        // A fill is a constant sequential store.
+        a.store_seq(&mut ca, 600..700, |_| 7);
         for i in 10..600 {
             b.store(&mut cb, i, i as u64);
         }

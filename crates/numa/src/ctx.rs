@@ -85,29 +85,6 @@ impl Default for ArrStat {
     }
 }
 
-impl ArrStat {
-    fn merge(&mut self, other: &ArrStat) {
-        for rw in 0..2 {
-            for pat in 0..2 {
-                for n in 0..MAX_NODES {
-                    self.bytes[rw][pat][n] += other.bytes[rw][pat][n];
-                    self.count[rw][pat][n] += other.count[rw][pat][n];
-                }
-            }
-        }
-    }
-
-    /// Total bytes over all buckets.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().flatten().flatten().sum()
-    }
-
-    /// Total transactions over all buckets.
-    pub fn total_count(&self) -> u64 {
-        self.count.iter().flatten().flatten().sum()
-    }
-}
-
 /// Classified access statistics of one simulated thread (or a merge of
 /// several), keyed by allocation. Only touched allocations are stored, in
 /// ascending allocation-id order — the order every consumer folds in — so a
@@ -122,17 +99,6 @@ pub struct AccessStats {
 }
 
 impl AccessStats {
-    /// Merge another stats object into this one.
-    pub fn merge(&mut self, other: &AccessStats) {
-        for (id, o) in &other.per {
-            match self.per.binary_search_by_key(id, |(a, _)| *a) {
-                Ok(k) => self.per[k].1.merge(o),
-                Err(k) => self.per.insert(k, (*id, o.clone())),
-            }
-        }
-        self.extra_cycles += other.extra_cycles;
-    }
-
     /// Iterate over the allocations with any recorded accesses, in ascending
     /// allocation-id order.
     pub fn iter_arrays(&self) -> impl Iterator<Item = (AllocId, &ArrStat)> {
@@ -141,17 +107,14 @@ impl AccessStats {
 
     /// Total transactions.
     pub fn total_count(&self) -> u64 {
-        self.iter_arrays().map(|(_, s)| s.total_count()).sum()
+        let counts = self.iter_arrays().flat_map(|(_, s)| s.count.iter());
+        counts.flatten().flatten().sum()
     }
 
     /// Total bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.iter_arrays().map(|(_, s)| s.total_bytes()).sum()
-    }
-
-    /// True when no accesses were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.per.is_empty()
+        let bytes = self.iter_arrays().flat_map(|(_, s)| s.bytes.iter());
+        bytes.flatten().flatten().sum()
     }
 }
 
@@ -274,12 +237,6 @@ impl AccessCtx {
     #[inline]
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Number of simulated threads in the current executor.
-    #[inline]
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
     }
 
     /// Whether run-coalesced accounting is on for this context's machine.
@@ -671,6 +628,11 @@ mod tests {
         s.iter_arrays().find(|&(a, _)| a == id).map(|(_, st)| st)
     }
 
+    /// Transactions over all of one allocation's buckets.
+    fn count(st: &ArrStat) -> u64 {
+        st.count.iter().flatten().flatten().sum()
+    }
+
     fn setup() -> (Machine, AccessCtx) {
         let m = Machine::new(MachineSpec::test2());
         let ctx = AccessCtx::new(&m, 0);
@@ -767,7 +729,7 @@ mod tests {
         let (one, visited) = ctx.harvest();
         assert_eq!(visited, 1);
         assert_eq!(one.iter_arrays().count(), 1);
-        assert_eq!(arr(&one, hot.alloc_id()).unwrap().total_count(), 1);
+        assert_eq!(arr(&one, hot.alloc_id()).map(count), Some(1));
         // Skipping the others lost nothing: their stream trackers were reset
         // when they were harvested, so continuing a stream is cold again.
         arrays[7].get(&mut ctx, 1);
@@ -796,18 +758,8 @@ mod tests {
             .collect();
         let taken = ctx.take_stats();
         assert_eq!(ids(&taken), want);
-        assert_eq!(arr(&taken, arrays[1].alloc_id()).unwrap().total_count(), 2);
+        assert_eq!(arr(&taken, arrays[1].alloc_id()).map(count), Some(2));
         assert!(arr(&taken, arrays[2].alloc_id()).is_none());
-        // Merging keeps the order and adds matching entries.
-        arrays[2].get(&mut ctx, 0);
-        arrays[4].get(&mut ctx, 0);
-        let mut total = taken.clone();
-        total.merge(&ctx.take_stats());
-        assert_eq!(
-            ids(&total),
-            arrays.iter().map(|a| a.alloc_id()).collect::<Vec<_>>()
-        );
-        assert_eq!(arr(&total, arrays[4].alloc_id()).unwrap().total_count(), 2);
     }
 
     #[test]
@@ -816,7 +768,6 @@ mod tests {
         let ctx = AccessCtx::new(&m, 3);
         assert_eq!(ctx.node(), 1);
         assert_eq!(ctx.tid(), 3);
-        assert_eq!(ctx.num_threads(), 4);
     }
 
     #[test]
@@ -828,10 +779,10 @@ mod tests {
         let s1 = ctx.take_stats();
         assert_eq!(s1.extra_cycles, 15.5);
         ctx.charge_cycles(1.0);
-        let mut total = AccessStats::default();
-        total.merge(&s1);
-        total.merge(&ctx.take_stats());
-        assert_eq!(total.extra_cycles, 16.5);
+        // Each take holds what was charged since the last one, so the
+        // phases' stats merge (add up) to everything charged.
+        let s2 = ctx.take_stats();
+        assert_eq!(s1.extra_cycles + s2.extra_cycles, 16.5);
     }
 
     #[test]
@@ -916,21 +867,6 @@ mod tests {
             hit_node2, 1,
             "post-migration access must resolve the new home"
         );
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let (m, mut ctx) = setup();
-        let a = m.alloc_array::<u64>("a", 64, AllocPolicy::OnNode(0));
-        a.get(&mut ctx, 0);
-        let mut total = AccessStats::default();
-        total.merge(&ctx.take_stats());
-        a.get(&mut ctx, 1);
-        a.get(&mut ctx, 2);
-        total.merge(&ctx.take_stats());
-        assert_eq!(total.total_count(), 3);
-        assert_eq!(total.total_bytes(), 24);
-        assert!(!total.is_empty());
     }
 
     /// Everything an access can leave behind in a context: every

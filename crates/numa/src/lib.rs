@@ -38,10 +38,10 @@
 //!
 //! let machine = Machine::new(MachineSpec::intel80());
 //! let data = machine.alloc_array::<u64>("demo", 1 << 16, AllocPolicy::Interleaved);
-//! let mut sim = SimExecutor::new(&machine, machine.topology().total_cores());
+//! let threads = machine.topology().total_cores();
+//! let mut sim = SimExecutor::new(&machine, threads);
 //! let cost = sim.run_phase("touch", |tid, ctx| {
-//!     let n = data.len();
-//!     let per = n / ctx.num_threads();
+//!     let per = data.len() / threads;
 //!     for i in tid * per..(tid + 1) * per {
 //!         data.get(ctx, i);
 //!     }

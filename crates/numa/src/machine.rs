@@ -38,9 +38,6 @@ pub enum SpillPolicy {
     /// fallback order.
     #[default]
     NearestRemote,
-    /// Round-robin overflowing pages across all nodes with room, trading
-    /// locality for balance.
-    Interleave,
     /// Tiered machines: overflow from a full fast node *demotes* to the
     /// nearest slow node with room (ties broken by node id) instead of
     /// spilling sideways within the fast tier; when no slow node has room
@@ -481,7 +478,6 @@ impl Machine {
         let mut spilled = 0u64;
         let mut spilled_by_node = vec![0u64; nodes];
         let mut demoted_by_node = vec![0u64; nodes];
-        let mut rr = 0usize;
         for &want in &wanted {
             let fits = |w: &[u64], n: NodeId| match caps[n] {
                 Some(cap) => w[n] + page_bytes <= cap,
@@ -496,18 +492,6 @@ impl Machine {
                         let mut cands: Vec<NodeId> = (0..nodes).filter(|&n| n != want).collect();
                         cands.sort_by_key(|&n| (self.topology().hops(want, n), n));
                         cands.into_iter().find(|&n| fits(&work, n))
-                    }
-                    SpillPolicy::Interleave => {
-                        let mut found = None;
-                        for k in 0..nodes {
-                            let n = (rr + k) % nodes;
-                            if fits(&work, n) {
-                                rr = (n + 1) % nodes;
-                                found = Some(n);
-                                break;
-                            }
-                        }
-                        found
                     }
                     SpillPolicy::Demote => {
                         // Prefer the nearest slow node with room; fall back
@@ -820,27 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn interleave_spreads_spilled_pages() {
-        let spec = MachineSpec {
-            nodes: 4,
-            cores_per_node: 1,
-            node_capacity_bytes: Some(2 * PAGE),
-            ..MachineSpec::test2()
-        };
-        let m = Machine::with_faults(spec, SpillPolicy::Interleave, FaultPlan::default());
-        // 6 pages on node 0: 2 fit, 4 interleave over the other nodes.
-        let a = m
-            .try_alloc_array::<u8>("a", 6 * PAGE as usize, AllocPolicy::OnNode(0))
-            .unwrap();
-        assert_eq!(m.spilled_pages(), 4);
-        let live = m.node_live_bytes();
-        assert_eq!(live.iter().sum::<u64>(), 6 * PAGE);
-        assert_eq!(live[0], 2 * PAGE);
-        assert!(live[1..].iter().all(|&b| b <= 2 * PAGE));
-        drop(a);
-    }
-
-    #[test]
     fn fault_plan_fails_nth_allocation() {
         let plan = FaultPlan::new().fail_nth_alloc(1);
         let m = Machine::with_faults(MachineSpec::test2(), SpillPolicy::default(), plan);
@@ -998,7 +961,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        for policy in [SpillPolicy::NearestRemote, SpillPolicy::Interleave] {
+        for policy in [SpillPolicy::NearestRemote, SpillPolicy::Fail] {
             let cap_pages = 8u64;
             let m = capped(cap_pages, policy);
             let mut live: Vec<(crate::NumaArray<u8>, u64)> = Vec::new();

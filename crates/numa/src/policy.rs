@@ -54,23 +54,11 @@ impl PageMap {
     pub(crate) fn set(&self, page: usize, node: NodeId) {
         self.nodes[page].store(node as u8, Ordering::Relaxed);
     }
-
-    /// Snapshot the map as plain bytes.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.nodes
-            .iter()
-            .map(|n| n.load(Ordering::Relaxed))
-            .collect()
-    }
 }
 
 /// Placement intent supplied when allocating a [`crate::NumaArray`].
 #[derive(Clone, Debug)]
 pub enum AllocPolicy {
-    /// Linux first-touch: all pages bound to the node of the thread that
-    /// allocates (and is assumed to initialize) the array. The allocating
-    /// node is supplied at allocation time.
-    FirstTouch(NodeId),
     /// All pages on node 0, as when a main thread allocates and initializes
     /// short-term runtime state each iteration (Section 3.1).
     Centralized,
@@ -131,7 +119,7 @@ impl Placement {
             n
         };
         let kind = match policy {
-            AllocPolicy::FirstTouch(n) | AllocPolicy::OnNode(n) => PlacementKind::OnNode(check(*n)),
+            AllocPolicy::OnNode(n) => PlacementKind::OnNode(check(*n)),
             AllocPolicy::Centralized => PlacementKind::OnNode(0),
             AllocPolicy::Interleaved => PlacementKind::Interleaved { nodes },
             AllocPolicy::ChunkedElems(ranges) => {

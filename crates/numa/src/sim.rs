@@ -491,7 +491,7 @@ mod tests {
         // the accesses (thread 0 did all the work on a 2-thread test2 box).
         let sockets = buf.phases.iter().flat_map(|p| &p.per_socket);
         assert_eq!(
-            sockets.map(|s| s.total_count()).sum::<u64>(),
+            sockets.flat_map(|s| s.count.iter().flatten()).sum::<u64>(),
             clock.total.count_local + clock.total.count_remote
         );
         let json = polymer_trace::chrome_trace_json(buf);

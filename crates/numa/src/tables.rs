@@ -40,15 +40,6 @@ pub enum TierClass {
 }
 
 impl TierClass {
-    /// Index into per-tier tables (`Fast = 0`, `Slow = 1`).
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            TierClass::Fast => 0,
-            TierClass::Slow => 1,
-        }
-    }
-
     /// True for the slow (capacity) tier.
     #[inline]
     pub fn is_slow(self) -> bool {
@@ -274,10 +265,6 @@ mod tests {
 
     #[test]
     fn tier_class_round_trip_and_default() {
-        let tiers = [TierClass::Fast, TierClass::Slow];
-        for t in tiers {
-            assert_eq!(tiers[t.index()], t);
-        }
         assert_eq!(TierClass::default(), TierClass::Fast);
         assert!(TierClass::Slow.is_slow());
         assert!(!TierClass::Fast.is_slow());

@@ -61,15 +61,6 @@ pub enum TierPolicy {
 }
 
 impl TierPolicy {
-    /// Stable lower-case name (bench tables, JSON artifacts).
-    pub fn name(self) -> &'static str {
-        match self {
-            TierPolicy::FirstTouch => "first-touch",
-            TierPolicy::HotPageLru => "hot-page-lru",
-            TierPolicy::Sampled => "sampled",
-        }
-    }
-
     /// The heat-sampling mode this policy needs from the access contexts.
     pub(crate) fn heat_mode(self) -> HeatMode {
         match self {
@@ -645,9 +636,6 @@ mod tests {
 
     #[test]
     fn policy_names_and_modes() {
-        assert_eq!(TierPolicy::FirstTouch.name(), "first-touch");
-        assert_eq!(TierPolicy::HotPageLru.name(), "hot-page-lru");
-        assert_eq!(TierPolicy::Sampled.name(), "sampled");
         assert_eq!(TierPolicy::Sampled.heat_mode(), HeatMode::Sampled(32));
         assert_eq!(TierPolicy::HotPageLru.heat_mode(), HeatMode::Full);
     }

@@ -271,11 +271,6 @@ impl MachineSpec {
             .unwrap_or(TierClass::Fast)
     }
 
-    /// True when any node sits in the slow tier.
-    pub fn is_tiered(&self) -> bool {
-        self.node_tiers.iter().any(|t| t.is_slow())
-    }
-
     /// Ids of the fast-tier nodes (all nodes on a single-tier spec).
     pub fn fast_nodes(&self) -> Vec<NodeId> {
         (0..self.nodes)
@@ -621,7 +616,7 @@ mod tests {
     fn test2_tiered_shape() {
         let s = MachineSpec::test2_tiered();
         assert_eq!(s.nodes, 4);
-        assert!(s.is_tiered());
+        assert!(s.topology().is_tiered());
         assert_eq!(s.fast_nodes(), vec![0, 1]);
         assert_eq!(s.slow_nodes(), vec![2, 3]);
         let t = s.topology();
@@ -635,7 +630,7 @@ mod tests {
     #[test]
     fn single_tier_specs_report_all_fast() {
         let s = MachineSpec::test2();
-        assert!(!s.is_tiered());
+        assert!(!s.topology().is_tiered());
         assert_eq!(s.fast_nodes(), vec![0, 1]);
         assert!(s.slow_nodes().is_empty());
         assert_eq!(s.tier_of(1), TierClass::Fast);
@@ -681,7 +676,7 @@ mod tests {
     #[test]
     fn subset_truncates_tiers() {
         let s = MachineSpec::test2_tiered().subset(2, 2);
-        assert!(!s.is_tiered());
+        assert!(!s.topology().is_tiered());
         assert_eq!(s.node_tiers.len(), 2);
         let s3 = MachineSpec::test2_tiered().subset(3, 1);
         assert_eq!(s3.slow_nodes(), vec![2]);
@@ -697,7 +692,7 @@ mod tests {
         obj.remove("slow_capacity_bytes");
         let legacy: MachineSpec = serde_json::from_value(v).unwrap();
         assert!(legacy.node_tiers.is_empty());
-        assert!(!legacy.is_tiered());
+        assert!(!legacy.topology().is_tiered());
         assert_eq!(legacy.capacity_of(0), None);
     }
 

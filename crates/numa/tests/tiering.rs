@@ -37,7 +37,7 @@ fn alloc_policy(sel: usize, node_hint: usize) -> AllocPolicy {
         0 => AllocPolicy::Interleaved,
         1 => AllocPolicy::Centralized,
         2 => AllocPolicy::OnNode(node_hint % 4),
-        _ => AllocPolicy::FirstTouch(node_hint % 2),
+        _ => AllocPolicy::OnNode(node_hint % 2),
     }
 }
 

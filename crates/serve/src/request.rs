@@ -173,21 +173,6 @@ impl ResponseValues {
             _ => None,
         }
     }
-
-    /// Number of vertices covered (`0` for ingest responses).
-    pub fn len(&self) -> usize {
-        match self {
-            ResponseValues::Levels(v) => v.len(),
-            ResponseValues::Distances(v) => v.len(),
-            ResponseValues::Ranks(v) => v.len(),
-            ResponseValues::Ingested(_) => 0,
-        }
-    }
-
-    /// True when no vertices are covered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A completed request: the answer plus everything a client or the bench

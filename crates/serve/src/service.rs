@@ -180,11 +180,6 @@ impl GraphService {
         })
     }
 
-    /// The resident graph.
-    pub fn graph(&self) -> &Graph {
-        &self.inner.graph
-    }
-
     /// Submit a request with no deadline.
     pub fn submit(&self, kind: RequestKind) -> PolymerResult<Ticket> {
         self.submit_with_deadline(kind, None)

@@ -198,16 +198,6 @@ impl FrontierSnapshot {
         self.tags = Some(tags);
         self
     }
-
-    /// Number of recorded members.
-    pub fn len(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// True when no vertex was active.
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
-    }
 }
 
 /// Checked dense-index → vertex-id conversion. Vertex ids are `u32`
@@ -352,11 +342,6 @@ impl ThreadQueues {
         }
     }
 
-    /// Number of queues.
-    pub fn num_threads(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Append `v` to the calling thread's queue (thread id from `ctx`),
     /// charging one local sequential write.
     pub fn push(&self, ctx: &mut AccessCtx, v: u32) {
@@ -385,13 +370,6 @@ impl ThreadQueues {
     /// Drain one thread's queue.
     pub fn drain_thread(&self, tid: usize) -> Vec<u32> {
         std::mem::take(&mut self.queues[tid].lock())
-    }
-
-    /// Clear all queues.
-    pub fn clear(&self) {
-        for q in &self.queues {
-            q.lock().clear();
-        }
     }
 }
 

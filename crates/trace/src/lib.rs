@@ -85,11 +85,6 @@ pub struct SocketSample {
 }
 
 impl SocketSample {
-    /// Total transactions over every pattern/distance bucket.
-    pub fn total_count(&self) -> u64 {
-        self.count.iter().flatten().sum()
-    }
-
     /// Bytes whose home was this socket's own node (distance class 0).
     pub fn local_bytes(&self) -> u64 {
         self.bytes[0][0] + self.bytes[1][0]
@@ -390,14 +385,6 @@ impl Tracer {
             Tracer::On(buf) => Some(buf),
         }
     }
-
-    /// Take the recorded buffer out, leaving the tracer off.
-    pub fn take(&mut self) -> Option<Box<TraceBuffer>> {
-        match std::mem::take(self) {
-            Tracer::Off => None,
-            Tracer::On(buf) => Some(buf),
-        }
-    }
 }
 
 /// A thread-safe tracer for real-OS-thread executors: workers record
@@ -457,7 +444,7 @@ mod tests {
         s.bytes[0][2] = bytes_remote;
         s.count[0][0] = bytes_local / 8;
         s.count[0][2] = bytes_remote / 8;
-        s.loads = s.total_count();
+        s.loads = s.count.iter().flatten().sum();
         s.llc_hit_bytes = bytes_local as f64 / 2.0;
         s.llc_miss_bytes = bytes_local as f64 / 2.0 + bytes_remote as f64;
         s
@@ -497,7 +484,6 @@ mod tests {
         t.record(|_| panic!("must not run while off"));
         t.set_iteration(Some(3));
         assert!(t.buffer().is_none());
-        assert!(t.take().is_none());
     }
 
     #[test]
@@ -506,8 +492,8 @@ mod tests {
         t.enable(2, 4);
         t.set_iteration(Some(7));
         t.record(|buf| buf.push_barrier(0.0, 5.0));
-        let buf = t.take().expect("buffer present");
-        assert!(!t.is_enabled(), "take leaves the tracer off");
+        assert!(t.is_enabled());
+        let buf = t.buffer().expect("buffer present");
         assert_eq!(buf.barriers.len(), 1);
         assert_eq!(buf.barriers[0].iteration, Some(7));
     }

@@ -36,9 +36,7 @@
 
 use std::ops::Range;
 
-use polymer_api::{
-    Engine, EngineKind, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
-};
+use polymer_api::{Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult};
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::DeltaDecoder;
 use polymer_graph::{Graph, VId};
@@ -157,10 +155,6 @@ impl XStreamEngine {
 }
 
 impl Engine for XStreamEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::XStream
-    }
-
     fn run_simulated<P: Program>(
         &self,
         machine: &Machine,

@@ -66,8 +66,8 @@ pub mod prelude {
         run_reference, BeliefPropagation, Bfs, ConnectedComponents, PageRank, SpMV, Sssp,
     };
     pub use polymer_api::{
-        Backend, Checkpoint, CheckpointPolicy, CheckpointStore, Engine, EngineKind, Program,
-        RecoveryReport, RecoverySession, RunOptions, RunResult, RunSupervisor, SupervisorConfig,
+        Backend, Checkpoint, CheckpointPolicy, CheckpointStore, Engine, Program, RecoveryReport,
+        RecoverySession, RunOptions, RunResult, RunSupervisor, SupervisorConfig,
     };
     pub use polymer_core::{PolymerConfig, PolymerEngine};
     pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};

@@ -148,7 +148,7 @@ fn conformance_composed_batch_window() {
     for (edges, window) in cases {
         let mut el = EdgeList::new(4);
         for &(s, d, w) in edges {
-            el.push(Edge::weighted(s, d, w));
+            el.edges.push(Edge::weighted(s, d, w));
         }
         let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
         let machine = machine();
@@ -178,8 +178,7 @@ fn conformance_cc_and_pagerank() {
     for e in live.edges.iter().step_by(41).take(5) {
         b.delete(e.src, e.dst).delete(e.dst, e.src);
     }
-    b.insert(3, 177, 1);
-    b.symmetrize();
+    b.insert(3, 177, 1).insert(177, 3, 1);
     let applied = mg.apply(&b).unwrap();
     let topo = build_topo(&machine, &mg, false);
 
@@ -564,8 +563,8 @@ mod structural {
     #[test]
     fn reweight_is_recorded_with_old_weight() {
         let mut el = EdgeList::new(4);
-        el.push(Edge::weighted(0, 1, 5));
-        el.push(Edge::weighted(1, 2, 7));
+        el.edges.push(Edge::weighted(0, 1, 5));
+        el.edges.push(Edge::weighted(1, 2, 7));
         let mut mg = MutableGraph::from_edge_list(el).with_compaction_fraction(f64::INFINITY);
         let mut b = DeltaBatch::new();
         b.insert(0, 1, 11); // reweight 5 → 11

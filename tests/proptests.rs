@@ -196,7 +196,7 @@ proptest! {
     ) {
         use polymer::numa::PAGE_SIZE;
         let page = PAGE_SIZE as u64;
-        let policy = if nearest == 1 { SpillPolicy::NearestRemote } else { SpillPolicy::Interleave };
+        let policy = if nearest == 1 { SpillPolicy::NearestRemote } else { SpillPolicy::Fail };
         let m = Machine::with_faults(
             MachineSpec { node_capacity_bytes: Some(cap_pages * page), ..MachineSpec::test2() },
             policy,
@@ -266,7 +266,7 @@ proptest! {
         let data = machine.alloc_atomic::<u64>("prop/trace", n, policy);
         let mut sim = SimExecutor::new(&machine, threads);
         let cost = sim.run_phase("mix", |tid, ctx| {
-            let chunk = n / ctx.num_threads();
+            let chunk = n / threads;
             let lo = tid * chunk;
             for i in (lo..lo + chunk).step_by(stride) {
                 if writes == 1 && i % 3 == 0 {
@@ -367,9 +367,13 @@ proptest! {
         let g = Graph::from_edges(&el);
         let out = CompressedAdjacency::out_edges(&g);
         let inn = CompressedAdjacency::in_edges(&g);
+        let list = |a: &CompressedAdjacency, v: u32| {
+            let payload = &a.bytes[a.offs[v as usize] as usize..a.offs[v as usize + 1] as usize];
+            DeltaDecoder::new(v, payload).collect::<Vec<_>>()
+        };
         for v in 0..g.num_vertices() as u32 {
-            prop_assert_eq!(DeltaDecoder::new(v, out.list(v)).collect::<Vec<_>>(), g.out_neighbors(v));
-            prop_assert_eq!(DeltaDecoder::new(v, inn.list(v)).collect::<Vec<_>>(), g.in_neighbors(v));
+            prop_assert_eq!(list(&out, v), g.out_neighbors(v));
+            prop_assert_eq!(list(&inn, v), g.in_neighbors(v));
         }
         // Zero-degree runs: vertices absent from the edge list still get
         // (empty) lists, and the offsets stay monotone.

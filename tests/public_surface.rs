@@ -1,520 +1,512 @@
 //! Every public item has a product reader or a written reason, and every
 //! manifest dependency is named by its package.
 //!
-//! `rustc`'s `dead_code` lint never flags a `pub` item of a library crate, so
-//! this test does the job for the workspace. It lists every public item
-//! declared in the *product lines* of `crates/*/src` that no product line
-//! reads, and compares that list with `tests/public_surface.allow`, where
-//! each line names one item and gives one reason for keeping it:
+//! `rustc`'s `dead_code` lint never flags a `pub` item of a library crate,
+//! and the product is thirteen of them. So this test writes the workspace as
+//! **one binary crate** under `CARGO_TARGET_TMPDIR` and lets rustc find what
+//! nothing reaches. In the copy, each `crates/<c>/src` is module `<c>`
+//! (`core` is `pcore`) and the root library is module `polymer`; `crate::`,
+//! `$crate::`, `polymer_<c>` and `polymer::` are rewritten to match; every
+//! bare `pub` is `pub(crate)`; and structs lose their derived comparisons
+//! (`PartialEq`, `Eq`, `PartialOrd`, `Ord`, `Hash`: those impls read every
+//! field), except where a type that keeps one contains them or a compile
+//! error shows product code comparing them. `main` calls the `main` of each
+//! product root: `crates/bench/src/main.rs`, the `crates/graph/src/bin/`
+//! binaries and the `examples/`.
 //!
-//! ```text
-//! polymer_graph::EdgeList::from_pairs  benchmark: benchmark/src/probes.rs
-//! ```
+//! `cargo check` runs twice: with the product roots, and with
+//! `benchmark/src/main.rs` as one more root. Each `dead_code` span becomes a
+//! key `<crate dir>::[Type::]name` from its enclosing `impl` / `struct` /
+//! `enum` / `trait`. Only items declared `pub` count (variants and trait
+//! methods when their enum or trait is): a private item dead only through a
+//! dead `pub` one goes with it. Fields, variants, trait methods,
+//! name-collided methods and chains are all in scope.
 //!
-//! The reasons are `benchmark: <file>` (the benchmark links it),
-//! `test-probe: <test file>` (a test reads it and no product API gives the
-//! same view), `input-validation` (a public loader or validator for outside
-//! input), `paper: <table/figure>` (a paper artefact kept on purpose) and
-//! `other: <one sentence>`. The file a `benchmark:` or `test-probe:` reason
-//! names must mention the item outside product lines. The test fails on an
-//! unread item with no line, on a listed item that has gained a product
-//! reader, on a listed item that no longer exists and on a line with no
-//! reason.
+//! Each item the second run flags is read by nothing outside tests and needs
+//! one line `<key>  <reason>` in `tests/public_surface.allow`. One that only
+//! the second run reaches needs a `benchmark:` line if `benchmark/src` names
+//! it, and none otherwise. Reasons: `benchmark: <file>`, `test-probe:
+//! <file>` (the file must name the item, outside product lines),
+//! `input-validation`, `paper: <table/figure>` and `other: <sentence>`. An
+//! unlisted item, a listed item that is read or gone, a line with no reason
+//! and a reason that does not fit the run each fail, and so does an
+//! `allow(dead_code)` or `allow(unused…)` in product lines (lines above a
+//! file's first `#[cfg(test)]` under `crates/*/src`, `src/`, `examples/`).
 //!
-//! *Product lines* are the lines of a `.rs` file under `crates/*/src`, `src/`
-//! or `examples/` above the file's first `#[cfg(test)]`. Comments, string
-//! contents and `pub use` (or `pub(crate) use`) statements are not reads;
-//! neither is anything under `tests/` or `benchmark/`. A read through a
-//! `use .. as` rename or a `type` alias counts as a read of the original.
-//!
-//! *Items* are `pub` `fn`, `struct`, `enum`, `union`, `trait`, `type`,
-//! `const` and `static`, including the `fn`s and `const`s of inherent `impl`
-//! blocks. A re-exported item is found where it is declared. Out of scope:
-//! `pub(crate)` and other restricted items (`rustc` already flags those),
-//! struct fields, enum variants and trait methods — and, in effect, any
-//! `pub` method whose name another type's method shares: a read of a method
-//! is `.name(` on any receiver (the test resolves no types), so
-//! `Type::name` counts as read whenever some other `name` is. Unread
-//! `OverlayTopo::epoch` and `OverlayTopo::generation` once hid this way,
-//! and `new`, `len` and `is_empty` are declared on 10 to 36 types each.
-//!
-//! *A read* of a method or associated const `Type::name` is `.name(`,
-//! `.name::<`, `Type::name` or, inside an `impl` of `Type`, `Self::name`. A
-//! read of any other item is its name as a word not preceded by `.`. Both
-//! count only outside the item's own declaration; a type's own `impl` blocks
-//! do not read the type.
-//!
-//! The second check reads every workspace manifest: each `[dependencies]`,
-//! `[dev-dependencies]` and `[build-dependencies]` entry must be named (with
-//! `-` read as `_`) in code of its package's `src`, `tests`, `benches` or
-//! `examples`.
+//! A second check: every `[dependencies]`, `[dev-dependencies]` and
+//! `[build-dependencies]` entry of a workspace manifest is named (`-` read as
+//! `_`) in code of its package's `src`, `tests`, `benches` or `examples`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
+use std::process::Command;
 
-/// A source file, by its path relative to the repository root.
-struct Source {
-    path: String,
-    text: String,
-}
+use serde_json::Value;
 
-fn source(path: &str, text: &str) -> Source {
-    Source {
-        path: path.to_string(),
-        text: text.to_string(),
-    }
+fn repo() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// `text` with comments removed and string and char literals emptied, one
-/// entry per line of `text`.
-fn code_lines(text: &str) -> Vec<String> {
+/// The identifiers in `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty())
+}
+
+fn read(path: &str) -> String {
+    fs::read_to_string(repo().join(path)).expect("read source")
+}
+
+/// Every `.rs` file under the repository directory `rel`, in path order.
+fn rs_files(rel: &str) -> Vec<String> {
+    let entries = fs::read_dir(repo().join(rel))
+        .into_iter()
+        .flatten()
+        .flatten();
+    let mut paths: Vec<String> = entries
+        .map(|e| format!("{rel}/{}", e.file_name().to_string_lossy()))
+        .collect();
+    paths.sort();
+    let walk = |p: String| match repo().join(&p).is_dir() {
+        true => rs_files(&p),
+        false => Vec::from_iter(p.ends_with(".rs").then_some(p)),
+    };
+    paths.into_iter().flat_map(walk).collect()
+}
+
+/// The crate directories under `crates/`, in order.
+fn crate_dirs() -> Vec<String> {
+    let entries = fs::read_dir(repo().join("crates"))
+        .expect("crates/")
+        .flatten();
+    let mut dirs: Vec<String> = entries
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    dirs.sort();
+    dirs
+}
+
+/// The module a crate directory becomes in the copy.
+fn module_of(dir: &str) -> String {
+    if dir == "core" { "pcore" } else { dir }.to_string()
+}
+
+/// `text` rewritten as a file of module `module` of the copy. Every line
+/// stays on its line.
+fn rewrite(text: &str, module: &str, crates: &[String]) -> String {
     let chars: Vec<char> = text.chars().collect();
-    let n = chars.len();
     let at = |j: usize| chars.get(j).copied().unwrap_or('\0');
-    let mut out = String::with_capacity(text.len());
+    let mut out = String::with_capacity(text.len() * 9 / 8);
     let mut i = 0;
-    while i < n {
-        let c = chars[i];
-        // `r"…"`, `r#"…"#`, `br"…"`: where the hashes start and the quote is.
-        let raw = (c == 'r' || (c == 'b' && at(i + 1) == 'r'))
-            .then(|| i + if c == 'b' { 2 } else { 1 })
-            .filter(|_| i == 0 || !is_ident(chars[i - 1]))
-            .map(|hashes| (hashes, (hashes..).find(|&j| at(j) != '#').unwrap_or(n)))
-            .filter(|&(_, quote)| at(quote) == '"');
-        if c == '/' && at(i + 1) == '/' {
-            while i < n && chars[i] != '\n' {
-                i += 1;
-            }
-        } else if c == '/' && at(i + 1) == '*' {
-            let mut depth = 0;
-            while i < n {
-                if chars[i] == '/' && at(i + 1) == '*' {
-                    depth += 1;
-                    i += 2;
-                } else if chars[i] == '*' && at(i + 1) == '/' {
-                    depth -= 1;
-                    i += 2;
-                    if depth == 0 {
-                        break;
-                    }
-                } else {
-                    if chars[i] == '\n' {
-                        out.push('\n');
-                    }
-                    i += 1;
-                }
-            }
-        } else if let Some((first_hash, quote)) = raw {
-            let hashes = quote - first_hash;
-            let mut j = quote + 1;
-            while j < n {
-                if chars[j] == '"' && (1..=hashes).all(|k| at(j + k) == '#') {
-                    j += 1 + hashes;
-                    break;
-                }
-                if chars[j] == '\n' {
-                    out.push('\n');
-                }
-                j += 1;
-            }
-            out.push_str("\"\"");
-            i = j;
-        } else if c == '"' {
-            let mut j = i + 1;
-            while j < n {
-                match chars[j] {
-                    '\\' => {
-                        if at(j + 1) == '\n' {
-                            out.push('\n');
-                        }
-                        j += 2;
-                    }
-                    '"' => {
-                        j += 1;
-                        break;
-                    }
-                    '\n' => {
-                        out.push('\n');
-                        j += 1;
-                    }
-                    _ => j += 1,
-                }
-            }
-            out.push_str("\"\"");
-            i = j;
-        } else if c == '\'' && at(i + 1) == '\\' {
-            let mut j = i + 3;
-            while j < n && chars[j] != '\'' {
-                j += 1;
-            }
-            out.push_str("' '");
-            i = j + 1;
-        } else if c == '\'' && at(i + 2) == '\'' {
-            out.push_str("' '");
-            i += 3;
-        } else {
-            out.push(c);
-            i += 1;
-        }
-    }
-    out.split('\n').map(str::to_string).collect()
-}
-
-/// The number of product lines: those above the first `#[cfg(test)]`.
-fn product_len(code: &[String]) -> usize {
-    code.iter()
-        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
-        .unwrap_or(code.len())
-}
-
-/// The line (exclusive) on which the construct starting at `start` ends: at
-/// its first top-level `;`, or at the `}` that closes its first top-level
-/// `{`.
-fn span_end(code: &[String], start: usize) -> usize {
-    let (mut braces, mut parens) = (0i32, 0i32);
-    for (i, line) in code.iter().enumerate().skip(start) {
-        for c in line.chars() {
-            match c {
-                '{' => braces += 1,
-                '}' => {
-                    braces -= 1;
-                    if braces == 0 && parens == 0 {
-                        return i + 1;
-                    }
-                }
-                '(' | '[' => parens += 1,
-                ')' | ']' => parens -= 1,
-                ';' if braces == 0 && parens == 0 => return i + 1,
-                _ => {}
-            }
-        }
-    }
-    code.len()
-}
-
-/// The self type and whether it is a trait impl, from an `impl` header.
-fn impl_self_type(header: &str) -> (String, bool) {
-    let rest = header.trim_start();
-    let rest = rest.strip_prefix("unsafe").unwrap_or(rest).trim_start();
-    let rest = rest.strip_prefix("impl").unwrap_or(rest);
-    let chars: Vec<char> = rest.chars().collect();
-    // Skip the impl's own generics, then find a top-level ` for `.
-    let mut i = 0;
-    let mut depth = 0;
-    let mut body = String::new();
     while i < chars.len() {
-        let c = chars[i];
-        if c == '-' && chars.get(i + 1) == Some(&'>') {
-            body.push_str("->");
-            i += 2;
+        if !is_ident(chars[i]) || (i > 0 && is_ident(chars[i - 1])) {
+            out.push(chars[i]);
+            i += 1;
             continue;
         }
-        match c {
-            '<' => depth += 1,
-            '>' => depth -= 1,
-            _ => {}
+        let start = i;
+        while i < chars.len() && is_ident(chars[i]) {
+            i += 1;
         }
-        body.push(if depth > 0 || c == '>' { ' ' } else { c });
-        i += 1;
+        let word: String = chars[start..i].iter().collect();
+        let pathed = at(i) == ':' && at(i + 1) == ':';
+        let dep = word
+            .strip_prefix("polymer_")
+            .filter(|c| crates.iter().any(|d| d == c));
+        match (word.as_str(), dep) {
+            ("crate", _) if pathed => out.push_str(&format!("crate::{module}")),
+            ("polymer", _) if pathed => out.push_str("crate::polymer"),
+            ("pub", _) if matches!(at(i), ' ' | '\n') => out.push_str("pub(crate)"),
+            (_, Some(c)) => out.push_str(&format!("crate::{}", module_of(c))),
+            _ => out.push_str(&word),
+        }
     }
-    let body = body.split('{').next().unwrap_or("");
-    let words: Vec<&str> = body.split_whitespace().collect();
-    let (is_trait, ty) = match words.iter().position(|w| *w == "for") {
-        Some(k) => (true, words.get(k + 1).copied().unwrap_or("")),
-        None => (
-            false,
-            words
-                .iter()
-                .copied()
-                .find(|w| !matches!(*w, "dyn" | "mut" | "&" | "&mut"))
-                .unwrap_or(""),
-        ),
-    };
-    let ty = ty.trim_start_matches('&').trim_start_matches("dyn");
-    let last = ty.rsplit("::").next().unwrap_or("");
-    let name: String = last.chars().take_while(|&c| is_ident(c)).collect();
-    (name, is_trait)
+    out.replace("crate::bench::with_engine", "crate::with_engine")
 }
 
-/// A declared public item.
-#[derive(Clone, Debug)]
-struct Item {
-    /// `<crate dir>::[Type::]name`, the allowlist's key.
-    key: String,
-    name: String,
-    /// For a method or associated const: its inherent `impl`'s type.
-    owner: Option<String>,
-    /// The declaring file: its index among the product files, and its path.
-    file: usize,
-    path: String,
-    /// Lines `[start, end)` of its own declaration.
-    span: (usize, usize),
-}
+/// The traits whose derived impls read every field of a struct.
+const COMPARISONS: [&str; 5] = ["PartialEq", "Eq", "PartialOrd", "Ord", "Hash"];
 
-/// The product part of one file.
-struct FileScan {
-    /// The directory name of the declaring crate, for `crates/*/src` files.
-    krate: Option<String>,
-    code: Vec<String>,
-    /// Lines of a `pub use` statement.
-    reexport: Vec<bool>,
-    /// The self type of the innermost `impl` block around each line, and
-    /// whether that block implements a trait.
-    impl_of: Vec<Option<(String, bool)>>,
-    /// `use .. Original as Alias` and `type Alias = Original<..>`: alias →
-    /// original.
-    aliases: HashMap<String, String>,
-}
-
-fn is_product(path: &str) -> bool {
-    path.starts_with("src/") || path.starts_with("examples/") || crate_of(path).is_some()
-}
-
-/// `crates/<dir>/src/..` → `<dir>`.
-fn crate_of(path: &str) -> Option<String> {
-    let rest = path.strip_prefix("crates/")?;
-    let (dir, tail) = rest.split_once('/')?;
-    tail.starts_with("src/").then(|| dir.to_string())
-}
-
-fn scan_file(path: &str, text: &str) -> FileScan {
-    let mut code = code_lines(text);
-    code.truncate(product_len(&code));
-    let n = code.len();
-    let mut reexport = vec![false; n];
-    let mut impl_of = vec![None; n];
-    let mut aliases = HashMap::new();
-    for i in 0..n {
-        let t = code[i].trim_start();
-        let public = t.starts_with("pub use ") || (t.starts_with("pub(") && t.contains(") use "));
-        if public || t.starts_with("use ") {
-            let end = span_end(&code, i);
-            reexport[i..end].iter_mut().for_each(|r| *r |= public);
-            let words: Vec<&str> = code[i..end]
-                .iter()
-                .flat_map(|l| l.split(|c: char| !is_ident(c)))
-                .filter(|w| !w.is_empty())
-                .collect();
-            for w in words.windows(3).filter(|w| w[1] == "as") {
-                aliases.insert(w[2].to_string(), w[0].to_string());
-            }
-        }
-        let unscoped = t.strip_prefix("pub ").unwrap_or(t);
-        let unscoped = match unscoped.strip_prefix("pub(") {
-            Some(r) => r.split_once(") ").map_or(unscoped, |(_, r)| r),
-            None => unscoped,
+/// `text` with the [`COMPARISONS`] taken out of each struct's `derive`,
+/// and for each derive line changed: the struct, the line and its old text.
+fn strip_comparisons(text: &str) -> (String, Vec<(String, usize, String)>) {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut stripped = Vec::new();
+    for i in 0..lines.len() {
+        let line = lines[i].trim();
+        let list = line
+            .strip_prefix("#[derive(")
+            .and_then(|l| l.strip_suffix(")]"));
+        let is_attr = |l: &&String| l.trim().starts_with("#[") || l.trim().starts_with("//");
+        let decl = lines[i + 1..].iter().find(|l| !is_attr(l));
+        let Some((list, decl)) = list.zip(decl.filter(|d| unqualified(d).starts_with("struct ")))
+        else {
+            continue;
         };
-        if let Some((alias, original)) = unscoped
-            .strip_prefix("type ")
-            .and_then(|def| def.split_once(" = "))
-        {
-            let alias: String = alias.chars().take_while(|&c| is_ident(c)).collect();
-            let original = original.split('<').next().unwrap_or("");
-            let original = original
-                .rsplit("::")
-                .next()
-                .unwrap_or("")
-                .trim_end_matches(';');
-            if !alias.is_empty() && original.chars().all(is_ident) {
-                aliases.insert(alias, original.to_string());
-            }
-        }
-        if t.starts_with("impl<") || t.starts_with("impl ") || t.starts_with("unsafe impl") {
-            let end = span_end(&code, i);
-            let header = code[i..end].join(" ");
-            let owner = impl_self_type(&header);
-            impl_of[i..end]
-                .iter_mut()
-                .for_each(|o| *o = Some(owner.clone()));
+        let kept: Vec<&str> = list
+            .split(", ")
+            .filter(|t| !COMPARISONS.contains(t))
+            .collect();
+        if kept.len() < list.split(", ").count() {
+            let indent = &lines[i][..lines[i].len() - line.len()];
+            let derive = format!("{indent}#[derive({})]", kept.join(", "));
+            let derive = if kept.is_empty() {
+                String::new()
+            } else {
+                derive
+            };
+            let name = header_name(decl).unwrap_or_default();
+            stripped.push((name, i, std::mem::replace(&mut lines[i], derive)));
         }
     }
-    FileScan {
-        krate: crate_of(path),
-        code,
-        reexport,
-        impl_of,
-        aliases,
+    (lines.join("\n") + "\n", stripped)
+}
+
+/// The one-crate copy: its `src/` files (→ original path, text) and the
+/// comparison derives taken out, by struct (→ copy path, line, old text).
+#[derive(Default)]
+struct OneCrate {
+    files: BTreeMap<String, (String, String)>,
+    stripped: BTreeMap<String, Vec<(String, usize, String)>>,
+    main: String,
+}
+
+impl OneCrate {
+    /// Adds module `module` with `root` as its `mod.rs` and, for a crate,
+    /// the other files under `root`'s directory (not its binaries).
+    fn add(&mut self, module: &str, root: &str, crates: &[String]) {
+        let (dir, file) = root.rsplit_once('/').expect("a path");
+        let single = file != "lib.rs" && module != "benchmark";
+        let mut files = if single { Vec::new() } else { rs_files(dir) };
+        files.retain(|f| !f.ends_with("/main.rs") && !f.contains("/bin/") && f != root);
+        files.insert(0, root.to_string());
+        for original in files {
+            let text = rewrite(&read(&original), module, crates);
+            let (copy, text) = match original == root {
+                // A binary's `main` becomes callable from the copy's own.
+                true => (
+                    format!("src/{module}/mod.rs"),
+                    text.replace("\nfn main(", "\npub(crate) fn main("),
+                ),
+                false => (format!("src/{module}/{}", &original[dir.len() + 1..]), text),
+            };
+            let (text, stripped) = strip_comparisons(&text);
+            for (ty, line, derive) in stripped {
+                let at = (copy.clone(), line, derive);
+                self.stripped.entry(ty).or_default().push(at);
+            }
+            self.files.insert(copy, (original, text));
+        }
+    }
+
+    /// Puts back the comparison derives of every struct named `ty`.
+    fn restore(&mut self, ty: &str) {
+        for (path, line, derive) in self.stripped.remove(ty).unwrap_or_default() {
+            let text = &mut self.files.get_mut(&path).expect("copied file").1;
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines[line] = &derive;
+            *text = lines.join("\n") + "\n";
+        }
+    }
+
+    /// Restores every stripped struct named in the body of a type that
+    /// still derives a comparison (its derive needs theirs), to a fixpoint.
+    fn restore_contained(&mut self) {
+        loop {
+            let mut named = BTreeSet::new();
+            for (_, text) in self.files.values() {
+                let lines: Vec<&str> = text.lines().collect();
+                for (i, line) in lines.iter().enumerate() {
+                    let derive = line.trim_start().starts_with("#[derive(");
+                    if derive && COMPARISONS.iter().any(|t| line.contains(t)) {
+                        let body = item_body(&lines, i + 1).join("\n");
+                        named.extend(words(&body).map(str::to_string));
+                    }
+                }
+            }
+            named.retain(|w| self.stripped.contains_key(w));
+            if named.is_empty() {
+                return;
+            }
+            named.iter().for_each(|ty| self.restore(ty));
+        }
     }
 }
 
-/// `pub [const|unsafe|async|extern] <kind> <name>` → (kind, name).
-fn item_head(line: &str) -> Option<(&'static str, String)> {
-    let mut rest = line.trim_start().strip_prefix("pub ")?;
-    for q in ["const ", "unsafe ", "async ", "extern \"\" ", "extern "] {
-        let r = rest.trim_start();
-        if let Some(after) = r.strip_prefix(q) {
-            // `pub const NAME` is an item; `pub const fn` is a qualifier.
-            if q != "const " || !after.trim_start().starts_with(|c: char| c.is_uppercase()) {
-                rest = after;
-            }
+/// The lines of the item declared at or after line `from`, past attributes
+/// and comments, to its `;` or the `}` at its own indentation.
+fn item_body<'a>(lines: &'a [&'a str], from: usize) -> &'a [&'a str] {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let is_attr = |l: &str| l.trim().starts_with("#[") || l.trim().starts_with("//");
+    let Some(head) = (from..lines.len()).find(|&i| !is_attr(lines[i])) else {
+        return &[];
+    };
+    let ends = |i: &usize| match *i == head {
+        true => lines[head].ends_with(';'),
+        false => indent(lines[*i]) == indent(lines[head]) && lines[*i].trim() == "}",
+    };
+    &lines[head..=(head..lines.len()).find(ends).unwrap_or(head)]
+}
+
+/// The copy with the product roots and, if `benchmark` is set, the
+/// benchmark's `main` as one more.
+fn one_crate(benchmark: bool) -> OneCrate {
+    let crates = crate_dirs();
+    let mut copy = OneCrate::default();
+    let mut modules: Vec<(String, String)> = crates
+        .iter()
+        .map(|c| (module_of(c), format!("crates/{c}/src/lib.rs")))
+        .collect();
+    modules.push(("polymer".into(), "src/lib.rs".into()));
+    let mut roots = vec![("bench_main".into(), "crates/bench/src/main.rs".into())];
+    for (prefix, dir) in [("bin", "crates/graph/src/bin"), ("example", "examples")] {
+        for path in rs_files(dir) {
+            let stem = path[dir.len() + 1..].trim_end_matches(".rs");
+            roots.push((format!("{prefix}_{stem}"), path));
         }
     }
-    let rest = rest.trim_start();
-    [
-        "fn", "struct", "enum", "union", "trait", "type", "const", "static",
-    ]
-    .into_iter()
-    .find_map(|kind| {
-        let r = rest.strip_prefix(kind)?.strip_prefix(' ')?.trim_start();
-        let r = r.strip_prefix("mut ").unwrap_or(r);
-        let name: String = r.chars().take_while(|&c| is_ident(c)).collect();
-        (!name.is_empty()).then_some((kind, name))
+    if benchmark {
+        roots.push(("benchmark".into(), "benchmark/src/main.rs".into()));
+    }
+    let mut main = String::from("#![warn(dead_code)]\n\n");
+    for (module, root) in modules.iter().chain(&roots) {
+        copy.add(module, root, &crates);
+        main += &format!("mod {module};\n");
+    }
+    main += "\nfn main() {\n";
+    for (module, _) in &roots {
+        main += &format!("    let _ = {module}::main();\n");
+    }
+    copy.main = main + "}\n";
+    copy.restore_contained();
+    copy
+}
+
+/// Writes the copy to `dir` (leaving unchanged files untouched, so a rerun
+/// is cached) and returns `cargo check`'s JSON output. A struct that a
+/// compile error names gets its comparison derives back, and it reruns.
+fn check_copy(dir: &Path, copy: &mut OneCrate) -> String {
+    let vendor = repo().join("vendor");
+    let deps = ["crossbeam", "parking_lot", "rand", "serde", "serde_json"];
+    let deps = deps.map(|d| format!("{d} = {{ path = {:?} }}\n", vendor.join(d)));
+    // Cargo keys its cache by package name, not path: one name per copy.
+    let name = dir.file_name().unwrap().to_string_lossy().replace('_', "-");
+    let manifest = format!(
+        "[package]\nname = \"surface-{name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n\
+         [workspace]\n\n[dependencies]\n{}",
+        deps.concat()
+    );
+    loop {
+        let mut want = vec![
+            ("Cargo.toml".to_string(), &manifest),
+            ("src/main.rs".into(), &copy.main),
+        ];
+        want.extend(
+            copy.files
+                .iter()
+                .map(|(path, (_, text))| (path.clone(), text)),
+        );
+        for (path, text) in want {
+            let path = dir.join(path);
+            if fs::read_to_string(&path).ok().as_ref() != Some(text) {
+                fs::create_dir_all(path.parent().unwrap()).expect("create copy dir");
+                fs::write(path, text).expect("write copy");
+            }
+        }
+        let out = Command::new(env!("CARGO"))
+            .args([
+                "check",
+                "--offline",
+                "--message-format",
+                "json",
+                "--target-dir",
+            ])
+            .arg(dir.join("target"))
+            .current_dir(dir)
+            .env_remove("RUSTFLAGS")
+            .env_remove("CARGO_ENCODED_RUSTFLAGS")
+            .output()
+            .expect("run cargo check on the one-crate copy");
+        let json = String::from_utf8(out.stdout).expect("utf-8");
+        if out.status.success() {
+            return json;
+        }
+        let errors = errors(&json);
+        let named: BTreeSet<String> = errors
+            .iter()
+            .flat_map(|(message, _)| words(message).map(str::to_string))
+            .filter(|w| copy.stripped.contains_key(w))
+            .collect();
+        let rendered: String = errors.into_iter().map(|(_, r)| r).collect();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !named.is_empty(),
+            "cargo check failed in {dir:?}:\n{rendered}{stderr}"
+        );
+        named.iter().for_each(|ty| copy.restore(ty));
+    }
+}
+
+/// Each error in `cargo check`'s JSON output: its message and rendering.
+fn errors(json: &str) -> Vec<(String, String)> {
+    let values = json
+        .lines()
+        .filter_map(|l| serde_json::from_str::<Value>(l).ok());
+    let errors = values.filter_map(|v| {
+        let msg = v.as_object()?.get("message")?.as_object()?;
+        let text = |k: &str| msg.get(k).and_then(Value::as_str).unwrap_or("").to_string();
+        (text("level") == "error").then(|| (text("message"), text("rendered")))
+    });
+    errors.collect()
+}
+
+/// A `dead_code` span of the copy: file, 1-based line, and the name it marks.
+#[derive(Debug, PartialEq)]
+struct Span {
+    file: String,
+    line: usize,
+    name: String,
+}
+
+/// The primary spans of every `dead_code` warning in `cargo check`'s JSON.
+fn dead_spans(json: &str) -> Vec<Span> {
+    let mut spans = Vec::new();
+    for value in json
+        .lines()
+        .filter_map(|l| serde_json::from_str::<Value>(l).ok())
+    {
+        let msg = value.as_object().and_then(|o| o.get("message"));
+        let Some(msg) = msg.and_then(Value::as_object) else {
+            continue;
+        };
+        let code = msg.get("code").and_then(Value::as_object);
+        if code.and_then(|c| c.get("code")).and_then(Value::as_str) != Some("dead_code") {
+            continue;
+        }
+        for span in msg
+            .get("spans")
+            .and_then(Value::as_array)
+            .into_iter()
+            .flatten()
+        {
+            let get = |k: &str| span.as_object().and_then(|s| s.get(k)).expect("span field");
+            if get("is_primary").as_bool() != Some(true) {
+                continue;
+            }
+            let text = get("text").as_array().and_then(|t| t.first());
+            let text = text.and_then(Value::as_object).expect("span text");
+            let number = |k: &str| text.get(k).and_then(Value::as_u64).expect("highlight");
+            let (from, to) = (number("highlight_start"), number("highlight_end"));
+            let line = text.get("text").and_then(Value::as_str).expect("text");
+            spans.push(Span {
+                file: get("file_name").as_str().expect("file_name").to_string(),
+                line: get("line_start").as_u64().expect("line_start") as usize,
+                name: line
+                    .chars()
+                    .skip(from as usize - 1)
+                    .take((to - from) as usize)
+                    .collect(),
+            });
+        }
+    }
+    spans
+}
+
+/// `text` with one visibility and `unsafe` taken off the front.
+fn unqualified(text: &str) -> &str {
+    let t = text.trim_start();
+    let t = match t.strip_prefix("pub(") {
+        Some(r) => r.split_once(')').map_or(t, |(_, r)| r.trim_start()),
+        None => t.strip_prefix("pub ").unwrap_or(t),
+    };
+    t.strip_prefix("unsafe ").unwrap_or(t)
+}
+
+/// The type an `impl` header implements for, or the name a `struct`, `enum`,
+/// `union` or `trait` header declares.
+fn header_name(header: &str) -> Option<String> {
+    let t = unqualified(header);
+    let name_of = |s: &str| {
+        let s = s.trim_start().trim_start_matches('&');
+        let s = s.split(['<', ' ', '{', '(', ';']).next().unwrap_or("");
+        s.rsplit("::").next().unwrap_or("").to_string()
+    };
+    if let Some(rest) = t.strip_prefix("impl") {
+        // Drop generics, then take the type after a top-level ` for `.
+        let (mut depth, mut prev, mut body) = (0, ' ', String::new());
+        for c in rest.chars() {
+            match c {
+                '<' => depth += 1,
+                '>' if prev != '-' => depth -= 1,
+                _ if depth == 0 => body.push(c),
+                _ => {}
+            }
+            prev = c;
+        }
+        return Some(name_of(body.split(" for ").last().unwrap_or("")));
+    }
+    let kinds = ["struct ", "enum ", "union ", "trait "];
+    kinds.iter().find_map(|kw| t.strip_prefix(kw)).map(name_of)
+}
+
+/// The allowlist key of the item a span marks, if its original declares it
+/// `pub`. `original` is the declaring file's path, `text` its text (the
+/// copy's lines match it); the owner is the first line above with less
+/// indentation that opens an `impl`, `struct`, `enum`, `union` or `trait`
+/// (none if that is a `fn` or `mod`).
+fn key_of(span: &Span, original: &str, text: &str) -> Option<String> {
+    let dir = original.strip_prefix("crates/")?.split('/').next()?;
+    let lines: Vec<&str> = text.lines().collect();
+    let at = span.line - 1;
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let opens = [
+        "impl", "struct ", "enum ", "union ", "trait ", "fn ", "mod ",
+    ];
+    let owner = (0..at).rev().find(|&i| {
+        let opens = opens.iter().any(|kw| unqualified(lines[i]).starts_with(kw));
+        indent(lines[i]) < indent(lines[at]) && opens
+    });
+    let owner = owner.filter(|&h| {
+        !["fn ", "mod "]
+            .iter()
+            .any(|k| unqualified(lines[h]).starts_with(k))
+    });
+    let is_pub = |l: &str| l.trim_start().starts_with("pub ");
+    let head = lines[at].split(span.name.as_str()).next().unwrap_or("");
+    let public = words(head).any(|w| w == "pub") && !head.contains("pub(")
+        || owner.is_some_and(|h| {
+            let t = unqualified(lines[h]);
+            (t.starts_with("enum ") || t.starts_with("trait ")) && is_pub(lines[h])
+        });
+    let ty = owner.and_then(|h| header_name(lines[h]));
+    // A method of a type this file declares without `pub` is not public.
+    let declared = |l: &&str| !unqualified(l).starts_with("impl") && header_name(l) == ty;
+    let private_type = ty.is_some() && lines.iter().any(|l| declared(l) && !is_pub(l));
+    let name = &span.name;
+    (public && !private_type).then(|| match ty {
+        Some(ty) => format!("{dir}::{ty}::{name}"),
+        None => format!("{dir}::{name}"),
     })
 }
 
-fn items_of(scan: &FileScan, file: usize, path: &str) -> Vec<Item> {
-    let Some(krate) = &scan.krate else {
-        return Vec::new();
-    };
-    let mut items = Vec::new();
-    for (i, line) in scan.code.iter().enumerate() {
-        let Some((_, name)) = item_head(line) else {
+/// The unread `pub` items one run finds: key → declaring `path:line`.
+fn unread(copy: &OneCrate, spans: &[Span]) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    for span in spans {
+        let Some((original, _)) = copy.files.get(&span.file) else {
             continue;
         };
-        let owner = match &scan.impl_of[i] {
-            Some((ty, false)) => Some(ty.clone()),
-            _ => None,
-        };
-        let key = match &owner {
-            Some(ty) => format!("{krate}::{ty}::{name}"),
-            None => format!("{krate}::{name}"),
-        };
-        let span = (i, span_end(&scan.code, i));
-        items.push(Item {
-            key,
-            name,
-            owner,
-            file,
-            path: path.to_string(),
-            span,
-        });
-    }
-    items
-}
-
-type At = (usize, usize);
-
-/// Where each name is read, over every product line.
-#[derive(Default)]
-struct Reads {
-    /// Words not preceded by `.`.
-    word: HashMap<String, Vec<At>>,
-    /// `.name(` and `.name::`.
-    dot: HashMap<String, Vec<At>>,
-    /// `Qual::name`, with `Self` read as the line's `impl` type.
-    path: HashMap<(String, String), Vec<At>>,
-}
-
-fn reads_of(scans: &[FileScan]) -> Reads {
-    let mut reads = Reads::default();
-    let aliases: HashMap<&String, &String> = scans.iter().flat_map(|s| &s.aliases).collect();
-    for (f, scan) in scans.iter().enumerate() {
-        for (l, line) in scan.code.iter().enumerate() {
-            if scan.reexport[l] {
-                continue;
-            }
-            let chars: Vec<char> = line.chars().collect();
-            let at = |j: usize| chars.get(j).copied().unwrap_or(' ');
-            let mut prev: Option<String> = None;
-            let mut i = 0;
-            while i < chars.len() {
-                if !is_ident(chars[i]) || (i > 0 && is_ident(chars[i - 1])) {
-                    i += 1;
-                    continue;
-                }
-                let start = i;
-                while i < chars.len() && is_ident(chars[i]) {
-                    i += 1;
-                }
-                let word: String = chars[start..i].iter().collect();
-                let dotted =
-                    start > 0 && at(start - 1) == '.' && (start < 2 || at(start - 2) != '.');
-                let pathed = start >= 2 && at(start - 1) == ':' && at(start - 2) == ':';
-                if dotted {
-                    if at(i) == '(' || (at(i) == ':' && at(i + 1) == ':') {
-                        reads.dot.entry(word.clone()).or_default().push((f, l));
-                    }
-                } else {
-                    reads.word.entry(word.clone()).or_default().push((f, l));
-                }
-                if pathed {
-                    if let Some(mut qual) = prev.clone() {
-                        if qual == "Self" {
-                            if let Some((ty, _)) = &scan.impl_of[l] {
-                                qual = ty.clone();
-                            }
-                        } else if let Some(original) = aliases.get(&qual) {
-                            let key = ((*original).clone(), word.clone());
-                            reads.path.entry(key).or_default().push((f, l));
-                        }
-                        reads
-                            .path
-                            .entry((qual, word.clone()))
-                            .or_default()
-                            .push((f, l));
-                    }
-                }
-                prev = Some(word);
-            }
+        if let Some(key) = key_of(span, original, &read(original)) {
+            out.entry(key)
+                .or_insert_with(|| format!("{original}:{}", span.line));
         }
     }
-    reads
-}
-
-/// Whether a product line outside `item`'s own declaration reads it.
-fn is_read(item: &Item, scans: &[FileScan], reads: &Reads) -> bool {
-    let krate = &scans[item.file].krate;
-    let elsewhere = |&(f, l): &At| {
-        let own = f == item.file && (item.span.0..item.span.1).contains(&l);
-        let own_impl = item.owner.is_none()
-            && &scans[f].krate == krate
-            && matches!(&scans[f].impl_of[l], Some((ty, _)) if *ty == item.name);
-        !own && !own_impl
-    };
-    let none = Vec::new();
-    match &item.owner {
-        Some(ty) => {
-            let dot = reads.dot.get(&item.name).unwrap_or(&none);
-            let path = reads
-                .path
-                .get(&(ty.clone(), item.name.clone()))
-                .unwrap_or(&none);
-            dot.iter().chain(path).any(elsewhere)
-        }
-        None => reads
-            .word
-            .get(&item.name)
-            .unwrap_or(&none)
-            .iter()
-            .any(elsewhere),
-    }
-}
-
-/// Every item declared in `files`' product lines, and those with no product
-/// reader, by key.
-fn surface(files: &[Source]) -> (Vec<Item>, BTreeMap<String, Item>) {
-    let product: Vec<&Source> = files.iter().filter(|s| is_product(&s.path)).collect();
-    let scans: Vec<FileScan> = product
-        .iter()
-        .map(|s| scan_file(&s.path, &s.text))
-        .collect();
-    let items: Vec<Item> = scans
-        .iter()
-        .enumerate()
-        .flat_map(|(f, scan)| items_of(scan, f, &product[f].path))
-        .collect();
-    let reads = reads_of(&scans);
-    let unread = items
-        .iter()
-        .filter(|item| !is_read(item, &scans, &reads))
-        .map(|item| (item.key.clone(), item.clone()))
-        .collect();
-    (items, unread)
+    out
 }
 
 const REASONS: [&str; 5] = [
@@ -525,205 +517,199 @@ const REASONS: [&str; 5] = [
     "other:",
 ];
 
-/// Does `file` name `name` as a word outside its product lines?
-fn names_outside_product(file: &Source, name: &str) -> bool {
-    let code = code_lines(&file.text);
-    let from = if is_product(&file.path) {
-        product_len(&code)
+/// Does `text` name `name` as a word outside `//` comments (and outside
+/// product lines if `path` is a product file)?
+fn mentions(path: &str, text: &str, name: &str) -> bool {
+    let tests = text.find("#[cfg(test)]").map_or("", |i| &text[i..]);
+    let text = if path.starts_with("crates/") && path.contains("/src/") {
+        tests
     } else {
-        0
+        text
     };
-    code[from..].iter().any(|line| {
-        line.match_indices(name).any(|(i, _)| {
-            let before = line[..i].chars().next_back();
-            let after = line[i + name.len()..].chars().next();
-            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
-        })
-    })
+    let code = text.lines().map(|l| l.split("//").next().unwrap_or(""));
+    code.flat_map(words).any(|w| w == name)
 }
 
-/// Compares the unread items with the allowlist; returns every mismatch.
-fn check_allowlist(files: &[Source], allow: &str) -> Vec<String> {
-    let (items, unread) = surface(files);
-    let declared: BTreeMap<&str, &Item> = items.iter().map(|i| (i.key.as_str(), i)).collect();
+/// Compares the two runs' findings with the allowlist; returns every
+/// mismatch. `benchmark` is the text of `benchmark/src`.
+fn check_allowlist(
+    [product, with_benchmark]: &[BTreeMap<String, String>; 2],
+    benchmark: &str,
+    allow: &str,
+    read: &dyn Fn(&str) -> Option<String>,
+) -> Vec<String> {
+    let name_of = |key: &str| key.rsplit("::").next().unwrap_or(key).to_string();
+    // Key → (declaration, whether only a `benchmark:` reason fits).
+    let mut need: BTreeMap<&str, (&str, bool)> = BTreeMap::new();
+    for (key, at) in product {
+        if mentions("", benchmark, &name_of(key)) {
+            need.insert(key, (at, true));
+        }
+    }
+    need.extend(
+        with_benchmark
+            .iter()
+            .map(|(k, at)| (k.as_str(), (at.as_str(), false))),
+    );
     let mut errors = Vec::new();
     let mut listed = BTreeSet::new();
-    for (n, raw) in allow.lines().enumerate() {
-        let line = raw.trim();
+    for (n, line) in allow.lines().enumerate().map(|(n, l)| (n + 1, l.trim())) {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let at = format!("public_surface.allow:{}", n + 1);
-        let (key, reason) = match line.split_once(char::is_whitespace) {
-            Some((k, r)) => (k, r.trim()),
-            None => (line, ""),
-        };
-        if !listed.insert(key.to_string()) {
-            errors.push(format!("{at}: `{key}` is listed twice"));
-        }
+        let (key, reason) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let reason = reason.trim();
         let kind = REASONS.into_iter().find(|k| reason.starts_with(k));
         let detail = kind.map_or("", |k| reason[k.len()..].trim());
-        match kind {
-            None => errors.push(format!(
-                "{at}: `{key}` has no reason; give one of {}",
+        let mut error = |e: String| errors.push(format!("public_surface.allow:{n}: {e}"));
+        if !listed.insert(key) {
+            error(format!("`{key}` is listed twice"));
+        }
+        match (kind, detail.is_empty()) {
+            (None, _) => error(format!(
+                "`{key}` has no reason; give one of {}",
                 REASONS.join(" ")
             )),
-            Some("input-validation") if !detail.is_empty() => {
-                errors.push(format!("{at}: `input-validation` takes no detail"))
-            }
-            Some(k) if k != "input-validation" && detail.is_empty() => {
-                errors.push(format!("{at}: `{k}` needs a detail"))
-            }
+            (Some("input-validation"), false) => error("`input-validation` takes no detail".into()),
+            (Some(k), true) if k != "input-validation" => error(format!("`{k}` needs a detail")),
             _ => {}
         }
-        let Some(item) = declared.get(key) else {
-            errors.push(format!(
-                "{at}: `{key}` is not a declared public item; delete the line"
-            ));
-            continue;
-        };
-        if !unread.contains_key(key) {
-            errors.push(format!(
-                "{at}: `{key}` has a product reader now; delete the line"
-            ));
+        match need.get(key) {
+            None => error(format!(
+                "`{key}` is read by a product line (or through a benchmark item), or is gone; \
+                 delete the line"
+            )),
+            Some((_, true)) if kind != Some("benchmark:") => error(format!(
+                "`{key}` is reached only through the benchmark; its reason is `benchmark:`"
+            )),
+            _ => {}
         }
-        if let Some(k @ ("benchmark:" | "test-probe:")) = kind.filter(|_| !detail.is_empty()) {
-            match files.iter().find(|s| s.path == detail) {
-                Some(file) if names_outside_product(file, &item.name) => {}
-                _ => errors.push(format!(
-                    "{at}: `{k} {detail}` does not name `{}` outside product lines",
-                    item.name
-                )),
-            }
+        if kind == Some("benchmark:") && !detail.starts_with("benchmark/") {
+            error("a `benchmark:` reason names a file under benchmark/".into());
+        }
+        let name = name_of(key);
+        if matches!(kind, Some("benchmark:" | "test-probe:"))
+            && !detail.is_empty()
+            && !read(detail).is_some_and(|text| mentions(detail, &text, &name))
+        {
+            error(format!(
+                "`{reason}` does not name `{name}` outside product lines"
+            ));
         }
     }
-    for (key, item) in &unread {
-        if !listed.contains(key.as_str()) {
-            errors.push(format!(
-                "{}:{}: `{key}` has no product reader: delete it, or list it with a reason",
-                item.path,
-                item.span.0 + 1
-            ));
-        }
+    for (key, (at, benchmark)) in need.into_iter().filter(|(k, _)| !listed.contains(k)) {
+        errors.push(match benchmark {
+            true => format!("{at}: `{key}` is reached only through the benchmark: list it with a `benchmark:` reason"),
+            false => format!("{at}: `{key}` has no reader outside tests: delete it, or list it with a reason"),
+        });
     }
     errors
 }
 
-/// The dependencies a manifest declares that no file of `sources` names.
-fn unused_deps(manifest: &str, sources: &[Source]) -> Vec<String> {
-    let named: BTreeSet<String> = sources
+/// The 1-based product lines of `text` that allow `dead_code` or `unused`.
+fn silenced(text: &str) -> Vec<usize> {
+    let product = text
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
+    let code = product.map(|l| l.split("//").next().unwrap_or(""));
+    let allows = |c: &str| c.contains("allow(") || c.contains("expect(");
+    let silences = |c: &str| allows(c) && (c.contains("dead_code") || c.contains("unused"));
+    code.enumerate()
+        .filter(|(_, c)| silences(c))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+const DEPENDENCIES: [&str; 3] = [
+    "[dependencies]",
+    "[dev-dependencies]",
+    "[build-dependencies]",
+];
+
+/// The dependencies a manifest declares that none of `texts` names.
+fn unused_deps(manifest: &str, texts: &[String]) -> Vec<String> {
+    let code = texts
         .iter()
-        .flat_map(|s| code_lines(&s.text))
-        .flat_map(|line| {
-            line.split(|c: char| !is_ident(c))
-                .filter(|w| !w.is_empty())
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        })
-        .collect();
+        .flat_map(|t| t.lines().map(|l| l.split("//").next().unwrap_or("")));
+    let named: BTreeSet<&str> = code.flat_map(words).collect();
     let mut section = "";
     let mut unused = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
             section = line;
-            continue;
-        }
-        if !matches!(
-            section,
-            "[dependencies]" | "[dev-dependencies]" | "[build-dependencies]"
-        ) || line.is_empty()
-            || line.starts_with('#')
-        {
-            continue;
-        }
-        let dep = line
-            .split(|c: char| c == '=' || c == '.' || c.is_whitespace())
-            .next()
-            .unwrap_or("");
-        if !named.contains(&dep.replace('-', "_")) {
-            unused.push(format!("{section} {dep}"));
+        } else if DEPENDENCIES.contains(&section) && !line.is_empty() && !line.starts_with('#') {
+            let dep = line.split(['=', '.', ' ']).next().unwrap_or("");
+            if !named.contains(dep.replace('-', "_").as_str()) {
+                unused.push(format!("{section} {dep}"));
+            }
         }
     }
     unused
 }
 
-fn repo() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every `.rs` file under `rel`, recursively, in path order.
-fn rs_files(rel: &str, out: &mut Vec<Source>) {
-    let Ok(entries) = fs::read_dir(repo().join(rel)) else {
-        return;
-    };
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    for name in names {
-        let path = format!("{rel}/{name}");
-        let full = repo().join(&path);
-        if full.is_dir() {
-            rs_files(&path, out);
-        } else if name.ends_with(".rs") {
-            let text = fs::read_to_string(&full).expect("read source");
-            out.push(Source { path, text });
-        }
-    }
-}
-
-/// The workspace's package directories: the root and each of `crates/*`.
-fn packages() -> Vec<String> {
-    let mut dirs: Vec<String> = fs::read_dir(repo().join("crates"))
-        .expect("crates/")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().join("Cargo.toml").is_file())
-        .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
-        .collect();
-    dirs.sort();
-    dirs.insert(0, String::new());
-    dirs
-}
-
-fn package_sources(dir: &str) -> Vec<Source> {
-    let mut out = Vec::new();
-    for sub in ["src", "tests", "benches", "examples"] {
-        let rel = if dir.is_empty() {
-            sub.to_string()
-        } else {
-            format!("{dir}/{sub}")
-        };
-        rs_files(&rel, &mut out);
-    }
-    out
-}
-
 #[test]
 fn every_unread_public_item_is_listed_with_a_reason() {
-    let mut files = Vec::new();
-    for dir in packages() {
-        files.extend(package_sources(&dir));
-    }
-    rs_files("benchmark/src", &mut files);
-    rs_files("benchmark/tests", &mut files);
-    let allow = fs::read_to_string(repo().join("tests/public_surface.allow"))
-        .expect("tests/public_surface.allow");
-    let errors = check_allowlist(&files, &allow);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("public_surface");
+    // The runs share nothing, so they check side by side, each in its own
+    // target directory (one would serialize them on its lock).
+    let found = std::thread::scope(|s| {
+        let run = |(name, benchmark): (&str, bool)| {
+            let dir = dir.join(name);
+            s.spawn(move || {
+                let mut copy = one_crate(benchmark);
+                let json = check_copy(&dir, &mut copy);
+                unread(&copy, &dead_spans(&json))
+            })
+        };
+        let runs = [("product", false), ("with_benchmark", true)].map(run);
+        runs.map(|r| r.join().expect("surface run"))
+    });
+    let benchmark = rs_files("benchmark/src")
+        .iter()
+        .map(|p| read(p))
+        .collect::<String>();
+    let allow = read("tests/public_surface.allow");
+    let read = |path: &str| fs::read_to_string(repo().join(path)).ok();
+    let errors = check_allowlist(&found, &benchmark, &allow, &read);
     assert!(errors.is_empty(), "\n{}\n", errors.join("\n"));
 }
 
 #[test]
+fn no_product_line_silences_dead_code() {
+    let dirs = ["src".to_string(), "examples".into()];
+    let dirs = dirs
+        .into_iter()
+        .chain(crate_dirs().into_iter().map(|c| format!("crates/{c}/src")));
+    let files = dirs.flat_map(|d| rs_files(&d));
+    let at = |f: String| {
+        silenced(&read(&f))
+            .into_iter()
+            .map(move |l| format!("{f}:{l}"))
+    };
+    let errors: Vec<String> = files.flat_map(at).collect();
+    assert!(
+        errors.is_empty(),
+        "lines that would hide items from rustc:\n{}",
+        errors.join("\n")
+    );
+    let fixed = "#![allow(dead_code)]\nfn a() {}\n// #[allow(unused)]\n\
+                 #[allow(unused_variables)]\nfn b() {}\n#[cfg(test)]\n#[allow(dead_code)]\n";
+    assert_eq!(silenced(fixed), [1, 4]);
+}
+
+#[test]
 fn every_manifest_dependency_is_named_by_its_package() {
+    let packages = crate_dirs().into_iter().map(|c| format!("crates/{c}/"));
     let mut errors = Vec::new();
-    for dir in packages() {
-        let manifest = if dir.is_empty() {
-            "Cargo.toml".to_string()
-        } else {
-            format!("{dir}/Cargo.toml")
-        };
-        let text = fs::read_to_string(repo().join(&manifest)).expect("manifest");
-        for dep in unused_deps(&text, &package_sources(&dir)) {
+    for dir in std::iter::once(String::new()).chain(packages) {
+        let manifest = format!("{dir}Cargo.toml");
+        let subs = ["src", "tests", "benches", "examples"].map(|sub| format!("{dir}{sub}"));
+        let texts: Vec<String> = subs
+            .iter()
+            .flat_map(|s| rs_files(s))
+            .map(|p| read(&p))
+            .collect();
+        for dep in unused_deps(&read(&manifest), &texts) {
             errors.push(format!(
                 "{manifest}: {dep} is named by no source of its package"
             ));
@@ -732,143 +718,200 @@ fn every_manifest_dependency_is_named_by_its_package() {
     assert!(errors.is_empty(), "\n{}\n", errors.join("\n"));
 }
 
-/// The keys of the unread items in `files`.
-fn unread_keys(files: &[Source]) -> Vec<String> {
-    surface(files).1.into_keys().collect()
+#[test]
+fn paths_are_rewritten_into_one_crate() {
+    let crates = ["bench", "core", "graph"].map(String::from);
+    let text = "use crate::x::Y;\npub fn f(g: polymer_graph::Graph) {}\n\
+                pub(crate) struct S {\n    pub field: u8,\n}\n\
+                macro_rules! m { () => { $crate::S } }\nuse polymer_core::Engine;\n\
+                use polymer::prelude::*;\nlet x = crate::with_engine!(s, c, |e| e);\n\
+                let republic = my_polymer_graph;\n";
+    let want = "use crate::bench::x::Y;\npub(crate) fn f(g: crate::graph::Graph) {}\n\
+                pub(crate) struct S {\n    pub(crate) field: u8,\n}\n\
+                macro_rules! m { () => { $crate::bench::S } }\nuse crate::pcore::Engine;\n\
+                use crate::polymer::prelude::*;\nlet x = crate::with_engine!(s, c, |e| e);\n\
+                let republic = my_polymer_graph;\n";
+    assert_eq!(rewrite(text, "bench", &crates), want);
+
+    let text = "#[derive(Clone, Debug, PartialEq, Eq, Hash)]\n/// Doc.\nstruct S {\n    t: T,\n}\n\
+                #[derive(PartialEq)]\nenum E {\n    A(S),\n}\n    #[derive(PartialEq, Eq)]\n    \
+                struct T(u8);\n#[derive(Hash)]\nstruct U;\n";
+    let (stripped, lines) = strip_comparisons(text);
+    let lines: Vec<_> = lines
+        .iter()
+        .map(|(ty, line, _)| (ty.as_str(), *line))
+        .collect();
+    assert_eq!(lines, [("S", 0), ("T", 9), ("U", 11)]);
+    assert!(stripped.starts_with("#[derive(Clone, Debug)]\n/// Doc.\nstruct S"));
+    // E keeps its derive, so S (which E holds) and T (which S holds) get
+    // theirs back; nothing holds U.
+    let mut copy = OneCrate::default();
+    copy.files.insert("f.rs".into(), (String::new(), stripped));
+    for (ty, line, derive) in strip_comparisons(text).1 {
+        copy.stripped
+            .entry(ty)
+            .or_default()
+            .push(("f.rs".into(), line, derive));
+    }
+    copy.restore_contained();
+    assert_eq!(copy.files["f.rs"].1, text.replace("#[derive(Hash)]", ""));
 }
 
 #[test]
 fn an_unread_pub_fn_is_flagged() {
-    let files = [
-        source(
-            "crates/a/src/lib.rs",
-            "pub fn used() {}\npub fn unused() {}\n",
-        ),
-        source("crates/b/src/lib.rs", "fn f() {\n    a::used();\n}\n"),
+    let span = |line: usize, name: &str| {
+        let end = 8 + name.len();
+        format!(
+            r#"{{"is_primary":true,"file_name":"src/a/mod.rs","line_start":{line},"text":[{{"text":"pub fn {name}() {{}}","highlight_start":8,"highlight_end":{end}}}]}}"#
+        )
+    };
+    let other = r#"{"is_primary":false,"file_name":"src/a/mod.rs","line_start":1,"text":[]}"#;
+    let spans = format!("{},{},{other}", span(2, "unused"), span(3, "helper"));
+    let json = [
+        r#"{"reason":"compiler-artifact","target":{"name":"x"}}"#.to_string(),
+        format!(r#"{{"message":{{"code":{{"code":"dead_code"}},"spans":[{spans}]}}}}"#),
+        r#"{"message":{"code":{"code":"unused_imports"},"spans":[]}}"#.to_string(),
+        r#"{"message":{"level":"error","message":"x `Foo`","rendered":"r"}}"#.to_string(),
     ];
-    assert_eq!(unread_keys(&files), ["a::unused"]);
+    let spans = dead_spans(&json.join("\n"));
+    let at = |line, name: &str| Span {
+        file: "src/a/mod.rs".into(),
+        line,
+        name: name.into(),
+    };
+    assert_eq!(spans, [at(2, "unused"), at(3, "helper")]);
+    assert_eq!(
+        errors(&json.join("\n")),
+        [("x `Foo`".to_string(), "r".to_string())]
+    );
+    let original = "pub fn used() {}\npub fn unused() {}\nfn helper() {}\n";
+    let key = |s| key_of(s, "crates/a/src/lib.rs", original);
+    assert_eq!(
+        spans.iter().filter_map(key).collect::<Vec<_>>(),
+        ["a::unused"]
+    );
 }
 
 #[test]
-fn paths_and_method_calls_on_product_lines_are_reads() {
-    let lib = "pub struct Thing;
+fn spans_resolve_to_their_impl_struct_enum_or_trait() {
+    let lib = "pub struct Thing {
+    pub field: u8,
+    private: u8,
+}
 
-impl Thing {
-    pub fn new() -> Thing {
-        Thing
+impl<T: Fn() -> u8> Wrapper<T>
+where
+    T: Copy,
+{
+    pub fn new() -> Self {
+        todo!()
     }
-    pub fn called(&self) {}
-    pub fn helper(&self) {}
-    pub fn caller(&self) {
-        Self::helper(self);
-    }
-    pub fn recursive(&self) {
-        self.recursive();
-    }
+    fn helper(&self) {}
+    pub(crate) fn inner(&self) {}
+}
+
+pub enum Kind {
+    First,
+}
+
+pub trait Topology {
+    fn num_edges(&self) -> usize;
+}
+
+pub fn free() {
+    pub struct Local;
+}
+
+struct Hidden;
+
+impl Hidden {
+    pub fn shown(&self) {}
 }
 ";
-    let user = "fn f() {\n    let t = a::Thing::new();\n    t.called();\n    t.caller();\n}\n";
-    let files = [
-        source("crates/a/src/lib.rs", lib),
-        source("examples/demo.rs", user),
-    ];
-    assert_eq!(unread_keys(&files), ["a::Thing::recursive"]);
-}
-
-#[test]
-fn comments_reexports_unit_tests_strings_and_tests_dir_are_not_reads() {
-    let lib = r#"pub fn in_comment() {}
-pub fn in_reexport() {}
-pub fn in_unit_test() {}
-pub fn in_tests_dir() {}
-pub fn in_string() {}
-pub use self::{
-    in_reexport as again,
-};
-// in_comment();
-/// Calls [`in_comment`].
-fn user() -> &'static str {
-    "in_string()"
-}
-#[cfg(test)]
-mod tests {
-    fn t() {
-        super::in_unit_test();
-    }
-}
-"#;
-    let files = [
-        source("crates/a/src/lib.rs", lib),
-        source("tests/t.rs", "fn t() {\n    a::in_tests_dir();\n}\n"),
-        source(
-            "benchmark/src/main.rs",
-            "fn m() {\n    a::in_tests_dir();\n}\n",
-        ),
-    ];
+    let key = |line: usize, name: &str| {
+        let span = Span {
+            file: String::new(),
+            line,
+            name: name.to_string(),
+        };
+        key_of(&span, "crates/graph/src/lib.rs", lib)
+    };
+    let some = |k: &str| Some(k.to_string());
+    assert_eq!(key(1, "Thing"), some("graph::Thing"));
+    assert_eq!(key(2, "field"), some("graph::Thing::field"));
+    assert_eq!(key(3, "private"), None);
+    assert_eq!(key(10, "new"), some("graph::Wrapper::new"));
+    assert_eq!(key(13, "helper"), None);
+    assert_eq!(key(14, "inner"), None);
+    assert_eq!(key(18, "First"), some("graph::Kind::First"));
+    assert_eq!(key(22, "num_edges"), some("graph::Topology::num_edges"));
+    assert_eq!(key(25, "free"), some("graph::free"));
+    assert_eq!(key(26, "Local"), some("graph::Local"));
+    assert_eq!(key(32, "shown"), None);
     assert_eq!(
-        unread_keys(&files),
-        [
-            "a::in_comment",
-            "a::in_reexport",
-            "a::in_string",
-            "a::in_tests_dir",
-            "a::in_unit_test"
-        ]
+        header_name("impl std::fmt::Display for Thing {"),
+        some("Thing")
     );
 }
 
 #[test]
 fn stale_reasonless_and_unlisted_allowlist_lines_are_rejected() {
-    let files = [
-        source(
-            "crates/a/src/lib.rs",
-            "pub fn unread() {}\npub fn read() {}\nfn f() {\n    read();\n}\n",
-        ),
-        source("tests/t.rs", "fn t() {\n    a::unread();\n}\n"),
-        source("tests/other.rs", "fn t() {}\n"),
-    ];
-    let errors = |allow: &str| check_allowlist(&files, allow);
+    let lib = "crates/a/src/lib.rs";
+    let found: [BTreeMap<String, String>; 2] = [
+        [("a::unread", 1), ("a::linked", 2), ("a::Via::chain", 3)],
+        [("a::unread", 1); 3],
+    ]
+    .map(|run| {
+        run.map(|(k, l)| (k.to_string(), format!("{lib}:{l}")))
+            .into()
+    });
+    let benchmark = "fn m() {\n    a::linked();\n}\n";
+    let read = |path: &str| match path {
+        "tests/t.rs" => Some("fn t() {\n    a::unread();\n}\n".to_string()),
+        "benchmark/src/main.rs" => Some(benchmark.to_string()),
+        "crates/a/src/lib.rs" => Some("pub fn unread() {}\n#[cfg(test)]\nfn t() {}\n".into()),
+        _ => None,
+    };
+    let errors = |allow: &str| check_allowlist(&found, benchmark, allow, &read);
+    let linked = "a::linked  benchmark: benchmark/src/main.rs\n";
     let one = |allow: &str, want: &str| {
         let got = errors(allow);
-        assert!(
-            got.len() == 1 && got[0].contains(want),
-            "{allow:?}: want one error with {want:?}, got {got:?}"
-        );
+        let ok = got.len() == 1 && got[0].contains(want);
+        assert!(ok, "{allow:?}: want one error with {want:?}, got {got:?}");
     };
-    assert!(errors("# kept\na::unread  test-probe: tests/t.rs\n").is_empty());
-    one("a::unread\n", "has no reason");
-    one("a::unread  because\n", "has no reason");
-    one("a::unread  test-probe:\n", "needs a detail");
+    let ok = format!("# kept\na::unread  test-probe: tests/t.rs\n{linked}");
+    assert!(errors(&ok).is_empty(), "{:?}", errors(&ok));
+    one(&format!("a::unread\n{linked}"), "has no reason");
+    one(&format!("a::unread  because\n{linked}"), "has no reason");
     one(
-        "a::unread  test-probe: tests/other.rs\n",
+        &format!("a::unread  test-probe:\n{linked}"),
+        "needs a detail",
+    );
+    one(
+        &format!("a::unread  test-probe: {lib}\n{linked}"),
         "does not name `unread`",
     );
+    let gone = format!("a::unread  input-validation\n{linked}a::gone  input-validation\n");
+    one(&gone, "`a::gone` is read by a product line");
+    let chain = format!("a::unread  input-validation\n{linked}a::Via::chain  other: x\n");
+    one(&chain, "`a::Via::chain` is read by a product line");
+    let probe = "a::unread  input-validation\na::linked  test-probe: benchmark/src/main.rs\n";
+    one(probe, "reached only through the benchmark");
     one(
-        "a::unread  input-validation\na::gone  input-validation\n",
-        "not a declared",
+        &format!("a::unread  benchmark: tests/t.rs\n{linked}"),
+        "names a file under benchmark/",
     );
+    one(linked, "`a::unread` has no reader outside tests");
     one(
-        "a::unread  input-validation\na::read  input-validation\n",
-        "has a product reader now",
+        "a::unread  input-validation\n",
+        "`a::linked` is reached only through the benchmark",
     );
-    one("", "`a::unread` has no product reader");
 }
 
 #[test]
 fn an_unread_manifest_dependency_is_flagged() {
-    let manifest = r#"[package]
-name = "a"
-
-[dependencies]
-used-dep.workspace = true
-unused = { path = "x" }
-
-[dev-dependencies]
-dev-used = "1"
-"#;
-    let files = [
-        source("src/lib.rs", "use used_dep::X;\n// unused\n"),
-        source("tests/t.rs", "use dev_used as _;\n"),
-    ];
-    assert_eq!(unused_deps(manifest, &files), ["[dependencies] unused"]);
+    let manifest = "[package]\nname = \"a\"\n\n[dependencies]\nused-dep.workspace = true\n\
+                    unused = { path = \"x\" }\n\n[dev-dependencies]\ndev-used = \"1\"\n";
+    let texts = ["use used_dep::X;\n// unused\n", "use dev_used as _;\n"].map(String::from);
+    assert_eq!(unused_deps(manifest, &texts), ["[dependencies] unused"]);
 }

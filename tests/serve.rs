@@ -448,7 +448,7 @@ fn warm_answers_across_a_merged_batch_window_match_the_oracle() {
     fn service(n: usize, edges: &[(u32, u32, u32)]) -> GraphService {
         let mut el = EdgeList::new(n);
         for &(s, d, w) in edges {
-            el.push(Edge::weighted(s, d, w));
+            el.edges.push(Edge::weighted(s, d, w));
         }
         let svc = GraphService::new(Graph::from_edges(&el), cfg_on(Backend::Simulated)).unwrap();
         ingest(&svc, &[], &[]); // mutated mode: answers are cached from here on

@@ -6,7 +6,10 @@
 //! simulated result, never the result — so every combination must replay
 //! `results/golden_phasecosts.json` field for field, and a random script of
 //! scalar and bulk accesses must produce identical `AccessStats`,
-//! `PhaseCost`s, clocks and Chrome traces either way. Compressed topology
+//! `PhaseCost`s, clocks and Chrome traces either way. One exception stands:
+//! on a tiered machine under `TierPolicy::Sampled`, bulk accounting changes
+//! which pages the sampled heat promotes, so there only the values are
+//! pinned (see the tiered case at the end of this file). Compressed topology
 //! changes the simulated machine's traffic by design: values must stay
 //! exactly what the raw layout produces while the unweighted sweep workloads
 //! move strictly fewer simulated bytes.
@@ -18,7 +21,9 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 
-use polymer::numa::{chrome_trace_json, PhaseCost, SimExecutor, SimShardMode};
+use polymer::numa::{
+    chrome_trace_json, FaultPlan, PhaseCost, SimExecutor, SimShardMode, TierPolicy,
+};
 use polymer::prelude::*;
 use polymer_bench::golden::{golden_graphs, golden_matrix, GoldenRow};
 
@@ -37,7 +42,6 @@ enum Op {
     /// Bulk sweeps over an `atom` range.
     IterSeq(usize, usize),
     StoreSeq(usize, usize),
-    Fill(usize, usize),
     /// `k` consecutive appends at `start` on `wo`, then flush.
     Writer(usize, usize),
 }
@@ -47,7 +51,7 @@ enum Op {
 fn decode_op(n: usize, (kind, a, l): (u8, usize, usize)) -> Op {
     let s = a % n;
     let l = 1 + l % 16;
-    match kind % 9 {
+    match kind % 8 {
         0 => Op::Get(s),
         1 => Op::LoadRange(s, l),
         2 => Op::Load(s),
@@ -55,7 +59,6 @@ fn decode_op(n: usize, (kind, a, l): (u8, usize, usize)) -> Op {
         4 => Op::FetchAdd(s),
         5 => Op::IterSeq(s, l),
         6 => Op::StoreSeq(s, l),
-        7 => Op::Fill(s, l),
         _ => Op::Writer(s, l),
     }
 }
@@ -116,10 +119,6 @@ fn run_script(
                     Op::StoreSeq(s, l) => {
                         let e = (s + l).min(n);
                         atom.store_seq(ctx, s..e, |i| i as u64 ^ sink);
-                    }
-                    Op::Fill(s, l) => {
-                        let e = (s + l).min(n);
-                        atom.fill(ctx, s..e, sink);
                     }
                     Op::Writer(s, k) => {
                         let mut w = wo.seq_writer(s);
@@ -379,4 +378,97 @@ fn concurrent_machines_with_opposite_toggles_do_not_interfere() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(diverged, [vec![], vec![]], "rounds unlike the solo run");
+}
+
+/// One engine run on a fresh tiered machine: everything starts in the slow
+/// tier (`"*"` routed slow), the fast tier holds `fast_pages` pages per node,
+/// and `policy` promotes. Returns the run's fingerprint and the promoted
+/// page count.
+fn tiered_run<P: Program, E: Engine>(
+    engine: &E,
+    spec: &MachineSpec,
+    policy: TierPolicy,
+    g: &Graph,
+    prog: &P,
+) -> (Fingerprint<P::Val>, u64) {
+    let m = Machine::with_faults(spec.clone(), SpillPolicy::Demote, FaultPlan::default());
+    m.route_tags_to_slow(&["*"]);
+    m.set_tier_policy(Some(policy));
+    let r = engine.run(&m, 4, g, prog);
+    (fingerprint(&r), m.promoted_pages_by_node().iter().sum())
+}
+
+/// Tiered machines under every promotion policy, for all four engines, with
+/// bulk accounting on and off and shard mode `Off` and `Auto`.
+///
+/// `FirstTouch` and `HotPageLru` count every access (full heat), so the two
+/// accounting-only toggles must leave values, simulated seconds, barriers,
+/// phase cost and promotions bit-identical. `Sampled` is the exception: its
+/// one rolling sampling tick per context counts accesses across all
+/// allocations, and a bulk run credits its samples to the run's first page,
+/// so which pages promote depends on the accounting path (in this case
+/// X-Stream promotes 67 pages with bulk on and 84 with bulk off). Until
+/// sampled heat is made order-free, only its *values* are checked, which no
+/// placement can change.
+#[test]
+fn tiered_machines_are_bit_identical_across_accounting_toggles_except_sampled_heat() {
+    use polymer::numa::PAGE_SIZE;
+    let g = Graph::from_edges(&polymer::graph::gen::rmat(
+        9,
+        4_096,
+        polymer::graph::gen::RMAT_GRAPH500,
+        7,
+    ));
+    let prog = PageRank::new(g.num_vertices()).with_iters(4);
+    let base = MachineSpec::test2_tiered()
+        .with_fast_capacity(16 * PAGE_SIZE as u64)
+        .with_shard_mode(SimShardMode::Off);
+    let toggled = [
+        ("bulk off", base.clone().with_bulk_accounting(false)),
+        (
+            "shard auto",
+            base.clone().with_shard_mode(SimShardMode::Auto),
+        ),
+        (
+            "bulk off, shard auto",
+            base.clone()
+                .with_bulk_accounting(false)
+                .with_shard_mode(SimShardMode::Auto),
+        ),
+    ];
+    for policy in [
+        TierPolicy::FirstTouch,
+        TierPolicy::HotPageLru,
+        TierPolicy::Sampled,
+    ] {
+        let runs = |spec: &MachineSpec| {
+            vec![
+                tiered_run(&PolymerEngine::new(), spec, policy, &g, &prog),
+                tiered_run(&LigraEngine::new(), spec, policy, &g, &prog),
+                tiered_run(&XStreamEngine::new(), spec, policy, &g, &prog),
+                tiered_run(&GaloisEngine::new(), spec, policy, &g, &prog),
+            ]
+        };
+        let want = runs(&base);
+        assert!(
+            want.iter().any(|(_, promoted)| *promoted > 0),
+            "{policy:?}: nothing promoted, the case tests nothing"
+        );
+        for (what, spec) in &toggled {
+            let got = runs(spec);
+            for (engine, (g, w)) in ["polymer", "ligra", "xstream", "galois"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                if policy == TierPolicy::Sampled {
+                    assert_eq!(g.0 .0, w.0 .0, "{engine}/{policy:?}: {what} changed values");
+                } else {
+                    assert_eq!(
+                        g, w,
+                        "{engine}/{policy:?}: {what} changed the simulated result"
+                    );
+                }
+            }
+        }
+    }
 }
