@@ -10,7 +10,7 @@ use polymer_numa::{
     AccessCtx, AllocPolicy, Atom, CompressedLists, Machine, NumaArray, NumaAtomicArray,
 };
 
-use crate::program::{Combine, Program};
+use crate::program::Program;
 
 /// Per-iteration divergence scan: a no-op for integer value types, and for
 /// float types ([`Atom::CHECK_FINITE`]) an unaccounted sweep of `curr` that
@@ -268,33 +268,14 @@ pub fn init_values<P: Program>(
 }
 
 /// Fold contribution `c` into `arr[i]` with the program's combine operator,
-/// atomically and accounted.
-#[inline]
-pub fn atomic_combine<P: Program>(
-    prog: &P,
-    arr: &NumaAtomicArray<P::Val>,
-    ctx: &mut AccessCtx,
-    i: usize,
-    c: P::Val,
-) {
-    match prog.combine() {
-        Combine::Add => {
-            arr.fetch_add(ctx, i, c);
-        }
-        Combine::Min => {
-            arr.fetch_min(ctx, i, c);
-        }
-    }
-}
-
-/// [`atomic_combine`] for code that runs with no concurrent writer of `arr` —
-/// the `publish` half of
-/// [`SimExecutor::run_phase_split`](polymer_numa::SimExecutor::run_phase_split),
-/// which runs on the calling thread after every shard has joined. Records
-/// the same single write transaction the atomic read-modify-write records
-/// and leaves the same value behind ([`Combine::fold`] is the host form of
-/// the same operator), without the compare-exchange loop an `f64` combine
-/// costs.
+/// accounted, for code that is the only writer of `arr[i]` while it runs: a
+/// shard's own cells in the compute half of
+/// [`SimExecutor::run_phase_split`](polymer_numa::SimExecutor::run_phase_split)
+/// (`docs/SIMULATOR.md` §7), or any cell in the serial `publish` half.
+/// Records the single write transaction an atomic read-modify-write
+/// records and leaves the same value behind
+/// ([`Combine::fold`](crate::Combine::fold) is the host form of the same
+/// operator), without the compare-exchange loop an `f64` combine costs.
 #[inline]
 pub fn serial_combine<P: Program>(
     prog: &P,
@@ -388,6 +369,7 @@ pub fn weight_balanced_chunks<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Combine;
 
     /// A program that is nothing but its combine operator over `T`.
     struct Folder<T>(Combine, std::marker::PhantomData<T>);
@@ -437,6 +419,21 @@ mod tests {
         (arr.snapshot(), format!("{:?}", ctx.take_stats()))
     }
 
+    /// The host atomic `serial_combine` stands in for: the combine
+    /// operator's accounted `fetch_*` on the cell.
+    fn fetch_combine<P: Program>(
+        prog: &P,
+        arr: &NumaAtomicArray<P::Val>,
+        ctx: &mut AccessCtx,
+        i: usize,
+        c: P::Val,
+    ) {
+        match prog.combine() {
+            Combine::Add => arr.fetch_add(ctx, i, c),
+            Combine::Min => arr.fetch_min(ctx, i, c),
+        };
+    }
+
     #[test]
     fn serial_combine_matches_atomic_combine() {
         // 1024 cells span both nodes of `test2` (interleaved pages); the
@@ -452,7 +449,7 @@ mod tests {
                 .map(|(k, &i)| (i, 0.25 + (k % 13) as f64 / 3.0))
                 .collect();
             let serial = replay(&f, &start, &script, serial_combine);
-            let atomic = replay(&f, &start, &script, atomic_combine);
+            let atomic = replay(&f, &start, &script, fetch_combine);
             assert_eq!(
                 serial.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 atomic.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -469,7 +466,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 replay(&f, &start, &script, serial_combine),
-                replay(&f, &start, &script, atomic_combine),
+                replay(&f, &start, &script, fetch_combine),
                 "u32 {op:?}"
             );
 
@@ -482,7 +479,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 replay(&f, &start, &script, serial_combine),
-                replay(&f, &start, &script, atomic_combine),
+                replay(&f, &start, &script, fetch_combine),
                 "u64 {op:?}"
             );
         }
@@ -494,7 +491,7 @@ mod tests {
         let start = [f64::NAN, 0.0, 2.0, -0.0];
         let script = [(0, 0.5), (1, -0.0), (2, f64::NAN), (2, 1.0), (3, 0.0)];
         let serial = replay(&f, &start, &script, serial_combine);
-        let atomic = replay(&f, &start, &script, atomic_combine);
+        let atomic = replay(&f, &start, &script, fetch_combine);
         let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&serial.0), bits(&atomic.0), "f64 Min edge cells");
         assert_eq!(bits(&atomic.0), bits(&[f64::NAN, 0.0, 1.0, -0.0]));

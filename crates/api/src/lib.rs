@@ -47,9 +47,8 @@ pub use engine::{
     RunOptions,
 };
 pub use exec::{
-    atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence,
-    degree_balanced_chunks, even_chunks, init_values, serial_combine, weight_balanced_chunks,
-    NeighborStream, TopoArrays,
+    charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
+    even_chunks, init_values, serial_combine, weight_balanced_chunks, NeighborStream, TopoArrays,
 };
 pub use overlay::{MergedTopoStream, OutSegment, OverlayTopo};
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};

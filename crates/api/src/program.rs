@@ -5,10 +5,11 @@ use polymer_numa::Atom;
 
 /// The commutative, associative operator folding edge contributions into a
 /// target's `next` cell — the one place a program states it. The simulated
-/// engines issue the matching atomic in push mode
-/// ([`crate::exec::atomic_combine`]); pull mode, the real-thread executor and
-/// the host kernels fold plain values with [`Combine::fold`], which leaves
-/// the value the atomic would.
+/// engines charge a push-mode combine as the matching atomic (one write
+/// transaction) and perform it on the one host thread that writes the cell
+/// ([`crate::exec::serial_combine`]). It, pull mode, the real-thread
+/// executor and the host kernels all fold plain values with
+/// [`Combine::fold`], which leaves the value the atomic would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
     /// `next[t] += c` (PageRank, SpMV, log-domain BP).

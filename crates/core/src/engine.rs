@@ -1,8 +1,8 @@
 //! The Polymer execution engine (paper Sections 4.3 and 5).
 
 use polymer_api::{
-    atomic_combine, charged_values_restore, charged_values_snapshot, check_divergence, even_chunks,
-    serial_combine, Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
+    charged_values_restore, charged_values_snapshot, check_divergence, even_chunks, serial_combine,
+    Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult,
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
@@ -323,7 +323,7 @@ impl Engine for PolymerEngine {
                                 updated
                                     .get(owner)
                                     .unwrap()
-                                    .set(ctx, t - layout.nodes[owner].range.start);
+                                    .set_unshared(ctx, t - layout.nodes[owner].range.start);
                             }
                         },
                     );
@@ -337,7 +337,10 @@ impl Engine for PolymerEngine {
                             // queue pushes go to the running thread's own
                             // queue, so the whole phase body is shard-pure:
                             // nothing it writes is visible outside its shard
-                            // during the phase.
+                            // during the phase. The node's shard is the only
+                            // writer of its `next` cells and `updated` words,
+                            // one tid at a time, so the combine and the bit
+                            // set are plain read-modify-writes.
                             sim.run_phase_split(
                                 "scatter-push",
                                 |tid, ctx| {
@@ -374,7 +377,7 @@ impl Engine for PolymerEngine {
                                                 None => 1,
                                             };
                                             let t = t as usize;
-                                            atomic_combine(
+                                            serial_combine(
                                                 prog,
                                                 &next,
                                                 ctx,
@@ -385,7 +388,7 @@ impl Engine for PolymerEngine {
                                             if updated
                                                 .get(node)
                                                 .unwrap()
-                                                .set(ctx, t - nl.range.start)
+                                                .set_unshared(ctx, t - nl.range.start)
                                             {
                                                 queues.push(ctx, t as VId);
                                             }
@@ -401,9 +404,10 @@ impl Engine for PolymerEngine {
                             let per_node_chunks: Vec<Vec<std::ops::Range<usize>>> = (0..spanned)
                                 .map(|node| even_chunks(items.len(), tpn[node]))
                                 .collect();
-                            // Shard-pure for the same reason as the dense
-                            // variant: push targets are node-local, queue
-                            // pushes are own-thread.
+                            // Shard-pure, with plain read-modify-writes, for
+                            // the same reason as the dense variant: push
+                            // targets are node-local, queue pushes are
+                            // own-thread.
                             sim.run_phase_split(
                                 "scatter-push-sparse",
                                 |tid, ctx| {
@@ -434,7 +438,7 @@ impl Engine for PolymerEngine {
                                                 None => 1,
                                             };
                                             let t = t as usize;
-                                            atomic_combine(
+                                            serial_combine(
                                                 prog,
                                                 &next,
                                                 ctx,
@@ -445,7 +449,7 @@ impl Engine for PolymerEngine {
                                             if updated
                                                 .get(node)
                                                 .unwrap()
-                                                .set(ctx, t - nl.range.start)
+                                                .set_unshared(ctx, t - nl.range.start)
                                             {
                                                 queues.push(ctx, t as VId);
                                             }

@@ -347,7 +347,9 @@ fn run_sync_pull<P: Program>(
                 let alive_count = &mut alive_count;
                 // Apply chunks are disjoint vertex ranges; `next_state.set`
                 // may share a bitmap word across shards but the word update
-                // is atomic and order-independent — shard-pure.
+                // is atomic and order-independent — shard-pure. It stays a
+                // host `fetch_or` (not `set_unshared`) because a chunk
+                // boundary can split a word between two writers.
                 sim.run_phase_split(
                     "apply",
                     |tid, ctx| {

@@ -216,6 +216,9 @@ impl Engine for LigraEngine {
                                 }
                                 if any {
                                     next.store(ctx, t, acc);
+                                    // Atomic: an edge-balanced chunk
+                                    // boundary can split a bitmap word
+                                    // across shards.
                                     updated.set(ctx, t);
                                 }
                             }
@@ -232,9 +235,17 @@ impl Engine for LigraEngine {
                     // observe other threads' same-phase writes, so they move
                     // to the serially replayed publish half. Compute streams
                     // the topology and logs (target, contribution) pairs.
+                    // Where each one's `next` write and `updated` word write
+                    // land is known here, so compute charges them (same
+                    // per-allocation order as the replay would), and publish
+                    // keeps only what depends on lower tids: the folded
+                    // values, the first setter of each bit, and that
+                    // setter's queue push. A context that keeps access order
+                    // charges everything in publish, in program order.
                     sim.run_phase_split(
                         "scatter-push",
                         |tid, ctx| {
+                            let defer = !ctx.keeps_access_order();
                             let mut log: Vec<(VId, P::Val)> = Vec::new();
                             for &s in &items[chunks[tid].clone()] {
                                 let si = s as usize;
@@ -258,18 +269,33 @@ impl Engine for LigraEngine {
                                     };
                                     log.push((t, prog.scatter(s, sv, w, deg)));
                                     ctx.charge_cycles(sc);
+                                    if defer {
+                                        // Combine target / updated bit are
+                                        // destination-indexed (random) —
+                                        // scalar path.
+                                        next.charge_store(ctx, t as usize);
+                                        updated.charge_set(ctx, t as usize);
+                                    }
                                 }
                             }
                             log
                         },
                         |_tid, ctx, log| {
+                            if ctx.keeps_access_order() {
+                                for (t, c) in log {
+                                    let t = t as usize;
+                                    serial_combine(prog, &next, ctx, t, c);
+                                    if updated.set_unshared(ctx, t) {
+                                        queues.push(ctx, t as VId);
+                                    }
+                                }
+                                return;
+                            }
                             for (t, c) in log {
                                 let t = t as usize;
-                                // Combine target / updated bit / queue push
-                                // are destination-indexed (random) — scalar
-                                // path.
-                                serial_combine(prog, &next, ctx, t, c);
-                                if updated.set(ctx, t) {
+                                next.raw_store(t, prog.combine().fold(next.raw_load(t), c));
+                                if !updated.test_unaccounted(t) {
+                                    updated.set_unaccounted(t);
                                     queues.push(ctx, t as VId);
                                 }
                             }
@@ -439,6 +465,71 @@ mod tests {
         let m2 = Machine::new(MachineSpec::test2());
         let push = LigraEngine { force_push: true }.run(&m2, 4, &g, &prog);
         assert_eq!(hybrid.values, push.values);
+    }
+
+    /// Everything a run charges and leaves behind, bit for bit: values,
+    /// iterations, simulated seconds, the total cost and the trace (every
+    /// phase's time, per-thread times and per-socket counters).
+    fn observe<P: Program>(spec: &MachineSpec, threads: usize, g: &Graph, prog: &P) -> String
+    where
+        P::Val: std::fmt::Debug,
+    {
+        let m = Machine::new(spec.clone());
+        let r = LigraEngine { force_push: true }.run_traced(&m, threads, g, prog);
+        let mut by_phase: Vec<_> = r.clock.by_phase.iter().collect();
+        by_phase.sort_by_key(|(name, _)| **name);
+        format!(
+            "{:?} {} {} {:?} {:?} {:?}",
+            r.values,
+            r.iterations,
+            r.seconds().to_bits(),
+            by_phase,
+            r.total_cost(),
+            r.trace()
+        )
+    }
+
+    #[test]
+    fn deferred_push_charges_match_the_literal_publish() {
+        // Every vertex also points at one hub, so in every dense iteration
+        // several tids push the hub and which of them sets its `updated`
+        // bit first (and queues it) depends on tid order.
+        let hub = 101;
+        let mut el = gen::uniform(203, 600, 17);
+        for v in (0..203).filter(|&v| v != hub) {
+            el.edges
+                .push(polymer_graph::Edge::weighted(v, hub, 1 + v % 7));
+        }
+        let g = Graph::from_edges(&el);
+        let pr = PageRank::new(g.num_vertices());
+        for compressed in [false, true] {
+            // Bulk accounting on defers the `next` / `updated` charges to
+            // the compute half; off, publish replays them literally.
+            let deferred = MachineSpec::intel80().with_compressed_topology(compressed);
+            let literal = deferred.clone().with_bulk_accounting(false);
+            for t in [1, 3, 7, 80] {
+                let what = format!("{t} threads, compressed={compressed}");
+                assert_eq!(
+                    observe(&literal, t, &g, &pr),
+                    observe(&deferred, t, &g, &pr),
+                    "PageRank, {what}"
+                );
+                for src in [0, hub] {
+                    let bfs = Bfs::new(src);
+                    assert_eq!(
+                        observe(&literal, t, &g, &bfs),
+                        observe(&deferred, t, &g, &bfs),
+                        "BFS from {src}, {what}"
+                    );
+                    let sssp = Sssp::new(src);
+                    assert_eq!(
+                        observe(&literal, t, &g, &sssp),
+                        observe(&deferred, t, &g, &sssp),
+                        "SSSP from {src}, {what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

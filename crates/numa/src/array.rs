@@ -348,6 +348,14 @@ impl<T: Atom> NumaAtomicArray<T> {
         T::atom_store(&self.data[i], v);
     }
 
+    /// Charge one [`NumaAtomicArray::store`] of element `i` without touching
+    /// the cell: for a caller that charges a write where its offset is known
+    /// and performs it later, unaccounted (see `docs/SIMULATOR.md` §7).
+    #[inline]
+    pub fn charge_store(&self, ctx: &mut AccessCtx, i: usize) {
+        self.meta.record(ctx, i, Rw::Write);
+    }
+
     /// Accounted atomic add; the read-modify-write is charged as one write
     /// transaction, matching how the paper counts accesses.
     #[inline]

@@ -50,6 +50,27 @@ impl DenseBitmap {
         prev & (1u64 << (v % 64)) == 0
     }
 
+    /// [`DenseBitmap::set`] for a caller that is the only writer of `v`'s
+    /// word for the phase: a plain load and one accounted store instead of
+    /// a host `fetch_or`. Records the same single write transaction and
+    /// returns the same answer.
+    #[inline]
+    pub fn set_unshared(&self, ctx: &mut AccessCtx, v: usize) -> bool {
+        debug_assert!(v < self.n);
+        let bit = 1u64 << (v % 64);
+        let prev = self.bits.raw_load(v / 64);
+        self.bits.store(ctx, v / 64, prev | bit);
+        prev & bit == 0
+    }
+
+    /// Charge what [`DenseBitmap::set`] of bit `v` charges — one write of
+    /// its word — without setting it; the caller sets it later, unaccounted.
+    #[inline]
+    pub fn charge_set(&self, ctx: &mut AccessCtx, v: usize) {
+        debug_assert!(v < self.n);
+        self.bits.charge_store(ctx, v / 64);
+    }
+
     /// Accounted test of bit `v`.
     #[inline]
     pub fn test(&self, ctx: &mut AccessCtx, v: usize) -> bool {
@@ -162,6 +183,40 @@ mod tests {
         assert!(!b.test(&mut ctx, 6));
         assert!(b.set(&mut ctx, 199));
         assert_eq!(b.count_ones(), 2);
+    }
+
+    #[test]
+    fn unshared_and_deferred_sets_charge_what_set_charges() {
+        // Fresh bits, their word neighbours, then every bit again, over both
+        // nodes of `test2` (the words span several interleaved pages).
+        let base: Vec<usize> = (0..150)
+            .map(|k| (k * 4099 + (k % 3) * 64) % 70_000)
+            .collect();
+        let neighbours: Vec<usize> = base.iter().map(|v| v ^ 1).collect();
+        let script = [&base[..], &neighbours, &base].concat();
+        let run = |how: u8| {
+            let (m, b) = setup(70_000);
+            let mut ctx = AccessCtx::new(&m, 0);
+            let won: Vec<bool> = script
+                .iter()
+                .map(|&v| match how {
+                    0 => b.set(&mut ctx, v),
+                    1 => b.set_unshared(&mut ctx, v),
+                    _ => {
+                        b.charge_set(&mut ctx, v);
+                        let fresh = !b.test_unaccounted(v);
+                        b.set_unaccounted(v);
+                        fresh
+                    }
+                })
+                .collect();
+            let bits: Vec<usize> = b.iter_set().collect();
+            (won, bits, format!("{:?}", ctx.take_stats()))
+        };
+        let atomic = run(0);
+        assert!(atomic.0.iter().any(|&w| !w), "the script revisits a bit");
+        assert_eq!(run(1), atomic, "set_unshared");
+        assert_eq!(run(2), atomic, "charge_set + unaccounted set");
     }
 
     #[test]

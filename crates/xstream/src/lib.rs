@@ -486,7 +486,10 @@ impl Engine for XStreamEngine {
                 {
                     let alive_count = &mut alive_count;
                     // Gather folds only the partition's own Uin into its own
-                    // `next` slice — shard-pure.
+                    // `next` slice — shard-pure. The partition's tid is the
+                    // only writer of its `next`, `updated` and `next_state`
+                    // allocations, so every update is a plain
+                    // read-modify-write.
                     sim.run_phase_split(
                         "gather",
                         |tid, ctx| {
@@ -498,8 +501,8 @@ impl Engine for XStreamEngine {
                                 let li = t as usize - part.range.start;
                                 // Combine/state targets arrive in update order, not
                                 // sequentially — scalar path.
-                                polymer_api::atomic_combine(prog, &part.next, ctx, li, v);
-                                part.updated.set(ctx, li);
+                                polymer_api::serial_combine(prog, &part.next, ctx, li, v);
+                                part.updated.set_unshared(ctx, li);
                             }
                             // Apply pass: the word scan is a dense sequential sweep
                             // (bulk); the per-bit value accesses depend on which
@@ -519,7 +522,7 @@ impl Engine for XStreamEngine {
                                     part.curr.store(ctx, li, val);
                                     part.next.store(ctx, li, identity);
                                     if live {
-                                        part.next_state.set(ctx, li);
+                                        part.next_state.set_unshared(ctx, li);
                                         alive += 1;
                                     }
                                 }
