@@ -409,14 +409,14 @@ mod tests {
         start: &[P::Val],
         script: &[(usize, P::Val)],
         combine: impl Fn(&P, &NumaAtomicArray<P::Val>, &mut AccessCtx, usize, P::Val),
-    ) -> (Vec<P::Val>, String) {
+    ) -> (Vec<P::Val>, polymer_numa::AccessStats) {
         let m = Machine::new(polymer_numa::MachineSpec::test2());
         let arr = m.alloc_atomic_with("cells", start.len(), AllocPolicy::Interleaved, |i| start[i]);
         let mut ctx = AccessCtx::new(&m, 0);
         for &(i, c) in script {
             combine(prog, &arr, &mut ctx, i, c);
         }
-        (arr.snapshot(), format!("{:?}", ctx.take_stats()))
+        (arr.snapshot(), ctx.take_stats())
     }
 
     /// The host atomic `serial_combine` stands in for: the combine

@@ -501,9 +501,10 @@ mod tests {
         let mut trace = String::new();
         let mut note = |call: String, stream: MergedTopoStream<'_>, ctx: &mut AccessCtx| {
             write!(trace, "{call} -> {:?}", stream.collect::<Vec<_>>()).unwrap();
-            for (id, a) in ctx.take_stats().iter_arrays() {
-                let bytes: u64 = a.bytes.iter().flatten().flatten().sum();
-                let count: u64 = a.count.iter().flatten().flatten().sum();
+            for (id, lines) in ctx.take_stats().iter_arrays() {
+                let tallies = || lines.iter().flat_map(|(_, l)| l.0.iter().flatten());
+                let bytes: u64 = tallies().map(|t| t.bytes).sum();
+                let count: u64 = tallies().map(|t| t.count).sum();
                 write!(trace, " {}:{bytes}B/{count}", machine.alloc_name(id)).unwrap();
             }
             trace.push('\n');

@@ -65,7 +65,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ctx::AccessStats;
+use crate::ctx::{AccessStats, Tally};
 use crate::machine::{AllocId, Machine};
 use crate::topology::{NodeId, MAX_NODES};
 
@@ -348,17 +348,17 @@ impl CostModel {
         // Only the pairs some thread touched are visited; everything summed
         // in this pass is an integer, so the visiting order is free.
         for (node, stats) in threads {
-            for (a, s) in stats.iter_arrays() {
+            for (a, lines) in stats.iter_arrays() {
                 let p = &mut pairs[a as usize * nnodes + *node];
                 if !p.seen {
                     p.seen = true;
                     self.touched[*node].push(a);
                 }
-                for rw in 0..2 {
-                    for dst in 0..nnodes {
-                        p.acc_bytes += s.bytes[rw][0][dst] + s.bytes[rw][1][dst];
-                        p.seq_bytes += s.bytes[rw][0][dst];
-                        p.rand_cnt += s.count[rw][1][dst];
+                for (_, line) in lines {
+                    for [seq, rand] in &line.0 {
+                        p.acc_bytes += seq.bytes + rand.bytes;
+                        p.seq_bytes += seq.bytes;
+                        p.rand_cnt += rand.count;
                     }
                 }
             }
@@ -423,17 +423,20 @@ impl CostModel {
         for (t, (node, stats)) in threads.iter().enumerate() {
             let node = *node;
             let mut time = stats.extra_cycles * cycles_to_us;
-            for (a, s) in stats.iter_arrays() {
+            for (a, lines) in stats.iter_arrays() {
                 let hit = pairs[a as usize * nnodes + node].hit_rate;
+                // The float sums below depend on the `(rw, pattern, dst)`
+                // order. A destination without a line holds only zeros, which
+                // the `b == 0.0` test would skip anyway.
                 for rw in 0..2 {
                     for pat in 0..2 {
                         let seq = pat == 0;
-                        for dst in 0..nnodes {
-                            let b = s.bytes[rw][pat][dst] as f64;
+                        for &(dst, ref line) in lines {
+                            let Tally { bytes, count: c } = line.0[rw][pat];
+                            let b = bytes as f64;
                             if b == 0.0 {
                                 continue;
                             }
-                            let c = s.count[rw][pat][dst];
                             let dist = topo.dist(node, dst);
                             let miss_b = b * (1.0 - hit);
                             let hit_b = b * hit;
@@ -502,13 +505,13 @@ impl CostModel {
         if std::env::var_os("POLYMER_COST_DEBUG").is_some() {
             let mut per: std::collections::HashMap<String, [[u64; 2]; 2]> = Default::default();
             for (node, stats) in threads {
-                for (a, st) in stats.iter_arrays() {
+                for (a, lines) in stats.iter_arrays() {
                     let e = per.entry(machine.alloc_name(a)).or_default();
-                    for rw in 0..2 {
-                        for pat in 0..2 {
-                            for dst in 0..nnodes {
-                                let loc = topo.dist(*node, dst).is_remote() as usize;
-                                e[pat][loc] += st.count[rw][pat][dst];
+                    for &(dst, ref line) in lines {
+                        let loc = topo.dist(*node, dst).is_remote() as usize;
+                        for by_pat in &line.0 {
+                            for pat in 0..2 {
+                                e[pat][loc] += by_pat[pat].count;
                             }
                         }
                     }

@@ -24,9 +24,12 @@ pub type NodeId = usize;
 /// paper's first-touch discussion assumes.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Upper bound on the number of memory nodes any topology may have. Access
-/// statistics use fixed-size per-node buckets of this width.
-pub const MAX_NODES: usize = 16;
+/// Upper bound on the number of memory nodes any topology may have: 8, the
+/// node count of both of the paper's machines and of every spec in this
+/// repository. Access statistics keep one fixed-size counter line per node
+/// of this width inline in every (context, allocation) pair, so a wider
+/// bound would cost every access and every harvest.
+pub const MAX_NODES: usize = 8;
 
 /// The interconnect family, which determines how hop distances are derived.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,7 +52,11 @@ pub enum Interconnect {
 pub struct MachineSpec {
     /// Human-readable machine name, e.g. `"intel80"`.
     pub name: String,
-    /// Number of memory nodes (sockets, or dies on AMD).
+    /// Number of memory nodes (sockets, or dies on AMD): 1 to
+    /// [`MAX_NODES`] = 8. Both of the paper's machines (80-core Intel,
+    /// 64-core AMD) and every spec in this repository have at most 8, and
+    /// the access counters are sized for exactly that many;
+    /// [`NumaTopology::from_spec`] panics on more.
     pub nodes: usize,
     /// Cores attached to each memory node.
     pub cores_per_node: usize,
@@ -392,7 +399,13 @@ pub struct NumaTopology {
 impl NumaTopology {
     /// Derive the topology from a machine spec.
     pub fn from_spec(spec: &MachineSpec) -> Self {
-        assert!(spec.nodes >= 1 && spec.nodes <= MAX_NODES, "node count");
+        assert!(
+            spec.nodes >= 1 && spec.nodes <= MAX_NODES,
+            "spec `{}` has {} memory nodes; the simulator supports 1 to {MAX_NODES} \
+             (the node count of both paper machines)",
+            spec.name,
+            spec.nodes
+        );
         assert!(spec.cores_per_node >= 1, "cores per node");
         spec.validate_tiers();
         let n = spec.nodes;
@@ -569,6 +582,14 @@ mod tests {
         assert_eq!(t.total_cores(), 20);
         // Prefix sockets {0..3} of the hypercube stay within 2 hops.
         assert!(max_hops(&t) <= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "spec `intel80` has 9 memory nodes; the simulator supports 1 to 8")]
+    fn from_spec_rejects_a_ninth_node() {
+        let mut spec = MachineSpec::intel80();
+        spec.nodes = 9;
+        NumaTopology::from_spec(&spec);
     }
 
     #[test]

@@ -211,7 +211,7 @@ mod tests {
                 })
                 .collect();
             let bits: Vec<usize> = b.iter_set().collect();
-            (won, bits, format!("{:?}", ctx.take_stats()))
+            (won, bits, ctx.take_stats())
         };
         let atomic = run(0);
         assert!(atomic.0.iter().any(|&w| !w), "the script revisits a bit");

@@ -548,8 +548,9 @@ mod tests {
         // All writes live on node 0 (local to core 0).
         let remote: u64 = stats
             .iter_arrays()
-            .flat_map(|(_, s)| s.count.iter().flatten())
-            .map(|per_dst| per_dst[1..].iter().sum::<u64>())
+            .flat_map(|(_, lines)| lines.iter().filter(|(dst, _)| *dst != 0))
+            .flat_map(|(_, l)| l.0.iter().flatten())
+            .map(|t| t.count)
             .sum();
         assert_eq!(remote, 0);
     }
