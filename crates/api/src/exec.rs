@@ -5,10 +5,8 @@
 use std::ops::Range;
 
 use polymer_faults::{PolymerError, PolymerResult};
-use polymer_graph::{CompressedAdjacency, DeltaDecoder, Graph, VId};
-use polymer_numa::{
-    AccessCtx, AllocPolicy, Atom, CompressedLists, Machine, NumaArray, NumaAtomicArray,
-};
+use polymer_graph::{Graph, VId};
+use polymer_numa::{AccessCtx, AllocPolicy, Atom, Machine, NumaArray, NumaAtomicArray};
 
 use crate::program::Program;
 
@@ -32,84 +30,20 @@ pub fn check_divergence<T: Atom>(curr: &NumaAtomicArray<T>, iteration: usize) ->
     Ok(())
 }
 
-/// One adjacency array (CSR targets or CSC sources): either the raw `u32`
-/// neighbour array or its delta/varint-compressed form, chosen at build time
-/// by the machine spec's `compressed_topology`.
-pub(crate) enum Adj {
-    Raw(NumaArray<u32>),
-    Compressed(CompressedLists),
-}
-
-/// Accounted neighbour-id stream yielded by [`TopoArrays::out_dst_stream`] /
-/// [`TopoArrays::in_src_stream`]: the raw path iterates an already-charged
-/// `u32` slice, the compressed path decodes an already-charged encoded byte
-/// run on the fly. Either way the ids come out in identical order.
-pub enum NeighborStream<'a> {
-    /// Borrowed slice of the raw neighbour array.
-    Raw(std::iter::Copied<std::slice::Iter<'a, u32>>),
-    /// Streaming decoder over the encoded payload.
-    Compressed(DeltaDecoder<'a>),
-}
-
-impl Iterator for NeighborStream<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            NeighborStream::Raw(it) => it.next(),
-            NeighborStream::Compressed(it) => it.next(),
-        }
-    }
-}
-
-impl Adj {
-    /// Accounted stream of list `v`'s neighbour ids, edge range `lo..hi`.
-    /// Raw: one coalesced `u32` read run. Compressed: one offset-pair read
-    /// plus one coalesced run over the *encoded* bytes.
-    #[inline]
-    pub(crate) fn stream<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        v: usize,
-        lo: usize,
-        hi: usize,
-    ) -> NeighborStream<'s> {
-        match self {
-            Adj::Raw(arr) => NeighborStream::Raw(arr.load_range(ctx, lo..hi).iter().copied()),
-            Adj::Compressed(cl) => {
-                NeighborStream::Compressed(DeltaDecoder::new(v as VId, cl.list(ctx, v)))
-            }
-        }
-    }
-
-    /// Simulated bytes one full sweep of this adjacency moves.
-    fn sweep_bytes(&self) -> usize {
-        match self {
-            Adj::Raw(arr) => arr.len() * std::mem::size_of::<u32>(),
-            Adj::Compressed(cl) => cl.encoded_bytes(),
-        }
-    }
-}
-
 /// The flat CSR/CSC topology arrays of Figure 1, placed by a per-array
 /// policy. Used by the NUMA-oblivious baselines; the Polymer engine builds
-/// its own per-node partitioned topology instead. The neighbour arrays are
-/// stored raw or delta/varint-compressed depending on the machine spec's
-/// `compressed_topology` at build time; engines traverse them
-/// through [`TopoArrays::out_dst_stream`] / [`TopoArrays::in_src_stream`],
-/// which charge whichever representation is resident.
+/// its own per-node partitioned topology instead.
 pub struct TopoArrays {
     /// CSR offsets (`n + 1` entries).
     pub out_off: NumaArray<u64>,
-    /// CSR edge targets (raw or compressed).
-    pub(crate) out_adj: Adj,
+    /// CSR edge targets.
+    pub out_dst: NumaArray<u32>,
     /// CSR edge weights (present when the program uses weights).
     pub out_w: Option<NumaArray<u32>>,
     /// CSC offsets (`n + 1` entries).
     pub in_off: NumaArray<u64>,
-    /// CSC edge sources (raw or compressed).
-    pub(crate) in_adj: Adj,
+    /// CSC edge sources.
+    pub in_src: NumaArray<u32>,
     /// Out-degree of each in-edge's source, aligned with the CSC edge order —
     /// pull loops read it sequentially with the edge instead of randomly from
     /// the vertex metadata (the real systems pack adjacency metadata this
@@ -138,43 +72,14 @@ impl TopoArrays {
         let in_off = machine.alloc_array_with("topo/in_off", n + 1, policy("topo/in_off"), |i| {
             g.in_offsets()[i] as u64
         });
-        let (out_adj, in_adj) = if machine.spec().compressed_topology {
-            let out_c = CompressedAdjacency::out_edges(g);
-            let in_c = CompressedAdjacency::in_edges(g);
-            (
-                Adj::Compressed(CompressedLists::from_encoded(
-                    machine,
-                    "topo/out_dst",
-                    out_c.offs,
-                    out_c.bytes,
-                    policy("topo/out_off"),
-                    policy("topo/out_dst"),
-                )),
-                Adj::Compressed(CompressedLists::from_encoded(
-                    machine,
-                    "topo/in_src",
-                    in_c.offs,
-                    in_c.bytes,
-                    policy("topo/in_off"),
-                    policy("topo/in_src"),
-                )),
-            )
-        } else {
-            (
-                Adj::Raw(machine.alloc_array_with(
-                    "topo/out_dst",
-                    g.num_edges(),
-                    policy("topo/out_dst"),
-                    |i| g.out_targets()[i],
-                )),
-                Adj::Raw(machine.alloc_array_with(
-                    "topo/in_src",
-                    g.num_edges(),
-                    policy("topo/in_src"),
-                    |i| g.in_sources()[i],
-                )),
-            )
-        };
+        let out_dst =
+            machine.alloc_array_with("topo/out_dst", g.num_edges(), policy("topo/out_dst"), |i| {
+                g.out_targets()[i]
+            });
+        let in_src =
+            machine.alloc_array_with("topo/in_src", g.num_edges(), policy("topo/in_src"), |i| {
+                g.in_sources()[i]
+            });
         let in_src_deg = machine.alloc_array_with(
             "topo/in_src_deg",
             g.num_edges(),
@@ -204,48 +109,14 @@ impl TopoArrays {
         };
         TopoArrays {
             out_off,
-            out_adj,
+            out_dst,
             out_w,
             in_off,
-            in_adj,
+            in_src,
             in_src_deg,
             in_w,
             out_deg,
         }
-    }
-
-    /// Accounted stream of vertex `v`'s out-neighbour targets, edge range
-    /// `lo..hi` (from `out_off`), charged at the resident representation's
-    /// size.
-    #[inline]
-    pub fn out_dst_stream<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        v: usize,
-        lo: usize,
-        hi: usize,
-    ) -> NeighborStream<'s> {
-        self.out_adj.stream(ctx, v, lo, hi)
-    }
-
-    /// Accounted stream of vertex `v`'s in-neighbour sources, edge range
-    /// `lo..hi` (from `in_off`), charged at the resident representation's
-    /// size.
-    #[inline]
-    pub fn in_src_stream<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        v: usize,
-        lo: usize,
-        hi: usize,
-    ) -> NeighborStream<'s> {
-        self.in_adj.stream(ctx, v, lo, hi)
-    }
-
-    /// Simulated bytes one full out-edge plus in-edge sweep moves through
-    /// the neighbour arrays (raw `u32`s or encoded payload), for reporting.
-    pub fn neighbor_sweep_bytes(&self) -> usize {
-        self.out_adj.sweep_bytes() + self.in_adj.sweep_bytes()
     }
 }
 

@@ -48,7 +48,7 @@ pub use engine::{
 };
 pub use exec::{
     charged_values_restore, charged_values_snapshot, check_divergence, degree_balanced_chunks,
-    even_chunks, init_values, serial_combine, weight_balanced_chunks, NeighborStream, TopoArrays,
+    even_chunks, init_values, serial_combine, weight_balanced_chunks, TopoArrays,
 };
 pub use overlay::{MergedTopoStream, OutSegment, OverlayTopo};
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};

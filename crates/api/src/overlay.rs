@@ -2,14 +2,11 @@
 //! mutation overlay of a [`MutableGraph`], with merged adjacency iteration
 //! charged faithfully through the bulk accessors.
 //!
-//! The base CSR/CSC keeps the exact representation the static engines use —
-//! raw `u32` neighbour arrays or delta/varint-compressed lists, per the
-//! machine's [`polymer_numa::MachineSpec::compressed_topology`]. The overlay
-//! adds:
+//! The base CSR/CSC is the same placed [`TopoArrays`] the static engines
+//! read. The overlay adds:
 //!
 //! * a small **delta CSR/CSC** (offsets + endpoints + weights) holding the
-//!   overlay inserts, always raw — varint compression needs a whole-list
-//!   re-encode, which is exactly what compaction does;
+//!   overlay inserts;
 //! * per-base-edge **tombstone masks** (one byte per base edge) plus a
 //!   per-vertex flag byte, allocated only when the overlay actually holds
 //!   tombstones; the mask run is charged only for flagged vertices;
@@ -18,9 +15,9 @@
 //!
 //! [`OverlayTopo::in_stream`] and the segment streams merge the three
 //! sources in sorted neighbour order, charging every constituent read: the
-//! base offset pair and neighbour run (at the resident representation's
-//! size), the per-vertex flag byte and — when flagged — the mask run, and
-//! the delta offset pair plus delta endpoint/weight runs. Simulated
+//! base offset pair and neighbour run, the per-vertex flag byte and — when
+//! flagged — the mask run, and the delta offset pair plus delta
+//! endpoint/weight runs. Simulated
 //! `PhaseCosts` therefore show the true price of reading through an
 //! overlay: slightly more traffic per sweep than the static path, which is
 //! the bandwidth argument for threshold compaction. The out and in sides
@@ -29,20 +26,18 @@
 //! over a private per-direction view; the public names only pick the side.
 //!
 //! An overlay is a placed copy of one state of the graph: after any batch
-//! it no longer matches, and after a compaction its *base* arrays — the
-//! [`polymer_numa::CompressedLists`] encoding and every page→node
-//! placement map — describe a CSR that no longer exists. Rebuild it with
-//! [`OverlayTopo::build`].
+//! it no longer matches, and after a compaction its *base* arrays and every
+//! page→node placement map describe a CSR that no longer exists. Rebuild it
+//! with [`OverlayTopo::build`].
 
 use polymer_graph::{MutableGraph, VId, Weight};
 use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaArray};
 
-use crate::exec::{Adj, NeighborStream, TopoArrays};
+use crate::exec::TopoArrays;
 
 /// Placed base topology plus placed mutation overlay. See the module docs.
 pub struct OverlayTopo {
-    /// The placed base topology (shared representation with the static
-    /// engines, including compression when enabled).
+    /// The placed base topology (the static engines' representation).
     pub base: TopoArrays,
     out: DirOverlay,
     inc: DirOverlay,
@@ -149,7 +144,7 @@ impl DirOverlay {
 #[derive(Clone, Copy)]
 struct Dir<'s> {
     off: &'s NumaArray<u64>,
-    adj: &'s Adj,
+    adj: &'s NumaArray<u32>,
     w: Option<&'s NumaArray<u32>>,
     ov: &'s DirOverlay,
 }
@@ -173,7 +168,7 @@ impl<'s> Dir<'s> {
             Some(s) => (s.lo as usize, s.hi as usize, s.delta),
             None => (pair[0] as usize, pair[1] as usize, true),
         };
-        let base = self.adj.stream(ctx, v, lo, hi);
+        let base = self.adj.load_range(ctx, lo..hi);
         let base_w = self.w.map(|w| w.load_range(ctx, lo..hi));
         let mask = match &self.ov.tomb {
             Some((flag, mask)) if flag.load_range(ctx, v..v + 1)[0] != 0 => {
@@ -204,23 +199,17 @@ impl<'s> Dir<'s> {
 
     /// Split the merged adjacencies of `items` into segments of at most
     /// `grain` base entries; the first segment of each vertex also carries
-    /// its delta-insert run. A compressed neighbour stream cannot start
-    /// mid-list (delta decoding is cumulative), so every vertex stays one
-    /// whole segment there — same behaviour as vertex-level chunking.
+    /// its delta-insert run.
     fn plan(self, items: &[VId], grain: usize) -> Vec<OutSegment> {
         let grain = u32::try_from(grain.max(1)).unwrap_or(u32::MAX);
         let (off, doff) = (self.off.raw(), self.ov.off.raw());
-        let step = match self.adj {
-            Adj::Raw(_) => grain,
-            Adj::Compressed(_) => u32::MAX,
-        };
         let mut segs = Vec::with_capacity(items.len());
         for &v in items {
             let (lo, hi) = (off[v as usize] as u32, off[v as usize + 1] as u32);
             let dwidth = (doff[v as usize + 1] - doff[v as usize]) as u32;
             let mut s = lo;
             loop {
-                let e = hi.min(s.saturating_add(step));
+                let e = hi.min(s.saturating_add(grain));
                 let delta = s == lo;
                 segs.push(OutSegment {
                     v,
@@ -287,7 +276,7 @@ impl OverlayTopo {
     fn out_dir(&self) -> Dir<'_> {
         Dir {
             off: &self.base.out_off,
-            adj: &self.base.out_adj,
+            adj: &self.base.out_dst,
             w: self.base.out_w.as_ref(),
             ov: &self.out,
         }
@@ -296,7 +285,7 @@ impl OverlayTopo {
     fn in_dir(&self) -> Dir<'_> {
         Dir {
             off: &self.base.in_off,
-            adj: &self.base.in_adj,
+            adj: &self.base.in_src,
             w: self.base.in_w.as_ref(),
             ov: &self.inc,
         }
@@ -320,8 +309,7 @@ impl OverlayTopo {
     /// `items` into segments of at most `grain` base entries, so one
     /// high-degree vertex can spread across many threads instead of
     /// serializing a whole scatter round behind a single hub scan. The
-    /// first segment of each vertex also carries its delta-insert run;
-    /// over a compressed base every vertex stays one whole segment.
+    /// first segment of each vertex also carries its delta-insert run.
     pub fn plan_out_segments(&self, items: &[VId], grain: usize) -> Vec<OutSegment> {
         self.out_dir().plan(items, grain)
     }
@@ -348,14 +336,6 @@ impl OverlayTopo {
     pub fn in_stream_segment(&self, ctx: &mut AccessCtx, seg: OutSegment) -> MergedTopoStream<'_> {
         self.in_dir().stream(ctx, seg.v as usize, Some(seg))
     }
-
-    /// Simulated bytes one full out+in sweep moves through the merged
-    /// neighbour storage (base representation + delta endpoints), for
-    /// reporting.
-    pub fn neighbor_sweep_bytes(&self) -> usize {
-        let delta = 2 * (self.out.adj.len() + self.inc.adj.len()) * std::mem::size_of::<u32>();
-        self.base.neighbor_sweep_bytes() + delta
-    }
 }
 
 /// One planned slice of a vertex's merged out-adjacency
@@ -381,7 +361,7 @@ pub struct OutSegment {
 /// `(neighbor, weight)`. All constituent reads were charged by the
 /// [`OverlayTopo`] accessor that built this stream.
 pub struct MergedTopoStream<'a> {
-    base: NeighborStream<'a>,
+    base: &'a [u32],
     base_w: Option<&'a [u32]>,
     mask: Option<&'a [u8]>,
     /// Entries pulled from `base` so far (index for weights/mask).
@@ -395,18 +375,16 @@ pub struct MergedTopoStream<'a> {
 impl MergedTopoStream<'_> {
     fn pull_base(&mut self) {
         while self.peek.is_none() {
-            match self.base.next() {
-                None => return,
-                Some(id) => {
-                    let k = self.pulled;
-                    self.pulled += 1;
-                    if self.mask.is_some_and(|m| m[k] != 0) {
-                        continue;
-                    }
-                    let w = self.base_w.map_or(1, |w| w[k]);
-                    self.peek = Some((id, w));
-                }
+            let k = self.pulled;
+            let Some(&id) = self.base.get(k) else {
+                return;
+            };
+            self.pulled += 1;
+            if self.mask.is_some_and(|m| m[k] != 0) {
+                continue;
             }
+            let w = self.base_w.map_or(1, |w| w[k]);
+            self.peek = Some((id, w));
         }
     }
 }
@@ -493,9 +471,9 @@ mod tests {
 
     /// One line per accessor call over every vertex of [`hub_graph`]: the
     /// pairs the stream yields and what it charged to each allocation.
-    fn accessor_trace(spec: MachineSpec) -> String {
+    fn accessor_trace() -> String {
         use std::fmt::Write;
-        let machine = Machine::new(spec);
+        let machine = Machine::new(MachineSpec::test2());
         let topo = OverlayTopo::build(&machine, &hub_graph(), true, |_| AllocPolicy::Interleaved);
         let mut ctx = AccessCtx::new(&machine, 0);
         let mut trace = String::new();
@@ -541,19 +519,16 @@ mod tests {
         assert_eq!(out0, [1, 3, 4, 5, 6, 7].map(|d| (d, 1)));
         assert_eq!(ctx.take_stats().total_bytes(), 16 + 16 + 20 + 1 + 5 + 12);
 
-        // Every accessor, both directions, raw and compressed base: FNV-1a of
-        // the trace, recorded from the six hand-mirrored accessor bodies this
-        // file had before they were written once.
-        let compressed = MachineSpec::test2().with_compressed_topology(true);
-        for (spec, want) in [
-            (MachineSpec::test2(), 16_047_947_188_442_098_061u64),
-            (compressed, 3_681_014_020_461_813_587u64),
-        ] {
-            let trace = accessor_trace(spec);
-            let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            assert_eq!(hash, want, "accessor yields or charges moved:\n{trace}");
-        }
+        // Every accessor, both directions: FNV-1a of the trace, recorded
+        // from the six hand-mirrored accessor bodies this file had before
+        // they were written once.
+        let trace = accessor_trace();
+        let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            hash, 16_047_947_188_442_098_061u64,
+            "accessor yields or charges moved:\n{trace}"
+        );
     }
 }

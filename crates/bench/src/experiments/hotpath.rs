@@ -82,20 +82,14 @@ struct HotpathRow {
     /// True when every metric field matched bit-for-bit across scalar and
     /// bulk accounting modes.
     identical: bool,
-    /// Simulated bytes moved with the raw (uncompressed) topology.
-    bytes_raw: u64,
-    /// Simulated bytes moved with the delta/varint-compressed topology.
-    bytes_compressed: u64,
-    /// `1 - bytes_compressed / bytes_raw` (fraction of traffic saved).
-    bytes_reduction: f64,
-    /// Simulated seconds with the compressed topology.
-    sim_seconds_compressed: f64,
+    /// Simulated bytes moved (local + remote).
+    bytes_moved: u64,
     /// Host cores available to this run (sharded wall-clock needs > 1).
     host_cores: usize,
 }
 
 /// Hot-path benchmark: wall-clock of the simulator itself under its three
-/// execution strategies, plus the simulated effect of topology compression.
+/// execution strategies.
 ///
 /// Unlike every other experiment, the `wall_*` columns measure *host*
 /// wall-clock, not simulated seconds: the subject is the reproduction's own
@@ -112,13 +106,6 @@ struct HotpathRow {
 /// any metric field is a violation (`identical` gates scalar-vs-bulk,
 /// `sharded_identical` gates serial-vs-sharded), as is a sharded pass that
 /// took no time.
-///
-/// A final pass re-runs each system with the delta/varint-compressed
-/// topology (`MachineSpec::compressed_topology`): values still conform, but
-/// the simulated cost *changes by design* — neighbour lists occupy fewer
-/// bytes, so the machine moves less data. The row records raw vs compressed
-/// simulated bytes and the resulting simulated seconds; compression that
-/// moves no fewer bytes is a violation.
 ///
 /// The committed `results/BENCH_hotpath.json` was produced with the
 /// defaults (`--scale 0`: 2^17 vertices, 2^21 edges). Each row also carries
@@ -146,7 +133,6 @@ pub fn bench_hotpath(s: &mut Session) -> Report {
         "ShardSpd",
         "Real(s)",
         "Identical",
-        "BytesSaved",
     ]);
     let mut rows = Vec::new();
     let mut violations = Vec::new();
@@ -186,10 +172,6 @@ pub fn bench_hotpath(s: &mut Session) -> Report {
             run_on(sys, AlgoId::PR, &wl, &spec, REAL_THREADS, &real_backend);
             wall_real = wall_real.min(t.elapsed().as_secs_f64());
         }
-        // Compressed-topology pass: simulated cost legitimately differs, so
-        // it stays outside the bit-identity comparison.
-        let compressed = spec.clone().with_compressed_topology(true);
-        let mc = run(sys, AlgoId::PR, &wl, &compressed, 80);
         let identical = metrics[0] == metrics[1];
         let sharded_identical = metrics[1] == metrics[2];
         let m = last.expect("at least one run");
@@ -199,18 +181,9 @@ pub fn bench_hotpath(s: &mut Session) -> Report {
                 sys.name()
             ));
         }
-        if mc.bytes_moved >= m.bytes_moved {
-            violations.push(format!(
-                "{}: compressed topology moved no fewer bytes ({} vs {} raw)",
-                sys.name(),
-                mc.bytes_moved,
-                m.bytes_moved
-            ));
-        }
         if wall[2] <= 0.0 {
             violations.push(format!("{}: sharded pass took no host time", sys.name()));
         }
-        let reduction = 1.0 - mc.bytes_moved as f64 / m.bytes_moved as f64;
         table.row(vec![
             sys.name().to_string(),
             format!("{:.3}", wall[0]),
@@ -220,7 +193,6 @@ pub fn bench_hotpath(s: &mut Session) -> Report {
             format!("{:.2}x", wall[1] / wall[2]),
             format!("{:.3}", wall_real),
             (identical && sharded_identical).to_string(),
-            format!("{:.1}%", reduction * 100.0),
         ]);
         rows.push(HotpathRow {
             system: sys.name().to_string(),
@@ -234,10 +206,7 @@ pub fn bench_hotpath(s: &mut Session) -> Report {
             sim_seconds: m.seconds,
             iterations: m.iterations,
             identical,
-            bytes_raw: m.bytes_moved,
-            bytes_compressed: mc.bytes_moved,
-            bytes_reduction: reduction,
-            sim_seconds_compressed: mc.seconds,
+            bytes_moved: m.bytes_moved,
             host_cores,
         });
     }

@@ -134,7 +134,7 @@ pub const EXPERIMENTS: [Experiment; 20] = [
     Experiment {
         name: "bench_hotpath",
         default_scale: 0,
-        about: "simulator host time under scalar/bulk/sharded accounting; compressed bytes",
+        about: "simulator host time under scalar/bulk/sharded accounting",
         run: hotpath::bench_hotpath,
     },
     Experiment {

@@ -108,7 +108,7 @@ fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
 ///
 /// Simulated metrics are host-independent, but the wall-clock columns are
 /// not — `host_cores` pins down the machine context a committed artifact
-/// came from, `scale` the dataset size it ran at, the next three fields
+/// came from, `scale` the dataset size it ran at, the next two fields
 /// the effective toggle set of the [`MachineSpec`] the run was built from,
 /// and the last three the code, compiler and day.
 ///
@@ -123,8 +123,6 @@ pub struct BenchMeta {
     pub host_cores: usize,
     /// Dataset scale shift the experiment ran with (`--scale`).
     pub scale: i32,
-    /// Topology encoding the run traversed: `"raw"` or `"compressed"`.
-    pub backend: String,
     /// Whether access accounting was run-coalesced.
     pub bulk_accounting: bool,
     /// Host-sharding mode of the simulator's split phases
@@ -195,12 +193,6 @@ impl BenchMeta {
         BenchMeta {
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             scale,
-            backend: if spec.compressed_topology {
-                "compressed"
-            } else {
-                "raw"
-            }
-            .to_string(),
             bulk_accounting: spec.bulk_accounting,
             shard_mode: format!("{:?}", spec.shard_mode),
             commit: p.commit.clone(),
@@ -322,7 +314,7 @@ mod tests {
     fn bench_reports_carry_provenance_and_append_to_the_ledger() {
         let dir = std::env::temp_dir().join("polymer_bench_meta_test");
         std::fs::remove_dir_all(&dir).ok();
-        let spec = MachineSpec::test2().with_compressed_topology(true);
+        let spec = MachineSpec::test2();
         let report = Report::bench(
             "BENCH_t",
             BenchMeta::with_provenance(-3, &spec, &Provenance::read()),
@@ -336,7 +328,7 @@ mod tests {
         let top = back.as_object().unwrap();
         let m = top.get("meta").unwrap().as_object().unwrap();
         assert_eq!(m.get("scale").unwrap().as_i64(), Some(-3));
-        assert_eq!(m.get("backend").unwrap().as_str(), Some("compressed"));
+        assert!(m.get("backend").is_none());
         assert_eq!(m.get("bulk_accounting").unwrap().as_bool(), Some(true));
         assert_eq!(m.get("shard_mode").unwrap().as_str(), Some("Auto"));
         assert!(m.get("host_cores").unwrap().as_u64().unwrap() >= 1);

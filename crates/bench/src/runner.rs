@@ -216,8 +216,7 @@ pub struct Metrics {
     pub sockets: usize,
     /// Remote-access profile (Table 4).
     pub remote: RemoteAccessReport,
-    /// Total simulated bytes moved (local + remote), the unit the
-    /// compressed-topology comparison in `bench_hotpath` reports.
+    /// Total simulated bytes moved (local + remote).
     pub bytes_moved: u64,
     /// Peak memory in GiB (Table 5).
     pub peak_gib: f64,

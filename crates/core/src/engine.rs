@@ -293,7 +293,7 @@ impl Engine for PolymerEngine {
                                 // test (weight, value, degree, bitmap word) is
                                 // gated or vertex-indexed (random) and stays
                                 // scalar.
-                                for (e, s) in dir.agent_edges_indexed(ctx, a, t as VId) {
+                                for (e, s) in dir.agent_edges_indexed(ctx, a) {
                                     let s = s as usize;
                                     // Sources are local to this node by layout.
                                     if own_bits.test(ctx, s - nl.range.start) {
@@ -368,7 +368,7 @@ impl Engine for PolymerEngine {
                                         // updated bits / queue pushes are
                                         // destination-indexed (random) and stay
                                         // scalar.
-                                        let (dst_it, mut w_it) = dir.agent_edges(ctx, a, sid);
+                                        let (dst_it, mut w_it) = dir.agent_edges(ctx, a);
                                         for t in dst_it {
                                             let w = match &mut w_it {
                                                 Some(it) => {
@@ -429,7 +429,7 @@ impl Engine for PolymerEngine {
                                         // consumed — the edge-aligned arrays
                                         // stream in bulk; destination-indexed
                                         // accesses stay scalar.
-                                        let (dst_it, mut w_it) = dir.agent_edges(ctx, a, s);
+                                        let (dst_it, mut w_it) = dir.agent_edges(ctx, a);
                                         for t in dst_it {
                                             let w = match &mut w_it {
                                                 Some(it) => {

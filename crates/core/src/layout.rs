@@ -17,67 +17,10 @@
 //! (`AllocPolicy::OnNode`); the application-data arrays are contiguous
 //! virtual ranges with chunked physical placement (built by the engine).
 
-use std::ops::{Range, RangeFrom};
+use std::ops::Range;
 
-use polymer_graph::{edge_balanced_ranges, vertex_balanced_ranges, DeltaDecoder, Graph, VId};
-use polymer_numa::{AccessCtx, AllocPolicy, CompressedLists, Machine, NumaArray};
-
-/// Storage for one direction's grouped edge endpoints: a raw `u32` array, or
-/// delta/varint-encoded per-agent lists when the machine's spec sets
-/// [`compressed_topology`](polymer_numa::MachineSpec::compressed_topology).
-/// Compressed lists are anchored at the agent's own vertex id
-/// and billed by *encoded* bytes through the charged accessors, so the
-/// compression shows up as simulated bytes saved.
-pub enum EndpointStore {
-    /// One `u32` per edge, grouped by agent.
-    Raw(NumaArray<u32>),
-    /// Delta/varint-encoded lists (one per agent) with their byte offsets.
-    Compressed(CompressedLists),
-}
-
-/// Accounted stream over one agent's endpoints (no edge indices).
-pub enum EndpointIter<'a> {
-    /// Raw slice walk.
-    Raw(std::iter::Copied<std::slice::Iter<'a, u32>>),
-    /// Varint decode of an encoded list (decode itself is free; the encoded
-    /// bytes were already charged when the list was fetched).
-    Compressed(DeltaDecoder<'a>),
-}
-
-impl Iterator for EndpointIter<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            EndpointIter::Raw(it) => it.next(),
-            EndpointIter::Compressed(it) => it.next(),
-        }
-    }
-}
-
-/// Accounted stream over one agent's endpoints as `(edge_index, endpoint)`
-/// pairs. The edge index is exact in raw mode and in compressed mode with
-/// weights (where it indexes the weight array); in compressed mode without
-/// weights nothing consumes it and it starts at zero.
-pub enum IndexedEndpointIter<'a> {
-    /// Raw slice walk zipped with its edge range.
-    Raw(std::iter::Zip<Range<usize>, std::iter::Copied<std::slice::Iter<'a, u32>>>),
-    /// Varint decode zipped with edge indices from the agent's start offset.
-    Compressed(std::iter::Zip<RangeFrom<usize>, DeltaDecoder<'a>>),
-}
-
-impl Iterator for IndexedEndpointIter<'_> {
-    type Item = (usize, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, u32)> {
-        match self {
-            IndexedEndpointIter::Raw(it) => it.next(),
-            IndexedEndpointIter::Compressed(it) => it.next(),
-        }
-    }
-}
+use polymer_graph::{edge_balanced_ranges, vertex_balanced_ranges, Graph, VId};
+use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaArray};
 
 /// One direction's per-node edge structure: agents plus grouped edges.
 pub struct DirLayout {
@@ -91,7 +34,7 @@ pub struct DirLayout {
     /// used by sparse-frontier processing.
     pub agent_idx: NumaArray<u32>,
     /// Edge endpoints (targets in push, sources in pull), local to the node.
-    pub endpoint: EndpointStore,
+    pub endpoint: NumaArray<u32>,
     /// Edge weights, when the program uses them.
     pub weight: Option<NumaArray<u32>>,
     /// Per-thread agent slices, balanced by edge count.
@@ -100,43 +43,21 @@ pub struct DirLayout {
 
 impl DirLayout {
     /// Accounted stream of agent `a`'s endpoints plus, when the layout
-    /// carries weights, the aligned bulk weight stream. `anchor` is the
-    /// agent's vertex id (already read by the caller), which anchors the
-    /// delta decode. Raw mode charges the `agent_off` pair, the endpoint run
-    /// and the weight run — exactly what the engines charged when they read
-    /// the arrays directly. Compressed mode charges the encoded offsets and
-    /// bytes instead, and touches `agent_off` only if the weight array (raw,
-    /// edge-indexed) still needs the edge range.
+    /// carries weights, the aligned bulk weight stream. Charges the
+    /// `agent_off` pair, the endpoint run and the weight run.
     pub fn agent_edges<'s>(
         &'s self,
         ctx: &mut AccessCtx,
         a: usize,
-        anchor: VId,
     ) -> (
-        EndpointIter<'s>,
-        Option<std::iter::Copied<std::slice::Iter<'s, u32>>>,
+        impl Iterator<Item = u32> + 's,
+        Option<impl Iterator<Item = u32> + 's>,
     ) {
-        match &self.endpoint {
-            EndpointStore::Raw(arr) => {
-                let lo = self.agent_off.get(ctx, a) as usize;
-                let hi = self.agent_off.get(ctx, a + 1) as usize;
-                let eps = EndpointIter::Raw(arr.load_range(ctx, lo..hi).iter().copied());
-                let w = self
-                    .weight
-                    .as_ref()
-                    .map(|ws| ws.load_range(ctx, lo..hi).iter().copied());
-                (eps, w)
-            }
-            EndpointStore::Compressed(lists) => {
-                let w = self.weight.as_ref().map(|ws| {
-                    let lo = self.agent_off.get(ctx, a) as usize;
-                    let hi = self.agent_off.get(ctx, a + 1) as usize;
-                    ws.load_range(ctx, lo..hi).iter().copied()
-                });
-                let eps = EndpointIter::Compressed(DeltaDecoder::new(anchor, lists.list(ctx, a)));
-                (eps, w)
-            }
-        }
+        let lo = self.agent_off.get(ctx, a) as usize;
+        let hi = self.agent_off.get(ctx, a + 1) as usize;
+        let eps = self.endpoint.iter_seq(ctx, lo..hi);
+        let w = self.weight.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
+        (eps, w)
     }
 
     /// Accounted stream of agent `a`'s endpoints as `(edge_index, endpoint)`
@@ -146,25 +67,10 @@ impl DirLayout {
         &'s self,
         ctx: &mut AccessCtx,
         a: usize,
-        anchor: VId,
-    ) -> IndexedEndpointIter<'s> {
-        match &self.endpoint {
-            EndpointStore::Raw(arr) => {
-                let lo = self.agent_off.get(ctx, a) as usize;
-                let hi = self.agent_off.get(ctx, a + 1) as usize;
-                IndexedEndpointIter::Raw((lo..hi).zip(arr.load_range(ctx, lo..hi).iter().copied()))
-            }
-            EndpointStore::Compressed(lists) => {
-                let lo = if self.weight.is_some() {
-                    self.agent_off.get(ctx, a) as usize
-                } else {
-                    0
-                };
-                IndexedEndpointIter::Compressed(
-                    (lo..).zip(DeltaDecoder::new(anchor, lists.list(ctx, a))),
-                )
-            }
-        }
+    ) -> impl Iterator<Item = (usize, u32)> + 's {
+        let lo = self.agent_off.get(ctx, a) as usize;
+        let hi = self.agent_off.get(ctx, a + 1) as usize;
+        (lo..hi).zip(self.endpoint.iter_seq(ctx, lo..hi))
     }
 }
 
@@ -389,34 +295,10 @@ impl PolymerLayout {
             machine.alloc_array_with(&format!("agents/{dir}_deg"), degs.len(), pol(), |i| degs[i]);
         let agent_off =
             machine.alloc_array_with(&format!("agents/{dir}_off"), offs.len(), pol(), |i| offs[i]);
-        let endpoint = if machine.spec().compressed_topology {
-            // Delta/varint-encode each agent's list, anchored at the agent's
-            // own vertex id (lists are in grouped input order, so deltas are
-            // small for locality-friendly ids).
-            let mut coffs = vec![0u64];
-            let mut bytes = Vec::new();
-            for (slot, &v) in ids.iter().enumerate() {
-                let lo = offs[slot] as usize;
-                let hi = offs[slot + 1] as usize;
-                polymer_graph::encode_list(v, &endpoints[lo..hi], &mut bytes);
-                coffs.push(bytes.len() as u64);
-            }
-            EndpointStore::Compressed(CompressedLists::from_encoded(
-                machine,
-                &format!("topo/{dir}_edges"),
-                coffs,
-                bytes,
-                pol(),
-                pol(),
-            ))
-        } else {
-            EndpointStore::Raw(machine.alloc_array_with(
-                &format!("topo/{dir}_edges"),
-                endpoints.len(),
-                pol(),
-                |i| endpoints[i],
-            ))
-        };
+        let endpoint =
+            machine.alloc_array_with(&format!("topo/{dir}_edges"), endpoints.len(), pol(), |i| {
+                endpoints[i]
+            });
         let slices = slice_by_edges(&offs, threads_per_node);
         DirLayout {
             agent_id,
@@ -565,16 +447,7 @@ mod tests {
 
     /// Unaccounted copy of every endpoint of `dir`, in edge order.
     fn endpoint_values(dir: &DirLayout) -> Vec<u32> {
-        match &dir.endpoint {
-            EndpointStore::Raw(arr) => arr.raw().to_vec(),
-            EndpointStore::Compressed(lists) => {
-                let mut out = Vec::new();
-                for (slot, &v) in dir.agent_id.raw().iter().enumerate() {
-                    out.extend(DeltaDecoder::new(v, lists.raw_list(slot)));
-                }
-                out
-            }
-        }
+        dir.endpoint.raw().to_vec()
     }
 
     fn build(g: &Graph, balanced: bool, with_pull: bool) -> (Machine, PolymerLayout) {
@@ -637,23 +510,7 @@ mod tests {
         for part in ["idx", "id", "deg", "off"] {
             names.push(format!("agents/{name}_{part}"));
         }
-        match &dir.endpoint {
-            EndpointStore::Raw(arr) => {
-                assert_eq!(arr.raw(), &endpoints[..]);
-                names.push(format!("topo/{name}_edges"));
-            }
-            EndpointStore::Compressed(lists) => {
-                assert_eq!(lists.num_lists(), ids.len());
-                for (slot, &v) in ids.iter().enumerate() {
-                    let mut want = Vec::new();
-                    let (lo, hi) = (offs[slot] as usize, offs[slot + 1] as usize);
-                    polymer_graph::encode_list(v, &endpoints[lo..hi], &mut want);
-                    assert_eq!(lists.raw_list(slot), &want[..]);
-                }
-                names.push(format!("topo/{name}_edges.coffs"));
-                names.push(format!("topo/{name}_edges.cbytes"));
-            }
-        }
+        names.push(format!("topo/{name}_edges"));
         match &dir.weight {
             Some(ws) => {
                 assert!(with_weights);
@@ -675,16 +532,15 @@ mod tests {
             n in 1usize..48,
             raw_edges in proptest::collection::vec((0usize..48, 0usize..48, 1u32..9), 0..160),
             tpn in proptest::collection::vec(1usize..4, 1..9),
-            flags in (0u8..2, 0u8..2, 0u8..2, 0u8..2),
+            flags in (0u8..2, 0u8..2, 0u8..2),
         ) {
-            let (balanced, with_pull, with_weights, compressed) =
-                (flags.0 == 1, flags.1 == 1, flags.2 == 1, flags.3 == 1);
+            let (balanced, with_pull, with_weights) = (flags.0 == 1, flags.1 == 1, flags.2 == 1);
             let mut el = EdgeList::new(n);
             for (s, t, w) in raw_edges {
                 el.edges.push(polymer_graph::Edge::weighted((s % n) as VId, (t % n) as VId, w));
             }
             let g = Graph::from_edges(&el);
-            let m = Machine::new(MachineSpec::intel80().with_compressed_topology(compressed));
+            let m = Machine::new(MachineSpec::intel80());
             let l = PolymerLayout::build(&m, &g, &tpn, balanced, with_pull, with_weights);
 
             proptest::prop_assert_eq!(l.num_nodes(), tpn.len());

@@ -149,7 +149,7 @@ fn run_async<P: Program>(
                     let deg = (hi - lo) as u32;
                     // Every out-edge of a relaxed vertex is consumed, so the
                     // edge-aligned arrays stream in bulk.
-                    let dst_it = topo.out_dst_stream(ctx, si, lo, hi);
+                    let dst_it = topo.out_dst.iter_seq(ctx, lo..hi);
                     let mut w_it = topo.out_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
                     for t in dst_it {
                         let w = match &mut w_it {
@@ -298,7 +298,7 @@ fn run_sync_pull<P: Program>(
                         if all_active {
                             // Dense sweep: every in-edge is consumed, so the
                             // edge-aligned arrays stream in bulk.
-                            let src_it = topo.in_src_stream(ctx, t, lo, hi);
+                            let src_it = topo.in_src.iter_seq(ctx, lo..hi);
                             let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
                             let mut w_it = topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
                             for (s, deg) in src_it.zip(deg_it) {
@@ -318,7 +318,7 @@ fn run_sync_pull<P: Program>(
                             // per-source bitmap test — scalar path. The source
                             // stream itself is consumed for every edge (only
                             // the value/weight/degree reads are gated).
-                            for (k, s) in topo.in_src_stream(ctx, t, lo, hi).enumerate() {
+                            for (k, s) in topo.in_src.iter_seq(ctx, lo..hi).enumerate() {
                                 let e = lo + k;
                                 if state.test(ctx, s as usize) {
                                     let w = match &topo.in_w {

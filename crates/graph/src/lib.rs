@@ -28,7 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod builder;
-pub mod compress;
 pub mod csr;
 pub mod datasets;
 pub mod delta;
@@ -42,7 +41,6 @@ pub mod topology;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use compress::{encode_list, CompressedAdjacency, DeltaDecoder};
 pub use csr::Graph;
 pub use datasets::{dataset, DatasetId};
 pub use delta::{AppliedBatch, BatchStats, DeltaBatch, DeltaError, DeltaLog};

@@ -13,7 +13,7 @@
 //!
 //! The struct tracks two monotone counters consumers key caches on:
 //! `epoch` bumps on every applied batch; `compactions` bumps whenever the
-//! base CSR itself is replaced and any placed or compressed copy of it is
+//! base CSR itself is replaced and any placed copy of it is
 //! stale.
 
 use crate::builder::GraphBuilder;
@@ -106,7 +106,7 @@ impl MutableGraph {
     }
 
     /// Number of compactions performed: bumps whenever the base CSR is
-    /// replaced, invalidating placed/compressed copies of it.
+    /// replaced, invalidating placed copies of it.
     pub fn compactions(&self) -> usize {
         self.compactions
     }

@@ -175,8 +175,8 @@ impl Engine for LigraEngine {
                                 if all_active {
                                     // Dense sweep: every in-edge is consumed,
                                     // so the edge-aligned arrays stream in
-                                    // bulk (raw u32s or encoded bytes).
-                                    let src_it = topo.in_src_stream(ctx, t, lo, hi);
+                                    // bulk.
+                                    let src_it = topo.in_src.iter_seq(ctx, lo..hi);
                                     let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
                                     let mut w_it =
                                         topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
@@ -197,7 +197,7 @@ impl Engine for LigraEngine {
                                     // still fully consumed; weight/value/
                                     // degree reads depend on the per-source
                                     // bitmap test — scalar.
-                                    for (k, s) in topo.in_src_stream(ctx, t, lo, hi).enumerate() {
+                                    for (k, s) in topo.in_src.iter_seq(ctx, lo..hi).enumerate() {
                                         let e = lo + k;
                                         if bits.test(ctx, s as usize) {
                                             let w = match &topo.in_w {
@@ -259,7 +259,7 @@ impl Engine for LigraEngine {
                                 // Every out-edge of an active source is
                                 // consumed, so the edge-aligned arrays stream
                                 // in bulk.
-                                let dst_it = topo.out_dst_stream(ctx, si, lo, hi);
+                                let dst_it = topo.out_dst.iter_seq(ctx, lo..hi);
                                 let mut w_it =
                                     topo.out_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
                                 for t in dst_it {
@@ -502,32 +502,30 @@ mod tests {
         }
         let g = Graph::from_edges(&el);
         let pr = PageRank::new(g.num_vertices());
-        for compressed in [false, true] {
-            // Bulk accounting on defers the `next` / `updated` charges to
-            // the compute half; off, publish replays them literally.
-            let deferred = MachineSpec::intel80().with_compressed_topology(compressed);
-            let literal = deferred.clone().with_bulk_accounting(false);
-            for t in [1, 3, 7, 80] {
-                let what = format!("{t} threads, compressed={compressed}");
+        // Bulk accounting on defers the `next` / `updated` charges to the
+        // compute half; off, publish replays them literally.
+        let deferred = MachineSpec::intel80();
+        let literal = deferred.clone().with_bulk_accounting(false);
+        for t in [1, 3, 7, 80] {
+            let what = format!("{t} threads");
+            assert_eq!(
+                observe(&literal, t, &g, &pr),
+                observe(&deferred, t, &g, &pr),
+                "PageRank, {what}"
+            );
+            for src in [0, hub] {
+                let bfs = Bfs::new(src);
                 assert_eq!(
-                    observe(&literal, t, &g, &pr),
-                    observe(&deferred, t, &g, &pr),
-                    "PageRank, {what}"
+                    observe(&literal, t, &g, &bfs),
+                    observe(&deferred, t, &g, &bfs),
+                    "BFS from {src}, {what}"
                 );
-                for src in [0, hub] {
-                    let bfs = Bfs::new(src);
-                    assert_eq!(
-                        observe(&literal, t, &g, &bfs),
-                        observe(&deferred, t, &g, &bfs),
-                        "BFS from {src}, {what}"
-                    );
-                    let sssp = Sssp::new(src);
-                    assert_eq!(
-                        observe(&literal, t, &g, &sssp),
-                        observe(&deferred, t, &g, &sssp),
-                        "SSSP from {src}, {what}"
-                    );
-                }
+                let sssp = Sssp::new(src);
+                assert_eq!(
+                    observe(&literal, t, &g, &sssp),
+                    observe(&deferred, t, &g, &sssp),
+                    "SSSP from {src}, {what}"
+                );
             }
         }
     }

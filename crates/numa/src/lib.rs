@@ -54,7 +54,6 @@
 
 pub mod array;
 pub mod atomicf;
-pub mod compress;
 pub mod cost;
 pub mod ctx;
 pub mod machine;
@@ -68,7 +67,6 @@ pub mod topology;
 
 pub use array::{Atom, NumaArray, NumaAtomicArray, SeqWriter};
 pub use atomicf::AtomicF64;
-pub use compress::CompressedLists;
 pub use cost::{BarrierKind, CostConfig, CostModel, PhaseCost, SocketCost};
 pub use ctx::{AccessCtx, AccessStats, Pattern, Rw};
 pub use machine::{AllocId, Machine, MemUsage, SpillPolicy};

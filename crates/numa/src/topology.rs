@@ -131,12 +131,6 @@ pub struct MachineSpec {
     /// bit-identical in every mode.
     #[serde(default)]
     pub shard_mode: SimShardMode,
-    /// Engines build and traverse delta/varint-compressed neighbour lists
-    /// ([`crate::CompressedLists`]) instead of raw `u32` arrays. Off by
-    /// default, so the committed golden fixtures replay bit-identically;
-    /// values are the same either way, simulated bytes and time are not.
-    #[serde(default)]
-    pub compressed_topology: bool,
 }
 
 fn default_true() -> bool {
@@ -175,7 +169,6 @@ impl MachineSpec {
             slow_capacity_bytes: None,
             bulk_accounting: true,
             shard_mode: SimShardMode::Auto,
-            compressed_topology: false,
         }
     }
 
@@ -200,7 +193,6 @@ impl MachineSpec {
             slow_capacity_bytes: None,
             bulk_accounting: true,
             shard_mode: SimShardMode::Auto,
-            compressed_topology: false,
         }
     }
 
@@ -224,7 +216,6 @@ impl MachineSpec {
             slow_capacity_bytes: None,
             bulk_accounting: true,
             shard_mode: SimShardMode::Auto,
-            compressed_topology: false,
         }
     }
 
@@ -368,12 +359,6 @@ impl MachineSpec {
     /// A copy of this spec with the given host-sharding mode.
     pub fn with_shard_mode(mut self, mode: SimShardMode) -> Self {
         self.shard_mode = mode;
-        self
-    }
-
-    /// A copy of this spec with compressed topology on or off.
-    pub fn with_compressed_topology(mut self, enabled: bool) -> Self {
-        self.compressed_topology = enabled;
         self
     }
 
@@ -615,12 +600,14 @@ mod tests {
         obj.remove("node_capacity_bytes");
         obj.remove("bulk_accounting");
         obj.remove("shard_mode");
-        obj.remove("compressed_topology");
+        // A retired field is ignored: a spec that still asks for compressed
+        // topology parses, and every engine streams raw lists on it.
+        obj.insert("compressed_topology", serde_json::Value::Bool(true));
         let legacy: MachineSpec = serde_json::from_value(v).unwrap();
         assert_eq!(legacy.llc_scale, 1.0);
         assert_eq!(legacy.page_bytes, PAGE_SIZE);
         assert_eq!(legacy.node_capacity_bytes, None);
-        assert!(legacy.bulk_accounting && !legacy.compressed_topology);
+        assert!(legacy.bulk_accounting);
         assert_eq!(legacy.shard_mode, SimShardMode::Auto);
     }
 

@@ -38,47 +38,25 @@ use std::ops::Range;
 
 use polymer_api::{Engine, FrontierInit, IterationDriver, Program, RecoverySession, RunResult};
 use polymer_faults::{PolymerError, PolymerResult};
-use polymer_graph::DeltaDecoder;
 use polymer_graph::{Graph, VId};
 use polymer_numa::{
-    AccessCtx, AllocPolicy, Atom, BarrierKind, CompressedLists, Machine, NumaArray, NumaAtomicArray,
+    AccessCtx, AllocPolicy, Atom, BarrierKind, Machine, NumaArray, NumaAtomicArray,
 };
 use polymer_sync::{DenseBitmap, FrontierSnapshot};
-
-/// One partition's edge storage. Raw mode keeps X-Stream's literal edge
-/// records — parallel `(source, target)` arrays streamed obliviously. On a
-/// machine whose spec sets
-/// [`compressed_topology`](polymer_numa::MachineSpec::compressed_topology)
-/// (and only for unweighted programs, whose edges carry no payload
-/// that would still need edge indexing), the records collapse into
-/// delta/varint-encoded per-vertex neighbour lists: the source id becomes
-/// implicit in the grouping and targets cost ~1–2 encoded bytes instead of
-/// 8 raw bytes per edge. The scatter then gates on the source's state bit
-/// once per vertex rather than once per edge, skipping inactive vertices'
-/// encoded bytes entirely — the same update sequence, far fewer simulated
-/// bytes.
-enum PartEdges {
-    /// Literal edge records, grouped by source (CSR order).
-    Raw {
-        /// Edge sources.
-        e_src: NumaArray<u32>,
-        /// Edge targets.
-        e_dst: NumaArray<u32>,
-        /// Host-side CSR offsets: local vertex `li`'s edges are
-        /// `first[li]..first[li + 1]`. Unaccounted and not placed on the
-        /// machine — the modelled system has no such index; the host uses
-        /// it to walk the state bitmap a word at a time.
-        first: Vec<usize>,
-    },
-    /// One encoded neighbour list per partition-local vertex.
-    Compressed(CompressedLists),
-}
 
 /// One streaming partition's data.
 struct Part<V: polymer_numa::Atom> {
     range: Range<usize>,
-    /// Edges with source in `range`, grouped by source.
-    edges: PartEdges,
+    /// X-Stream's literal edge records with source in `range`, grouped by
+    /// source (CSR order): parallel source and target arrays, streamed
+    /// obliviously.
+    e_src: NumaArray<u32>,
+    e_dst: NumaArray<u32>,
+    /// Host-side CSR offsets: local vertex `li`'s edges are
+    /// `first[li]..first[li + 1]`. Unaccounted and not placed on the
+    /// machine — the modelled system has no such index; the host uses it to
+    /// walk the state bitmap a word at a time.
+    first: Vec<usize>,
     e_w: Option<NumaArray<u32>>,
     /// Out-degrees of the partition's vertices (local indexing).
     deg: NumaArray<u32>,
@@ -97,31 +75,30 @@ struct Part<V: polymer_numa::Atom> {
     uin_val: NumaAtomicArray<V>,
 }
 
-/// Calls `visit(ctx, li, units)` for every active source `li` of one
+/// Calls `visit(ctx, li, edges)` for every active source `li` of one
 /// partition, in ascending order, and charges the state tests the modelled
-/// system makes: one load of `li`'s state word per unit in
-/// `unit(li)..unit(li + 1)` (`li`'s edge records in the raw layout, `li`
-/// itself in the compressed one), active or not.
+/// system makes: one load of `li`'s state word per edge record in
+/// `first[li]..first[li + 1]`, active or not.
 ///
-/// The host charges each word once for all the units of its 64 sources
-/// ([`DenseBitmap::word_repeat`]) and skips a zero word in O(1). Each
-/// allocation still sees the access sequence of a per-unit test, and that
-/// is all its statistics depend on, so phase costs are bit-identical. A
-/// context that keeps access order ([`AccessCtx::keeps_access_order`]) gets
-/// the per-unit interleaving itself: one state test per unit, then `visit`
-/// with that one unit.
+/// The host charges each word once for all the edge records of its 64
+/// sources ([`DenseBitmap::word_repeat`]) and skips a zero word in O(1).
+/// Each allocation still sees the access sequence of a per-edge test, and
+/// that is all its statistics depend on, so phase costs are bit-identical.
+/// A context that keeps access order ([`AccessCtx::keeps_access_order`])
+/// gets the per-edge interleaving itself: one state test per edge record,
+/// then `visit` with that one edge.
 fn walk_active_sources(
     state: &DenseBitmap,
     ctx: &mut AccessCtx,
-    unit: impl Fn(usize) -> usize,
+    first: &[usize],
     mut visit: impl FnMut(&mut AccessCtx, usize, Range<usize>),
 ) {
     let len = state.len();
     if ctx.keeps_access_order() {
         for li in 0..len {
-            for u in unit(li)..unit(li + 1) {
+            for e in first[li]..first[li + 1] {
                 if state.word_repeat(ctx, li / 64, 1) & (1u64 << (li % 64)) != 0 {
-                    visit(ctx, li, u..u + 1);
+                    visit(ctx, li, e..e + 1);
                 }
             }
         }
@@ -130,7 +107,7 @@ fn walk_active_sources(
     for w in 0..state.num_words() {
         let lo = w * 64;
         let hi = (lo + 64).min(len);
-        let k = unit(hi) - unit(lo);
+        let k = first[hi] - first[lo];
         if k == 0 {
             continue;
         }
@@ -138,7 +115,7 @@ fn walk_active_sources(
         while bits != 0 {
             let li = lo + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            visit(ctx, li, unit(li)..unit(li + 1));
+            visit(ctx, li, first[li]..first[li + 1]);
         }
     }
 }
@@ -197,31 +174,11 @@ impl Engine for XStreamEngine {
             first.push(src.len());
             let in_edges: usize = range.clone().map(|v| g.in_degree(v as VId)).sum();
             let ecount = src.len();
-            let edges = if machine.spec().compressed_topology && !prog.uses_weights() {
-                let mut coffs = vec![0u64];
-                let mut bytes = Vec::new();
-                for v in range.clone() {
-                    polymer_graph::encode_list(v as u32, g.out_neighbors(v as VId), &mut bytes);
-                    coffs.push(bytes.len() as u64);
-                }
-                PartEdges::Compressed(CompressedLists::from_encoded(
-                    machine,
-                    "topo/edges",
-                    coffs,
-                    bytes,
-                    pol(),
-                    pol(),
-                ))
-            } else {
-                PartEdges::Raw {
-                    e_src: machine.alloc_array_with("topo/e_src", ecount, pol(), |i| src[i]),
-                    e_dst: machine.alloc_array_with("topo/e_dst", ecount, pol(), |i| dst[i]),
-                    first,
-                }
-            };
             parts.push(Part {
                 range: range.clone(),
-                edges,
+                e_src: machine.alloc_array_with("topo/e_src", ecount, pol(), |i| src[i]),
+                e_dst: machine.alloc_array_with("topo/e_dst", ecount, pol(), |i| dst[i]),
+                first,
                 e_w: if prog.uses_weights() {
                     Some(machine.alloc_array_with("topo/e_w", ecount, pol(), |i| wts[i]))
                 } else {
@@ -332,82 +289,40 @@ impl Engine for XStreamEngine {
                             // Updates append to Uout at a run-coalesced cursor.
                             let mut uout_d = part.uout_dst.seq_writer(0);
                             let mut uout_v = part.uout_val.seq_writer(0);
-                            match &part.edges {
-                                PartEdges::Raw {
-                                    e_src,
-                                    e_dst,
-                                    first,
-                                } => {
-                                    let ecount = e_src.len();
-                                    // X-Stream streams whole edge *records* —
-                                    // source, target and weight are read for
-                                    // every edge regardless of the source's
-                                    // state (the stream is oblivious to the
-                                    // frontier; that obliviousness is exactly
-                                    // what makes sparse-frontier iterations
-                                    // pathological). The unconditional
-                                    // full-range sweeps go through the bulk
-                                    // accounting path.
-                                    let srcs = e_src.load_range(ctx, 0..ecount);
-                                    let dsts = e_dst.load_range(ctx, 0..ecount);
-                                    let wts =
-                                        part.e_w.as_ref().map(|ws| ws.load_range(ctx, 0..ecount));
-                                    // X-Stream's edge list is unordered (it
-                                    // never sorts or groups edges — that is the
-                                    // system's core design trade-off), so the
-                                    // modelled system tests the source's state
-                                    // and, for an active source, loads its
-                                    // value and degree once per edge record:
-                                    // nothing is register-cached across edges.
-                                    // The model charges exactly that; the host
-                                    // charges it a state word at a time.
-                                    walk_active_sources(
-                                        &part.state,
-                                        ctx,
-                                        |li| first[li],
-                                        |ctx, li, edges| {
-                                            let s = (part.range.start + li) as u32;
-                                            let sv = part.curr.load_repeat(ctx, li, edges.len());
-                                            let deg = part.deg.get_repeat(ctx, li, edges.len());
-                                            for e in edges {
-                                                debug_assert_eq!(srcs[e], s);
-                                                let t = dsts[e];
-                                                let w = wts.map_or(1, |ws| ws[e]);
-                                                let c = prog.scatter(s as VId, sv, w, deg);
-                                                ctx.charge_cycles(sc);
-                                                uout_d.push(ctx, t);
-                                                uout_v.push(ctx, c);
-                                                row[part_of(t as usize)] += 1;
-                                            }
-                                        },
-                                    );
+                            let ecount = part.e_src.len();
+                            // X-Stream streams whole edge *records* — source,
+                            // target and weight are read for every edge
+                            // regardless of the source's state (the stream is
+                            // oblivious to the frontier; that obliviousness is
+                            // exactly what makes sparse-frontier iterations
+                            // pathological). The unconditional full-range
+                            // sweeps go through the bulk accounting path.
+                            let srcs = part.e_src.load_range(ctx, 0..ecount);
+                            let dsts = part.e_dst.load_range(ctx, 0..ecount);
+                            let wts = part.e_w.as_ref().map(|ws| ws.load_range(ctx, 0..ecount));
+                            // X-Stream's edge list is unordered (it never
+                            // sorts or groups edges — that is the system's core
+                            // design trade-off), so the modelled system tests
+                            // the source's state and, for an active source,
+                            // loads its value and degree once per edge record:
+                            // nothing is register-cached across edges. The
+                            // model charges exactly that; the host charges it a
+                            // state word at a time.
+                            walk_active_sources(&part.state, ctx, &part.first, |ctx, li, edges| {
+                                let s = (part.range.start + li) as u32;
+                                let sv = part.curr.load_repeat(ctx, li, edges.len());
+                                let deg = part.deg.get_repeat(ctx, li, edges.len());
+                                for e in edges {
+                                    debug_assert_eq!(srcs[e], s);
+                                    let t = dsts[e];
+                                    let w = wts.map_or(1, |ws| ws[e]);
+                                    let c = prog.scatter(s as VId, sv, w, deg);
+                                    ctx.charge_cycles(sc);
+                                    uout_d.push(ctx, t);
+                                    uout_v.push(ctx, c);
+                                    row[part_of(t as usize)] += 1;
                                 }
-                                PartEdges::Compressed(lists) => {
-                                    // Grouped lists gate on the state bit once
-                                    // per vertex and skip inactive vertices'
-                                    // encoded bytes entirely; active lists are
-                                    // billed by encoded size. Update order is
-                                    // unchanged (CSR order), so values are
-                                    // bit-identical to raw mode.
-                                    walk_active_sources(
-                                        &part.state,
-                                        ctx,
-                                        |li| li,
-                                        |ctx, li, _| {
-                                            let s = (part.range.start + li) as u32;
-                                            let sv = part.curr.load(ctx, li);
-                                            let deg = part.deg.get(ctx, li);
-                                            for t in DeltaDecoder::new(s, lists.list(ctx, li)) {
-                                                let c = prog.scatter(s as VId, sv, 1, deg);
-                                                ctx.charge_cycles(sc);
-                                                uout_d.push(ctx, t);
-                                                uout_v.push(ctx, c);
-                                                row[part_of(t as usize)] += 1;
-                                            }
-                                        },
-                                    );
-                                }
-                            }
+                            });
                             uout_d.flush(ctx);
                             uout_v.flush(ctx);
                             let len = uout_d.pos();
@@ -727,16 +642,11 @@ mod tests {
     ) where
         P::Val: std::fmt::Debug,
     {
-        for compressed in [false, true] {
-            let spec = MachineSpec::intel80().with_compressed_topology(compressed);
-            for &t in threads {
-                let per_edge = observe(&spec.clone().with_bulk_accounting(false), t, g, prog);
-                let by_word = observe(&spec, t, g, prog);
-                assert_eq!(
-                    per_edge, by_word,
-                    "{what}, {t} threads, compressed={compressed}"
-                );
-            }
+        let spec = MachineSpec::intel80();
+        for &t in threads {
+            let per_edge = observe(&spec.clone().with_bulk_accounting(false), t, g, prog);
+            let by_word = observe(&spec, t, g, prog);
+            assert_eq!(per_edge, by_word, "{what}, {t} threads");
         }
     }
 

@@ -12,10 +12,8 @@
 //!    batches, chained batches, a batch that triggers threshold compaction
 //!    mid-sequence, and windows of several batches composed with
 //!    `AppliedBatch::merged_with` that hit the same pairs repeatedly.
-//! 3. **Compaction**: an `OverlayTopo` rebuilt after a compaction
-//!    re-encodes the new base — also under the delta/varint-compressed
-//!    topology, where the old placed copy would decode neighbours of a graph
-//!    that no longer exists — and warm-started queries stay oracle-exact.
+//! 3. **Compaction**: an `OverlayTopo` rebuilt after a compaction places
+//!    the new base, and warm-started queries stay oracle-exact.
 
 use polymer::algos::reference::max_rel_error;
 use polymer::algos::{
@@ -290,55 +288,6 @@ fn conformance_through_threshold_compaction() {
     assert!(mg.log().is_empty(), "compaction clears the overlay");
 
     assert_min_engines_oracle_exact(&machine, &mg, &prior_bfs, &prior_sssp, &applied);
-}
-
-/// Compaction replaces the base CSR, so a placed *and encoded* copy of it is
-/// stale: a rebuild on the compressed machine must re-encode the new base,
-/// and warm-started queries stay oracle-exact while still sweeping fewer
-/// bytes than the raw machine's layout.
-#[test]
-fn compaction_under_compression_stays_oracle_exact() {
-    let raw = machine();
-    let compressed = Machine::new(MachineSpec::test2().with_compressed_topology(true));
-    let base = gen::uniform(200, 1_200, 97);
-
-    let mg_raw = MutableGraph::from_edge_list(base.clone());
-    let raw_topo = build_topo(&raw, &mg_raw, false);
-    let raw_cold = bfs_overlay(&raw, THREADS, &raw_topo, 0, None, false).unwrap();
-
-    // Aggressive compaction threshold: 1% of |E| ≈ 12 pending entries.
-    let mut mg = MutableGraph::from_edge_list(base).with_compaction_fraction(0.01);
-    let topo = build_topo(&compressed, &mg, false);
-    assert!(
-        topo.neighbor_sweep_bytes() < raw_topo.neighbor_sweep_bytes(),
-        "encoded base must be smaller than the raw layout"
-    );
-    let prior = bfs_overlay(&compressed, THREADS, &topo, 0, None, false).unwrap();
-    assert_eq!(
-        prior.values, raw_cold.values,
-        "compressed cold query diverged from raw"
-    );
-
-    // Ingest past the threshold: apply compacts internally, invalidating
-    // the encoded base the resident topology holds.
-    let applied = mg.apply(&mixed_batch(&mg, 3, 30, false)).unwrap();
-    assert!(applied.stats.compacted, "batch must trigger compaction");
-
-    let topo = build_topo(&compressed, &mg, false);
-    let warm = WarmStart::from_result(&prior, &applied);
-    let run = bfs_overlay(&compressed, THREADS, &topo, 0, Some(warm), false).unwrap();
-    let (oracle, _) = run_reference(&mg, &Bfs::new(0));
-    assert_eq!(run.values, oracle, "warm BFS after compaction vs oracle");
-
-    assert!(
-        topo.neighbor_sweep_bytes() < build_topo(&raw, &mg, false).neighbor_sweep_bytes(),
-        "post-compaction rebuild must re-encode the base"
-    );
-
-    // Symmetric programs decode the in-direction too.
-    let (cc_oracle, _) = run_reference(&mg, &ConnectedComponents::new());
-    let cc = cc_overlay(&compressed, THREADS, &topo, None, false).unwrap();
-    assert_eq!(cc.values, cc_oracle, "cold CC on compressed rebuild");
 }
 
 mod structural {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use polymer::algos::reference::max_rel_error;
-use polymer::graph::{edge_balanced_ranges, vertex_balanced_ranges, DeltaDecoder, PartitionStats};
+use polymer::graph::{edge_balanced_ranges, vertex_balanced_ranges, PartitionStats};
 use polymer::prelude::*;
 use polymer::sync::{DenseBitmap, Frontier};
 
@@ -311,75 +311,5 @@ proptest! {
             (miss_bytes - miss_want).abs() <= 1e-6 * miss_want.max(1.0),
             "per-socket LLC-miss bytes {} vs aggregate {}", miss_bytes, miss_want
         );
-    }
-}
-
-/// Strategy: one delta/varint-encodable neighbour list plus its anchor,
-/// biased toward the codec's edge cases — empty lists (zero-degree
-/// vertices), ids at the `u32` extremes, duplicates, and unsorted input.
-fn arb_extreme_id() -> impl Strategy<Value = u32> {
-    // The vendored proptest shim has no `prop_oneof!`; bias toward the
-    // extremes by mapping a selector: 0 -> 0, 1 -> u32::MAX, else random.
-    (0u32..6, 0u32..u32::MAX).prop_map(|(k, r)| match k {
-        0 => 0,
-        1 => u32::MAX,
-        _ => r,
-    })
-}
-
-fn arb_anchored_list() -> impl Strategy<Value = (u32, Vec<u32>)> {
-    (
-        arb_extreme_id(),
-        proptest::collection::vec(arb_extreme_id(), 0..64),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn compressed_list_roundtrips(anchored in arb_anchored_list()) {
-        use polymer::graph::encode_list;
-        let (vertex, list) = anchored;
-        let mut bytes = Vec::new();
-        encode_list(vertex, &list, &mut bytes);
-        let got: Vec<u32> = DeltaDecoder::new(vertex, &bytes).collect();
-        prop_assert_eq!(got, list);
-    }
-
-    #[test]
-    fn compressed_adjacency_roundtrips(el in arb_edges(64, 256),
-                                       single in (0u32..2).prop_map(|b| b == 1)) {
-        use polymer::graph::CompressedAdjacency;
-        // `single` shrinks the graph to one vertex (self-loops only): the
-        // offsets table then has exactly two entries and every delta is
-        // zero, which exercises the zigzag origin.
-        let el = if single {
-            polymer::graph::EdgeList {
-                num_vertices: 1,
-                edges: el.edges.iter().map(|e| {
-                    polymer::graph::Edge::weighted(0, 0, e.weight)
-                }).collect(),
-            }
-        } else {
-            el
-        };
-        let g = Graph::from_edges(&el);
-        let out = CompressedAdjacency::out_edges(&g);
-        let inn = CompressedAdjacency::in_edges(&g);
-        let list = |a: &CompressedAdjacency, v: u32| {
-            let payload = &a.bytes[a.offs[v as usize] as usize..a.offs[v as usize + 1] as usize];
-            DeltaDecoder::new(v, payload).collect::<Vec<_>>()
-        };
-        for v in 0..g.num_vertices() as u32 {
-            prop_assert_eq!(list(&out, v), g.out_neighbors(v));
-            prop_assert_eq!(list(&inn, v), g.in_neighbors(v));
-        }
-        // Zero-degree runs: vertices absent from the edge list still get
-        // (empty) lists, and the offsets stay monotone.
-        prop_assert_eq!(out.offs.len(), g.num_vertices() + 1);
-        for w in out.offs.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
     }
 }

@@ -1,18 +1,14 @@
-//! Equivalence matrix of the three per-machine toggles on
-//! [`MachineSpec`]: `bulk_accounting`, `shard_mode` and
-//! `compressed_topology`.
+//! Equivalence matrix of the two per-machine toggles on [`MachineSpec`]:
+//! `bulk_accounting` and `shard_mode`.
 //!
-//! The first two are accounting-only — they change how the host computes the
+//! Both are accounting-only — they change how the host computes the
 //! simulated result, never the result — so every combination must replay
 //! `results/golden_phasecosts.json` field for field, and a random script of
 //! scalar and bulk accesses must produce identical `AccessStats`,
 //! `PhaseCost`s, clocks and Chrome traces either way. One exception stands:
 //! on a tiered machine under `TierPolicy::Sampled`, bulk accounting changes
 //! which pages the sampled heat promotes, so there only the values are
-//! pinned (see the tiered case at the end of this file). Compressed topology
-//! changes the simulated machine's traffic by design: values must stay
-//! exactly what the raw layout produces while the unweighted sweep workloads
-//! move strictly fewer simulated bytes.
+//! pinned (see the tiered case at the end of this file).
 //!
 //! The toggles travel with the machine a run is built on, so every case here
 //! runs in-process, concurrently with the others, with no lock.
@@ -273,87 +269,29 @@ fn engines_are_bit_identical_across_accounting_toggles() {
     assert_accounting_toggles_are_invisible(40, &g, &Bfs::new(0));
 }
 
-/// Values and total simulated bytes of one run on a fresh `test2` machine
-/// with the given topology encoding.
-fn run_bytes<P: Program, E: Engine>(
-    engine: &E,
-    compressed: bool,
-    g: &Graph,
-    prog: &P,
-) -> (Vec<P::Val>, u64) {
-    let m = Machine::new(MachineSpec::test2().with_compressed_topology(compressed));
-    let r = engine.run(&m, 4, g, prog);
-    let bytes = r.clock.total.bytes_local + r.clock.total.bytes_remote;
-    (r.values, bytes)
-}
-
-/// Raw and compressed runs agree on values; with `fewer_bytes` the
-/// compressed one must also move strictly fewer simulated bytes.
-fn check_compressed<P: Program, E: Engine>(
-    engine: E,
-    name: &str,
-    g: &Graph,
-    prog: &P,
-    algo: &str,
-    fewer_bytes: bool,
-) where
-    P::Val: PartialEq + std::fmt::Debug,
-{
-    let (raw_vals, raw_bytes) = run_bytes(&engine, false, g, prog);
-    let (c_vals, c_bytes) = run_bytes(&engine, true, g, prog);
-    assert_eq!(raw_vals, c_vals, "{name}/{algo}: values diverged");
-    assert!(
-        !fewer_bytes || c_bytes < raw_bytes,
-        "{name}/{algo}: compressed topology moved {c_bytes} bytes, raw moved {raw_bytes}"
-    );
-}
-
-#[test]
-fn compressed_topology_preserves_values_and_reduces_bytes() {
-    let (g, sym) = golden_graphs();
-    let pr = PageRank::new(g.num_vertices());
-    check_compressed(PolymerEngine::new(), "Polymer", &g, &pr, "PR", true);
-    check_compressed(LigraEngine::new(), "Ligra", &g, &pr, "PR", true);
-    check_compressed(XStreamEngine::new(), "X-Stream", &g, &pr, "PR", true);
-    check_compressed(GaloisEngine::new(), "Galois", &g, &pr, "PR", true);
-    // Galois answers CC with its label-free union-find scan over private raw
-    // CSR arrays — no neighbour-list streaming, so no byte reduction to
-    // assert; the conformance half of the contract still applies.
-    let cc = ConnectedComponents::new();
-    check_compressed(PolymerEngine::new(), "Polymer", &sym, &cc, "CC", true);
-    check_compressed(LigraEngine::new(), "Ligra", &sym, &cc, "CC", true);
-    check_compressed(XStreamEngine::new(), "X-Stream", &sym, &cc, "CC", true);
-    check_compressed(GaloisEngine::new(), "Galois", &sym, &cc, "CC", false);
-    // Weighted programs keep their raw edge-aligned weight arrays; the
-    // guarantee there is conformance, not a byte reduction.
-    let sssp = Sssp::new(0);
-    check_compressed(PolymerEngine::new(), "Polymer", &g, &sssp, "SSSP", false);
-    check_compressed(LigraEngine::new(), "Ligra", &g, &sssp, "SSSP", false);
-    check_compressed(XStreamEngine::new(), "X-Stream", &g, &sssp, "SSSP", false);
-    check_compressed(GaloisEngine::new(), "Galois", &g, &sssp, "SSSP", false);
-}
-
 /// Two machines with opposite toggle sets running at the same time in one
 /// process do not see each other's configuration: every concurrent result is
-/// bit-equal to the same configuration run alone.
+/// bit-equal to the same configuration run alone. The first machine also
+/// has a smaller cache, so the two runs differ in their simulated clocks.
 #[test]
 fn concurrent_machines_with_opposite_toggles_do_not_interfere() {
     let (g, _) = golden_graphs();
     let prog = PageRank::new(g.num_vertices());
     let specs = [
-        MachineSpec::test2()
-            .with_bulk_accounting(false)
-            .with_shard_mode(SimShardMode::Off)
-            .with_compressed_topology(true),
+        MachineSpec {
+            llc_scale: 1e-3,
+            ..MachineSpec::test2()
+        }
+        .with_bulk_accounting(false)
+        .with_shard_mode(SimShardMode::Off),
         MachineSpec::test2()
             .with_bulk_accounting(true)
-            .with_shard_mode(SimShardMode::On)
-            .with_compressed_topology(false),
+            .with_shard_mode(SimShardMode::On),
     ];
     let alone: Vec<_> = specs.iter().map(|s| run_engines(s, 4, &g, &prog)).collect();
     assert_ne!(
         alone[0], alone[1],
-        "the two toggle sets must be distinguishable (compressed moves fewer bytes)"
+        "the two machines must be distinguishable (the small cache moves the clock)"
     );
     // Both threads enter each round together, so the runs overlap. Rounds
     // that diverge are reported after the join: a thread that stopped early
