@@ -7,6 +7,7 @@ use std::ops::Range;
 use polymer_faults::{PolymerError, PolymerResult};
 use polymer_graph::{Graph, VId};
 use polymer_numa::{AccessCtx, AllocPolicy, Atom, Machine, NumaArray, NumaAtomicArray};
+use polymer_sync::DenseBitmap;
 
 use crate::program::Program;
 
@@ -116,6 +117,65 @@ impl TopoArrays {
             in_src_deg,
             in_w,
             out_deg,
+        }
+    }
+
+    /// The frontier-gated pull of `targets` (Ligra's and Galois's): per
+    /// target the CSC offset pair and source run, then one `frontier` test
+    /// per in-edge. That walk is the topology's, charged when `CHARGED` and
+    /// read unaccounted otherwise (a replayed pull, see
+    /// [`AccessCtx::replay_walk`]). The weight, value and degree of each
+    /// active source are charged either way, with one cycle charge per
+    /// target, and `on_hit(ctx, t, acc)` gets every target with an active
+    /// source.
+    pub fn gated_pull<const CHARGED: bool, P: Program>(
+        &self,
+        ctx: &mut AccessCtx,
+        prog: &P,
+        frontier: &DenseBitmap,
+        curr: &NumaAtomicArray<P::Val>,
+        targets: Range<usize>,
+        mut on_hit: impl FnMut(&mut AccessCtx, usize, P::Val),
+    ) {
+        let sc = prog.scatter_cycles();
+        // `sc * hits` is `hits` adds of an integral `sc` below 2^53.
+        debug_assert_eq!(sc.fract(), 0.0, "scatter cycles must be integral");
+        let (off, src) = (self.in_off.raw(), self.in_src.raw());
+        for t in targets {
+            let (lo, hi) = if CHARGED {
+                (self.in_off.get(ctx, t), self.in_off.get(ctx, t + 1))
+            } else {
+                (off[t], off[t + 1])
+            };
+            let (lo, hi) = (lo as usize, hi as usize);
+            let srcs = if CHARGED {
+                self.in_src.load_range(ctx, lo..hi)
+            } else {
+                &src[lo..hi]
+            };
+            let mut acc = prog.next_identity();
+            let mut hits = 0u32;
+            for (e, &s) in (lo..hi).zip(srcs) {
+                let active = if CHARGED {
+                    frontier.test(ctx, s as usize)
+                } else {
+                    frontier.test_unaccounted(s as usize)
+                };
+                if active {
+                    let w = match &self.in_w {
+                        Some(ws) => ws.get(ctx, e),
+                        None => 1,
+                    };
+                    let sv = curr.load(ctx, s as usize);
+                    let deg = self.in_src_deg.get(ctx, e);
+                    acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
+                    hits += 1;
+                }
+            }
+            if hits > 0 {
+                ctx.charge_cycles(sc * f64::from(hits));
+                on_hit(ctx, t, acc);
+            }
         }
     }
 }

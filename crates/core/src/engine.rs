@@ -6,12 +6,15 @@ use polymer_api::{
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
-use polymer_numa::{AccessCtx, BarrierKind, Machine};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use polymer_numa::{AccessCtx, BarrierKind, Capture, Machine, NumaAtomicArray};
 use polymer_sync::{
     should_densify, DenseBitmap, FrontierRepr, FrontierSnapshot, LookupTable, ThreadQueues,
 };
 
-use crate::layout::PolymerLayout;
+use crate::layout::{NodeLayout, PolymerLayout};
 
 /// Engine configuration: the paper's three Section 5 optimizations, each
 /// independently toggleable for the ablation experiments.
@@ -117,6 +120,80 @@ fn test_dense(
     bits.test(ctx, v - layout.nodes[owner].range.start)
 }
 
+/// One tid's pull over its agent slice `my` of `nl`, in rolling order: per
+/// agent the target id, the offset pair and the endpoint run, then one test
+/// of the node's frontier `bits` per in-edge — the topology's walk, charged
+/// when `CHARGED` and read unaccounted in a replayed pull
+/// ([`AccessCtx::replay_walk`]). The weight, value and degree of each active
+/// source are charged either way, with one cycle charge per agent. Returns
+/// the `(target, contribution)` log.
+fn pull_agents<const CHARGED: bool, P: Program>(
+    ctx: &mut AccessCtx,
+    prog: &P,
+    layout: &PolymerLayout,
+    nl: &NodeLayout,
+    bits: &DenseBitmap,
+    curr: &NumaAtomicArray<P::Val>,
+    my: Range<usize>,
+) -> Vec<(usize, P::Val)> {
+    let dir = nl.pull.as_ref().expect("pull layout built");
+    let sc = prog.scatter_cycles();
+    // `sc * hits` is `hits` adds of an integral `sc` below 2^53.
+    debug_assert_eq!(sc.fract(), 0.0, "scatter cycles must be integral");
+    let (ids, off, eps) = (dir.agent_id.raw(), dir.agent_off.raw(), dir.endpoint.raw());
+    // Rolling order: start at the first agent the node owns.
+    let pivot = ids
+        .partition_point(|&t| (t as usize) < nl.range.start)
+        .clamp(my.start, my.end)
+        - my.start;
+    let mut log = Vec::new();
+    for a in rolling(my.len(), pivot).map(|k| my.start + k) {
+        // Agent id / offset pair reads stay scalar: the offsets re-read the
+        // previous agent's end, and the rolling order wraps once mid-scan.
+        // The endpoints stream in bulk.
+        let (t, lo, hi) = if CHARGED {
+            let t = dir.agent_id.get(ctx, a);
+            (t, dir.agent_off.get(ctx, a), dir.agent_off.get(ctx, a + 1))
+        } else {
+            (ids[a], off[a], off[a + 1])
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        let srcs = if CHARGED {
+            dir.endpoint.load_range(ctx, lo..hi)
+        } else {
+            &eps[lo..hi]
+        };
+        let mut acc = prog.next_identity();
+        let mut hits = 0u32;
+        for (e, &s) in (lo..hi).zip(srcs) {
+            // Sources are local to this node by layout. Everything behind
+            // the frontier test is gated or vertex-indexed (random) and
+            // stays scalar.
+            let s = s as usize;
+            let active = if CHARGED {
+                bits.test(ctx, s - nl.range.start)
+            } else {
+                bits.test_unaccounted(s - nl.range.start)
+            };
+            if active {
+                let w = match &dir.weight {
+                    Some(ws) => ws.get(ctx, e),
+                    None => 1,
+                };
+                let sv = curr.load(ctx, s);
+                let deg = layout.out_deg.get(ctx, s);
+                acc = prog.combine().fold(acc, prog.scatter(s as VId, sv, w, deg));
+                hits += 1;
+            }
+        }
+        if hits > 0 {
+            ctx.charge_cycles(sc * f64::from(hits));
+            log.push((t as usize, acc));
+        }
+    }
+    log
+}
+
 /// Iterate `0..len` starting at `pivot` and wrapping (the paper's *rolling
 /// order*: each node starts with its own vertices to spread cross-node
 /// traffic).
@@ -213,6 +290,8 @@ impl Engine for PolymerEngine {
         };
 
         let queues = ThreadQueues::new(machine, threads);
+        // Each tid's capture of its first pull's topology walk.
+        let pull_memo: Vec<OnceLock<Capture>> = (0..threads).map(|_| OnceLock::new()).collect();
         driver.run_recoverable(
             prog.max_iters(),
             &mut frontier,
@@ -266,55 +345,26 @@ impl Engine for PolymerEngine {
                             let node = ctx.node();
                             let nl = &layout.nodes[node];
                             let dir = nl.pull.as_ref().expect("pull layout built");
-                            let my = &dir.slices[tin[tid]];
-                            let mut log: Vec<(usize, P::Val)> = Vec::new();
+                            let my = dir.slices[tin[tid]].clone();
                             if my.is_empty() {
-                                return log;
+                                return Vec::new();
                             }
-                            // Rolling order: start at the first agent the node
-                            // owns.
-                            let pivot = dir
-                                .agent_id
-                                .raw()
-                                .partition_point(|&t| (t as usize) < nl.range.start)
-                                .clamp(my.start, my.end)
-                                - my.start;
-                            let own_bits = table.get(node).unwrap();
-                            for off in rolling(my.len(), pivot) {
-                                let a = my.start + off;
-                                // Agent id / offset pair reads stay scalar: the
-                                // offsets re-read the previous agent's end, and
-                                // the rolling order wraps once mid-scan.
-                                let t = dir.agent_id.get(ctx, a) as usize;
-                                let mut acc = identity;
-                                let mut any = false;
-                                // Source endpoints are scanned unconditionally —
-                                // bulk stream. Everything inside the frontier
-                                // test (weight, value, degree, bitmap word) is
-                                // gated or vertex-indexed (random) and stays
-                                // scalar.
-                                for (e, s) in dir.agent_edges_indexed(ctx, a) {
-                                    let s = s as usize;
-                                    // Sources are local to this node by layout.
-                                    if own_bits.test(ctx, s - nl.range.start) {
-                                        let w = match &dir.weight {
-                                            Some(ws) => ws.get(ctx, e),
-                                            None => 1,
-                                        };
-                                        let sv = curr.load(ctx, s);
-                                        let deg = layout.out_deg.get(ctx, s);
-                                        acc = prog
-                                            .combine()
-                                            .fold(acc, prog.scatter(s as VId, sv, w, deg));
-                                        ctx.charge_cycles(sc);
-                                        any = true;
-                                    }
+                            // The topology's walk repeats in every pull: it
+                            // is charged once per run and replayed after.
+                            let bits = table.get(node).unwrap();
+                            let roles = [
+                                dir.agent_id.alloc_ref(),
+                                dir.agent_off.alloc_ref(),
+                                dir.endpoint.alloc_ref(),
+                                bits.alloc_ref(),
+                            ];
+                            ctx.replay_walk(&pull_memo[tid], &roles, |ctx, charged| {
+                                if charged {
+                                    pull_agents::<true, P>(ctx, prog, &layout, nl, bits, &curr, my)
+                                } else {
+                                    pull_agents::<false, P>(ctx, prog, &layout, nl, bits, &curr, my)
                                 }
-                                if any {
-                                    log.push((t, acc));
-                                }
-                            }
-                            log
+                            })
                         },
                         |_tid, ctx, log| {
                             for (t, acc) in log {

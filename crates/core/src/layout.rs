@@ -59,19 +59,6 @@ impl DirLayout {
         let w = self.weight.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
         (eps, w)
     }
-
-    /// Accounted stream of agent `a`'s endpoints as `(edge_index, endpoint)`
-    /// pairs, for callers that gate per-edge scalar accesses (pull). Charges
-    /// like [`DirLayout::agent_edges`] but never streams weights in bulk.
-    pub fn agent_edges_indexed<'s>(
-        &'s self,
-        ctx: &mut AccessCtx,
-        a: usize,
-    ) -> impl Iterator<Item = (usize, u32)> + 's {
-        let lo = self.agent_off.get(ctx, a) as usize;
-        let hi = self.agent_off.get(ctx, a + 1) as usize;
-        (lo..hi).zip(self.endpoint.iter_seq(ctx, lo..hi))
-    }
 }
 
 /// Everything one node owns.

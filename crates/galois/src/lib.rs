@@ -26,6 +26,7 @@
 #![deny(unsafe_code)]
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use polymer_api::Combine;
 use polymer_api::{
@@ -35,7 +36,7 @@ use polymer_api::{
 };
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
-use polymer_numa::{AllocPolicy, BarrierKind, Machine};
+use polymer_numa::{AccessCtx, AllocPolicy, BarrierKind, Capture, Machine};
 use polymer_sync::{DenseBitmap, FrontierSnapshot, ThreadQueues};
 
 /// Work chunk size per thread per scheduling round (Galois's chunked
@@ -272,6 +273,8 @@ fn run_sync_pull<P: Program>(
         .map(|_| std::sync::atomic::AtomicBool::new(false))
         .collect();
     let updated_host = &updated_host;
+    // Each tid's capture of its first gated pull's topology walk.
+    let pull_memo: Vec<OnceLock<Capture>> = (0..threads).map(|_| OnceLock::new()).collect();
     use std::sync::atomic::Ordering::Relaxed;
     driver.run_recoverable(
         prog.max_iters(),
@@ -288,50 +291,52 @@ fn run_sync_pull<P: Program>(
             sim.run_phase_split(
                 "pull",
                 |tid, ctx| {
+                    if !all_active {
+                        // State-gated: the topology's walk is the same in
+                        // every gated pull, so it is charged once per run and
+                        // replayed after.
+                        let roles = [
+                            topo.in_off.alloc_ref(),
+                            topo.in_src.alloc_ref(),
+                            state.alloc_ref(),
+                        ];
+                        let ts = chunks[tid].clone();
+                        let hit = |ctx: &mut AccessCtx, t, acc| {
+                            next.store(ctx, t, acc);
+                            updated_host[t].store(true, Relaxed);
+                        };
+                        ctx.replay_walk(&pull_memo[tid], &roles, |ctx, charged| {
+                            if charged {
+                                topo.gated_pull::<true, P>(ctx, prog, &state, &curr, ts, hit);
+                            } else {
+                                topo.gated_pull::<false, P>(ctx, prog, &state, &curr, ts, hit);
+                            }
+                        });
+                        return;
+                    }
                     for t in chunks[tid].clone() {
                         // Offset pairs re-read the previous vertex's end — they
                         // stay on the scalar path to keep that access pattern.
                         let lo = topo.in_off.get(ctx, t) as usize;
                         let hi = topo.in_off.get(ctx, t + 1) as usize;
+                        // Dense sweep: every in-edge is consumed, so the
+                        // edge-aligned arrays stream in bulk.
+                        let src_it = topo.in_src.iter_seq(ctx, lo..hi);
+                        let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
+                        let mut w_it = topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
                         let mut acc = identity;
                         let mut any = false;
-                        if all_active {
-                            // Dense sweep: every in-edge is consumed, so the
-                            // edge-aligned arrays stream in bulk.
-                            let src_it = topo.in_src.iter_seq(ctx, lo..hi);
-                            let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
-                            let mut w_it = topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
-                            for (s, deg) in src_it.zip(deg_it) {
-                                let w = match &mut w_it {
-                                    Some(it) => it.next().expect("weight stream aligned"),
-                                    None => 1,
-                                };
-                                // Source values are vertex-indexed — random,
-                                // scalar path.
-                                let sv = curr.load(ctx, s as usize);
-                                acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
-                                ctx.charge_cycles(sc);
-                                any = true;
-                            }
-                        } else {
-                            // State-gated: downstream reads depend on the
-                            // per-source bitmap test — scalar path. The source
-                            // stream itself is consumed for every edge (only
-                            // the value/weight/degree reads are gated).
-                            for (k, s) in topo.in_src.iter_seq(ctx, lo..hi).enumerate() {
-                                let e = lo + k;
-                                if state.test(ctx, s as usize) {
-                                    let w = match &topo.in_w {
-                                        Some(ws) => ws.get(ctx, e),
-                                        None => 1,
-                                    };
-                                    let sv = curr.load(ctx, s as usize);
-                                    let deg = topo.in_src_deg.get(ctx, e);
-                                    acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
-                                    ctx.charge_cycles(sc);
-                                    any = true;
-                                }
-                            }
+                        for (s, deg) in src_it.zip(deg_it) {
+                            let w = match &mut w_it {
+                                Some(it) => it.next().expect("weight stream aligned"),
+                                None => 1,
+                            };
+                            // Source values are vertex-indexed — random,
+                            // scalar path.
+                            let sv = curr.load(ctx, s as usize);
+                            acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
+                            ctx.charge_cycles(sc);
+                            any = true;
                         }
                         if any {
                             next.store(ctx, t, acc);

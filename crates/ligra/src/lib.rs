@@ -27,10 +27,11 @@ use polymer_api::{
 };
 use std::cell::OnceCell;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use polymer_faults::PolymerResult;
 use polymer_graph::{Graph, VId};
-use polymer_numa::{AllocPolicy, BarrierKind, Machine};
+use polymer_numa::{AccessCtx, AllocPolicy, BarrierKind, Capture, Machine};
 use polymer_sync::{should_densify, DenseBitmap, Frontier, ThreadQueues};
 
 /// The Ligra-like engine. Construct with [`LigraEngine::new`].
@@ -119,6 +120,8 @@ impl Engine for LigraEngine {
         // balancing), not raw vertex counts. They depend only on the graph,
         // so they are computed by the first pull iteration, if there is one.
         let pull_chunks: OnceCell<Vec<Range<usize>>> = OnceCell::new();
+        // Each tid's capture of its first gated pull's topology walk.
+        let pull_memo: Vec<OnceLock<Capture>> = (0..threads).map(|_| OnceLock::new()).collect();
         driver.run_recoverable(
             prog.max_iters(),
             &mut frontier,
@@ -163,6 +166,34 @@ impl Engine for LigraEngine {
                     sim.run_phase_split(
                         "gather-pull",
                         |tid, ctx| {
+                            if !all_active {
+                                // Frontier-gated: the topology's walk is the
+                                // same in every gated pull, so it is charged
+                                // once per run and replayed after.
+                                let roles = [
+                                    topo.in_off.alloc_ref(),
+                                    topo.in_src.alloc_ref(),
+                                    bits.alloc_ref(),
+                                ];
+                                let ts = chunks[tid].clone();
+                                let hit = |ctx: &mut AccessCtx, t, acc| {
+                                    next.store(ctx, t, acc);
+                                    // Atomic: an edge-balanced chunk
+                                    // boundary can split a bitmap word
+                                    // across shards.
+                                    updated.set(ctx, t);
+                                };
+                                ctx.replay_walk(&pull_memo[tid], &roles, |ctx, charged| {
+                                    if charged {
+                                        topo.gated_pull::<true, P>(ctx, prog, bits, &curr, ts, hit);
+                                    } else {
+                                        topo.gated_pull::<false, P>(
+                                            ctx, prog, bits, &curr, ts, hit,
+                                        );
+                                    }
+                                });
+                                return;
+                            }
                             for t in chunks[tid].clone() {
                                 // Offset pairs re-read the previous vertex's
                                 // end — the bulk path charges ranges once, so
@@ -170,55 +201,28 @@ impl Engine for LigraEngine {
                                 // access pattern.
                                 let lo = topo.in_off.get(ctx, t) as usize;
                                 let hi = topo.in_off.get(ctx, t + 1) as usize;
+                                // Dense sweep: every in-edge is consumed, so
+                                // the edge-aligned arrays stream in bulk.
+                                let src_it = topo.in_src.iter_seq(ctx, lo..hi);
+                                let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
+                                let mut w_it =
+                                    topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
                                 let mut acc = identity;
                                 let mut any = false;
-                                if all_active {
-                                    // Dense sweep: every in-edge is consumed,
-                                    // so the edge-aligned arrays stream in
-                                    // bulk.
-                                    let src_it = topo.in_src.iter_seq(ctx, lo..hi);
-                                    let deg_it = topo.in_src_deg.iter_seq(ctx, lo..hi);
-                                    let mut w_it =
-                                        topo.in_w.as_ref().map(|ws| ws.iter_seq(ctx, lo..hi));
-                                    for (s, deg) in src_it.zip(deg_it) {
-                                        let w = match &mut w_it {
-                                            Some(it) => it.next().expect("weight stream aligned"),
-                                            None => 1,
-                                        };
-                                        // Source values are indexed by vertex
-                                        // id — random, scalar path.
-                                        let sv = curr.load(ctx, s as usize);
-                                        acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
-                                        ctx.charge_cycles(sc);
-                                        any = true;
-                                    }
-                                } else {
-                                    // Frontier-gated: the source stream is
-                                    // still fully consumed; weight/value/
-                                    // degree reads depend on the per-source
-                                    // bitmap test — scalar.
-                                    for (k, s) in topo.in_src.iter_seq(ctx, lo..hi).enumerate() {
-                                        let e = lo + k;
-                                        if bits.test(ctx, s as usize) {
-                                            let w = match &topo.in_w {
-                                                Some(ws) => ws.get(ctx, e),
-                                                None => 1,
-                                            };
-                                            let sv = curr.load(ctx, s as usize);
-                                            let deg = topo.in_src_deg.get(ctx, e);
-                                            acc = prog
-                                                .combine()
-                                                .fold(acc, prog.scatter(s, sv, w, deg));
-                                            ctx.charge_cycles(sc);
-                                            any = true;
-                                        }
-                                    }
+                                for (s, deg) in src_it.zip(deg_it) {
+                                    let w = match &mut w_it {
+                                        Some(it) => it.next().expect("weight stream aligned"),
+                                        None => 1,
+                                    };
+                                    // Source values are indexed by vertex id —
+                                    // random, scalar path.
+                                    let sv = curr.load(ctx, s as usize);
+                                    acc = prog.combine().fold(acc, prog.scatter(s, sv, w, deg));
+                                    ctx.charge_cycles(sc);
+                                    any = true;
                                 }
                                 if any {
                                     next.store(ctx, t, acc);
-                                    // Atomic: an edge-balanced chunk
-                                    // boundary can split a bitmap word
-                                    // across shards.
                                     updated.set(ctx, t);
                                 }
                             }

@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::atomicf::AtomicF64;
-use crate::ctx::{AccessCtx, Rw};
+use crate::ctx::{AccessCtx, AllocRef, Rw};
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
 
@@ -155,6 +155,14 @@ pub(crate) struct ArrayMeta {
 
 impl ArrayMeta {
     #[inline]
+    fn alloc_ref(&self) -> AllocRef<'_> {
+        AllocRef {
+            id: self.id,
+            placement: &self.placement,
+        }
+    }
+
+    #[inline]
     fn record(&self, ctx: &mut AccessCtx, idx: usize, rw: Rw) {
         ctx.record(self.id, &self.placement, idx * self.elem, self.elem, rw);
     }
@@ -266,6 +274,12 @@ impl<T: Copy> NumaArray<T> {
     #[inline]
     pub fn alloc_id(&self) -> AllocId {
         self.meta.id
+    }
+
+    /// The allocation as [`AccessCtx::replay_walk`] names it.
+    #[inline]
+    pub fn alloc_ref(&self) -> AllocRef<'_> {
+        self.meta.alloc_ref()
     }
 }
 
@@ -430,6 +444,12 @@ impl<T: Atom> NumaAtomicArray<T> {
     #[inline]
     pub fn alloc_id(&self) -> AllocId {
         self.meta.id
+    }
+
+    /// The allocation as [`AccessCtx::replay_walk`] names it.
+    #[inline]
+    pub fn alloc_ref(&self) -> AllocRef<'_> {
+        self.meta.alloc_ref()
     }
 }
 

@@ -15,6 +15,8 @@
 //! model per array and the reports can attribute traffic to graph topology,
 //! application data, and runtime state separately.
 
+use std::sync::OnceLock;
+
 use crate::machine::{AllocId, Machine};
 use crate::policy::Placement;
 use crate::topology::{NodeId, MAX_NODES};
@@ -91,6 +93,14 @@ impl DstStat {
         let [[rs, rr], [ws, wr]] = self.0;
         (rs.count | rr.count | ws.count | wr.count) == 0
     }
+
+    /// Add another line's tallies into this one.
+    fn add(&mut self, other: &DstStat) {
+        for (mine, theirs) in self.0.iter_mut().flatten().zip(other.0.iter().flatten()) {
+            mine.bytes += theirs.bytes;
+            mine.count += theirs.count;
+        }
+    }
 }
 
 /// Access counters of one allocation in a context, destination-major: one
@@ -146,6 +156,22 @@ impl AccessStats {
     pub fn total_bytes(&self) -> u64 {
         self.tallies().map(|t| t.bytes).sum()
     }
+}
+
+/// An allocation as [`AccessCtx::replay_walk`] names it: its id and its
+/// placement (from `alloc_ref` on the instrumented arrays).
+#[derive(Clone, Copy)]
+pub struct AllocRef<'a> {
+    pub(crate) id: AllocId,
+    pub(crate) placement: &'a Placement,
+}
+
+/// The counter lines one context charged to a list of allocations, kept by
+/// position in the list (the allocation's *role*) with the placement each
+/// had. It holds no cycles: a walk whose charges are captured charges none.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Capture {
+    roles: Vec<(Placement, Vec<(NodeId, DstStat)>)>,
 }
 
 /// Per-allocation scratch of one context: the sequential-stream tracker, a
@@ -613,6 +639,75 @@ impl AccessCtx {
         self.extra_cycles += cycles;
     }
 
+    /// Copy this context's counter lines for `allocs`, without resetting
+    /// them.
+    pub(crate) fn capture(&self, allocs: &[AllocRef<'_>]) -> Capture {
+        let lines = |id: AllocId| match self.per.get(id as usize) {
+            Some(st) => (st.stat.0[..self.nnodes].iter().enumerate())
+                .filter(|(_, line)| !line.is_empty())
+                .map(|(dst, line)| (dst, *line))
+                .collect(),
+            None => Vec::new(),
+        };
+        Capture {
+            roles: (allocs.iter())
+                .map(|a| (a.placement.clone(), lines(a.id)))
+                .collect(),
+        }
+    }
+
+    /// Add `cap`'s lines into `allocs`, role by role, and put `allocs` on
+    /// the touched list — what the captured walk would charge them if it
+    /// ran again from a harvested state (`docs/SIMULATOR.md` §4). Refuses, charging nothing, unless bulk
+    /// accounting is on, the machine has one tier, heat is off and every
+    /// allocation's placement equals the captured one.
+    pub(crate) fn replay(&mut self, cap: &Capture, allocs: &[AllocRef<'_>]) -> bool {
+        if !self.bulk
+            || self.tiered
+            || self.heat_mode != HeatMode::Off
+            || cap.roles.len() != allocs.len()
+            || (cap.roles.iter().zip(allocs)).any(|((pl, _), a)| pl != a.placement)
+        {
+            return false;
+        }
+        for ((_, lines), a) in cap.roles.iter().zip(allocs) {
+            let st = self.alloc_state(a.id);
+            debug_assert!(!st.touched, "a replayed allocation was charged first");
+            for (dst, line) in lines {
+                st.stat.0[*dst].add(line);
+            }
+            self.note_touched(a.id);
+        }
+        true
+    }
+
+    /// Run `walk` for a loop whose charges to `allocs` do not change from
+    /// one run of the loop to the next. The first run is charged
+    /// (`walk(ctx, true)`) and captured into `memo`; a later run replays
+    /// the capture and walks with `charged == false`, reading `allocs`
+    /// unaccounted, whenever `AccessCtx::replay` accepts it. Only the
+    /// walk may touch `allocs` in the phase.
+    pub fn replay_walk<R>(
+        &mut self,
+        memo: &OnceLock<Capture>,
+        allocs: &[AllocRef<'_>],
+        walk: impl FnOnce(&mut AccessCtx, bool) -> R,
+    ) -> R {
+        if let Some(cap) = memo.get() {
+            if self.replay(cap, allocs) {
+                let out = walk(self, false);
+                debug_assert!(
+                    self.capture(allocs) == *cap,
+                    "a replayed allocation was charged outside the walk"
+                );
+                return out;
+            }
+        }
+        let out = walk(self, true);
+        memo.get_or_init(|| self.capture(allocs));
+        out
+    }
+
     /// Take and reset the accumulated statistics; also resets the
     /// sequential-stream trackers (a new phase starts new streams). On
     /// single-tier machines the page→node caches survive: placements are
@@ -947,6 +1042,74 @@ mod tests {
         assert_eq!(
             hit_node2, 1,
             "post-migration access must resolve the new home"
+        );
+    }
+
+    #[test]
+    fn a_replayed_walk_harvests_the_literal_charges() {
+        let n = 4096usize;
+        let pl = |policy: AllocPolicy| Placement::resolve_paged(&policy, n, 8, 2, 4096);
+        let topo = pl(AllocPolicy::Interleaved);
+        let chunked = pl(AllocPolicy::ChunkedElems(vec![(1000, 1), (n - 1000, 0)]));
+        // Allocations 0 and 1 are topology, read as offset pairs and runs;
+        // `bits` is a fresh allocation per walk, tested per element; 2 is
+        // read only behind the test (never replayed).
+        let walk = |ctx: &mut AccessCtx, bits: AllocId, charged: bool| {
+            for k in 0..64usize {
+                let at = k * 397 % (n - 80);
+                if charged {
+                    ctx.record(0, &topo, at * 8, 8, Rw::Read);
+                    ctx.record(0, &topo, (at + 1) * 8, 8, Rw::Read);
+                    ctx.record_run(1, &topo, at * 8, 8, 40, Rw::Read);
+                }
+                for j in 0..40 {
+                    let v = (at * 31 + j * 13) % n;
+                    if charged {
+                        ctx.record(bits, &chunked, v * 8, 8, Rw::Read);
+                    }
+                    if v.is_multiple_of(7) {
+                        ctx.record(2, &topo, v * 8, 8, Rw::Write);
+                    }
+                }
+            }
+        };
+        fn roles<'a>(
+            topo: &'a Placement,
+            bits: AllocId,
+            bits_pl: &'a Placement,
+        ) -> [AllocRef<'a>; 3] {
+            [(0, topo), (1, topo), (bits, bits_pl)]
+                .map(|(id, placement)| AllocRef { id, placement })
+        }
+        let m = Machine::new(MachineSpec::test2());
+        let memo = OnceLock::new();
+        let mut ctx = AccessCtx::new(&m, 0);
+        for bits in 3..6 {
+            // The literal walk on a twin context is the reference.
+            let mut literal = AccessCtx::new(&m, 0);
+            walk(&mut literal, bits, true);
+            let want = literal.take_stats();
+            ctx.replay_walk(&memo, &roles(&topo, bits, &chunked), |ctx, charged| {
+                assert_eq!(charged, bits == 3, "only the first walk is charged");
+                walk(ctx, bits, charged);
+            });
+            assert_eq!(ctx.take_stats(), want, "walk over allocation {bits}");
+            assert_eq!(want.extra_cycles, 0.0);
+        }
+        let cap = memo.get().expect("the first walk captured");
+        let refused = |ctx: &mut AccessCtx, placement: &Placement| {
+            !ctx.replay(cap, &roles(&topo, 6, placement))
+                && ctx.take_stats() == AccessStats::default()
+        };
+        assert!(refused(&mut ctx, &topo), "a placement change");
+        let tiered = Machine::new(MachineSpec::test2_tiered());
+        assert!(refused(&mut AccessCtx::new(&tiered, 0), &chunked), "tiered");
+        ctx.set_heat_mode(HeatMode::Full);
+        assert!(refused(&mut ctx, &chunked), "heat on");
+        let scalar = Machine::new(MachineSpec::test2().with_bulk_accounting(false));
+        assert!(
+            refused(&mut AccessCtx::new(&scalar, 0), &chunked),
+            "bulk off"
         );
     }
 

@@ -68,7 +68,7 @@ pub mod topology;
 pub use array::{Atom, NumaArray, NumaAtomicArray, SeqWriter};
 pub use atomicf::AtomicF64;
 pub use cost::{BarrierKind, CostConfig, CostModel, PhaseCost, SocketCost};
-pub use ctx::{AccessCtx, AccessStats, Pattern, Rw};
+pub use ctx::{AccessCtx, AccessStats, AllocRef, Capture, Pattern, Rw};
 pub use machine::{AllocId, Machine, MemUsage, SpillPolicy};
 pub use policy::AllocPolicy;
 pub use polymer_faults::{FaultPlan, PolymerError, PolymerResult};

@@ -84,6 +84,23 @@ pub struct Placement {
     page_shift: u32,
 }
 
+impl PartialEq for Placement {
+    /// Equal placements put every byte on the same node: the same page size
+    /// and mapping shape, per-page maps compared page by page.
+    fn eq(&self, other: &Placement) -> bool {
+        use PlacementKind::*;
+        self.page_shift == other.page_shift
+            && match (&self.kind, &other.kind) {
+                (OnNode(a), OnNode(b)) => a == b,
+                (Interleaved { nodes: a }, Interleaved { nodes: b }) => a == b,
+                (Pages(a), Pages(b)) => {
+                    a.len() == b.len() && (0..a.len()).all(|p| a.get(p) == b.get(p))
+                }
+                _ => false,
+            }
+    }
+}
+
 /// The mapping shape.
 #[derive(Clone, Debug)]
 enum PlacementKind {

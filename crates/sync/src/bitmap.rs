@@ -5,7 +5,7 @@
 //! the machine model exactly like the `Stat/curr` / `Stat/next` arrays in
 //! the paper's Figures 2 and 6.
 
-use polymer_numa::{AccessCtx, AllocPolicy, Machine, NumaAtomicArray};
+use polymer_numa::{AccessCtx, AllocPolicy, AllocRef, Machine, NumaAtomicArray};
 
 /// A dense atomic bitmap over `n` vertices.
 pub struct DenseBitmap {
@@ -106,7 +106,13 @@ impl DenseBitmap {
         self.bits.raw_store(v / 64, w | (1u64 << (v % 64)));
     }
 
-    /// Unaccounted test, for verification.
+    /// The backing allocation as [`AccessCtx::replay_walk`] names it.
+    #[inline]
+    pub fn alloc_ref(&self) -> AllocRef<'_> {
+        self.bits.alloc_ref()
+    }
+
+    /// Unaccounted test, for verification and for a replayed walk.
     #[inline]
     pub fn test_unaccounted(&self, v: usize) -> bool {
         self.bits.raw_load(v / 64) & (1u64 << (v % 64)) != 0

@@ -265,8 +265,22 @@ fn engines_are_bit_identical_across_accounting_toggles() {
     ));
     assert_accounting_toggles_are_invisible(80, &g, &PageRank::new(g.num_vertices()));
     // BFS exercises the frontier-gated (sparse) paths PageRank never reaches.
+    // Vertex 300 reaches most of the grid (vertex 0 has no out-edge).
     let g = Graph::from_edges(&polymer::graph::gen::road_grid(24, 24, 0.6, 3));
-    assert_accounting_toggles_are_invisible(40, &g, &Bfs::new(0));
+    assert_accounting_toggles_are_invisible(40, &g, &Bfs::new(300));
+    // SSSP pulls in several of its light iterations. From the second pull
+    // on, the bulk runs replay the first pull's topology charges; the
+    // scalar run walks every pull literally.
+    let sssp = Sssp::new(300);
+    assert_accounting_toggles_are_invisible(40, &g, &sssp);
+    let m = || Machine::new(MachineSpec::intel80());
+    let pulls = |r: RunResult<u64>| r.clock.by_phase.get("gather-pull").map_or(0, |p| p.1);
+    let polymer = pulls(PolymerEngine::new().run(&m(), 40, &g, &sssp));
+    let ligra = pulls(LigraEngine::new().run(&m(), 40, &g, &sssp));
+    assert!(
+        polymer >= 2 && ligra >= 2,
+        "pulls: polymer {polymer}, ligra {ligra}"
+    );
 }
 
 /// Two machines with opposite toggle sets running at the same time in one
